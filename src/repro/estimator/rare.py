@@ -58,6 +58,7 @@ from repro.analysis.passes import verify_dem
 from repro.analysis.reweight_passes import check_reweight
 from repro.noise.dem import DetectorErrorModel
 from repro.obs import metrics as _metrics
+from repro.sim.compiled import bernoulli_hits
 
 if TYPE_CHECKING:  # pragma: no cover - type-only
     from repro.decoder.base import Decoder
@@ -72,12 +73,6 @@ _RARE_FIRINGS = _metrics.counter(
     "repro_rare_firings_total",
     "Mechanism firings sampled by ImportanceSampler.",
 )
-
-# Mechanisms are processed in chunks of this many rows per uniform draw:
-# bounds the (chunk, shots) scratch block while consuming the rng stream
-# in the same C order as one (num_mechanisms, shots) draw would, so the
-# chunk size never changes the sampled shots.
-_CHUNK_MECHS = 256
 
 
 class ImportanceSampler:
@@ -135,7 +130,14 @@ class ImportanceSampler:
         q = np.array(
             [m.probability for m in proposal.mechanisms], dtype=np.float64
         )
-        self._q = q
+        # Mechanisms grouped by equal proposal probability (a uniformly
+        # inflated DEM has only a few dozen distinct values): each group's
+        # (members, shots) firing grid is one sparse Bernoulli draw.
+        self._q_groups = [
+            (float(value), np.flatnonzero(q == value))
+            for value in np.unique(q)
+            if value > 0
+        ]
         # log w(F) = base + sum_{k in F} delta_k:
         #   base    = sum_k log((1-p_k)/(1-q_k))        (nothing fires)
         #   delta_k = log(p_k/q_k) - log((1-p_k)/(1-q_k))  (k fires)
@@ -178,23 +180,28 @@ class ImportanceSampler:
             (det_keys, obs_keys, log_weights): bit-packed detector and
             observable key arrays of shapes ``(shots, ceil(nd/8))`` /
             ``(shots, ceil(no/8))`` plus the per-shot log likelihood
-            ratio under the original model.  The draw consumes the rng
-            stream as one ``(num_mechanisms, shots)`` uniform block, so
-            a shard's shots depend only on its seed.
+            ratio under the original model.  Firings are drawn sparsely:
+            one :func:`~repro.sim.compiled.bernoulli_hits` call per group
+            of mechanisms sharing a proposal probability, in increasing
+            probability order, so the work scales with the expected
+            firings and a shard's shots depend only on its seed.
         """
+        mech_parts = []
+        shot_parts = []
+        for rate, members in self._q_groups:
+            hits = bernoulli_hits(rng, members.size * shots, rate)
+            if hits.size:
+                member, shot = np.divmod(hits, shots)
+                mech_parts.append(members[member])
+                shot_parts.append(shot)
         det = np.zeros((shots, self._det_width), dtype=np.uint8)
         obs = np.zeros((shots, self._obs_width), dtype=np.uint8)
         llr = np.full(shots, self._base_llr, dtype=np.float64)
         total_firings = 0
-        q = self._q
-        for start in range(0, len(q), _CHUNK_MECHS):
-            stop = min(start + _CHUNK_MECHS, len(q))
-            fired = rng.random((stop - start, shots)) < q[start:stop, None]
-            mech_idx, shot_idx = np.nonzero(fired)
-            if not mech_idx.size:
-                continue
-            total_firings += mech_idx.size
-            mech_idx = mech_idx + start
+        if mech_parts:
+            mech_idx = np.concatenate(mech_parts)
+            shot_idx = np.concatenate(shot_parts)
+            total_firings = int(mech_idx.size)
             np.bitwise_xor.at(det, shot_idx, self._det_rows[mech_idx])
             if self._obs_width:
                 np.bitwise_xor.at(obs, shot_idx, self._obs_rows[mech_idx])

@@ -22,15 +22,20 @@ SIMD-style stabilizer samplers do:
   detector extraction is one unbuffered XOR-reduce
   (:func:`numpy.bitwise_xor.at`) at the end of the pass instead of per-op
   column loops.
-* **Bit-identical noise** -- noise steps draw exactly one
-  ``rng.random((shots, targets))`` block per op, in op order, mirroring
-  the reference sampler's stream exactly; the hit masks are bit-packed
-  and XORed into the frame rows.  ``DEPOLARIZE2`` derives its Pauli-pair
-  outcome from the *same* uniform draw as the hit decision
-  (:func:`depolarize2_pauli_indices`), so for the same seed the packed
-  pipeline produces *bit-identical* detector/observable samples.  The
-  equivalence is property-tested in ``tests/test_sim_compiled.py``; the
-  unpacked sampler remains the reference oracle.
+* **Sparse noise** -- a noise step touches only the (target, shot)
+  positions where its channel fires.  :func:`bernoulli_hits` draws those
+  positions exactly by geometric gap skipping, so a step costs O(expected
+  hits) instead of one uniform per target per shot; outcomes (X/Y/Z, or
+  one of the 15 two-qubit Paulis, or a biased channel's Pauli) are drawn
+  for the hits only (:func:`sample_channel`), and the hits are XORed into
+  the packed planes as ``(row, byte, bit mask)`` triples.  The reference
+  sampler (:meth:`repro.sim.frame.FrameSimulator.sample`) makes the same
+  :func:`sample_channel` calls in op order and applies the same hits
+  byte-per-bit, so for the same seed the packed pipeline produces
+  *bit-identical* detector/observable samples.  The equivalence is
+  property-tested in ``tests/test_sim_compiled.py``; the channel
+  statistics are checked against the channel probabilities in
+  ``tests/test_noise_sampling_stats.py``.
 
 Shot-major vs detector-major: frames pack shots along rows so gate ops are
 contiguous; decoders key on per-shot syndromes.  :func:`transpose_packed`
@@ -39,27 +44,41 @@ converts between the two layouts once per sample at the decoder boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.obs import metrics as _metrics
 from repro.sim.circuit import Circuit
 from repro.sim.ops import (
     CANONICAL_FRAME_GATE as _CANONICAL,
+    CHANNEL_ARGS,
     DROPPED_BY_COMPILER as _DROPPED,
     FUSABLE as _FUSABLE,
     NOISE as _NOISE,
-    PAULI_1Q,
+    NOISE_2Q,
     PAULI_1Q_CODES,
-    PAULI_2Q,
     PAULI_2Q_CODES,
 )
 
-# Flip-code lookup tables for the biased Pauli channels, indexed by the
-# searchsorted outcome; the trailing identity entry (code 0) is the miss.
-PC1_CODE_TABLE = np.array(PAULI_1Q_CODES + (0,), dtype=np.uint8)
-PC2_CODE_TABLE = np.array(PAULI_2Q_CODES + (0,), dtype=np.uint8)
+_NOISE_HITS = _metrics.counter(
+    "repro_sim_noise_hits_total",
+    "Noise-channel hits drawn by the packed sampler (run_packed).",
+)
+
+# Flip codes per channel outcome, in the four-plane layout of
+# PAULI_2Q_CODES: bit 3 = X on the first qubit, bit 2 = Z on the first,
+# bit 1 = X on the second, bit 0 = Z on the second.  Single-qubit
+# channels use the first-qubit bits only.
+_CODES_1Q = np.array([code << 2 for code in PAULI_1Q_CODES], dtype=np.uint8)
+_CODES_2Q = np.array(PAULI_2Q_CODES, dtype=np.uint8)
+_PAULI_ERRORS = {
+    name: np.array([code], dtype=np.uint8)
+    for name, code in (("X_ERROR", 8), ("Y_ERROR", 12), ("Z_ERROR", 4))
+}
+_NO_CDF = np.empty(0, dtype=np.float64)
 
 
 def _index_array(values: Sequence[int]) -> np.ndarray:
@@ -178,33 +197,14 @@ def lower_ops(ops, meas_start: int = 0, det_start: int = 0) -> LoweredSegment:
                 obs_meas.append(rec)
                 obs_row.append(index)
             continue
-        if name in ("X_ERROR", "Z_ERROR", "Y_ERROR", "DEPOLARIZE1"):
+        if name in _NOISE:
             flush()
-            qs = _index_array(op.targets)
-            unique = len(set(op.targets)) == len(op.targets)
-            steps.append((name, qs, float(op.arg), unique))
-            continue
-        if name == "PAULI_CHANNEL_1":
-            flush()
-            qs = _index_array(op.targets)
-            unique = len(set(op.targets)) == len(op.targets)
-            steps.append((name, qs, np.cumsum(np.asarray(op.args)), unique))
-            continue
-        if name == "DEPOLARIZE2":
-            flush()
-            firsts = _index_array(op.targets[0::2])
-            seconds = _index_array(op.targets[1::2])
-            unique = len(set(op.targets)) == len(op.targets)
-            steps.append((name, firsts, seconds, unique, float(op.arg)))
-            continue
-        if name == "PAULI_CHANNEL_2":
-            flush()
-            firsts = _index_array(op.targets[0::2])
-            seconds = _index_array(op.targets[1::2])
-            unique = len(set(op.targets)) == len(op.targets)
-            steps.append(
-                (name, firsts, seconds, unique, np.cumsum(np.asarray(op.args)))
-            )
+            if name in NOISE_2Q:
+                firsts = _index_array(op.targets[0::2])
+                seconds = _index_array(op.targets[1::2])
+            else:
+                firsts, seconds = _index_array(op.targets), None
+            steps.append((name, firsts, seconds, noise_channel(op)))
             continue
         if name not in _FUSABLE:
             # Same contract as FrameSimulator._apply: unsupported ops
@@ -276,19 +276,25 @@ class CompiledProgram:
         xw = x[:, :words]
         zw = z[:, :words]
 
-        # One direct rng.random dispatch per noise op, in op order -- the
+        # One sparse channel draw per noise op, in op order -- the
         # reference sampler's exact stream.
-        noise = sampling_noise(lambda targets: rng.random((targets, shots)))
+        noise = SamplingNoise(rng, shots)
         execute_steps(self.steps, x64, z64, f64, xw, zw, noise)
+        noise.report()
 
         detectors = np.zeros((self.num_detectors, padded), dtype=np.uint8)
         observables = np.zeros((self.num_observables, padded), dtype=np.uint8)
-        # Sparse GF(2) record maps: one unbuffered XOR-reduce scatters every
-        # measurement-flip row into the detector/observable rows it feeds.
+        # Sparse GF(2) record maps: one unbuffered XOR-reduce over uint64
+        # words scatters every measurement-flip row into the
+        # detector/observable rows it feeds.
         if self._det_meas.size:
-            np.bitwise_xor.at(detectors, self._det_row, flips[self._det_meas])
+            np.bitwise_xor.at(
+                detectors.view(np.uint64), self._det_row, f64[self._det_meas]
+            )
         if self._obs_meas.size:
-            np.bitwise_xor.at(observables, self._obs_row, flips[self._obs_meas])
+            np.bitwise_xor.at(
+                observables.view(np.uint64), self._obs_row, f64[self._obs_meas]
+            )
         return detectors[:, :words], observables[:, :words]
 
 
@@ -297,17 +303,6 @@ class CompiledProgram:
 # Step kinds that are stochastic channels (step[0] for every noise step is
 # the canonical op name, so the op table doubles as the step-kind table).
 _NOISE_KINDS = frozenset(_NOISE)
-
-# Kinds whose draw block is (len(step[1]), shots): single-qubit channels
-# index by target, pair channels by pair (step[1] = first qubits).
-_DRAWING_KINDS = (
-    "X_ERROR",
-    "Z_ERROR",
-    "Y_ERROR",
-    "DEPOLARIZE1",
-    "PAULI_CHANNEL_1",
-    "PAULI_CHANNEL_2",
-)
 
 NoiseHandler = Callable[[tuple, np.ndarray, np.ndarray], None]
 
@@ -326,7 +321,7 @@ def execute_steps(
 
     Deterministic steps update the uint64 word views in place; each noise
     step is delegated to ``noise(step, xw, zw)`` -- a sampling handler
-    drawing uniforms (:func:`sampling_noise`) or a deterministic injector
+    drawing channel hits (:class:`SamplingNoise`) or a deterministic injector
     (:func:`injection_noise`, for DEM mechanism propagation).
 
     ``slot_offset`` shifts every measurement record slot, which is how a
@@ -377,69 +372,45 @@ def execute_steps(
             raise ValueError(f"unknown compiled step kind {kind!r}")
 
 
-def sampling_noise(draw: Callable[[int], np.ndarray]) -> NoiseHandler:
-    """Noise handler applying channels from a uniform-draw source.
+class SamplingNoise:
+    """Noise handler drawing each step's channel hits with the sparse kernel.
 
-    ``draw(targets)`` must return a ``(targets, shots)`` float64 block of
-    uniforms.  The handler consumes exactly one block per noise step, in
-    step order, with the same shapes and comparisons as the reference
-    sampler -- the draw source controls only *where* the uniforms come
-    from (a direct ``rng.random`` dispatch, or a slice of a fused
-    pre-drawn buffer), never their order or values, which is what keeps
-    every execution path bit-identical per seed.
+    Every noise step is one :func:`sample_channel` call on ``rng``, in
+    step order; the hits are XORed into the packed planes as single bits
+    (``np.bitwise_xor.at``, so repeated targets within a step accumulate
+    like the sequential per-target loop).  ``hits`` counts the hits drawn
+    so far; :meth:`report` publishes them to ``repro_sim_noise_hits_total``.
     """
 
-    def apply(step: tuple, xw: np.ndarray, zw: np.ndarray) -> None:
-        kind = step[0]
-        if kind == "X_ERROR":
-            _, qs, p, unique = step
-            hit = draw(qs.size) < p
-            _xor_packed(xw, qs, np.packbits(hit, axis=1), unique)
-        elif kind == "Z_ERROR":
-            _, qs, p, unique = step
-            hit = draw(qs.size) < p
-            _xor_packed(zw, qs, np.packbits(hit, axis=1), unique)
-        elif kind == "Y_ERROR":
-            _, qs, p, unique = step
-            hit = draw(qs.size) < p
-            packed = np.packbits(hit, axis=1)
-            _xor_packed(xw, qs, packed, unique)
-            _xor_packed(zw, qs, packed, unique)
-        elif kind == "DEPOLARIZE1":
-            _, qs, p, unique = step
-            # [0, p) split in thirds X/Y/Z, same comparisons as the
-            # reference sampler on the same (targets, shots) draw.
-            block = draw(qs.size)
-            x_hit = block < 2 * p / 3
-            z_hit = (block >= p / 3) & (block < p)
-            _xor_packed(xw, qs, np.packbits(x_hit, axis=1), unique)
-            _xor_packed(zw, qs, np.packbits(z_hit, axis=1), unique)
-        elif kind == "DEPOLARIZE2":
-            _, firsts, seconds, unique, p = step
-            if p > 0:
-                code = depolarize2_codes(draw(firsts.size), p)
-                # Code bits are the four flip planes; np.packbits
-                # treats any nonzero byte as a set bit.
-                _xor_packed(xw, firsts, np.packbits(code & 8, axis=1), unique)
-                _xor_packed(zw, firsts, np.packbits(code & 4, axis=1), unique)
-                _xor_packed(xw, seconds, np.packbits(code & 2, axis=1), unique)
-                _xor_packed(zw, seconds, np.packbits(code & 1, axis=1), unique)
-        elif kind == "PAULI_CHANNEL_1":
-            _, qs, cum, unique = step
-            code = pauli_channel_codes(draw(qs.size), cum, PC1_CODE_TABLE)
-            _xor_packed(xw, qs, np.packbits(code & 2, axis=1), unique)
-            _xor_packed(zw, qs, np.packbits(code & 1, axis=1), unique)
-        elif kind == "PAULI_CHANNEL_2":
-            _, firsts, seconds, unique, cum = step
-            code = pauli_channel_codes(draw(firsts.size), cum, PC2_CODE_TABLE)
-            _xor_packed(xw, firsts, np.packbits(code & 8, axis=1), unique)
-            _xor_packed(zw, firsts, np.packbits(code & 4, axis=1), unique)
-            _xor_packed(xw, seconds, np.packbits(code & 2, axis=1), unique)
-            _xor_packed(zw, seconds, np.packbits(code & 1, axis=1), unique)
-        else:  # pragma: no cover - execute_steps routes only noise kinds
-            raise ValueError(f"unknown noise step kind {step[0]!r}")
+    def __init__(self, rng: np.random.Generator, shots: int) -> None:
+        self._rng = rng
+        self._shots = shots
+        self.hits = 0
 
-    return apply
+    def __call__(self, step: tuple, xw: np.ndarray, zw: np.ndarray) -> None:
+        _, firsts, seconds, channel = step
+        target, shot, code = sample_channel(
+            self._rng, firsts.size, self._shots, channel
+        )
+        if not target.size:
+            return
+        self.hits += target.size
+        byte = shot >> 3
+        mask = (0x80 >> (shot & 7)).astype(np.uint8)
+        for plane, qubits, flag in (
+            (xw, firsts, 8), (zw, firsts, 4), (xw, seconds, 2), (zw, seconds, 1)
+        ):
+            if qubits is None:
+                continue
+            sel = (code & flag) != 0
+            if sel.any():
+                np.bitwise_xor.at(
+                    plane, (qubits[target[sel]], byte[sel]), mask[sel]
+                )
+
+    def report(self) -> None:
+        if _metrics.enabled():
+            _NOISE_HITS.inc(self.hits)
 
 
 def injection_noise(
@@ -466,75 +437,87 @@ def injection_noise(
     return apply
 
 
-def draw_count(steps: Sequence[tuple], shots: int) -> int:
-    """Uniform doubles :func:`sampling_noise` consumes over these steps.
+def bernoulli_hits(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
+    """Sorted positions of the successes among ``n`` Bernoulli(``p``) trials.
 
-    Mirrors the handler's dispatch exactly, including the ``DEPOLARIZE2``
-    ``p > 0`` guard (a zero-probability channel draws nothing); the fused
-    pre-draw of a periodic program sizes its buffers with this.
+    Exact geometric gap skipping: the gaps between successive successes
+    of an i.i.d. Bernoulli(p) sequence are i.i.d. Geometric(p), so the
+    running sum of drawn gaps visits exactly the successes and the work
+    scales with the ``n p`` expected hits, not the ``n`` trials.  Gaps
+    come in blocks sized four standard deviations past the expected
+    remaining count, so one block almost always covers ``[0, n)``; the
+    draws taken are a pure function of ``(n, p)`` and the generator
+    state.  ``p <= 0`` draws nothing and ``p >= 1`` hits every trial.
     """
-    total = 0
-    for step in steps:
-        kind = step[0]
-        if kind in _DRAWING_KINDS:
-            total += step[1].size * shots
-        elif kind == "DEPOLARIZE2":
-            if step[4] > 0:
-                total += step[1].size * shots
-    return total
+    if n <= 0 or p <= 0.0:
+        return np.empty(0, dtype=np.int64)
+    if p >= 1.0:
+        return np.arange(n, dtype=np.int64)
+    blocks = []
+    last = -1
+    while True:
+        mean = (n - 1 - last) * p
+        gaps = rng.geometric(p, int(mean + 4.0 * math.sqrt(mean)) + 8)
+        positions = np.cumsum(gaps) + last
+        if positions[-1] >= n:
+            blocks.append(positions[: np.searchsorted(positions, n)])
+            break
+        blocks.append(positions)
+        last = int(positions[-1])
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
-def _xor_packed(
-    frame: np.ndarray, qs: np.ndarray, packed: np.ndarray, unique: bool
-) -> None:
-    """XOR packed hit rows into frame rows, safely on repeated targets."""
-    if unique:
-        frame[qs] ^= packed
+def noise_channel(op) -> Tuple[float, np.ndarray, np.ndarray]:
+    """A noise op as ``(hit rate, outcome CDF, flip codes)``.
+
+    A hit picks outcome ``searchsorted(cdf, u, side="right")`` for a
+    uniform ``u``, i.e. outcome ``k`` with probability
+    ``cdf[k] - cdf[k-1]`` (``cdf`` omits the final 1; zero-probability
+    outcomes are never picked).  ``DEPOLARIZE1/2`` split their hits
+    evenly over the 3 / 15 non-identity Paulis; ``PAULI_CHANNEL_1/2``
+    fire with the sum of their per-Pauli ``args`` and split by them.
+    Single-outcome channels have an empty CDF.
+    """
+    name = op.name
+    if name in _PAULI_ERRORS:
+        return float(op.arg), _NO_CDF, _PAULI_ERRORS[name]
+    codes = _CODES_2Q if name in NOISE_2Q else _CODES_1Q
+    if name in CHANNEL_ARGS:
+        cumulative = np.cumsum(np.asarray(op.args, dtype=np.float64))
+        rate = float(cumulative[-1])
     else:
-        np.bitwise_xor.at(frame, qs, packed)
+        cumulative = np.arange(1.0, codes.size + 1.0)
+        rate = float(op.arg)
+    if rate <= 0.0:
+        return 0.0, _NO_CDF, codes
+    return rate, cumulative[:-1] / cumulative[-1], codes
 
 
-def pauli_channel_codes(
-    draw: np.ndarray, cumulative: np.ndarray, table: np.ndarray
-) -> np.ndarray:
-    """Biased-channel outcomes as frame-flip bit codes from one draw.
+def sample_channel(
+    rng: np.random.Generator,
+    targets: int,
+    shots: int,
+    channel: Tuple[float, np.ndarray, np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw one noise step's hits over ``targets x shots`` trials.
 
-    ``cumulative`` holds the channel's cumulative outcome probabilities
-    (``np.cumsum`` of the per-Pauli ``args``); outcome ``k`` fires when
-    the uniform lands in ``[cum[k-1], cum[k])``, and a draw past the last
-    boundary is a miss, mapped by the lookup ``table``'s trailing identity
-    entry to code 0 (no flips).  Both the reference and the compiled
-    sampler call this helper on the same ``(targets, shots)`` draw, which
-    is what keeps their outputs bit-identical.
+    Returns ``(target, shot, code)`` arrays, one entry per hit: the
+    target (or pair) index within the step, the shot, and the flip code
+    (see :func:`noise_channel`).  Hit positions come from
+    :func:`bernoulli_hits` over the target-major ``(targets, shots)``
+    grid, then one uniform per hit picks its outcome.  Both the packed
+    and the reference sampler make exactly these calls, in op order.
     """
-    return table[np.searchsorted(cumulative, draw, side="right")]
-
-
-def depolarize2_codes(draw: np.ndarray, p: float) -> np.ndarray:
-    """Two-qubit depolarizing outcomes as frame-flip bit codes.
-
-    One uniform stream drives both the hit decision and the Pauli-pair
-    outcome: conditioned on ``draw < p`` (the channel firing),
-    ``draw / p`` is uniform on [0, 1), so ``1 + floor(draw * 15 / p)`` is
-    uniform over 1..15 -- the 15 non-identity two-qubit Paulis, encoded so
-    the code's bits *are* the four frame-flip planes:
-
-        bit 3 = X flip on the first qubit   (code & 8)
-        bit 2 = Z flip on the first qubit   (code & 4)
-        bit 1 = X flip on the second qubit  (code & 2)
-        bit 0 = Z flip on the second qubit  (code & 1)
-
-    Misses (``draw >= p``) map to code 16, whose low four bits are all
-    clear -- no flips -- so no separate hit mask is needed.  The draw
-    buffer is consumed (scaled in place).  Both the reference and the
-    compiled sampler call this helper on the same draw, which is what
-    keeps their outputs bit-identical.
-    """
-    np.multiply(draw, 15.0 / p, out=draw)
-    np.minimum(draw, 15.0, out=draw)
-    code = draw.astype(np.uint8)
-    code += 1
-    return code
+    rate, cdf, codes = channel
+    hits = bernoulli_hits(rng, targets * shots, rate)
+    if not hits.size:
+        return hits, hits, np.empty(0, dtype=np.uint8)
+    target, shot = np.divmod(hits, shots)
+    if cdf.size:
+        code = codes[np.searchsorted(cdf, rng.random(hits.size), side="right")]
+    else:
+        code = np.full(hits.size, codes[0], dtype=np.uint8)
+    return target, shot, code
 
 
 def transpose_packed(planes: np.ndarray, count: int) -> np.ndarray:
@@ -550,8 +533,16 @@ def transpose_packed(planes: np.ndarray, count: int) -> np.ndarray:
         original column ``i`` bit-packed -- e.g. shot-major detector keys
         ready for dedup, from detector-major sample bitplanes.
     """
-    rows = planes.shape[0]
+    rows, width = planes.shape
     if rows == 0:
         return np.zeros((count, 0), dtype=np.uint8)
-    bits = np.unpackbits(planes, axis=1, count=count)
-    return np.packbits(bits.T, axis=1)
+    # Transpose the packed bytes first (8x less data than the bits).  Bit
+    # j (MSB first) of byte w is item 8 w + j, so packing bit plane j of
+    # the contiguous byte-major block along its rows yields the keys of
+    # items 8 w + j for every w at once.
+    byte_major = np.ascontiguousarray(planes.T)
+    key_width = (rows + 7) // 8
+    keys = np.empty((width, 8, key_width), dtype=np.uint8)
+    for bit in range(8):
+        keys[:, bit] = np.packbits((byte_major >> (7 - bit)) & 1, axis=1)
+    return keys.reshape(8 * width, key_width)[:count]

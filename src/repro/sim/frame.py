@@ -25,14 +25,8 @@ import numpy as np
 
 from repro.noise.dem import DetectorErrorModel, ErrorMechanism  # noqa: F401
 from repro.sim.circuit import Circuit
-from repro.sim.compiled import (
-    PC1_CODE_TABLE,
-    PC2_CODE_TABLE,
-    depolarize2_codes,
-    pauli_channel_codes,
-    transpose_packed,
-)
-from repro.sim.ops import NOISE_MARKERS
+from repro.sim.compiled import noise_channel, sample_channel, transpose_packed
+from repro.sim.ops import NOISE, NOISE_2Q, NOISE_MARKERS
 
 
 class FrameSimulator:
@@ -112,8 +106,10 @@ class FrameSimulator:
 
         Runs the compiled bit-packed pipeline (:mod:`repro.sim.compiled`):
         gates operate on packed word rows (8-64 shots per ALU op) and
-        detector extraction is one sparse XOR-reduce.  The noise stream is
-        drawn in the reference sampler's exact order, so for the same seed
+        detector extraction is one sparse XOR-reduce.  Noise is drawn
+        sparsely -- only each channel's hits, with one
+        :func:`~repro.sim.compiled.sample_channel` call per noise op in op
+        order, exactly as :meth:`sample` draws them -- so for the same seed
         the unpacked bits equal :meth:`sample`'s output *bit for bit*.
 
         Returns:
@@ -189,76 +185,24 @@ class FrameSimulator:
             index = int(op.arg)
             for rec in op.targets:
                 observables[:, index] ^= flips[:, rec]
-        elif name == "X_ERROR":
+        elif name in NOISE:
             if noisy:
-                hit = rng.random((len(op.targets), flips.shape[0])) < op.arg
-                for i, q in enumerate(op.targets):
-                    frame_x[:, q] ^= hit[i].astype(np.uint8)
-        elif name == "Z_ERROR":
-            if noisy:
-                hit = rng.random((len(op.targets), flips.shape[0])) < op.arg
-                for i, q in enumerate(op.targets):
-                    frame_z[:, q] ^= hit[i].astype(np.uint8)
-        elif name == "Y_ERROR":
-            if noisy:
-                hit = rng.random((len(op.targets), flips.shape[0])) < op.arg
-                for i, q in enumerate(op.targets):
-                    frame_x[:, q] ^= hit[i].astype(np.uint8)
-                    frame_z[:, q] ^= hit[i].astype(np.uint8)
-        elif name == "DEPOLARIZE1":
-            if noisy:
-                # One (targets, shots) draw per op; row i drives qubit i.
-                draw = rng.random((len(op.targets), flips.shape[0]))
-                for i, q in enumerate(op.targets):
-                    row = draw[i]
-                    # Split [0, p) into thirds for X, Y, Z.
-                    x_hit = row < 2 * op.arg / 3
-                    z_hit = (row >= op.arg / 3) & (row < op.arg)
-                    frame_x[:, q] ^= x_hit.astype(np.uint8)
-                    frame_z[:, q] ^= z_hit.astype(np.uint8)
-        elif name == "PAULI_CHANNEL_1":
-            if noisy:
-                # Same helper, same draw shape as the compiled pipeline.
-                code = pauli_channel_codes(
-                    rng.random((len(op.targets), flips.shape[0])),
-                    np.cumsum(np.asarray(op.args)),
-                    PC1_CODE_TABLE,
+                # Same sample_channel call as the compiled pipeline, in op
+                # order; each hit flips single bytes of the (shot, qubit)
+                # frames, accumulating on repeated targets.
+                two = name in NOISE_2Q
+                targets = np.asarray(op.targets, dtype=np.intp)
+                firsts = targets[0::2] if two else targets
+                target, shot, code = sample_channel(
+                    rng, firsts.size, flips.shape[0], noise_channel(op)
                 )
-                for i, q in enumerate(op.targets):
-                    row = code[i]
-                    frame_x[:, q] ^= (row >> 1) & 1
-                    frame_z[:, q] ^= row & 1
-        elif name == "DEPOLARIZE2":
-            if noisy and op.arg > 0:
-                pairs = list(zip(op.targets[0::2], op.targets[1::2]))
-                # One (pairs, shots) draw per op; the same uniform drives
-                # both the hit decision and the Pauli-pair outcome, and
-                # the outcome code's bits are the four flip planes.  The
-                # compiled pipeline calls the same helper on the same
-                # draw, keeping the two samplers bit-exact.
-                code = depolarize2_codes(
-                    rng.random((len(pairs), flips.shape[0])), op.arg
-                )
-                for i, (a, b) in enumerate(pairs):
-                    row = code[i]
-                    frame_x[:, a] ^= (row >> 3) & 1
-                    frame_z[:, a] ^= (row >> 2) & 1
-                    frame_x[:, b] ^= (row >> 1) & 1
-                    frame_z[:, b] ^= row & 1
-        elif name == "PAULI_CHANNEL_2":
-            if noisy:
-                pairs = list(zip(op.targets[0::2], op.targets[1::2]))
-                code = pauli_channel_codes(
-                    rng.random((len(pairs), flips.shape[0])),
-                    np.cumsum(np.asarray(op.args)),
-                    PC2_CODE_TABLE,
-                )
-                for i, (a, b) in enumerate(pairs):
-                    row = code[i]
-                    frame_x[:, a] ^= (row >> 3) & 1
-                    frame_z[:, a] ^= (row >> 2) & 1
-                    frame_x[:, b] ^= (row >> 1) & 1
-                    frame_z[:, b] ^= row & 1
+                a = firsts[target]
+                np.bitwise_xor.at(frame_x, (shot, a), (code >> 3) & 1)
+                np.bitwise_xor.at(frame_z, (shot, a), (code >> 2) & 1)
+                if two:
+                    b = targets[1::2][target]
+                    np.bitwise_xor.at(frame_x, (shot, b), (code >> 1) & 1)
+                    np.bitwise_xor.at(frame_z, (shot, b), code & 1)
         else:
             raise ValueError(f"frame simulator cannot run {name}")
 

@@ -75,8 +75,8 @@ PAULI_2Q = tuple(
 
 # 4-bit frame-flip code per PAULI_2Q outcome: bit 3 = X on the first
 # qubit, bit 2 = Z on the first, bit 1 = X on the second, bit 0 = Z on
-# the second -- the exact code layout of
-# :func:`repro.sim.compiled.depolarize2_codes`.
+# the second -- the flip-code layout the sparse noise sampler
+# (:func:`repro.sim.compiled.sample_channel`) draws outcomes in.
 PAULI_2Q_CODES = tuple(
     (xa << 3) | (za << 2) | (xb << 1) | zb for (xa, za), (xb, zb) in PAULI_2Q
 )

@@ -2,9 +2,9 @@
 
 A d-distance, r-round memory experiment is one syndrome-extraction round
 replayed r times, yet the linear compiler (:mod:`repro.sim.compiled`)
-lowers all r copies and dispatches every noise op's RNG block separately,
-so compile time and RNG dispatch overhead scale O(rounds) when the
-underlying structure is O(1).  This module exploits the periodicity:
+lowers all r copies, so compile time and program size scale O(rounds)
+when the underlying structure is O(1).  This module exploits the
+periodicity:
 
 * :func:`detect_period` finds the longest repeated op-stream window --
   the same op sequence where the only change per repetition is a constant
@@ -17,15 +17,12 @@ underlying structure is O(1).  This module exploits the periodicity:
   the body's measurement slots and sparse GF(2) detector/observable COO
   per replay by (r_index * measurements_per_round, r_index *
   detectors_per_round) instead of materializing r lowered copies.
-* **RNG draw-order contract**: noise draws are *fused* -- one
-  ``rng.random(count)`` dispatch covers many noise steps (up to
-  :data:`DRAW_CHUNK_DOUBLES` uniforms), and the steps consume consecutive
-  slices.  Because numpy's ``Generator.random`` fills a buffer from the
-  same bit stream element by element, splitting one fused dispatch into
-  per-op slices yields exactly the values the linear compiler's per-op
-  dispatches produce, in the same order: the permutation of stream
-  positions is the *identity*, and ``sample_packed`` stays bit-identical
-  per seed (property-tested in ``tests/test_sim_periodic.py``).
+* **RNG draw-order contract**: every noise step makes one sparse
+  :func:`~repro.sim.compiled.sample_channel` call, in step order, and a
+  replay executes exactly the steps the linear program lists for that
+  round -- so periodic and linear programs make the same kernel calls in
+  the same order, and ``sample_packed`` is bit-identical per seed by
+  construction (property-tested in ``tests/test_sim_periodic.py``).
 * :func:`compile_program` picks the periodic path automatically and
   memoizes both program kinds per circuit fingerprint (registered with
   :func:`repro.core.cache.register_cache`), so the decoding engine's
@@ -49,21 +46,15 @@ from repro.obs.spans import span
 from repro.sim.circuit import Circuit
 from repro.sim.compiled import (
     CompiledProgram,
-    draw_count,
+    SamplingNoise,
     execute_steps,
     lower_ops,
-    sampling_noise,
 )
 from repro.sim.ops import MEASUREMENTS
 
 # Ops whose targets are measurement-record indices (and therefore shift
 # by the per-round measurement count between replays).
 _RECORD_OPS = ("DETECTOR", "OBSERVABLE_INCLUDE")
-
-# Upper bound on uniforms pre-drawn per fused RNG dispatch (~32 MB of
-# float64).  Bounds peak memory; the replay loop re-fills the buffer as
-# many times as needed.  Tests shrink it to force multi-chunk replays.
-DRAW_CHUNK_DOUBLES = 4 * 1024 * 1024
 
 # How many period candidates (distinct token-recurrence gaps) to scan.
 _CANDIDATE_GAPS = 5
@@ -198,42 +189,13 @@ def detect_period(circuit: Circuit) -> Optional[PeriodSpec]:
     return best
 
 
-class _FusedDraws:
-    """Sequential slice server over fused ``rng.random`` dispatches.
-
-    ``load(count)`` draws ``count`` uniforms in one dispatch; calls then
-    hand out consecutive ``(targets, shots)`` views.  ``Generator.random``
-    consumes its bit stream element by element, so the fused buffer holds
-    exactly the values the equivalent per-op dispatches would return, in
-    the same order -- slicing it is a pure no-op on the stream.
-    """
-
-    def __init__(self, rng: np.random.Generator, shots: int) -> None:
-        self._rng = rng
-        self._shots = shots
-        self._buffer: Optional[np.ndarray] = None
-        self._position = 0
-
-    def load(self, count: int) -> None:
-        self._buffer = self._rng.random(count) if count else None
-        self._position = 0
-
-    def __call__(self, targets: int) -> np.ndarray:
-        size = targets * self._shots
-        if size == 0:
-            return np.empty((targets, self._shots))
-        view = self._buffer[self._position : self._position + size]
-        self._position += size
-        return view.reshape(targets, self._shots)
-
-
 class PeriodicProgram:
     """{prologue, round body x reps, epilogue} over bit-packed planes.
 
     The round body is lowered once; :meth:`run_packed` executes it
     ``reps`` times with per-replay measurement-slot offsets and rebases
-    its detector/observable COO per replay.  Noise draws are fused across
-    steps and replays (see the module docstring for the stream contract).
+    its detector/observable COO per replay (see the module docstring for
+    the stream contract).
     Public surface mirrors :class:`~repro.sim.compiled.CompiledProgram`.
     """
 
@@ -272,10 +234,10 @@ class PeriodicProgram:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Sample ``shots`` noisy shots; see ``CompiledProgram.run_packed``.
 
-        Bit-identical per seed to the linear program's output: the fused
-        draws preserve stream order exactly, and replaying the body with
-        offset record bases applies the same updates the linear steps
-        encode explicitly.
+        Bit-identical per seed to the linear program's output: replaying
+        the body with offset record bases applies the same updates, and
+        draws the same channel hits in the same order, as the linear
+        steps encode explicitly.
         """
         if shots < 0:
             raise ValueError("shots must be >= 0")
@@ -291,36 +253,21 @@ class PeriodicProgram:
         xw = x[:, :words]
         zw = z[:, :words]
 
-        draws = _FusedDraws(rng, shots)
-        noise = sampling_noise(draws)
-        spec = self.spec
-        reps = spec.reps
-        meas_per_rep = spec.meas_per_rep
-
-        draws.load(draw_count(self._prologue.steps, shots))
+        noise = SamplingNoise(rng, shots)
         execute_steps(self._prologue.steps, x64, z64, f64, xw, zw, noise)
-
-        per_rep = draw_count(self._body.steps, shots)
-        reps_per_chunk = (
-            reps if per_rep == 0 else max(1, DRAW_CHUNK_DOUBLES // per_rep)
-        )
-        rep = 0
-        while rep < reps:
-            batch = min(reps_per_chunk, reps - rep)
-            draws.load(batch * per_rep)
-            for j in range(rep, rep + batch):
-                execute_steps(
-                    self._body.steps, x64, z64, f64, xw, zw, noise,
-                    slot_offset=j * meas_per_rep,
-                )
-            rep += batch
-
-        draws.load(draw_count(self._epilogue.steps, shots))
+        for rep in range(self.spec.reps):
+            execute_steps(
+                self._body.steps, x64, z64, f64, xw, zw, noise,
+                slot_offset=rep * self.spec.meas_per_rep,
+            )
         execute_steps(self._epilogue.steps, x64, z64, f64, xw, zw, noise)
+        noise.report()
 
         detectors = np.zeros((self.num_detectors, padded), dtype=np.uint8)
         observables = np.zeros((self.num_observables, padded), dtype=np.uint8)
-        self._scatter_records(detectors, observables, flips)
+        self._scatter_records(
+            detectors.view(np.uint64), observables.view(np.uint64), f64
+        )
         if _metrics.enabled():
             _REPLAY_SECONDS.inc(time.perf_counter() - replay_start)
         return detectors[:, :words], observables[:, :words]
@@ -330,9 +277,11 @@ class PeriodicProgram:
     ) -> None:
         """XOR-reduce measurement flips into detector/observable rows.
 
-        The body's COO is stored once for replay 0; replaying rebases it
-        by broadcasting the per-replay (measurement, detector) offsets --
-        observable rows are global and never shift.
+        The planes arrive as uint64 word views (8x fewer elements for the
+        unbuffered XOR-reduce).  The body's COO is stored once for replay
+        0; replaying rebases it by broadcasting the per-replay
+        (measurement, detector) offsets -- observable rows are global and
+        never shift.
         """
         spec = self.spec
         reps = spec.reps

@@ -11,6 +11,7 @@ at ``/metrics``.
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.decoder.engine import DecodingEngine
@@ -25,6 +26,8 @@ from repro.obs import (
     render_prometheus,
     run_metadata,
 )
+from repro.sim.circuit import Circuit
+from repro.sim.frame import FrameSimulator
 from repro.sim.memory import memory_circuit
 
 
@@ -356,3 +359,25 @@ def test_periodic_fallback_reason_counted_and_surfaced():
         assert engine.periodic_fallback_reason == "few_reps"
     with DecodingEngine(memory_circuit(3, 12, 1e-3), "mwpm") as engine:
         assert engine.periodic_fallback_reason is None
+
+
+# -- sampler noise hits ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ["linear", "periodic"])
+def test_noise_hits_counted_once_per_run_packed(mode):
+    # X_ERROR on distinct qubits, each measured into its own detector:
+    # every drawn hit is exactly one set detector bit.
+    circuit = Circuit()
+    for _ in range(3):
+        circuit.x_error([0, 1, 2, 3], 0.05).measure(0, 1, 2, 3).reset(0, 1, 2, 3)
+    for record in range(12):
+        circuit.detector([record])
+    sim = FrameSimulator(circuit, compile_mode=mode)
+    REGISTRY.reset()
+    keys, _ = sim.sample_packed(1000, rng=np.random.default_rng(3))
+    hits = REGISTRY.snapshot()["repro_sim_noise_hits_total"]["series"][()]
+    assert hits == np.unpackbits(keys).sum() > 0
+    with metrics_disabled():
+        sim.sample_packed(1000, rng=np.random.default_rng(3))
+    assert REGISTRY.snapshot()["repro_sim_noise_hits_total"]["series"][()] == hits

@@ -245,6 +245,26 @@ class TestCompiledProgramStructure:
             np.unpackbits(keys, axis=1, count=13), bits.T
         )
 
+    @pytest.mark.parametrize(
+        "rows,count",
+        [(1, 1), (13, 7), (8, 9), (17, 64), (40, 4095), (9, 4097), (0, 5),
+         (5, 0)],
+    )
+    def test_transpose_packed_matches_unpack_formula(self, rows, count):
+        # Oracle: unpack every bit, transpose, repack.  Input planes may be
+        # non-contiguous views with nonzero pad bits past ``count``, as
+        # run_packed's ``detectors[:, :words]`` slices are.
+        rng = np.random.default_rng(rows * 10_000 + count)
+        words = (count + 7) // 8
+        padded = rng.integers(0, 256, (rows, words + 3), dtype=np.uint8)
+        planes = padded[:, :words]
+        expected = np.packbits(
+            np.unpackbits(planes, axis=1, count=count).T, axis=1
+        )
+        keys = transpose_packed(planes, count)
+        assert keys.shape == (count, (rows + 7) // 8)
+        np.testing.assert_array_equal(keys, expected)
+
 
 class TestTableauCrossCheck:
     """Compiled frame propagation vs an independent stabilizer simulator.

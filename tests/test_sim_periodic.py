@@ -16,7 +16,6 @@ from test_sim_compiled import random_clifford_noise_circuit
 
 from repro.core.cache import cache_stats, clear_caches
 from repro.noise.dem import extract_dem
-from repro.sim import periodic as periodic_module
 from repro.sim.circuit import Circuit
 from repro.sim.compiled import CompiledProgram
 from repro.sim.frame import FrameSimulator
@@ -164,15 +163,6 @@ class TestBitIdentity:
         circuit = build_memory(7, rounds, noise)
         if detect_period(circuit) is not None:
             assert_periodic_matches_linear(circuit, shots_list=(64, 1000))
-
-    def test_chunked_draws_stay_bit_identical(self, monkeypatch):
-        # A tiny chunk bound forces one fused dispatch per replay (and
-        # exercises the buffer-reload boundaries); the stream contract
-        # must hold regardless of chunking.
-        monkeypatch.setattr(periodic_module, "DRAW_CHUNK_DOUBLES", 1)
-        assert_periodic_matches_linear(
-            build_memory(3, 8, "movement_aware"), shots_list=(64,)
-        )
 
     def test_zero_probability_noise(self):
         circuit = build_memory(3, 6, None, p=0.0)
