@@ -1,6 +1,7 @@
 """Bench: Monte-Carlo decoding engine throughput (packed pipeline + dedup).
 
-Three benchmark families, all written into ``BENCH_frame.json``:
+Three benchmark families, all written into ``BENCH_frame.json``
+(``BENCH_frame.quick.json`` for ``--quick`` runs):
 
 * **Decode path** (:func:`test_engine_speedup_and_determinism`) -- the
   established d=5 anchor comparing per-shot blossom (the pre-engine
@@ -24,8 +25,8 @@ Three benchmark families, all written into ``BENCH_frame.json``:
   return bit-identical failure counts for the same seed (also asserted,
   on full detector tables, in ``tests/test_sim_compiled.py``).
 * **Decode-phase overhaul** (:func:`decode_phase`,
-  :func:`decode_phase_quick_gate`) -- the batched union-find arena
-  (with its sparse <=2-defect fast path) against the per-shot reference
+  :func:`decode_phase_quick_gate`) -- the batched union-find decoder
+  (group memo in front of the whole-row arena) against the per-shot reference
   walk it replaced (``batched=False``): decode-phase-only throughput on
   pre-sampled packed tables (>= 3x at d=11, p=5e-4), end-to-end engine
   shots/s with the cross-batch syndrome cache live (>= 1.5x at the same
@@ -86,6 +87,8 @@ from repro.sim.periodic import PeriodicProgram, compile_program
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_frame.json"
+# --quick runs write here so they never overwrite the committed full run.
+QUICK_OUTPUT = REPO_ROOT / "BENCH_frame.quick.json"
 
 PACKED_SPEEDUP_TARGET = 5.0
 # Floor on the packed path vs the dedup engine it replaced: measured
@@ -303,7 +306,7 @@ def _timed_decode(decoder, tables, num_detectors):
 def _decode_phase_pair(distance, rounds, p, shots, warm_shots, seed):
     """Time per-shot vs batched union-find decode on identical tables.
 
-    Both decoders are warmed (edge arrays, sparse tables, arena buffers)
+    Both decoders are warmed (edge arrays, hop table, group memo)
     on a separate warm table, then timed under ``caching_disabled()`` so
     the cross-batch syndrome cache -- a separate win, measured in
     :func:`decode_phase` -- cannot serve rows to either side.  Per-table
@@ -337,7 +340,7 @@ def decode_phase(distance=11, p=5e-4, shots=4096, warm_shots=512, seed=67):
 
     Phase one times the *decode phase alone* on pre-sampled packed
     tables (collected once through the shared-memory transport): the
-    batched union-find arena with its sparse <=2-defect fast path vs the
+    batched union-find decoder with its group memo vs the
     per-shot reference walk it replaced, cache disabled for both.  Phase
     two re-runs the full engine (sample + dedup + decode) with each
     decoder -- the batched side with the cross-batch syndrome cache live,
@@ -895,13 +898,13 @@ def _assert_biased(row: dict) -> None:
     )
 
 
-def _write_output(rows: dict) -> None:
+def _write_output(rows: dict, output: Path = OUTPUT) -> None:
     # Provenance stamp: code fingerprint, timestamp (BENCH_TIMESTAMP
     # when the harness pins one), host and interpreter versions -- so
     # the perf trajectory in BENCH_*.json is attributable across PRs.
     rows = dict(rows)
     rows["meta"] = obs.run_metadata()
-    OUTPUT.write_text(json.dumps(rows, indent=2) + "\n")
+    output.write_text(json.dumps(rows, indent=2) + "\n")
 
 
 # -- pytest entry points --------------------------------------------------------
@@ -1024,6 +1027,7 @@ def main() -> None:
         rare_gain = rare_event_gain()
     print("telemetry overhead (d=5, p=1e-3):")
     overhead = metrics_overhead()
+    output = QUICK_OUTPUT if args.quick else OUTPUT
     _write_output({
         "packed_vs_unpacked": row,
         "biased_d7": biased,
@@ -1031,7 +1035,7 @@ def main() -> None:
         "periodic_vs_linear": periodic_block,
         "rare_event": {"overlap": rare_overlap, "gain": rare_gain},
         "metrics_overhead": overhead,
-    })
+    }, output)
     _assert_speedups(row)
     _assert_biased(biased)
     # Quick/CI runs gate the decode overhaul on "bit-identical and never
@@ -1057,7 +1061,7 @@ def main() -> None:
     if not args.quick:
         _assert_rare_gain(rare_gain)
     _assert_overhead(overhead)
-    print(f"wrote {OUTPUT}")
+    print(f"wrote {output}")
 
 
 if __name__ == "__main__":

@@ -7,26 +7,38 @@ spanning tree.  The paper's Fig. 13(a) motivates carrying such decoders:
 they trade accuracy (a larger decoding factor alpha) for speed, and the
 architecture tolerates the difference at ~50% volume cost.
 
-Two implementations live here:
+Three layers live here, each exact against the one below it:
 
-* The **batched arena** (default) runs cluster growth for a whole
-  unique-syndrome batch at once: support is a flat ``(row, edge)`` touch
-  counter updated with sorted-key scatters over the graph's CSR incidence
-  arrays, cluster membership is a per-row union-find over dense
-  ``(rows, nodes)`` parent tables with vectorized path compression, and
-  the final correction peels the recorded spanning forest of every row
-  simultaneously (leaf rounds over compact node instances).  Half-edge
-  growth discretizes exactly to touch counting -- every increment of an
-  edge's support is half that same edge's weight, so an edge is grown at
-  two touches (one for zero-weight rails) -- which is what makes the
-  integer batch formulation bit-exact per row.
+* The **group path** (default) splits each unique row's defects into
+  *groups*, the connected components of "within two hops" on the
+  decoding graph with the boundary node removed.  A group missing from
+  the per-decoder memo (keyed by its sorted defect ids) runs once as an
+  arena pseudo-row.  It is **local** when that run was not flagged and
+  every touch came from one of its own defects, so nothing beyond one hop
+  was touched (boundary excluded); the arena stops a group as soon as it
+  is not.  A row whose groups are all local is the XOR of their masks.
+  That is exact: groups are at least three hops apart, so their one-hop
+  regions share no node, and joint round-synchronous growth is the union
+  of the separate runs (the boundary is the only shared node, and a
+  cluster that reaches it is valid and stops).
+* The **batched arena** decodes every other row whole.  Support is a
+  flat ``(row, edge)`` touch counter updated with sorted-key scatters
+  over the graph's CSR incidence arrays, cluster membership is a per-row
+  union-find over ``(rows, nodes)`` parent tables with vectorized path
+  compression, and the final correction peels the recorded spanning
+  forest of every row simultaneously (leaf rounds over compact node
+  instances).  Half-edge growth discretizes exactly to touch counting --
+  every increment of an edge's support is half that same edge's weight,
+  so an edge is grown at two touches (one for zero-weight rails) -- which
+  is what makes the integer batch formulation bit-exact per row.
 * The **reference** per-shot implementation (``batched=False``, and the
   ``_grow``/``_peel`` methods) is the original sequential
   Delfosse-Nickerson loop, kept as the verification and benchmarking
   baseline.
 
-Rows are independent in the arena: predictions are a pure per-row
-function, so batch composition and row order never change the output
+Rows are independent in the arena and a group's memo entry is a pure
+function of the group, so predictions are a pure per-row function:
+batch composition, row order and memo state never change the output
 (the ``registry_contract`` analysis pass checks this for every
 registered decoder).
 """
@@ -37,9 +49,12 @@ from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
-from repro.decoder.base import BatchDecoder, SparseTables, _unmask_rows
+from repro.decoder.base import BatchDecoder, _unmask_rows
 from repro.decoder.graph import BOUNDARY, DecodingGraph
+from repro.obs import metrics as _metrics
 
 # Edges whose -log-likelihood weight rails to ~0 (probability pinned at
 # the 0.499999 rail in Edge.weight) are grown in one step: half-edge
@@ -56,8 +71,27 @@ _MAX_ROUNDS = 10_000
 _MASK_OBS_LIMIT = 62
 
 # Upper bound on rows x max(nodes, edges) elements held live per arena
-# chunk, bounding the dense per-row state tables.
+# chunk (its dense per-row tables), and on 4x the pairs grouping tests.
 _ARENA_CHUNK_ELEMS = 1 << 24
+
+# Defects within this many hops (boundary excluded) share a group; the
+# group path's exactness needs groups at least three hops apart.
+_GROUP_HOPS = 2
+
+# Group-memo entries kept before the memo is dropped wholesale (~97 bytes
+# each at d=11), like mwpm._CLUSTER_CACHE_LIMIT.
+_GROUP_MEMO_LIMIT = 1 << 18
+
+# Memo value of a group that is not local (masks are non-negative).
+_NOT_LOCAL = -1
+
+# One increment per batch and path.  A row's path is a pure function of
+# the row, so uncached counts are deterministic per (seed, shard_shots).
+_UF_ROWS = _metrics.counter(
+    "repro_uf_rows_total",
+    "Union-find unique rows by decode path (groups, row, reference).",
+    ("path",),
+)
 
 
 @dataclass
@@ -144,7 +178,8 @@ class UnionFindDecoder(BatchDecoder):
             self._adjacency.setdefault(u, []).append((v, edge.weight, mask))
             self._adjacency.setdefault(v, []).append((u, edge.weight, mask))
         self._edge_cache: Optional[_EdgeArrays] = None
-        self._sparse_cache: "SparseTables | bool | None" = None
+        self._hop_cache: Optional[Tuple[np.ndarray, int]] = None
+        self._groups: Dict[bytes, int] = {}
         self._token: Optional[str] = None
 
     def _find(self, parents: Dict[int, int], node: int) -> int:
@@ -176,7 +211,7 @@ class UnionFindDecoder(BatchDecoder):
             np.array([mask], dtype=np.int64), self.graph.num_observables
         )[0]
 
-    # -- sparse fast path / cache hooks -------------------------------------
+    # -- cache hook ----------------------------------------------------------
 
     def _cache_token(self) -> str:
         """Content fingerprint keying the cross-batch syndrome cache."""
@@ -186,77 +221,155 @@ class UnionFindDecoder(BatchDecoder):
             )
         return self._token
 
-    def _sparse_tables(self) -> Optional[SparseTables]:
-        """Single-defect correction table, precomputed through the arena.
-
-        Unlike MWPM, a union-find pair correction is not a shortest-path
-        closed form (it depends on the cluster-growth geometry), so only
-        the singles table is precomputed: every boundary-reachable
-        detector's one-defect syndrome is decoded once as a single arena
-        batch.  Table rows are exact :meth:`decode` outputs, so the fast
-        path is bit-identical by construction.
-        """
-        if not self.batched or self.graph.num_observables > _MASK_OBS_LIMIT:
-            return None
-        if self._sparse_cache is None:
-            n = self.graph.num_detectors
-            edges = self._edge_arrays()
-            # A lone defect converges iff its component holds the boundary;
-            # isolated defects stay out of the table (the full path raises
-            # its non-convergence error for them).
-            reach = np.zeros(edges.node_count, dtype=bool)
-            reach[edges.node_count - 1] = True
-            while True:
-                live = reach[edges.ea] | reach[edges.eb]
-                before = int(reach.sum())
-                reach[edges.ea[live]] = True
-                reach[edges.eb[live]] = True
-                if int(reach.sum()) == before:
-                    break
-            singles_ok = reach[:n].copy()
-            singles = np.zeros(
-                (n, self.graph.num_observables), dtype=np.uint8
-            )
-            ok_rows = np.flatnonzero(singles_ok)
-            if ok_rows.size and n:
-                eye = np.zeros((ok_rows.size, n), dtype=np.uint8)
-                eye[np.arange(ok_rows.size), ok_rows] = 1
-                singles[ok_rows] = self._decode_unique(eye)
-            self._sparse_cache = SparseTables(
-                singles=singles, singles_ok=singles_ok
-            ) if n else False
-        return self._sparse_cache or None
-
-    # -- batched arena -------------------------------------------------------
+    # -- batched decoding ----------------------------------------------------
 
     def _decode_unique(self, syndromes: np.ndarray) -> np.ndarray:
-        """Decode deduplicated syndrome rows through the growth arena."""
+        """Decode deduplicated rows: local groups first, whole rows after."""
         num_obs = self.graph.num_observables
         if not self.batched or num_obs > _MASK_OBS_LIMIT:
             out = np.zeros((syndromes.shape[0], num_obs), dtype=np.uint8)
             for i in range(syndromes.shape[0]):
                 out[i] = self._decode_reference(syndromes[i])
             return out
+        syndromes = np.ascontiguousarray(syndromes, dtype=np.uint8)
         edges = self._edge_arrays()
-        rows = syndromes.shape[0]
-        width = max(edges.node_count, edges.ea.size, 1)
-        chunk = max(1, _ARENA_CHUNK_ELEMS // width)
-        masks = np.zeros(rows, dtype=np.int64)
-        flagged = np.zeros(rows, dtype=bool)
-        for start in range(0, rows, chunk):
-            block = np.ascontiguousarray(syndromes[start:start + chunk])
-            masks[start:start + chunk], flagged[start:start + chunk] = (
-                self._arena(block, edges)
-            )
+        masks, local = self._decode_groups(syndromes, edges)
+        rest = np.flatnonzero(~local)
+        masks[rest], flagged, _ = self._arena_rows(syndromes[rest], edges)
         out = _unmask_rows(masks, num_obs)
         # Rows where round-synchronous growth could diverge from the
         # sequential reference (live-live merges with carried-over support,
         # or a grown cycle whose observable mask makes the correction
         # spanning-tree dependent) re-decode through the reference path so
         # the arena is bit-identical to it on every row.
-        for i in np.flatnonzero(flagged):
+        redo = rest[flagged]
+        for i in redo:
             out[i] = self._decode_reference(syndromes[i])
+        if _metrics.enabled():
+            _UF_ROWS.labels(path="groups").inc(local.size - rest.size)
+            _UF_ROWS.labels(path="row").inc(rest.size - redo.size)
+            _UF_ROWS.labels(path="reference").inc(redo.size)
         return out
+
+    def _arena_rows(
+        self, syndromes: np.ndarray, edges: _EdgeArrays, *, local: bool = False
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`_arena` over row chunks that bound its dense state."""
+        rows = syndromes.shape[0]
+        width = max(edges.node_count, edges.ea.size, 1)
+        chunk = max(1, _ARENA_CHUNK_ELEMS // width)
+        masks = np.zeros(rows, dtype=np.int64)
+        flagged = np.zeros(rows, dtype=bool)
+        far = np.zeros(rows, dtype=bool)
+        for start in range(0, rows, chunk):
+            part = slice(start, start + chunk)
+            masks[part], flagged[part], far[part] = self._arena(
+                np.ascontiguousarray(syndromes[part]), edges, local=local
+            )
+        return masks, flagged, far
+
+    # -- group path ----------------------------------------------------------
+
+    def _hop_bits(self) -> Tuple[np.ndarray, int]:
+        """Bit ``v`` of row ``u`` is set iff ``v`` is within
+        :data:`_GROUP_HOPS` hops of ``u``, boundary removed: the sparse
+        ``(I + A)^_GROUP_HOPS`` built once, bit-packed for pair tests;
+        and the largest ``|u - v|`` of a set bit."""
+        if self._hop_cache is None:
+            edges = self._edge_arrays()
+            n = edges.node_count - 1
+            inner = edges.eb < n
+            a, b, diag = edges.ea[inner], edges.eb[inner], np.arange(n)
+            step = sparse.csr_matrix(
+                (np.ones(2 * a.size + n, dtype=np.int32),
+                 (np.concatenate([a, b, diag]), np.concatenate([b, a, diag]))),
+                shape=(n, n),
+            )
+            reach = (step ** _GROUP_HOPS).tocoo()
+            bits = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+            np.bitwise_or.at(
+                bits, (reach.row, reach.col >> 3),
+                (0x80 >> (reach.col & 7)).astype(np.uint8),
+            )
+            self._hop_cache = (bits, int(np.abs(reach.row - reach.col).max()))
+        return self._hop_cache
+
+    def _group_labels(self, row_of: np.ndarray, node: np.ndarray) -> np.ndarray:
+        """Group label of every defect (row-major, ascending nodes per row):
+        components of the same-row defect pairs the hop table links."""
+        count = node.size
+        hops, reach = self._hop_bits()
+        # Defect i pairs with the later defects of its row at most `reach`
+        # ids above it; the keys space rows further apart than that.
+        key = row_of * (hops.shape[0] + reach + 1) + node
+        later = np.searchsorted(key, key + reach, side="right") - np.arange(count) - 1
+        owners = np.flatnonzero(later)
+        if owners.size == 0:
+            return np.arange(count)
+        spans = later[owners]
+        chunk = np.cumsum(spans) // (_ARENA_CHUNK_ELEMS >> 2)
+        links_i, links_j = [], []
+        for part in np.split(np.arange(owners.size), np.flatnonzero(np.diff(chunk)) + 1):
+            pi = np.repeat(owners[part], spans[part])
+            pj = _ragged_ranges(owners[part] + 1, spans[part], pi.size)
+            u, v = node[pi], node[pj]
+            near = ((hops[u, v >> 3] >> (7 - (v & 7))) & 1).astype(bool)
+            links_i.append(pi[near])
+            links_j.append(pj[near])
+        pi, pj = np.concatenate(links_i), np.concatenate(links_j)
+        links = sparse.coo_matrix(
+            (np.ones(pi.size, dtype=np.int8), (pi, pj)), shape=(count, count)
+        )
+        return csgraph.connected_components(links, directed=False)[1]
+
+    def _decode_groups(
+        self, syndromes: np.ndarray, edges: _EdgeArrays
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Group-path masks, and which rows have only local groups (the
+        masks of other rows are partial; the caller decodes them whole)."""
+        rows, n = syndromes.shape
+        masks = np.zeros(rows, dtype=np.int64)
+        local = np.ones(rows, dtype=bool)
+        flat = np.flatnonzero(syndromes.view(bool))
+        if flat.size == 0:
+            return masks, local
+        row_of = flat // n
+        node = flat - row_of * n
+        label = self._group_labels(row_of, node)
+        # A stable sort keeps each group's defects in ascending node order.
+        order = np.argsort(label, kind="stable")
+        first = np.flatnonzero(np.diff(label[order], prepend=-1))
+        sizes = np.diff(first, append=flat.size)
+        group_row = row_of[order[first]]
+        ids = node[order].astype(np.int32)
+        buf = ids.tobytes()
+        bounds = (np.append(first, flat.size) * ids.itemsize).tolist()
+        keys = [buf[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        memo = self._groups
+        vals = np.fromiter(
+            (memo.get(key, -2) for key in keys), dtype=np.int64, count=len(keys)
+        )
+        missing = np.flatnonzero(vals == -2)  # not in the memo
+        if missing.size:
+            slots: Dict[bytes, int] = {}
+            slot = np.fromiter(
+                (slots.setdefault(keys[g], len(slots)) for g in missing),
+                dtype=np.int64, count=missing.size,
+            )
+            new = missing[np.unique(slot, return_index=True)[1]]
+            pseudo = np.zeros((new.size, n), dtype=np.uint8)
+            members = _ragged_ranges(first[new], sizes[new], int(sizes[new].sum()))
+            pseudo[np.repeat(np.arange(new.size), sizes[new]), ids[members]] = 1
+            new_masks, flagged, far = self._arena_rows(pseudo, edges, local=True)
+            new_vals = np.where(flagged | far, _NOT_LOCAL, new_masks)
+            vals[missing] = new_vals[slot]
+            if len(memo) + len(slots) > _GROUP_MEMO_LIMIT:
+                memo.clear()
+            memo.update(zip(slots, new_vals.tolist()))
+        bad = vals == _NOT_LOCAL
+        local[group_row[bad]] = False
+        np.bitwise_xor.at(masks, group_row[~bad], vals[~bad])
+        return masks, local
 
     def _edge_arrays(self) -> _EdgeArrays:
         """Canonical flat edge list + CSR incidence, built lazily."""
@@ -303,14 +416,16 @@ class UnionFindDecoder(BatchDecoder):
         return self._edge_cache
 
     def _arena(
-        self, syndromes: np.ndarray, edges: _EdgeArrays
-    ) -> Tuple[np.ndarray, np.ndarray]:
+        self, syndromes: np.ndarray, edges: _EdgeArrays, *, local: bool = False
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Grow and peel every row of one chunk.
 
-        Returns ``(masks, flagged)``: int64 observable masks per row, and a
-        bool row mask marking rows whose arena result is not certified
+        Returns ``(masks, flagged, far)``: int64 observable masks per row,
+        a bool row mask marking rows whose arena result is not certified
         bit-identical to the sequential reference (the caller re-decodes
-        those through :meth:`_decode_reference`).
+        those through :meth:`_decode_reference`), and, with ``local``
+        (group pseudo-rows), a bool row mask of rows that stopped growing
+        because they were not local; their masks are meaningless.
 
         Growth is round-synchronous: every node of every invalid cluster
         adds one touch to each un-grown incident edge, edges at threshold
@@ -328,27 +443,29 @@ class UnionFindDecoder(BatchDecoder):
         flagged rather than emulated.  Every other divergence is a
         spanning-tree choice, which the peel-side potential check flags.
         """
-        rows = syndromes.shape[0]
+        rows, n = syndromes.shape
         node_count = edges.node_count
         boundary = node_count - 1
         num_edges = edges.ea.size
         flagged = np.zeros(rows, dtype=bool)
-        rows0, nodes0 = np.nonzero(syndromes)
-        if rows0.size == 0:
-            return np.zeros(rows, dtype=np.int64), flagged
-        parent = np.broadcast_to(
-            np.arange(node_count, dtype=np.int64), (rows, node_count)
-        ).copy()
+        far = np.zeros(rows, dtype=bool)
+        flat = np.flatnonzero(syndromes.view(bool))
+        if flat.size == 0:
+            return np.zeros(rows, dtype=np.int64), flagged, far
+        # Membership pairs; the initial members are exactly the defects,
+        # and every node ensured later is not one.
+        act_r = flat // n
+        act_n = flat - act_r * n
+        act_d = np.ones(flat.size, dtype=bool)
+        # Parent entries are written as nodes join a cluster; entries of
+        # nodes outside every cluster are never read.
+        parent = np.empty((rows, node_count), dtype=np.int64)
+        parent[act_r, act_n] = act_n
         in_cl = np.zeros((rows, node_count), dtype=bool)
-        in_cl[rows0, nodes0] = True
-        # Defect indicator padded with a zero boundary column so cluster
-        # stats index it directly with (row, node) membership pairs.
-        defect_pad = np.zeros((rows, node_count), dtype=np.int64)
-        defect_pad[:, :node_count - 1] = syndromes
-        act_r = rows0.astype(np.int64)
-        act_n = nodes0.astype(np.int64)
+        in_cl[act_r, act_n] = True
         support = np.zeros(rows * num_edges, dtype=np.uint8)
         grown = np.zeros(rows * num_edges, dtype=bool)
+        grown_keys: List[np.ndarray] = []
         tree_rows: List[np.ndarray] = []
         tree_edges: List[np.ndarray] = []
         for round_no in range(_MAX_ROUNDS + 1):
@@ -357,13 +474,15 @@ class UnionFindDecoder(BatchDecoder):
             # root, scattered back to the membership pairs.
             root_keys = act_r * node_count + roots
             uniq_roots, root_inv = np.unique(root_keys, return_inverse=True)
-            defects = np.bincount(
-                root_inv, weights=defect_pad[act_r, act_n],
-                minlength=uniq_roots.size,
-            ).astype(np.int64)
+            defects = np.bincount(root_inv[act_d], minlength=uniq_roots.size)
             touches = np.zeros(uniq_roots.size, dtype=bool)
             touches[root_inv[act_n == boundary]] = True
             live = ~(touches[root_inv] | (defects[root_inv] % 2 == 0))
+            if local:
+                # A non-defect node of an invalid cluster would touch edges
+                # past one hop of the defects.
+                far[act_r[live & ~act_d]] = True
+                live &= ~far[act_r]
             if not live.any():
                 break
             if round_no == _MAX_ROUNDS:
@@ -376,7 +495,7 @@ class UnionFindDecoder(BatchDecoder):
             row_live[act_r[live]] = True
             keep = row_live[act_r]
             if not keep.all():
-                act_r, act_n = act_r[keep], act_n[keep]
+                act_r, act_n, act_d = act_r[keep], act_n[keep], act_d[keep]
                 live = live[keep]
             rows_l = act_r[live]
             nodes_l = act_n[live]
@@ -401,6 +520,7 @@ class UnionFindDecoder(BatchDecoder):
             if newly.size == 0:
                 continue
             grown[newly] = True
+            grown_keys.append(newly)
             # Edges entering the round one touch below threshold can grow
             # at a single cluster's sequential turn in the reference loop;
             # _apply_events flags live-live merges on those edges.
@@ -414,10 +534,11 @@ class UnionFindDecoder(BatchDecoder):
             if new_r.size:
                 act_r = np.concatenate([act_r, new_r])
                 act_n = np.concatenate([act_n, new_n])
+                act_d = np.concatenate([act_d, np.zeros(new_r.size, dtype=bool)])
         masks = self._peel_forest(
-            rows, tree_rows, tree_edges, syndromes, edges, grown, flagged
+            rows, tree_rows, tree_edges, grown_keys, syndromes, edges, flagged
         )
-        return masks, flagged
+        return masks, flagged, far
 
     def _apply_events(
         self,
@@ -457,8 +578,8 @@ class UnionFindDecoder(BatchDecoder):
             ru0 = _find_rows(parent, g_r[merge_risk], ends_a[merge_risk])
             rv0 = _find_rows(parent, g_r[merge_risk], ends_b[merge_risk])
             flagged[g_r[merge_risk[ru0 != rv0]]] = True
-        # Ensure fresh endpoints as singleton clusters (they are their own
-        # roots already); they join via the union loop below.
+        # Ensure fresh endpoints as singleton clusters (their own roots);
+        # they join via the union loop below.
         fresh_r = np.concatenate([g_r[~in_a], g_r[~in_b]])
         fresh_n = np.concatenate([ends_a[~in_a], ends_b[~in_b]])
         if fresh_r.size:
@@ -466,6 +587,7 @@ class UnionFindDecoder(BatchDecoder):
             fresh_r = fresh_keys // node_count
             fresh_n = fresh_keys % node_count
             in_cl[fresh_r, fresh_n] = True
+            parent[fresh_r, fresh_n] = fresh_n
         rem = np.arange(newly.size)
         tr: List[np.ndarray] = []
         te: List[np.ndarray] = []
@@ -499,16 +621,18 @@ class UnionFindDecoder(BatchDecoder):
         rows: int,
         tree_rows: List[np.ndarray],
         tree_edges: List[np.ndarray],
+        grown_keys: List[np.ndarray],
         syndromes: np.ndarray,
         edges: _EdgeArrays,
-        grown: np.ndarray,
         flagged: np.ndarray,
     ) -> np.ndarray:
         """Peel every row's spanning forest at once; returns int64 masks.
 
-        A tree edge is flipped iff its leaf-side subtree holds odd defect
-        parity, so the result is independent of peel order; leaves are
-        removed in synchronized rounds over compact (row, node) instances.
+        ``grown_keys`` holds each round's newly grown flat (row, edge)
+        keys.  A tree edge is flipped iff its leaf-side subtree holds odd
+        defect parity, so the result is independent of peel order; leaves
+        are removed in synchronized rounds over compact (row, node)
+        instances.
 
         The reference peel picks *its own* spanning tree over the grown
         subgraph; two trees give the same correction iff every grown cycle
@@ -518,16 +642,11 @@ class UnionFindDecoder(BatchDecoder):
         """
         masks = np.zeros(rows, dtype=np.int64)
         num_edges = edges.ea.size
-        grown_flat = np.flatnonzero(grown)
-        if not tree_rows:
-            if grown_flat.size:
-                flagged[np.unique(grown_flat // num_edges)] = True
-            return masks
-        t_r = np.concatenate(tree_rows)
-        t_e = np.concatenate(tree_edges)
+        grown_flat = np.concatenate(grown_keys) if grown_keys else np.zeros(0, dtype=np.int64)
+        t_r = np.concatenate(tree_rows) if tree_rows else grown_flat[:0]
+        t_e = np.concatenate(tree_edges) if tree_edges else grown_flat[:0]
         if t_r.size == 0:
-            if grown_flat.size:
-                flagged[np.unique(grown_flat // num_edges)] = True
+            flagged[np.unique(grown_flat // num_edges)] = True
             return masks
         node_count = edges.node_count
         boundary = node_count - 1

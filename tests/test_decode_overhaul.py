@@ -4,9 +4,10 @@ Covers the four layers the overhaul added to the decode path:
 
 * the batched union-find growth arena is bit-identical to the per-shot
   reference loop it replaced (``batched=False``), row for row;
-* the sparse <=2-defect fast path (closed-form table lookups shared by
-  MWPM and union-find through ``BatchDecoder._decode_unique_rows``) is
-  certified against the full decoders on exhaustive enumerations;
+* the sparse <=2-defect fast path (MWPM's closed-form table lookups
+  through ``BatchDecoder._decode_unique_rows``) is certified against the
+  full decoder on exhaustive enumerations, and union-find's group path
+  against its reference on the same enumeration;
 * the cross-batch syndrome cache serves bit-identical rows, keys on the
   decoder/graph content fingerprint, respects ``clear_caches()`` /
   ``caching_disabled()`` / ``REPRO_SYNDROME_CACHE=0``, and leaves
@@ -131,21 +132,18 @@ class TestSparseFastPath:
         assert np.array_equal(fast, full)
 
     def test_union_find_exhaustive_certification(self, d3_setup):
+        # Union-find has no tables: <=2-defect rows are one or two groups
+        # served from its group memo, checked here against the reference.
         _, graph, _, _ = d3_setup
         decoder = UnionFindDecoder(graph)
         rows = _sparse_rows(graph.num_detectors)
-        assert decoder._sparse_tables() is not None
         fast = decoder._decode_unique_rows(rows)
-        full = decoder._decode_unique(rows)
-        assert np.array_equal(fast, full)
+        reference = np.stack([decoder._decode_reference(row) for row in rows])
+        assert np.array_equal(fast, reference)
 
     def test_blossom_matcher_opts_out(self, d3_setup):
         _, graph, _, _ = d3_setup
         assert MWPMDecoder(graph, matcher="blossom")._sparse_tables() is None
-
-    def test_per_shot_union_find_opts_out(self, d3_setup):
-        _, graph, _, _ = d3_setup
-        assert UnionFindDecoder(graph, batched=False)._sparse_tables() is None
 
 
 class TestSyndromeCacheUnit:

@@ -1,0 +1,264 @@
+"""Tests for the union-find group path.
+
+Union-find decodes each unique row's defect groups (components of
+"within two hops", boundary removed) once, memoized, and falls back to
+the whole-row arena for any row with a group that is not local.  These
+tests check that the group path equals the per-shot reference row for
+row, that every forced fallback equals the whole-row arena, that memo
+state never changes an output, that groups are exactly the hop
+components, and that the path counters are worker-count invariant.
+"""
+
+from collections import deque
+
+import numpy as np
+import pytest
+
+from repro.decoder import union_find
+from repro.decoder.base import _unmask_rows
+from repro.decoder.engine import DecodingEngine
+from repro.decoder.graph import DecodingGraph
+from repro.decoder.union_find import UnionFindDecoder
+from repro.obs import REGISTRY
+from repro.sim.frame import FrameSimulator
+from repro.sim.memory import memory_circuit
+
+
+def _setup(distance, rounds, p, shots, seed):
+    """(decoder, unique sampled rows) for one memory experiment."""
+    circuit = memory_circuit(distance, rounds, p)
+    sim = FrameSimulator(circuit, rng=np.random.default_rng(seed))
+    graph = DecodingGraph.from_dem(sim.detector_error_model())
+    detectors, _ = sim.sample(shots)
+    rows = np.unique(detectors.astype(np.uint8), axis=0)
+    return UnionFindDecoder(graph), rows
+
+
+@pytest.fixture(scope="module")
+def d3():
+    return _setup(3, 3, 0.01, 400, 5)
+
+
+@pytest.fixture(scope="module")
+def d5():
+    return _setup(5, 5, 0.004, 400, 7)
+
+
+def _reference(decoder, rows):
+    return np.stack([decoder._decode_reference(row) for row in rows])
+
+
+def _whole_row(decoder, rows):
+    """The whole-row arena with reference re-decodes of flagged rows."""
+    masks, flagged, _ = decoder._arena_rows(rows, decoder._edge_arrays())
+    out = _unmask_rows(masks, decoder.num_observables)
+    for i in np.flatnonzero(flagged):
+        out[i] = decoder._decode_reference(rows[i])
+    return out
+
+
+def _local(decoder, rows):
+    """Which rows the group path serves (all of their groups local)."""
+    return decoder._decode_groups(rows, decoder._edge_arrays())[1]
+
+
+def _rows(num_detectors, defect_sets):
+    rows = np.zeros((len(defect_sets), num_detectors), dtype=np.uint8)
+    for i, defects in enumerate(defect_sets):
+        rows[i, list(defects)] = 1
+    return rows
+
+
+def _hop_distances(graph):
+    """All-pairs hop distances over detectors, boundary edges ignored."""
+    n = graph.num_detectors
+    nbrs = [[] for _ in range(n)]
+    for edge in graph.edges:
+        if len(edge.detectors) == 2:
+            u, v = edge.detectors
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+    dist = np.full((n, n), np.inf)
+    for source in range(n):
+        dist[source, source] = 0
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for v in nbrs[u]:
+                if dist[source, v] == np.inf:
+                    dist[source, v] = dist[source, u] + 1
+                    queue.append(v)
+    return dist
+
+
+def _partition(labels, nodes):
+    groups = {}
+    for label, node in zip(labels, nodes):
+        groups.setdefault(int(label), set()).add(int(node))
+    return sorted(sorted(g) for g in groups.values())
+
+
+class TestGroupPathEqualsReference:
+    @pytest.mark.parametrize("distance,p", [(5, 0.004), (7, 0.002)])
+    def test_sampled_rows(self, distance, p):
+        decoder, rows = _setup(distance, distance, p, 300, 11)
+        local = _local(decoder, rows)
+        # The group path must carry most rows, or this tests nothing.
+        assert local.mean() > 0.9
+        assert np.array_equal(
+            decoder._decode_unique(rows), _reference(decoder, rows)
+        )
+
+    @pytest.mark.slow
+    def test_d11_low_p_rows(self):
+        decoder, rows = _setup(11, 12, 5e-4, 4096, 13)
+        assert _local(decoder, rows).mean() > 0.99
+        assert np.array_equal(
+            decoder._decode_unique(rows), _reference(decoder, rows)
+        )
+
+
+class TestForcedFallbacks:
+    def test_non_local_group(self, d5):
+        decoder, _ = d5
+        n = decoder.graph.num_detectors
+        singles = _rows(n, [(u,) for u in range(n)])
+        local = _local(decoder, singles)
+        # A lone defect away from the boundary grows past one hop.
+        assert not local.all()
+        rows = singles[~local]
+        assert np.array_equal(decoder._decode_unique(rows), _whole_row(decoder, rows))
+        assert np.array_equal(decoder._decode_unique(rows), _reference(decoder, rows))
+
+    def test_flagged_group(self, d3):
+        decoder, _ = d3
+        edges = decoder._edge_arrays()
+        n = decoder.graph.num_detectors
+        near = np.unpackbits(decoder._hop_bits()[0], axis=1, count=n).astype(bool)
+        pairs = _rows(n, list(zip(*np.nonzero(np.triu(near, 1)))))
+        _, flagged, far = decoder._arena_rows(pairs, edges, local=True)
+        rows = pairs[flagged & ~far]
+        assert rows.shape[0] > 0
+        assert not _local(decoder, rows).any()
+        assert np.array_equal(decoder._decode_unique(rows), _whole_row(decoder, rows))
+        assert np.array_equal(decoder._decode_unique(rows), _reference(decoder, rows))
+
+    @pytest.mark.parametrize("setup", ["d3", "d5"])
+    def test_groups_three_hops_apart(self, setup, request):
+        decoder, _ = request.getfixturevalue(setup)
+        dist = _hop_distances(decoder.graph)
+        rows = _rows(decoder.graph.num_detectors, list(zip(*np.nonzero(np.triu(dist == 3)))))
+        local = _local(decoder, rows)
+        assert local.any()
+        out = decoder._decode_unique(rows)
+        assert np.array_equal(out, _whole_row(decoder, rows))
+        served = rows[local][:60]
+        assert np.array_equal(out[local][:60], _reference(decoder, served))
+
+
+class TestMemo:
+    def test_cold_warm_and_dropped_memo_agree(self, d5, monkeypatch):
+        _, rows = d5
+        graph = d5[0].graph
+        cold = UnionFindDecoder(graph)
+        first = cold._decode_unique(rows)
+        assert len(cold._groups) > 0
+        warm = cold._decode_unique(rows[::-1])[::-1]
+        monkeypatch.setattr(union_find, "_GROUP_MEMO_LIMIT", 8)
+        tiny = UnionFindDecoder(graph)
+        # Small batches, so the memo is dropped between them.
+        dropped = np.concatenate(
+            [tiny._decode_unique(rows[i:i + 4]) for i in range(0, len(rows), 4)]
+        )
+        assert len(tiny._groups) < len(cold._groups)
+        assert np.array_equal(first, warm)
+        assert np.array_equal(first, dropped)
+        assert np.array_equal(first, _reference(cold, rows))
+
+
+class TestGroups:
+    def test_groups_are_two_hop_components(self, d5):
+        decoder, _ = d5
+        n = decoder.graph.num_detectors
+        dist = _hop_distances(decoder.graph)
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            count = int(rng.integers(2, 9))
+            nodes = np.sort(rng.choice(n, size=count, replace=False))
+            labels = decoder._group_labels(np.zeros(count, dtype=np.int64), nodes)
+            # Reference components of "within two hops" by flood fill.
+            expected = []
+            left = set(int(u) for u in nodes)
+            while left:
+                stack = [left.pop()]
+                group = set(stack)
+                while stack:
+                    u = stack.pop()
+                    for v in list(left):
+                        if dist[u, v] <= 2:
+                            left.discard(v)
+                            group.add(v)
+                            stack.append(v)
+                expected.append(sorted(group))
+            assert _partition(labels, nodes) == sorted(expected)
+
+    def test_boundary_paths_do_not_join_groups(self, d5):
+        decoder, _ = d5
+        graph = decoder.graph
+        dist = _hop_distances(graph)
+        on_boundary = sorted(
+            {edge.detectors[0] for edge in graph.edges if len(edge.detectors) == 1}
+        )
+        # Two boundary detectors are two hops apart through the boundary
+        # node, but more than two hops apart inside the graph.
+        u, v = next(
+            (a, b) for a in on_boundary for b in on_boundary if dist[a, b] > 2
+        )
+        nodes = np.array(sorted((u, v)))
+        labels = decoder._group_labels(np.zeros(2, dtype=np.int64), nodes)
+        assert labels[0] != labels[1]
+
+    def test_chunking_does_not_change_groups(self, d5, monkeypatch):
+        decoder, rows = d5
+        rows = rows[:40]
+        masks, local = decoder._decode_groups(rows, decoder._edge_arrays())
+        # Eight defect pairs per grouping chunk, one row per arena chunk.
+        monkeypatch.setattr(union_find, "_ARENA_CHUNK_ELEMS", 32)
+        small = UnionFindDecoder(decoder.graph)
+        small_masks, small_local = small._decode_groups(rows, small._edge_arrays())
+        assert np.array_equal(masks, small_masks)
+        assert np.array_equal(local, small_local)
+
+    def test_groups_never_span_rows(self, d5):
+        decoder, _ = d5
+        nodes = np.array([4, 4, 5], dtype=np.int64)
+        labels = decoder._group_labels(np.array([0, 1, 1]), nodes)
+        assert labels[0] != labels[1] and labels[1] == labels[2]
+
+
+class TestTelemetry:
+    def _run(self, workers):
+        REGISTRY.reset()
+        circuit = memory_circuit(5, 5, 3e-3)
+        with DecodingEngine(
+            circuit, "union_find", shard_shots=256, workers=workers
+        ) as engine:
+            result = engine.run(2048, seed=7)
+        snap = REGISTRY.snapshot()
+        return (
+            (result.shots, result.failures),
+            snap["repro_uf_rows_total"]["series"],
+            snap["repro_decode_unique_total"]["series"],
+        )
+
+    def test_path_counts_are_worker_count_invariant(self, monkeypatch):
+        # The per-process syndrome cache serves some rows before the
+        # decoder sees them, so the path counts are pinned with it off.
+        monkeypatch.setenv("REPRO_SYNDROME_CACHE", "0")
+        result_1, paths_1, unique_1 = self._run(workers=1)
+        result_2, paths_2, unique_2 = self._run(workers=2)
+        assert result_1 == result_2
+        assert paths_1 == paths_2
+        # Every unique row is counted once, under the path that served it.
+        assert sum(paths_1.values()) == unique_1[("UnionFindDecoder",)]
+        assert paths_1[("groups",)] > paths_1[("row",)]
