@@ -7,34 +7,34 @@ Three benchmark families, all written into ``BENCH_frame.json``
   established d=5 anchor comparing per-shot blossom (the pre-engine
   implementation), dedup subset-DP, and the sharded engine.
 * **Packed frame pipeline** (:func:`packed_vs_unpacked`) -- end-to-end
-  sample+decode throughput at d=7, p=1e-3 for three engine
-  configurations:
+  sample+decode throughput at d=7, p=1e-3 for three configurations, the
+  first two composed from public pieces over the engine's shard layout
+  (:func:`_unpacked_run`):
 
-  - ``per_shot_baseline``: byte-per-bit sampling, per-shot decoding with
-    the whole-syndrome matcher (``packed=False``, ``dedup=False``,
-    ``decompose=False``) -- the repo's historical baseline convention;
-  - ``unpacked_engine``: byte-per-bit sampling + dedup batch decoding
-    with the whole-syndrome matcher (``packed=False``,
-    ``decompose=False``) -- the engine as it stood before the packed
-    pipeline;
-  - ``packed_engine``: the default path -- compiled bit-packed sampling,
+  - ``per_shot_baseline``: byte-per-bit sampling
+    (``FrameSimulator.sample``), per-row ``decode`` with the
+    whole-syndrome blossom matcher (``decompose=False``) -- the repo's
+    historical baseline convention;
+  - ``unpacked_engine``: byte-per-bit sampling + dedup ``decode_batch``
+    with the whole-syndrome matcher (``decompose=False``) -- the engine
+    as it stood before the packed pipeline;
+  - ``packed_engine``: the engine -- compiled bit-packed sampling,
     packed-key dedup, cluster-decomposed batch-DP MWPM.
 
   Acceptance anchors: the packed engine must deliver >= 5x the per-shot
-  baseline's shots/sec, and the packed and unpacked configurations must
-  return bit-identical failure counts for the same seed (also asserted,
-  on full detector tables, in ``tests/test_sim_compiled.py``).
+  baseline's shots/sec, and the packed engine and the byte-per-bit
+  composition must return bit-identical failure counts for the same seed
+  and decoder (also asserted, on full detector tables, in
+  ``tests/test_sim_compiled.py``).
 * **Decode-phase overhaul** (:func:`decode_phase`,
   :func:`decode_phase_quick_gate`) -- the batched union-find decoder
   (group memo in front of the whole-row arena) against the per-shot reference
   walk it replaced (``batched=False``): decode-phase-only throughput on
   pre-sampled packed tables (>= 3x at d=11, p=5e-4), end-to-end engine
-  shots/s with the cross-batch syndrome cache live (>= 1.5x at the same
-  point), a sample-vs-decode wall-clock split read from the engine
-  phase counters, and a CI gate holding the batched path bit-identical
-  to and never slower than per-shot at d=5/d=7.  Decode-phase timings
-  run under ``caching_disabled()`` so the syndrome cache cannot serve
-  either side; bit-identity is asserted per table and per seed.
+  shots/s (>= 1.5x at the same point), a sample-vs-decode wall-clock
+  split read from the engine phase counters, and a CI gate holding the
+  batched path bit-identical to and never slower than per-shot at
+  d=5/d=7.  Bit-identity is asserted per table and per seed.
 * **Periodic round-compilation** (:func:`periodic_vs_linear`,
   :func:`periodic_d11_point`) -- the cold per-circuit pipeline (DEM
   extraction + program compilation + packed sampling) under the
@@ -62,6 +62,7 @@ As pytest:     PYTHONPATH=src python -m pytest benchmarks/bench_decode_engine.py
 """
 
 import argparse
+import functools
 import json
 import statistics
 import time
@@ -70,9 +71,8 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs
-from repro.core.cache import caching_disabled, clear_caches
+from repro.core.cache import clear_caches
 from repro.decoder.analysis import paired_failure_counts
-from repro.decoder.cache import syndrome_cache
 from repro.decoder.engine import DecodingEngine, make_decoder
 from repro.decoder.graph import DecodingGraph
 from repro.decoder.mwpm import MWPMDecoder
@@ -98,9 +98,17 @@ PACKED_SPEEDUP_TARGET = 5.0
 ENGINE_SPEEDUP_FLOOR = 4.0
 
 
-def _decode_throughput(decoder, detectors, dedup):
+def _per_shot_decode(decoder, detectors):
+    """The per-shot baseline: ``decoder.decode`` row by row, no dedup."""
+    out = np.zeros((detectors.shape[0], decoder.num_observables), dtype=np.uint8)
+    for i, row in enumerate(detectors):
+        out[i] = decoder.decode(row)
+    return out
+
+
+def _decode_throughput(decode, detectors):
     start = time.perf_counter()
-    predictions = decoder.decode_batch(detectors, dedup=dedup)
+    predictions = decode(detectors)
     elapsed = time.perf_counter() - start
     return predictions, detectors.shape[0] / elapsed
 
@@ -115,8 +123,10 @@ def _report(distance, p, shots):
     detectors, observables = sim.sample(shots)
     unique = np.unique(detectors, axis=0).shape[0]
 
-    base_pred, base_rate = _decode_throughput(baseline, detectors, dedup=False)
-    fast_pred, fast_rate = _decode_throughput(engine_decoder, detectors, dedup=True)
+    base_pred, base_rate = _decode_throughput(
+        functools.partial(_per_shot_decode, baseline), detectors
+    )
+    fast_pred, fast_rate = _decode_throughput(engine_decoder.decode_batch, detectors)
     # Both matchers are exact MWPM; on degenerate ties they may pick
     # different-but-equal-weight corrections, so compare failure counts.
     base_failures = int((base_pred[:, 0] ^ observables[:, 0]).sum())
@@ -147,66 +157,83 @@ def _report(distance, p, shots):
 TIMING_REPEATS = 3
 
 
-def _timed_engine_run(engine, shots, warm_shots, seed):
-    """Warm an engine (compile + caches), then median-time repeated runs.
+def _timed_run(run, shots, warm_shots, seed):
+    """Warm ``run(shots, seed=...)`` (compile + caches), then median-time it.
 
     Each repeat samples *fresh* noise (distinct seeds): repeating one seed
     would let the decoder's cluster cache replay the identical syndromes
     and report a rate no fresh workload ever sees.  The first repeat runs
     the canonical ``seed`` and provides the returned result.
     """
-    engine.run(warm_shots, seed=seed + 1)
+    run(warm_shots, seed=seed + 1)
     rates = []
     result = None
     for i in range(TIMING_REPEATS):
         start = time.perf_counter()
-        res = engine.run(shots, seed=seed + 100 * i)
+        res = run(shots, seed=seed + 100 * i)
         rates.append(shots / (time.perf_counter() - start))
         if i == 0:
             result = res
     return result, statistics.median(rates)
 
 
+def _unpacked_run(sim, decode, shard_shots, shots, seed):
+    """``(shots, failures)`` over the engine's shard layout, byte-per-bit.
+
+    Spawns one ``SeedSequence`` child per shard exactly as
+    :meth:`DecodingEngine.run` does, samples each shard with
+    ``FrameSimulator.sample`` and decodes it with ``decode`` (a
+    ``decode_batch`` or a per-row baseline), so for the same decoder the
+    failure count equals the engine's bit for bit.
+    """
+    full, rest = divmod(shots, shard_shots)
+    sizes = [shard_shots] * full + ([rest] if rest else [])
+    failures = 0
+    for size, child in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
+        detectors, observables = sim.sample(size, rng=np.random.default_rng(child))
+        failures += int((decode(detectors)[:, 0] ^ observables[:, 0]).sum())
+    return shots, failures
+
+
 def packed_vs_unpacked(distance=7, p=1e-3, shots=6000, warm_shots=2048, seed=29):
     """End-to-end sample+decode throughput: packed vs unpacked configs.
 
-    Both engine configurations use large shards (4096): at d=7 most
-    syndromes are unique, so throughput comes from batch effects -- the
-    decoder's vectorized defect-count groups and the packed sampler's
-    whole-row ops -- which amortize better over bigger shards.
+    The engine and the unpacked composition both use large shards
+    (4096): at d=7 most syndromes are unique, so throughput comes from
+    batch effects -- the decoder's vectorized defect-count groups and the
+    packed sampler's whole-row ops -- which amortize better over bigger
+    shards.
     """
     circuit = memory_circuit(distance, distance + 1, p)
-    dem = FrameSimulator(circuit).detector_error_model()
-    graph = DecodingGraph.from_dem(dem)
+    sim = FrameSimulator(circuit)
+    graph = DecodingGraph.from_dem(sim.detector_error_model())
 
     packed = DecodingEngine(circuit, MWPMDecoder(graph), shard_shots=4096)
-    res_packed, rate_packed = _timed_engine_run(packed, shots, warm_shots, seed)
+    res_packed, rate_packed = _timed_run(packed.run, shots, warm_shots, seed)
 
-    unpacked = DecodingEngine(
-        circuit, MWPMDecoder(graph, decompose=False),
-        shard_shots=4096, packed=False,
-    )
-    res_unpacked, rate_unpacked = _timed_engine_run(
-        unpacked, shots, warm_shots, seed
+    whole = MWPMDecoder(graph, decompose=False)
+    res_unpacked, rate_unpacked = _timed_run(
+        functools.partial(_unpacked_run, sim, whole.decode_batch, 4096),
+        shots, warm_shots, seed,
     )
     # The two timed configurations run *different matchers* (decomposed vs
     # whole-syndrome -- both exact MWPM), so their failure counts are only
     # tie-equal; hold them to the usual degenerate-tie sliver.
-    assert res_packed.shots == res_unpacked.shots
-    assert abs(res_packed.failures - res_unpacked.failures) <= max(5, shots // 500)
+    assert res_packed.shots == res_unpacked[0]
+    assert abs(res_packed.failures - res_unpacked[1]) <= max(5, shots // 500)
 
-    # Bit-identity of the packed vs unpacked *pipelines* is asserted on a
-    # same-decoder pair, where equality is exact by construction.
+    # Bit-identity of the packed engine vs the byte-per-bit composition is
+    # asserted on a same-decoder pair, where equality is exact by
+    # construction.
     shared = MWPMDecoder(graph)
     check_shots = min(shots, 2048)
     res_a = DecodingEngine(circuit, shared, shard_shots=4096).run(
         check_shots, seed=seed
     )
-    res_b = DecodingEngine(
-        circuit, shared, shard_shots=4096, packed=False
-    ).run(check_shots, seed=seed)
-    assert (res_a.shots, res_a.failures) == (res_b.shots, res_b.failures), (
-        "packed and unpacked engines must agree bit-for-bit at a fixed seed"
+    res_b = _unpacked_run(sim, shared.decode_batch, 4096, check_shots, seed)
+    assert (res_a.shots, res_a.failures) == res_b, (
+        "packed engine and byte-per-bit composition must agree bit-for-bit "
+        "at a fixed seed"
     )
 
     # The per-shot baseline is far too slow to run at full scale; time a
@@ -214,19 +241,12 @@ def packed_vs_unpacked(distance=7, p=1e-3, shots=6000, warm_shots=2048, seed=29)
     # slice must stay large enough that the heavy-tailed blossom work per
     # draw does not dominate the between-repeat variance).
     base_shots = max(shots // 5, 256)
-    baseline = DecodingEngine(
-        circuit, MWPMDecoder(graph, matcher="blossom", decompose=False),
-        shard_shots=1024, packed=False,
-    )
-    sim = baseline._sim
+    blossom = MWPMDecoder(graph, matcher="blossom", decompose=False)
+    per_shot = functools.partial(_per_shot_decode, blossom)
     base_rates = []
     for i in range(TIMING_REPEATS):
         start = time.perf_counter()
-        detectors, observables = sim.sample(
-            base_shots, rng=np.random.default_rng(seed + 100 * i)
-        )
-        predictions = baseline.decoder.decode_batch(detectors, dedup=False)
-        (predictions[:, 0] ^ observables[:, 0]).sum()
+        _unpacked_run(sim, per_shot, 1024, base_shots, seed + 100 * i)
         base_rates.append(base_shots / (time.perf_counter() - start))
     rate_baseline = statistics.median(base_rates)
 
@@ -273,7 +293,7 @@ def _counter_value(name: str) -> float:
 def _decode_phase_tables(circuit, decoder, shots, warm_shots, seed):
     """Sample a warm-up table plus TIMING_REPEATS fresh-seeded tables.
 
-    Fresh seeds per repeat for the same reason as :func:`_timed_engine_run`:
+    Fresh seeds per repeat for the same reason as :func:`_timed_run`:
     re-decoding one table would hand the second repeat a workload no fresh
     batch ever sees.  The canonical (first) table's observables come back
     unpacked for the failure-count comparison.
@@ -307,10 +327,8 @@ def _decode_phase_pair(distance, rounds, p, shots, warm_shots, seed):
     """Time per-shot vs batched union-find decode on identical tables.
 
     Both decoders are warmed (edge arrays, hop table, group memo)
-    on a separate warm table, then timed under ``caching_disabled()`` so
-    the cross-batch syndrome cache -- a separate win, measured in
-    :func:`decode_phase` -- cannot serve rows to either side.  Per-table
-    predictions must be bit-identical.
+    on a separate warm table, then timed.  Per-table predictions must be
+    bit-identical.
     """
     circuit = memory_circuit(distance, rounds, p)
     dem = FrameSimulator(circuit).detector_error_model()
@@ -321,11 +339,10 @@ def _decode_phase_pair(distance, rounds, p, shots, warm_shots, seed):
     warm, tables, observables = _decode_phase_tables(
         circuit, batched, shots, warm_shots, seed
     )
-    with caching_disabled():
-        per_shot.decode_packed(warm, num_det)
-        batched.decode_packed(warm, num_det)
-        base_preds, rate_base = _timed_decode(per_shot, tables, num_det)
-        fast_preds, rate_fast = _timed_decode(batched, tables, num_det)
+    per_shot.decode_packed(warm, num_det)
+    batched.decode_packed(warm, num_det)
+    base_preds, rate_base = _timed_decode(per_shot, tables, num_det)
+    fast_preds, rate_fast = _timed_decode(batched, tables, num_det)
     for full, arena in zip(base_preds, fast_preds):
         assert np.array_equal(full, arena), (
             f"batched union-find must be bit-identical to the per-shot "
@@ -339,14 +356,12 @@ def decode_phase(distance=11, p=5e-4, shots=4096, warm_shots=512, seed=67):
     """d=11 low-p acceptance point for the batched decode path.
 
     Phase one times the *decode phase alone* on pre-sampled packed
-    tables (collected once through the shared-memory transport): the
-    batched union-find decoder with its group memo vs the
-    per-shot reference walk it replaced, cache disabled for both.  Phase
-    two re-runs the full engine (sample + dedup + decode) with each
-    decoder -- the batched side with the cross-batch syndrome cache live,
-    the per-shot side with it disabled (the pre-overhaul configuration)
-    -- and splits the batched run's wall clock into sample vs decode
-    seconds from the engine phase counters.  Both phases must be
+    tables (collected once with :meth:`DecodingEngine.collect`): the
+    batched union-find decoder with its group memo vs the per-shot
+    reference walk it replaced.  Phase two re-runs the full engine
+    (sample + dedup + decode) with each decoder and splits the batched
+    run's wall clock into sample vs decode seconds from the engine phase
+    counters.  Both phases must be
     bit-identical: same predictions per table, same failure count per
     seed.
     """
@@ -357,9 +372,8 @@ def decode_phase(distance=11, p=5e-4, shots=4096, warm_shots=512, seed=67):
 
     sample_before = _counter_value("repro_engine_sample_seconds_total")
     decode_before = _counter_value("repro_engine_decode_seconds_total")
-    info_before = syndrome_cache().cache_info()
     engine_new = DecodingEngine(circuit, batched, shard_shots=1024)
-    res_new, rate_e2e_new = _timed_engine_run(engine_new, shots, warm_shots, seed)
+    res_new, rate_e2e_new = _timed_run(engine_new.run, shots, warm_shots, seed)
     engine_new.close()
     sample_seconds = (
         _counter_value("repro_engine_sample_seconds_total") - sample_before
@@ -367,13 +381,9 @@ def decode_phase(distance=11, p=5e-4, shots=4096, warm_shots=512, seed=67):
     decode_seconds = (
         _counter_value("repro_engine_decode_seconds_total") - decode_before
     )
-    info_after = syndrome_cache().cache_info()
 
     engine_old = DecodingEngine(circuit, per_shot, shard_shots=1024)
-    with caching_disabled():
-        res_old, rate_e2e_old = _timed_engine_run(
-            engine_old, shots, warm_shots, seed
-        )
+    res_old, rate_e2e_old = _timed_run(engine_old.run, shots, warm_shots, seed)
     engine_old.close()
     assert (res_new.shots, res_new.failures) == (res_old.shots, res_old.failures), (
         "batched and per-shot engines must agree bit-for-bit at a fixed seed"
@@ -392,8 +402,6 @@ def decode_phase(distance=11, p=5e-4, shots=4096, warm_shots=512, seed=67):
         "e2e_speedup": rate_e2e_new / rate_e2e_old,
         "sample_seconds": sample_seconds,
         "decode_seconds": decode_seconds,
-        "cache_hits": info_after.hits - info_before.hits,
-        "cache_misses": info_after.misses - info_before.misses,
         "failures": failures,
         "bit_identical": True,
     }
@@ -402,8 +410,7 @@ def decode_phase(distance=11, p=5e-4, shots=4096, warm_shots=512, seed=67):
         f"{rate_base:7.0f}/s  batched {rate_fast:7.0f}/s "
         f"({row['decode_speedup']:.1f}x)  end-to-end {rate_e2e_old:7.0f}/s "
         f"-> {rate_e2e_new:7.0f}/s ({row['e2e_speedup']:.1f}x; "
-        f"sample {sample_seconds:.2f}s / decode {decode_seconds:.2f}s; "
-        f"cache {row['cache_hits']} hits / {row['cache_misses']} misses)"
+        f"sample {sample_seconds:.2f}s / decode {decode_seconds:.2f}s)"
     )
     return row
 
@@ -478,7 +485,7 @@ def biased_noise_point(
     weighted = make_decoder("mwpm", dem)
 
     engine = DecodingEngine(circuit, weighted, shard_shots=4096)
-    _, rate_packed = _timed_engine_run(engine, shots, warm_shots, seed)
+    _, rate_packed = _timed_run(engine.run, shots, warm_shots, seed)
     engine.close()
 
     failures = paired_failure_counts(
@@ -720,12 +727,12 @@ def rare_event_gain(
     """
     circuit = memory_circuit(distance, rounds, p)
     brute = DecodingEngine(circuit, "mwpm", shard_shots=4096)
-    _, rate_brute = _timed_engine_run(brute, shots, warm_shots, seed)
+    _, rate_brute = _timed_run(brute.run, shots, warm_shots, seed)
     brute.close()
     rare = rare_engine(
         circuit, "mwpm", inflation=inflation, shard_shots=4096
     )
-    res, rate_is = _timed_engine_run(rare, shots, warm_shots, seed)
+    res, rate_is = _timed_run(rare.run, shots, warm_shots, seed)
     rare.close()
     p_hat = res.weighted_rate
     per_shot_var = res.variance * res.shots

@@ -38,12 +38,15 @@ Monte-Carlo engine
     result = engine.run(100_000, seed=7)          # fixed shot count
     result = engine.run_until(100, 10**7, seed=7) # stream to 100 failures
 
-Shots are split into fixed-size shards, each sampled from an independent
-``SeedSequence.spawn`` child stream and decoded with dedup; shards are
-distributed over ``multiprocessing`` workers.  The shard layout depends
-only on the seed and ``shard_shots``, so results are bit-identical for
-any worker count, including under ``run_until`` early stopping (the stop
-rule is evaluated on the shard-ordered prefix).
+Shots are split into fixed-size shards, each drawn from an independent
+``SeedSequence.spawn`` child stream and distributed over
+``multiprocessing`` workers.  Every shard runs one body: draw bit-packed
+shots from the engine's shot source (the compiled circuit sampler, or an
+importance sampler's weighted proposal), decode them with
+``decode_packed``, and ship the failure (and weight) sums home.  The
+shard layout depends only on the seed and ``shard_shots``, so results are
+bit-identical for any worker count, including under ``run_until`` early
+stopping (the stop rule is evaluated on the shard-ordered prefix).
 """
 
 from repro.decoder.analysis import (

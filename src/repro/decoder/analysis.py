@@ -60,7 +60,6 @@ def run_decoding_experiment(
     workers: int = 1,
     shard_shots: int = 1024,
     target_failures: Optional[int] = None,
-    packed: bool = True,
 ) -> LogicalErrorResult:
     """Sample a noisy circuit and decode it through the batched engine.
 
@@ -76,8 +75,6 @@ def run_decoding_experiment(
         shard_shots: shots per engine shard.
         target_failures: when set, stream shard batches until this many
             failures are seen (or ``shots`` is exhausted).
-        packed: run the bit-packed compiled pipeline (default) or the
-            byte-per-bit reference path; results are bit-identical.
     """
     with DecodingEngine(
         circuit,
@@ -87,7 +84,6 @@ def run_decoding_experiment(
         observable=observable,
         shard_shots=shard_shots,
         workers=workers,
-        packed=packed,
     ) as engine:
         if target_failures is not None:
             result = engine.run_until(target_failures, max_shots=shots, seed=seed)
@@ -160,7 +156,6 @@ def memory_logical_error(
     decoder: str = "mwpm",
     workers: int = 1,
     target_failures: Optional[int] = None,
-    packed: bool = True,
     noise: NoiseLike = None,
 ) -> LogicalErrorResult:
     """Logical error of a distance-d memory experiment (whole run).
@@ -177,7 +172,6 @@ def memory_logical_error(
         decoder=decoder,
         workers=workers,
         target_failures=target_failures,
-        packed=packed,
     )
 
 def per_round_rate(result: LogicalErrorResult, rounds: int) -> float:
@@ -200,7 +194,6 @@ def cnot_experiment_rate(
     *,
     workers: int = 1,
     target_failures: Optional[int] = None,
-    packed: bool = True,
     noise: NoiseLike = None,
 ) -> Tuple[LogicalErrorResult, int]:
     """Two-patch transversal-CNOT experiment; returns (result, num_cnots).
@@ -234,7 +227,6 @@ def cnot_experiment_rate(
         detector_meta=builder.detector_meta,
         workers=workers,
         target_failures=target_failures,
-        packed=packed,
     )
     return result, len(cnot_rounds)
 

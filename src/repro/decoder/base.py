@@ -22,7 +22,9 @@ arrive in one of two layouts:
 Subclasses implement ``decode`` (one shot) and expose
 ``num_observables``; they may override :meth:`~BatchDecoder._decode_unique`
 to decode the unique syndrome set as a batch (the MWPM decoder vectorizes
-its subset-DP matcher this way).
+its subset-DP matcher this way) and :meth:`~BatchDecoder._sparse_tables`
+to serve <= 2-defect rows in closed form.  The per-shot reference is
+``decode`` applied row by row.
 """
 
 from __future__ import annotations
@@ -105,19 +107,16 @@ class BatchDecoder:
 
     Subclasses implement :meth:`decode` (one shot) and expose
     ``num_observables`` (as an attribute or property); batching, dedup,
-    and scatter-back live here.  Two optional hooks extend the packed
-    pipeline:
+    and scatter-back live here.  Two optional hooks speed up the unique
+    rows:
 
+    * :meth:`_decode_unique` -- decode the unique rows as one batch
+      (default: :meth:`decode` per row).
     * :meth:`_sparse_tables` -- closed-form correction tables for
       syndromes with <= 2 defects (:class:`SparseTables`); rows they
-      cover bypass :meth:`_decode_unique` entirely.
-    * :meth:`_cache_token` -- a content fingerprint of the decoder; when
-      non-None, unique rows are served from / inserted into the
-      cross-batch syndrome cache (:mod:`repro.decoder.cache`).
-
-    Both are pure optimizations: their outputs are certified/constructed
-    bit-identical to the full path, so enabling them never changes a
-    decoded row.
+      cover bypass :meth:`_decode_unique` entirely.  Their outputs are
+      certified bit-identical to the full path, so enabling them never
+      changes a decoded row.
     """
 
     num_observables: int
@@ -134,14 +133,6 @@ class BatchDecoder:
 
     def _sparse_tables(self) -> Optional[SparseTables]:
         """Closed-form <= 2-defect tables, or None (no fast path)."""
-        return None
-
-    def _cache_token(self) -> Optional[str]:
-        """Fingerprint keying the syndrome cache, or None (no caching).
-
-        Must change whenever the decoder could produce a different row
-        for the same syndrome (graph content, matcher configuration).
-        """
         return None
 
     def _decode_unique_rows(self, syndromes: np.ndarray) -> np.ndarray:
@@ -184,48 +175,16 @@ class BatchDecoder:
             )
         return out
 
-    def _decode_unique_packed(
-        self, unique_packed: np.ndarray, num_detectors: int
-    ) -> np.ndarray:
-        """Decode unique packed rows through the cache + fast-path stack."""
-        from repro.decoder import cache as _syndrome_cache
-
-        token = self._cache_token()
-        if token is None or not _syndrome_cache.cache_enabled():
-            return self._decode_unique_rows(
-                _unpack_rows(unique_packed, num_detectors)
-            )
-        out, pending = _syndrome_cache.lookup_rows(
-            token, unique_packed, self.num_observables, type(self).__name__
-        )
-        if pending.size:
-            sub_packed = unique_packed[pending]
-            decoded = self._decode_unique_rows(
-                _unpack_rows(sub_packed, num_detectors)
-            )
-            out[pending] = decoded
-            _syndrome_cache.insert_rows(token, sub_packed, decoded)
-        return out
-
-    def decode_batch(self, syndromes: np.ndarray, *, dedup: bool = True) -> np.ndarray:
+    def decode_batch(self, syndromes: np.ndarray) -> np.ndarray:
         """Decode many shots; returns (shots, num_observables) flips.
+
+        Each unique syndrome row is decoded once and its prediction
+        scattered back to every duplicate shot.
 
         Args:
             syndromes: uint8 array of shape (shots, num_detectors).
-            dedup: when True (default), decode each unique syndrome row
-                once and scatter predictions back to duplicate shots.  The
-                output is bit-identical either way; ``dedup=False`` is the
-                per-shot baseline kept for benchmarking and verification.
         """
         syndromes = np.asarray(syndromes, dtype=np.uint8)
-        num_obs = self.num_observables
-        if syndromes.shape[0] == 0:
-            return np.zeros((0, num_obs), dtype=np.uint8)
-        if not dedup:
-            out = np.zeros((syndromes.shape[0], num_obs), dtype=np.uint8)
-            for i in range(syndromes.shape[0]):
-                out[i] = self.decode(syndromes[i])
-            return out
         if syndromes.shape[1] == 0:
             packed = np.zeros((syndromes.shape[0], 0), dtype=np.uint8)
         else:
@@ -233,7 +192,7 @@ class BatchDecoder:
         return self.decode_packed(packed, syndromes.shape[1])
 
     def decode_packed(
-        self, packed: np.ndarray, num_detectors: int, *, dedup: bool = True
+        self, packed: np.ndarray, num_detectors: int
     ) -> np.ndarray:
         """Decode bit-packed per-shot syndromes; returns byte-per-bit flips.
 
@@ -246,7 +205,6 @@ class BatchDecoder:
                 pack/unpack round trip happens on the batch; only unique
                 rows are unpacked for the decoder.
             num_detectors: number of valid bits per row.
-            dedup: as in :meth:`decode_batch`.
 
         Returns:
             uint8 array of shape (shots, num_observables).
@@ -256,15 +214,11 @@ class BatchDecoder:
         num_obs = self.num_observables
         if shots == 0:
             return np.zeros((0, num_obs), dtype=np.uint8)
-        if not dedup:
-            syndromes = _unpack_rows(packed, num_detectors)
-            out = np.zeros((shots, num_obs), dtype=np.uint8)
-            for i in range(shots):
-                out[i] = self.decode(syndromes[i])
-            return out
         start = time.perf_counter() if _metrics.enabled() else 0.0
         first_index, inverse = _unique_packed_rows(packed)
-        unique_out = self._decode_unique_packed(packed[first_index], num_detectors)
+        unique_out = self._decode_unique_rows(
+            _unpack_rows(packed[first_index], num_detectors)
+        )
         out = unique_out[inverse]
         if _metrics.enabled():
             label = type(self).__name__

@@ -14,11 +14,15 @@ throughput-oriented:
   syndrome row once (rows bit-packed and deduplicated as fixed-width byte
   keys) and scatters predictions back.  In low-``p`` regimes most shots
   are duplicates or all-zero.
-* **Bit-packed hot path** -- by default shards sample through the
-  compiled bit-packed pipeline (:mod:`repro.sim.compiled`) and hand the
-  packed per-shot keys straight to ``decode_packed``; the byte-per-bit
-  reference path (``packed=False``) produces bit-identical results for
-  the same seed and is kept as the verification baseline.
+* **One shard body over one shot source** -- each worker holds a
+  ``draw(shots, rng) -> (det_keys, obs_keys, log_weights | None)``
+  source: the circuit's compiled bit-packed sampler
+  (:meth:`~repro.sim.frame.FrameSimulator.sample_packed`) for
+  brute-force engines, the importance sampler's ``sample_weighted`` for
+  weighted ones.  Every shard draws from it, hands the packed per-shot
+  keys straight to ``decode_packed``, and ships its sufficient
+  statistics home; :meth:`DecodingEngine.collect` draws from the same
+  source without decoding.
 * **Sharded parallel sampling** -- shots are split into fixed-size shards,
   each with an independent child of one root
   :class:`numpy.random.SeedSequence`.  The shard structure depends only on
@@ -45,6 +49,7 @@ throughput-oriented:
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 import time
@@ -54,8 +59,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, 
 
 import numpy as np
 
-from repro.decoder import transport as _transport
-from repro.decoder.base import BatchDecoder, Decoder
+from repro.decoder.base import Decoder, _unpack_rows
 from repro.decoder.graph import DecodingGraph
 from repro.decoder.mwpm import MWPMDecoder
 from repro.decoder.sequential import SequentialCNOTDecoder
@@ -380,122 +384,90 @@ _WORKER: dict = {}
 
 def _worker_init(
     circuit: Circuit,
-    decoder: Optional[Decoder],
+    decoder: Decoder,
     observable: Optional[int],
-    packed: bool,
-    sim: Optional[FrameSimulator] = None,
-    compile_mode: str = "auto",
     sampler=None,
+    compile_mode: str = "auto",
+    sim: Optional[FrameSimulator] = None,
 ) -> None:
-    # An importance-sampled engine never touches the circuit simulator in
-    # its shard loop, so workers skip building one.
-    if sim is not None:
-        _WORKER["sim"] = sim
-    elif sampler is not None:
-        _WORKER["sim"] = None
+    """Install the worker's shot source, decoder, and failure criterion.
+
+    The shot source ``draw(shots, rng)`` returns ``(det_keys, obs_keys,
+    log_weights)`` in the packed dedup-key layout; ``log_weights`` is
+    ``None`` for brute-force sampling (every shot has unit weight).  An
+    importance-sampled engine never simulates the circuit, so its
+    workers skip building a simulator.
+    """
+    if sampler is not None:
+        draw = sampler.sample_weighted
     else:
-        _WORKER["sim"] = FrameSimulator(circuit, compile_mode=compile_mode)
+        if sim is None:
+            sim = FrameSimulator(circuit, compile_mode=compile_mode)
+
+        def draw(shots, rng):
+            return (*sim.sample_packed(shots, rng=rng), None)
+
+    _WORKER["draw"] = draw
     _WORKER["decoder"] = decoder
     _WORKER["observable"] = observable
-    _WORKER["packed"] = packed
-    _WORKER["sampler"] = sampler
     _WORKER["num_detectors"] = circuit.num_detectors
     _WORKER["num_observables"] = circuit.num_observables
 
 
-def _shard_failures(predictions, observables, observable):
-    if observable is None:
-        return (predictions ^ observables).any(axis=1)
-    return (
-        predictions[:, observable] ^ observables[:, observable]
-    ).astype(bool)
+def _draw_shard(shots: int, seed_seq: np.random.SeedSequence):
+    """Draw one shard from the worker's shot source, timing the sampling."""
+    start = time.perf_counter()
+    out = _WORKER["draw"](shots, np.random.default_rng(seed_seq))
+    if _metrics.enabled():
+        _ENGINE_SAMPLE_SECONDS.inc(time.perf_counter() - start)
+        _ENGINE_SHARDS.inc()
+    return out
 
 
 def _run_shard(task: Tuple[int, np.random.SeedSequence]) -> _ShardStats:
-    """Sample + decode one shard; returns its :class:`_ShardStats` sums."""
+    """Sample + decode one shard; returns its :class:`_ShardStats` sums.
+
+    Importance-sampled shards ship likelihood-ratio weight *sums*,
+    accumulated in shard order -- the same protocol that keeps the
+    metric deltas worker-count invariant.
+    """
     shots, seed_seq = task
-    sim: Optional[FrameSimulator] = _WORKER["sim"]
-    decoder: Decoder = _WORKER["decoder"]
-    observable: Optional[int] = _WORKER["observable"]
-    sampler = _WORKER.get("sampler")
-    rng = np.random.default_rng(seed_seq)
-    metered = _metrics.enabled()
     with span("engine.shard", shots=shots):
-        if sampler is not None:
-            # Importance path: shots come from the reweighted DEM proposal
-            # (already in the packed dedup-key layout), each with a
-            # log-likelihood-ratio under the original model.  The shard
-            # ships weight *sums*, accumulated in shard order -- the same
-            # protocol that keeps the metric deltas worker-count
-            # invariant.
-            start = time.perf_counter() if metered else 0.0
-            det_keys, obs_keys, log_weights = sampler.sample_weighted(
-                shots, rng
-            )
-            if metered:
-                mid = time.perf_counter()
-                _ENGINE_SAMPLE_SECONDS.inc(mid - start)
-            predictions = decoder.decode_packed(
-                det_keys, _WORKER["num_detectors"]
-            )
-            if metered:
-                _ENGINE_DECODE_SECONDS.inc(time.perf_counter() - mid)
-                _ENGINE_SHARDS.inc()
-            num_obs = _WORKER["num_observables"]
-            if num_obs:
-                observables = np.unpackbits(obs_keys, axis=1, count=num_obs)
-            else:
-                observables = np.zeros((shots, 0), dtype=np.uint8)
-            wrong = _shard_failures(predictions, observables, observable)
-            weights = np.exp(log_weights)
-            failing = weights[wrong]
+        det_keys, obs_keys, log_weights = _draw_shard(shots, seed_seq)
+        start = time.perf_counter()
+        predictions = _WORKER["decoder"].decode_packed(
+            det_keys, _WORKER["num_detectors"]
+        )
+        if _metrics.enabled():
+            _ENGINE_DECODE_SECONDS.inc(time.perf_counter() - start)
+        # Only the tiny observable table is unpacked for the comparison.
+        observables = _unpack_rows(obs_keys, _WORKER["num_observables"])
+        observable = _WORKER["observable"]
+        if observable is None:
+            wrong = (predictions ^ observables).any(axis=1)
+        else:
+            wrong = (
+                predictions[:, observable] ^ observables[:, observable]
+            ).astype(bool)
+        failures = int(wrong.sum())
+        if log_weights is None:
             return _ShardStats(
                 shots=shots,
-                failures=int(wrong.sum()),
-                weighted_failures=float(failing.sum()),
-                weighted_failures_sq=float(np.square(failing).sum()),
-                weight_sum=float(weights.sum()),
-                weight_sq_sum=float(np.square(weights).sum()),
+                failures=failures,
+                weighted_failures=float(failures),
+                weighted_failures_sq=float(failures),
+                weight_sum=float(shots),
+                weight_sq_sum=float(shots),
             )
-        if _WORKER["packed"]:
-            # Packed end to end: sampling emits bit-packed per-shot keys
-            # that the decoder dedups directly; only the tiny observable
-            # table is unpacked for the failure comparison.
-            start = time.perf_counter() if metered else 0.0
-            det_keys, obs_keys = sim.sample_packed(shots, rng=rng)
-            if metered:
-                mid = time.perf_counter()
-                _ENGINE_SAMPLE_SECONDS.inc(mid - start)
-            predictions = decoder.decode_packed(
-                det_keys, _WORKER["num_detectors"]
-            )
-            if metered:
-                _ENGINE_DECODE_SECONDS.inc(time.perf_counter() - mid)
-            num_obs = _WORKER["num_observables"]
-            if num_obs:
-                observables = np.unpackbits(obs_keys, axis=1, count=num_obs)
-            else:
-                observables = np.zeros((shots, 0), dtype=np.uint8)
-        else:
-            start = time.perf_counter() if metered else 0.0
-            detectors, observables = sim.sample(shots, rng=rng)
-            if metered:
-                mid = time.perf_counter()
-                _ENGINE_SAMPLE_SECONDS.inc(mid - start)
-            predictions = decoder.decode_batch(detectors)
-            if metered:
-                _ENGINE_DECODE_SECONDS.inc(time.perf_counter() - mid)
-        wrong = _shard_failures(predictions, observables, observable)
-        if metered:
-            _ENGINE_SHARDS.inc()
-        failures = int(np.sum(wrong))
+        weights = np.exp(log_weights)
+        failing = weights[wrong]
         return _ShardStats(
             shots=shots,
             failures=failures,
-            weighted_failures=float(failures),
-            weighted_failures_sq=float(failures),
-            weight_sum=float(shots),
-            weight_sq_sum=float(shots),
+            weighted_failures=float(failing.sum()),
+            weighted_failures_sq=float(np.square(failing).sum()),
+            weight_sum=float(weights.sum()),
+            weight_sq_sum=float(np.square(weights).sum()),
         )
 
 
@@ -507,19 +479,12 @@ def _collect_shard(
     Workers ship the packed arrays back to the parent, ~8x less pickle
     bandwidth than byte-per-bit tables.
     """
-    shots, seed_seq = task
-    sim: FrameSimulator = _WORKER["sim"]
-    if _metrics.enabled():
-        start = time.perf_counter()
-        out = sim.sample_packed(shots, rng=np.random.default_rng(seed_seq))
-        _ENGINE_SAMPLE_SECONDS.inc(time.perf_counter() - start)
-        _ENGINE_SHARDS.inc()
-        return out
-    return sim.sample_packed(shots, rng=np.random.default_rng(seed_seq))
+    det_keys, obs_keys, _ = _draw_shard(*task)
+    return det_keys, obs_keys
 
 
-def _run_shard_metered(task):
-    """Pool-side wrapper: run the shard, ship the shard's metric delta.
+def _metered(fn, task):
+    """Pool-side wrapper: run ``fn`` on the task, ship the metric delta.
 
     The parent merges the delta into its registry, so counters and
     histograms come out identical to a serial run -- the worker-count
@@ -527,52 +492,8 @@ def _run_shard_metered(task):
     task (not per worker) so increments are never double-shipped.
     """
     base = _metrics.snapshot()
-    out = _run_shard(task)
+    out = fn(task)
     return out, _metrics.delta_since(base)
-
-
-def _collect_shard_metered(task):
-    """Pool-side wrapper for :func:`_collect_shard`; see above."""
-    base = _metrics.snapshot()
-    out = _collect_shard(task)
-    return out, _metrics.delta_since(base)
-
-
-def _collect_shard_shm(
-    task: Tuple[int, np.random.SeedSequence, str, str, int]
-) -> int:
-    """Sample one shard straight into the parent's shared-memory tables.
-
-    The task carries the two segment names and the shard's starting row;
-    the worker writes its bit-packed rows in place (see
-    :mod:`repro.decoder.transport`), so nothing but this acknowledgement
-    rides the pickle pipe.
-    """
-    shots, seed_seq, det_name, obs_name, row_start = task
-    sim: FrameSimulator = _WORKER["sim"]
-    metered = _metrics.enabled()
-    start = time.perf_counter() if metered else 0.0
-    det, obs = sim.sample_packed(shots, rng=np.random.default_rng(seed_seq))
-    if metered:
-        _ENGINE_SAMPLE_SECONDS.inc(time.perf_counter() - start)
-        _ENGINE_SHARDS.inc()
-    _transport.write_rows(det_name, row_start, det)
-    _transport.write_rows(obs_name, row_start, obs)
-    return shots
-
-
-def _collect_shard_shm_metered(task):
-    """Pool-side wrapper for :func:`_collect_shard_shm`; see above."""
-    base = _metrics.snapshot()
-    out = _collect_shard_shm(task)
-    return out, _metrics.delta_since(base)
-
-
-_METERED = {
-    _run_shard: _run_shard_metered,
-    _collect_shard: _collect_shard_metered,
-    _collect_shard_shm: _collect_shard_shm_metered,
-}
 
 
 class DecodingEngine:
@@ -592,11 +513,6 @@ class DecodingEngine:
             the seed and this value only, so results do not depend on
             ``workers``.
         workers: number of ``multiprocessing`` workers; ``1`` runs inline.
-        packed: when True (default), shards run the bit-packed compiled
-            pipeline (:meth:`~repro.sim.frame.FrameSimulator.sample_packed`
-            feeding :meth:`~repro.decoder.base.BatchDecoder.decode_packed`);
-            ``False`` runs the byte-per-bit reference path.  Both produce
-            bit-identical results for the same seed.
         compile_mode: packed-program selection (``"auto"`` / ``"linear"``
             / ``"periodic"``), forwarded to the simulators -- ``"auto"``
             replays a detected repeated round periodically (see
@@ -613,11 +529,12 @@ class DecodingEngine:
             failure probability under the *original* model.  The decoder
             still decodes against the original DEM.  ``collect`` is
             unavailable in this mode.
-        transport: shard-table transport for :meth:`collect` -- ``"auto"``
-            / ``"shm"`` write shard rows into shared-memory segments the
-            returned arrays view zero-copy; ``"pickle"`` ships each
-            shard's arrays through the pool pipe and concatenates (the
-            pre-shared-memory baseline).  Bit-identical either way.
+
+    Every shard -- of ``run``, the early-stop runs, and ``collect`` --
+    draws from one shot source: the compiled bit-packed sampler
+    (:meth:`~repro.sim.frame.FrameSimulator.sample_packed`) or, with a
+    ``sampler``, its ``sample_weighted``.  Decoding always goes through
+    :meth:`~repro.decoder.base.BatchDecoder.decode_packed`.
 
     The engine keeps one persistent worker pool alive across ``run`` /
     ``run_until`` calls (spawning a pool ships the circuit and decoder to
@@ -636,23 +553,17 @@ class DecodingEngine:
         observable: Optional[int] = 0,
         shard_shots: int = 1024,
         workers: int = 1,
-        packed: bool = True,
         compile_mode: str = "auto",
         sampler=None,
-        transport: str = "auto",
     ) -> None:
         if shard_shots < 1:
             raise ValueError("shard_shots must be >= 1")
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if transport not in ("auto", "shm", "pickle"):
-            raise ValueError(f"unknown transport {transport!r}")
-        self.transport = transport
         self.circuit = circuit
         self.observable = observable
         self.shard_shots = shard_shots
         self.workers = workers
-        self.packed = packed
         self.compile_mode = compile_mode
         self.sampler = sampler
         self._pool = None
@@ -873,21 +784,15 @@ class DecodingEngine:
         """Sample detector/observable tables without decoding them.
 
         Shards are drawn exactly as in :meth:`run` (same seed spawning,
-        same layout) and sampled with the packed pipeline.  With the
-        default shared-memory transport, workers write their shard rows
-        directly into two pre-allocated segments at the shard's row
-        offset and the returned arrays are zero-copy views of those
-        segments (see :mod:`repro.decoder.transport`); ``transport=
-        "pickle"`` restores the ship-and-concatenate baseline.  Both
-        transports produce bit-identical tables for the same seed.
+        same layout, same shot source); workers ship each shard's packed
+        tables home and the parent concatenates them in shard order, so
+        the tables are bit-identical for any worker count.
 
         Returns:
             (detectors, observables): uint8 arrays of shapes
             (shots, ceil(num_detectors/8)) and
             (shots, ceil(num_observables/8)), one bit-packed row per shot
-            (the dedup-key layout ``decode_packed`` consumes).  Shared-
-            memory-backed arrays own their segment and remain valid after
-            :meth:`close`.
+            (the dedup-key layout ``decode_packed`` consumes).
         """
         if self.sampler is not None:
             raise ValueError(
@@ -906,29 +811,13 @@ class DecodingEngine:
             )
         root = _as_seed_sequence(seed)
         sizes = self._shard_sizes(shots)
-        seeds = root.spawn(len(sizes))
-        if self.transport == "pickle":
-            parts = self._execute(list(zip(sizes, seeds)), fn=_collect_shard)
-            return (
-                np.concatenate([p[0] for p in parts]),
-                np.concatenate([p[1] for p in parts]),
-            )
-        # Shared-memory transport: allocate both output tables once, have
-        # every shard write its rows in place at its offset, and return
-        # views of the segments -- the parent never copies a row.  The
-        # rows, offsets, and values are exactly the pickle path's, so the
-        # transports are bit-identical per seed.
-        detectors, det_name = _transport.allocate(shots, det_width)
-        observables, obs_name = _transport.allocate(shots, obs_width)
-        offsets = [0]
-        for size in sizes[:-1]:
-            offsets.append(offsets[-1] + size)
-        tasks = [
-            (size, seed_seq, det_name, obs_name, offset)
-            for size, seed_seq, offset in zip(sizes, seeds, offsets)
-        ]
-        self._execute(tasks, fn=_collect_shard_shm)
-        return detectors, observables
+        parts = self._execute(
+            list(zip(sizes, root.spawn(len(sizes)))), fn=_collect_shard
+        )
+        return (
+            np.concatenate([p[0] for p in parts]),
+            np.concatenate([p[1] for p in parts]),
+        )
 
     # -- internals ----------------------------------------------------------
 
@@ -952,8 +841,8 @@ class DecodingEngine:
                 self.workers,
                 initializer=_worker_init,
                 initargs=(
-                    self.circuit, self.decoder, self.observable, self.packed,
-                    None, self.compile_mode, self.sampler,
+                    self.circuit, self.decoder, self.observable,
+                    self.sampler, self.compile_mode,
                 ),
             )
         return self._pool
@@ -961,15 +850,15 @@ class DecodingEngine:
     def _execute(self, tasks, fn=_run_shard) -> List:
         if self.workers <= 1:
             _worker_init(
-                self.circuit, self.decoder, self.observable, self.packed,
-                sim=self._sim, sampler=self.sampler,
+                self.circuit, self.decoder, self.observable, self.sampler,
+                sim=self._sim,
             )
             return [fn(task) for task in tasks]
-        metered = _METERED.get(fn)
-        if metered is None or not _metrics.enabled():
+        if not _metrics.enabled():
             return self._ensure_pool().map(fn, tasks)
         outs: List = []
         with span("engine.merge_deltas", tasks=len(tasks)):
+            metered = functools.partial(_metered, fn)
             for out, delta in self._ensure_pool().map(metered, tasks):
                 _metrics.merge(delta)
                 outs.append(out)

@@ -77,26 +77,6 @@ class DecodingGraph:
     def edges(self) -> List[Edge]:
         return list(self._edges.values())
 
-    def digest(self) -> str:
-        """Content fingerprint of the graph (16 hex chars).
-
-        A stable hash over the detector/observable counts and every edge's
-        (sorted endpoints, exact probability bits, observable set), in
-        canonical endpoint order.  Two graphs share a digest iff they decode
-        identically, which is what keys the persistent syndrome-decode
-        cache: any reweighting, edge insertion, or mask change rolls the
-        digest and thereby invalidates cached corrections.
-        """
-        import hashlib
-
-        payload = [f"{self.num_detectors},{self.num_observables}"]
-        for key in sorted(self._edges, key=sorted):
-            edge = self._edges[key]
-            ends = ",".join(str(d) for d in sorted(key))
-            obs = ",".join(str(o) for o in sorted(edge.observables))
-            payload.append(f"{ends}|{edge.probability.hex()}|{obs}")
-        return hashlib.sha256("\n".join(payload).encode()).hexdigest()[:16]
-
     def edge_between(self, a: int, b: int) -> Optional[Edge]:
         """Edge connecting detectors a and b (use BOUNDARY for the boundary)."""
         return self._edges.get(frozenset((a, b)))

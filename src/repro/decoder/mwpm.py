@@ -109,7 +109,6 @@ class MWPMDecoder(BatchDecoder):
         self._cluster_cache: Dict[Tuple[int, ...], int] = {}
         self._dense: "Tuple[np.ndarray, np.ndarray] | None" = None
         self._sparse: "SparseTables | bool | None" = None
-        self._token: "str | None" = None
         self._nx = nx.Graph()
         self._nx.add_node(BOUNDARY)
         for det in range(graph.num_detectors):
@@ -267,16 +266,7 @@ class MWPMDecoder(BatchDecoder):
             self._cluster_cache.clear()
         self._cluster_cache[cluster] = mask
 
-    # -- sparse fast path / cache hooks -------------------------------------
-
-    def _cache_token(self) -> str:
-        """Content fingerprint keying the cross-batch syndrome cache."""
-        if self._token is None:
-            self._token = (
-                f"mwpm:{self.matcher}:{int(self.decompose)}:"
-                f"{self.graph.digest()}"
-            )
-        return self._token
+    # -- sparse fast path ----------------------------------------------------
 
     def _sparse_tables(self) -> "SparseTables | None":
         """Closed-form <= 2-defect corrections from the dense path tables.

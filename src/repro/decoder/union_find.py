@@ -180,7 +180,6 @@ class UnionFindDecoder(BatchDecoder):
         self._edge_cache: Optional[_EdgeArrays] = None
         self._hop_cache: Optional[Tuple[np.ndarray, int]] = None
         self._groups: Dict[bytes, int] = {}
-        self._token: Optional[str] = None
 
     def _find(self, parents: Dict[int, int], node: int) -> int:
         root = node
@@ -210,16 +209,6 @@ class UnionFindDecoder(BatchDecoder):
         return _unmask_rows(
             np.array([mask], dtype=np.int64), self.graph.num_observables
         )[0]
-
-    # -- cache hook ----------------------------------------------------------
-
-    def _cache_token(self) -> str:
-        """Content fingerprint keying the cross-batch syndrome cache."""
-        if self._token is None:
-            self._token = (
-                f"union_find:{int(self.batched)}:{self.graph.digest()}"
-            )
-        return self._token
 
     # -- batched decoding ----------------------------------------------------
 

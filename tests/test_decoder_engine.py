@@ -1,12 +1,14 @@
 """Tests for the batched Monte-Carlo decoding engine and decoder fixes.
 
-Covers the registry, dedup-vs-naive prediction equality for all three
-decoders, bit-identical results for 1 vs. N workers, streaming early-stop,
-the MWPM odd-defect guard, and union-find zero-weight growth.
+Covers the registry, dedup-vs-per-shot prediction equality for all three
+decoders, the packed engine against the byte-per-bit reference run (see
+``oracles.py``), bit-identical results for 1 vs. N workers, streaming
+early-stop, the MWPM odd-defect guard, and union-find zero-weight growth.
 """
 
 import numpy as np
 import pytest
+from oracles import per_shot_decode, reference_run
 
 from repro.decoder.base import BatchDecoder, Decoder
 from repro.decoder.engine import (
@@ -79,7 +81,7 @@ class TestDedupEquality:
         decoder = make_decoder(name, dem)
         np.testing.assert_array_equal(
             decoder.decode_batch(detectors),
-            decoder.decode_batch(detectors, dedup=False),
+            per_shot_decode(decoder, detectors),
         )
 
     def test_sequential_decoder(self):
@@ -90,7 +92,7 @@ class TestDedupEquality:
         detectors, _ = sim.sample(200)
         np.testing.assert_array_equal(
             decoder.decode_batch(detectors),
-            decoder.decode_batch(detectors, dedup=False),
+            per_shot_decode(decoder, detectors),
         )
 
     def test_random_syndromes(self, memory_setup):
@@ -101,7 +103,7 @@ class TestDedupEquality:
         decoder = make_decoder("mwpm", dem)
         np.testing.assert_array_equal(
             decoder.decode_batch(syndromes),
-            decoder.decode_batch(syndromes, dedup=False),
+            per_shot_decode(decoder, syndromes),
         )
 
     def test_empty_batch(self, memory_setup):
@@ -117,7 +119,7 @@ class TestDedupEquality:
         syndromes = np.zeros((5, 0), dtype=np.uint8)
         np.testing.assert_array_equal(
             decoder.decode_batch(syndromes),
-            decoder.decode_batch(syndromes, dedup=False),
+            per_shot_decode(decoder, syndromes),
         )
 
 
@@ -297,35 +299,35 @@ class TestEngineAnalysisIntegration:
 
 
 class TestPackedPipeline:
-    """Packed and unpacked engine paths must agree bit for bit."""
+    """The packed engine must agree bit for bit with the reference run."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_packed_matches_unpacked_engine(self, memory_setup, workers):
-        circuit, _, _, _ = memory_setup
-        results = []
-        for packed in (True, False):
-            with DecodingEngine(
-                circuit, "mwpm", shard_shots=128, workers=workers, packed=packed
-            ) as engine:
-                res = engine.run(700, seed=3)
-            results.append((res.shots, res.failures, res.shards))
-        assert results[0] == results[1]
+        circuit, dem, _, _ = memory_setup
+        with DecodingEngine(
+            circuit, "mwpm", shard_shots=128, workers=workers
+        ) as engine:
+            res = engine.run(700, seed=3)
+        reference = reference_run(
+            circuit, make_decoder("mwpm", dem), 700, 3, shard_shots=128
+        )
+        assert (res.shots, res.failures, res.shards) == reference
 
     def test_packed_matches_unpacked_any_observable(self):
         builder = transversal_cnot_experiment(3, 4, 0.004, [1, 2])
-        results = []
-        for packed in (True, False):
-            engine = DecodingEngine(
-                builder.circuit,
-                "sequential",
-                detector_meta=builder.detector_meta,
-                observable=None,
-                shard_shots=128,
-                packed=packed,
-            )
-            res = engine.run(256, seed=3)
-            results.append((res.shots, res.failures))
-        assert results[0] == results[1]
+        engine = DecodingEngine(
+            builder.circuit,
+            "sequential",
+            detector_meta=builder.detector_meta,
+            observable=None,
+            shard_shots=128,
+        )
+        res = engine.run(256, seed=3)
+        reference = reference_run(
+            builder.circuit, engine.decoder, 256, 3, shard_shots=128,
+            observable=None,
+        )
+        assert (res.shots, res.failures, res.shards) == reference
 
     def test_decode_packed_matches_decode_batch(self, memory_setup):
         _, dem, detectors, _ = memory_setup
@@ -336,8 +338,8 @@ class TestPackedPipeline:
             decoder.decode_batch(detectors),
         )
         np.testing.assert_array_equal(
-            decoder.decode_packed(packed, dem.num_detectors, dedup=False),
-            decoder.decode_batch(detectors, dedup=False),
+            decoder.decode_packed(packed, dem.num_detectors),
+            per_shot_decode(decoder, detectors),
         )
 
     def test_collect_matches_reference_sampling(self, memory_setup):
@@ -367,6 +369,13 @@ class TestPackedPipeline:
         np.testing.assert_array_equal(tables[0][0], tables[1][0])
         np.testing.assert_array_equal(tables[0][1], tables[1][1])
 
+    def test_zero_shots(self, memory_setup):
+        circuit, _, _, _ = memory_setup
+        with DecodingEngine(circuit, "mwpm") as engine:
+            detectors, observables = engine.collect(0, seed=17)
+        assert detectors.shape == (0, (circuit.num_detectors + 7) // 8)
+        assert observables.shape == (0, (circuit.num_observables + 7) // 8)
+
 
 class TestMWPMDecomposition:
     """Cluster decomposition must stay exact and batch-invariant."""
@@ -389,14 +398,8 @@ class TestMWPMDecomposition:
         np.testing.assert_array_equal(scalar, batch[:100])
 
     def test_cluster_cache_reused(self, memory_setup):
-        from repro.core.cache import clear_caches
-
         _, dem, detectors, _ = memory_setup
         decoder = make_decoder("mwpm", dem)
-        # Earlier tests may have left these exact syndromes in the
-        # cross-batch syndrome cache, which would satisfy the batch
-        # before the cluster layer ever runs; start from a cold cache.
-        clear_caches()
         first = decoder.decode_batch(detectors)
         assert len(decoder._cluster_cache) > 0
         again = decoder.decode_batch(detectors)
@@ -464,7 +467,7 @@ class TestEngineSlow:
         detectors, _ = sim.sample(4000)
         np.testing.assert_array_equal(
             decoder.decode_batch(detectors),
-            decoder.decode_batch(detectors, dedup=False),
+            per_shot_decode(decoder, detectors),
         )
 
     def test_worker_invariance_d5(self):

@@ -251,10 +251,7 @@ class TestTelemetry:
             snap["repro_decode_unique_total"]["series"],
         )
 
-    def test_path_counts_are_worker_count_invariant(self, monkeypatch):
-        # The per-process syndrome cache serves some rows before the
-        # decoder sees them, so the path counts are pinned with it off.
-        monkeypatch.setenv("REPRO_SYNDROME_CACHE", "0")
+    def test_path_counts_are_worker_count_invariant(self):
         result_1, paths_1, unique_1 = self._run(workers=1)
         result_2, paths_2, unique_2 = self._run(workers=2)
         assert result_1 == result_2
