@@ -12,8 +12,8 @@ packed sampling pipeline hands its output straight to the decoder with no
 pack/unpack round trip.  Implementations:
 
 * :class:`MWPMDecoder` -- minimum-weight perfect matching ("mwpm"), with
-  exact defect-cluster decomposition, a cross-shot cluster cache, and a
-  vectorized subset-DP matcher on the batch path.
+  exact defect-cluster decomposition, a cross-shot cluster cache, and an
+  assignment-relaxation + branch-and-bound matcher per cluster.
 * :class:`UnionFindDecoder` -- cluster growth + peeling ("union_find").
 * :class:`SequentialCNOTDecoder` -- correlated two-pass MWPM for
   transversal-CNOT circuits ("sequential"; needs ``detector_meta``).

@@ -21,8 +21,9 @@ arrive in one of two layouts:
 
 Subclasses implement ``decode`` (one shot) and expose
 ``num_observables``; they may override :meth:`~BatchDecoder._decode_unique`
-to decode the unique syndrome set as a batch (the MWPM decoder vectorizes
-its subset-DP matcher this way) and :meth:`~BatchDecoder._sparse_tables`
+to decode the unique syndrome set as a batch (the MWPM decoder solves
+the union of its rows' clusters once this way) and
+:meth:`~BatchDecoder._sparse_tables`
 to serve <= 2-defect rows in closed form.  The per-shot reference is
 ``decode`` applied row by row.
 """

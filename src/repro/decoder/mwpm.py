@@ -5,40 +5,60 @@ shortest paths of the decoding graph; the predicted logical flip is the XOR
 of observable masks along the matched paths.  Shortest paths are
 precomputed once per graph (the experiment graphs are small).
 
-Matching strategy: syndromes with up to :data:`_DP_MATCH_LIMIT` defects --
-the overwhelming majority in sub-threshold Monte-Carlo runs -- are matched
-exactly by a subset-sum dynamic program over the defect set (O(k 2^k),
-microseconds for typical k <= 6), which is the engine's hot path.  Larger
-syndromes fall back to networkx's blossom implementation via the standard
-defect-graph + boundary-copy construction.  Both are exact minimum-weight
-perfect matchings; ``matcher="blossom"`` forces the fallback everywhere
-(the pre-engine baseline, kept for benchmarking and cross-checks).
-
 Cluster decomposition: by default the defect set is first split into
 clusters under the relation ``d(u, v) < d(u, B) + d(v, B)`` (matching the
 pair directly is strictly cheaper than routing both to the boundary).  A
 minimum-weight matching never needs a pair that violates it -- replacing
 such a pair with two boundary matchings costs no more -- so clusters can
-be matched independently without changing the optimal weight.  Each
-cluster's observable mask is memoized in a cross-call cache: in
-sub-threshold Monte-Carlo runs full syndromes are mostly unique (dedup
-stops helping as ``d`` grows) but they are combinations of a *small*
-recurring set of local defect clusters, so the cache converts the
-per-unique-syndrome O(k 2^k) matching into a few dict lookups.
-``decompose=False`` restores the whole-syndrome matcher (the
-verification/baseline mode, like ``matcher="blossom"``).
+be matched independently without changing the optimal weight.  The
+observable masks of clusters of up to :data:`_CACHE_MAX_DEFECTS` defects
+are memoized in a cross-call cache: in sub-threshold Monte-Carlo runs
+full syndromes are mostly unique (dedup stops helping as ``d`` grows)
+but they are combinations of a *small* recurring set of local defect
+clusters, so the cache converts most cluster solves into dict lookups.
+
+Matching strategy: every cluster of ``k`` defects is solved exactly by
+the assignment (bipartite double-cover) relaxation of matching,
+:func:`_assignment_matching`.  The ``k x k`` cost matrix holds
+``d(i, B)`` on the diagonal and ``d(i, j) / 2`` off it, and
+``scipy.optimize.linear_sum_assignment`` minimizes it over permutations.
+Every matching is a permutation of cost equal to its weight (1-cycles are
+boundary matches, 2-cycles are pairs), so the assignment optimum is a
+lower bound on the best matching.  An even cycle splits into two
+matchings whose mean cost is the cycle's cost, so the cheaper of the two
+is no worse.  Only an odd cycle (length >= 3) is fractional.  It is cut
+by branching on one member ``v`` with cycle neighbours ``u`` and ``w``:
+``v`` pairs with ``u`` (forced: rows ``v`` and ``u`` may only pick each
+other), ``v`` pairs with ``w``, or ``v`` pairs with neither (both pairs
+forbidden in both directions).  The three children partition the
+parent's matchings and each excludes the fractional cycle.  The search is
+best-first on the bound; each node's assignment is also rounded to a
+matching (even cycles split, an odd cycle sends one member to the
+boundary), and the cheapest such incumbent is optimal once no open bound
+is below it -- at the latest when a node's assignment has no odd cycle.
+Past :data:`_BRANCH_NODE_LIMIT` solves, or when a defect has no boundary
+path, the cluster falls back to :meth:`MWPMDecoder._match`: a subset DP up
+to :data:`_DP_MATCH_LIMIT` defects and networkx's blossom via the
+defect-graph + boundary-copy construction beyond (that path also reports
+syndromes the graph cannot explain).  ``matcher="blossom"`` forces
+blossom everywhere and ``decompose=False`` matches every syndrome whole
+through :meth:`MWPMDecoder._match`; both are kept as verification
+oracles.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from repro.decoder.base import BatchDecoder, SparseTables, _unmask_rows
 from repro.decoder.graph import BOUNDARY, DecodingGraph
+from repro.obs import metrics as _metrics
 
 # Largest defect count handled by the exact subset-DP matcher; beyond it
 # the O(k 2^k) table loses to blossom.
@@ -49,40 +69,163 @@ _DP_MATCH_LIMIT = 12
 # purely a runaway guard for above-threshold inputs.
 _CLUSTER_CACHE_LIMIT = 1 << 18
 
-# Largest defect count solved by subset DP on the *decomposed* path --
-# the batched table fill amortizes the 2^k blowup over whole defect-count
-# groups, so it stays ahead of blossom notably longer than the scalar
-# whole-syndrome limit (measured crossover ~14-15 at d=7 cluster rates).
-_VEC_DP_LIMIT = 14
-# Vectorized subset-DP is used for a defect-count group when it has at
-# least this many clusters (below that, per-cluster scalar DP has less
-# overhead) ...
-_VEC_DP_MIN_GROUP = 4
-# ... and only while observable masks fit an int64 table.
-_VEC_DP_MAX_OBS = 62
+# Clusters of more defects are solved but not memoized: they almost never
+# recur (2% of 5-defect lookups hit, ~0% beyond, at d=5 p=4e-3 biased noise
+# and d=7 p=5e-4 importance sampling) yet would hold most of the memo.
+_CACHE_MAX_DEFECTS = 4
 
-# Popcount-layer tables for the batched DP, memoized per defect count:
-# (lowest-set-bit index, mask minus lowest bit, masks grouped by popcount).
-_MASK_TABLES: Dict[int, Tuple[np.ndarray, np.ndarray, List[np.ndarray]]] = {}
+# Observable masks fit the int64 distance/mask tables (and the <= 2-defect
+# fast path built from them) up to this many observables; the sequential
+# decoder's pseudo-observable graphs exceed it.
+_INT64_OBS_LIMIT = 62
+
+# Assignment solves per cluster before the branch-and-bound gives up and
+# the cluster takes the exact fallback matcher.
+_BRANCH_NODE_LIMIT = 1000
+
+# One increment per batch and path.  Counts depend on the per-process
+# cluster cache (a memoized cluster is solved once per process), so unlike
+# the decode results they are *not* worker-count invariant.
+_MWPM_CLUSTERS = _metrics.counter(
+    "repro_mwpm_clusters_total",
+    "MWPM cluster solves by path (relaxation, branched, fallback).",
+    ("path",),
+)
 
 
-def _mask_tables(k: int) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray]]:
-    cached = _MASK_TABLES.get(k)
-    if cached is None:
-        masks = np.arange(1 << k, dtype=np.int64)
-        low = masks & -masks
-        low_i = np.zeros(1 << k, dtype=np.int64)
-        low_i[1:] = np.round(np.log2(low[1:])).astype(np.int64)
-        rest = masks ^ low
-        popcount = np.zeros(1 << k, dtype=np.int64)
-        tmp = masks.copy()
-        while tmp.any():
-            popcount += tmp & 1
-            tmp >>= 1
-        layers = [np.flatnonzero(popcount == c) for c in range(1, k + 1)]
-        cached = (low_i, rest, layers)
-        _MASK_TABLES[k] = cached
-    return cached
+def _assignment_matching(
+    pair_cost: np.ndarray, boundary_cost: np.ndarray
+) -> Tuple[Optional[List[Tuple[int, int]]], int]:
+    """Exact minimum-weight matching by assignment relaxation + branching.
+
+    Args:
+        pair_cost: symmetric ``(k, k)`` pair weights (``inf`` = no pair;
+            the diagonal is ignored).
+        boundary_cost: finite ``(k,)`` boundary weights.
+
+    Returns:
+        ``(pairs, nodes)``: index pairs ``(i, j)`` of a minimum-weight
+        matching, ``j = -1`` for a boundary match, or ``None`` once the
+        search passes :data:`_BRANCH_NODE_LIMIT`; ``nodes`` counts the
+        assignments solved.  See the module docstring for exactness.
+    """
+    k = boundary_cost.size
+    # Pairs no cheaper than both boundary routes are never needed.
+    pair_cost = np.where(
+        pair_cost < boundary_cost[:, None] + boundary_cost[None, :],
+        pair_cost,
+        math.inf,
+    )
+    base = pair_cost / 2.0
+    np.fill_diagonal(base, boundary_cost)
+    rows = np.arange(k)
+
+    def solve(forbidden, forced):
+        cost = base
+        if forbidden or forced:
+            cost = base.copy()
+            for a, b in forbidden:
+                cost[a, b] = cost[b, a] = math.inf
+            for a, b in forced:
+                # Rows a and b may only pick each other.
+                cost[[a, b], :] = math.inf
+                cost[a, b] = cost[b, a] = base[a, b]
+        perm = linear_sum_assignment(cost)[1]
+        return float(cost[rows, perm].sum()), perm
+
+    # Bounds and matching weights sum the same costs in different orders;
+    # every matching weighs at most the all-boundary one.
+    tol = 1e-12 * max(1.0, float(boundary_cost.sum()))
+    heap: list = []
+    nodes = 0
+    best_weight, best_pairs = math.inf, None
+    # Best-first on the bound.  Every node stays feasible (its free rows
+    # keep their diagonal) and children partition their parent's matchings,
+    # so some open node holds an optimal matching until the incumbent meets
+    # every open bound.
+    children = [((), ())]
+    while True:
+        for forbidden, forced in children:
+            if nodes >= _BRANCH_NODE_LIMIT:
+                return None, nodes
+            nodes += 1
+            bound, perm = solve(forbidden, forced)
+            if bound < best_weight - tol:
+                heapq.heappush(heap, (bound, nodes, forbidden, forced, perm))
+        if not heap or heap[0][0] >= best_weight - tol:
+            return best_pairs, nodes
+        bound, _, forbidden, forced, perm = heapq.heappop(heap)
+        cycles = _cycles(perm)
+        weight, pairs = _round_cycles(cycles, pair_cost, boundary_cost)
+        if weight < best_weight:
+            best_weight, best_pairs = weight, pairs
+        odd = [c for c in cycles if len(c) % 2 and len(c) > 1]
+        if not odd or best_weight <= bound + tol:
+            return best_pairs, nodes
+        # Branch on a member v of the shortest odd cycle: v pairs with its
+        # cycle successor, with its predecessor, or with neither.
+        cycle = min(odd, key=len)
+        v, after, before = cycle[0], cycle[1], cycle[-1]
+        children = [
+            (forbidden + ((v, after), (v, before)), forced),
+            (forbidden, forced + ((v, after),)),
+            (forbidden, forced + ((v, before),)),
+        ]
+
+
+def _cycles(perm: np.ndarray) -> List[List[int]]:
+    """Cycles of a permutation, each from its smallest member."""
+    done = [False] * len(perm)
+    out = []
+    for start in range(len(perm)):
+        if done[start]:
+            continue
+        cycle = []
+        i = start
+        while not done[i]:
+            done[i] = True
+            cycle.append(i)
+            i = int(perm[i])
+        out.append(cycle)
+    return out
+
+
+def _round_cycles(
+    cycles: List[List[int]], pair_cost: np.ndarray, boundary_cost: np.ndarray
+) -> Tuple[float, List[Tuple[int, int]]]:
+    """Cheapest matching along the permutation cycles, and its weight.
+
+    An even cycle keeps the cheaper of its two alternating matchings; an
+    odd one sends one member to the boundary and pairs the rest along the
+    cycle.  Without odd cycles this is optimal (weight <= the bound).
+    """
+    weight = 0.0
+    pairs: List[Tuple[int, int]] = []
+    for cycle in cycles:
+        size = len(cycle)
+        if size <= 2:
+            if size == 1:
+                weight += boundary_cost[cycle[0]]
+                pairs.append((cycle[0], -1))
+            else:
+                weight += pair_cost[cycle[0], cycle[1]]
+                pairs.append((cycle[0], cycle[1]))
+            continue
+        best = None
+        for start in range(size if size % 2 else 2):
+            option = [
+                (cycle[(start + t) % size], cycle[(start + t + 1) % size])
+                for t in range(0, size - 1, 2)
+            ]
+            cost = sum(pair_cost[a, b] for a, b in option)
+            if size % 2:
+                option.append((cycle[start - 1], -1))
+                cost += boundary_cost[cycle[start - 1]]
+            if best is None or cost < best[0]:
+                best = (cost, option)
+        weight += best[0]
+        pairs.extend(best[1])
+    return float(weight), pairs
 
 
 class MWPMDecoder(BatchDecoder):
@@ -90,8 +233,9 @@ class MWPMDecoder(BatchDecoder):
 
     Args:
         graph: decoding graph to match on.
-        matcher: ``"auto"`` (subset-DP for small defect sets, blossom
-            otherwise) or ``"blossom"`` (always blossom).
+        matcher: ``"auto"`` (assignment relaxation with branching per
+            cluster, see the module docstring) or ``"blossom"`` (always
+            blossom, a verification oracle).
         decompose: when True (default), split defects into independent
             clusters and memoize per-cluster matchings (see the module
             docstring); ``False`` matches every syndrome whole -- the
@@ -160,66 +304,29 @@ class MWPMDecoder(BatchDecoder):
             if self.decompose:
                 prediction = self._match_decomposed(defects)
             else:
-                prediction = self._match(defects)
+                prediction = self._pairs_mask(self._match(defects))
         return _unmask(prediction, self.graph.num_observables)
 
-    def _cluster_split(self, defects: List[int]) -> List[Tuple[int, ...]]:
-        """Split defects into independently-matchable clusters.
+    def _cluster_split_batch(
+        self, defs: np.ndarray
+    ) -> List[List[Tuple[int, ...]]]:
+        """Split same-count defect rows into independently-matchable clusters.
 
         Clusters are the connected components of the relation
         ``d(u, v) < d(u, B) + d(v, B)``; cutting every other pair is
         weight-neutral (route both ends to the boundary instead), so the
         per-cluster optima compose into a global minimum-weight matching.
-        """
-        k = len(defects)
-        if k == 1:
-            if defects[0] not in self._distance:
-                raise ValueError(
-                    f"defects outside the decoding graph: {defects}"
-                )
-            return [(defects[0],)]
-        dist, _ = self._dense_tables()
-        n = dist.shape[0] - 1
-        defs = np.asarray(defects, dtype=np.intp)
-        if np.isinf(dist[defs, defs]).any():
-            unreachable = [d for d in defects if d not in self._distance]
-            raise ValueError(f"defects outside the decoding graph: {unreachable}")
-        bc = dist[defs, n]
-        linked = dist[defs[:, None], defs[None, :]] < bc[:, None] + bc[None, :]
-        parent = list(range(k))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for i, j in np.argwhere(np.triu(linked, 1)):
-            ri, rj = find(int(i)), find(int(j))
-            if ri != rj:
-                parent[rj] = ri
-        clusters: Dict[int, List[int]] = {}
-        for i in range(k):
-            clusters.setdefault(find(i), []).append(defects[i])
-        return [tuple(members) for members in clusters.values()]
-
-    def _cluster_split_batch(
-        self, defs: np.ndarray
-    ) -> List[List[Tuple[int, ...]]]:
-        """:meth:`_cluster_split` for many same-count defect rows at once.
-
         The linkage test and transitive closure run vectorized over the
         whole ``(rows, k)`` batch; only the final member grouping walks
-        rows in Python.  Produces exactly the clusters (and ordering) of
-        the scalar splitter.
+        rows in Python.
         """
         rows, k = defs.shape
         dist, _ = self._dense_tables()
         n = dist.shape[0] - 1
-        if np.isinf(dist[defs, defs]).any():
-            # Rare path: re-raise with the scalar splitter's message.
-            for row in defs:
-                self._cluster_split([int(d) for d in row])
+        off_graph = np.isinf(dist[defs, defs])
+        if off_graph.any():
+            unreachable = sorted({int(d) for d in defs[off_graph]})
+            raise ValueError(f"defects outside the decoding graph: {unreachable}")
         if k == 1:
             return [[(int(row[0]),)] for row in defs]
         bc = dist[defs, n]
@@ -228,9 +335,8 @@ class MWPMDecoder(BatchDecoder):
         )
         # Shortest pair paths may route *through* the boundary node, where
         # d(u, v) equals d(u, B) + d(v, B) up to float associativity and
-        # the strict comparison can come out asymmetric.  The scalar
-        # splitter reads only i < j entries; mirror the upper triangle so
-        # both splitters link exactly the same pairs.
+        # the strict comparison can come out asymmetric; read only i < j
+        # entries and mirror them.
         upper = np.triu(linked, 1)
         reach = upper | upper.transpose(0, 2, 1) | np.eye(k, dtype=bool)
         for _ in range(max(1, int(np.ceil(np.log2(k))))):
@@ -250,21 +356,15 @@ class MWPMDecoder(BatchDecoder):
 
     def _match_decomposed(self, defects: List[int]) -> int:
         prediction = 0
-        for cluster in self._cluster_split(defects):
+        for cluster in self._cluster_split_batch(np.asarray([defects], dtype=np.intp))[0]:
             prediction ^= self._cluster_mask(cluster)
         return prediction
 
     def _cluster_mask(self, cluster: Tuple[int, ...]) -> int:
         cached = self._cluster_cache.get(cluster)
         if cached is None:
-            self._solve_clusters([cluster])
-            cached = self._cluster_cache[cluster]
+            cached = self._solve_clusters([cluster])[cluster]
         return cached
-
-    def _cache_cluster(self, cluster: Tuple[int, ...], mask: int) -> None:
-        if len(self._cluster_cache) >= _CLUSTER_CACHE_LIMIT:
-            self._cluster_cache.clear()
-        self._cluster_cache[cluster] = mask
 
     # -- sparse fast path ----------------------------------------------------
 
@@ -273,16 +373,17 @@ class MWPMDecoder(BatchDecoder):
 
         A single defect matches the boundary (``bobs[u]``); a pair matches
         directly iff ``d(u, v) < d(u, B) + d(v, B)`` -- the cluster
-        relation *and* the subset DP's strict-improvement rule, so ties
-        resolve exactly as in :meth:`_match_dp` -- and otherwise routes
-        both ends to the boundary.  Only valid for the DP matcher (blossom
-        breaks degenerate ties arbitrarily); infeasible entries fall
-        through to the full path, which raises the usual error.
+        relation, so a pair with ``d(u, v) = d(u, B) + d(v, B)`` is two
+        singleton clusters exactly as in the cluster path -- and otherwise
+        routes both ends to the boundary.  Only valid for the ``"auto"``
+        matcher (blossom breaks degenerate ties arbitrarily); infeasible
+        entries fall through to the full path, which raises the usual
+        error.
         """
         if self._sparse is None:
             if (
                 self.matcher != "auto"
-                or self.graph.num_observables > _VEC_DP_MAX_OBS
+                or self.graph.num_observables > _INT64_OBS_LIMIT
             ):
                 self._sparse = False
             else:
@@ -314,11 +415,10 @@ class MWPMDecoder(BatchDecoder):
         """Decode unique syndrome rows with cross-row cluster batching.
 
         All rows are decomposed first, the union of their uncached
-        clusters is solved in defect-count groups (vectorized subset DP
-        over every group member at once), and the per-row predictions are
-        composed from the cluster cache.  The cluster masks are identical
-        to the scalar path's, so the output does not depend on how rows
-        are batched.
+        clusters is solved once, and the per-row predictions are composed
+        from those masks and the cluster cache.  A cluster's mask is a pure
+        function of the graph and the cluster, so the output does not
+        depend on how rows are batched.
         """
         if not self.decompose:
             return super()._decode_unique(syndromes)
@@ -341,56 +441,66 @@ class MWPMDecoder(BatchDecoder):
                 for cluster in clusters:
                     if cluster not in self._cluster_cache:
                         pending[cluster] = None
-        self._solve_clusters(list(pending))
+        solved = self._solve_clusters(list(pending))
         out = np.zeros((syndromes.shape[0], num_obs), dtype=np.uint8)
-        cache = self._cluster_cache
         for i, clusters in enumerate(row_clusters):
             mask = 0
             for cluster in clusters:
-                cached = cache.get(cluster)
+                cached = solved.get(cluster)
                 if cached is None:
-                    # The runaway guard may have dropped the whole cache
-                    # mid-batch (above-threshold inputs); re-solve.
+                    # Memoized before this batch, unless the runaway guard
+                    # dropped the memo since (above-threshold inputs).
                     cached = self._cluster_mask(cluster)
                 mask ^= cached
             if mask:
                 out[i] = _unmask(mask, num_obs)
         return out
 
-    def _solve_clusters(self, clusters: List[Tuple[int, ...]]) -> None:
-        """Match uncached clusters, vectorizing defect-count groups.
-
-        The solve strategy depends only on the defect count (DP up to
-        :data:`_VEC_DP_LIMIT`, blossom beyond), never on the group size:
-        the vectorized and scalar DPs resolve ties identically, so a
-        cluster's cached mask is independent of how -- and with what
-        batch-mates -- it was first solved.
-        """
-        by_size: Dict[int, List[Tuple[int, ...]]] = {}
+    def _solve_clusters(self, clusters: List[Tuple[int, ...]]) -> Dict[Tuple[int, ...], int]:
+        """Match clusters; their observable masks, memoized when small."""
+        counts = dict.fromkeys(("relaxation", "branched", "fallback"), 0)
+        masks = {}
+        cache = self._cluster_cache
         for cluster in clusters:
-            by_size.setdefault(len(cluster), []).append(cluster)
-        for k, group in sorted(by_size.items()):
-            dp = (
-                self.matcher == "auto"
-                and k <= _VEC_DP_LIMIT
-                and self.graph.num_observables <= _VEC_DP_MAX_OBS
-            )
-            if dp and len(group) >= _VEC_DP_MIN_GROUP:
-                defs = np.asarray(group, dtype=np.intp)
-                masks = self._match_dp_batch(defs)
-                for cluster, mask in zip(group, masks):
-                    self._cache_cluster(cluster, int(mask))
-            elif dp:
-                for cluster in group:
-                    self._cache_cluster(cluster, self._match_dp(list(cluster)))
-            elif self.matcher == "auto":
-                for cluster in group:
-                    self._cache_cluster(
-                        cluster, self._match_blossom_reduced(list(cluster))
-                    )
-            else:
-                for cluster in group:
-                    self._cache_cluster(cluster, self._match(list(cluster)))
+            pairs, path = self._match_cluster(cluster)
+            counts[path] += 1
+            masks[cluster] = self._pairs_mask(pairs)
+            if len(cluster) <= _CACHE_MAX_DEFECTS:
+                if len(cache) >= _CLUSTER_CACHE_LIMIT:
+                    cache.clear()
+                cache[cluster] = masks[cluster]
+        for path, count in counts.items():
+            if count:
+                _MWPM_CLUSTERS.labels(path=path).inc(count)
+        return masks
+
+    def _match_cluster(self, cluster: Tuple[int, ...]) -> Tuple[List[Tuple[int, int]], str]:
+        """Exact matching of one cluster and the path that solved it.
+
+        Pairs are ``(defect, partner)``, ``partner = BOUNDARY`` for a
+        boundary match.  The path is ``"relaxation"`` (the root assignment
+        sufficed), ``"branched"`` or ``"fallback"`` (:meth:`_match`).
+        """
+        if self.matcher == "auto":
+            dist, _ = self._dense_tables()
+            defs = np.asarray(cluster, dtype=np.intp)
+            boundary = dist[defs, -1]
+            if np.isfinite(boundary).all():
+                # d(u, v) and d(v, u) can differ in the last ulp (separate
+                # Dijkstra runs); the matcher needs a symmetric matrix.
+                pair = dist[defs[:, None], defs]
+                pairs, nodes = _assignment_matching(np.minimum(pair, pair.T), boundary)
+                if pairs is not None:
+                    matched = [(cluster[i], cluster[j] if j >= 0 else BOUNDARY) for i, j in pairs]
+                    return matched, "relaxation" if nodes == 1 else "branched"
+        return self._match(list(cluster)), "fallback"
+
+    def _pairs_mask(self, pairs: List[Tuple[int, int]]) -> int:
+        """XOR of the observable masks along the matched paths."""
+        mask = 0
+        for u, v in pairs:
+            mask ^= self._path_obs[u][v]
+        return mask
 
     def _dense_tables(self) -> Tuple[np.ndarray, np.ndarray]:
         """(distance, path-observable-mask) matrices over detectors+boundary.
@@ -402,11 +512,9 @@ class MWPMDecoder(BatchDecoder):
         if self._dense is None:
             n = self.graph.num_detectors
             dist = np.full((n + 1, n + 1), math.inf)
-            # Observable masks only fit the int64 table up to
-            # _VEC_DP_MAX_OBS observables (the sequential decoder's
-            # pseudo-observable graphs exceed it); the vectorized DP is
-            # disabled beyond that, so the mask table is never read.
-            with_obs = self.graph.num_observables <= _VEC_DP_MAX_OBS
+            # Beyond _INT64_OBS_LIMIT observables the mask table is not
+            # built; the fast path that reads it is disabled there.
+            with_obs = self.graph.num_observables <= _INT64_OBS_LIMIT
             obs = np.zeros((n + 1, n + 1), dtype=np.int64) if with_obs else None
             for u, lengths in self._distance.items():
                 ui = n if u == BOUNDARY else u
@@ -419,79 +527,8 @@ class MWPMDecoder(BatchDecoder):
             self._dense = (dist, obs)
         return self._dense
 
-    def _match_dp_batch(self, defs: np.ndarray) -> List[int]:
-        """Subset DP over every row of ``defs`` (shape (B, k)) at once.
-
-        The table is filled popcount layer by popcount layer, with each
-        update vectorized over *both* the batch rows and the layer's
-        masks, so the Python overhead is O(k^2) numpy calls regardless of
-        batch size.  The recurrence, candidate order (boundary first,
-        then partners in ascending defect order), and strict-improvement
-        rule are the same as :meth:`_match_dp`, so each row's matching
-        (including tie resolution) is identical to the scalar path's.
-        """
-        batch, k = defs.shape
-        dist, obs = self._dense_tables()
-        n = dist.shape[0] - 1
-        bcost = dist[defs, n]
-        bobs = obs[defs, n]
-        pcost = dist[defs[:, :, None], defs[:, None, :]]
-        pobs = obs[defs[:, :, None], defs[:, None, :]]
-        size = 1 << k
-        low_i, rest_of, layers = _mask_tables(k)
-        cost = np.full((batch, size), math.inf)
-        choice = np.full((batch, size), -1, dtype=np.int8)
-        cost[:, 0] = 0.0
-        for layer in layers:
-            i_l = low_i[layer]
-            rest_l = rest_of[layer]
-            best = bcost[:, i_l] + cost[:, rest_l]
-            best_j = np.full((batch, layer.size), -1, dtype=np.int8)
-            for j in range(k):
-                has = ((rest_l >> j) & 1) == 1
-                if not has.any():
-                    continue
-                i_s = i_l[has]
-                rest_s = rest_l[has]
-                candidate = pcost[:, i_s, j] + cost[:, rest_s ^ (1 << j)]
-                current = best[:, has]
-                better = candidate < current
-                if better.any():
-                    best[:, has] = np.where(better, candidate, current)
-                    chosen = best_j[:, has]
-                    chosen[better] = j
-                    best_j[:, has] = chosen
-            cost[:, layer] = best
-            choice[:, layer] = best_j
-        full = size - 1
-        infeasible = np.isinf(cost[:, full])
-        if infeasible.any():
-            row = int(np.flatnonzero(infeasible)[0])
-            raise ValueError(
-                f"MWPM matching is not perfect: defects "
-                f"{[int(d) for d in defs[row]]} cannot all be paired or "
-                "routed to the boundary; the decoding graph cannot "
-                "explain this syndrome"
-            )
-        out: List[int] = []
-        for r in range(batch):
-            prediction = 0
-            mask = full
-            row_choice = choice[r]
-            while mask:
-                i = (mask & -mask).bit_length() - 1
-                j = int(row_choice[mask])
-                if j < 0:
-                    prediction ^= int(bobs[r, i])
-                    mask ^= 1 << i
-                else:
-                    prediction ^= int(pobs[r, i, j])
-                    mask ^= (1 << i) | (1 << j)
-            out.append(prediction)
-        return out
-
-    def _match(self, defects: List[int]) -> int:
-        """Exact minimum-weight matching of the defect set."""
+    def _match(self, defects: List[int]) -> List[Tuple[int, int]]:
+        """Exact minimum-weight matching of the defect set, as pairs."""
         unreachable = [d for d in defects if d not in self._distance]
         if unreachable:
             raise ValueError(f"defects outside the decoding graph: {unreachable}")
@@ -499,7 +536,7 @@ class MWPMDecoder(BatchDecoder):
             return self._match_dp(defects)
         return self._match_blossom(defects)
 
-    def _match_dp(self, defects: List[int]) -> int:
+    def _match_dp(self, defects: List[int]) -> List[Tuple[int, int]]:
         """Subset DP: each defect pairs with a partner or the boundary.
 
         ``cost[mask]`` is the minimal weight to resolve the defect subset
@@ -542,63 +579,19 @@ class MWPMDecoder(BatchDecoder):
                 "be paired or routed to the boundary; the decoding graph "
                 "cannot explain this syndrome"
             )
-        prediction = 0
+        pairs = []
         mask = full
         while mask:
             i, j = choice[mask]
             if j < 0:
-                prediction ^= self._path_obs[defects[i]][BOUNDARY]
+                pairs.append((defects[i], BOUNDARY))
                 mask ^= 1 << i
             else:
-                prediction ^= self._path_obs[defects[i]][defects[j]]
+                pairs.append((defects[i], defects[j]))
                 mask ^= (1 << i) | (1 << j)
-        return prediction
+        return pairs
 
-    def _match_blossom_reduced(self, defects: List[int]) -> int:
-        """Boundary-reduced blossom for large decomposed clusters.
-
-        With every defect boundary-reachable, minimizing
-        ``sum_pairs d(u,v) + sum_unmatched d(u,B)`` equals maximizing the
-        *gain* ``d(u,B) + d(v,B) - d(u,v)`` over a (possibly partial)
-        matching -- unmatched defects route to the boundary.  That is a
-        max-weight matching on just ``k`` defect nodes with only
-        positive-gain edges (the cluster relation's edges), a much
-        smaller graph than :meth:`_match_blossom`'s boundary-copy
-        construction, which stays in-tree as the historical baseline.
-        Exact minimum weight either way; degenerate ties may resolve
-        differently.
-        """
-        boundary_dist = [
-            self._distance[u].get(BOUNDARY, math.inf) for u in defects
-        ]
-        if any(math.isinf(b) for b in boundary_dist):
-            # Boundaryless defects break the reduction; use the copy
-            # construction (it also reports infeasibility properly).
-            return self._match_blossom(defects)
-        match_graph = nx.Graph()
-        match_graph.add_nodes_from(range(len(defects)))
-        for i, u in enumerate(defects):
-            row = self._distance[u]
-            for j in range(i + 1, len(defects)):
-                dist = row.get(defects[j])
-                if dist is None:
-                    continue
-                gain = boundary_dist[i] + boundary_dist[j] - dist
-                if gain > 0:
-                    match_graph.add_edge(i, j, weight=gain)
-        matching = nx.algorithms.matching.max_weight_matching(match_graph)
-        prediction = 0
-        matched = set()
-        for i, j in matching:
-            prediction ^= self._path_obs[defects[i]][defects[j]]
-            matched.add(i)
-            matched.add(j)
-        for i, u in enumerate(defects):
-            if i not in matched:
-                prediction ^= self._path_obs[u][BOUNDARY]
-        return prediction
-
-    def _match_blossom(self, defects: List[int]) -> int:
+    def _match_blossom(self, defects: List[int]) -> List[Tuple[int, int]]:
         """Blossom matching on the defect graph with boundary copies.
 
         Defect-defect edges no cheaper than routing both ends to the
@@ -637,18 +630,16 @@ class MWPMDecoder(BatchDecoder):
                 f"{len(defects)}); the decoding graph cannot explain this "
                 "syndrome"
             )
-        prediction = 0
+        pairs = []
         for a, b in matching:
             if a[0] == "b" and b[0] == "b":
                 continue
             if a[0] == "d" and b[0] == "d":
-                u, v = defects[a[1]], defects[b[1]]
-                prediction ^= self._path_obs[u][v]
+                pairs.append((defects[a[1]], defects[b[1]]))
             else:
                 defect_node = a if a[0] == "d" else b
-                u = defects[defect_node[1]]
-                prediction ^= self._path_obs[u][BOUNDARY]
-        return prediction
+                pairs.append((defects[defect_node[1]], BOUNDARY))
+        return pairs
 
 
 def _mask(observables, num_observables: int) -> int:

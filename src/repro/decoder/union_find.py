@@ -67,7 +67,7 @@ _MAX_ROUNDS = 10_000
 
 # Observable masks ride int64 scalars through the arena; graphs with more
 # observables fall back to the reference path (mirrors the MWPM decoder's
-# vectorized-DP limit).
+# int64 table limit).
 _MASK_OBS_LIMIT = 62
 
 # Upper bound on rows x max(nodes, edges) elements held live per arena

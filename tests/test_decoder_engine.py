@@ -211,13 +211,25 @@ class TestMWPMMatchers:
         with pytest.raises(ValueError, match="matcher"):
             MWPMDecoder(DecodingGraph.from_dem(dem), matcher="greedy")
 
-    def test_large_defect_count_falls_back_to_blossom(self, memory_setup):
-        # > _DP_MATCH_LIMIT defects exercises the blossom path in "auto".
+    def test_large_defect_count_matches_blossom_weight(self, memory_setup):
+        # A 14-defect syndrome: the per-cluster matchings together must
+        # weigh what the whole-syndrome blossom oracle's matching weighs.
         _, dem, _, _ = memory_setup
-        decoder = MWPMDecoder(DecodingGraph.from_dem(dem))
+        graph = DecodingGraph.from_dem(dem)
+        decoder = MWPMDecoder(graph)
+        defects = list(range(14))
         syndrome = np.zeros(dem.num_detectors, dtype=np.uint8)
-        syndrome[:14] = 1
+        syndrome[defects] = 1
         assert decoder.decode(syndrome).shape == (dem.num_observables,)
+        dist = decoder._distance
+        weight = 0.0
+        for cluster in decoder._cluster_split_batch(np.array([defects]))[0]:
+            pairs, _ = decoder._match_cluster(cluster)
+            weight += sum(dist[u][v] for u, v in pairs)
+        blossom = MWPMDecoder(graph, matcher="blossom")._match(defects)
+        assert weight == pytest.approx(
+            sum(dist[u][v] for u, v in blossom), rel=1e-9
+        )
 
 
 class TestMWPMOddDefectGuard:

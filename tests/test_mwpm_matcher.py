@@ -1,0 +1,199 @@
+"""Exactness of MWPM's cluster matcher against the networkx oracle.
+
+Every cluster solve -- assignment relaxation, branch-and-bound, or the
+``_match`` fallback -- must return a matching that covers each defect once
+and weighs exactly (to 1e-9 relative) the minimum found by networkx's
+``max_weight_matching`` (:func:`oracles.min_matching_weight`).  Clusters
+come from importance-sampled d=5/d=7 traffic, from uniform-weight MWPM
+under biased noise (where ties are common), and from random integer
+graphs built to produce odd cycles.  A larger fuzz run is tier-2.
+"""
+
+import math
+from collections import Counter
+
+import numpy as np
+import pytest
+from oracles import min_matching_weight
+
+from repro.decoder import mwpm
+from repro.decoder.engine import make_decoder
+from repro.decoder.graph import BOUNDARY, DecodingGraph
+from repro.decoder.mwpm import MWPMDecoder, _assignment_matching
+from repro.estimator.rare import rare_engine
+from repro.noise.dem import extract_dem
+from repro.noise.models import BiasedPauli
+from repro.obs import REGISTRY
+from repro.sim.frame import FrameSimulator
+from repro.sim.memory import memory_circuit
+
+PATHS = {"relaxation", "branched", "fallback"}
+
+
+def _assert_exact(decoder, cluster, pairs):
+    """``pairs`` cover ``cluster`` once each and weigh the oracle minimum."""
+    assert sorted(u for pair in pairs for u in pair if u != BOUNDARY) == sorted(cluster)
+    dist = decoder._distance
+    weight = sum(dist[u][v] for u, v in pairs)
+    pair_cost = [[dist[u].get(v, math.inf) for v in cluster] for u in cluster]
+    expected = min_matching_weight(pair_cost, [dist[u][BOUNDARY] for u in cluster])
+    assert weight == pytest.approx(expected, rel=1e-9)
+
+
+def _clusters(decoder, syndromes):
+    """Every distinct cluster of the rows with 3+ defects (no fast path)."""
+    rows = np.unique(syndromes, axis=0)
+    counts = rows.sum(axis=1)
+    out = set()
+    for k in np.unique(counts[counts >= 3]):
+        defs = np.nonzero(rows[counts == k])[1].reshape(-1, k)
+        for clusters in decoder._cluster_split_batch(defs):
+            out.update(clusters)
+    return sorted(out)
+
+
+def _check_clusters(decoder, syndromes, min_size=3):
+    """Solve every cluster of ``min_size``+ defects exactly; path counts."""
+    paths = Counter()
+    for cluster in _clusters(decoder, syndromes):
+        if len(cluster) >= min_size:
+            pairs, path = decoder._match_cluster(cluster)
+            _assert_exact(decoder, cluster, pairs)
+            paths[path] += 1
+    return paths
+
+
+def _rare_decoder(distance, p, shots, seed=1):
+    """A fresh MWPM decoder that decoded ``shots`` importance-sampled shots."""
+    circuit = memory_circuit(distance, distance, p)
+    engine = rare_engine(circuit, "mwpm", min_failure_weight=(distance + 1) // 2)
+    det_keys = engine.sampler.sample_weighted(shots, np.random.default_rng(seed))[0]
+    syndromes = np.unpackbits(det_keys, axis=1, count=circuit.num_detectors)
+    return MWPMDecoder(engine.decoder.graph), syndromes
+
+
+def _weight(pair_cost, boundary_cost, pairs):
+    return sum(boundary_cost[i] if j < 0 else pair_cost[i, j] for i, j in pairs)
+
+
+def _random_instance(rng, k):
+    """Symmetric small-integer pair costs, ~30% missing, and boundary costs.
+
+    Few distinct weights make ties and odd-cycle assignment optima common.
+    """
+    pair = np.triu(rng.integers(1, 5, size=(k, k)).astype(float), 1)
+    pair[np.triu(rng.random((k, k)) < 0.3, 1)] = math.inf
+    pair = pair + pair.T
+    np.fill_diagonal(pair, 0.0)
+    return pair, rng.integers(1, 7, size=k).astype(float)
+
+
+def _random_graph_decoder(rng, n):
+    """MWPM decoder on a random connected graph with 1-, 2- or 3-unit edges.
+
+    A random spanning tree plus ``n`` extra edges (triangles and other odd
+    cycles abound), and boundary edges on about a fifth of the nodes, so
+    every node has a boundary path.
+    """
+    graph = DecodingGraph(num_detectors=n, num_observables=1)
+    edges = {(int(rng.integers(i)), i) for i in range(1, n)}
+    while len(edges) < 2 * n - 1:
+        a, b = sorted(int(x) for x in rng.choice(n, size=2, replace=False))
+        edges.add((a, b))
+    ends = [(a, b) for a, b in sorted(edges)]
+    ends += [(a,) for a in range(n) if a == 0 or rng.random() < 0.2]
+    for detectors in ends:
+        # Weight log((1 - p) / p) of exactly ``units``.
+        units = int(rng.integers(1, 4))
+        observables = frozenset({0}) if rng.random() < 0.5 else frozenset()
+        graph.add_mechanism(detectors, 1.0 / (1.0 + math.exp(units)), observables)
+    return MWPMDecoder(graph)
+
+
+def _fuzz_graphs(seed, graphs, clusters_per_graph, max_k):
+    """Solve random defect sets on random graphs; count the paths taken."""
+    rng = np.random.default_rng(seed)
+    paths = Counter()
+    for _ in range(graphs):
+        decoder = _random_graph_decoder(rng, 2 * max_k)
+        for _ in range(clusters_per_graph):
+            k = int(rng.integers(3, max_k + 1))
+            cluster = tuple(sorted(int(d) for d in rng.choice(2 * max_k, k, replace=False)))
+            pairs, path = decoder._match_cluster(cluster)
+            _assert_exact(decoder, cluster, pairs)
+            paths[path] += 1
+    return paths
+
+
+class TestTrafficClusters:
+    @pytest.mark.parametrize("distance,p", [(5, 1e-3), (7, 5e-4)])
+    def test_importance_sampled_clusters_are_exact(self, distance, p):
+        decoder, syndromes = _rare_decoder(distance, p, shots=192)
+        paths = _check_clusters(decoder, syndromes)
+        assert sum(paths.values()) >= 50
+        assert set(paths) <= PATHS - {"fallback"}
+
+    def test_uniform_weight_biased_clusters_are_exact(self):
+        circuit = memory_circuit(5, 5, 4e-3, basis="X", noise=BiasedPauli(4e-3, bias=4.0))
+        detectors, _ = FrameSimulator(circuit).sample(384, rng=np.random.default_rng(3))
+        decoder = make_decoder("mwpm_uniform", extract_dem(circuit))
+        paths = _check_clusters(decoder, detectors)
+        # Ties leave fractional odd cycles in many relaxations.
+        assert paths["branched"] > 0 and sum(paths.values()) >= 100
+
+    def test_zero_node_cap_sends_every_cluster_to_the_fallback(self, monkeypatch):
+        monkeypatch.setattr(mwpm, "_BRANCH_NODE_LIMIT", 0)
+        decoder, syndromes = _rare_decoder(5, 1e-3, shots=128, seed=2)
+        paths = _check_clusters(decoder, syndromes, min_size=1)
+        assert set(paths) == {"fallback"} and paths["fallback"] >= 50
+
+
+class TestRandomGraphs:
+    def test_triangle_needs_branching(self):
+        # The relaxation's optimum is the 3-cycle (cost 3); no matching
+        # pairs all three, so the optimum is one pair plus one boundary.
+        pair = np.full((3, 3), 2.0)
+        pairs, nodes = _assignment_matching(pair, np.full(3, 5.0))
+        assert _weight(pair, np.full(3, 5.0), pairs) == 7.0
+        assert nodes > 1
+
+    def test_random_integer_matrices_are_exact(self):
+        rng = np.random.default_rng(11)
+        branched = 0
+        for _ in range(250):
+            pair, boundary = _random_instance(rng, int(rng.integers(3, 13)))
+            pairs, nodes = _assignment_matching(pair, boundary)
+            assert sorted(u for p in pairs for u in p if u >= 0) == list(range(boundary.size))
+            assert _weight(pair, boundary, pairs) == pytest.approx(
+                min_matching_weight(pair, boundary), rel=1e-9
+            )
+            branched += nodes > 1
+        assert branched >= 25
+
+    def test_random_integer_graphs_are_exact(self):
+        paths = _fuzz_graphs(seed=12, graphs=8, clusters_per_graph=25, max_k=14)
+        assert paths["branched"] >= 10
+
+    @pytest.mark.slow
+    def test_random_integer_graph_fuzz(self):
+        paths = _fuzz_graphs(seed=13, graphs=200, clusters_per_graph=50, max_k=32)
+        assert sum(paths.values()) == 10_000 and paths["branched"] >= 1000
+
+
+class TestPathTelemetry:
+    def test_every_cluster_solve_is_counted_once(self):
+        decoder, syndromes = _rare_decoder(5, 1e-3, shots=128, seed=3)
+        clusters = _clusters(decoder, syndromes)
+        large = sum(len(c) > mwpm._CACHE_MAX_DEFECTS for c in clusters)
+        REGISTRY.reset()
+
+        def solves():
+            decoder.decode_batch(syndromes)
+            series = REGISTRY.snapshot()["repro_mwpm_clusters_total"]["series"]
+            assert {label for (label,) in series} <= PATHS
+            return sum(series.values())
+
+        # Rows with <= 2 defects take the fast path and solve nothing.
+        assert solves() == len(clusters)
+        # Only the clusters too large to memoize are solved again.
+        assert large > 0 and solves() == len(clusters) + large
