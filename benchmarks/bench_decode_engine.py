@@ -13,11 +13,11 @@ Three benchmark families, all written into ``BENCH_frame.json``
 
   - ``per_shot_baseline``: byte-per-bit sampling
     (``FrameSimulator.sample``), per-row ``decode`` with the
-    whole-syndrome blossom matcher (``decompose=False``) -- the repo's
-    historical baseline convention;
+    whole-syndrome blossom matcher (``WholeSyndromeMWPM(graph,
+    dp_limit=0)``) -- the repo's historical baseline convention;
   - ``unpacked_engine``: byte-per-bit sampling + dedup ``decode_batch``
-    with the whole-syndrome matcher (``decompose=False``) -- the engine
-    as it stood before the packed pipeline;
+    with the whole-syndrome DP/blossom matcher (``WholeSyndromeMWPM``)
+    -- the engine as it stood before the packed pipeline;
   - ``packed_engine``: the engine -- compiled bit-packed sampling,
     packed-key dedup, cluster-decomposed MWPM (assignment matcher).
 
@@ -29,7 +29,7 @@ Three benchmark families, all written into ``BENCH_frame.json``
 * **Decode-phase overhaul** (:func:`decode_phase`,
   :func:`decode_phase_quick_gate`) -- the batched union-find decoder
   (group memo in front of the whole-row arena) against the per-shot reference
-  walk it replaced (``batched=False``): decode-phase-only throughput on
+  walk it replaced (``ReferenceUnionFind``): decode-phase-only throughput on
   pre-sampled packed tables (>= 3x at d=11, p=5e-4), end-to-end engine
   shots/s (>= 1.5x at the same point), a sample-vs-decode wall-clock
   split read from the engine phase counters, and a CI gate holding the
@@ -37,8 +37,10 @@ Three benchmark families, all written into ``BENCH_frame.json``
   d=5/d=7.  Bit-identity is asserted per table and per seed.
 * **Periodic round-compilation** (:func:`periodic_vs_linear`,
   :func:`periodic_d11_point`) -- the cold per-circuit pipeline (DEM
-  extraction + program compilation + packed sampling) under the
-  round-replay compiler vs the linear compiler, at d=7 p=1e-3 (>= 2x
+  extraction + program compilation + packed sampling) as
+  ``extract_dem`` + ``compile_program`` run it (the periodic path on
+  these circuits) vs the forced linear extraction + ``CompiledProgram``,
+  at d=7 p=1e-3 (>= 2x
   acceptance target) and a d=11 p=5e-4 low-p point.  Both paths must
   agree exactly: equal DEMs post-``merged()`` and bit-identical sampled
   planes per seed (property-tested across the full op/noise matrix in
@@ -50,6 +52,14 @@ Three benchmark families, all written into ``BENCH_frame.json``
   effective sample size, and an effective-shots/s gain >= 100x at the
   d=7, p=5e-4 rare point (~1e-7 failure rate), landing >= 2 decades
   below the brute-force resolution floor.
+
+The baselines are the test suite's oracles (``tests/oracles.py``),
+imported, not copied: ``WholeSyndromeMWPM`` matches each syndrome whole
+(subset DP up to 12 defects and blossom beyond; ``dp_limit=0`` is
+blossom everywhere, i.e. ``MWPMDecoder._match_blossom`` +
+``_pairs_mask``), ``ReferenceUnionFind`` runs union-find's per-shot
+reference loop, and ``linear_dem`` forces the linear DEM extraction
+(next to ``CompiledProgram``, the linear packed program).
 
 Methodology: every configuration is warmed up first (compiles the packed
 program, fills the decoder's cluster cache the same number of warm shots
@@ -65,12 +75,22 @@ import argparse
 import functools
 import json
 import statistics
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from repro import obs
+REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "tests"))
+
+from oracles import (  # noqa: E402  (tests/ on the path first)
+    ReferenceUnionFind,
+    WholeSyndromeMWPM,
+    linear_dem,
+    per_shot_decode,
+)
+from repro import obs  # noqa: E402
 from repro.core.cache import clear_caches
 from repro.decoder.analysis import paired_failure_counts
 from repro.decoder.engine import DecodingEngine, make_decoder
@@ -81,11 +101,11 @@ from repro.obs import metrics as _metrics
 from repro.estimator.rare import rare_engine
 from repro.noise.dem import extract_dem
 from repro.noise.models import BiasedPauli
+from repro.sim.compiled import CompiledProgram
 from repro.sim.frame import FrameSimulator
 from repro.sim.memory import memory_circuit
 from repro.sim.periodic import PeriodicProgram, compile_program
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_frame.json"
 # --quick runs write here so they never overwrite the committed full run.
 QUICK_OUTPUT = REPO_ROOT / "BENCH_frame.quick.json"
@@ -100,14 +120,6 @@ PACKED_SPEEDUP_TARGET = 5.0
 ENGINE_SPEEDUP_FLOOR = 4.0
 
 
-def _per_shot_decode(decoder, detectors):
-    """The per-shot baseline: ``decoder.decode`` row by row, no dedup."""
-    out = np.zeros((detectors.shape[0], decoder.num_observables), dtype=np.uint8)
-    for i, row in enumerate(detectors):
-        out[i] = decoder.decode(row)
-    return out
-
-
 def _decode_throughput(decode, detectors):
     start = time.perf_counter()
     predictions = decode(detectors)
@@ -120,13 +132,13 @@ def _report(distance, p, shots):
     sim = FrameSimulator(circuit, rng=np.random.default_rng(47))
     dem = sim.detector_error_model()
     graph = DecodingGraph.from_dem(dem)
-    baseline = MWPMDecoder(graph, matcher="blossom", decompose=False)
+    baseline = WholeSyndromeMWPM(graph, dp_limit=0)
     engine_decoder = MWPMDecoder(graph)
     detectors, observables = sim.sample(shots)
     unique = np.unique(detectors, axis=0).shape[0]
 
     base_pred, base_rate = _decode_throughput(
-        functools.partial(_per_shot_decode, baseline), detectors
+        functools.partial(per_shot_decode, baseline), detectors
     )
     fast_pred, fast_rate = _decode_throughput(engine_decoder.decode_batch, detectors)
     # Both matchers are exact MWPM; on degenerate ties they may pick
@@ -213,7 +225,7 @@ def packed_vs_unpacked(distance=7, p=1e-3, shots=6000, warm_shots=2048, seed=29)
     packed = DecodingEngine(circuit, MWPMDecoder(graph), shard_shots=4096)
     res_packed, rate_packed = _timed_run(packed.run, shots, warm_shots, seed)
 
-    whole = MWPMDecoder(graph, decompose=False)
+    whole = WholeSyndromeMWPM(graph)
     res_unpacked, rate_unpacked = _timed_run(
         functools.partial(_unpacked_run, sim, whole.decode_batch, 4096),
         shots, warm_shots, seed,
@@ -243,8 +255,8 @@ def packed_vs_unpacked(distance=7, p=1e-3, shots=6000, warm_shots=2048, seed=29)
     # slice must stay large enough that the heavy-tailed blossom work per
     # draw does not dominate the between-repeat variance).
     base_shots = max(shots // 5, 256)
-    blossom = MWPMDecoder(graph, matcher="blossom", decompose=False)
-    per_shot = functools.partial(_per_shot_decode, blossom)
+    blossom = WholeSyndromeMWPM(graph, dp_limit=0)
+    per_shot = functools.partial(per_shot_decode, blossom)
     base_rates = []
     for i in range(TIMING_REPEATS):
         start = time.perf_counter()
@@ -335,7 +347,7 @@ def _decode_phase_pair(distance, rounds, p, shots, warm_shots, seed):
     circuit = memory_circuit(distance, rounds, p)
     dem = FrameSimulator(circuit).detector_error_model()
     graph = DecodingGraph.from_dem(dem)
-    per_shot = UnionFindDecoder(graph, batched=False)
+    per_shot = ReferenceUnionFind(graph)
     batched = UnionFindDecoder(graph)
     num_det = circuit.num_detectors
     warm, tables, observables = _decode_phase_tables(
@@ -526,7 +538,7 @@ PERIODIC_SPEEDUP_TARGET = 2.0
 PERIODIC_QUICK_FLOOR = 0.95
 
 
-def _timed_cold_pipeline(circuit, method, mode, shots, seed):
+def _timed_cold_pipeline(circuit, build_dem, build_program, shots, seed):
     """Median-of-repeats end-to-end pipeline time: DEM + compile + sample.
 
     Every repeat starts cold (the compiled-program cache is cleared), so
@@ -539,8 +551,8 @@ def _timed_cold_pipeline(circuit, method, mode, shots, seed):
     def once(run_seed):
         clear_caches()
         start = time.perf_counter()
-        dem = extract_dem(circuit, method=method)
-        program = compile_program(circuit, mode=mode)
+        dem = build_dem(circuit)
+        program = build_program(circuit)
         detectors, observables = program.run_packed(
             shots, np.random.default_rng(run_seed)
         )
@@ -565,13 +577,16 @@ def periodic_vs_linear(distance=7, p=1e-3, shots=4096, seed=43):
     """
     circuit = memory_circuit(distance, distance + 1, p)
     rate_lin, dem_lin, prog_lin, det_lin, obs_lin = _timed_cold_pipeline(
-        circuit, "linear", "linear", shots, seed
+        circuit, linear_dem, CompiledProgram, shots, seed
     )
     rate_per, dem_per, prog_per, det_per, obs_per = _timed_cold_pipeline(
-        circuit, "periodic", "periodic", shots, seed
+        circuit, extract_dem, compile_program, shots, seed
     )
     assert isinstance(prog_per, PeriodicProgram), (
         f"d={distance} memory circuit must take the periodic compile path"
+    )
+    assert dem_per.periodic_fallback is None, (
+        f"d={distance} memory circuit must take the periodic DEM path"
     )
     assert dem_lin.mechanisms == dem_per.mechanisms, (
         "periodic DEM must equal the linear DEM mechanism-for-mechanism"
@@ -611,15 +626,16 @@ def periodic_d11_point(p=5e-4, shots=2048, seed=53):
 
     clear_caches()
     start = time.perf_counter()
-    dem_lin = extract_dem(circuit, method="linear")
-    prog_lin = compile_program(circuit, mode="linear")
+    dem_lin = linear_dem(circuit)
+    prog_lin = CompiledProgram(circuit)
     det_lin, obs_lin = prog_lin.run_packed(shots, np.random.default_rng(seed))
     rate_lin = shots / (time.perf_counter() - start)
 
     rate_per, dem_per, prog_per, det_per, obs_per = _timed_cold_pipeline(
-        circuit, "periodic", "periodic", shots, seed
+        circuit, extract_dem, compile_program, shots, seed
     )
     assert isinstance(prog_per, PeriodicProgram)
+    assert dem_per.periodic_fallback is None
     assert dem_lin.mechanisms == dem_per.mechanisms
     assert np.array_equal(det_lin, det_per) and np.array_equal(obs_lin, obs_per)
 

@@ -17,7 +17,8 @@ throughput-oriented:
 * **One shard body over one shot source** -- each worker holds a
   ``draw(shots, rng) -> (det_keys, obs_keys, log_weights | None)``
   source: the circuit's compiled bit-packed sampler
-  (:meth:`~repro.sim.frame.FrameSimulator.sample_packed`) for
+  (:meth:`~repro.sim.frame.FrameSimulator.sample_packed`, periodic or
+  linear as :func:`~repro.sim.periodic.compile_program` picks) for
   brute-force engines, the importance sampler's ``sample_weighted`` for
   weighted ones.  Every shard draws from it, hands the packed per-shot
   keys straight to ``decode_packed``, and ships its sufficient
@@ -64,7 +65,7 @@ from repro.decoder.graph import DecodingGraph
 from repro.decoder.mwpm import MWPMDecoder
 from repro.decoder.sequential import SequentialCNOTDecoder
 from repro.decoder.union_find import UnionFindDecoder
-from repro.noise.dem import DetectorErrorModel, last_periodic_fallback
+from repro.noise.dem import DetectorErrorModel
 from repro.obs import metrics as _metrics
 from repro.obs.logs import get_logger
 from repro.obs.spans import span
@@ -387,7 +388,6 @@ def _worker_init(
     decoder: Decoder,
     observable: Optional[int],
     sampler=None,
-    compile_mode: str = "auto",
     sim: Optional[FrameSimulator] = None,
 ) -> None:
     """Install the worker's shot source, decoder, and failure criterion.
@@ -402,7 +402,7 @@ def _worker_init(
         draw = sampler.sample_weighted
     else:
         if sim is None:
-            sim = FrameSimulator(circuit, compile_mode=compile_mode)
+            sim = FrameSimulator(circuit)
 
         def draw(shots, rng):
             return (*sim.sample_packed(shots, rng=rng), None)
@@ -513,12 +513,6 @@ class DecodingEngine:
             the seed and this value only, so results do not depend on
             ``workers``.
         workers: number of ``multiprocessing`` workers; ``1`` runs inline.
-        compile_mode: packed-program selection (``"auto"`` / ``"linear"``
-            / ``"periodic"``), forwarded to the simulators -- ``"auto"``
-            replays a detected repeated round periodically (see
-            :mod:`repro.sim.periodic`).  All modes are bit-identical per
-            seed; programs are memoized per circuit fingerprint, so
-            repeated engines and ``run_until`` batches never recompile.
         sampler: optional importance sampler (an object with
             ``sample_weighted(shots, rng) -> (det_keys, obs_keys,
             log_weights)`` in the packed dedup-key layout, e.g.
@@ -553,7 +547,6 @@ class DecodingEngine:
         observable: Optional[int] = 0,
         shard_shots: int = 1024,
         workers: int = 1,
-        compile_mode: str = "auto",
         sampler=None,
     ) -> None:
         if shard_shots < 1:
@@ -564,13 +557,12 @@ class DecodingEngine:
         self.observable = observable
         self.shard_shots = shard_shots
         self.workers = workers
-        self.compile_mode = compile_mode
         self.sampler = sampler
         self._pool = None
         # One simulator for serial execution and DEM extraction: its
         # compiled program is fetched once (fingerprint-memoized) and
         # reused across run() calls.
-        self._sim = FrameSimulator(circuit, compile_mode=compile_mode)
+        self._sim = FrameSimulator(circuit)
         if isinstance(decoder, str):
             # DEM extraction is the dominant setup cost; skip it entirely
             # when the caller hands over an already-built decoder.
@@ -578,16 +570,10 @@ class DecodingEngine:
                 self.dem: Optional[DetectorErrorModel] = (
                     self._sim.detector_error_model()
                 )
-            # A failed periodic certification silently degrades DEM
-            # extraction to the linear path; surface the reason so the
-            # degradation is observable (also counted in
-            # repro_periodic_fallback_total{reason=...}).
-            self.periodic_fallback_reason = last_periodic_fallback()
-            if self.periodic_fallback_reason is not None:
-                _LOG.debug(
-                    "periodic DEM extraction fell back to linear: %s",
-                    self.periodic_fallback_reason,
-                )
+            # A failed periodic certification degrades DEM extraction to
+            # the linear path; surface the reason the model carries (also
+            # counted in repro_periodic_fallback_total{reason=...}).
+            self.periodic_fallback_reason = self.dem.periodic_fallback
             with span("engine.build_decoder", decoder=decoder):
                 self.decoder = make_decoder(
                     decoder, self.dem, detector_meta=detector_meta, basis=basis
@@ -841,8 +827,7 @@ class DecodingEngine:
                 self.workers,
                 initializer=_worker_init,
                 initargs=(
-                    self.circuit, self.decoder, self.observable,
-                    self.sampler, self.compile_mode,
+                    self.circuit, self.decoder, self.observable, self.sampler,
                 ),
             )
         return self._pool

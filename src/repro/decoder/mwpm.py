@@ -5,7 +5,7 @@ shortest paths of the decoding graph; the predicted logical flip is the XOR
 of observable masks along the matched paths.  Shortest paths are
 precomputed once per graph (the experiment graphs are small).
 
-Cluster decomposition: by default the defect set is first split into
+Cluster decomposition: the defect set is first split into
 clusters under the relation ``d(u, v) < d(u, B) + d(v, B)`` (matching the
 pair directly is strictly cheaper than routing both to the boundary).  A
 minimum-weight matching never needs a pair that violates it -- replacing
@@ -37,13 +37,12 @@ matching (even cycles split, an odd cycle sends one member to the
 boundary), and the cheapest such incumbent is optimal once no open bound
 is below it -- at the latest when a node's assignment has no odd cycle.
 Past :data:`_BRANCH_NODE_LIMIT` solves, or when a defect has no boundary
-path, the cluster falls back to :meth:`MWPMDecoder._match`: a subset DP up
-to :data:`_DP_MATCH_LIMIT` defects and networkx's blossom via the
-defect-graph + boundary-copy construction beyond (that path also reports
-syndromes the graph cannot explain).  ``matcher="blossom"`` forces
-blossom everywhere and ``decompose=False`` matches every syndrome whole
-through :meth:`MWPMDecoder._match`; both are kept as verification
-oracles.
+path, the cluster falls back to :meth:`MWPMDecoder._match_blossom`:
+networkx's blossom via the defect-graph + boundary-copy construction,
+which also reports syndromes the graph cannot explain.  Every entry point
+-- :meth:`~MWPMDecoder.decode`, ``decode_batch`` and ``decode_packed`` --
+runs this one path; the whole-syndrome matchers it replaced live in the
+test suite's oracles.
 """
 
 from __future__ import annotations
@@ -59,10 +58,6 @@ from scipy.optimize import linear_sum_assignment
 from repro.decoder.base import BatchDecoder, SparseTables, _unmask_rows
 from repro.decoder.graph import BOUNDARY, DecodingGraph
 from repro.obs import metrics as _metrics
-
-# Largest defect count handled by the exact subset-DP matcher; beyond it
-# the O(k 2^k) table loses to blossom.
-_DP_MATCH_LIMIT = 12
 
 # Cluster-mask cache entries kept before the cache is dropped wholesale; at
 # sub-threshold noise the reachable cluster population is tiny, so this is
@@ -233,23 +228,10 @@ class MWPMDecoder(BatchDecoder):
 
     Args:
         graph: decoding graph to match on.
-        matcher: ``"auto"`` (assignment relaxation with branching per
-            cluster, see the module docstring) or ``"blossom"`` (always
-            blossom, a verification oracle).
-        decompose: when True (default), split defects into independent
-            clusters and memoize per-cluster matchings (see the module
-            docstring); ``False`` matches every syndrome whole -- the
-            slower baseline kept for verification and benchmarking.
     """
 
-    def __init__(
-        self, graph: DecodingGraph, matcher: str = "auto", decompose: bool = True
-    ) -> None:
-        if matcher not in ("auto", "blossom"):
-            raise ValueError(f"unknown matcher {matcher!r}")
+    def __init__(self, graph: DecodingGraph) -> None:
         self.graph = graph
-        self.matcher = matcher
-        self.decompose = decompose
         self._cluster_cache: Dict[Tuple[int, ...], int] = {}
         self._dense: "Tuple[np.ndarray, np.ndarray] | None" = None
         self._sparse: "SparseTables | bool | None" = None
@@ -298,14 +280,8 @@ class MWPMDecoder(BatchDecoder):
         Returns:
             uint8 vector over observables with the predicted flips.
         """
-        defects = [int(d) for d in np.flatnonzero(syndrome)]
-        prediction = 0
-        if defects:
-            if self.decompose:
-                prediction = self._match_decomposed(defects)
-            else:
-                prediction = self._pairs_mask(self._match(defects))
-        return _unmask(prediction, self.graph.num_observables)
+        syndrome = np.asarray(syndrome, dtype=np.uint8)
+        return self._decode_unique(syndrome[None, :])[0]
 
     def _cluster_split_batch(
         self, defs: np.ndarray
@@ -354,12 +330,6 @@ class MWPMDecoder(BatchDecoder):
             out.append([tuple(members) for members in groups.values()])
         return out
 
-    def _match_decomposed(self, defects: List[int]) -> int:
-        prediction = 0
-        for cluster in self._cluster_split_batch(np.asarray([defects], dtype=np.intp))[0]:
-            prediction ^= self._cluster_mask(cluster)
-        return prediction
-
     def _cluster_mask(self, cluster: Tuple[int, ...]) -> int:
         cached = self._cluster_cache.get(cluster)
         if cached is None:
@@ -375,16 +345,11 @@ class MWPMDecoder(BatchDecoder):
         directly iff ``d(u, v) < d(u, B) + d(v, B)`` -- the cluster
         relation, so a pair with ``d(u, v) = d(u, B) + d(v, B)`` is two
         singleton clusters exactly as in the cluster path -- and otherwise
-        routes both ends to the boundary.  Only valid for the ``"auto"``
-        matcher (blossom breaks degenerate ties arbitrarily); infeasible
-        entries fall through to the full path, which raises the usual
-        error.
+        routes both ends to the boundary.  Infeasible entries fall through
+        to the full path, which raises the usual error.
         """
         if self._sparse is None:
-            if (
-                self.matcher != "auto"
-                or self.graph.num_observables > _INT64_OBS_LIMIT
-            ):
+            if self.graph.num_observables > _INT64_OBS_LIMIT:
                 self._sparse = False
             else:
                 dist, obs = self._dense_tables()
@@ -420,8 +385,6 @@ class MWPMDecoder(BatchDecoder):
         function of the graph and the cluster, so the output does not
         depend on how rows are batched.
         """
-        if not self.decompose:
-            return super()._decode_unique(syndromes)
         num_obs = self.graph.num_observables
         row_clusters: List[List[Tuple[int, ...]]] = [
             [] for _ in range(syndromes.shape[0])
@@ -479,21 +442,20 @@ class MWPMDecoder(BatchDecoder):
 
         Pairs are ``(defect, partner)``, ``partner = BOUNDARY`` for a
         boundary match.  The path is ``"relaxation"`` (the root assignment
-        sufficed), ``"branched"`` or ``"fallback"`` (:meth:`_match`).
+        sufficed), ``"branched"`` or ``"fallback"`` (:meth:`_match_blossom`).
         """
-        if self.matcher == "auto":
-            dist, _ = self._dense_tables()
-            defs = np.asarray(cluster, dtype=np.intp)
-            boundary = dist[defs, -1]
-            if np.isfinite(boundary).all():
-                # d(u, v) and d(v, u) can differ in the last ulp (separate
-                # Dijkstra runs); the matcher needs a symmetric matrix.
-                pair = dist[defs[:, None], defs]
-                pairs, nodes = _assignment_matching(np.minimum(pair, pair.T), boundary)
-                if pairs is not None:
-                    matched = [(cluster[i], cluster[j] if j >= 0 else BOUNDARY) for i, j in pairs]
-                    return matched, "relaxation" if nodes == 1 else "branched"
-        return self._match(list(cluster)), "fallback"
+        dist, _ = self._dense_tables()
+        defs = np.asarray(cluster, dtype=np.intp)
+        boundary = dist[defs, -1]
+        if np.isfinite(boundary).all():
+            # d(u, v) and d(v, u) can differ in the last ulp (separate
+            # Dijkstra runs); the matcher needs a symmetric matrix.
+            pair = dist[defs[:, None], defs]
+            pairs, nodes = _assignment_matching(np.minimum(pair, pair.T), boundary)
+            if pairs is not None:
+                matched = [(cluster[i], cluster[j] if j >= 0 else BOUNDARY) for i, j in pairs]
+                return matched, "relaxation" if nodes == 1 else "branched"
+        return self._match_blossom(list(cluster)), "fallback"
 
     def _pairs_mask(self, pairs: List[Tuple[int, int]]) -> int:
         """XOR of the observable masks along the matched paths."""
@@ -526,70 +488,6 @@ class MWPMDecoder(BatchDecoder):
                         obs[ui, vi] = obs_row[v]
             self._dense = (dist, obs)
         return self._dense
-
-    def _match(self, defects: List[int]) -> List[Tuple[int, int]]:
-        """Exact minimum-weight matching of the defect set, as pairs."""
-        unreachable = [d for d in defects if d not in self._distance]
-        if unreachable:
-            raise ValueError(f"defects outside the decoding graph: {unreachable}")
-        if self.matcher == "auto" and len(defects) <= _DP_MATCH_LIMIT:
-            return self._match_dp(defects)
-        return self._match_blossom(defects)
-
-    def _match_dp(self, defects: List[int]) -> List[Tuple[int, int]]:
-        """Subset DP: each defect pairs with a partner or the boundary.
-
-        ``cost[mask]`` is the minimal weight to resolve the defect subset
-        ``mask``; the lowest defect in the subset either matches the
-        boundary or one of the remaining defects.  Exact for any defect
-        count (the boundary absorbs arbitrarily many), and detects
-        infeasible syndromes as an infinite total cost.
-        """
-        k = len(defects)
-        boundary_cost = [
-            self._distance[u].get(BOUNDARY, math.inf) for u in defects
-        ]
-        pair_cost = [
-            [self._distance[u].get(v, math.inf) for v in defects] for u in defects
-        ]
-        size = 1 << k
-        cost = [math.inf] * size
-        choice: List[Tuple[int, int]] = [(-1, -1)] * size
-        cost[0] = 0.0
-        for mask in range(1, size):
-            i = (mask & -mask).bit_length() - 1
-            rest = mask ^ (1 << i)
-            best = boundary_cost[i] + cost[rest]
-            best_choice = (i, -1)
-            row = pair_cost[i]
-            submask = rest
-            while submask:
-                j = (submask & -submask).bit_length() - 1
-                submask &= submask - 1
-                candidate = row[j] + cost[rest ^ (1 << j)]
-                if candidate < best:
-                    best = candidate
-                    best_choice = (i, j)
-            cost[mask] = best
-            choice[mask] = best_choice
-        full = size - 1
-        if math.isinf(cost[full]):
-            raise ValueError(
-                f"MWPM matching is not perfect: defects {defects} cannot all "
-                "be paired or routed to the boundary; the decoding graph "
-                "cannot explain this syndrome"
-            )
-        pairs = []
-        mask = full
-        while mask:
-            i, j = choice[mask]
-            if j < 0:
-                pairs.append((defects[i], BOUNDARY))
-                mask ^= 1 << i
-            else:
-                pairs.append((defects[i], defects[j]))
-                mask ^= (1 << i) | (1 << j)
-        return pairs
 
     def _match_blossom(self, defects: List[int]) -> List[Tuple[int, int]]:
         """Blossom matching on the defect graph with boundary copies.

@@ -12,7 +12,8 @@ code distance while accounting for cross-patch correlations.
 
 Implementation note: remote detector flips are encoded as pseudo-observables
 of the control-patch graph, reusing :class:`~repro.decoder.mwpm.MWPMDecoder`
-unchanged.
+unchanged.  Each pass decodes the whole batch of unique rows at once
+through MWPM's batch path, which equals its per-row ``decode`` row for row.
 """
 
 from __future__ import annotations
@@ -132,11 +133,20 @@ class SequentialCNOTDecoder(BatchDecoder):
 
     def decode(self, syndrome: np.ndarray) -> np.ndarray:
         """Predict observable flips for one shot over all circuit detectors."""
-        control_syndrome = syndrome[self._control_ids]
-        first = self._control_decoder.decode(control_syndrome)
-        prediction = first[: self.num_observables].copy()
-        remote = first[self.num_observables :]
-        target_syndrome = syndrome[self._target_ids] ^ remote
-        second = self._target_decoder.decode(target_syndrome)
-        prediction ^= second
-        return prediction
+        syndrome = np.asarray(syndrome, dtype=np.uint8)
+        return self._decode_unique(syndrome[None, :])[0]
+
+    def _decode_unique(self, syndromes: np.ndarray) -> np.ndarray:
+        """Both passes over the whole batch, one MWPM batch decode each.
+
+        The passes skip ``decode_batch``: the rows are already unique, and
+        the decode telemetry counts this decoder's shots once.
+        """
+        first = self._control_decoder._decode_unique_rows(
+            syndromes[:, self._control_ids]
+        )
+        remote = first[:, self.num_observables :]
+        second = self._target_decoder._decode_unique_rows(
+            syndromes[:, self._target_ids] ^ remote
+        )
+        return first[:, : self.num_observables] ^ second

@@ -9,7 +9,7 @@ architecture tolerates the difference at ~50% volume cost.
 
 Three layers live here, each exact against the one below it:
 
-* The **group path** (default) splits each unique row's defects into
+* The **group path** splits each unique row's defects into
   *groups*, the connected components of "within two hops" on the
   decoding graph with the boundary node removed.  A group missing from
   the per-decoder memo (keyed by its sorted defect ids) runs once as an
@@ -31,10 +31,11 @@ Three layers live here, each exact against the one below it:
   every increment of an edge's support is half that same edge's weight,
   so an edge is grown at two touches (one for zero-weight rails) -- which
   is what makes the integer batch formulation bit-exact per row.
-* The **reference** per-shot implementation (``batched=False``, and the
-  ``_grow``/``_peel`` methods) is the original sequential
-  Delfosse-Nickerson loop, kept as the verification and benchmarking
-  baseline.
+* The **reference** per-shot loop (``_decode_reference`` over
+  ``_grow``/``_peel``) is the original sequential Delfosse-Nickerson
+  decoder.  It decodes the rows the arena flags and every row of a graph
+  with more than :data:`_MASK_OBS_LIMIT` observables, and is the oracle
+  the other two layers are tested against.
 
 Rows are independent in the arena and a group's memo entry is a pure
 function of the group, so predictions are a pure per-row function:
@@ -157,15 +158,10 @@ class UnionFindDecoder(BatchDecoder):
 
     Args:
         graph: decoding graph to grow clusters on.
-        batched: when True (default), decode through the vectorized
-            multi-row arena; ``False`` restores the per-shot reference
-            loop (the pre-arena baseline kept for verification and the
-            decode-phase benchmark).
     """
 
-    def __init__(self, graph: DecodingGraph, *, batched: bool = True) -> None:
+    def __init__(self, graph: DecodingGraph) -> None:
         self.graph = graph
-        self.batched = batched
         self._adjacency: Dict[int, List[Tuple[int, float, int]]] = {}
         for edge in graph.edges:
             if len(edge.detectors) == 1:
@@ -196,8 +192,6 @@ class UnionFindDecoder(BatchDecoder):
     def decode(self, syndrome: np.ndarray) -> np.ndarray:
         """Predict observable flips for one syndrome."""
         syndrome = np.asarray(syndrome, dtype=np.uint8)
-        if not self.batched or self.graph.num_observables > _MASK_OBS_LIMIT:
-            return self._decode_reference(syndrome)
         return self._decode_unique(syndrome[None, :])[0]
 
     def _decode_reference(self, syndrome: np.ndarray) -> np.ndarray:
@@ -215,7 +209,7 @@ class UnionFindDecoder(BatchDecoder):
     def _decode_unique(self, syndromes: np.ndarray) -> np.ndarray:
         """Decode deduplicated rows: local groups first, whole rows after."""
         num_obs = self.graph.num_observables
-        if not self.batched or num_obs > _MASK_OBS_LIMIT:
+        if num_obs > _MASK_OBS_LIMIT:
             out = np.zeros((syndromes.shape[0], num_obs), dtype=np.uint8)
             for i in range(syndromes.shape[0]):
                 out[i] = self._decode_reference(syndromes[i])

@@ -16,6 +16,12 @@ the op table (:data:`repro.sim.ops.NOISE`), including the biased
 ``PAULI_CHANNEL_1`` / ``PAULI_CHANNEL_2`` whose per-outcome probabilities
 ride in ``Operation.args``.
 
+:func:`extract_dem` runs that propagation over a few rounds of a circuit
+with a certified repeated round and unrolls the rest (the periodic
+path); any other circuit takes the full linear propagation, and the
+model's ``periodic_fallback`` names the certificate that failed.  The
+tests build both paths directly to hold them equal.
+
 Lowering: :func:`weighted_graph` turns a DEM into the matching decoders'
 :class:`~repro.decoder.graph.DecodingGraph`, whose edges carry
 log-likelihood-ratio weights ``log((1-p)/p)`` derived from the merged
@@ -29,7 +35,7 @@ on, kept as the verification baseline the weighted graph must beat.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -43,9 +49,9 @@ if TYPE_CHECKING:  # pragma: no cover - type-only; see the lazy imports below
 
 _LOG = get_logger("repro.noise.dem")
 
-# Every silent auto->linear degradation of the periodic extraction is
-# counted by certification-failure reason; last_periodic_fallback() lets
-# callers (DecodingEngine debug output) surface the most recent one.
+# Every fallback of extract_dem from the periodic to the linear path is
+# counted by certification-failure reason; the reason also rides on the
+# extracted model (DetectorErrorModel.periodic_fallback).
 _PERIODIC_FALLBACKS = _metrics.counter(
     "repro_periodic_fallback_total",
     "Periodic DEM extractions that fell back to the linear path, by reason.",
@@ -56,21 +62,6 @@ _EXTRACT_SECONDS = _metrics.counter(
     "Wall-clock seconds spent extracting detector error models, by path.",
     ("method",),
 )
-
-_FALLBACK_REASON: Optional[str] = None
-
-
-def last_periodic_fallback() -> Optional[str]:
-    """Reason the most recent ``extract_dem(method="auto")`` went linear.
-
-    ``None`` when the last auto extraction used the periodic path (or
-    forced a method explicitly).  Reasons mirror the certification
-    failure sites of :func:`_periodic_mechanisms`: ``"no_period"``,
-    ``"few_reps"``, ``"no_round_measurements"``,
-    ``"epilogue_record_ref"``, ``"uncertified_shift"``,
-    ``"span_exceeds_certified"``, ``"prologue_span"``.
-    """
-    return _FALLBACK_REASON
 
 # NOTE: this module sits *below* repro.sim in the import graph
 # (repro.sim.frame re-exports the DEM classes defined here), so importing
@@ -95,11 +86,20 @@ class ErrorMechanism:
 
 @dataclass
 class DetectorErrorModel:
-    """Collection of independent error mechanisms plus circuit metadata."""
+    """Collection of independent error mechanisms plus circuit metadata.
+
+    ``periodic_fallback`` is set by :func:`extract_dem` when the periodic
+    extraction failed certification and the model came from the linear
+    path: ``"no_period"``, ``"few_reps"``, ``"no_round_measurements"``,
+    ``"epilogue_record_ref"``, ``"uncertified_shift"``,
+    ``"span_exceeds_certified"`` or ``"prologue_span"``.  It describes how
+    the model was built, not the model, so it takes no part in equality.
+    """
 
     mechanisms: List[ErrorMechanism]
     num_detectors: int
     num_observables: int
+    periodic_fallback: Optional[str] = field(default=None, compare=False)
 
     def merged(self) -> "DetectorErrorModel":
         """Combine mechanisms with identical symptoms.
@@ -117,7 +117,10 @@ class DetectorErrorModel:
             for (dets, obs), p in sorted(combined.items())
             if p > 0
         ]
-        return DetectorErrorModel(merged, self.num_detectors, self.num_observables)
+        return DetectorErrorModel(
+            merged, self.num_detectors, self.num_observables,
+            periodic_fallback=self.periodic_fallback,
+        )
 
     def reweighted(
         self, inflation: float, *, max_probability: float = 0.5
@@ -211,10 +214,18 @@ def enumerate_mechanisms(circuit: "Circuit"):
     return mechanisms
 
 
-def extract_dem(
-    circuit: "Circuit", *, verify: bool = False, method: str = "auto"
-) -> DetectorErrorModel:
+def extract_dem(circuit: "Circuit", *, verify: bool = False) -> DetectorErrorModel:
     """Extract the DEM by propagating one frame row per error mechanism.
+
+    A circuit with a verified repeated round takes the periodic
+    extraction: mechanisms are enumerated over a few rounds and unrolled
+    by shifting detector references, O(1) in the round count.  Any other
+    circuit, or a failed certification, takes the linear propagation and
+    records why in the model's ``periodic_fallback``.  Both paths yield
+    *identical* models: the periodic unrolling emits mechanisms in linear
+    circuit order with the same float probabilities, so the
+    XOR-convolution in :meth:`DetectorErrorModel.merged` accumulates
+    bit-identically.
 
     Args:
         circuit: the noisy circuit.
@@ -224,57 +235,39 @@ def extract_dem(
             error-severity findings raise
             :class:`~repro.analysis.VerificationError` before any
             consumer can decode against a malformed model.
-        method: ``"auto"`` (default) uses the periodic extraction when the
-            circuit has a verified repeated round -- mechanisms are
-            enumerated over a few rounds and unrolled by shifting
-            detector references, O(1) in the round count -- and falls
-            back to the linear propagation otherwise.  ``"linear"`` /
-            ``"periodic"`` force a path (``"periodic"`` raises when the
-            circuit has no usable period).  Both paths yield *identical*
-            models: the periodic unrolling emits mechanisms in linear
-            circuit order with the same float probabilities, so the
-            XOR-convolution in :meth:`DetectorErrorModel.merged`
-            accumulates bit-identically.
     """
-    global _FALLBACK_REASON
-    if method not in ("auto", "linear", "periodic"):
-        raise ValueError(f"unknown DEM extraction method {method!r}")
-    mechanisms = None
-    fallback_reason = None
     start = time.perf_counter()
-    if method in ("auto", "periodic"):
-        mechanisms, fallback_reason = _periodic_mechanisms(circuit)
-        if mechanisms is None and method == "periodic":
-            raise ValueError(
-                "DEM method 'periodic' requires a verified repeated round, "
-                "but the circuit has none"
-            )
-    if method == "auto":
-        # Forced methods are a caller's choice; only the *silent* auto
-        # degradation is tracked and counted.
-        _FALLBACK_REASON = fallback_reason
-        if fallback_reason is not None:
-            _PERIODIC_FALLBACKS.labels(reason=fallback_reason).inc()
-            _LOG.debug(
-                "periodic DEM extraction fell back to linear: %s",
-                fallback_reason,
-            )
-    used = "periodic" if mechanisms is not None else "linear"
+    mechanisms, fallback_reason = _periodic_mechanisms(circuit)
     if mechanisms is None:
+        _PERIODIC_FALLBACKS.labels(reason=fallback_reason).inc()
+        _LOG.debug(
+            "periodic DEM extraction fell back to linear: %s", fallback_reason
+        )
         with span("dem.linear_mechanisms"):
             mechanisms = _linear_mechanisms(circuit)
-    _EXTRACT_SECONDS.labels(method=used).inc(time.perf_counter() - start)
-    dem = DetectorErrorModel(
-        [m for m in mechanisms if m.detectors or m.observables],
-        circuit.num_detectors,
-        circuit.num_observables,
-    )
-    dem = dem.merged()
+    _EXTRACT_SECONDS.labels(
+        method="linear" if fallback_reason else "periodic"
+    ).inc(time.perf_counter() - start)
+    dem = _assemble(circuit, mechanisms, fallback_reason)
     if verify:
         from repro.analysis import verify_dem
 
         verify_dem(dem)
     return dem
+
+
+def _assemble(
+    circuit: "Circuit",
+    mechanisms: List[ErrorMechanism],
+    periodic_fallback: Optional[str] = None,
+) -> DetectorErrorModel:
+    """The merged model of a mechanism list (symptomless ones dropped)."""
+    return DetectorErrorModel(
+        [m for m in mechanisms if m.detectors or m.observables],
+        circuit.num_detectors,
+        circuit.num_observables,
+        periodic_fallback=periodic_fallback,
+    ).merged()
 
 
 def _linear_mechanisms(circuit: "Circuit") -> List[ErrorMechanism]:
@@ -347,7 +340,7 @@ def _periodic_mechanisms(
 
     ``(list, None)`` on success; ``(None, reason)`` when a certification
     failed and the caller must fall back to the linear path (reasons are
-    enumerated in :func:`last_periodic_fallback`).
+    enumerated in :class:`DetectorErrorModel`).
 
     Emits mechanisms in linear circuit order (prologue, replay 0..k-1,
     epilogue, preserving within-round enumeration order) with the exact

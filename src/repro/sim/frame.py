@@ -8,6 +8,12 @@ flip frame bits with their probabilities, gates conjugate the frame, and a
 measurement's outcome flip is the frame's anticommutation with the measured
 observable.  Detector values are XORs of measurement flips.
 
+:meth:`FrameSimulator.sample` walks the op list byte per bit -- the
+reference sampler.  :meth:`FrameSimulator.sample_packed` runs the packed
+program :func:`repro.sim.periodic.compile_program` picks for the circuit
+(periodic replay when it has a repeated round, linear otherwise) and
+returns the same bits per seed.
+
 The same propagation engine, run with one "shot" per elementary error
 mechanism, yields the detector error model (DEM): for every possible
 physical error, the set of detectors and logical observables it flips.
@@ -35,22 +41,13 @@ class FrameSimulator:
     Args:
         circuit: the circuit to sample.
         rng: default noise generator for sampling calls without one.
-        compile_mode: packed-program selection passed through to
-            :func:`repro.sim.periodic.compile_program` -- ``"auto"``
-            (default) replays a detected repeated round periodically,
-            ``"linear"`` / ``"periodic"`` force a path.  Every mode
-            samples bit-identically per seed.
     """
 
     def __init__(
-        self,
-        circuit: Circuit,
-        rng: Optional[np.random.Generator] = None,
-        compile_mode: str = "auto",
+        self, circuit: Circuit, rng: Optional[np.random.Generator] = None
     ) -> None:
         self.circuit = circuit
         self.num_qubits = circuit.num_qubits
-        self.compile_mode = compile_mode
         self._rng = rng if rng is not None else np.random.default_rng()
         self._compiled = None
 
@@ -59,13 +56,14 @@ class FrameSimulator:
         """The circuit's packed program (fingerprint-memoized, fetched once).
 
         A :class:`~repro.sim.periodic.PeriodicProgram` when the circuit
-        has a detected repeated round (and the mode allows it), else the
-        linear :class:`~repro.sim.compiled.CompiledProgram`.
+        has a detected repeated round, else the linear
+        :class:`~repro.sim.compiled.CompiledProgram`; both sample
+        bit-identically per seed.
         """
         if self._compiled is None:
             from repro.sim.periodic import compile_program
 
-            self._compiled = compile_program(self.circuit, mode=self.compile_mode)
+            self._compiled = compile_program(self.circuit)
         return self._compiled
 
     # -- sampling --------------------------------------------------------------

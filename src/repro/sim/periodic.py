@@ -23,8 +23,10 @@ periodicity:
   round -- so periodic and linear programs make the same kernel calls in
   the same order, and ``sample_packed`` is bit-identical per seed by
   construction (property-tested in ``tests/test_sim_periodic.py``).
-* :func:`compile_program` picks the periodic path automatically and
-  memoizes both program kinds per circuit fingerprint (registered with
+* :func:`compile_program` takes the periodic path whenever
+  :func:`detect_period` finds a round and the linear one otherwise (the
+  tests build both programs directly to compare them).  It memoizes the
+  program per circuit fingerprint (registered with
   :func:`repro.core.cache.register_cache`), so the decoding engine's
   repeated ``run_until`` batches and repeated engines over the same
   circuit stop recompiling.
@@ -60,10 +62,9 @@ _RECORD_OPS = ("DETECTOR", "OBSERVABLE_INCLUDE")
 _CANDIDATE_GAPS = 5
 
 # Compile vs replay is the trade this module exists to win: compiles are
-# counted by the kind actually produced ("periodic", "linear", or
-# "linear_fallback" when auto wanted periodic but found no round), and
-# replay time is separated from compile time so the amortization is
-# visible in /metrics.
+# counted by the kind produced ("periodic", or "linear_fallback" when the
+# circuit has no repeated round), and replay time is separated from
+# compile time so the amortization is visible in /metrics.
 _COMPILES = _metrics.counter(
     "repro_periodic_compiles_total",
     "Packed-program compilations (cache misses) by produced kind.",
@@ -338,18 +339,18 @@ class _ProgramCache:
     """
 
     def __init__(self) -> None:
-        self._programs: Dict[Tuple[str, str], Program] = {}
+        self._programs: Dict[str, Program] = {}
         self._hits = 0
         self._misses = 0
 
-    def get(self, circuit: Circuit, mode: str) -> Program:
-        key = (circuit_fingerprint(circuit), mode)
+    def get(self, circuit: Circuit) -> Program:
+        key = circuit_fingerprint(circuit)
         program = self._programs.get(key)
         if program is not None:
             self._hits += 1
             return program
         self._misses += 1
-        program = _compile_uncached(circuit, mode)
+        program = _compile_uncached(circuit)
         self._programs[key] = program
         return program
 
@@ -366,45 +367,28 @@ _PROGRAM_CACHE = _ProgramCache()
 register_cache("repro.sim.periodic.compile_program", _PROGRAM_CACHE)
 
 
-def _compile_uncached(circuit: Circuit, mode: str) -> Program:
+def _compile_uncached(circuit: Circuit) -> Program:
     start = time.perf_counter()
-    with span("periodic.compile", mode=mode):
-        if mode == "linear":
-            program: Program = CompiledProgram(circuit)
-            kind = "linear"
+    with span("periodic.compile"):
+        spec = detect_period(circuit)
+        if spec is not None:
+            program: Program = PeriodicProgram(circuit, spec)
+            kind = "periodic"
         else:
-            spec = detect_period(circuit)
-            if spec is not None:
-                program = PeriodicProgram(circuit, spec)
-                kind = "periodic"
-            elif mode == "periodic":
-                raise ValueError(
-                    "compile mode 'periodic' requires a repeated round, but "
-                    "detect_period found none"
-                )
-            else:
-                program = CompiledProgram(circuit)
-                kind = "linear_fallback"
+            program = CompiledProgram(circuit)
+            kind = "linear_fallback"
     if _metrics.enabled():
         _COMPILES.labels(kind=kind).inc()
         _COMPILE_SECONDS.labels(kind=kind).inc(time.perf_counter() - start)
     return program
 
 
-def compile_program(circuit: Circuit, mode: str = "auto") -> Program:
+def compile_program(circuit: Circuit) -> Program:
     """Compile a circuit to its packed program, memoized by fingerprint.
 
-    Args:
-        circuit: the circuit to lower.
-        mode: ``"auto"`` picks :class:`PeriodicProgram` when a period is
-            detected and falls back to the linear
-            :class:`~repro.sim.compiled.CompiledProgram` otherwise;
-            ``"linear"`` / ``"periodic"`` force a path (``"periodic"``
-            raises when the circuit has no repeated round).
-
-    All modes produce programs whose ``run_packed`` output is
-    bit-identical per seed.
+    A circuit with a detected repeated round compiles to a
+    :class:`PeriodicProgram`; any other falls back to the linear
+    :class:`~repro.sim.compiled.CompiledProgram`.  Both produce
+    bit-identical ``run_packed`` output per seed.
     """
-    if mode not in ("auto", "linear", "periodic"):
-        raise ValueError(f"unknown compile mode {mode!r}")
-    return _PROGRAM_CACHE.get(circuit, mode)
+    return _PROGRAM_CACHE.get(circuit)

@@ -3,7 +3,8 @@
 Covers the layers the overhaul added to the decode path:
 
 * the batched union-find growth arena is bit-identical to the per-shot
-  reference loop it replaced (``batched=False``), row for row;
+  reference loop it replaced (``oracles.ReferenceUnionFind``), row for
+  row;
 * the sparse <=2-defect fast path (MWPM's closed-form table lookups
   through ``BatchDecoder._decode_unique_rows``) is certified against the
   full decoder on exhaustive enumerations, and union-find's group path
@@ -18,6 +19,7 @@ import itertools
 
 import numpy as np
 import pytest
+from oracles import ReferenceUnionFind, WholeSyndromeMWPM, per_shot_decode
 
 from repro.decoder.base import _unmask_rows
 from repro.decoder.engine import DecodingEngine
@@ -72,13 +74,12 @@ class TestBatchedUnionFind:
         )
         assert np.array_equal(arena, reference)
 
-    def test_batched_flag_selects_reference_loop(self, d3_setup):
+    def test_reference_oracle_matches_batched_decode(self, d3_setup):
         _, graph, detectors, _ = d3_setup
-        unique = _unique_rows(detectors)
-        per_shot = UnionFindDecoder(graph, batched=False)
+        per_shot = ReferenceUnionFind(graph)
         batched = UnionFindDecoder(graph)
         assert np.array_equal(
-            per_shot._decode_unique(unique), batched._decode_unique(unique)
+            per_shot.decode_batch(detectors), batched.decode_batch(detectors)
         )
 
     def test_scalar_decode_matches_reference(self, d3_setup):
@@ -130,9 +131,17 @@ class TestSparseFastPath:
         reference = np.stack([decoder._decode_reference(row) for row in rows])
         assert np.array_equal(fast, reference)
 
-    def test_blossom_matcher_opts_out(self, d3_setup):
-        _, graph, _, _ = d3_setup
-        assert MWPMDecoder(graph, matcher="blossom")._sparse_tables() is None
+    def test_mwpm_fast_path_off_beyond_int64_observables(self):
+        # Observable masks past 62 bits do not fit the int64 tables.
+        graph = DecodingGraph(num_detectors=2, num_observables=63)
+        graph.add_mechanism((0, 1), 0.01, frozenset({62}))
+        graph.add_mechanism((0,), 0.01, frozenset({1}))
+        decoder = MWPMDecoder(graph)
+        assert decoder._sparse_tables() is None
+        rows = _sparse_rows(2)
+        expected = per_shot_decode(WholeSyndromeMWPM(graph), rows)
+        assert np.array_equal(decoder.decode_batch(rows), expected)
+        assert expected[3, 62] == 1
 
 
 class TestEngineInvariance:

@@ -3,12 +3,15 @@
 Covers the registry, dedup-vs-per-shot prediction equality for all three
 decoders, the packed engine against the byte-per-bit reference run (see
 ``oracles.py``), bit-identical results for 1 vs. N workers, streaming
-early-stop, the MWPM odd-defect guard, and union-find zero-weight growth.
+early-stop, the MWPM odd-defect guard, MWPM's single-shot ``decode``
+against its batch path, and union-find zero-weight growth.
 """
+
+import itertools
 
 import numpy as np
 import pytest
-from oracles import per_shot_decode, reference_run
+from oracles import WholeSyndromeMWPM, per_shot_decode, reference_run
 
 from repro.decoder.base import BatchDecoder, Decoder
 from repro.decoder.engine import (
@@ -190,27 +193,6 @@ class TestEarlyStop:
 
 
 class TestMWPMMatchers:
-    def test_dp_agrees_with_blossom(self, memory_setup):
-        _, dem, detectors, observables = memory_setup
-        graph = DecodingGraph.from_dem(dem)
-        dp_failures = int(
-            (MWPMDecoder(graph).decode_batch(detectors)[:, 0] ^ observables[:, 0]).sum()
-        )
-        blossom_failures = int(
-            (
-                MWPMDecoder(graph, matcher="blossom").decode_batch(detectors)[:, 0]
-                ^ observables[:, 0]
-            ).sum()
-        )
-        # Both are exact MWPM; degenerate ties may flip individual shots,
-        # but the failure counts must agree to within a sliver.
-        assert abs(dp_failures - blossom_failures) <= 2
-
-    def test_unknown_matcher_rejected(self, memory_setup):
-        _, dem, _, _ = memory_setup
-        with pytest.raises(ValueError, match="matcher"):
-            MWPMDecoder(DecodingGraph.from_dem(dem), matcher="greedy")
-
     def test_large_defect_count_matches_blossom_weight(self, memory_setup):
         # A 14-defect syndrome: the per-cluster matchings together must
         # weigh what the whole-syndrome blossom oracle's matching weighs.
@@ -226,7 +208,7 @@ class TestMWPMMatchers:
         for cluster in decoder._cluster_split_batch(np.array([defects]))[0]:
             pairs, _ = decoder._match_cluster(cluster)
             weight += sum(dist[u][v] for u, v in pairs)
-        blossom = MWPMDecoder(graph, matcher="blossom")._match(defects)
+        blossom = decoder._match_blossom(defects)
         assert weight == pytest.approx(
             sum(dist[u][v] for u, v in blossom), rel=1e-9
         )
@@ -256,6 +238,69 @@ class TestMWPMOddDefectGuard:
         decoder = MWPMDecoder(graph)
         # With a boundary path the odd syndrome decodes instead of raising.
         assert decoder.decode(np.array([1, 1, 1], dtype=np.uint8)).shape == (1,)
+
+
+class TestMWPMSingleShot:
+    """``decode(row)`` runs the batch path on one row: equal row for row."""
+
+    def test_d5_traffic(self):
+        circuit = memory_circuit(5, 5, 1e-3)
+        sim = FrameSimulator(circuit, rng=np.random.default_rng(13))
+        graph = DecodingGraph.from_dem(sim.detector_error_model())
+        detectors, _ = sim.sample(3000)
+        assert (detectors.sum(axis=1) > 2).sum() > 100
+        batch = MWPMDecoder(graph).decode_batch(detectors)
+        np.testing.assert_array_equal(
+            per_shot_decode(MWPMDecoder(graph), detectors), batch
+        )
+
+    def test_sequential_transversal_cnot_traffic(self):
+        # Both sequential passes, row by row through MWPMDecoder.decode,
+        # must equal the sequential decoder's batch passes.
+        builder = transversal_cnot_experiment(3, 4, 0.004, [1, 2])
+        sim = FrameSimulator(builder.circuit, rng=np.random.default_rng(17))
+        decoder = make_decoder(
+            "sequential", sim.detector_error_model(),
+            detector_meta=builder.detector_meta,
+        )
+        detectors, _ = sim.sample(400)
+        num_obs = decoder.num_observables
+        first = per_shot_decode(
+            decoder._control_decoder, detectors[:, decoder._control_ids]
+        )
+        target = detectors[:, decoder._target_ids] ^ first[:, num_obs:]
+        second = per_shot_decode(decoder._target_decoder, target)
+        assert first[:, num_obs:].any() and second.any()
+        expected = first[:, :num_obs] ^ second
+        np.testing.assert_array_equal(decoder.decode_batch(detectors), expected)
+        np.testing.assert_array_equal(per_shot_decode(decoder, detectors), expected)
+
+    def _ring(self) -> DecodingGraph:
+        # A 6-detector ring with no boundary: every cluster is the whole
+        # syndrome and takes the blossom fallback.
+        graph = DecodingGraph(num_detectors=6, num_observables=2)
+        for i in range(6):
+            graph.add_mechanism(
+                (i, (i + 1) % 6), 0.01 * (i + 1), frozenset({i % 2})
+            )
+        return graph
+
+    def test_boundaryless_graph(self):
+        rows = np.array(
+            [r for r in itertools.product((0, 1), repeat=6) if sum(r) % 2 == 0],
+            dtype=np.uint8,
+        )
+        batch = MWPMDecoder(self._ring()).decode_batch(rows)
+        np.testing.assert_array_equal(
+            per_shot_decode(MWPMDecoder(self._ring()), rows), batch
+        )
+        assert batch.any()
+
+    def test_odd_boundaryless_cluster_raises_through_decode_packed(self):
+        decoder = MWPMDecoder(self._ring())
+        packed = np.packbits(np.array([[1, 1, 1, 0, 0, 0]], dtype=np.uint8), axis=1)
+        with pytest.raises(ValueError, match="not perfect"):
+            decoder.decode_packed(packed, 6)
 
 
 class TestUnionFindZeroWeight:
@@ -395,7 +440,7 @@ class TestMWPMDecomposition:
     def test_decomposed_agrees_with_whole_syndrome_failures(self, memory_setup):
         _, dem, detectors, observables = memory_setup
         graph = DecodingGraph.from_dem(dem)
-        whole = MWPMDecoder(graph, decompose=False).decode_batch(detectors)
+        whole = WholeSyndromeMWPM(graph).decode_batch(detectors)
         split = MWPMDecoder(graph).decode_batch(detectors)
         whole_failures = int((whole[:, 0] ^ observables[:, 0]).sum())
         split_failures = int((split[:, 0] ^ observables[:, 0]).sum())
@@ -436,7 +481,7 @@ class TestMWPMDecomposition:
         graph = DecodingGraph(num_detectors=3, num_observables=1)
         graph.add_mechanism((0, 1), 0.01, frozenset())
         graph.add_mechanism((1, 2), 0.01, frozenset({0}))
-        decoder = MWPMDecoder(graph)  # decompose on (default)
+        decoder = MWPMDecoder(graph)
         with pytest.raises(ValueError, match="not perfect"):
             decoder.decode(np.array([1, 1, 1], dtype=np.uint8))
 

@@ -1,7 +1,7 @@
 """Exactness of MWPM's cluster matcher against the networkx oracle.
 
 Every cluster solve -- assignment relaxation, branch-and-bound, or the
-``_match`` fallback -- must return a matching that covers each defect once
+``_match_blossom`` fallback -- must return a matching that covers each defect once
 and weighs exactly (to 1e-9 relative) the minimum found by networkx's
 ``max_weight_matching`` (:func:`oracles.min_matching_weight`).  Clusters
 come from importance-sampled d=5/d=7 traffic, from uniform-weight MWPM

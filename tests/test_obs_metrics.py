@@ -13,9 +13,10 @@ import math
 
 import numpy as np
 import pytest
+from oracles import linear_dem, periodic_program, pin_program
 
 from repro.decoder.engine import DecodingEngine
-from repro.noise.dem import extract_dem, last_periodic_fallback
+from repro.noise.dem import extract_dem
 from repro.obs import (
     COUNT_BUCKETS,
     REGISTRY,
@@ -27,6 +28,7 @@ from repro.obs import (
     run_metadata,
 )
 from repro.sim.circuit import Circuit
+from repro.sim.compiled import CompiledProgram
 from repro.sim.frame import FrameSimulator
 from repro.sim.memory import memory_circuit
 
@@ -348,9 +350,14 @@ def test_merged_telemetry_is_worker_count_invariant():
 
 def test_periodic_fallback_reason_counted_and_surfaced():
     REGISTRY.reset()
-    short = memory_circuit(3, 4, 1e-3)  # 4 rounds < surrogate floor
-    extract_dem(short, method="auto")
-    assert last_periodic_fallback() == "few_reps"
+    # The reason rides on each extraction's own model: a later periodic
+    # extraction must not overwrite the earlier fallback's reason.
+    short = extract_dem(memory_circuit(3, 4, 1e-3))  # 4 rounds < surrogate floor
+    periodic = extract_dem(memory_circuit(3, 12, 1e-3))
+    assert short.periodic_fallback == "few_reps"
+    assert short.merged().periodic_fallback == "few_reps"
+    assert periodic.periodic_fallback is None
+    assert short == linear_dem(memory_circuit(3, 4, 1e-3))
     snap = REGISTRY.snapshot()
     series = snap["repro_periodic_fallback_total"]["series"]
     assert series.get(("few_reps",), 0.0) >= 1.0
@@ -373,7 +380,8 @@ def test_noise_hits_counted_once_per_run_packed(mode):
         circuit.x_error([0, 1, 2, 3], 0.05).measure(0, 1, 2, 3).reset(0, 1, 2, 3)
     for record in range(12):
         circuit.detector([record])
-    sim = FrameSimulator(circuit, compile_mode=mode)
+    build = {"linear": CompiledProgram, "periodic": periodic_program}[mode]
+    sim = pin_program(FrameSimulator(circuit), build(circuit))
     REGISTRY.reset()
     keys, _ = sim.sample_packed(1000, rng=np.random.default_rng(3))
     hits = REGISTRY.snapshot()["repro_sim_noise_hits_total"]["series"][()]

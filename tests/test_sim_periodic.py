@@ -11,9 +11,11 @@ on the linear compiler unchanged.
 
 import numpy as np
 import pytest
+from oracles import linear_dem, periodic_dem, periodic_program, pin_program
 
 from test_sim_compiled import random_clifford_noise_circuit
 
+from repro.analysis import verify_dem
 from repro.core.cache import cache_stats, clear_caches
 from repro.noise.dem import extract_dem
 from repro.sim.circuit import Circuit
@@ -84,19 +86,15 @@ class TestPeriodDetection:
 
     def test_compile_modes(self):
         circuit = build_memory(3, 6, None)
-        assert isinstance(compile_program(circuit, mode="auto"), PeriodicProgram)
-        assert isinstance(compile_program(circuit, mode="linear"), CompiledProgram)
-        assert isinstance(
-            compile_program(circuit, mode="periodic"), PeriodicProgram
-        )
-        with pytest.raises(ValueError, match="unknown compile mode"):
-            compile_program(circuit, mode="eager")
+        assert isinstance(compile_program(circuit), PeriodicProgram)
+        single_round = build_memory(3, 1, None)
+        assert isinstance(compile_program(single_round), CompiledProgram)
 
     def test_periodic_mode_raises_without_period(self):
         circuit = Circuit().reset(0).h(0).measure(0)
         with pytest.raises(ValueError, match="repeated round"):
-            compile_program(circuit, mode="periodic")
-        assert isinstance(compile_program(circuit, mode="auto"), CompiledProgram)
+            periodic_program(circuit)
+        assert isinstance(compile_program(circuit), CompiledProgram)
 
     def test_random_circuits_fall_back_or_stay_identical(self):
         # Random soups usually have no period; when a small one is found
@@ -108,7 +106,7 @@ class TestPeriodDetection:
             if detect_period(circuit) is None:
                 fallbacks += 1
                 assert isinstance(
-                    compile_program(circuit, mode="auto"), CompiledProgram
+                    compile_program(circuit), CompiledProgram
                 )
             else:
                 assert_periodic_matches_linear(circuit, shots_list=(13, 64))
@@ -120,7 +118,7 @@ class TestPeriodDetection:
         circuit = transversal_cnot_experiment(3, 4, 1e-3, [2]).circuit
         if detect_period(circuit) is None:
             assert isinstance(
-                compile_program(circuit, mode="auto"), CompiledProgram
+                compile_program(circuit), CompiledProgram
             )
         else:
             assert_periodic_matches_linear(circuit, shots_list=(64,))
@@ -177,8 +175,9 @@ class TestPeriodicDem:
     @pytest.mark.parametrize("distance,rounds", [(3, 6), (3, 9), (5, 10)])
     def test_exact_equality(self, distance, rounds, noise):
         circuit = build_memory(distance, rounds, noise)
-        linear = extract_dem(circuit, method="linear")
-        periodic = extract_dem(circuit, method="periodic", verify=True)
+        linear = linear_dem(circuit)
+        periodic = periodic_dem(circuit)
+        verify_dem(periodic)
         assert linear.num_detectors == periodic.num_detectors
         assert linear.num_observables == periodic.num_observables
         # Post-merged() models are sorted, so == is mechanism-for-mechanism
@@ -188,27 +187,26 @@ class TestPeriodicDem:
     def test_auto_uses_periodic_and_matches(self):
         circuit = build_memory(3, 8, "biased_pauli")
         auto = extract_dem(circuit)
-        linear = extract_dem(circuit, method="linear")
+        linear = linear_dem(circuit)
+        assert auto.periodic_fallback is None
         assert auto.mechanisms == linear.mechanisms
 
     def test_few_rounds_fall_back(self):
         circuit = build_memory(3, 3, None)
         with pytest.raises(ValueError, match="periodic"):
-            extract_dem(circuit, method="periodic")
+            periodic_dem(circuit)
         auto = extract_dem(circuit)
-        linear = extract_dem(circuit, method="linear")
+        linear = linear_dem(circuit)
+        assert auto.periodic_fallback == "few_reps"
         assert auto.mechanisms == linear.mechanisms
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="extraction method"):
-            extract_dem(build_memory(3, 3, None), method="fast")
 
     @pytest.mark.slow
     @pytest.mark.parametrize("noise", NOISE_MODELS)
     def test_exact_equality_d7(self, noise):
         circuit = build_memory(7, 8, noise)
-        linear = extract_dem(circuit, method="linear")
-        periodic = extract_dem(circuit, method="periodic", verify=True)
+        linear = linear_dem(circuit)
+        periodic = periodic_dem(circuit)
+        verify_dem(periodic)
         assert linear.mechanisms == periodic.mechanisms
 
 
@@ -309,9 +307,10 @@ class TestEngineIntegration:
         from repro.decoder.engine import DecodingEngine
 
         circuit = build_memory(3, 6, None)
-        with DecodingEngine(circuit, "mwpm", compile_mode="periodic") as periodic:
+        with DecodingEngine(circuit, "mwpm") as periodic:
             result_periodic = periodic.run(600, seed=5)
-        with DecodingEngine(circuit, "mwpm", compile_mode="linear") as linear:
+        with DecodingEngine(circuit, "mwpm") as linear:
+            pin_program(linear._sim, CompiledProgram(circuit))
             result_linear = linear.run(600, seed=5)
         assert result_periodic == result_linear
         assert isinstance(periodic._sim.compiled, PeriodicProgram)
