@@ -12,7 +12,7 @@ Three benchmark families, all written into ``BENCH_frame.json``
   (:func:`_unpacked_run`):
 
   - ``per_shot_baseline``: byte-per-bit sampling
-    (``FrameSimulator.sample``), per-row ``decode`` with the
+    (``reference_sample``), per-row ``decode`` with the
     whole-syndrome blossom matcher (``WholeSyndromeMWPM(graph,
     dp_limit=0)``) -- the repo's historical baseline convention;
   - ``unpacked_engine``: byte-per-bit sampling + dedup ``decode_batch``
@@ -58,7 +58,8 @@ imported, not copied: ``WholeSyndromeMWPM`` matches each syndrome whole
 (subset DP up to 12 defects and blossom beyond; ``dp_limit=0`` is
 blossom everywhere, i.e. ``MWPMDecoder._match_blossom`` +
 ``_pairs_mask``), ``ReferenceUnionFind`` runs union-find's per-shot
-reference loop, and ``linear_dem`` forces the linear DEM extraction
+reference loop, ``reference_sample`` samples byte-per-bit, and
+``linear_dem`` is the byte-per-bit, row-per-mechanism DEM propagation
 (next to ``CompiledProgram``, the linear packed program).
 
 Methodology: every configuration is warmed up first (compiles the packed
@@ -89,6 +90,7 @@ from oracles import (  # noqa: E402  (tests/ on the path first)
     WholeSyndromeMWPM,
     linear_dem,
     per_shot_decode,
+    reference_sample,
 )
 from repro import obs  # noqa: E402
 from repro.core.cache import clear_caches
@@ -129,12 +131,12 @@ def _decode_throughput(decode, detectors):
 
 def _report(distance, p, shots):
     circuit = memory_circuit(distance, distance + 1, p)
-    sim = FrameSimulator(circuit, rng=np.random.default_rng(47))
-    dem = sim.detector_error_model()
-    graph = DecodingGraph.from_dem(dem)
+    graph = DecodingGraph.from_dem(extract_dem(circuit))
     baseline = WholeSyndromeMWPM(graph, dp_limit=0)
     engine_decoder = MWPMDecoder(graph)
-    detectors, observables = sim.sample(shots)
+    detectors, observables = reference_sample(
+        circuit, shots, np.random.default_rng(47)
+    )
     unique = np.unique(detectors, axis=0).shape[0]
 
     base_pred, base_rate = _decode_throughput(
@@ -191,12 +193,12 @@ def _timed_run(run, shots, warm_shots, seed):
     return result, statistics.median(rates)
 
 
-def _unpacked_run(sim, decode, shard_shots, shots, seed):
+def _unpacked_run(circuit, decode, shard_shots, shots, seed):
     """``(shots, failures)`` over the engine's shard layout, byte-per-bit.
 
     Spawns one ``SeedSequence`` child per shard exactly as
     :meth:`DecodingEngine.run` does, samples each shard with
-    ``FrameSimulator.sample`` and decodes it with ``decode`` (a
+    ``reference_sample`` and decodes it with ``decode`` (a
     ``decode_batch`` or a per-row baseline), so for the same decoder the
     failure count equals the engine's bit for bit.
     """
@@ -204,7 +206,9 @@ def _unpacked_run(sim, decode, shard_shots, shots, seed):
     sizes = [shard_shots] * full + ([rest] if rest else [])
     failures = 0
     for size, child in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
-        detectors, observables = sim.sample(size, rng=np.random.default_rng(child))
+        detectors, observables = reference_sample(
+            circuit, size, np.random.default_rng(child)
+        )
         failures += int((decode(detectors)[:, 0] ^ observables[:, 0]).sum())
     return shots, failures
 
@@ -219,15 +223,14 @@ def packed_vs_unpacked(distance=7, p=1e-3, shots=6000, warm_shots=2048, seed=29)
     shards.
     """
     circuit = memory_circuit(distance, distance + 1, p)
-    sim = FrameSimulator(circuit)
-    graph = DecodingGraph.from_dem(sim.detector_error_model())
+    graph = DecodingGraph.from_dem(extract_dem(circuit))
 
     packed = DecodingEngine(circuit, MWPMDecoder(graph), shard_shots=4096)
     res_packed, rate_packed = _timed_run(packed.run, shots, warm_shots, seed)
 
     whole = WholeSyndromeMWPM(graph)
     res_unpacked, rate_unpacked = _timed_run(
-        functools.partial(_unpacked_run, sim, whole.decode_batch, 4096),
+        functools.partial(_unpacked_run, circuit, whole.decode_batch, 4096),
         shots, warm_shots, seed,
     )
     # The two timed configurations run *different matchers* (decomposed vs
@@ -244,7 +247,7 @@ def packed_vs_unpacked(distance=7, p=1e-3, shots=6000, warm_shots=2048, seed=29)
     res_a = DecodingEngine(circuit, shared, shard_shots=4096).run(
         check_shots, seed=seed
     )
-    res_b = _unpacked_run(sim, shared.decode_batch, 4096, check_shots, seed)
+    res_b = _unpacked_run(circuit, shared.decode_batch, 4096, check_shots, seed)
     assert (res_a.shots, res_a.failures) == res_b, (
         "packed engine and byte-per-bit composition must agree bit-for-bit "
         "at a fixed seed"
@@ -260,7 +263,7 @@ def packed_vs_unpacked(distance=7, p=1e-3, shots=6000, warm_shots=2048, seed=29)
     base_rates = []
     for i in range(TIMING_REPEATS):
         start = time.perf_counter()
-        _unpacked_run(sim, per_shot, 1024, base_shots, seed + 100 * i)
+        _unpacked_run(circuit, per_shot, 1024, base_shots, seed + 100 * i)
         base_rates.append(base_shots / (time.perf_counter() - start))
     rate_baseline = statistics.median(base_rates)
 

@@ -378,8 +378,10 @@ def _sum_stats(results: Sequence[_ShardStats]) -> EngineResult:
     )
 
 
-# Per-worker state, installed once by the pool initializer so shard tasks
-# only ship (shots, seed) pairs instead of the circuit and decoder.
+# Per-process state of a pool worker, installed once by the pool
+# initializer so shard tasks only ship (shots, seed) pairs instead of the
+# circuit and decoder.  Inline runs fill and pass their own dict instead,
+# so inline engines on concurrent threads never read each other's decoder.
 _WORKER: dict = {}
 
 
@@ -389,8 +391,9 @@ def _worker_init(
     observable: Optional[int],
     sampler=None,
     sim: Optional[FrameSimulator] = None,
-) -> None:
-    """Install the worker's shot source, decoder, and failure criterion.
+    state: dict = _WORKER,
+) -> dict:
+    """Install the shot source, decoder, and failure criterion in ``state``.
 
     The shot source ``draw(shots, rng)`` returns ``(det_keys, obs_keys,
     log_weights)`` in the packed dedup-key layout; ``log_weights`` is
@@ -407,24 +410,27 @@ def _worker_init(
         def draw(shots, rng):
             return (*sim.sample_packed(shots, rng=rng), None)
 
-    _WORKER["draw"] = draw
-    _WORKER["decoder"] = decoder
-    _WORKER["observable"] = observable
-    _WORKER["num_detectors"] = circuit.num_detectors
-    _WORKER["num_observables"] = circuit.num_observables
+    state["draw"] = draw
+    state["decoder"] = decoder
+    state["observable"] = observable
+    state["num_detectors"] = circuit.num_detectors
+    state["num_observables"] = circuit.num_observables
+    return state
 
 
-def _draw_shard(shots: int, seed_seq: np.random.SeedSequence):
-    """Draw one shard from the worker's shot source, timing the sampling."""
+def _draw_shard(state: dict, shots: int, seed_seq: np.random.SeedSequence):
+    """Draw one shard from the state's shot source, timing the sampling."""
     start = time.perf_counter()
-    out = _WORKER["draw"](shots, np.random.default_rng(seed_seq))
+    out = state["draw"](shots, np.random.default_rng(seed_seq))
     if _metrics.enabled():
         _ENGINE_SAMPLE_SECONDS.inc(time.perf_counter() - start)
         _ENGINE_SHARDS.inc()
     return out
 
 
-def _run_shard(task: Tuple[int, np.random.SeedSequence]) -> _ShardStats:
+def _run_shard(
+    task: Tuple[int, np.random.SeedSequence], state: dict = _WORKER
+) -> _ShardStats:
     """Sample + decode one shard; returns its :class:`_ShardStats` sums.
 
     Importance-sampled shards ship likelihood-ratio weight *sums*,
@@ -433,16 +439,16 @@ def _run_shard(task: Tuple[int, np.random.SeedSequence]) -> _ShardStats:
     """
     shots, seed_seq = task
     with span("engine.shard", shots=shots):
-        det_keys, obs_keys, log_weights = _draw_shard(shots, seed_seq)
+        det_keys, obs_keys, log_weights = _draw_shard(state, shots, seed_seq)
         start = time.perf_counter()
-        predictions = _WORKER["decoder"].decode_packed(
-            det_keys, _WORKER["num_detectors"]
+        predictions = state["decoder"].decode_packed(
+            det_keys, state["num_detectors"]
         )
         if _metrics.enabled():
             _ENGINE_DECODE_SECONDS.inc(time.perf_counter() - start)
         # Only the tiny observable table is unpacked for the comparison.
-        observables = _unpack_rows(obs_keys, _WORKER["num_observables"])
-        observable = _WORKER["observable"]
+        observables = _unpack_rows(obs_keys, state["num_observables"])
+        observable = state["observable"]
         if observable is None:
             wrong = (predictions ^ observables).any(axis=1)
         else:
@@ -472,14 +478,14 @@ def _run_shard(task: Tuple[int, np.random.SeedSequence]) -> _ShardStats:
 
 
 def _collect_shard(
-    task: Tuple[int, np.random.SeedSequence]
+    task: Tuple[int, np.random.SeedSequence], state: dict = _WORKER
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Sample one shard; returns bit-packed (detector, observable) keys.
 
     Workers ship the packed arrays back to the parent, ~8x less pickle
     bandwidth than byte-per-bit tables.
     """
-    det_keys, obs_keys, _ = _draw_shard(*task)
+    det_keys, obs_keys, _ = _draw_shard(state, *task)
     return det_keys, obs_keys
 
 
@@ -834,11 +840,11 @@ class DecodingEngine:
 
     def _execute(self, tasks, fn=_run_shard) -> List:
         if self.workers <= 1:
-            _worker_init(
+            state = _worker_init(
                 self.circuit, self.decoder, self.observable, self.sampler,
-                sim=self._sim,
+                sim=self._sim, state={},
             )
-            return [fn(task) for task in tasks]
+            return [fn(task, state) for task in tasks]
         if not _metrics.enabled():
             return self._ensure_pool().map(fn, tasks)
         outs: List = []

@@ -506,11 +506,11 @@ class UnionFindDecoder(BatchDecoder):
             grown_keys.append(newly)
             # Edges entering the round one touch below threshold can grow
             # at a single cluster's sequential turn in the reference loop;
-            # _apply_events flags live-live merges on those edges.
+            # _union_grown_edges flags live-live merges on those edges.
             risky = prev[ready] == (
                 edges.thresh[newly % num_edges].astype(np.int64) - 1
             )
-            new_r, new_n = self._apply_events(
+            new_r, new_n = self._union_grown_edges(
                 newly, risky, edges, parent, in_cl,
                 tree_rows, tree_edges, flagged, boundary, node_count, num_edges,
             )
@@ -523,7 +523,7 @@ class UnionFindDecoder(BatchDecoder):
         )
         return masks, flagged, far
 
-    def _apply_events(
+    def _union_grown_edges(
         self,
         newly: np.ndarray,
         risky: np.ndarray,

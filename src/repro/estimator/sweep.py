@@ -59,7 +59,7 @@ DEFAULT_SHARD_SIZE = 16
 # Per-point timing lands in one histogram regardless of where the point
 # ran (inline probe, serial fallback, or pool worker shipping deltas), so
 # the sweep cost distribution is comparable across execution modes; the
-# mode counter records which path the auto-serial decision took, and the
+# mode counter records which path the serial fallback took, and the
 # evaluated/pruned counters quantify branch-and-bound effectiveness.
 _POINT_SECONDS = _metrics.histogram(
     "repro_sweep_point_seconds", "Per-point evaluation latency in sweeps."
@@ -167,8 +167,10 @@ def _as_record(point: Dict[str, Any], result: Any) -> Record:
     return {**point, "value": result}
 
 
-# Per-worker state, installed once by the pool initializer so shard tasks
-# only ship the point dicts instead of the function at every call.
+# Per-process state of a pool worker, installed once by the pool
+# initializer so shard tasks only ship the point dicts instead of the
+# function at every call.  Inline runs pass ``fn`` to :func:`_run_shard`
+# instead, so sweeps on concurrent threads never swap point functions.
 _WORKER: dict = {}
 
 
@@ -176,8 +178,10 @@ def _worker_init(fn: PointFn) -> None:
     _WORKER["fn"] = fn
 
 
-def _run_shard(points: List[Dict[str, Any]]) -> List[Record]:
-    fn: PointFn = _WORKER["fn"]
+def _run_shard(
+    points: List[Dict[str, Any]], fn: Optional[PointFn] = None
+) -> List[Record]:
+    fn = _WORKER["fn"] if fn is None else fn
     if not _metrics.enabled():
         return [_as_record(point, fn(point)) for point in points]
     records: List[Record] = []
@@ -248,7 +252,6 @@ def sweep(
     *,
     jobs: int = 1,
     shard_size: int = DEFAULT_SHARD_SIZE,
-    auto_serial: bool = True,
 ) -> List[Record]:
     """Evaluate ``fn`` at every grid point; returns one record per point.
 
@@ -256,11 +259,11 @@ def sweep(
     a function of ``shard_size`` only and shard outputs are concatenated in
     shard order, so serial and sharded runs are identical.
 
-    With ``jobs > 1`` and ``auto_serial`` (the default), the first
-    :data:`_PROBE_POINTS` points are evaluated inline and the rest of the
-    grid only goes to a worker pool when its projected serial cost exceeds
-    the measured pool-spawn overhead (:func:`measured_pool_overhead`);
-    below that threshold the pool can only lose wall time.  The records
+    With ``jobs > 1``, the first :data:`_PROBE_POINTS` points are
+    evaluated inline and the rest of the grid only goes to a worker pool
+    when its projected serial cost exceeds the measured pool-spawn
+    overhead (:func:`measured_pool_overhead`); below that threshold the
+    pool can only lose wall time.  The records
     are identical either way.
     """
     if jobs < 1:
@@ -273,17 +276,12 @@ def sweep(
     with span("sweep", points=len(points), jobs=jobs):
         if jobs == 1:
             _SWEEP_RUNS.labels(mode="serial").inc()
-            _worker_init(fn)
-            return _run_shard(points)
-        if not auto_serial:
-            _SWEEP_RUNS.labels(mode="pooled").inc()
-            return _pooled(fn, points, jobs, shard_size)
-        _worker_init(fn)
+            return _run_shard(points, fn)
         records: List[Record] = []
         per_point = math.inf
         for point in points[:_PROBE_POINTS]:
             start = time.perf_counter()
-            records.extend(_run_shard([point]))
+            records.extend(_run_shard([point], fn))
             per_point = min(per_point, time.perf_counter() - start)
         rest = points[_PROBE_POINTS:]
         if not rest:
@@ -291,7 +289,7 @@ def sweep(
             return records
         if per_point * len(rest) <= measured_pool_overhead(jobs):
             _SWEEP_RUNS.labels(mode="serial").inc()
-            return records + _run_shard(rest)
+            return records + _run_shard(rest, fn)
         _SWEEP_RUNS.labels(mode="pooled").inc()
         return records + _pooled(fn, rest, jobs, shard_size)
 

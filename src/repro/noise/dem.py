@@ -8,19 +8,20 @@ firing probability.  Mechanisms with identical symptoms are merged by XOR
 convolution.
 
 Extraction propagates each mechanism through the Clifford circuit with the
-Pauli-frame engine of :mod:`repro.sim.frame`, one frame row per mechanism:
-the mechanism's Pauli is injected into its row at the channel's position,
-all deterministic ops conjugate every row at once, and the row's final
-detector/observable flips are the symptom.  This covers every channel of
-the op table (:data:`repro.sim.ops.NOISE`), including the biased
-``PAULI_CHANNEL_1`` / ``PAULI_CHANNEL_2`` whose per-outcome probabilities
-ride in ``Operation.args``.
+packed Pauli-frame program of :mod:`repro.sim.compiled`, one bit column
+per mechanism: the mechanism's Pauli is injected into its column at the
+channel's position, all deterministic steps conjugate every column at
+once, and the column's final detector/observable flips are the symptom.
+This covers every channel of the op table (:data:`repro.sim.ops.NOISE`),
+including the biased ``PAULI_CHANNEL_1`` / ``PAULI_CHANNEL_2`` whose
+per-outcome probabilities ride in ``Operation.args``.
 
 :func:`extract_dem` runs that propagation over a few rounds of a circuit
 with a certified repeated round and unrolls the rest (the periodic
-path); any other circuit takes the full linear propagation, and the
+path); any other circuit is propagated whole (the linear path), and the
 model's ``periodic_fallback`` names the certificate that failed.  The
-tests build both paths directly to hold them equal.
+tests hold both paths equal to a byte-per-bit, row-per-mechanism
+reference propagation.
 
 Lowering: :func:`weighted_graph` turns a DEM into the matching decoders'
 :class:`~repro.decoder.graph.DecodingGraph`, whose edges carry
@@ -244,7 +245,7 @@ def extract_dem(circuit: "Circuit", *, verify: bool = False) -> DetectorErrorMod
             "periodic DEM extraction fell back to linear: %s", fallback_reason
         )
         with span("dem.linear_mechanisms"):
-            mechanisms = _linear_mechanisms(circuit)
+            mechanisms = _whole_circuit_mechanisms(circuit)
     _EXTRACT_SECONDS.labels(
         method="linear" if fallback_reason else "periodic"
     ).inc(time.perf_counter() - start)
@@ -270,44 +271,14 @@ def _assemble(
     ).merged()
 
 
-def _linear_mechanisms(circuit: "Circuit") -> List[ErrorMechanism]:
-    """Unmerged mechanism list via one frame row per mechanism (reference)."""
-    from repro.sim.frame import FrameSimulator, _Cursor
-    from repro.sim.ops import NOISE
-
-    sim = FrameSimulator(circuit)
+def _whole_circuit_mechanisms(circuit: "Circuit") -> List[ErrorMechanism]:
+    """Unmerged mechanism list, each propagated through the whole circuit."""
     mechanisms = enumerate_mechanisms(circuit)
-    count = len(mechanisms)
-    frame_x = np.zeros((count, sim.num_qubits), dtype=np.uint8)
-    frame_z = np.zeros((count, sim.num_qubits), dtype=np.uint8)
-    flips = np.zeros((count, circuit.num_measurements), dtype=np.uint8)
-    detectors = np.zeros((count, circuit.num_detectors), dtype=np.uint8)
-    observables = np.zeros((count, max(circuit.num_observables, 1)), dtype=np.uint8)
-    cursor = _Cursor()
-    noise_index = 0
-    for op in circuit.operations:
-        if op.name in NOISE:
-            # Inject the mechanisms tied to this op into their rows.
-            while noise_index < count and mechanisms[noise_index][0] is op:
-                _, _, x_flip_qubits, z_flip_qubits, _ = mechanisms[noise_index]
-                row = noise_index
-                for q in x_flip_qubits:
-                    frame_x[row, q] ^= 1
-                for q in z_flip_qubits:
-                    frame_z[row, q] ^= 1
-                noise_index += 1
-        else:
-            sim._apply(
-                op, frame_x, frame_z, flips, detectors, observables, cursor,
-                noisy=False,
-            )
     return [
-        ErrorMechanism(
-            probability=prob,
-            detectors=tuple(int(d) for d in np.flatnonzero(detectors[row])),
-            observables=tuple(int(o) for o in np.flatnonzero(observables[row])),
+        ErrorMechanism(prob, dets, obs)
+        for (_, prob, _, _, _), (dets, obs) in zip(
+            mechanisms, _mechanism_symptoms_packed(circuit, mechanisms)
         )
-        for row, (_, prob, _, _, _) in enumerate(mechanisms)
     ]
 
 
@@ -318,8 +289,8 @@ def _linear_mechanisms(circuit: "Circuit") -> List[ErrorMechanism]:
 # the same detector pattern as its replay-0 twin, offset by j rounds.
 # Extraction therefore builds a *surrogate* circuit with only
 # _SURROGATE_REPS replays (epilogue record references rebased), computes
-# its mechanisms with a packed propagation (one bit column per mechanism
-# instead of one byte row), certifies shift invariance inside the
+# its mechanisms with the same packed propagation the linear path runs
+# on the whole circuit, certifies shift invariance inside the
 # surrogate, and unrolls: prologue mechanisms verbatim, the certified
 # bulk round replicated with shifted detector rows, the trailing
 # epilogue-influenced rounds and the epilogue shifted to their full-
@@ -400,9 +371,9 @@ def _periodic_mechanisms(
         return None, "epilogue_record_ref"
 
     mechanisms = enumerate_mechanisms(surrogate)
-    symptoms, mech_regions = _mechanism_symptoms_packed(
-        surrogate, mechanisms, regions
-    )
+    symptoms = _mechanism_symptoms_packed(surrogate, mechanisms)
+    region_of = {id(op): region for op, region in zip(surrogate.operations, regions)}
+    mech_regions = [region_of[id(op)] for op, _, _, _, _ in mechanisms]
 
     # Group per region, normalizing body detector rows to replay 0.
     prologue_rows = spec.det_start
@@ -467,19 +438,14 @@ def _periodic_mechanisms(
     return out, None
 
 
-def _mechanism_symptoms_packed(circuit: "Circuit", mechanisms, regions):
-    """Symptoms of every mechanism via packed bit-column propagation.
+def _mechanism_symptoms_packed(circuit: "Circuit", mechanisms):
+    """Per-mechanism ``(detectors, observables)`` index tuples.
 
-    The packed analogue of :func:`_linear_mechanisms`' row-per-mechanism
-    frames: mechanism ``m`` lives in bit column ``m`` of the compiled
-    program's planes, deterministic steps conjugate all mechanisms at
-    once (64 per ALU op), and each noise step XORs its mechanisms' Pauli
-    flips in via a precomputed scatter
+    Mechanism ``m`` lives in bit column ``m`` of the circuit's
+    :class:`~repro.sim.compiled.CompiledProgram` planes: deterministic
+    steps conjugate all mechanisms at once (64 per ALU op), and each noise
+    step XORs its mechanisms' Pauli flips in via a precomputed scatter
     (:func:`repro.sim.compiled.injection_noise`).
-
-    Returns ``(symptoms, mech_regions)``: per-mechanism
-    ``(detectors, observables)`` index tuples and the per-mechanism
-    region label taken from the per-op ``regions`` list.
     """
     from repro.sim.compiled import (
         CompiledProgram,
@@ -497,9 +463,8 @@ def _mechanism_symptoms_packed(circuit: "Circuit", mechanisms, regions):
     flips = np.zeros((program.num_measurements, padded), dtype=np.uint8)
 
     injections = []
-    mech_regions: List[object] = []
     mech_index = 0
-    for op, region in zip(circuit.operations, regions):
+    for op in circuit.operations:
         if op.name not in NOISE:
             continue
         x_rows: List[int] = []
@@ -514,7 +479,6 @@ def _mechanism_symptoms_packed(circuit: "Circuit", mechanisms, regions):
             for q in z_flip_qubits:
                 z_rows.append(q)
                 z_cols.append(mech_index)
-            mech_regions.append(region)
             mech_index += 1
         injections.append(_pack_injection(x_rows, x_cols) + _pack_injection(z_rows, z_cols))
 
@@ -536,8 +500,7 @@ def _mechanism_symptoms_packed(circuit: "Circuit", mechanisms, regions):
         np.bitwise_xor.at(observables, program._obs_row, flips[program._obs_meas])
     det_cols = np.unpackbits(detectors[:, :words], axis=1, count=count).T
     obs_cols = np.unpackbits(observables[:, :words], axis=1, count=count).T
-    symptoms = list(zip(_grouped_indices(det_cols), _grouped_indices(obs_cols)))
-    return symptoms, mech_regions
+    return list(zip(_grouped_indices(det_cols), _grouped_indices(obs_cols)))
 
 
 def _grouped_indices(table: np.ndarray) -> List[Tuple[int, ...]]:

@@ -132,7 +132,7 @@ class Circuit:
         DETECTOR / OBSERVABLE_INCLUDE targets must address measurement
         records that already exist (``0 <= record < num_measurements`` at
         append time).  Forward or negative record references would make
-        the eager reference sampler and the compiled bit-packed pipeline
+        an eager byte-per-bit interpreter and the compiled bit-packed pipeline
         (which extracts detectors in one deferred XOR-reduce) disagree, so
         they are rejected at construction instead.
         """

@@ -1,10 +1,10 @@
 """Compiled, bit-packed circuit programs for the Pauli-frame sampler.
 
-The reference sampler (:meth:`repro.sim.frame.FrameSimulator.sample`)
-stores one uint8 per (shot, qubit) and walks every op target in a Python
-loop, so its cost is O(ops * targets * shots) interpreted work over a
-byte-per-bit representation.  This module closes that gap the way
-SIMD-style stabilizer samplers do:
+A byte-per-bit frame interpreter stores one uint8 per (shot, qubit) and
+walks every op target in a Python loop, so its cost is
+O(ops * targets * shots) interpreted work.  This module is the package's
+one frame-propagation engine, and it closes that gap the way SIMD-style
+stabilizer samplers do:
 
 * **Compile once** -- :class:`CompiledProgram` lowers a
   :class:`~repro.sim.circuit.Circuit` into a flat program of fused steps.
@@ -28,14 +28,18 @@ SIMD-style stabilizer samplers do:
   hits) instead of one uniform per target per shot; outcomes (X/Y/Z, or
   one of the 15 two-qubit Paulis, or a biased channel's Pauli) are drawn
   for the hits only (:func:`sample_channel`), and the hits are XORed into
-  the packed planes as ``(row, byte, bit mask)`` triples.  The reference
-  sampler (:meth:`repro.sim.frame.FrameSimulator.sample`) makes the same
-  :func:`sample_channel` calls in op order and applies the same hits
-  byte-per-bit, so for the same seed the packed pipeline produces
-  *bit-identical* detector/observable samples.  The equivalence is
-  property-tested in ``tests/test_sim_compiled.py``; the channel
-  statistics are checked against the channel probabilities in
+  the packed planes as ``(row, byte, bit mask)`` triples.  The
+  byte-per-bit reference interpreter of the test oracles
+  (``tests/oracles.py``) makes the same :func:`sample_channel` calls in
+  op order and applies the same hits byte by byte, so for the same seed
+  the two produce *bit-identical* detector/observable samples.  The
+  equivalence is property-tested in ``tests/test_sim_compiled.py``; the
+  channel statistics are checked against the channel probabilities in
   ``tests/test_noise_sampling_stats.py``.
+
+The same steps, run with one bit column per error mechanism and a
+deterministic injector in place of the sampler (:func:`injection_noise`),
+extract the detector error model (:mod:`repro.noise.dem`).
 
 Shot-major vs detector-major: frames pack shots along rows so gate ops are
 contiguous; decoders key on per-shot syndromes.  :func:`transpose_packed`
@@ -207,8 +211,8 @@ def lower_ops(ops, meas_start: int = 0, det_start: int = 0) -> LoweredSegment:
             steps.append((name, firsts, seconds, noise_channel(op)))
             continue
         if name not in _FUSABLE:
-            # Same contract as FrameSimulator._apply: unsupported ops
-            # (non-Clifford gates) fail loudly, never sample wrong.
+            # Unsupported ops (non-Clifford gates) fail loudly, never
+            # sample wrong.
             raise ValueError(f"frame simulator cannot run {name}")
         # Fusable deterministic op: merge runs of the same kind.
         if name != pending_kind:
@@ -277,7 +281,7 @@ class CompiledProgram:
         zw = z[:, :words]
 
         # One sparse channel draw per noise op, in op order -- the
-        # reference sampler's exact stream.
+        # byte-per-bit reference interpreter's exact stream.
         noise = SamplingNoise(rng, shots)
         execute_steps(self.steps, x64, z64, f64, xw, zw, noise)
         noise.report()

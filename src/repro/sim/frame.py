@@ -8,13 +8,14 @@ flip frame bits with their probabilities, gates conjugate the frame, and a
 measurement's outcome flip is the frame's anticommutation with the measured
 observable.  Detector values are XORs of measurement flips.
 
-:meth:`FrameSimulator.sample` walks the op list byte per bit -- the
-reference sampler.  :meth:`FrameSimulator.sample_packed` runs the packed
-program :func:`repro.sim.periodic.compile_program` picks for the circuit
-(periodic replay when it has a repeated round, linear otherwise) and
-returns the same bits per seed.
+:meth:`FrameSimulator.sample_packed` runs the packed program
+:func:`repro.sim.periodic.compile_program` picks for the circuit (periodic
+replay when it has a repeated round, linear otherwise);
+:meth:`FrameSimulator.sample` is its unpacked form.  The byte-per-bit
+reference interpreter the packed program is held to lives with the test
+oracles (``tests/oracles.py``).
 
-The same propagation engine, run with one "shot" per elementary error
+The same packed propagation, run with one bit column per elementary error
 mechanism, yields the detector error model (DEM): for every possible
 physical error, the set of detectors and logical observables it flips.
 That extraction lives in :mod:`repro.noise.dem` (the
@@ -31,8 +32,7 @@ import numpy as np
 
 from repro.noise.dem import DetectorErrorModel, ErrorMechanism  # noqa: F401
 from repro.sim.circuit import Circuit
-from repro.sim.compiled import noise_channel, sample_channel, transpose_packed
-from repro.sim.ops import NOISE, NOISE_2Q, NOISE_MARKERS
+from repro.sim.compiled import transpose_packed
 
 
 class FrameSimulator:
@@ -82,20 +82,14 @@ class FrameSimulator:
 
         Returns:
             (detectors, observables): uint8 arrays of shape
-            (shots, num_detectors) and (shots, num_observables).
+            (shots, num_detectors) and (shots, num_observables) -- the
+            unpacked bits of :meth:`sample_packed` for the same generator.
         """
-        frame_x = np.zeros((shots, self.num_qubits), dtype=np.uint8)
-        frame_z = np.zeros((shots, self.num_qubits), dtype=np.uint8)
-        flips = np.zeros((shots, self.circuit.num_measurements), dtype=np.uint8)
-        detectors = np.zeros((shots, self.circuit.num_detectors), dtype=np.uint8)
-        observables = np.zeros((shots, max(self.circuit.num_observables, 1)), dtype=np.uint8)
-        cursor = _Cursor()
-        for op in self.circuit.operations:
-            self._apply(
-                op, frame_x, frame_z, flips, detectors, observables, cursor,
-                noisy=True, rng=rng if rng is not None else self._rng,
-            )
-        return detectors, observables[:, : self.circuit.num_observables]
+        det_keys, obs_keys = self.sample_packed(shots, rng)
+        return (
+            np.unpackbits(det_keys, axis=1, count=self.circuit.num_detectors),
+            np.unpackbits(obs_keys, axis=1, count=self.circuit.num_observables),
+        )
 
     def sample_packed(
         self, shots: int, rng: Optional[np.random.Generator] = None
@@ -107,8 +101,8 @@ class FrameSimulator:
         detector extraction is one sparse XOR-reduce.  Noise is drawn
         sparsely -- only each channel's hits, with one
         :func:`~repro.sim.compiled.sample_channel` call per noise op in op
-        order, exactly as :meth:`sample` draws them -- so for the same seed
-        the unpacked bits equal :meth:`sample`'s output *bit for bit*.
+        order -- so for the same seed the periodic and linear programs,
+        and the byte-per-bit reference interpreter, agree *bit for bit*.
 
         Returns:
             (detectors, observables): uint8 arrays of shape
@@ -131,83 +125,3 @@ class FrameSimulator:
         from repro.noise.dem import extract_dem
 
         return extract_dem(self.circuit)
-
-    # -- op application ------------------------------------------------------------
-
-    def _apply(self, op, frame_x, frame_z, flips, detectors, observables, cursor, noisy, rng=None):
-        rng = rng if rng is not None else self._rng
-        name = op.name
-        if name == "H":
-            for q in op.targets:
-                frame_x[:, q], frame_z[:, q] = frame_z[:, q].copy(), frame_x[:, q].copy()
-        elif name == "S" or name == "S_DAG":
-            for q in op.targets:
-                frame_z[:, q] ^= frame_x[:, q]
-        elif name in ("X", "Y", "Z", "TICK") or name in NOISE_MARKERS:
-            return  # Paulis commute through the frame; markers are no-ops.
-        elif name == "CX":
-            for c, t in zip(op.targets[0::2], op.targets[1::2]):
-                frame_x[:, t] ^= frame_x[:, c]
-                frame_z[:, c] ^= frame_z[:, t]
-        elif name == "CZ":
-            for a, b in zip(op.targets[0::2], op.targets[1::2]):
-                frame_z[:, a] ^= frame_x[:, b]
-                frame_z[:, b] ^= frame_x[:, a]
-        elif name == "SWAP":
-            for a, b in zip(op.targets[0::2], op.targets[1::2]):
-                frame_x[:, [a, b]] = frame_x[:, [b, a]]
-                frame_z[:, [a, b]] = frame_z[:, [b, a]]
-        elif name == "R":
-            for q in op.targets:
-                frame_x[:, q] = 0
-                frame_z[:, q] = 0
-        elif name == "RX":
-            for q in op.targets:
-                frame_x[:, q] = 0
-                frame_z[:, q] = 0
-        elif name == "M":
-            for q in op.targets:
-                flips[:, cursor.measurement] = frame_x[:, q]
-                cursor.measurement += 1
-        elif name == "MX":
-            for q in op.targets:
-                flips[:, cursor.measurement] = frame_z[:, q]
-                cursor.measurement += 1
-        elif name == "DETECTOR":
-            value = np.zeros(flips.shape[0], dtype=np.uint8)
-            for rec in op.targets:
-                value ^= flips[:, rec]
-            detectors[:, cursor.detector] = value
-            cursor.detector += 1
-        elif name == "OBSERVABLE_INCLUDE":
-            index = int(op.arg)
-            for rec in op.targets:
-                observables[:, index] ^= flips[:, rec]
-        elif name in NOISE:
-            if noisy:
-                # Same sample_channel call as the compiled pipeline, in op
-                # order; each hit flips single bytes of the (shot, qubit)
-                # frames, accumulating on repeated targets.
-                two = name in NOISE_2Q
-                targets = np.asarray(op.targets, dtype=np.intp)
-                firsts = targets[0::2] if two else targets
-                target, shot, code = sample_channel(
-                    rng, firsts.size, flips.shape[0], noise_channel(op)
-                )
-                a = firsts[target]
-                np.bitwise_xor.at(frame_x, (shot, a), (code >> 3) & 1)
-                np.bitwise_xor.at(frame_z, (shot, a), (code >> 2) & 1)
-                if two:
-                    b = targets[1::2][target]
-                    np.bitwise_xor.at(frame_x, (shot, b), (code >> 1) & 1)
-                    np.bitwise_xor.at(frame_z, (shot, b), code & 1)
-        else:
-            raise ValueError(f"frame simulator cannot run {name}")
-
-
-class _Cursor:
-    """Mutable counters for measurement/detector positions during a pass."""
-
-    def __init__(self) -> None:
-        self.measurement = 0
-        self.detector = 0

@@ -1,7 +1,7 @@
 """Single-source operation classification tables for the circuit IR.
 
 Every consumer of the IR -- :class:`repro.sim.circuit.Circuit` validation,
-the reference frame sampler (:mod:`repro.sim.frame`), the compiled
+the frame sampler (:mod:`repro.sim.frame`), the compiled
 bit-packed pipeline (:mod:`repro.sim.compiled`), the tableau and
 state-vector simulators, and the noise layer (:mod:`repro.noise`) -- used
 to string-match op names against private copies of these tuples, which is
@@ -98,5 +98,5 @@ CANONICAL_FRAME_GATE = {"S_DAG": "S", "RX": "R"}
 
 # Deterministic ops lowered to fused steps; anything not in this set, the
 # noise set, or DROPPED_BY_COMPILER (e.g. non-Clifford T/CCZ) is rejected
-# at compile time with the reference sampler's error.
+# at compile time with a "frame simulator cannot run" error.
 FUSABLE = ("H", "S", "CX", "CZ", "SWAP", "R", "M", "MX")

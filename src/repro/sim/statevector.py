@@ -60,23 +60,23 @@ class StateVector:
         self.amplitudes = np.einsum("ab,ibj->iaj", matrix, psi).reshape(-1)
 
     def apply_cx(self, control: int, target: int) -> None:
-        self._apply_controlled(_X, [control], target)
+        self._controlled_op(_X, [control], target)
 
     def apply_cz(self, control: int, target: int) -> None:
-        self._apply_controlled(_Z, [control], target)
+        self._controlled_op(_Z, [control], target)
 
     def apply_ccz(self, a: int, b: int, c: int) -> None:
-        self._apply_controlled(_Z, [a, b], c)
+        self._controlled_op(_Z, [a, b], c)
 
     def apply_ccx(self, a: int, b: int, target: int) -> None:
-        self._apply_controlled(_X, [a, b], target)
+        self._controlled_op(_X, [a, b], target)
 
     def apply_swap(self, a: int, b: int) -> None:
         self.apply_cx(a, b)
         self.apply_cx(b, a)
         self.apply_cx(a, b)
 
-    def _apply_controlled(self, matrix: np.ndarray, controls: Sequence[int], target: int) -> None:
+    def _controlled_op(self, matrix: np.ndarray, controls: Sequence[int], target: int) -> None:
         for q in list(controls) + [target]:
             self._check_qubit(q)
         idx = np.arange(2**self.num_qubits)

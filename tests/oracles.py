@@ -7,8 +7,20 @@ engine's packed shard body:
   baseline every batched/deduplicated decode must equal;
 * :func:`reference_run` -- the engine's shard layout (one
   ``SeedSequence.spawn`` child per shard) sampled byte-per-bit with
-  :meth:`~repro.sim.frame.FrameSimulator.sample` and decoded with
-  ``decode_batch``, counting failures exactly as the engine does.
+  :func:`reference_sample` and decoded with ``decode_batch``, counting
+  failures exactly as the engine does.
+
+The frame oracles walk the op list one uint8 per (row, qubit), an
+implementation of Clifford frame semantics independent of the packed
+program (:mod:`repro.sim.compiled`) production runs:
+
+* :func:`reference_sample` -- noisy shots, one row per shot, drawing each
+  noise op's hits with the same :func:`~repro.sim.compiled.sample_channel`
+  call in op order, so it equals ``FrameSimulator.sample`` bit for bit
+  per seed;
+* :func:`linear_dem` -- the DEM with one row per error mechanism,
+  injected at its channel's position and propagated through the whole
+  circuit.
 
 :func:`min_matching_weight` is the matching oracle: the minimum weight of
 a matching where every vertex pairs up or goes to the boundary, by
@@ -23,11 +35,11 @@ rebuilt here as decoders and builders:
   :data:`DP_MATCH_LIMIT` defects and by blossom beyond;
 * :class:`ReferenceUnionFind` -- union-find's per-shot reference loop on
   every row, the baseline its group path and arena must equal;
-* :func:`periodic_program`, :func:`linear_dem` and :func:`periodic_dem`
-  -- a forced packed program or DEM extraction path, where
-  ``compile_program`` and ``extract_dem`` pick one (the forced linear
-  program is ``CompiledProgram(circuit)``); :func:`pin_program` makes a
-  simulator sample with a given program.
+* :func:`periodic_program` and :func:`periodic_dem` -- a forced periodic
+  packed program or DEM extraction, where ``compile_program`` and
+  ``extract_dem`` pick one (the forced linear program is
+  ``CompiledProgram(circuit)``); :func:`pin_program` makes a simulator
+  sample with a given program.
 """
 
 import math
@@ -40,7 +52,8 @@ from repro.decoder.graph import BOUNDARY
 from repro.decoder.mwpm import MWPMDecoder, _unmask
 from repro.decoder.union_find import UnionFindDecoder
 from repro.noise import dem as _dem
-from repro.sim.frame import FrameSimulator
+from repro.sim.compiled import noise_channel, sample_channel
+from repro.sim.ops import NOISE, NOISE_2Q, NOISE_MARKERS
 from repro.sim.periodic import PeriodicProgram, detect_period
 
 
@@ -60,10 +73,11 @@ def reference_run(circuit, decoder, shots, seed, shard_shots, observable=0):
     """
     full, rest = divmod(shots, shard_shots)
     sizes = [shard_shots] * full + ([rest] if rest else [])
-    sim = FrameSimulator(circuit)
     failures = 0
     for size, child in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
-        detectors, observables = sim.sample(size, rng=np.random.default_rng(child))
+        detectors, observables = reference_sample(
+            circuit, size, np.random.default_rng(child)
+        )
         predictions = decoder.decode_batch(detectors)
         if observable is None:
             wrong = (predictions != observables).any(axis=1)
@@ -71,6 +85,119 @@ def reference_run(circuit, decoder, shots, seed, shard_shots, observable=0):
             wrong = predictions[:, observable] != observables[:, observable]
         failures += int(wrong.sum())
     return shots, failures, len(sizes)
+
+
+def _propagate_frames(circuit, rows, on_noise):
+    """Byte-per-bit Pauli-frame propagation of ``rows`` frames.
+
+    Gates conjugate every row's X/Z frame, a measurement records the
+    frame's anticommutation with the measured observable, and
+    DETECTOR / OBSERVABLE_INCLUDE XOR measurement flips.  Each noise op
+    is handed to ``on_noise(op, frame_x, frame_z)``.  Non-Clifford ops
+    raise.  Returns the ``(rows, num_detectors)`` and
+    ``(rows, num_observables)`` uint8 flip tables.
+    """
+    frame_x = np.zeros((rows, circuit.num_qubits), dtype=np.uint8)
+    frame_z = np.zeros((rows, circuit.num_qubits), dtype=np.uint8)
+    flips = np.zeros((rows, circuit.num_measurements), dtype=np.uint8)
+    detectors = np.zeros((rows, circuit.num_detectors), dtype=np.uint8)
+    observables = np.zeros((rows, circuit.num_observables), dtype=np.uint8)
+    measurement = detector = 0
+    for op in circuit.operations:
+        name = op.name
+        pairs = list(zip(op.targets[0::2], op.targets[1::2]))
+        if name == "H":
+            for q in op.targets:
+                frame_x[:, q], frame_z[:, q] = frame_z[:, q].copy(), frame_x[:, q].copy()
+        elif name in ("S", "S_DAG"):
+            for q in op.targets:
+                frame_z[:, q] ^= frame_x[:, q]
+        elif name in ("X", "Y", "Z", "TICK") or name in NOISE_MARKERS:
+            continue  # Paulis commute through the frame; markers are no-ops.
+        elif name == "CX":
+            for c, t in pairs:
+                frame_x[:, t] ^= frame_x[:, c]
+                frame_z[:, c] ^= frame_z[:, t]
+        elif name == "CZ":
+            for a, b in pairs:
+                frame_z[:, a] ^= frame_x[:, b]
+                frame_z[:, b] ^= frame_x[:, a]
+        elif name == "SWAP":
+            for a, b in pairs:
+                frame_x[:, [a, b]] = frame_x[:, [b, a]]
+                frame_z[:, [a, b]] = frame_z[:, [b, a]]
+        elif name in ("R", "RX"):
+            for q in op.targets:
+                frame_x[:, q] = 0
+                frame_z[:, q] = 0
+        elif name in ("M", "MX"):
+            frame = frame_x if name == "M" else frame_z
+            for q in op.targets:
+                flips[:, measurement] = frame[:, q]
+                measurement += 1
+        elif name == "DETECTOR":
+            for rec in op.targets:
+                detectors[:, detector] ^= flips[:, rec]
+            detector += 1
+        elif name == "OBSERVABLE_INCLUDE":
+            for rec in op.targets:
+                observables[:, int(op.arg)] ^= flips[:, rec]
+        elif name in NOISE:
+            on_noise(op, frame_x, frame_z)
+        else:
+            raise ValueError(f"frame simulator cannot run {name}")
+    return detectors, observables
+
+
+def reference_sample(circuit, shots, rng):
+    """``(detectors, observables)`` uint8 tables of ``shots`` noisy shots.
+
+    Each noise op draws its hits with one ``sample_channel`` call, in op
+    order, and each hit flips single bytes of the (shot, qubit) frames,
+    accumulating on repeated targets.
+    """
+
+    def draw(op, frame_x, frame_z):
+        two = op.name in NOISE_2Q
+        targets = np.asarray(op.targets, dtype=np.intp)
+        firsts = targets[0::2] if two else targets
+        target, shot, code = sample_channel(rng, firsts.size, shots, noise_channel(op))
+        a = firsts[target]
+        np.bitwise_xor.at(frame_x, (shot, a), (code >> 3) & 1)
+        np.bitwise_xor.at(frame_z, (shot, a), (code >> 2) & 1)
+        if two:
+            b = targets[1::2][target]
+            np.bitwise_xor.at(frame_x, (shot, b), (code >> 1) & 1)
+            np.bitwise_xor.at(frame_z, (shot, b), code & 1)
+
+    return _propagate_frames(circuit, shots, draw)
+
+
+def linear_dem(circuit):
+    """The circuit's DEM by linear propagation, one frame row per mechanism."""
+    mechanisms = _dem.enumerate_mechanisms(circuit)
+    row = 0
+
+    def inject(op, frame_x, frame_z):
+        # Mechanisms are enumerated in op order, so this op's come next.
+        nonlocal row
+        while row < len(mechanisms) and mechanisms[row][0] is op:
+            _, _, x_qubits, z_qubits, _ = mechanisms[row]
+            for q in x_qubits:
+                frame_x[row, q] ^= 1
+            for q in z_qubits:
+                frame_z[row, q] ^= 1
+            row += 1
+
+    detectors, observables = _propagate_frames(circuit, len(mechanisms), inject)
+    return _dem._assemble(circuit, [
+        _dem.ErrorMechanism(
+            prob,
+            tuple(int(d) for d in np.flatnonzero(detectors[row])),
+            tuple(int(o) for o in np.flatnonzero(observables[row])),
+        )
+        for row, (_, prob, _, _, _) in enumerate(mechanisms)
+    ])
 
 
 def min_matching_weight(pair_cost, boundary_cost):
@@ -201,9 +328,6 @@ def pin_program(sim, program):
     return sim
 
 
-def linear_dem(circuit):
-    """The circuit's DEM by linear propagation."""
-    return _dem._assemble(circuit, _dem._linear_mechanisms(circuit))
 
 
 def periodic_dem(circuit):

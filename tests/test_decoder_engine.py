@@ -8,10 +8,17 @@ against its batch path, and union-find zero-weight growth.
 """
 
 import itertools
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from oracles import WholeSyndromeMWPM, per_shot_decode, reference_run
+from oracles import (
+    WholeSyndromeMWPM,
+    per_shot_decode,
+    reference_run,
+    reference_sample,
+)
 
 from repro.decoder.base import BatchDecoder, Decoder
 from repro.decoder.engine import (
@@ -151,6 +158,33 @@ class TestEngineDeterminism:
         res = engine.run(300, seed=5)
         assert res.shots == 300
         assert res.shards == 3
+
+    def test_concurrent_inline_engines_keep_their_state(self):
+        # The service runs jobs on threads; inline (workers=1) engines with
+        # different circuits and decoders must not share shard state.  More
+        # threads than cores and a short switch interval force interleaving.
+        builder = transversal_cnot_experiment(3, 4, 0.004, [1, 2])
+        engines = [
+            DecodingEngine(memory_circuit(3, 3, 0.01), "mwpm", shard_shots=32),
+            DecodingEngine(
+                memory_circuit(5, 2, 0.005, basis="X"), "union_find",
+                shard_shots=32,
+            ),
+            DecodingEngine(
+                builder.circuit, "sequential",
+                detector_meta=builder.detector_meta, observable=None,
+                shard_shots=32,
+            ),
+        ]
+        serial = [engine.run(2000, seed=17) for engine in engines]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(len(engines)) as pool:
+                futures = [pool.submit(e.run, 2000, seed=17) for e in engines]
+                assert [f.result(timeout=120) for f in futures] == serial
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_run_until_worker_invariance(self, memory_setup):
         circuit, _, _, _ = memory_setup
@@ -405,9 +439,8 @@ class TestPackedPipeline:
         det_keys, obs_keys = engine.collect(300, seed=9)
         assert det_keys.shape == (300, (circuit.num_detectors + 7) // 8)
         root = np.random.SeedSequence(9)
-        sim = FrameSimulator(circuit)
         parts = [
-            sim.sample(size, rng=np.random.default_rng(child))[0]
+            reference_sample(circuit, size, np.random.default_rng(child))[0]
             for size, child in zip([128, 128, 44], root.spawn(3))
         ]
         np.testing.assert_array_equal(

@@ -1,6 +1,8 @@
 """Unit tests for the estimation pipeline: sweep engine, cache, registry."""
 
 import math
+import time
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import pytest
@@ -29,6 +31,11 @@ def _square_point(point):
 
 def _pair_point(point):
     return {"product": point["x"] * point["y"]}
+
+
+def _slow_point(fn, point):
+    time.sleep(0.002)
+    return fn(point)
 
 
 class TestGridSpec:
@@ -88,6 +95,23 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(_square_point, grid(x=(1,)), jobs=0)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_concurrent_inline_sweeps_keep_their_point_functions(
+        self, jobs, monkeypatch
+    ):
+        # Threads sweep different point functions inline at once (jobs=1,
+        # or the jobs=2 serial fallback); the sleeps interleave their
+        # points, so any shared worker slot would swap functions.
+        monkeypatch.setitem(sweep_module._CALIBRATION, 2, 3600.0)
+        spec = grid(x=tuple(range(6)), y=(1, 2))
+        functions = [partial(_slow_point, _square_point),
+                     partial(_slow_point, _pair_point),
+                     partial(_slow_point, lambda point: -point["x"])]
+        serial = [sweep(fn, spec) for fn in functions]
+        with ThreadPoolExecutor(len(functions)) as pool:
+            futures = [pool.submit(sweep, fn, spec, jobs=jobs) for fn in functions]
+            assert [f.result(timeout=60) for f in futures] == serial
+
 
 class TestAutoSerialFallback:
     """Small grids must not pay pool-spawn overhead they cannot recoup."""
@@ -115,13 +139,6 @@ class TestAutoSerialFallback:
             _pair_point, grid(x=tuple(range(6)), y=(1, 2)), jobs=2, shard_size=3
         )
         assert sharded == serial
-
-    def test_auto_serial_off_preserves_old_behavior(self, monkeypatch):
-        monkeypatch.setitem(sweep_module._CALIBRATION, 2, 3600.0)
-        records = sweep(
-            _square_point, grid(x=(1, 2, 3)), jobs=2, auto_serial=False
-        )
-        assert [r["square"] for r in records] == [1, 4, 9]
 
     def test_probe_only_grid(self, monkeypatch):
         # Grids no larger than the probe count never consult the pool.

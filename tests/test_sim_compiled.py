@@ -1,8 +1,9 @@
 """Property tests for the compiled bit-packed frame pipeline.
 
-The unpacked sampler (:meth:`FrameSimulator.sample`) is the reference
-oracle: for the same seed, the compiled packed pipeline must reproduce its
-detector and observable tables *bit for bit* -- across every op type
+The byte-per-bit interpreter (``oracles.reference_sample``) is the
+reference: for the same seed, the compiled packed pipeline and its
+unpacked form (:meth:`FrameSimulator.sample`) must reproduce its detector
+and observable tables *bit for bit* -- across every op type
 (including the SWAP/CZ/MX/DEPOLARIZE2 edge paths), fused-gate runs,
 duplicate targets, and awkward shot counts.  A tableau simulator
 cross-check pins the compiled program's gate semantics against an
@@ -11,6 +12,7 @@ independent implementation.
 
 import numpy as np
 import pytest
+from oracles import reference_sample
 
 from repro.sim.circuit import Circuit
 from repro.sim.compiled import CompiledProgram, transpose_packed
@@ -20,9 +22,9 @@ from repro.sim.tableau import TableauSimulator
 
 
 def assert_bit_identical(circuit: Circuit, shots: int, seed: int) -> None:
-    """Packed and unpacked samples of the same seed must agree exactly."""
+    """Packed, unpacked and reference samples of one seed agree exactly."""
+    det_ref, obs_ref = reference_sample(circuit, shots, np.random.default_rng(seed))
     sim = FrameSimulator(circuit)
-    det_ref, obs_ref = sim.sample(shots, rng=np.random.default_rng(seed))
     det_keys, obs_keys = sim.sample_packed(shots, rng=np.random.default_rng(seed))
     assert det_keys.shape == (shots, (circuit.num_detectors + 7) // 8)
     assert obs_keys.shape == (shots, (circuit.num_observables + 7) // 8)
@@ -30,6 +32,9 @@ def assert_bit_identical(circuit: Circuit, shots: int, seed: int) -> None:
     obs = np.unpackbits(obs_keys, axis=1, count=circuit.num_observables)
     np.testing.assert_array_equal(det_ref, det)
     np.testing.assert_array_equal(obs_ref, obs)
+    det_unpacked, obs_unpacked = sim.sample(shots, rng=np.random.default_rng(seed))
+    np.testing.assert_array_equal(det_ref, det_unpacked)
+    np.testing.assert_array_equal(obs_ref, obs_unpacked)
 
 
 def random_clifford_noise_circuit(rng: np.random.Generator, qubits: int = 6) -> Circuit:
@@ -228,6 +233,8 @@ class TestCompiledProgramStructure:
         # cannot run, exactly like the reference sampler -- never sample
         # silently wrong tables.
         circuit = Circuit().h(0).t(0).measure(0).detector([0])
+        with pytest.raises(ValueError, match="cannot run T"):
+            reference_sample(circuit, 8, np.random.default_rng(0))
         with pytest.raises(ValueError, match="cannot run T"):
             FrameSimulator(circuit).sample(8)
         with pytest.raises(ValueError, match="cannot run T"):

@@ -11,7 +11,13 @@ on the linear compiler unchanged.
 
 import numpy as np
 import pytest
-from oracles import linear_dem, periodic_dem, periodic_program, pin_program
+from oracles import (
+    linear_dem,
+    periodic_dem,
+    periodic_program,
+    pin_program,
+    reference_sample,
+)
 
 from test_sim_compiled import random_clifford_noise_circuit
 
@@ -147,7 +153,7 @@ class TestBitIdentity:
             assert_periodic_matches_linear(circuit, shots_list=(0, 1, 64, 200))
         # End-to-end through the auto path vs the byte-per-bit oracle.
         sim = FrameSimulator(circuit)
-        det_ref, obs_ref = sim.sample(40, rng=np.random.default_rng(99))
+        det_ref, obs_ref = reference_sample(circuit, 40, np.random.default_rng(99))
         det_keys, obs_keys = sim.sample_packed(40, rng=np.random.default_rng(99))
         det = np.unpackbits(det_keys, axis=1, count=circuit.num_detectors)
         obs = np.unpackbits(obs_keys, axis=1, count=circuit.num_observables)
@@ -199,6 +205,47 @@ class TestPeriodicDem:
         linear = linear_dem(circuit)
         assert auto.periodic_fallback == "few_reps"
         assert auto.mechanisms == linear.mechanisms
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(
+                lambda d=d, basis=basis: transversal_cnot_experiment(
+                    d, 4, 1e-3, [2], basis=basis
+                ).circuit,
+                id=f"transversal_cnot-d{d}-{basis}",
+            )
+            for d in (3, 5)
+            for basis in ("Z", "X")
+        ]
+        + [
+            pytest.param(lambda: build_memory(5, 4, None), id="few_reps-d5"),
+            pytest.param(
+                lambda: build_memory(3, 3, "biased_pauli"), id="biased-few_reps"
+            ),
+            pytest.param(
+                lambda: build_memory(3, 7, "biased_pauli", basis="X"),
+                id="biased-periodic",
+            ),
+            pytest.param(lambda: build_memory(3, 3, None).without_noise(),
+                         id="noiseless"),
+        ]
+        + [
+            pytest.param(
+                lambda seed=seed: random_clifford_noise_circuit(
+                    np.random.default_rng(seed)
+                ),
+                id=f"random_clifford-{seed}",
+            )
+            for seed in range(6)
+        ],
+    )
+    def test_extract_dem_matches_linear_oracle(self, build):
+        # Whichever path extract_dem takes (packed periodic unrolling or
+        # packed whole-circuit propagation), the model equals the
+        # byte-per-bit, row-per-mechanism reference propagation.
+        circuit = build()
+        assert extract_dem(circuit) == linear_dem(circuit)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("noise", NOISE_MODELS)
