@@ -56,8 +56,8 @@ Three benchmark families, all written into ``BENCH_frame.json``
 The baselines are the test suite's oracles (``tests/oracles.py``),
 imported, not copied: ``WholeSyndromeMWPM`` matches each syndrome whole
 (subset DP up to 12 defects and blossom beyond; ``dp_limit=0`` is
-blossom everywhere, i.e. ``MWPMDecoder._match_blossom`` +
-``_pairs_mask``), ``ReferenceUnionFind`` runs union-find's per-shot
+blossom everywhere, i.e. ``MWPMDecoder._match_blossom`` plus the
+path-observable table), ``ReferenceUnionFind`` runs union-find's per-shot
 reference loop, ``reference_sample`` samples byte-per-bit, and
 ``linear_dem`` is the byte-per-bit, row-per-mechanism DEM propagation
 (next to ``CompiledProgram``, the linear packed program).

@@ -18,7 +18,11 @@ DEM.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, List, Set
+from typing import TYPE_CHECKING, Iterator, List, Set
+
+import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.passes import PassContext, register_pass
@@ -93,26 +97,18 @@ def check_dem(dem: "DetectorErrorModel") -> List[Diagnostic]:
 
 def check_graph(graph: "DecodingGraph") -> List[Diagnostic]:
     """Diagnostics for one lowered decoding graph."""
-    from repro.decoder.graph import BOUNDARY
-
     diags: List[Diagnostic] = []
-    adjacency: Dict[int, List[int]] = {}
     for edge in graph.edges:
-        nodes = list(edge.detectors)
-        if len(nodes) == 1:
-            nodes.append(BOUNDARY)
-        a, b = nodes
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
         if not 0.0 < edge.probability < 1.0:
             diags.append(Diagnostic(
                 "warning", _PASS,
                 f"edge {edge.detectors} probability {edge.probability} is "
                 f"outside (0, 1); its LLR weight is railed",
             ))
-    isolated = sorted(
-        d for d in range(graph.num_detectors) if d not in adjacency
-    )
+    table = graph.edge_table()
+    n = graph.num_detectors
+    linked = np.diff(table.indptr)[:n] > 0
+    isolated = np.flatnonzero(~linked).tolist()
     if isolated:
         head = ", ".join(str(d) for d in isolated[:5])
         more = ", ..." if len(isolated) > 5 else ""
@@ -124,17 +120,12 @@ def check_graph(graph: "DecodingGraph") -> List[Diagnostic]:
         ))
     # Boundary reachability: a connected component without a boundary edge
     # cannot match an odd number of defects.
-    reachable: Set[int] = set()
-    frontier = [BOUNDARY]
-    while frontier:
-        node = frontier.pop()
-        if node in reachable:
-            continue
-        reachable.add(node)
-        frontier.extend(adjacency.get(node, ()))
-    unreachable = sorted(
-        d for d in adjacency if d != BOUNDARY and d not in reachable
+    adjacency = sparse.coo_matrix(
+        (np.ones(table.ea.size), (table.ea, table.eb)),
+        shape=(table.node_count, table.node_count),
     )
+    component = csgraph.connected_components(adjacency, directed=False)[1]
+    unreachable = np.flatnonzero(linked & (component[:n] != component[n])).tolist()
     if unreachable:
         head = ", ".join(str(d) for d in unreachable[:5])
         more = ", ..." if len(unreachable) > 5 else ""
@@ -161,13 +152,13 @@ def dem_consistency(ctx: PassContext) -> Iterator[Diagnostic]:
         return
     yield from check_dem(dem)
     try:
-        graph = ctx.graph()
+        graph_diags = check_graph(ctx.graph())
     except Exception as exc:
         yield Diagnostic(
             "error", _PASS, f"decoding-graph lowering failed: {exc}"
         )
         return
-    yield from check_graph(graph)
+    yield from graph_diags
 
 
 register_pass("dem_consistency", dem_consistency)

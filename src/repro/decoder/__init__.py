@@ -18,6 +18,10 @@ pack/unpack round trip.  Implementations:
 * :class:`SequentialCNOTDecoder` -- correlated two-pass MWPM for
   transversal-CNOT circuits ("sequential"; needs ``detector_meta``).
 
+Each reads its :class:`DecodingGraph` through one :class:`EdgeTable`
+(:meth:`DecodingGraph.edge_table`): MWPM runs one scipy Dijkstra pass over
+it and union-find grows clusters over its CSR incidence.
+
 Decoder registry
 ----------------
 
@@ -69,7 +73,7 @@ from repro.decoder.engine import (
     make_decoder,
     register_decoder,
 )
-from repro.decoder.graph import BOUNDARY, DecodingGraph, Edge
+from repro.decoder.graph import BOUNDARY, DecodingGraph, Edge, EdgeTable
 from repro.decoder.mwpm import MWPMDecoder
 from repro.decoder.sequential import SequentialCNOTDecoder
 from repro.decoder.union_find import UnionFindDecoder
@@ -82,6 +86,7 @@ __all__ = [
     "DecodingEngine",
     "DecodingGraph",
     "Edge",
+    "EdgeTable",
     "EngineResult",
     "LogicalErrorResult",
     "MWPMDecoder",

@@ -35,6 +35,7 @@ from typing import NamedTuple, Optional, Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.decoder.graph import INT64_OBSERVABLES
 from repro.obs import metrics as _metrics
 
 # One observation per *batch* (not per shot), so the recording cost is
@@ -232,18 +233,25 @@ class BatchDecoder:
         return out
 
 
-def _unmask_rows(masks: np.ndarray, num_observables: int) -> np.ndarray:
-    """Expand int64 observable bitmasks to byte-per-bit prediction rows.
+def _unmask_rows(masks, num_observables: int) -> np.ndarray:
+    """Expand observable bitmasks to byte-per-bit prediction rows.
 
-    Vectorized replacement for the per-observable ``(mask >> i) & 1``
-    Python loops the decoders used to carry; one broadcasted shift covers
-    the whole batch.
+    ``masks`` holds ints of any width: up to
+    :data:`~repro.decoder.graph.INT64_OBSERVABLES` observables one
+    broadcasted int64 shift covers the whole batch; wider masks go
+    through their little-endian bytes.
     """
-    masks = np.asarray(masks, dtype=np.int64).reshape(-1)
-    if num_observables == 0:
-        return np.zeros((masks.shape[0], 0), dtype=np.uint8)
-    shifts = np.arange(num_observables, dtype=np.int64)
-    return ((masks[:, None] >> shifts) & 1).astype(np.uint8)
+    if num_observables <= INT64_OBSERVABLES:
+        masks = np.asarray(masks, dtype=np.int64).reshape(-1)
+        shifts = np.arange(num_observables, dtype=np.int64)
+        return ((masks[:, None] >> shifts) & 1).astype(np.uint8)
+    width = (num_observables + 7) // 8
+    masks = np.asarray(masks, dtype=object).reshape(-1)
+    raw = b"".join(int(mask).to_bytes(width, "little") for mask in masks)
+    return np.unpackbits(
+        np.frombuffer(raw, dtype=np.uint8).reshape(masks.size, width),
+        axis=1, count=num_observables, bitorder="little",
+    )
 
 
 def _unpack_rows(packed: np.ndarray, num_detectors: int) -> np.ndarray:

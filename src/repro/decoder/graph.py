@@ -9,17 +9,29 @@ logical-observable mask of the simple mechanism with the same symptom, so
 matched paths predict observables consistently; any residual observable
 difference rides on the first block.  Parallel edges are merged with
 XOR-convolved probabilities.
+
+Decoders read the graph through one flat format,
+:meth:`DecodingGraph.edge_table`: an :class:`EdgeTable` of endpoint,
+weight and observable-mask columns plus CSR incidence, with the boundary
+as node index ``num_detectors``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from repro.noise.dem import DetectorErrorModel, ErrorMechanism
 
 BOUNDARY = -1
+
+# Observable masks are int64 up to this many observables; beyond it an
+# EdgeTable holds Python-int masks (the sequential decoder's
+# pseudo-observable graphs exceed it).
+INT64_OBSERVABLES = 62
 
 
 @dataclass
@@ -35,6 +47,24 @@ class Edge:
         """-log-likelihood weight; railed for probabilities near 1/2."""
         p = min(max(self.probability, 1e-15), 0.499999)
         return math.log((1 - p) / p)
+
+
+class EdgeTable(NamedTuple):
+    """Flat edge columns and CSR incidence of a :class:`DecodingGraph`.
+
+    Edges are in :attr:`DecodingGraph.edges` order, with ``ea <= eb`` and
+    the boundary as node index ``num_detectors`` (so a boundary edge has
+    ``eb == num_detectors``).  Node ``u``'s incident edges are
+    ``inc_edge[indptr[u]:indptr[u + 1]]``, in edge order.
+    """
+
+    node_count: int  # detectors + 1 (boundary at index num_detectors)
+    ea: np.ndarray  # (E,) int64 lower endpoint
+    eb: np.ndarray  # (E,) int64 upper endpoint
+    weight: np.ndarray  # (E,) float64 -log-likelihood weight
+    mask: np.ndarray  # (E,) int64 observable mask; object (int) beyond INT64_OBSERVABLES
+    indptr: np.ndarray  # (node_count + 1,) int64 CSR offsets
+    inc_edge: np.ndarray  # (2E,) int64 incident edge per CSR slot
 
 
 class DecodingGraph:
@@ -80,6 +110,38 @@ class DecodingGraph:
     def edge_between(self, a: int, b: int) -> Optional[Edge]:
         """Edge connecting detectors a and b (use BOUNDARY for the boundary)."""
         return self._edges.get(frozenset((a, b)))
+
+    def edge_table(self) -> EdgeTable:
+        """The graph's edges as one :class:`EdgeTable`.
+
+        Computed per call (the graph is mutable); decoders take one at
+        construction.
+        """
+        n, edges = self.num_detectors, self.edges
+        bad = [d for e in edges for d in e.detectors if not 0 <= d < n]
+        if bad:
+            raise ValueError(f"detector index {bad[0]} out of range")
+        bad = [o for e in edges for o in e.observables if not 0 <= o < self.num_observables]
+        if bad:
+            raise ValueError(f"observable index {bad[0]} out of range")
+        ends = np.array([(*e.detectors, n)[:2] for e in edges], dtype=np.int64)
+        ends = ends.reshape(len(edges), 2)
+        ea, eb = ends.min(axis=1), ends.max(axis=1)
+        wide = self.num_observables > INT64_OBSERVABLES
+        masks = [sum(1 << o for o in e.observables) for e in edges]
+        both = np.concatenate([ea, eb])
+        eids = np.tile(np.arange(len(edges), dtype=np.int64), 2)
+        indptr = np.zeros(n + 2, dtype=np.int64)
+        np.cumsum(np.bincount(both, minlength=n + 1), out=indptr[1:])
+        return EdgeTable(
+            node_count=n + 1,
+            ea=ea,
+            eb=eb,
+            weight=np.array([e.weight for e in edges], dtype=np.float64),
+            mask=np.array(masks, dtype=object if wide else np.int64),
+            indptr=indptr,
+            inc_edge=eids[np.lexsort((eids, both))],
+        )
 
     @classmethod
     def from_dem(

@@ -3,7 +3,11 @@
 Defects (flipped detectors) are matched pairwise or to the boundary along
 shortest paths of the decoding graph; the predicted logical flip is the XOR
 of observable masks along the matched paths.  Shortest paths are
-precomputed once per graph (the experiment graphs are small).
+precomputed once per graph (the experiment graphs are small) by
+:func:`_path_tables`, one scipy Dijkstra pass over the graph's
+:class:`~repro.decoder.graph.EdgeTable`, as dense ``(N, N)`` distance and
+path-observable tables whose last index, ``BOUNDARY`` (-1), is the
+boundary.  Among equal-weight paths the choice is Dijkstra's.
 
 Cluster decomposition: the defect set is first split into
 clusters under the relation ``d(u, v) < d(u, B) + d(v, B)`` (matching the
@@ -39,7 +43,8 @@ is below it -- at the latest when a node's assignment has no odd cycle.
 Past :data:`_BRANCH_NODE_LIMIT` solves, or when a defect has no boundary
 path, the cluster falls back to :meth:`MWPMDecoder._match_blossom`:
 networkx's blossom via the defect-graph + boundary-copy construction,
-which also reports syndromes the graph cannot explain.  Every entry point
+which also reports syndromes the graph cannot explain (the one place
+networkx is imported, on first use).  Every entry point
 -- :meth:`~MWPMDecoder.decode`, ``decode_batch`` and ``decode_packed`` --
 runs this one path; the whole-syndrome matchers it replaced live in the
 test suite's oracles.
@@ -51,12 +56,18 @@ import heapq
 import math
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csgraph
 
 from repro.decoder.base import BatchDecoder, SparseTables, _unmask_rows
-from repro.decoder.graph import BOUNDARY, DecodingGraph
+from repro.decoder.graph import (
+    BOUNDARY,
+    INT64_OBSERVABLES,
+    DecodingGraph,
+    EdgeTable,
+)
 from repro.obs import metrics as _metrics
 
 # Cluster-mask cache entries kept before the cache is dropped wholesale; at
@@ -68,11 +79,6 @@ _CLUSTER_CACHE_LIMIT = 1 << 18
 # recur (2% of 5-defect lookups hit, ~0% beyond, at d=5 p=4e-3 biased noise
 # and d=7 p=5e-4 importance sampling) yet would hold most of the memo.
 _CACHE_MAX_DEFECTS = 4
-
-# Observable masks fit the int64 distance/mask tables (and the <= 2-defect
-# fast path built from them) up to this many observables; the sequential
-# decoder's pseudo-observable graphs exceed it.
-_INT64_OBS_LIMIT = 62
 
 # Assignment solves per cluster before the branch-and-bound gives up and
 # the cluster takes the exact fallback matcher.
@@ -223,6 +229,35 @@ def _round_cycles(
     return float(weight), pairs
 
 
+def _path_tables(table: EdgeTable) -> Tuple[np.ndarray, np.ndarray]:
+    """All-pairs shortest-path distances and path observable masks.
+
+    One scipy Dijkstra pass over the edge table.  ``obs[s, t]`` is the XOR
+    of the edge masks along the predecessor chain from ``t`` back to
+    ``s``, accumulated by pointer doubling over the predecessor matrix.
+    Unreachable pairs hold ``inf`` distance and mask 0.
+    """
+    size, count = table.node_count, table.ea.size
+    weights = sparse.csr_matrix((table.weight, (table.ea, table.eb)), shape=(size, size))
+    dist, pred = csgraph.dijkstra(weights, directed=False, return_predecessors=True)
+    # Edge id per node pair; id `count` is a zero mask (no edge).
+    edge = np.full((size, size), count, dtype=np.int64)
+    edge[table.ea, table.eb] = edge[table.eb, table.ea] = np.arange(count)
+    nodes = np.arange(size)
+    rows = nodes[:, None]
+    # up[s, t] is t's predecessor on the path from s (roots point to
+    # themselves); obs[s, t] starts as the mask of that last hop.
+    up = np.where(pred >= 0, pred, nodes)
+    obs = np.append(table.mask, 0)[np.where(pred >= 0, edge[up, nodes], count)]
+    while True:
+        # Each step doubles the hops above every node that obs covers.
+        obs ^= obs[rows, up]
+        higher = up[rows, up]
+        if np.array_equal(higher, up):
+            return dist, obs
+        up = higher
+
+
 class MWPMDecoder(BatchDecoder):
     """Decoder instance bound to one decoding graph.
 
@@ -233,37 +268,9 @@ class MWPMDecoder(BatchDecoder):
     def __init__(self, graph: DecodingGraph) -> None:
         self.graph = graph
         self._cluster_cache: Dict[Tuple[int, ...], int] = {}
-        self._dense: "Tuple[np.ndarray, np.ndarray] | None" = None
         self._sparse: "SparseTables | bool | None" = None
-        self._nx = nx.Graph()
-        self._nx.add_node(BOUNDARY)
-        for det in range(graph.num_detectors):
-            self._nx.add_node(det)
-        for edge in graph.edges:
-            if len(edge.detectors) == 1:
-                u, v = edge.detectors[0], BOUNDARY
-            else:
-                u, v = edge.detectors
-            obs_mask = _mask(edge.observables, graph.num_observables)
-            # Keep the lighter of parallel edges (merging already done).
-            if self._nx.has_edge(u, v) and self._nx[u][v]["weight"] <= edge.weight:
-                continue
-            self._nx.add_edge(u, v, weight=edge.weight, obs=obs_mask)
-        self._distance: Dict[int, Dict[int, float]] = {}
-        self._path_obs: Dict[int, Dict[int, int]] = {}
-        self._precompute_paths()
-
-    def _precompute_paths(self) -> None:
-        for source in self._nx.nodes:
-            lengths, paths = nx.single_source_dijkstra(self._nx, source, weight="weight")
-            self._distance[source] = lengths
-            obs_map: Dict[int, int] = {}
-            for dest, path in paths.items():
-                mask = 0
-                for a, b in zip(path, path[1:]):
-                    mask ^= self._nx[a][b]["obs"]
-                obs_map[dest] = mask
-            self._path_obs[source] = obs_map
+        # (N, N) tables over detectors + boundary (index -1, i.e. BOUNDARY).
+        self._dist, self._obs = _path_tables(graph.edge_table())
 
     # -- decoding -----------------------------------------------------------
 
@@ -297,7 +304,7 @@ class MWPMDecoder(BatchDecoder):
         rows in Python.
         """
         rows, k = defs.shape
-        dist, _ = self._dense_tables()
+        dist = self._dist
         n = dist.shape[0] - 1
         off_graph = np.isinf(dist[defs, defs])
         if off_graph.any():
@@ -339,7 +346,7 @@ class MWPMDecoder(BatchDecoder):
     # -- sparse fast path ----------------------------------------------------
 
     def _sparse_tables(self) -> "SparseTables | None":
-        """Closed-form <= 2-defect corrections from the dense path tables.
+        """Closed-form <= 2-defect corrections from the path tables.
 
         A single defect matches the boundary (``bobs[u]``); a pair matches
         directly iff ``d(u, v) < d(u, B) + d(v, B)`` -- the cluster
@@ -349,10 +356,10 @@ class MWPMDecoder(BatchDecoder):
         to the full path, which raises the usual error.
         """
         if self._sparse is None:
-            if self.graph.num_observables > _INT64_OBS_LIMIT:
+            if self.graph.num_observables > INT64_OBSERVABLES:
                 self._sparse = False
             else:
-                dist, obs = self._dense_tables()
+                dist, obs = self._dist, self._obs
                 n = dist.shape[0] - 1
                 num_obs = self.graph.num_observables
                 bc = dist[:n, n]
@@ -405,29 +412,38 @@ class MWPMDecoder(BatchDecoder):
                     if cluster not in self._cluster_cache:
                         pending[cluster] = None
         solved = self._solve_clusters(list(pending))
-        out = np.zeros((syndromes.shape[0], num_obs), dtype=np.uint8)
+        masks = [0] * syndromes.shape[0]
         for i, clusters in enumerate(row_clusters):
-            mask = 0
             for cluster in clusters:
                 cached = solved.get(cluster)
                 if cached is None:
                     # Memoized before this batch, unless the runaway guard
                     # dropped the memo since (above-threshold inputs).
                     cached = self._cluster_mask(cluster)
-                mask ^= cached
-            if mask:
-                out[i] = _unmask(mask, num_obs)
-        return out
+                masks[i] ^= cached
+        return _unmask_rows(masks, num_obs)
 
     def _solve_clusters(self, clusters: List[Tuple[int, ...]]) -> Dict[Tuple[int, ...], int]:
         """Match clusters; their observable masks, memoized when small."""
         counts = dict.fromkeys(("relaxation", "branched", "fallback"), 0)
-        masks = {}
-        cache = self._cluster_cache
+        # Matched pairs as flat (defect, partner) index lists, cluster i's
+        # from starts[i]: one gather then serves every cluster's mask.
+        rows: List[int] = []
+        cols: List[int] = []
+        starts: List[int] = []
         for cluster in clusters:
             pairs, path = self._match_cluster(cluster)
             counts[path] += 1
-            masks[cluster] = self._pairs_mask(pairs)
+            starts.append(len(rows))
+            for u, v in pairs:
+                rows.append(u)
+                cols.append(v)
+        masks = {}
+        if clusters:
+            xors = np.bitwise_xor.reduceat(self._obs[rows, cols], starts)
+            masks = dict(zip(clusters, xors.tolist()))
+        cache = self._cluster_cache
+        for cluster in clusters:
             if len(cluster) <= _CACHE_MAX_DEFECTS:
                 if len(cache) >= _CLUSTER_CACHE_LIMIT:
                     cache.clear()
@@ -444,50 +460,18 @@ class MWPMDecoder(BatchDecoder):
         boundary match.  The path is ``"relaxation"`` (the root assignment
         sufficed), ``"branched"`` or ``"fallback"`` (:meth:`_match_blossom`).
         """
-        dist, _ = self._dense_tables()
+        dist = self._dist
         defs = np.asarray(cluster, dtype=np.intp)
-        boundary = dist[defs, -1]
+        boundary = dist[defs, BOUNDARY]
         if np.isfinite(boundary).all():
             # d(u, v) and d(v, u) can differ in the last ulp (separate
-            # Dijkstra runs); the matcher needs a symmetric matrix.
+            # Dijkstra sources); the matcher needs a symmetric matrix.
             pair = dist[defs[:, None], defs]
             pairs, nodes = _assignment_matching(np.minimum(pair, pair.T), boundary)
             if pairs is not None:
                 matched = [(cluster[i], cluster[j] if j >= 0 else BOUNDARY) for i, j in pairs]
                 return matched, "relaxation" if nodes == 1 else "branched"
         return self._match_blossom(list(cluster)), "fallback"
-
-    def _pairs_mask(self, pairs: List[Tuple[int, int]]) -> int:
-        """XOR of the observable masks along the matched paths."""
-        mask = 0
-        for u, v in pairs:
-            mask ^= self._path_obs[u][v]
-        return mask
-
-    def _dense_tables(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(distance, path-observable-mask) matrices over detectors+boundary.
-
-        Row/column ``num_detectors`` is the boundary; unreachable pairs
-        hold ``inf`` distance and mask 0.  Built lazily on the first
-        batched decode.
-        """
-        if self._dense is None:
-            n = self.graph.num_detectors
-            dist = np.full((n + 1, n + 1), math.inf)
-            # Beyond _INT64_OBS_LIMIT observables the mask table is not
-            # built; the fast path that reads it is disabled there.
-            with_obs = self.graph.num_observables <= _INT64_OBS_LIMIT
-            obs = np.zeros((n + 1, n + 1), dtype=np.int64) if with_obs else None
-            for u, lengths in self._distance.items():
-                ui = n if u == BOUNDARY else u
-                obs_row = self._path_obs[u]
-                for v, length in lengths.items():
-                    vi = n if v == BOUNDARY else v
-                    dist[ui, vi] = length
-                    if with_obs:
-                        obs[ui, vi] = obs_row[v]
-            self._dense = (dist, obs)
-        return self._dense
 
     def _match_blossom(self, defects: List[int]) -> List[Tuple[int, int]]:
         """Blossom matching on the defect graph with boundary copies.
@@ -497,19 +481,19 @@ class MWPMDecoder(BatchDecoder):
         needs them (replace the pair with its two boundary matchings), and
         they dominate the blossom run time on large defect sets.
         """
-        boundary_dist = [
-            self._distance[u].get(BOUNDARY, math.inf) for u in defects
-        ]
+        import networkx as nx
+
+        boundary_dist = self._dist[defects, BOUNDARY].tolist()
+        pair_dist = self._dist[np.ix_(defects, defects)].tolist()
         match_graph = nx.Graph()
-        for i, u in enumerate(defects):
+        for i in range(len(defects)):
             match_graph.add_node(("d", i))
             match_graph.add_node(("b", i))
             if not math.isinf(boundary_dist[i]):
                 match_graph.add_edge(("d", i), ("b", i), weight=boundary_dist[i])
             for j in range(i + 1, len(defects)):
-                v = defects[j]
-                dist = self._distance[u].get(v)
-                if dist is not None and dist < boundary_dist[i] + boundary_dist[j]:
+                dist = pair_dist[i][j]
+                if dist < boundary_dist[i] + boundary_dist[j]:
                     match_graph.add_edge(("d", i), ("d", j), weight=dist)
         for i in range(len(defects)):
             for j in range(i + 1, len(defects)):
@@ -538,19 +522,3 @@ class MWPMDecoder(BatchDecoder):
                 defect_node = a if a[0] == "d" else b
                 pairs.append((defects[defect_node[1]], BOUNDARY))
         return pairs
-
-
-def _mask(observables, num_observables: int) -> int:
-    mask = 0
-    for obs in observables:
-        if obs >= num_observables:
-            raise ValueError(f"observable index {obs} out of range")
-        mask |= 1 << obs
-    return mask
-
-
-def _unmask(mask: int, num_observables: int) -> np.ndarray:
-    out = np.zeros(num_observables, dtype=np.uint8)
-    for i in range(num_observables):
-        out[i] = (mask >> i) & 1
-    return out

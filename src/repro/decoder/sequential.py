@@ -19,7 +19,7 @@ through MWPM's batch path, which equals its per-row ``decode`` row for row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -100,7 +100,6 @@ class SequentialCNOTDecoder(BatchDecoder):
             num_detectors=len(self._control_ids),
             num_observables=offset + len(self._target_ids),
         )
-        best: Dict[Tuple[int, ...], float] = {}
         for mech in mechanisms:
             if not mech.control_dets:
                 continue

@@ -34,8 +34,14 @@ Three layers live here, each exact against the one below it:
 * The **reference** per-shot loop (``_decode_reference`` over
   ``_grow``/``_peel``) is the original sequential Delfosse-Nickerson
   decoder.  It decodes the rows the arena flags and every row of a graph
-  with more than :data:`_MASK_OBS_LIMIT` observables, and is the oracle
-  the other two layers are tested against.
+  whose observable masks exceed int64
+  (:data:`~repro.decoder.graph.INT64_OBSERVABLES`), and is the oracle the
+  other two layers are tested against.
+
+All three read the graph's :class:`~repro.decoder.graph.EdgeTable`, taken
+once at construction: the arena scatters over its CSR incidence, and the
+reference walks the same incidence in edge order, labelling the boundary
+``BOUNDARY``.
 
 Rows are independent in the arena and a group's memo entry is a pure
 function of the group, so predictions are a pure per-row function:
@@ -47,14 +53,15 @@ registered decoder).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
 from repro.decoder.base import BatchDecoder, _unmask_rows
-from repro.decoder.graph import BOUNDARY, DecodingGraph
+from repro.decoder.graph import BOUNDARY, INT64_OBSERVABLES, DecodingGraph
 from repro.obs import metrics as _metrics
 
 # Edges whose -log-likelihood weight rails to ~0 (probability pinned at
@@ -65,11 +72,6 @@ _ZERO_WEIGHT = 1e-5
 # Growth rounds before the decoder declares non-convergence (a defect
 # that can never become valid, e.g. a severed adjacency).
 _MAX_ROUNDS = 10_000
-
-# Observable masks ride int64 scalars through the arena; graphs with more
-# observables fall back to the reference path (mirrors the MWPM decoder's
-# int64 table limit).
-_MASK_OBS_LIMIT = 62
 
 # Upper bound on rows x max(nodes, edges) elements held live per arena
 # chunk (its dense per-row tables), and on 4x the pairs grouping tests.
@@ -106,23 +108,6 @@ class _Cluster:
     @property
     def is_valid(self) -> bool:
         return self.touches_boundary or self.defects % 2 == 0
-
-
-class _EdgeArrays(NamedTuple):
-    """Flat edge/incidence arrays of the decoding graph for the arena.
-
-    The boundary is materialized as node index ``num_detectors``; edges
-    are sorted by endpoint pair so every derived ordering (and therefore
-    every tie in the arena) is a pure function of the graph.
-    """
-
-    node_count: int  # detectors + 1 (boundary at index num_detectors)
-    ea: np.ndarray  # (E,) int64 lower endpoint
-    eb: np.ndarray  # (E,) int64 upper endpoint
-    mask: np.ndarray  # (E,) int64 observable mask
-    thresh: np.ndarray  # (E,) uint8 touches to grow (1 zero-weight, else 2)
-    indptr: np.ndarray  # (node_count + 1,) CSR over incident edges
-    inc_edge: np.ndarray  # incident edge index per CSR slot
 
 
 def _ragged_ranges(starts: np.ndarray, counts: np.ndarray, total: int) -> np.ndarray:
@@ -162,18 +147,9 @@ class UnionFindDecoder(BatchDecoder):
 
     def __init__(self, graph: DecodingGraph) -> None:
         self.graph = graph
-        self._adjacency: Dict[int, List[Tuple[int, float, int]]] = {}
-        for edge in graph.edges:
-            if len(edge.detectors) == 1:
-                u, v = edge.detectors[0], BOUNDARY
-            else:
-                u, v = edge.detectors
-            mask = 0
-            for obs in edge.observables:
-                mask |= 1 << obs
-            self._adjacency.setdefault(u, []).append((v, edge.weight, mask))
-            self._adjacency.setdefault(v, []).append((u, edge.weight, mask))
-        self._edge_cache: Optional[_EdgeArrays] = None
+        self._edges = graph.edge_table()
+        # Touches that grow each edge (1 for zero-weight rails, else 2).
+        self._thresh = np.where(self._edges.weight <= _ZERO_WEIGHT, 1, 2).astype(np.uint8)
         self._hop_cache: Optional[Tuple[np.ndarray, int]] = None
         self._groups: Dict[bytes, int] = {}
 
@@ -199,26 +175,24 @@ class UnionFindDecoder(BatchDecoder):
         defects = [int(d) for d in np.flatnonzero(syndrome)]
         if not defects:
             return np.zeros(self.graph.num_observables, dtype=np.uint8)
-        mask = self._peel(self._grow(set(defects)), set(defects))
-        return _unmask_rows(
-            np.array([mask], dtype=np.int64), self.graph.num_observables
-        )[0]
+        grown, masks = self._grow(set(defects))
+        mask = self._peel(grown, masks, set(defects))
+        return _unmask_rows([mask], self.graph.num_observables)[0]
 
     # -- batched decoding ----------------------------------------------------
 
     def _decode_unique(self, syndromes: np.ndarray) -> np.ndarray:
         """Decode deduplicated rows: local groups first, whole rows after."""
         num_obs = self.graph.num_observables
-        if num_obs > _MASK_OBS_LIMIT:
+        if num_obs > INT64_OBSERVABLES:
             out = np.zeros((syndromes.shape[0], num_obs), dtype=np.uint8)
             for i in range(syndromes.shape[0]):
                 out[i] = self._decode_reference(syndromes[i])
             return out
         syndromes = np.ascontiguousarray(syndromes, dtype=np.uint8)
-        edges = self._edge_arrays()
-        masks, local = self._decode_groups(syndromes, edges)
+        masks, local = self._decode_groups(syndromes)
         rest = np.flatnonzero(~local)
-        masks[rest], flagged, _ = self._arena_rows(syndromes[rest], edges)
+        masks[rest], flagged, _ = self._arena_rows(syndromes[rest])
         out = _unmask_rows(masks, num_obs)
         # Rows where round-synchronous growth could diverge from the
         # sequential reference (live-live merges with carried-over support,
@@ -235,11 +209,11 @@ class UnionFindDecoder(BatchDecoder):
         return out
 
     def _arena_rows(
-        self, syndromes: np.ndarray, edges: _EdgeArrays, *, local: bool = False
+        self, syndromes: np.ndarray, *, local: bool = False
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`_arena` over row chunks that bound its dense state."""
         rows = syndromes.shape[0]
-        width = max(edges.node_count, edges.ea.size, 1)
+        width = max(self._edges.node_count, self._edges.ea.size, 1)
         chunk = max(1, _ARENA_CHUNK_ELEMS // width)
         masks = np.zeros(rows, dtype=np.int64)
         flagged = np.zeros(rows, dtype=bool)
@@ -247,7 +221,7 @@ class UnionFindDecoder(BatchDecoder):
         for start in range(0, rows, chunk):
             part = slice(start, start + chunk)
             masks[part], flagged[part], far[part] = self._arena(
-                np.ascontiguousarray(syndromes[part]), edges, local=local
+                np.ascontiguousarray(syndromes[part]), local=local
             )
         return masks, flagged, far
 
@@ -259,7 +233,7 @@ class UnionFindDecoder(BatchDecoder):
         ``(I + A)^_GROUP_HOPS`` built once, bit-packed for pair tests;
         and the largest ``|u - v|`` of a set bit."""
         if self._hop_cache is None:
-            edges = self._edge_arrays()
+            edges = self._edges
             n = edges.node_count - 1
             inner = edges.eb < n
             a, b, diag = edges.ea[inner], edges.eb[inner], np.arange(n)
@@ -306,7 +280,7 @@ class UnionFindDecoder(BatchDecoder):
         return csgraph.connected_components(links, directed=False)[1]
 
     def _decode_groups(
-        self, syndromes: np.ndarray, edges: _EdgeArrays
+        self, syndromes: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Group-path masks, and which rows have only local groups (the
         masks of other rows are partial; the caller decodes them whole)."""
@@ -343,7 +317,7 @@ class UnionFindDecoder(BatchDecoder):
             pseudo = np.zeros((new.size, n), dtype=np.uint8)
             members = _ragged_ranges(first[new], sizes[new], int(sizes[new].sum()))
             pseudo[np.repeat(np.arange(new.size), sizes[new]), ids[members]] = 1
-            new_masks, flagged, far = self._arena_rows(pseudo, edges, local=True)
+            new_masks, flagged, far = self._arena_rows(pseudo, local=True)
             new_vals = np.where(flagged | far, _NOT_LOCAL, new_masks)
             vals[missing] = new_vals[slot]
             if len(memo) + len(slots) > _GROUP_MEMO_LIMIT:
@@ -354,52 +328,8 @@ class UnionFindDecoder(BatchDecoder):
         np.bitwise_xor.at(masks, group_row[~bad], vals[~bad])
         return masks, local
 
-    def _edge_arrays(self) -> _EdgeArrays:
-        """Canonical flat edge list + CSR incidence, built lazily."""
-        if self._edge_cache is None:
-            n = self.graph.num_detectors
-            merged: Dict[Tuple[int, int], Tuple[float, int]] = {}
-            for u, nbrs in self._adjacency.items():
-                ui = n if u == BOUNDARY else u
-                for v, weight, mask in nbrs:
-                    vi = n if v == BOUNDARY else v
-                    key = (ui, vi) if ui < vi else (vi, ui)
-                    merged.setdefault(key, (weight, mask))
-            keys = sorted(merged)
-            count = len(keys)
-            ea = np.fromiter((k[0] for k in keys), dtype=np.int64, count=count)
-            eb = np.fromiter((k[1] for k in keys), dtype=np.int64, count=count)
-            weight = np.fromiter(
-                (merged[k][0] for k in keys), dtype=np.float64, count=count
-            )
-            mask = np.fromiter(
-                (merged[k][1] for k in keys), dtype=np.int64, count=count
-            )
-            thresh = np.where(weight <= _ZERO_WEIGHT, 1, 2).astype(np.uint8)
-            if count:
-                ends = np.concatenate([ea, eb])
-                eids = np.concatenate([np.arange(count, dtype=np.int64)] * 2)
-                order = np.lexsort((eids, ends))
-                inc_edge = eids[order]
-                counts = np.bincount(ends, minlength=n + 1)
-            else:
-                inc_edge = np.zeros(0, dtype=np.int64)
-                counts = np.zeros(n + 1, dtype=np.int64)
-            indptr = np.zeros(n + 2, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
-            self._edge_cache = _EdgeArrays(
-                node_count=n + 1,
-                ea=ea,
-                eb=eb,
-                mask=mask,
-                thresh=thresh,
-                indptr=indptr,
-                inc_edge=inc_edge,
-            )
-        return self._edge_cache
-
     def _arena(
-        self, syndromes: np.ndarray, edges: _EdgeArrays, *, local: bool = False
+        self, syndromes: np.ndarray, *, local: bool = False
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Grow and peel every row of one chunk.
 
@@ -427,6 +357,7 @@ class UnionFindDecoder(BatchDecoder):
         spanning-tree choice, which the peel-side potential check flags.
         """
         rows, n = syndromes.shape
+        edges = self._edges
         node_count = edges.node_count
         boundary = node_count - 1
         num_edges = edges.ea.size
@@ -498,7 +429,7 @@ class UnionFindDecoder(BatchDecoder):
             cand, counts = np.unique(touched, return_counts=True)
             prev = support[cand].astype(np.int64)
             support[cand] += counts.astype(np.uint8)
-            ready = support[cand] >= edges.thresh[cand % num_edges]
+            ready = support[cand] >= self._thresh[cand % num_edges]
             newly = cand[ready]
             if newly.size == 0:
                 continue
@@ -508,10 +439,10 @@ class UnionFindDecoder(BatchDecoder):
             # at a single cluster's sequential turn in the reference loop;
             # _union_grown_edges flags live-live merges on those edges.
             risky = prev[ready] == (
-                edges.thresh[newly % num_edges].astype(np.int64) - 1
+                self._thresh[newly % num_edges].astype(np.int64) - 1
             )
             new_r, new_n = self._union_grown_edges(
-                newly, risky, edges, parent, in_cl,
+                newly, risky, parent, in_cl,
                 tree_rows, tree_edges, flagged, boundary, node_count, num_edges,
             )
             if new_r.size:
@@ -519,7 +450,7 @@ class UnionFindDecoder(BatchDecoder):
                 act_n = np.concatenate([act_n, new_n])
                 act_d = np.concatenate([act_d, np.zeros(new_r.size, dtype=bool)])
         masks = self._peel_forest(
-            rows, tree_rows, tree_edges, grown_keys, syndromes, edges, flagged
+            rows, tree_rows, tree_edges, grown_keys, syndromes, flagged
         )
         return masks, flagged, far
 
@@ -527,7 +458,6 @@ class UnionFindDecoder(BatchDecoder):
         self,
         newly: np.ndarray,
         risky: np.ndarray,
-        edges: _EdgeArrays,
         parent: np.ndarray,
         in_cl: np.ndarray,
         tree_rows: List[np.ndarray],
@@ -549,8 +479,8 @@ class UnionFindDecoder(BatchDecoder):
         """
         g_r = newly // num_edges
         g_e = newly % num_edges
-        ends_a = edges.ea[g_e]
-        ends_b = edges.eb[g_e]
+        ends_a = self._edges.ea[g_e]
+        ends_b = self._edges.eb[g_e]
         in_a = in_cl[g_r, ends_a]
         in_b = in_cl[g_r, ends_b]
         # A risky edge joining two distinct round-start clusters is the
@@ -606,7 +536,6 @@ class UnionFindDecoder(BatchDecoder):
         tree_edges: List[np.ndarray],
         grown_keys: List[np.ndarray],
         syndromes: np.ndarray,
-        edges: _EdgeArrays,
         flagged: np.ndarray,
     ) -> np.ndarray:
         """Peel every row's spanning forest at once; returns int64 masks.
@@ -624,6 +553,7 @@ class UnionFindDecoder(BatchDecoder):
         inconsistent cycle are flagged for reference re-decode.
         """
         masks = np.zeros(rows, dtype=np.int64)
+        edges = self._edges
         num_edges = edges.ea.size
         grown_flat = np.concatenate(grown_keys) if grown_keys else np.zeros(0, dtype=np.int64)
         t_r = np.concatenate(tree_rows) if tree_rows else grown_flat[:0]
@@ -727,17 +657,36 @@ class UnionFindDecoder(BatchDecoder):
 
     # -- reference growth ----------------------------------------------------
 
-    def _grow(self, defects: Set[int]) -> Set[frozenset]:
-        """Grow clusters until valid; returns the set of fully-grown edges.
+    @cached_property
+    def _edge_lists(self) -> Tuple[List[int], List[int], List[int], List[float], list]:
+        """Edge-table columns as Python lists for the per-shot reference:
+        ``indptr``, ``inc_edge``, ``ea + eb`` (an edge's far end from node
+        ``i`` is ``ea + eb - i``), ``weight`` and ``mask``."""
+        table = self._edges
+        return (
+            table.indptr.tolist(),
+            table.inc_edge.tolist(),
+            (table.ea + table.eb).tolist(),
+            table.weight.tolist(),
+            table.mask.tolist(),
+        )
 
-        Edge growth is discretized: each cluster adds half an edge weight
-        per round on its frontier; an edge is grown when the accumulated
-        support reaches its weight.
+    def _grow(self, defects: Set[int]) -> Tuple[Set[frozenset], Dict[frozenset, int]]:
+        """Grow clusters until valid.
+
+        Returns the set of fully-grown edges, keyed by their endpoint
+        labels (``BOUNDARY`` for the boundary), and each one's observable
+        mask.  Edge growth is discretized: each cluster adds half an edge
+        weight per round on its frontier; an edge is grown when the
+        accumulated support reaches its weight.
         """
+        boundary = self._edges.node_count - 1
+        indptr, inc_edge, end_sum, weights, edge_masks = self._edge_lists
         parents: Dict[int, int] = {}
         clusters: Dict[int, _Cluster] = {}
         support: Dict[frozenset, float] = {}
         grown: Set[frozenset] = set()
+        masks: Dict[frozenset, int] = {}
 
         def ensure(node: int) -> None:
             if node not in parents:
@@ -757,7 +706,7 @@ class UnionFindDecoder(BatchDecoder):
         while True:
             bad = invalid_roots()
             if not bad:
-                return grown
+                return grown, masks
             safety += 1
             if safety > _MAX_ROUNDS:
                 state = {
@@ -771,9 +720,13 @@ class UnionFindDecoder(BatchDecoder):
                     f"{len(grown)} edges grown"
                 )
             for root in bad:
-                nodes = [n for n in parents if self._find(parents, n) == root]
+                nodes = [u for u in parents if self._find(parents, u) == root]
                 for node in nodes:
-                    for neighbor, weight, _mask in self._adjacency.get(node, ()):
+                    i = boundary if node == BOUNDARY else node
+                    for e in inc_edge[indptr[i]:indptr[i + 1]]:
+                        j = end_sum[e] - i
+                        neighbor = BOUNDARY if j == boundary else j
+                        weight = weights[e]
                         key = frozenset((node, neighbor))
                         if key in grown:
                             continue
@@ -784,6 +737,7 @@ class UnionFindDecoder(BatchDecoder):
                             support[key] = support.get(key, 0.0) + weight / 2
                         if support[key] >= weight:
                             grown.add(key)
+                            masks[key] = edge_masks[e]
                             ensure(neighbor)
                             self._union(parents, clusters, node, neighbor)
 
@@ -801,7 +755,9 @@ class UnionFindDecoder(BatchDecoder):
 
     # -- reference peeling ---------------------------------------------------
 
-    def _peel(self, grown: Set[frozenset], defects: Set[int]) -> int:
+    def _peel(
+        self, grown: Set[frozenset], masks: Dict[frozenset, int], defects: Set[int]
+    ) -> int:
         """Peel spanning forests of the grown edges; return observable mask."""
         adjacency: Dict[int, List[Tuple[int, int]]] = {}
         for key in grown:
@@ -809,7 +765,7 @@ class UnionFindDecoder(BatchDecoder):
             if len(nodes) == 1:
                 continue
             u, v = nodes
-            mask = self._edge_mask(u, v)
+            mask = masks[key]
             adjacency.setdefault(u, []).append((v, mask))
             adjacency.setdefault(v, []).append((u, mask))
         # Build spanning trees rooted at boundary (if present) or any node.
@@ -845,11 +801,3 @@ class UnionFindDecoder(BatchDecoder):
                     carry[node] = 0
         return total_mask
 
-    def _edge_mask(self, u: int, v: int) -> int:
-        edge = self.graph.edge_between(u, v)
-        if edge is None:
-            return 0
-        mask = 0
-        for obs in edge.observables:
-            mask |= 1 << obs
-        return mask

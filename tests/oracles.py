@@ -25,6 +25,8 @@ program (:mod:`repro.sim.compiled`) production runs:
 :func:`min_matching_weight` is the matching oracle: the minimum weight of
 a matching where every vertex pairs up or goes to the boundary, by
 networkx's ``max_weight_matching``.  MWPM's cluster matcher must equal it.
+:func:`networkx_path_tables` is the shortest-path oracle: MWPM's distance
+and path-observable tables rebuilt with one networkx Dijkstra per source.
 
 The production entry points each run one path, chosen from their input.
 The paths they do not take -- or took before the current one -- are
@@ -47,9 +49,9 @@ import math
 import networkx as nx
 import numpy as np
 
-from repro.decoder.base import BatchDecoder
+from repro.decoder.base import BatchDecoder, _unmask_rows
 from repro.decoder.graph import BOUNDARY
-from repro.decoder.mwpm import MWPMDecoder, _unmask
+from repro.decoder.mwpm import MWPMDecoder
 from repro.decoder.union_find import UnionFindDecoder
 from repro.noise import dem as _dem
 from repro.sim.compiled import noise_channel, sample_channel
@@ -200,6 +202,34 @@ def linear_dem(circuit):
     ])
 
 
+def networkx_path_tables(graph):
+    """``(dist, obs)`` all-pairs tables by one networkx Dijkstra per source.
+
+    The ``(N, N)`` layout of MWPM's tables (boundary at index
+    ``num_detectors``): ``dist`` holds shortest-path lengths (``inf`` when
+    unreachable) and ``obs`` the XOR of the observable masks along the
+    path networkx picks, as Python ints.
+    """
+    n = graph.num_detectors
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(n + 1))
+    for edge in graph.edges:
+        u, v = (*edge.detectors, n)[:2]
+        mask = sum(1 << o for o in edge.observables)
+        nxg.add_edge(u, v, weight=edge.weight, obs=mask)
+    dist = np.full((n + 1, n + 1), math.inf)
+    obs = np.zeros((n + 1, n + 1), dtype=object)
+    for source in range(n + 1):
+        lengths, paths = nx.single_source_dijkstra(nxg, source, weight="weight")
+        for dest, path in paths.items():
+            dist[source, dest] = lengths[dest]
+            mask = 0
+            for a, b in zip(path, path[1:]):
+                mask ^= nxg[a][b]["obs"]
+            obs[source, dest] = mask
+    return dist, obs
+
+
 def min_matching_weight(pair_cost, boundary_cost):
     """Minimum matching weight with finite boundary costs, by networkx.
 
@@ -234,10 +264,9 @@ def subset_dp_matching(decoder, defects):
     pairs are ``(defect, partner)`` with ``BOUNDARY`` for a boundary match.
     Raises the decoder's "not perfect" error on an infeasible syndrome.
     """
-    distance = decoder._distance
     k = len(defects)
-    boundary_cost = [distance[u].get(BOUNDARY, math.inf) for u in defects]
-    pair_cost = [[distance[u].get(v, math.inf) for v in defects] for u in defects]
+    boundary_cost = decoder._dist[defects, BOUNDARY].tolist()
+    pair_cost = decoder._dist[np.ix_(defects, defects)].tolist()
     size = 1 << k
     cost = [math.inf] * size
     choice = [(-1, -1)] * size
@@ -294,7 +323,10 @@ class WholeSyndromeMWPM(MWPMDecoder):
             pairs = subset_dp_matching(self, defects)
         else:
             pairs = self._match_blossom(defects)
-        return _unmask(self._pairs_mask(pairs), self.num_observables)
+        mask = 0
+        for u, v in pairs:
+            mask ^= int(self._obs[u, v])
+        return _unmask_rows([mask], self.num_observables)[0]
 
     def _decode_unique(self, syndromes):
         return BatchDecoder._decode_unique(self, syndromes)

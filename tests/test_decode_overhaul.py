@@ -108,6 +108,14 @@ class TestUnmaskRows:
         out = _unmask_rows(np.zeros(5, dtype=np.int64), 0)
         assert out.shape == (5, 0)
 
+    def test_python_int_masks_beyond_int64(self):
+        masks = [(1 << 69) | (1 << 65) | 1, 0, (1 << 70) - 1]
+        expected = np.array(
+            [[(mask >> bit) & 1 for bit in range(70)] for mask in masks],
+            dtype=np.uint8,
+        )
+        assert np.array_equal(_unmask_rows(masks, 70), expected)
+
 
 class TestSparseFastPath:
     """The <=2-defect closed forms must equal the full decoders exactly."""
@@ -142,6 +150,20 @@ class TestSparseFastPath:
         expected = per_shot_decode(WholeSyndromeMWPM(graph), rows)
         assert np.array_equal(decoder.decode_batch(rows), expected)
         assert expected[3, 62] == 1
+
+    @pytest.mark.parametrize(
+        "decoder_cls", [MWPMDecoder, UnionFindDecoder], ids=["mwpm", "union_find"]
+    )
+    def test_masks_wider_than_int64(self, decoder_cls):
+        # Bit 65 of an observable mask overflows int64.
+        graph = DecodingGraph(num_detectors=2, num_observables=70)
+        graph.add_mechanism((0, 1), 0.01, frozenset({65}))
+        graph.add_mechanism((0,), 0.01, frozenset({1}))
+        decoder = decoder_cls(graph)
+        assert np.flatnonzero(decoder.decode(np.array([1, 1]))).tolist() == [65]
+        rows = _sparse_rows(2)
+        expected = per_shot_decode(WholeSyndromeMWPM(graph), rows)
+        assert np.array_equal(decoder.decode_batch(rows), expected)
 
 
 class TestEngineInvariance:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from oracles import (
     WholeSyndromeMWPM,
+    networkx_path_tables,
     per_shot_decode,
     reference_run,
     reference_sample,
@@ -31,6 +32,8 @@ from repro.decoder.graph import DecodingGraph
 from repro.decoder.mwpm import MWPMDecoder
 from repro.decoder.sequential import SequentialCNOTDecoder
 from repro.decoder.union_find import UnionFindDecoder
+from repro.noise.dem import extract_dem
+from repro.noise.models import BiasedPauli
 from repro.sim.frame import DetectorErrorModel, ErrorMechanism, FrameSimulator
 from repro.sim.memory import memory_circuit, transversal_cnot_experiment
 
@@ -226,7 +229,65 @@ class TestEarlyStop:
             DecodingEngine(circuit, "mwpm", workers=0)
 
 
+def _path_table_graph(case):
+    """``(graph, logical)`` of one ``TestMWPMMatchers`` path-table case:
+    its decoding graph and how many of its observables are logical."""
+    kind, distance, arg = case.split("-")
+    distance = int(distance[1:])
+    if kind == "seq":
+        builder = transversal_cnot_experiment(distance, 4, 1e-3, [1, 2])
+        decoder = make_decoder(
+            "sequential", extract_dem(builder.circuit),
+            detector_meta=builder.detector_meta,
+        )
+        graph = getattr(decoder, f"_{arg}_decoder").graph
+        return graph, decoder.num_observables
+    if kind == "biased":
+        bias = float(arg.split("_")[0][1:])
+        noise = BiasedPauli(4e-3, bias=bias)
+        circuit = memory_circuit(distance, distance, 4e-3, basis="X", noise=noise)
+    else:
+        circuit = memory_circuit(distance, distance, 1e-3, basis=kind[-1])
+    dem = extract_dem(circuit)
+    if case.endswith("uniform"):
+        graph = DecodingGraph.from_dem_uniform(dem)
+    else:
+        graph = DecodingGraph.from_dem(dem)
+    return graph, graph.num_observables
+
+
+PATH_TABLE_CASES = [
+    f"{kind}-d{d}-{weights}"
+    for kind, d in [("memZ", 3), ("memZ", 5), ("memZ", 7), ("memX", 5), ("memX", 7)]
+    for weights in ("dem", "uniform")
+] + [
+    f"biased-d5-b{bias}_{weights}"
+    for bias in (1, 4, 16)
+    for weights in ("dem", "uniform")
+] + [f"seq-d{d}-{part}" for d in (3, 5, 7) for part in ("control", "target")]
+
+
 class TestMWPMMatchers:
+    @pytest.mark.parametrize("case", PATH_TABLE_CASES)
+    def test_path_tables_match_networkx_dijkstra(self, case):
+        # dist is exact; obs must agree wherever a matcher reads it: the
+        # boundary column and the detector pairs with d(u, v) < d(u, B) +
+        # d(v, B) (ties through the boundary are never read).
+        graph, logical = _path_table_graph(case)
+        decoder = MWPMDecoder(graph)
+        dist, obs = networkx_path_tables(graph)
+        np.testing.assert_array_equal(decoder._dist, dist)
+        n = graph.num_detectors
+        read = np.zeros(dist.shape, dtype=bool)
+        read[:n, :n] = dist[:n, :n] < dist[:n, n, None] + dist[None, :n, n]
+        read[:n, n] = True
+        # The sequential control graph's pseudo-observables (remote target
+        # flips) can differ between equal-weight bulk paths, which the two
+        # Dijkstras break differently; its logical bits must agree.
+        bits = (1 << logical) - 1
+        ours = [int(mask) & bits for mask in decoder._obs[read]]
+        assert ours == [int(mask) & bits for mask in obs[read]]
+
     def test_large_defect_count_matches_blossom_weight(self, memory_setup):
         # A 14-defect syndrome: the per-cluster matchings together must
         # weigh what the whole-syndrome blossom oracle's matching weighs.
@@ -237,14 +298,14 @@ class TestMWPMMatchers:
         syndrome = np.zeros(dem.num_detectors, dtype=np.uint8)
         syndrome[defects] = 1
         assert decoder.decode(syndrome).shape == (dem.num_observables,)
-        dist = decoder._distance
+        dist = decoder._dist
         weight = 0.0
         for cluster in decoder._cluster_split_batch(np.array([defects]))[0]:
             pairs, _ = decoder._match_cluster(cluster)
-            weight += sum(dist[u][v] for u, v in pairs)
+            weight += sum(dist[u, v] for u, v in pairs)
         blossom = decoder._match_blossom(defects)
         assert weight == pytest.approx(
-            sum(dist[u][v] for u, v in blossom), rel=1e-9
+            sum(dist[u, v] for u, v in blossom), rel=1e-9
         )
 
 
@@ -354,15 +415,11 @@ class TestUnionFindZeroWeight:
         out = decoder.decode(np.array([1, 0, 0], dtype=np.uint8))
         assert out.shape == (1,)
 
-    def test_convergence_error_reports_cluster_state(self, monkeypatch):
-        dem = DetectorErrorModel(
-            [ErrorMechanism(0.01, (0,), (0,)), ErrorMechanism(0.01, (0, 1), ())],
-            2,
-            1,
-        )
-        decoder = UnionFindDecoder(DecodingGraph.from_dem(dem))
-        # Sever the adjacency so defect 1 can never become valid.
-        monkeypatch.setattr(decoder, "_adjacency", {})
+    def test_convergence_error_reports_cluster_state(self):
+        # Detector 1 has no edge, so a defect there can never become valid.
+        graph = DecodingGraph(num_detectors=2, num_observables=1)
+        graph.add_mechanism((0,), 0.01, frozenset({0}))
+        decoder = UnionFindDecoder(graph)
         with pytest.raises(RuntimeError, match="invalid clusters"):
             decoder.decode(np.array([0, 1], dtype=np.uint8))
 

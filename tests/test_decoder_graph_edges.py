@@ -2,11 +2,13 @@
 
 Covers ``DetectorErrorModel.merged`` (XOR convolution, zero-probability
 drops, symptom separation), ``DecodingGraph.edge_between`` /
-``add_mechanism`` parallel-edge handling, and ``from_dem_uniform``.
+``add_mechanism`` parallel-edge handling, the ``edge_table`` layout the
+decoders read, and ``from_dem_uniform``.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.decoder.graph import BOUNDARY, DecodingGraph
@@ -84,6 +86,42 @@ class TestEdgeBetween:
         graph = DecodingGraph(3, 0)
         graph.add_mechanism((0, 1), 0.02, frozenset())
         assert graph.edge_between(0, 2) is None
+
+
+class TestEdgeTable:
+    def test_layout(self):
+        graph = DecodingGraph(3, 2)
+        graph.add_mechanism((2, 0), 0.01, frozenset({1}))
+        graph.add_mechanism((1,), 0.02, frozenset({0, 1}))
+        graph.add_mechanism((0, 1), 0.03, frozenset())
+        table = graph.edge_table()
+        assert table.node_count == 4
+        # Edge order, ea <= eb, the boundary at index num_detectors.
+        assert table.ea.tolist() == [0, 1, 0]
+        assert table.eb.tolist() == [2, 3, 1]
+        assert table.weight.tolist() == [e.weight for e in graph.edges]
+        assert table.mask.dtype == np.int64 and table.mask.tolist() == [2, 3, 0]
+        incident = [
+            table.inc_edge[table.indptr[u]:table.indptr[u + 1]].tolist()
+            for u in range(4)
+        ]
+        assert incident == [[0, 2], [1, 2], [0], [1]]
+
+    def test_masks_beyond_int64_are_python_ints(self):
+        graph = DecodingGraph(1, 70)
+        graph.add_mechanism((0,), 0.01, frozenset({69}))
+        table = graph.edge_table()
+        assert table.mask.dtype == object and table.mask[0] == 1 << 69
+
+    @pytest.mark.parametrize("detectors,observables,kind", [
+        ((0, 5), frozenset(), "detector"),
+        ((0,), frozenset({2}), "observable"),
+    ])
+    def test_out_of_range_index_rejected(self, detectors, observables, kind):
+        graph = DecodingGraph(2, 1)
+        graph.add_mechanism(detectors, 0.01, observables)
+        with pytest.raises(ValueError, match=f"{kind} index . out of range"):
+            graph.edge_table()
 
 
 class TestAddMechanism:

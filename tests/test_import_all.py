@@ -12,12 +12,18 @@ every ``alias.attr`` read or ``f(alias, "attr")`` lookup on an imported
 module must name an existing attribute, and every keyword argument
 passed to an imported callable must be one it accepts -- so removing an
 API the harnesses use fails here, not in the benchmark run.
+
+networkx is imported only where MWPM's blossom fallback runs, so loading
+the package does not pay its import time.
 """
 
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -67,6 +73,18 @@ def test_every_module_and_repro_import_resolves():
         except ImportError as exc:
             failures.append(f"{name}: {exc}")
     assert not failures, "\n".join(failures)
+
+
+def test_package_import_leaves_networkx_unloaded():
+    code = (
+        "import sys, repro, repro.decoder, repro.estimator; "
+        "print('networkx' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def _bindings(tree):

@@ -33,10 +33,11 @@ PATHS = {"relaxation", "branched", "fallback"}
 def _assert_exact(decoder, cluster, pairs):
     """``pairs`` cover ``cluster`` once each and weigh the oracle minimum."""
     assert sorted(u for pair in pairs for u in pair if u != BOUNDARY) == sorted(cluster)
-    dist = decoder._distance
-    weight = sum(dist[u][v] for u, v in pairs)
-    pair_cost = [[dist[u].get(v, math.inf) for v in cluster] for u in cluster]
-    expected = min_matching_weight(pair_cost, [dist[u][BOUNDARY] for u in cluster])
+    dist = decoder._dist
+    weight = sum(dist[u, v] for u, v in pairs)
+    members = list(cluster)
+    pair_cost = dist[np.ix_(members, members)]
+    expected = min_matching_weight(pair_cost, dist[members, BOUNDARY])
     assert weight == pytest.approx(expected, rel=1e-9)
 
 

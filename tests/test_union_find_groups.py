@@ -50,7 +50,7 @@ def _reference(decoder, rows):
 
 def _whole_row(decoder, rows):
     """The whole-row arena with reference re-decodes of flagged rows."""
-    masks, flagged, _ = decoder._arena_rows(rows, decoder._edge_arrays())
+    masks, flagged, _ = decoder._arena_rows(rows)
     out = _unmask_rows(masks, decoder.num_observables)
     for i in np.flatnonzero(flagged):
         out[i] = decoder._decode_reference(rows[i])
@@ -59,7 +59,7 @@ def _whole_row(decoder, rows):
 
 def _local(decoder, rows):
     """Which rows the group path serves (all of their groups local)."""
-    return decoder._decode_groups(rows, decoder._edge_arrays())[1]
+    return decoder._decode_groups(rows)[1]
 
 
 def _rows(num_detectors, defect_sets):
@@ -72,10 +72,10 @@ def _rows(num_detectors, defect_sets):
 def _hop_distances(graph):
     """All-pairs hop distances over detectors, boundary edges ignored."""
     n = graph.num_detectors
+    table = graph.edge_table()
     nbrs = [[] for _ in range(n)]
-    for edge in graph.edges:
-        if len(edge.detectors) == 2:
-            u, v = edge.detectors
+    for u, v in zip(table.ea.tolist(), table.eb.tolist()):
+        if v < n:
             nbrs[u].append(v)
             nbrs[v].append(u)
     dist = np.full((n, n), np.inf)
@@ -132,11 +132,10 @@ class TestForcedFallbacks:
 
     def test_flagged_group(self, d3):
         decoder, _ = d3
-        edges = decoder._edge_arrays()
         n = decoder.graph.num_detectors
         near = np.unpackbits(decoder._hop_bits()[0], axis=1, count=n).astype(bool)
         pairs = _rows(n, list(zip(*np.nonzero(np.triu(near, 1)))))
-        _, flagged, far = decoder._arena_rows(pairs, edges, local=True)
+        _, flagged, far = decoder._arena_rows(pairs, local=True)
         rows = pairs[flagged & ~far]
         assert rows.shape[0] > 0
         assert not _local(decoder, rows).any()
@@ -221,11 +220,11 @@ class TestGroups:
     def test_chunking_does_not_change_groups(self, d5, monkeypatch):
         decoder, rows = d5
         rows = rows[:40]
-        masks, local = decoder._decode_groups(rows, decoder._edge_arrays())
+        masks, local = decoder._decode_groups(rows)
         # Eight defect pairs per grouping chunk, one row per arena chunk.
         monkeypatch.setattr(union_find, "_ARENA_CHUNK_ELEMS", 32)
         small = UnionFindDecoder(decoder.graph)
-        small_masks, small_local = small._decode_groups(rows, small._edge_arrays())
+        small_masks, small_local = small._decode_groups(rows)
         assert np.array_equal(masks, small_masks)
         assert np.array_equal(local, small_local)
 
