@@ -22,16 +22,21 @@ but they are combinations of a *small* recurring set of local defect
 clusters, so the cache converts most cluster solves into dict lookups.
 
 Matching strategy: every cluster of ``k`` defects is solved exactly by
-the assignment (bipartite double-cover) relaxation of matching,
-:func:`_assignment_matching`.  The ``k x k`` cost matrix holds
-``d(i, B)`` on the diagonal and ``d(i, j) / 2`` off it, and
-``scipy.optimize.linear_sum_assignment`` minimizes it over permutations.
-Every matching is a permutation of cost equal to its weight (1-cycles are
-boundary matches, 2-cycles are pairs), so the assignment optimum is a
-lower bound on the best matching.  An even cycle splits into two
-matchings whose mean cost is the cycle's cost, so the cheaper of the two
-is no worse.  Only an odd cycle (length >= 3) is fractional.  It is cut
-by branching on one member ``v`` with cycle neighbours ``u`` and ``w``:
+the assignment (bipartite double-cover) relaxation of matching.  The
+``k x k`` cost matrix holds ``d(i, B)`` on the diagonal and
+``d(i, j) / 2`` off it, and ``scipy.optimize.linear_sum_assignment``
+minimizes it over permutations.  Every matching is a permutation of cost
+equal to its weight (1-cycles are boundary matches, 2-cycles are pairs),
+so the assignment optimum is a lower bound on the best matching.  A
+batch's uncached clusters are matched together, one :func:`_match_batch`
+per cluster size: one gather builds all their cost matrices as an
+``(m, k, k)`` array and each gets its root assignment.  A root that is an
+involution (only 1- and 2-cycles; most clusters) is the matching.  Only
+the other roots enter :func:`_branch_and_bound`, which starts from the
+root already solved.  There an even cycle splits into two matchings whose
+mean cost is the cycle's cost, so the cheaper of the two is no worse.
+Only an odd cycle (length >= 3) is fractional.  It is cut by branching on
+one member ``v`` with cycle neighbours ``u`` and ``w``:
 ``v`` pairs with ``u`` (forced: rows ``v`` and ``u`` may only pick each
 other), ``v`` pairs with ``w``, or ``v`` pairs with neither (both pairs
 forbidden in both directions).  The three children partition the
@@ -54,6 +59,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -94,57 +100,84 @@ _MWPM_CLUSTERS = _metrics.counter(
 )
 
 
-def _assignment_matching(
-    pair_cost: np.ndarray, boundary_cost: np.ndarray
-) -> Tuple[Optional[List[Tuple[int, int]]], int]:
-    """Exact minimum-weight matching by assignment relaxation + branching.
+def _match_batch(pair: np.ndarray, boundary: np.ndarray) -> Tuple[np.ndarray, List[str]]:
+    """Exact minimum-weight matchings of ``m`` clusters of ``k`` defects.
 
     Args:
-        pair_cost: symmetric ``(k, k)`` pair weights (``inf`` = no pair;
-            the diagonal is ignored).
-        boundary_cost: finite ``(k,)`` boundary weights.
+        pair: ``(m, k, k)`` pair weights (``inf`` = no pair; the diagonals
+            are ignored).
+        boundary: finite ``(m, k)`` boundary weights.
 
     Returns:
-        ``(pairs, nodes)``: index pairs ``(i, j)`` of a minimum-weight
-        matching, ``j = -1`` for a boundary match, or ``None`` once the
-        search passes :data:`_BRANCH_NODE_LIMIT`; ``nodes`` counts the
-        assignments solved.  See the module docstring for exactness.
+        ``(mate, paths)``: ``mate[i, j]`` is the index of the member that
+        member ``j`` of cluster ``i`` is matched with, -1 for the boundary;
+        ``paths[i]`` is ``"relaxation"`` (the root assignment sufficed),
+        ``"branched"``, or ``"fallback"`` once the search passes
+        :data:`_BRANCH_NODE_LIMIT` (that row of ``mate`` is then
+        meaningless).  See the module docstring for exactness.
+    """
+    m, k = boundary.shape
+    if _BRANCH_NODE_LIMIT < 1:
+        return np.full((m, k), -1), ["fallback"] * m
+    # d(u, v) and d(v, u) can differ in the last ulp (separate Dijkstra
+    # sources); the matcher needs symmetric matrices.
+    pair = np.minimum(pair, pair.transpose(0, 2, 1))
+    # Pairs no cheaper than both boundary routes are never needed.
+    pair = np.where(pair < boundary[:, :, None] + boundary[:, None, :], pair, math.inf)
+    base = pair / 2.0
+    diag = np.arange(k)
+    base[:, diag, diag] = boundary
+    perms = np.array([linear_sum_assignment(c)[1] for c in base], dtype=np.intp).reshape(m, k)
+    mate = np.where(perms == diag, -1, perms)
+    paths = ["relaxation"] * m
+    # A root assignment of 1- and 2-cycles only is itself a matching; the
+    # rest start their branch-and-bound from it.
+    involution = (np.take_along_axis(perms, perms, axis=1) == diag).all(axis=1)
+    for i in np.flatnonzero(~involution).tolist():
+        pairs, nodes = _branch_and_bound(pair[i], boundary[i], base[i], perms[i])
+        paths[i] = "fallback" if pairs is None else "relaxation" if nodes == 1 else "branched"
+        for a, b in pairs or ():
+            mate[i, a] = b
+            if b >= 0:
+                mate[i, b] = a
+    return mate, paths
+
+
+def _branch_and_bound(
+    pair_cost: np.ndarray, boundary_cost: np.ndarray, base: np.ndarray, root: np.ndarray
+) -> Tuple[Optional[List[Tuple[int, int]]], int]:
+    """Branch-and-bound from one cluster's root assignment ``root``.
+
+    ``pair_cost`` is the pruned pair matrix and ``base`` the assignment
+    matrix :func:`_match_batch` built; returns ``(pairs, nodes)``, ``nodes``
+    counting the assignments solved (the root included), ``pairs = None``
+    past :data:`_BRANCH_NODE_LIMIT`.
     """
     k = boundary_cost.size
-    # Pairs no cheaper than both boundary routes are never needed.
-    pair_cost = np.where(
-        pair_cost < boundary_cost[:, None] + boundary_cost[None, :],
-        pair_cost,
-        math.inf,
-    )
-    base = pair_cost / 2.0
-    np.fill_diagonal(base, boundary_cost)
     rows = np.arange(k)
 
     def solve(forbidden, forced):
-        cost = base
-        if forbidden or forced:
-            cost = base.copy()
-            for a, b in forbidden:
-                cost[a, b] = cost[b, a] = math.inf
-            for a, b in forced:
-                # Rows a and b may only pick each other.
-                cost[[a, b], :] = math.inf
-                cost[a, b] = cost[b, a] = base[a, b]
+        cost = base.copy()
+        for a, b in forbidden:
+            cost[a, b] = cost[b, a] = math.inf
+        for a, b in forced:
+            # Rows a and b may only pick each other.
+            cost[[a, b], :] = math.inf
+            cost[a, b] = cost[b, a] = base[a, b]
         perm = linear_sum_assignment(cost)[1]
         return float(cost[rows, perm].sum()), perm
 
     # Bounds and matching weights sum the same costs in different orders;
     # every matching weighs at most the all-boundary one.
     tol = 1e-12 * max(1.0, float(boundary_cost.sum()))
-    heap: list = []
-    nodes = 0
+    nodes = 1
+    heap: list = [(float(base[rows, root].sum()), nodes, (), (), root)]
     best_weight, best_pairs = math.inf, None
     # Best-first on the bound.  Every node stays feasible (its free rows
     # keep their diagonal) and children partition their parent's matchings,
     # so some open node holds an optimal matching until the incumbent meets
     # every open bound.
-    children = [((), ())]
+    children: list = []
     while True:
         for forbidden, forced in children:
             if nodes >= _BRANCH_NODE_LIMIT:
@@ -299,17 +332,12 @@ class MWPMDecoder(BatchDecoder):
         ``d(u, v) < d(u, B) + d(v, B)``; cutting every other pair is
         weight-neutral (route both ends to the boundary instead), so the
         per-cluster optima compose into a global minimum-weight matching.
-        The linkage test and transitive closure run vectorized over the
-        whole ``(rows, k)`` batch; only the final member grouping walks
-        rows in Python.
+        The linkage test, transitive closure and member grouping run
+        vectorized over the whole ``(rows, k)`` batch.
         """
         rows, k = defs.shape
         dist = self._dist
         n = dist.shape[0] - 1
-        off_graph = np.isinf(dist[defs, defs])
-        if off_graph.any():
-            unreachable = sorted({int(d) for d in defs[off_graph]})
-            raise ValueError(f"defects outside the decoding graph: {unreachable}")
         if k == 1:
             return [[(int(row[0]),)] for row in defs]
         bc = dist[defs, n]
@@ -322,20 +350,25 @@ class MWPMDecoder(BatchDecoder):
         # entries and mirror them.
         upper = np.triu(linked, 1)
         reach = upper | upper.transpose(0, 2, 1) | np.eye(k, dtype=bool)
+        # float32 products run on BLAS and count paths exactly (uint8 would
+        # wrap at 256).
         for _ in range(max(1, int(np.ceil(np.log2(k))))):
-            reach = np.matmul(reach.astype(np.uint8), reach.astype(np.uint8)) > 0
+            step = reach.astype(np.float32)
+            reach = np.matmul(step, step) > 0
         # Component label = lowest member index reaching each defect
         # (reach is symmetric, so labels are consistent per component).
         labels = np.argmax(reach, axis=1)
-        out: List[List[Tuple[int, ...]]] = []
-        for r in range(rows):
-            groups: Dict[int, List[int]] = {}
-            row_defs = defs[r]
-            row_labels = labels[r]
-            for i in range(k):
-                groups.setdefault(int(row_labels[i]), []).append(int(row_defs[i]))
-            out.append([tuple(members) for members in groups.values()])
-        return out
+        # A stable sort on (row, label) lists each row's clusters by lowest
+        # member, each in ascending defect order.
+        key = (np.arange(rows)[:, None] * k + labels).ravel()
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        flat = defs.ravel()[order].tolist()
+        bounds = starts.tolist() + [len(flat)]
+        clusters = [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
+        ends = np.cumsum(np.bincount(key[starts] // k, minlength=rows)).tolist()
+        return [clusters[a:b] for a, b in zip([0] + ends, ends)]
 
     def _cluster_mask(self, cluster: Tuple[int, ...]) -> int:
         cached = self._cluster_cache.get(cluster)
@@ -425,23 +458,18 @@ class MWPMDecoder(BatchDecoder):
 
     def _solve_clusters(self, clusters: List[Tuple[int, ...]]) -> Dict[Tuple[int, ...], int]:
         """Match clusters; their observable masks, memoized when small."""
-        counts = dict.fromkeys(("relaxation", "branched", "fallback"), 0)
-        # Matched pairs as flat (defect, partner) index lists, cluster i's
-        # from starts[i]: one gather then serves every cluster's mask.
-        rows: List[int] = []
-        cols: List[int] = []
-        starts: List[int] = []
+        counts: Counter = Counter()
+        by_size: Dict[int, List[Tuple[int, ...]]] = {}
         for cluster in clusters:
-            pairs, path = self._match_cluster(cluster)
-            counts[path] += 1
-            starts.append(len(rows))
-            for u, v in pairs:
-                rows.append(u)
-                cols.append(v)
+            by_size.setdefault(len(cluster), []).append(cluster)
         masks = {}
-        if clusters:
-            xors = np.bitwise_xor.reduceat(self._obs[rows, cols], starts)
-            masks = dict(zip(clusters, xors.tolist()))
+        for group in by_size.values():
+            defs = np.array(group)
+            partner, paths = self._match_clusters(defs)
+            counts.update(paths)
+            # Every pair once, from its lower end, plus the boundary matches.
+            kept = np.where((partner < 0) | (partner > defs), self._obs[defs, partner], 0)
+            masks.update(zip(group, np.bitwise_xor.reduce(kept, axis=1).tolist()))
         cache = self._cluster_cache
         for cluster in clusters:
             if len(cluster) <= _CACHE_MAX_DEFECTS:
@@ -449,29 +477,39 @@ class MWPMDecoder(BatchDecoder):
                     cache.clear()
                 cache[cluster] = masks[cluster]
         for path, count in counts.items():
-            if count:
-                _MWPM_CLUSTERS.labels(path=path).inc(count)
+            _MWPM_CLUSTERS.labels(path=path).inc(count)
         return masks
 
-    def _match_cluster(self, cluster: Tuple[int, ...]) -> Tuple[List[Tuple[int, int]], str]:
-        """Exact matching of one cluster and the path that solved it.
+    def _match_clusters(self, defs: np.ndarray) -> Tuple[np.ndarray, List[str]]:
+        """Exact matchings of ``m`` clusters of ``k`` defects, one batch.
 
-        Pairs are ``(defect, partner)``, ``partner = BOUNDARY`` for a
-        boundary match.  The path is ``"relaxation"`` (the root assignment
-        sufficed), ``"branched"`` or ``"fallback"`` (:meth:`_match_blossom`).
+        Args:
+            defs: ``(m, k)`` defects, one cluster per row.
+
+        Returns:
+            ``(partner, paths)``: ``partner[i, j]`` is the defect matched
+            with ``defs[i, j]``, ``BOUNDARY`` for a boundary match, and
+            ``paths[i]`` is ``"relaxation"``, ``"branched"`` or
+            ``"fallback"`` (:meth:`_match_blossom`, also every cluster with
+            a defect that has no boundary path).
         """
         dist = self._dist
-        defs = np.asarray(cluster, dtype=np.intp)
         boundary = dist[defs, BOUNDARY]
-        if np.isfinite(boundary).all():
-            # d(u, v) and d(v, u) can differ in the last ulp (separate
-            # Dijkstra sources); the matcher needs a symmetric matrix.
-            pair = dist[defs[:, None], defs]
-            pairs, nodes = _assignment_matching(np.minimum(pair, pair.T), boundary)
-            if pairs is not None:
-                matched = [(cluster[i], cluster[j] if j >= 0 else BOUNDARY) for i, j in pairs]
-                return matched, "relaxation" if nodes == 1 else "branched"
-        return self._match_blossom(list(cluster)), "fallback"
+        finite = np.isfinite(boundary).all(axis=1)
+        ok = defs[finite]
+        mate, solved = _match_batch(dist[ok[:, :, None], ok[:, None, :]], boundary[finite])
+        partner = np.full(defs.shape, BOUNDARY)
+        mated = np.take_along_axis(ok, mate % ok.shape[1], axis=1)
+        partner[finite] = np.where(mate < 0, BOUNDARY, mated)
+        solved = iter(solved)
+        paths = [next(solved) if good else "fallback" for good in finite.tolist()]
+        for i, path in enumerate(paths):
+            if path == "fallback":
+                members = defs[i].tolist()
+                mates = dict(self._match_blossom(members))
+                mates.update({v: u for u, v in mates.items() if v != BOUNDARY})
+                partner[i] = [mates[u] for u in members]
+        return partner, paths
 
     def _match_blossom(self, defects: List[int]) -> List[Tuple[int, int]]:
         """Blossom matching on the defect graph with boundary copies.

@@ -27,6 +27,8 @@ a matching where every vertex pairs up or goes to the boundary, by
 networkx's ``max_weight_matching``.  MWPM's cluster matcher must equal it.
 :func:`networkx_path_tables` is the shortest-path oracle: MWPM's distance
 and path-observable tables rebuilt with one networkx Dijkstra per source.
+:func:`cluster_split` is the cluster oracle: one defect row split by a
+pairwise loop, the clusters and order MWPM's vectorized split must equal.
 
 The production entry points each run one path, chosen from their input.
 The paths they do not take -- or took before the current one -- are
@@ -248,6 +250,27 @@ def min_matching_weight(pair_cost, boundary_cost):
                 gains.add_edge(i, j, weight=gain)
     matching = nx.max_weight_matching(gains)
     return float(sum(boundary_cost)) - sum(gains[i][j]["weight"] for i, j in matching)
+
+
+def cluster_split(decoder, defects):
+    """MWPM clusters of one sorted defect row, by a pairwise loop.
+
+    Defects ``u < v`` are linked when ``d(u, v) < d(u, B) + d(v, B)``;
+    clusters are the linked components, each in ascending defect order,
+    listed by lowest member.
+    """
+    dist = decoder._dist
+    label = list(range(len(defects)))
+    for i, u in enumerate(defects):
+        for j in range(i + 1, len(defects)):
+            v = defects[j]
+            if dist[u, v] < dist[u, BOUNDARY] + dist[v, BOUNDARY]:
+                low, high = sorted((label[i], label[j]))
+                label = [low if x == high else x for x in label]
+    groups = {}
+    for i, u in enumerate(defects):
+        groups.setdefault(label[i], []).append(u)
+    return [tuple(members) for members in groups.values()]
 
 
 # Largest defect count the whole-syndrome oracle matches by subset DP;

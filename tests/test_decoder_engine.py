@@ -28,7 +28,7 @@ from repro.decoder.engine import (
     make_decoder,
     register_decoder,
 )
-from repro.decoder.graph import DecodingGraph
+from repro.decoder.graph import BOUNDARY, DecodingGraph
 from repro.decoder.mwpm import MWPMDecoder
 from repro.decoder.sequential import SequentialCNOTDecoder
 from repro.decoder.union_find import UnionFindDecoder
@@ -301,8 +301,12 @@ class TestMWPMMatchers:
         dist = decoder._dist
         weight = 0.0
         for cluster in decoder._cluster_split_batch(np.array([defects]))[0]:
-            pairs, _ = decoder._match_cluster(cluster)
-            weight += sum(dist[u, v] for u, v in pairs)
+            partner, _ = decoder._match_clusters(np.array([cluster]))
+            # Each pair once, from its lower end, plus the boundary matches.
+            weight += sum(
+                dist[u, v] for u, v in zip(cluster, partner[0].tolist())
+                if v == BOUNDARY or v > u
+            )
         blossom = decoder._match_blossom(defects)
         assert weight == pytest.approx(
             sum(dist[u, v] for u, v in blossom), rel=1e-9
@@ -326,6 +330,23 @@ class TestMWPMOddDefectGuard:
     def test_even_defects_without_boundary_decode(self):
         decoder = MWPMDecoder(self._boundaryless_graph())
         assert decoder.decode(np.array([1, 0, 1], dtype=np.uint8))[0] == 1
+
+    @pytest.mark.parametrize("defects", [(3,), (1, 3), (0, 1, 2, 3)])
+    def test_defect_on_isolated_detector_raises(self, defects):
+        # Detector 3 has no edge at all: no boundary path, no partner.
+        graph = DecodingGraph(num_detectors=4, num_observables=1)
+        graph.add_mechanism((0,), 0.01, frozenset())
+        graph.add_mechanism((0, 1), 0.01, frozenset({0}))
+        graph.add_mechanism((1, 2), 0.01, frozenset())
+        decoder = MWPMDecoder(graph)
+        syndrome = np.zeros(4, dtype=np.uint8)
+        syndrome[list(defects)] = 1
+        with pytest.raises(ValueError, match="not perfect"):
+            decoder.decode(syndrome)
+        with pytest.raises(ValueError, match="not perfect"):
+            decoder.decode_batch(syndrome[None])
+        with pytest.raises(ValueError, match="not perfect"):
+            decoder.decode_packed(np.packbits(syndrome[None], axis=1), 4)
 
     def test_boundary_restores_odd_decoding(self):
         graph = self._boundaryless_graph()

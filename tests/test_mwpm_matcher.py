@@ -1,4 +1,4 @@
-"""Exactness of MWPM's cluster matcher against the networkx oracle.
+"""Exactness of MWPM's batch cluster matcher against the networkx oracle.
 
 Every cluster solve -- assignment relaxation, branch-and-bound, or the
 ``_match_blossom`` fallback -- must return a matching that covers each defect once
@@ -6,7 +6,10 @@ and weighs exactly (to 1e-9 relative) the minimum found by networkx's
 ``max_weight_matching`` (:func:`oracles.min_matching_weight`).  Clusters
 come from importance-sampled d=5/d=7 traffic, from uniform-weight MWPM
 under biased noise (where ties are common), and from random integer
-graphs built to produce odd cycles.  A larger fuzz run is tier-2.
+graphs built to produce odd cycles.  Clusters are solved the way
+production solves them, one ``_match_clusters`` batch per cluster size,
+and a batch must give every cluster the matching, mask and path it gets
+when solved alone.  A larger fuzz run is tier-2.
 """
 
 import math
@@ -14,18 +17,18 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from oracles import min_matching_weight
+from oracles import cluster_split, min_matching_weight
 
 from repro.decoder import mwpm
 from repro.decoder.engine import make_decoder
-from repro.decoder.graph import BOUNDARY, DecodingGraph
-from repro.decoder.mwpm import MWPMDecoder, _assignment_matching
+from repro.decoder.graph import BOUNDARY, INT64_OBSERVABLES, DecodingGraph
+from repro.decoder.mwpm import MWPMDecoder, _match_batch
 from repro.estimator.rare import rare_engine
 from repro.noise.dem import extract_dem
 from repro.noise.models import BiasedPauli
 from repro.obs import REGISTRY
 from repro.sim.frame import FrameSimulator
-from repro.sim.memory import memory_circuit
+from repro.sim.memory import memory_circuit, transversal_cnot_experiment
 
 PATHS = {"relaxation", "branched", "fallback"}
 
@@ -39,6 +42,27 @@ def _assert_exact(decoder, cluster, pairs):
     pair_cost = dist[np.ix_(members, members)]
     expected = min_matching_weight(pair_cost, dist[members, BOUNDARY])
     assert weight == pytest.approx(expected, rel=1e-9)
+
+
+def _match(decoder, clusters):
+    """``(pairs, path)`` per cluster, each cluster size matched as one batch.
+
+    Pairs are ``(defect, partner)`` with ``BOUNDARY`` for a boundary
+    match; the batch's partner rows must be involutions on the cluster.
+    """
+    out = [None] * len(clusters)
+    by_size = {}
+    for i, cluster in enumerate(clusters):
+        by_size.setdefault(len(cluster), []).append(i)
+    for idx in by_size.values():
+        defs = np.array([clusters[i] for i in idx])
+        partner, paths = decoder._match_clusters(defs)
+        for i, members, mates, path in zip(idx, defs.tolist(), partner.tolist(), paths):
+            lookup = dict(zip(members, mates))
+            assert all(v == BOUNDARY or lookup[v] == u for u, v in lookup.items())
+            pairs = [(u, v) for u, v in lookup.items() if v == BOUNDARY or v > u]
+            out[i] = (pairs, path)
+    return out
 
 
 def _clusters(decoder, syndromes):
@@ -55,12 +79,11 @@ def _clusters(decoder, syndromes):
 
 def _check_clusters(decoder, syndromes, min_size=3):
     """Solve every cluster of ``min_size``+ defects exactly; path counts."""
+    clusters = [c for c in _clusters(decoder, syndromes) if len(c) >= min_size]
     paths = Counter()
-    for cluster in _clusters(decoder, syndromes):
-        if len(cluster) >= min_size:
-            pairs, path = decoder._match_cluster(cluster)
-            _assert_exact(decoder, cluster, pairs)
-            paths[path] += 1
+    for cluster, (pairs, path) in zip(clusters, _match(decoder, clusters)):
+        _assert_exact(decoder, cluster, pairs)
+        paths[path] += 1
     return paths
 
 
@@ -71,6 +94,12 @@ def _rare_decoder(distance, p, shots, seed=1):
     det_keys = engine.sampler.sample_weighted(shots, np.random.default_rng(seed))[0]
     syndromes = np.unpackbits(det_keys, axis=1, count=circuit.num_detectors)
     return MWPMDecoder(engine.decoder.graph), syndromes
+
+
+def _solve_matrix(pair_cost, boundary_cost):
+    """``(pairs, path)`` of one cost matrix, ``j = -1`` for the boundary."""
+    mate, paths = _match_batch(pair_cost[None], boundary_cost[None])
+    return [(i, j) for i, j in enumerate(mate[0].tolist()) if j < 0 or j > i], paths[0]
 
 
 def _weight(pair_cost, boundary_cost, pairs):
@@ -117,13 +146,31 @@ def _fuzz_graphs(seed, graphs, clusters_per_graph, max_k):
     paths = Counter()
     for _ in range(graphs):
         decoder = _random_graph_decoder(rng, 2 * max_k)
+        clusters = []
         for _ in range(clusters_per_graph):
             k = int(rng.integers(3, max_k + 1))
-            cluster = tuple(sorted(int(d) for d in rng.choice(2 * max_k, k, replace=False)))
-            pairs, path = decoder._match_cluster(cluster)
+            clusters.append(tuple(sorted(int(d) for d in rng.choice(2 * max_k, k, replace=False))))
+        for cluster, (pairs, path) in zip(clusters, _match(decoder, clusters)):
             _assert_exact(decoder, cluster, pairs)
             paths[path] += 1
     return paths
+
+
+def _assert_batch_matches_alone(decoder, clusters):
+    """Size-batched solves give each cluster its solo matching, mask and path."""
+    batch = _match(decoder, clusters)
+    assert batch == [_match(decoder, [cluster])[0] for cluster in clusters]
+    masks = decoder._solve_clusters(clusters)
+    alone = [decoder._solve_clusters([cluster])[cluster] for cluster in clusters]
+    assert [masks[cluster] for cluster in clusters] == alone
+    return Counter(path for _, path in batch)
+
+
+def _biased_uniform_traffic():
+    """Uniform-weight MWPM on biased-noise d=5 syndromes: ties abound."""
+    circuit = memory_circuit(5, 5, 4e-3, basis="X", noise=BiasedPauli(4e-3, bias=4.0))
+    detectors, _ = FrameSimulator(circuit).sample(384, rng=np.random.default_rng(3))
+    return make_decoder("mwpm_uniform", extract_dem(circuit)), detectors
 
 
 class TestTrafficClusters:
@@ -135,9 +182,7 @@ class TestTrafficClusters:
         assert set(paths) <= PATHS - {"fallback"}
 
     def test_uniform_weight_biased_clusters_are_exact(self):
-        circuit = memory_circuit(5, 5, 4e-3, basis="X", noise=BiasedPauli(4e-3, bias=4.0))
-        detectors, _ = FrameSimulator(circuit).sample(384, rng=np.random.default_rng(3))
-        decoder = make_decoder("mwpm_uniform", extract_dem(circuit))
+        decoder, detectors = _biased_uniform_traffic()
         paths = _check_clusters(decoder, detectors)
         # Ties leave fractional odd cycles in many relaxations.
         assert paths["branched"] > 0 and sum(paths.values()) >= 100
@@ -154,21 +199,21 @@ class TestRandomGraphs:
         # The relaxation's optimum is the 3-cycle (cost 3); no matching
         # pairs all three, so the optimum is one pair plus one boundary.
         pair = np.full((3, 3), 2.0)
-        pairs, nodes = _assignment_matching(pair, np.full(3, 5.0))
+        pairs, path = _solve_matrix(pair, np.full(3, 5.0))
         assert _weight(pair, np.full(3, 5.0), pairs) == 7.0
-        assert nodes > 1
+        assert path == "branched"
 
     def test_random_integer_matrices_are_exact(self):
         rng = np.random.default_rng(11)
         branched = 0
         for _ in range(250):
             pair, boundary = _random_instance(rng, int(rng.integers(3, 13)))
-            pairs, nodes = _assignment_matching(pair, boundary)
+            pairs, path = _solve_matrix(pair, boundary)
             assert sorted(u for p in pairs for u in p if u >= 0) == list(range(boundary.size))
             assert _weight(pair, boundary, pairs) == pytest.approx(
                 min_matching_weight(pair, boundary), rel=1e-9
             )
-            branched += nodes > 1
+            branched += path == "branched"
         assert branched >= 25
 
     def test_random_integer_graphs_are_exact(self):
@@ -179,6 +224,96 @@ class TestRandomGraphs:
     def test_random_integer_graph_fuzz(self):
         paths = _fuzz_graphs(seed=13, graphs=200, clusters_per_graph=50, max_k=32)
         assert sum(paths.values()) == 10_000 and paths["branched"] >= 1000
+
+
+class TestBatchMatchesAlone:
+    @pytest.mark.parametrize("distance,p", [(5, 1e-3), (7, 5e-4)])
+    def test_importance_sampled_traffic(self, distance, p):
+        decoder, syndromes = _rare_decoder(distance, p, shots=192, seed=4)
+        paths = _assert_batch_matches_alone(decoder, _clusters(decoder, syndromes))
+        assert paths["relaxation"] >= 50 and paths["branched"] > 0
+
+    def test_uniform_weight_biased_traffic(self):
+        decoder, detectors = _biased_uniform_traffic()
+        paths = _assert_batch_matches_alone(decoder, _clusters(decoder, detectors))
+        assert paths["branched"] > 0 and sum(paths.values()) >= 100
+
+    def test_random_graphs_with_odd_and_even_root_cycles(self, monkeypatch):
+        # Record the cycle lengths of every root assignment that is not a
+        # matching, to show both odd cycles and even ones of length >= 4
+        # reach the branch-and-bound.
+        roots = []
+        branch = mwpm._branch_and_bound
+
+        def recording(pair_cost, boundary_cost, base, root):
+            roots.extend(len(cycle) for cycle in mwpm._cycles(root))
+            return branch(pair_cost, boundary_cost, base, root)
+
+        monkeypatch.setattr(mwpm, "_branch_and_bound", recording)
+        rng = np.random.default_rng(21)
+        paths = Counter()
+        for _ in range(4):
+            decoder = _random_graph_decoder(rng, 24)
+            sizes = rng.integers(3, 13, size=40)
+            clusters = sorted({tuple(sorted(rng.choice(24, k, replace=False).tolist())) for k in sizes})
+            paths += _assert_batch_matches_alone(decoder, clusters)
+        assert any(n % 2 and n > 1 for n in roots)
+        assert any(n % 2 == 0 and n >= 4 for n in roots)
+        assert paths["branched"] > 0
+
+    def test_zero_node_cap(self, monkeypatch):
+        monkeypatch.setattr(mwpm, "_BRANCH_NODE_LIMIT", 0)
+        decoder, syndromes = _rare_decoder(5, 1e-3, shots=128, seed=2)
+        paths = _assert_batch_matches_alone(decoder, _clusters(decoder, syndromes))
+        assert set(paths) == {"fallback"}
+
+    def test_clusters_without_boundary_paths(self):
+        # Detectors 0-3 form a chain with no boundary edge; 4 and 5 are a
+        # pair with boundary edges.  Each batch size mixes both kinds.
+        graph = DecodingGraph(num_detectors=6, num_observables=2)
+        for detectors, observables in [
+            ((0, 1), {0}), ((1, 2), {1}), ((2, 3), {0}),
+            ((4, 5), {1}), ((4,), {0}), ((5,), set()),
+        ]:
+            graph.add_mechanism(detectors, 0.01, frozenset(observables))
+        decoder = MWPMDecoder(graph)
+        clusters = [(0, 1), (4, 5), (0, 3), (4,), (5,), (1, 2), (0, 1, 2, 3), (2, 3)]
+        paths = _assert_batch_matches_alone(decoder, clusters)
+        assert paths == {"fallback": 5, "relaxation": 3}
+        assert sorted(_match(decoder, clusters)[6][0]) == [(0, 1), (2, 3)]
+
+    def test_sequential_control_graph_python_int_masks(self):
+        builder = transversal_cnot_experiment(7, 4, 2e-3, [1, 2])
+        simulator = FrameSimulator(builder.circuit, rng=np.random.default_rng(9))
+        sequential = make_decoder(
+            "sequential", extract_dem(builder.circuit), detector_meta=builder.detector_meta
+        )
+        control = sequential._control_decoder
+        assert control.graph.num_observables > INT64_OBSERVABLES
+        detectors, _ = simulator.sample(200)
+        clusters = _clusters(control, detectors[:, sequential._control_ids])
+        paths = _assert_batch_matches_alone(control, clusters)
+        assert sum(paths.values()) >= 50
+        masks = control._solve_clusters(clusters)
+        assert any(mask >= 1 << 63 for mask in masks.values())
+
+
+class TestClusterSplit:
+    def _assert_split_matches_loop(self, decoder, syndromes):
+        counts = syndromes.sum(axis=1)
+        for k in np.unique(counts[counts > 0]):
+            defs = np.nonzero(syndromes[counts == k])[1].reshape(-1, k)
+            expected = [cluster_split(decoder, row) for row in defs.tolist()]
+            assert decoder._cluster_split_batch(defs) == expected
+
+    def test_importance_sampled_rows(self):
+        decoder, syndromes = _rare_decoder(7, 5e-4, shots=256, seed=5)
+        self._assert_split_matches_loop(decoder, syndromes)
+
+    def test_random_graph_rows(self):
+        rng = np.random.default_rng(22)
+        decoder = _random_graph_decoder(rng, 40)
+        self._assert_split_matches_loop(decoder, (rng.random((300, 40)) < 0.15).astype(np.uint8))
 
 
 class TestPathTelemetry:
