@@ -167,7 +167,7 @@ def _check_decoder_batch_invariance() -> Iterator[Diagnostic]:
     """Every decoder's ``_decode_unique`` must be batch-order invariant.
 
     The packed pipeline dedups, reorders, and re-batches syndrome rows
-    freely (and the sparse fast path splits batches further), so a
+    freely (and MWPM regroups them by defect count), so a
     decoder whose per-row output depends on its batch-mates or their
     order would silently break the engine's worker-count invariance.
     Each decoder decodes the same unique rows as one batch, reversed,

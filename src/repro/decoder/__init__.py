@@ -9,7 +9,9 @@ Every decoder satisfies the :class:`~repro.decoder.base.Decoder` protocol
 :class:`~repro.decoder.base.BatchDecoder`, which deduplicates syndromes
 once per batch -- bit-packed rows *are* the fixed-width dedup keys, so the
 packed sampling pipeline hands its output straight to the decoder with no
-pack/unpack round trip.  Implementations:
+pack/unpack round trip.  A decoder implements one hook,
+``_decode_unique`` (decode the unique rows as one batch); ``decode`` is
+that hook on a single row.  Implementations:
 
 * :class:`MWPMDecoder` -- minimum-weight perfect matching ("mwpm"), with
   exact defect-cluster decomposition, a cross-shot cluster cache, and an

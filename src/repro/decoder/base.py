@@ -19,19 +19,17 @@ arrive in one of two layouts:
   pipeline never materializes (or re-packs) a byte-per-bit syndrome table;
   only the unique rows are unpacked for decoding.
 
-Subclasses implement ``decode`` (one shot) and expose
-``num_observables``; they may override :meth:`~BatchDecoder._decode_unique`
-to decode the unique syndrome set as a batch (the MWPM decoder solves
-the union of its rows' clusters once this way) and
-:meth:`~BatchDecoder._sparse_tables`
-to serve <= 2-defect rows in closed form.  The per-shot reference is
-``decode`` applied row by row.
+Subclasses implement one hook, :meth:`~BatchDecoder._decode_unique`,
+which decodes the unique syndrome set as a batch (the MWPM decoder solves
+the union of its rows' clusters once this way), and expose
+``num_observables``.  The one-shot ``decode`` is that hook on a batch of
+one row, so every entry point runs the same decode.
 """
 
 from __future__ import annotations
 
 import time
-from typing import NamedTuple, Optional, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -89,93 +87,24 @@ class Decoder(Protocol):
     ) -> np.ndarray: ...
 
 
-class SparseTables(NamedTuple):
-    """Closed-form correction tables for syndromes with <= 2 defects.
-
-    Built once per decoder from its shortest-path (MWPM) or cluster-growth
-    (union-find) structure; rows whose ``*_ok`` entry is False fall
-    through to the decoder's full batch path (and raise its usual
-    infeasibility error there).
-    """
-
-    singles: np.ndarray  # (num_detectors, num_observables) uint8 rows
-    singles_ok: np.ndarray  # (num_detectors,) bool
-    pair_mask: Optional[np.ndarray] = None  # (N, N) int64 observable masks
-    pair_ok: Optional[np.ndarray] = None  # (N, N) bool
-
-
 class BatchDecoder:
     """Base class providing batched decoding via syndrome deduplication.
 
-    Subclasses implement :meth:`decode` (one shot) and expose
-    ``num_observables`` (as an attribute or property); batching, dedup,
-    and scatter-back live here.  Two optional hooks speed up the unique
-    rows:
-
-    * :meth:`_decode_unique` -- decode the unique rows as one batch
-      (default: :meth:`decode` per row).
-    * :meth:`_sparse_tables` -- closed-form correction tables for
-      syndromes with <= 2 defects (:class:`SparseTables`); rows they
-      cover bypass :meth:`_decode_unique` entirely.  Their outputs are
-      certified bit-identical to the full path, so enabling them never
-      changes a decoded row.
+    Subclasses implement one hook, :meth:`_decode_unique` (decode a batch
+    of deduplicated syndrome rows), and expose ``num_observables`` (as an
+    attribute or property); batching, dedup, scatter-back and the
+    one-shot :meth:`decode` live here.
     """
 
     num_observables: int
 
     def decode(self, syndrome: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """Predict observable flips for one shot: a batch of one row."""
+        return self._decode_unique(np.asarray(syndrome, dtype=np.uint8)[None, :])[0]
 
     def _decode_unique(self, syndromes: np.ndarray) -> np.ndarray:
-        """Decode deduplicated syndrome rows; hook for batch-aware subclasses."""
-        out = np.zeros((syndromes.shape[0], self.num_observables), dtype=np.uint8)
-        for i in range(syndromes.shape[0]):
-            out[i] = self.decode(syndromes[i])
-        return out
-
-    def _sparse_tables(self) -> Optional[SparseTables]:
-        """Closed-form <= 2-defect tables, or None (no fast path)."""
-        return None
-
-    def _decode_unique_rows(self, syndromes: np.ndarray) -> np.ndarray:
-        """Sparse-defect fast path in front of :meth:`_decode_unique`.
-
-        Syndromes with <= 2 defects -- the overwhelming majority of
-        unique rows at sub-threshold noise -- are read from the
-        precomputed tables; only the dense residue reaches the full
-        decoder.
-        """
-        tables = self._sparse_tables()
-        if tables is None:
-            return np.asarray(self._decode_unique(syndromes), dtype=np.uint8)
-        num_obs = self.num_observables
-        out = np.zeros((syndromes.shape[0], num_obs), dtype=np.uint8)
-        counts = syndromes.sum(axis=1, dtype=np.int64)
-        handled = counts == 0
-        ones = np.flatnonzero(counts == 1)
-        if ones.size:
-            det = np.argmax(syndromes[ones], axis=1)
-            ok = tables.singles_ok[det]
-            out[ones[ok]] = tables.singles[det[ok]]
-            handled[ones[ok]] = True
-        if tables.pair_mask is not None:
-            twos = np.flatnonzero(counts == 2)
-            if twos.size:
-                # np.nonzero walks rows in order with ascending columns,
-                # so each reshaped row is one syndrome's sorted defect pair.
-                pairs = np.nonzero(syndromes[twos])[1].reshape(twos.size, 2)
-                u, v = pairs[:, 0], pairs[:, 1]
-                ok = tables.pair_ok[u, v]
-                out[twos[ok]] = _unmask_rows(
-                    tables.pair_mask[u[ok], v[ok]], num_obs
-                )
-                handled[twos[ok]] = True
-        dense = np.flatnonzero(~handled)
-        if dense.size:
-            out[dense] = np.asarray(
-                self._decode_unique(syndromes[dense]), dtype=np.uint8
-            )
-        return out
+        """Decode deduplicated ``(rows, num_detectors)`` uint8 syndromes."""
+        raise NotImplementedError
 
     def decode_batch(self, syndromes: np.ndarray) -> np.ndarray:
         """Decode many shots; returns (shots, num_observables) flips.
@@ -218,7 +147,7 @@ class BatchDecoder:
             return np.zeros((0, num_obs), dtype=np.uint8)
         start = time.perf_counter() if _metrics.enabled() else 0.0
         first_index, inverse = _unique_packed_rows(packed)
-        unique_out = self._decode_unique_rows(
+        unique_out = self._decode_unique(
             _unpack_rows(packed[first_index], num_detectors)
         )
         out = unique_out[inverse]

@@ -50,13 +50,13 @@ throughput-oriented:
 
 from __future__ import annotations
 
-import functools
+import dataclasses
 import math
 import multiprocessing
 import time
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -332,52 +332,6 @@ class EngineResult:
         )
 
 
-class _ShardStats(NamedTuple):
-    """Sufficient statistics one shard ships home (sums in shard order)."""
-
-    shots: int
-    failures: int
-    weighted_failures: float
-    weighted_failures_sq: float
-    weight_sum: float
-    weight_sq_sum: float
-
-
-def _as_result(stats: _ShardStats) -> EngineResult:
-    return EngineResult(
-        shots=stats.shots,
-        failures=stats.failures,
-        shards=1,
-        weighted_failures=stats.weighted_failures,
-        weighted_failures_sq=stats.weighted_failures_sq,
-        weight_sum=stats.weight_sum,
-        weight_sq_sum=stats.weight_sq_sum,
-    )
-
-
-def _sum_stats(results: Sequence[_ShardStats]) -> EngineResult:
-    # Left-to-right accumulation in shard (spawn) order: the float sums
-    # come out bit-identical for any worker count.
-    shots = failures = 0
-    wf = wfsq = ws = wsq = 0.0
-    for stats in results:
-        shots += stats.shots
-        failures += stats.failures
-        wf += stats.weighted_failures
-        wfsq += stats.weighted_failures_sq
-        ws += stats.weight_sum
-        wsq += stats.weight_sq_sum
-    return EngineResult(
-        shots=shots,
-        failures=failures,
-        shards=len(results),
-        weighted_failures=wf,
-        weighted_failures_sq=wfsq,
-        weight_sum=ws,
-        weight_sq_sum=wsq,
-    )
-
-
 # Per-process state of a pool worker, installed once by the pool
 # initializer so shard tasks only ship (shots, seed) pairs instead of the
 # circuit and decoder.  Inline runs fill and pass their own dict instead,
@@ -430,8 +384,8 @@ def _draw_shard(state: dict, shots: int, seed_seq: np.random.SeedSequence):
 
 def _run_shard(
     task: Tuple[int, np.random.SeedSequence], state: dict = _WORKER
-) -> _ShardStats:
-    """Sample + decode one shard; returns its :class:`_ShardStats` sums.
+) -> EngineResult:
+    """Sample + decode one shard; returns its one-shard :class:`EngineResult`.
 
     Importance-sampled shards ship likelihood-ratio weight *sums*,
     accumulated in shard order -- the same protocol that keeps the
@@ -457,19 +411,13 @@ def _run_shard(
             ).astype(bool)
         failures = int(wrong.sum())
         if log_weights is None:
-            return _ShardStats(
-                shots=shots,
-                failures=failures,
-                weighted_failures=float(failures),
-                weighted_failures_sq=float(failures),
-                weight_sum=float(shots),
-                weight_sq_sum=float(shots),
-            )
+            return EngineResult(shots=shots, failures=failures, shards=1)
         weights = np.exp(log_weights)
         failing = weights[wrong]
-        return _ShardStats(
+        return EngineResult(
             shots=shots,
             failures=failures,
+            shards=1,
             weighted_failures=float(failing.sum()),
             weighted_failures_sq=float(np.square(failing).sum()),
             weight_sum=float(weights.sum()),
@@ -487,19 +435,6 @@ def _collect_shard(
     """
     det_keys, obs_keys, _ = _draw_shard(state, *task)
     return det_keys, obs_keys
-
-
-def _metered(fn, task):
-    """Pool-side wrapper: run ``fn`` on the task, ship the metric delta.
-
-    The parent merges the delta into its registry, so counters and
-    histograms come out identical to a serial run -- the worker-count
-    invariance contract extended to telemetry.  The snapshot is taken per
-    task (not per worker) so increments are never double-shipped.
-    """
-    base = _metrics.snapshot()
-    out = fn(task)
-    return out, _metrics.delta_since(base)
 
 
 class DecodingEngine:
@@ -623,7 +558,9 @@ class DecodingEngine:
             start = time.perf_counter()
             results = self._execute(tasks)
             elapsed = time.perf_counter() - start
-        result = _sum_stats(results)
+        # Left-to-right in shard (spawn) order: the float sums come out
+        # bit-identical for any worker count.
+        result = sum(results, EngineResult(shots=0, failures=0, shards=0))
         _ENGINE_SHOTS.inc(result.shots)
         _ENGINE_FAILURES.inc(result.failures)
         if elapsed > 0:
@@ -740,24 +677,15 @@ class DecodingEngine:
             sizes = self._next_wave_sizes(max_shots - acc.shots)
             tasks = list(zip(sizes, root.spawn(len(sizes))))
             results = self._execute(tasks)
-            for index, stats in enumerate(results):
-                acc = acc + _as_result(stats)
+            for index, shard in enumerate(results):
+                acc = acc + shard
                 if should_stop(acc) or acc.shots >= max_shots:
                     beyond = sum(sizes[index + 1:])
                     stopped = True
                     break
         _ENGINE_SHOTS.inc(acc.shots)
         _ENGINE_FAILURES.inc(acc.failures)
-        result = EngineResult(
-            shots=acc.shots,
-            failures=acc.failures,
-            shards=acc.shards,
-            weighted_failures=acc.weighted_failures,
-            weighted_failures_sq=acc.weighted_failures_sq,
-            weight_sum=acc.weight_sum,
-            weight_sq_sum=acc.weight_sq_sum,
-            shots_beyond_stop=beyond,
-        )
+        result = dataclasses.replace(acc, shots_beyond_stop=beyond)
         self._observe_weighted(result)
         return result
 
@@ -845,15 +773,8 @@ class DecodingEngine:
                 sim=self._sim, state={},
             )
             return [fn(task, state) for task in tasks]
-        if not _metrics.enabled():
-            return self._ensure_pool().map(fn, tasks)
-        outs: List = []
         with span("engine.merge_deltas", tasks=len(tasks)):
-            metered = functools.partial(_metered, fn)
-            for out, delta in self._ensure_pool().map(metered, tasks):
-                _metrics.merge(delta)
-                outs.append(out)
-        return outs
+            return _metrics.metered_map(self._ensure_pool(), fn, tasks)
 
 
 def _as_seed_sequence(seed: SeedLike) -> np.random.SeedSequence:

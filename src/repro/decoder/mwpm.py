@@ -67,13 +67,8 @@ from scipy import sparse
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csgraph
 
-from repro.decoder.base import BatchDecoder, SparseTables, _unmask_rows
-from repro.decoder.graph import (
-    BOUNDARY,
-    INT64_OBSERVABLES,
-    DecodingGraph,
-    EdgeTable,
-)
+from repro.decoder.base import BatchDecoder, _unmask_rows
+from repro.decoder.graph import BOUNDARY, DecodingGraph, EdgeTable
 from repro.obs import metrics as _metrics
 
 # Cluster-mask cache entries kept before the cache is dropped wholesale; at
@@ -301,7 +296,6 @@ class MWPMDecoder(BatchDecoder):
     def __init__(self, graph: DecodingGraph) -> None:
         self.graph = graph
         self._cluster_cache: Dict[Tuple[int, ...], int] = {}
-        self._sparse: "SparseTables | bool | None" = None
         # (N, N) tables over detectors + boundary (index -1, i.e. BOUNDARY).
         self._dist, self._obs = _path_tables(graph.edge_table())
 
@@ -310,18 +304,6 @@ class MWPMDecoder(BatchDecoder):
     @property
     def num_observables(self) -> int:
         return self.graph.num_observables
-
-    def decode(self, syndrome: np.ndarray) -> np.ndarray:
-        """Predict observable flips for one shot.
-
-        Args:
-            syndrome: uint8 vector over detectors (1 = defect).
-
-        Returns:
-            uint8 vector over observables with the predicted flips.
-        """
-        syndrome = np.asarray(syndrome, dtype=np.uint8)
-        return self._decode_unique(syndrome[None, :])[0]
 
     def _cluster_split_batch(
         self, defs: np.ndarray
@@ -375,44 +357,6 @@ class MWPMDecoder(BatchDecoder):
         if cached is None:
             cached = self._solve_clusters([cluster])[cluster]
         return cached
-
-    # -- sparse fast path ----------------------------------------------------
-
-    def _sparse_tables(self) -> "SparseTables | None":
-        """Closed-form <= 2-defect corrections from the path tables.
-
-        A single defect matches the boundary (``bobs[u]``); a pair matches
-        directly iff ``d(u, v) < d(u, B) + d(v, B)`` -- the cluster
-        relation, so a pair with ``d(u, v) = d(u, B) + d(v, B)`` is two
-        singleton clusters exactly as in the cluster path -- and otherwise
-        routes both ends to the boundary.  Infeasible entries fall through
-        to the full path, which raises the usual error.
-        """
-        if self._sparse is None:
-            if self.graph.num_observables > INT64_OBSERVABLES:
-                self._sparse = False
-            else:
-                dist, obs = self._dist, self._obs
-                n = dist.shape[0] - 1
-                num_obs = self.graph.num_observables
-                bc = dist[:n, n]
-                bobs = obs[:n, n]
-                singles_ok = np.isfinite(bc)
-                singles = _unmask_rows(bobs, num_obs)
-                singles[~singles_ok] = 0
-                bsum = bc[:, None] + bc[None, :]
-                use_pair = dist[:n, :n] < bsum
-                pair_mask = np.where(
-                    use_pair, obs[:n, :n], bobs[:, None] ^ bobs[None, :]
-                )
-                pair_ok = use_pair | np.isfinite(bsum)
-                self._sparse = SparseTables(
-                    singles=singles,
-                    singles_ok=singles_ok,
-                    pair_mask=pair_mask,
-                    pair_ok=pair_ok,
-                )
-        return self._sparse or None
 
     # -- batched decoding ---------------------------------------------------
 

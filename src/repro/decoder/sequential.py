@@ -130,22 +130,17 @@ class SequentialCNOTDecoder(BatchDecoder):
 
     # -- decoding ---------------------------------------------------------------
 
-    def decode(self, syndrome: np.ndarray) -> np.ndarray:
-        """Predict observable flips for one shot over all circuit detectors."""
-        syndrome = np.asarray(syndrome, dtype=np.uint8)
-        return self._decode_unique(syndrome[None, :])[0]
-
     def _decode_unique(self, syndromes: np.ndarray) -> np.ndarray:
         """Both passes over the whole batch, one MWPM batch decode each.
 
         The passes skip ``decode_batch``: the rows are already unique, and
         the decode telemetry counts this decoder's shots once.
         """
-        first = self._control_decoder._decode_unique_rows(
+        first = self._control_decoder._decode_unique(
             syndromes[:, self._control_ids]
         )
         remote = first[:, self.num_observables :]
-        second = self._target_decoder._decode_unique_rows(
+        second = self._target_decoder._decode_unique(
             syndromes[:, self._target_ids] ^ remote
         )
         return first[:, : self.num_observables] ^ second

@@ -165,11 +165,6 @@ class UnionFindDecoder(BatchDecoder):
     def num_observables(self) -> int:
         return self.graph.num_observables
 
-    def decode(self, syndrome: np.ndarray) -> np.ndarray:
-        """Predict observable flips for one syndrome."""
-        syndrome = np.asarray(syndrome, dtype=np.uint8)
-        return self._decode_unique(syndrome[None, :])[0]
-
     def _decode_reference(self, syndrome: np.ndarray) -> np.ndarray:
         """Per-shot reference decode (sequential growth + DFS peel)."""
         defects = [int(d) for d in np.flatnonzero(syndrome)]
@@ -188,6 +183,8 @@ class UnionFindDecoder(BatchDecoder):
             out = np.zeros((syndromes.shape[0], num_obs), dtype=np.uint8)
             for i in range(syndromes.shape[0]):
                 out[i] = self._decode_reference(syndromes[i])
+            if _metrics.enabled():
+                _UF_ROWS.labels(path="reference").inc(out.shape[0])
             return out
         syndromes = np.ascontiguousarray(syndromes, dtype=np.uint8)
         masks, local = self._decode_groups(syndromes)

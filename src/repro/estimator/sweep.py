@@ -193,19 +193,6 @@ def _run_shard(
     return records
 
 
-def _run_shard_metered(points: List[Dict[str, Any]]):
-    """Pool-side wrapper: evaluate the shard, ship its metric delta home.
-
-    Mirrors the decoding engine's metered shard protocol so counters and
-    histograms recorded inside pool workers (per-point timings, decoder
-    metrics of nested engines) merge into the parent registry and sweeps
-    stay worker-count invariant in what they report.
-    """
-    base = _metrics.snapshot()
-    records = _run_shard(points)
-    return records, _metrics.delta_since(base)
-
-
 def _shards(points: List[Dict[str, Any]], shard_size: int) -> List[List[Dict[str, Any]]]:
     return [
         points[i : i + shard_size] for i in range(0, len(points), shard_size)
@@ -301,13 +288,7 @@ def _pooled(
     with multiprocessing.Pool(
         min(jobs, len(shards)), initializer=_worker_init, initargs=(fn,)
     ) as pool:
-        if _metrics.enabled():
-            shard_results = []
-            for records, delta in pool.map(_run_shard_metered, shards):
-                _metrics.merge(delta)
-                shard_results.append(records)
-        else:
-            shard_results = pool.map(_run_shard, shards)
+        shard_results = _metrics.metered_map(pool, _run_shard, shards)
     return [record for shard in shard_results for record in shard]
 
 

@@ -9,7 +9,8 @@ order:
   depend on the worker count.  Telemetry extends that contract: a worker
   captures :func:`snapshot` before a shard, computes the
   :func:`delta_since` after, and ships the delta home with the shard
-  result; the parent :func:`merge`\\ s it.  Counters and histogram bucket
+  result; the parent :func:`merge`\\ s it (:func:`metered_map` runs
+  this protocol over a pool).  Counters and histogram bucket
   arrays are pure sums, so ``jobs=1`` and ``jobs=4`` merge to identical
   deterministic series (wall-clock-valued series differ in *value*, never
   in shape).
@@ -41,6 +42,7 @@ quantity.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import os
 import threading
@@ -557,6 +559,30 @@ def delta_since(base: Snapshot) -> Snapshot:
 
 def merge(delta: Snapshot) -> None:
     REGISTRY.merge(delta)
+
+
+def _call_metered(fn: Callable[[Any], Any], task: Any) -> Tuple[Any, Snapshot]:
+    # Snapshot per task, not per worker, so no increment ships twice.
+    base = snapshot()
+    out = fn(task)
+    return out, delta_since(base)
+
+
+def metered_map(pool: Any, fn: Callable[[Any], Any], tasks: Sequence[Any]) -> List[Any]:
+    """``pool.map(fn, tasks)`` with the workers' metrics shipped home.
+
+    Each task runs between a :func:`snapshot` and a :func:`delta_since`
+    in its worker, and the parent merges the deltas in task order, so
+    counters and histograms come out as in a serial run for any worker
+    count.  With metrics disabled this is a plain ``pool.map``.
+    """
+    if not enabled():
+        return pool.map(fn, tasks)
+    outs = []
+    for out, delta in pool.map(functools.partial(_call_metered, fn), tasks):
+        merge(delta)
+        outs.append(out)
+    return outs
 
 
 def reset() -> None:

@@ -29,6 +29,8 @@ networkx's ``max_weight_matching``.  MWPM's cluster matcher must equal it.
 and path-observable tables rebuilt with one networkx Dijkstra per source.
 :func:`cluster_split` is the cluster oracle: one defect row split by a
 pairwise loop, the clusters and order MWPM's vectorized split must equal.
+:func:`two_defect_mask` is MWPM's closed form for rows of at most two
+defects, which its cluster path must equal on every such row.
 
 The production entry points each run one path, chosen from their input.
 The paths they do not take -- or took before the current one -- are
@@ -38,7 +40,8 @@ rebuilt here as decoders and builders:
   syndrome matched whole by :func:`subset_dp_matching` up to
   :data:`DP_MATCH_LIMIT` defects and by blossom beyond;
 * :class:`ReferenceUnionFind` -- union-find's per-shot reference loop on
-  every row, the baseline its group path and arena must equal;
+  every row, the baseline its group path and arena must equal (both
+  oracle decoders decode their unique rows one at a time);
 * :func:`periodic_program` and :func:`periodic_dem` -- a forced periodic
   packed program or DEM extraction, where ``compile_program`` and
   ``extract_dem`` pick one (the forced linear program is
@@ -327,13 +330,36 @@ def subset_dp_matching(decoder, defects):
     return pairs
 
 
+def two_defect_mask(decoder, defects):
+    """MWPM's closed-form observable mask for at most two sorted defects.
+
+    A single defect goes to the boundary; a pair ``u < v`` matches
+    directly iff ``d(u, v) < d(u, B) + d(v, B)`` and otherwise sends both
+    ends to the boundary.  ``None`` for more defects, or when the chosen
+    matching has no finite path (the full decoders raise there).
+    """
+    dist, obs = decoder._dist, decoder._obs
+    if len(defects) > 2:
+        return None
+    if len(defects) == 2:
+        u, v = defects
+        if dist[u, v] < dist[u, BOUNDARY] + dist[v, BOUNDARY]:
+            return int(obs[u, v])
+    if any(math.isinf(dist[u, BOUNDARY]) for u in defects):
+        return None
+    mask = 0
+    for u in defects:
+        mask ^= int(obs[u, BOUNDARY])
+    return mask
+
+
 class WholeSyndromeMWPM(MWPMDecoder):
     """MWPM that matches every syndrome whole, without clusters.
 
     Subset DP up to ``dp_limit`` defects, blossom beyond; ``dp_limit=0``
-    is blossom everywhere.  Unique rows decode one by one through
-    :meth:`decode`; rows of at most two defects still take the inherited
-    closed forms, which equal any exact matcher's up to weight ties.
+    is blossom everywhere.  Unique rows decode one by one: rows of at most
+    two defects from :func:`two_defect_mask`, which equals any exact
+    matcher up to weight ties, the rest through :meth:`decode`.
     """
 
     def __init__(self, graph, dp_limit=DP_MATCH_LIMIT):
@@ -352,7 +378,14 @@ class WholeSyndromeMWPM(MWPMDecoder):
         return _unmask_rows([mask], self.num_observables)[0]
 
     def _decode_unique(self, syndromes):
-        return BatchDecoder._decode_unique(self, syndromes)
+        out = np.zeros((syndromes.shape[0], self.num_observables), dtype=np.uint8)
+        for i, row in enumerate(syndromes):
+            mask = two_defect_mask(self, np.flatnonzero(row).tolist())
+            if mask is None:
+                out[i] = self.decode(row)
+            else:
+                out[i] = _unmask_rows([mask], self.num_observables)[0]
+        return out
 
 
 class ReferenceUnionFind(BatchDecoder):
@@ -367,6 +400,9 @@ class ReferenceUnionFind(BatchDecoder):
 
     def decode(self, syndrome):
         return self._decoder._decode_reference(np.asarray(syndrome, dtype=np.uint8))
+
+    def _decode_unique(self, syndromes):
+        return per_shot_decode(self, syndromes)
 
 
 def periodic_program(circuit):

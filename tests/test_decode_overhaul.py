@@ -5,10 +5,10 @@ Covers the layers the overhaul added to the decode path:
 * the batched union-find growth arena is bit-identical to the per-shot
   reference loop it replaced (``oracles.ReferenceUnionFind``), row for
   row;
-* the sparse <=2-defect fast path (MWPM's closed-form table lookups
-  through ``BatchDecoder._decode_unique_rows``) is certified against the
-  full decoder on exhaustive enumerations, and union-find's group path
-  against its reference on the same enumeration;
+* MWPM's cluster path equals the <=2-defect closed form
+  (``oracles.two_defect_mask``) on an exhaustive enumeration of such
+  rows, and union-find's group path its reference on the same
+  enumeration;
 * ``EngineResult`` stays float-exactly invariant across worker counts.
 
 The vectorized ``_unmask_rows`` observable expansion is regression-tested
@@ -19,7 +19,7 @@ import itertools
 
 import numpy as np
 import pytest
-from oracles import ReferenceUnionFind, WholeSyndromeMWPM, per_shot_decode
+from oracles import ReferenceUnionFind, WholeSyndromeMWPM, per_shot_decode, two_defect_mask
 
 from repro.decoder.base import _unmask_rows
 from repro.decoder.engine import DecodingEngine
@@ -118,16 +118,16 @@ class TestUnmaskRows:
 
 
 class TestSparseFastPath:
-    """The <=2-defect closed forms must equal the full decoders exactly."""
+    """Rows of <= 2 defects: the decoders equal their closed forms exactly."""
 
     def test_mwpm_exhaustive_two_defect_certification(self, d3_setup):
         _, graph, _, _ = d3_setup
         decoder = MWPMDecoder(graph)
         rows = _sparse_rows(graph.num_detectors)
-        assert decoder._sparse_tables() is not None
-        fast = decoder._decode_unique_rows(rows)
-        full = decoder._decode_unique(rows)
-        assert np.array_equal(fast, full)
+        masks = [two_defect_mask(decoder, np.flatnonzero(row).tolist()) for row in rows]
+        assert None not in masks
+        expected = _unmask_rows(masks, graph.num_observables)
+        assert np.array_equal(decoder.decode_batch(rows), expected)
 
     def test_union_find_exhaustive_certification(self, d3_setup):
         # Union-find has no tables: <=2-defect rows are one or two groups
@@ -135,32 +135,24 @@ class TestSparseFastPath:
         _, graph, _, _ = d3_setup
         decoder = UnionFindDecoder(graph)
         rows = _sparse_rows(graph.num_detectors)
-        fast = decoder._decode_unique_rows(rows)
+        fast = decoder._decode_unique(rows)
         reference = np.stack([decoder._decode_reference(row) for row in rows])
         assert np.array_equal(fast, reference)
 
-    def test_mwpm_fast_path_off_beyond_int64_observables(self):
-        # Observable masks past 62 bits do not fit the int64 tables.
-        graph = DecodingGraph(num_detectors=2, num_observables=63)
-        graph.add_mechanism((0, 1), 0.01, frozenset({62}))
-        graph.add_mechanism((0,), 0.01, frozenset({1}))
-        decoder = MWPMDecoder(graph)
-        assert decoder._sparse_tables() is None
-        rows = _sparse_rows(2)
-        expected = per_shot_decode(WholeSyndromeMWPM(graph), rows)
-        assert np.array_equal(decoder.decode_batch(rows), expected)
-        assert expected[3, 62] == 1
-
     @pytest.mark.parametrize(
-        "decoder_cls", [MWPMDecoder, UnionFindDecoder], ids=["mwpm", "union_find"]
+        "decoder_cls, num_obs",
+        [(MWPMDecoder, 70), (UnionFindDecoder, 70), (MWPMDecoder, 63), (UnionFindDecoder, 63)],
+        ids=["mwpm", "union_find", "mwpm-63", "union_find-63"],
     )
-    def test_masks_wider_than_int64(self, decoder_cls):
-        # Bit 65 of an observable mask overflows int64.
-        graph = DecodingGraph(num_detectors=2, num_observables=70)
-        graph.add_mechanism((0, 1), 0.01, frozenset({65}))
+    def test_masks_wider_than_int64(self, decoder_cls, num_obs):
+        # Past INT64_OBSERVABLES (62) masks are Python ints; bit 62 or 65
+        # is the highest set here.
+        top = 65 if num_obs == 70 else 62
+        graph = DecodingGraph(num_detectors=2, num_observables=num_obs)
+        graph.add_mechanism((0, 1), 0.01, frozenset({top}))
         graph.add_mechanism((0,), 0.01, frozenset({1}))
         decoder = decoder_cls(graph)
-        assert np.flatnonzero(decoder.decode(np.array([1, 1]))).tolist() == [65]
+        assert np.flatnonzero(decoder.decode(np.array([1, 1]))).tolist() == [top]
         rows = _sparse_rows(2)
         expected = per_shot_decode(WholeSyndromeMWPM(graph), rows)
         assert np.array_equal(decoder.decode_batch(rows), expected)

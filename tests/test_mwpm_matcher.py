@@ -65,12 +65,12 @@ def _match(decoder, clusters):
     return out
 
 
-def _clusters(decoder, syndromes):
-    """Every distinct cluster of the rows with 3+ defects (no fast path)."""
+def _clusters(decoder, syndromes, min_defects=3):
+    """Every distinct cluster of the rows with ``min_defects``+ defects."""
     rows = np.unique(syndromes, axis=0)
     counts = rows.sum(axis=1)
     out = set()
-    for k in np.unique(counts[counts >= 3]):
+    for k in np.unique(counts[counts >= min_defects]):
         defs = np.nonzero(rows[counts == k])[1].reshape(-1, k)
         for clusters in decoder._cluster_split_batch(defs):
             out.update(clusters)
@@ -319,7 +319,7 @@ class TestClusterSplit:
 class TestPathTelemetry:
     def test_every_cluster_solve_is_counted_once(self):
         decoder, syndromes = _rare_decoder(5, 1e-3, shots=128, seed=3)
-        clusters = _clusters(decoder, syndromes)
+        clusters = _clusters(decoder, syndromes, min_defects=1)
         large = sum(len(c) > mwpm._CACHE_MAX_DEFECTS for c in clusters)
         REGISTRY.reset()
 
@@ -329,7 +329,7 @@ class TestPathTelemetry:
             assert {label for (label,) in series} <= PATHS
             return sum(series.values())
 
-        # Rows with <= 2 defects take the fast path and solve nothing.
+        # Every cold cluster is solved once, single defects included.
         assert solves() == len(clusters)
         # Only the clusters too large to memoize are solved again.
         assert large > 0 and solves() == len(clusters) + large

@@ -258,3 +258,18 @@ class TestTelemetry:
         # Every unique row is counted once, under the path that served it.
         assert sum(paths_1.values()) == unique_1[("UnionFindDecoder",)]
         assert paths_1[("groups",)] > paths_1[("row",)]
+
+    def test_rows_counted_on_graphs_wider_than_int64(self):
+        # Past 62 observables every row takes the reference path, and each
+        # still counts once.
+        graph = DecodingGraph(num_detectors=2, num_observables=70)
+        graph.add_mechanism((0, 1), 0.01, frozenset({65}))
+        graph.add_mechanism((0,), 0.01, frozenset({1}))
+        REGISTRY.reset()
+        UnionFindDecoder(graph).decode_batch(
+            np.array([[1, 0], [0, 1], [1, 1], [1, 1]], dtype=np.uint8)
+        )
+        snap = REGISTRY.snapshot()
+        paths = snap["repro_uf_rows_total"]["series"]
+        assert snap["repro_decode_unique_total"]["series"][("UnionFindDecoder",)] == 3
+        assert paths[("reference",)] == sum(paths.values()) == 3
