@@ -39,8 +39,10 @@ Three benchmark families, all written into ``BENCH_frame.json``
   :func:`periodic_d11_point`) -- the cold per-circuit pipeline (DEM
   extraction + program compilation + packed sampling) as
   ``extract_dem`` + ``compile_program`` run it (the periodic path on
-  these circuits) vs the forced linear extraction + ``CompiledProgram``,
-  at d=7 p=1e-3 (>= 2x
+  these circuits: one propagation over a few rounds, unrolled, shared
+  by the DEM and the sampler's fault table) vs the byte-per-bit
+  ``linear_dem`` oracle + a ``CompiledProgram`` whose fault table comes
+  from a whole-circuit packed propagation, at d=7 p=1e-3 (>= 2x
   acceptance target) and a d=11 p=5e-4 low-p point.  Both paths must
   agree exactly: equal DEMs post-``merged()`` and bit-identical sampled
   planes per seed (property-tested across the full op/noise matrix in
@@ -570,7 +572,7 @@ def _timed_cold_pipeline(circuit, build_dem, build_program, shots, seed):
 
 
 def periodic_vs_linear(distance=7, p=1e-3, shots=4096, seed=43):
-    """Round-replay compiler vs the linear compiler, end to end.
+    """Periodic fault table vs the whole-circuit one, end to end.
 
     Times DEM extraction + compilation + packed sampling as one cold
     pipeline per repeat (median of ``TIMING_REPEATS`` after warm-up), and
@@ -595,7 +597,8 @@ def periodic_vs_linear(distance=7, p=1e-3, shots=4096, seed=43):
         "periodic DEM must equal the linear DEM mechanism-for-mechanism"
     )
     assert np.array_equal(det_lin, det_per) and np.array_equal(obs_lin, obs_per), (
-        "periodic replay must be bit-identical to linear execution per seed"
+        "the periodic fault table must sample bit-identically to the "
+        "whole-circuit table per seed"
     )
 
     row = {

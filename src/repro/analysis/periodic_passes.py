@@ -3,11 +3,12 @@
 A periodically-compiled memory experiment has a shift-invariant DEM
 interior: the mechanisms anchored in round j are the round-(j-1)
 mechanisms with every detector index shifted by the per-round detector
-count.  The fast paths of :mod:`repro.sim.periodic` and the periodic
-unrolling of :func:`repro.noise.dem.extract_dem` *rely* on that
-invariance -- and an off-by-one in detector rebasing (in either the
-replayed COO or a hand-edited DEM) does not crash: it decodes against a
-skewed metric and surfaces as logical-error-rate bias.  This pass checks
+count.  The periodic unrolling of :func:`repro.noise.dem.circuit_faults`
+(which both :func:`~repro.noise.dem.extract_dem` and the
+:mod:`repro.sim.periodic` samplers read) *relies* on that invariance --
+and an off-by-one in detector rebasing (in either the unrolled rounds or
+a hand-edited DEM) does not crash: it decodes against a skewed metric and
+surfaces as logical-error-rate bias.  This pass checks
 the invariance statically on the extracted model instead.
 
 :func:`check_dem_periodicity` is a plain function over a DEM plus the
@@ -51,8 +52,8 @@ def check_dem_periodicity(
     ...)``), each interior block is normalized by subtracting its block
     offset, and all interior blocks must then be identical as multisets
     of (probability, detectors, observables).  A mismatch means some
-    round's mechanisms were rebased wrongly -- exactly the defect a
-    replayed-COO off-by-one produces.
+    round's mechanisms were rebased wrongly -- exactly the defect an
+    unrolling off-by-one produces.
     """
     diags: List[Diagnostic] = []
     if detectors_per_round <= 0 or rounds <= 0:

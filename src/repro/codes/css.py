@@ -9,34 +9,45 @@ and finds logical operator representatives by linear algebra over GF(2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.codes.pauli import Pauli, pauli
 
 
-def gf2_rank(matrix: np.ndarray) -> int:
-    """Rank of a binary matrix over GF(2)."""
-    m = (np.asarray(matrix, dtype=np.uint8) % 2).copy()
-    rows, cols = m.shape if m.ndim == 2 else (0, 0)
-    rank = 0
+def _gf2_reduce(matrix: np.ndarray) -> Tuple[np.ndarray, List[int]]:
+    """Reduced row echelon form over GF(2) and its pivot columns.
+
+    Column by column: the first row at or below the current rank holding
+    the column's bit becomes the pivot row, and every other row holding
+    that bit is cleared with one vectorized XOR.
+    """
+    m = np.asarray(matrix, dtype=np.uint8) % 2  # a fresh array to reduce in place
+    if m.ndim != 2:
+        return np.zeros((0, 0), dtype=np.uint8), []
+    rows, cols = m.shape
+    pivots: List[int] = []
     for col in range(cols):
-        pivot = None
-        for row in range(rank, rows):
-            if m[row, col]:
-                pivot = row
-                break
-        if pivot is None:
-            continue
-        m[[rank, pivot]] = m[[pivot, rank]]
-        for row in range(rows):
-            if row != rank and m[row, col]:
-                m[row] ^= m[rank]
-        rank += 1
+        rank = len(pivots)
         if rank == rows:
             break
-    return rank
+        below = np.flatnonzero(m[rank:, col])
+        if not below.size:
+            continue
+        pivot = rank + int(below[0])
+        if pivot != rank:
+            m[[rank, pivot]] = m[[pivot, rank]]
+        holders = np.flatnonzero(m[:, col])
+        holders = holders[holders != rank]
+        m[holders] ^= m[rank]
+        pivots.append(col)
+    return m, pivots
+
+
+def gf2_rank(matrix: np.ndarray) -> int:
+    """Rank of a binary matrix over GF(2)."""
+    return len(_gf2_reduce(matrix)[1])
 
 
 def gf2_rowspace_contains(matrix: np.ndarray, vector: np.ndarray) -> bool:
@@ -49,34 +60,19 @@ def gf2_rowspace_contains(matrix: np.ndarray, vector: np.ndarray) -> bool:
 
 
 def gf2_nullspace(matrix: np.ndarray) -> np.ndarray:
-    """Basis (rows) of the GF(2) null space {v : M v = 0}."""
-    m = (np.asarray(matrix, dtype=np.uint8) % 2).copy()
-    rows, cols = m.shape
-    pivots: List[int] = []
-    rank = 0
-    for col in range(cols):
-        pivot = None
-        for row in range(rank, rows):
-            if m[row, col]:
-                pivot = row
-                break
-        if pivot is None:
-            continue
-        m[[rank, pivot]] = m[[pivot, rank]]
-        for row in range(rows):
-            if row != rank and m[row, col]:
-                m[row] ^= m[rank]
-        pivots.append(col)
-        rank += 1
-        if rank == rows:
-            break
-    free_cols = [c for c in range(cols) if c not in pivots]
+    """Basis (rows) of the GF(2) null space {v : M v = 0}.
+
+    One basis vector per free (non-pivot) column of the reduced form: the
+    free bit set, plus every pivot whose row holds that free bit.
+    """
+    m, pivots = _gf2_reduce(matrix)
+    cols = m.shape[1]
+    pivot_set = set(pivots)
+    free_cols = [c for c in range(cols) if c not in pivot_set]
     basis = np.zeros((len(free_cols), cols), dtype=np.uint8)
-    for i, free in enumerate(free_cols):
-        basis[i, free] = 1
-        for row, piv in enumerate(pivots):
-            if m[row, free]:
-                basis[i, piv] = 1
+    basis[np.arange(len(free_cols)), free_cols] = 1
+    if pivots:
+        basis[:, pivots] = m[: len(pivots)][:, free_cols].T
     return basis
 
 
@@ -167,14 +163,13 @@ class CSSCode:
         self._logical_zs = []
         if k == 0:
             return
-        x_candidates = [
-            v for v in gf2_nullspace(self.hz) if not gf2_rowspace_contains(self.hx, v)
-        ]
-        z_candidates = [
-            v for v in gf2_nullspace(self.hx) if not gf2_rowspace_contains(self.hz, v)
-        ]
+        # Candidates are the null-space vectors in basis order.  Those in
+        # a stabilizer row space need no filtering: an X candidate there
+        # fails the span test below, and a Z candidate there commutes
+        # with every X candidate, so it is never picked as a partner.
+        z_candidates = gf2_nullspace(self.hx)
         used_z: List[int] = []
-        for xv in x_candidates:
+        for xv in gf2_nullspace(self.hz):
             if len(self._logical_xs) == k:
                 break
             # Skip if dependent on stabilizers + already chosen logicals.

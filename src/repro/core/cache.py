@@ -9,11 +9,12 @@ module provides the process-wide cache those sweeps share:
 * :func:`memoized` -- an ``lru_cache`` wrapper for pure functions whose
   arguments are hashable (frozen dataclasses, scalars).  Unhashable calls
   fall through to the raw function instead of raising.
-* :func:`register_cache` -- hook for hand-rolled caches (e.g. the
-  fingerprint-keyed compiled-program cache of :mod:`repro.sim.periodic`,
-  whose keys are derived rather than argument tuples) to join the same
+* :func:`register_cache` -- hook for hand-rolled caches to join the same
   stats/clearing machinery by exposing ``lru_cache``-style ``cache_info``
-  / ``cache_clear``.
+  / ``cache_clear``; :class:`KeyedCache` is one whose keys are derived
+  rather than argument tuples (the fingerprint-keyed compiled-program
+  cache of :mod:`repro.sim.periodic` and fault-table cache of
+  :mod:`repro.noise.dem`).
 * :func:`cache_stats` -- per-function hit/miss/size counters, used by the
   sweep-engine tests and the benchmark runner.  The same counters are
   exported as ``repro_cache_{hits,misses,entries}{cache=...}`` gauges by
@@ -39,6 +40,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import threading
+from collections import namedtuple
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, Optional, Tuple, TypeVar
@@ -120,6 +122,46 @@ def register_cache(name: str, cache: Any) -> None:
         if not callable(getattr(cache, attr, None)):
             raise TypeError(f"cache {name!r} must provide {attr}()")
     _CACHES[name] = cache
+
+
+_CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
+
+
+class KeyedCache:
+    """Memo of ``build(arg)`` keyed by a derived ``key(arg)``.
+
+    For arguments that are not hashable themselves: circuits are keyed by
+    a content fingerprint, so equal circuits built independently share
+    one entry.  Values must be safe to share (immutable after building).
+    Counters follow ``lru_cache``'s ``cache_info``; pass the cache to
+    :func:`register_cache` to join :func:`cache_stats` /
+    :func:`clear_caches`.
+    """
+
+    def __init__(self, key: Callable[[Any], Any], build: Callable[[Any], Any]) -> None:
+        self._key = key
+        self._build = build
+        self._values: Dict[Any, Any] = {}
+        self._hits = 0
+        self._misses = 0
+
+    def __call__(self, arg: Any) -> Any:
+        key = self._key(arg)
+        value = self._values.get(key)
+        if value is not None:
+            self._hits += 1
+            return value
+        self._misses += 1
+        value = self._values[key] = self._build(arg)
+        return value
+
+    def cache_info(self) -> "_CacheInfo":
+        return _CacheInfo(self._hits, self._misses, None, len(self._values))
+
+    def cache_clear(self) -> None:
+        self._values.clear()
+        self._hits = 0
+        self._misses = 0
 
 
 def cache_stats() -> Dict[str, Tuple[int, int, int]]:

@@ -523,6 +523,10 @@ class DecodingEngine:
             self.dem = None
             self.decoder = decoder
             self.periodic_fallback_reason = None
+        if sampler is None:
+            # Compile now, from the fault table extraction just memoized:
+            # forked pool workers then inherit the program.
+            self._sim.compiled
 
     def close(self) -> None:
         """Release the persistent worker pool (idempotent)."""

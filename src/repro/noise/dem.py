@@ -8,20 +8,24 @@ firing probability.  Mechanisms with identical symptoms are merged by XOR
 convolution.
 
 Extraction propagates each mechanism through the Clifford circuit with the
-packed Pauli-frame program of :mod:`repro.sim.compiled`, one bit column
-per mechanism: the mechanism's Pauli is injected into its column at the
+packed frame steps of :mod:`repro.sim.compiled`, one bit column per
+mechanism: the mechanism's Pauli is injected into its column at the
 channel's position, all deterministic steps conjugate every column at
 once, and the column's final detector/observable flips are the symptom.
 This covers every channel of the op table (:data:`repro.sim.ops.NOISE`),
 including the biased ``PAULI_CHANNEL_1`` / ``PAULI_CHANNEL_2`` whose
 per-outcome probabilities ride in ``Operation.args``.
 
-:func:`extract_dem` runs that propagation over a few rounds of a circuit
-with a certified repeated round and unrolls the rest (the periodic
-path); any other circuit is propagated whole (the linear path), and the
-model's ``periodic_fallback`` names the certificate that failed.  The
-tests hold both paths equal to a byte-per-bit, row-per-mechanism
-reference propagation.
+:func:`circuit_faults` runs that propagation over a few rounds of a
+circuit with a certified repeated round and unrolls the rest (the
+periodic path); any other circuit is propagated whole (the linear path),
+and the table's ``periodic_fallback`` names the certificate that failed.
+The result is a :class:`FaultTable`: every fault's symptom, unmerged, in
+circuit order.  It is memoized per circuit fingerprint, so one
+propagation per circuit serves both consumers: :func:`extract_dem` merges
+it into the model, and the packed samplers (:mod:`repro.sim.compiled`)
+XOR the rows of the faults they draw.  The tests hold both paths equal
+to a byte-per-bit, row-per-mechanism reference propagation.
 
 Lowering: :func:`weighted_graph` turns a DEM into the matching decoders'
 :class:`~repro.decoder.graph.DecodingGraph`, whose edges carry
@@ -35,12 +39,14 @@ on, kept as the verification baseline the weighted graph must beat.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.cache import KeyedCache, register_cache
 from repro.obs import metrics as _metrics
 from repro.obs.logs import get_logger
 from repro.obs.spans import span
@@ -160,6 +166,65 @@ class DetectorErrorModel:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class FaultTable:
+    """Every fault of a circuit with its symptom, unmerged.
+
+    One row per fault -- one Pauli outcome of one noise channel at one
+    target or pair -- in :func:`enumerate_mechanisms` order: per noise op
+    in circuit order, per target, per outcome.  Fault ``f`` fires with
+    ``probabilities[f]`` and flips the detectors
+    ``det_index[det_start[f]:det_start[f + 1]]`` and the observables
+    ``obs_index[obs_start[f]:obs_start[f + 1]]`` (CSR, sorted).
+    ``periodic_fallback`` names the certificate the periodic extraction
+    failed (see :class:`DetectorErrorModel`), ``None`` when it held.
+    """
+
+    probabilities: np.ndarray
+    det_start: np.ndarray
+    det_index: np.ndarray
+    obs_start: np.ndarray
+    obs_index: np.ndarray
+    periodic_fallback: Optional[str] = None
+
+    def __len__(self) -> int:
+        return self.probabilities.size
+
+    def mechanisms(self) -> List[ErrorMechanism]:
+        """One unmerged :class:`ErrorMechanism` per fault, in row order."""
+        return [
+            ErrorMechanism(prob, dets, obs)
+            for prob, dets, obs in zip(
+                self.probabilities.tolist(),
+                _csr_tuples(self.det_start, self.det_index),
+                _csr_tuples(self.obs_start, self.obs_index),
+            )
+        ]
+
+
+def _counts_index(groups: Sequence[Tuple[int, ...]]) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-group lengths and the concatenated indices of index tuples."""
+    counts = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
+    index = np.fromiter(
+        itertools.chain.from_iterable(groups), dtype=np.intp, count=int(counts.sum())
+    )
+    return counts, index
+
+
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """CSR row starts (with the closing end) of per-row lengths."""
+    start = np.zeros(counts.size + 1, dtype=np.intp)
+    np.cumsum(counts, out=start[1:])
+    return start
+
+
+def _csr_tuples(start: np.ndarray, index: np.ndarray) -> List[Tuple[int, ...]]:
+    """The index tuple of every CSR row."""
+    values = index.tolist()
+    bounds = start.tolist()
+    return [tuple(values[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
 def enumerate_mechanisms(circuit: "Circuit"):
     """List (op, probability, x_qubits, z_qubits, tag) for every outcome.
 
@@ -216,13 +281,14 @@ def enumerate_mechanisms(circuit: "Circuit"):
 
 
 def extract_dem(circuit: "Circuit", *, verify: bool = False) -> DetectorErrorModel:
-    """Extract the DEM by propagating one frame row per error mechanism.
+    """The circuit's DEM: its :func:`circuit_faults` table, merged.
 
     A circuit with a verified repeated round takes the periodic
     extraction: mechanisms are enumerated over a few rounds and unrolled
     by shifting detector references, O(1) in the round count.  Any other
     circuit, or a failed certification, takes the linear propagation and
-    records why in the model's ``periodic_fallback``.  Both paths yield
+    records why in the model's ``periodic_fallback`` (and in
+    ``repro_periodic_fallback_total``, once per call).  Both paths yield
     *identical* models: the periodic unrolling emits mechanisms in linear
     circuit order with the same float probabilities, so the
     XOR-convolution in :meth:`DetectorErrorModel.merged` accumulates
@@ -238,18 +304,15 @@ def extract_dem(circuit: "Circuit", *, verify: bool = False) -> DetectorErrorMod
             consumer can decode against a malformed model.
     """
     start = time.perf_counter()
-    mechanisms, fallback_reason = _periodic_mechanisms(circuit)
-    if mechanisms is None:
-        _PERIODIC_FALLBACKS.labels(reason=fallback_reason).inc()
-        _LOG.debug(
-            "periodic DEM extraction fell back to linear: %s", fallback_reason
-        )
-        with span("dem.linear_mechanisms"):
-            mechanisms = _whole_circuit_mechanisms(circuit)
-    _EXTRACT_SECONDS.labels(
-        method="linear" if fallback_reason else "periodic"
-    ).inc(time.perf_counter() - start)
-    dem = _assemble(circuit, mechanisms, fallback_reason)
+    faults = circuit_faults(circuit)
+    reason = faults.periodic_fallback
+    if reason is not None:
+        _PERIODIC_FALLBACKS.labels(reason=reason).inc()
+        _LOG.debug("periodic DEM extraction fell back to linear: %s", reason)
+    _EXTRACT_SECONDS.labels(method="linear" if reason else "periodic").inc(
+        time.perf_counter() - start
+    )
+    dem = _assemble(circuit, faults.mechanisms(), reason)
     if verify:
         from repro.analysis import verify_dem
 
@@ -271,15 +334,46 @@ def _assemble(
     ).merged()
 
 
-def _whole_circuit_mechanisms(circuit: "Circuit") -> List[ErrorMechanism]:
-    """Unmerged mechanism list, each propagated through the whole circuit."""
+def circuit_faults(circuit: "Circuit") -> FaultTable:
+    """The circuit's fault table, propagated once per circuit fingerprint.
+
+    The periodic extraction's unrolled table when its certificates hold,
+    else the whole-circuit propagation (:func:`whole_circuit_faults`)
+    carrying the failed certificate.  Memoized by content fingerprint
+    (registered with :func:`repro.core.cache.register_cache`), so DEM
+    extraction and program compilation share one propagation.
+    """
+    return _FAULT_CACHE(circuit)
+
+
+def _circuit_faults_uncached(circuit: "Circuit") -> FaultTable:
+    table, reason = _periodic_faults(circuit)
+    if table is None:
+        with span("dem.linear_mechanisms"):
+            table = whole_circuit_faults(circuit, reason)
+    return table
+
+
+def _fingerprint(circuit: "Circuit") -> str:
+    from repro.sim.periodic import circuit_fingerprint
+
+    return circuit_fingerprint(circuit)
+
+
+_FAULT_CACHE = KeyedCache(_fingerprint, _circuit_faults_uncached)
+register_cache("repro.noise.dem.circuit_faults", _FAULT_CACHE)
+
+
+def whole_circuit_faults(
+    circuit: "Circuit", periodic_fallback: Optional[str] = None
+) -> FaultTable:
+    """Fault table with every fault propagated through the whole circuit."""
     mechanisms = enumerate_mechanisms(circuit)
-    return [
-        ErrorMechanism(prob, dets, obs)
-        for (_, prob, _, _, _), (dets, obs) in zip(
-            mechanisms, _mechanism_symptoms_packed(circuit, mechanisms)
-        )
-    ]
+    return FaultTable(
+        np.array([prob for _, prob, _, _, _ in mechanisms], dtype=np.float64),
+        *_mechanism_symptoms_packed(circuit, mechanisms),
+        periodic_fallback=periodic_fallback,
+    )
 
 
 # -- periodic extraction -------------------------------------------------------
@@ -304,19 +398,20 @@ def _whole_circuit_mechanisms(circuit: "Circuit") -> List[ErrorMechanism]:
 _SURROGATE_REPS = 5
 
 
-def _periodic_mechanisms(
+def _periodic_faults(
     circuit: "Circuit",
-) -> Tuple[Optional[List[ErrorMechanism]], Optional[str]]:
-    """Mechanism list via periodic unrolling: ``(mechanisms, reason)``.
+) -> Tuple[Optional[FaultTable], Optional[str]]:
+    """Fault table via periodic unrolling: ``(table, reason)``.
 
-    ``(list, None)`` on success; ``(None, reason)`` when a certification
+    ``(table, None)`` on success; ``(None, reason)`` when a certification
     failed and the caller must fall back to the linear path (reasons are
     enumerated in :class:`DetectorErrorModel`).
 
-    Emits mechanisms in linear circuit order (prologue, replay 0..k-1,
+    Emits faults in linear circuit order (prologue, replay 0..k-1,
     epilogue, preserving within-round enumeration order) with the exact
-    channel probability floats, so downstream ``merged()`` accumulation
-    is bit-identical to the linear path's.
+    channel probability floats, so the table equals the whole-circuit
+    one row for row and downstream ``merged()`` accumulation is
+    bit-identical to the linear path's.
     """
     from repro.sim.circuit import Circuit
     from repro.sim.periodic import detect_period
@@ -371,7 +466,12 @@ def _periodic_mechanisms(
         return None, "epilogue_record_ref"
 
     mechanisms = enumerate_mechanisms(surrogate)
-    symptoms = _mechanism_symptoms_packed(surrogate, mechanisms)
+    det_start, det_index, obs_start, obs_index = _mechanism_symptoms_packed(
+        surrogate, mechanisms
+    )
+    symptoms = zip(
+        _csr_tuples(det_start, det_index), _csr_tuples(obs_start, obs_index)
+    )
     region_of = {id(op): region for op, region in zip(surrogate.operations, regions)}
     mech_regions = [region_of[id(op)] for op, _, _, _, _ in mechanisms]
 
@@ -413,54 +513,66 @@ def _periodic_mechanisms(
         return None, "prologue_span"
 
     # Unroll to the full circuit: bulk = certified round replicated over
-    # the leading reps - trailing replays; trailing replays and epilogue
-    # shift forward by the dropped rounds.
+    # the leading reps - trailing replays (one array op per column); the
+    # trailing replays and epilogue shift forward by the dropped rounds.
     row_shift = (reps - surrogate_reps) * det_per_rep
-    out: List[ErrorMechanism] = []
-    for prob, dets, obs in prologue_mechs:
-        out.append(ErrorMechanism(prob, dets, obs))
-    for j in range(reps - trailing):
-        offset = j * det_per_rep
-        for prob, dets, obs in base:
-            out.append(
-                ErrorMechanism(prob, tuple(d + offset for d in dets), obs)
-            )
+    probs, det_counts, det_index, obs_counts, obs_index = _block(base)
+    bulk = np.arange(reps - trailing)[:, None]
+    blocks = [
+        _block(prologue_mechs),
+        (
+            np.tile(probs, bulk.size),
+            np.tile(det_counts, bulk.size),
+            (det_index + det_per_rep * bulk).ravel(),
+            np.tile(obs_counts, bulk.size),
+            np.tile(obs_index, bulk.size),
+        ),
+    ]
     for j in range(prefix, surrogate_reps):
-        offset = j * det_per_rep + row_shift
-        for prob, dets, obs in replay_seqs[j]:
-            out.append(
-                ErrorMechanism(prob, tuple(d + offset for d in dets), obs)
-            )
-    for prob, dets, obs in epilogue_mechs:
-        out.append(
-            ErrorMechanism(prob, tuple(d + row_shift for d in dets), obs)
-        )
-    return out, None
+        blocks.append(_block(replay_seqs[j], j * det_per_rep + row_shift))
+    blocks.append(_block(epilogue_mechs, row_shift))
+    probs, det_counts, det_index, obs_counts, obs_index = (
+        np.concatenate(column) for column in zip(*blocks)
+    )
+    return FaultTable(
+        probs, _starts(det_counts), det_index, _starts(obs_counts), obs_index
+    ), None
+
+
+def _block(rows, shift: int = 0) -> Tuple[np.ndarray, ...]:
+    """``(probabilities, detector counts, detector indices + shift,
+    observable counts, observable indices)`` of ``(prob, dets, obs)`` rows."""
+    det_counts, det_index = _counts_index([dets for _, dets, _ in rows])
+    obs_counts, obs_index = _counts_index([obs for _, _, obs in rows])
+    return (
+        np.array([prob for prob, _, _ in rows], dtype=np.float64),
+        det_counts,
+        det_index + shift,
+        obs_counts,
+        obs_index,
+    )
 
 
 def _mechanism_symptoms_packed(circuit: "Circuit", mechanisms):
-    """Per-mechanism ``(detectors, observables)`` index tuples.
+    """Per-mechanism symptoms as ``(det_start, det_index, obs_start, obs_index)``.
 
-    Mechanism ``m`` lives in bit column ``m`` of the circuit's
-    :class:`~repro.sim.compiled.CompiledProgram` planes: deterministic
-    steps conjugate all mechanisms at once (64 per ALU op), and each noise
-    step XORs its mechanisms' Pauli flips in via a precomputed scatter
-    (:func:`repro.sim.compiled.injection_noise`).
+    Mechanism ``m`` lives in bit column ``m`` of the circuit's packed
+    frame planes (:func:`repro.sim.compiled.execute_steps`):
+    deterministic steps conjugate all mechanisms at once (64 per ALU op),
+    and each noise step XORs its mechanisms' Pauli flips in via a
+    precomputed scatter.  The symptoms come back as CSR arrays, one row
+    per mechanism (see :class:`FaultTable`).
     """
-    from repro.sim.compiled import (
-        CompiledProgram,
-        execute_steps,
-        injection_noise,
-    )
+    from repro.sim.compiled import execute_steps, lower_ops
     from repro.sim.ops import NOISE
 
-    program = CompiledProgram(circuit)
+    program = lower_ops(circuit.operations)
     count = len(mechanisms)
     words = (count + 7) // 8
     padded = 8 * ((words + 7) // 8)
-    x = np.zeros((program.num_qubits, padded), dtype=np.uint8)
-    z = np.zeros((program.num_qubits, padded), dtype=np.uint8)
-    flips = np.zeros((program.num_measurements, padded), dtype=np.uint8)
+    x = np.zeros((circuit.num_qubits, padded), dtype=np.uint8)
+    z = np.zeros((circuit.num_qubits, padded), dtype=np.uint8)
+    flips = np.zeros((circuit.num_measurements, padded), dtype=np.uint8)
 
     injections = []
     mech_index = 0
@@ -482,39 +594,31 @@ def _mechanism_symptoms_packed(circuit: "Circuit", mechanisms):
             mech_index += 1
         injections.append(_pack_injection(x_rows, x_cols) + _pack_injection(z_rows, z_cols))
 
-    execute_steps(
-        program.steps,
-        x.view(np.uint64),
-        z.view(np.uint64),
-        flips.view(np.uint64),
-        x[:, :words],
-        z[:, :words],
-        injection_noise(injections),
+    execute_steps(program.steps, x, z, flips, injections)
+
+    detectors = np.zeros((circuit.num_detectors, padded), dtype=np.uint8)
+    observables = np.zeros((circuit.num_observables, padded), dtype=np.uint8)
+    if program.det_meas.size:
+        np.bitwise_xor.at(detectors, program.det_row, flips[program.det_meas])
+    if program.obs_meas.size:
+        np.bitwise_xor.at(observables, program.obs_row, flips[program.obs_meas])
+    return (
+        *_columns_csr(detectors[:, :words], count),
+        *_columns_csr(observables[:, :words], count),
     )
 
-    detectors = np.zeros((program.num_detectors, padded), dtype=np.uint8)
-    observables = np.zeros((program.num_observables, padded), dtype=np.uint8)
-    if program._det_meas.size:
-        np.bitwise_xor.at(detectors, program._det_row, flips[program._det_meas])
-    if program._obs_meas.size:
-        np.bitwise_xor.at(observables, program._obs_row, flips[program._obs_meas])
-    det_cols = np.unpackbits(detectors[:, :words], axis=1, count=count).T
-    obs_cols = np.unpackbits(observables[:, :words], axis=1, count=count).T
-    return list(zip(_grouped_indices(det_cols), _grouped_indices(obs_cols)))
 
+def _columns_csr(planes: np.ndarray, count: int) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR ``(start, index)`` of the set rows of each of ``count`` bit columns.
 
-def _grouped_indices(table: np.ndarray) -> List[Tuple[int, ...]]:
-    """Per-row tuples of set-bit column indices, via one global nonzero.
-
-    One ``np.nonzero`` over the whole (rows, columns) table plus a Python
-    grouping pass over the ~2-4 set bits per row is an order of magnitude
-    cheaper than a ``flatnonzero`` dispatch per row.
+    The planes are sparse, so only their nonzero bytes are unpacked; a
+    stable sort by column keeps each column's rows ascending.
     """
-    groups: List[List[int]] = [[] for _ in range(table.shape[0])]
-    row_indices, column_indices = np.nonzero(table)
-    for row, column in zip(row_indices.tolist(), column_indices.tolist()):
-        groups[row].append(column)
-    return [tuple(group) for group in groups]
+    rows, byte = np.nonzero(planes)
+    bit_row, bit = np.nonzero(np.unpackbits(planes[rows, byte][:, None], axis=1))
+    columns = 8 * byte[bit_row] + bit
+    order = np.argsort(columns, kind="stable")
+    return _starts(np.bincount(columns, minlength=count)), rows[bit_row][order]
 
 
 def _pack_injection(rows: List[int], cols: List[int]):

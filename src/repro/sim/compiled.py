@@ -1,59 +1,57 @@
-"""Compiled, bit-packed circuit programs for the Pauli-frame sampler.
+"""Compiled circuit programs: fault-table shot sampling and packed frame steps.
 
-A byte-per-bit frame interpreter stores one uint8 per (shot, qubit) and
-walks every op target in a Python loop, so its cost is
-O(ops * targets * shots) interpreted work.  This module is the package's
-one frame-propagation engine, and it closes that gap the way SIMD-style
-stabilizer samplers do:
+A shot's detector and observable bits are linear over GF(2) in the Pauli
+faults drawn for it: the Pauli frame starts at zero, and every gate,
+reset and measurement acts on it linearly.  So a shot is exactly the XOR
+of the symptoms of its noise hits, and nothing needs propagating per shot:
 
-* **Compile once** -- :class:`CompiledProgram` lowers a
-  :class:`~repro.sim.circuit.Circuit` into a flat program of fused steps.
-  Consecutive gates with the same semantics are merged (``S``/``S_DAG``
-  and ``R``/``RX`` are canonicalized, repeated involutions parity-reduced)
-  and their target lists are precomputed as numpy index arrays, split into
-  conflict-free chunks so fancy-indexed whole-row updates are exactly
-  equivalent to the sequential per-target loop.
-* **Bit-packed frames** -- X/Z frames are ``(num_qubits, ceil(shots/8))``
-  uint8 bitplanes, padded so each row is also viewable as uint64 words.
-  H/S/CX/CZ/SWAP/R/M become whole-row XORs/swaps/copies over packed words,
-  processing 64 shots per ALU op instead of one.
-* **Sparse GF(2) record maps** -- DETECTOR / OBSERVABLE_INCLUDE
-  annotations are lowered to COO index arrays over measurement records;
-  detector extraction is one unbuffered XOR-reduce
-  (:func:`numpy.bitwise_xor.at`) at the end of the pass instead of per-op
-  column loops.
-* **Sparse noise** -- a noise step touches only the (target, shot)
+* **Fault-table sampling** -- :class:`CompiledProgram` holds the
+  circuit's :class:`~repro.noise.dem.FaultTable` (every fault's
+  detectors and observables, propagated once per circuit by DEM
+  extraction) and a draw plan: per noise op, its target count, its
+  channel (:func:`noise_channel`) and the row of its first fault.
+  :meth:`CompiledProgram.run_packed` draws each noise op's hits, maps hit
+  ``(target, outcome)`` to fault row ``first + target * outcomes +
+  outcome``, and XORs those rows into shot-bit-packed detector and
+  observable planes with one :func:`numpy.bitwise_xor.at` each.
+* **Sparse noise** -- a noise op touches only the (target, shot)
   positions where its channel fires.  :func:`bernoulli_hits` draws those
-  positions exactly by geometric gap skipping, so a step costs O(expected
+  positions exactly by geometric gap skipping, so an op costs O(expected
   hits) instead of one uniform per target per shot; outcomes (X/Y/Z, or
   one of the 15 two-qubit Paulis, or a biased channel's Pauli) are drawn
-  for the hits only (:func:`sample_channel`), and the hits are XORed into
-  the packed planes as ``(row, byte, bit mask)`` triples.  The
-  byte-per-bit reference interpreter of the test oracles
-  (``tests/oracles.py``) makes the same :func:`sample_channel` calls in
-  op order and applies the same hits byte by byte, so for the same seed
-  the two produce *bit-identical* detector/observable samples.  The
-  equivalence is property-tested in ``tests/test_sim_compiled.py``; the
-  channel statistics are checked against the channel probabilities in
+  for the hits only (:func:`sample_channel`).  The byte-per-bit
+  reference interpreter of the test oracles (``tests/oracles.py``) makes
+  the same :func:`sample_channel` calls in op order and propagates the
+  same hits frame by frame, so for the same seed the two produce
+  *bit-identical* detector/observable samples.  The equivalence is
+  property-tested in ``tests/test_sim_compiled.py`` and the stream is
+  pinned by digest in ``tests/test_sample_stream_pinned.py``; the channel
+  statistics are checked against the channel probabilities in
   ``tests/test_noise_sampling_stats.py``.
+* **Packed frame steps** -- :func:`lower_ops` lowers a circuit into a
+  flat list of fused steps (``S``/``S_DAG`` and ``R``/``RX``
+  canonicalized, repeated involutions parity-reduced, target lists
+  precomputed as numpy index arrays split into conflict-free chunks) plus
+  sparse GF(2) COO maps from measurement records to detectors and
+  observables.  :func:`execute_steps` runs them over bit-packed X/Z
+  planes, 64 columns per ALU op.  DEM extraction (:mod:`repro.noise.dem`)
+  runs them once per circuit with one bit column per fault, which is
+  where the fault table comes from.
 
-The same steps, run with one bit column per error mechanism and a
-deterministic injector in place of the sampler (:func:`injection_noise`),
-extract the detector error model (:mod:`repro.noise.dem`).
-
-Shot-major vs detector-major: frames pack shots along rows so gate ops are
-contiguous; decoders key on per-shot syndromes.  :func:`transpose_packed`
-converts between the two layouts once per sample at the decoder boundary.
+Shot-major vs detector-major: the planes pack shots along rows; decoders
+key on per-shot syndromes.  :func:`transpose_packed` converts between the
+two layouts once per sample at the decoder boundary.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.noise.dem import FaultTable, whole_circuit_faults
 from repro.obs import metrics as _metrics
 from repro.sim.circuit import Circuit
 from repro.sim.ops import (
@@ -83,6 +81,9 @@ _PAULI_ERRORS = {
     for name, code in (("X_ERROR", 8), ("Y_ERROR", 12), ("Z_ERROR", 4))
 }
 _NO_CDF = np.empty(0, dtype=np.float64)
+_NO_HITS = np.empty(0, dtype=np.int64)
+# Bit mask of shot 8 w + j within byte w (np.packbits big bit order).
+_SHOT_BIT = np.array([0x80 >> j for j in range(8)], dtype=np.uint8)
 
 
 def _index_array(values: Sequence[int]) -> np.ndarray:
@@ -125,13 +126,10 @@ def _disjoint_pair_chunks(
 
 @dataclass
 class LoweredSegment:
-    """A slice of a circuit lowered to fused steps plus its record COO.
+    """A circuit lowered to fused steps plus its sparse record COO maps.
 
-    ``meas_count`` / ``det_count`` are the measurements and detectors the
-    slice itself emits; the COO arrays and ``M``/``MX`` record slots are
-    *absolute* (offset by the ``meas_start`` / ``det_start`` the slice was
-    lowered at), so a segment can be executed in place inside a larger
-    program -- the basis of :class:`repro.sim.periodic.PeriodicProgram`.
+    ``det_meas[i]`` (a measurement record) feeds detector ``det_row[i]``;
+    ``obs_meas`` / ``obs_row`` map records to observables likewise.
     """
 
     steps: List[tuple]
@@ -139,26 +137,22 @@ class LoweredSegment:
     det_row: np.ndarray
     obs_meas: np.ndarray
     obs_row: np.ndarray
-    meas_count: int
-    det_count: int
 
 
-def lower_ops(ops, meas_start: int = 0, det_start: int = 0) -> LoweredSegment:
+def lower_ops(ops) -> LoweredSegment:
     """Lower an op sequence to fused steps and sparse GF(2) record maps.
 
-    Fusion never crosses the sequence boundary (the buffer is flushed at
-    the end), so lowering a circuit in segments and executing them in
-    order is exactly equivalent to lowering it whole -- per-step payloads
-    may fuse differently across a cut, but the applied frame updates are
-    identical.
+    Runs of the same deterministic kind fuse into one step; each noise op
+    becomes one ``(name,)`` step, never fused, marking where
+    :func:`execute_steps` injects its faults.
     """
     steps: List[tuple] = []
     det_meas: List[int] = []  # COO: measurement record index ...
     det_row: List[int] = []  # ... feeding this detector row
     obs_meas: List[int] = []
     obs_row: List[int] = []
-    meas_cursor = meas_start
-    det_cursor = det_start
+    meas_cursor = 0
+    det_cursor = 0
     pending_kind: str = ""
     pending: List[tuple] = []  # buffered (targets, slot) runs to fuse
 
@@ -203,12 +197,7 @@ def lower_ops(ops, meas_start: int = 0, det_start: int = 0) -> LoweredSegment:
             continue
         if name in _NOISE:
             flush()
-            if name in NOISE_2Q:
-                firsts = _index_array(op.targets[0::2])
-                seconds = _index_array(op.targets[1::2])
-            else:
-                firsts, seconds = _index_array(op.targets), None
-            steps.append((name, firsts, seconds, noise_channel(op)))
+            steps.append((name,))
             continue
         if name not in _FUSABLE:
             # Unsupported ops (non-Clifford gates) fail loudly, never
@@ -229,37 +218,52 @@ def lower_ops(ops, meas_start: int = 0, det_start: int = 0) -> LoweredSegment:
         det_row=_index_array(det_row),
         obs_meas=_index_array(obs_meas),
         obs_row=_index_array(obs_row),
-        meas_count=meas_cursor - meas_start,
-        det_count=det_cursor - det_start,
     )
 
 
 class CompiledProgram:
-    """A circuit lowered to fused steps over bit-packed frame bitplanes.
+    """A circuit's draw plan and fault table: a packed shot sampler.
 
-    Steps are ``(kind, *payload)`` tuples with all index arrays
-    precomputed; :meth:`run_packed` interprets them with O(ops) Python
-    overhead independent of the shot count.
+    Args:
+        circuit: the circuit to sample.
+        faults: its fault table; by default every fault is propagated
+            through the whole circuit (:func:`~repro.noise.dem.whole_circuit_faults`).
+            :func:`repro.sim.periodic.compile_program` passes the
+            memoized :func:`~repro.noise.dem.circuit_faults` table.
     """
 
-    def __init__(self, circuit: Circuit) -> None:
+    def __init__(self, circuit: Circuit, faults: Optional[FaultTable] = None) -> None:
         self.num_qubits = circuit.num_qubits
         self.num_measurements = circuit.num_measurements
         self.num_detectors = circuit.num_detectors
         self.num_observables = circuit.num_observables
-        segment = lower_ops(circuit.operations)
-        self.steps: List[tuple] = segment.steps
-        self._det_meas = segment.det_meas
-        self._det_row = segment.det_row
-        self._obs_meas = segment.obs_meas
-        self._obs_row = segment.obs_row
-
-    # -- execution -----------------------------------------------------------
+        if faults is None:
+            faults = whole_circuit_faults(circuit)
+        self._plan: List[tuple] = []  # (targets, channel, first fault, outcomes)
+        first = 0
+        for op in circuit.operations:
+            if op.name not in _NOISE:
+                continue
+            channel = noise_channel(op)
+            targets = len(op.targets) // (2 if op.name in NOISE_2Q else 1)
+            outcomes = channel[2].size
+            if channel[0] > 0.0 and targets:  # anything else draws nothing
+                self._plan.append((targets, channel, first, outcomes))
+            first += targets * outcomes
+        if first != len(faults):
+            raise ValueError(
+                f"fault table has {len(faults)} rows; the circuit's noise "
+                f"ops have {first} faults"
+            )
+        self._faults = faults
 
     def run_packed(
         self, shots: int, rng: np.random.Generator
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Sample ``shots`` noisy shots in the packed domain.
+
+        One :func:`sample_channel` call per noise op, in op order; each
+        hit's fault row is XORed into its shot's bit.
 
         Returns:
             (detectors, observables): shot-bit-packed bitplanes of shapes
@@ -269,69 +273,84 @@ class CompiledProgram:
         """
         if shots < 0:
             raise ValueError("shots must be >= 0")
+        faults: List[np.ndarray] = []
+        shot_of: List[np.ndarray] = []
+        for targets, channel, first, outcomes in self._plan:
+            target, shot, outcome = sample_channel(rng, targets, shots, channel)
+            if target.size:
+                faults.append(first + outcomes * target + outcome)
+                shot_of.append(shot)
+        fault = np.concatenate(faults) if faults else _NO_HITS
+        shot = np.concatenate(shot_of) if shot_of else _NO_HITS
+        if _metrics.enabled():
+            _NOISE_HITS.inc(fault.size)
         words = (shots + 7) // 8
-        padded = 8 * ((words + 7) // 8)  # rows double as uint64 word views
-        x = np.zeros((self.num_qubits, padded), dtype=np.uint8)
-        z = np.zeros((self.num_qubits, padded), dtype=np.uint8)
-        flips = np.zeros((self.num_measurements, padded), dtype=np.uint8)
-        x64 = x.view(np.uint64)
-        z64 = z.view(np.uint64)
-        f64 = flips.view(np.uint64)
-        xw = x[:, :words]
-        zw = z[:, :words]
-
-        # One sparse channel draw per noise op, in op order -- the
-        # byte-per-bit reference interpreter's exact stream.
-        noise = SamplingNoise(rng, shots)
-        execute_steps(self.steps, x64, z64, f64, xw, zw, noise)
-        noise.report()
-
-        detectors = np.zeros((self.num_detectors, padded), dtype=np.uint8)
-        observables = np.zeros((self.num_observables, padded), dtype=np.uint8)
-        # Sparse GF(2) record maps: one unbuffered XOR-reduce over uint64
-        # words scatters every measurement-flip row into the
-        # detector/observable rows it feeds.
-        if self._det_meas.size:
-            np.bitwise_xor.at(
-                detectors.view(np.uint64), self._det_row, f64[self._det_meas]
-            )
-        if self._obs_meas.size:
-            np.bitwise_xor.at(
-                observables.view(np.uint64), self._obs_row, f64[self._obs_meas]
-            )
-        return detectors[:, :words], observables[:, :words]
+        table = self._faults
+        return (
+            _xor_rows(table.det_start, table.det_index, self.num_detectors,
+                      fault, shot, words),
+            _xor_rows(table.obs_start, table.obs_index, self.num_observables,
+                      fault, shot, words),
+        )
 
 
-# -- step execution ------------------------------------------------------------
+def _xor_rows(
+    start: np.ndarray,
+    index: np.ndarray,
+    rows: int,
+    fault: np.ndarray,
+    shot: np.ndarray,
+    words: int,
+) -> np.ndarray:
+    """``(rows, words)`` bitplane: hit ``i`` flips CSR row ``fault[i]`` in shot ``shot[i]``.
+
+    The hits' CSR entries are gathered at once, and one unbuffered
+    XOR-reduce flips each entry's bit, so a fault hit twice in one shot
+    cancels as in frame propagation.
+    """
+    plane = np.zeros(rows * words, dtype=np.uint8)
+    begin = start[fault]
+    count = start[fault + 1] - begin
+    ends = np.cumsum(count)
+    total = int(ends[-1]) if ends.size else 0
+    if total:
+        entry = np.arange(total) + np.repeat(begin - (ends - count), count)
+        shot = np.repeat(shot, count)
+        np.bitwise_xor.at(
+            plane, index[entry] * words + (shot >> 3), _SHOT_BIT[shot & 7]
+        )
+    return plane.reshape(rows, words)
+
+
+# -- packed frame steps -------------------------------------------------------
 
 # Step kinds that are stochastic channels (step[0] for every noise step is
 # the canonical op name, so the op table doubles as the step-kind table).
 _NOISE_KINDS = frozenset(_NOISE)
 
-NoiseHandler = Callable[[tuple, np.ndarray, np.ndarray], None]
-
 
 def execute_steps(
     steps: Sequence[tuple],
-    x64: np.ndarray,
-    z64: np.ndarray,
-    f64: np.ndarray,
-    xw: np.ndarray,
-    zw: np.ndarray,
-    noise: NoiseHandler,
-    slot_offset: int = 0,
+    x: np.ndarray,
+    z: np.ndarray,
+    flips: np.ndarray,
+    injections: Iterable[Tuple[np.ndarray, ...]],
 ) -> None:
-    """Interpret fused steps over packed planes with pluggable noise.
+    """Propagate packed frames through fused steps, injecting Pauli flips.
 
-    Deterministic steps update the uint64 word views in place; each noise
-    step is delegated to ``noise(step, xw, zw)`` -- a sampling handler
-    drawing channel hits (:class:`SamplingNoise`) or a deterministic injector
-    (:func:`injection_noise`, for DEM mechanism propagation).
-
-    ``slot_offset`` shifts every measurement record slot, which is how a
-    periodic program replays one lowered round body into successive
-    record windows of the same ``flips`` plane.
+    ``x``/``z`` (per qubit) and ``flips`` (per measurement record) are
+    uint8 bitplanes whose rows are whole uint64 words; deterministic
+    steps update the word views in place.  Noise step ``i`` XORs
+    injection ``i``, ``(x_rows, x_bytes, x_masks, z_rows, z_bytes,
+    z_masks)``, into single bits of the X/Z planes.  DEM extraction uses
+    this to propagate every fault as one bit column: the deterministic
+    steps conjugate all faults at once, and each noise step plants its
+    faults' Pauli flips at the channel's circuit position.
     """
+    x64 = x.view(np.uint64)
+    z64 = z.view(np.uint64)
+    f64 = flips.view(np.uint64)
+    injections = iter(injections)
     for step in steps:
         kind = step[0]
         if kind == "CX":
@@ -364,81 +383,18 @@ def execute_steps(
             z64[qs] = 0
         elif kind == "M":
             _, qs, slot = step
-            slot += slot_offset
             f64[slot : slot + qs.size] = x64[qs]
         elif kind == "MX":
             _, qs, slot = step
-            slot += slot_offset
             f64[slot : slot + qs.size] = z64[qs]
         elif kind in _NOISE_KINDS:
-            noise(step, xw, zw)
-        else:  # pragma: no cover - compile emits only the kinds above
+            x_rows, x_bytes, x_masks, z_rows, z_bytes, z_masks = next(injections)
+            if x_rows.size:
+                np.bitwise_xor.at(x, (x_rows, x_bytes), x_masks)
+            if z_rows.size:
+                np.bitwise_xor.at(z, (z_rows, z_bytes), z_masks)
+        else:  # pragma: no cover - lower_ops emits only the kinds above
             raise ValueError(f"unknown compiled step kind {kind!r}")
-
-
-class SamplingNoise:
-    """Noise handler drawing each step's channel hits with the sparse kernel.
-
-    Every noise step is one :func:`sample_channel` call on ``rng``, in
-    step order; the hits are XORed into the packed planes as single bits
-    (``np.bitwise_xor.at``, so repeated targets within a step accumulate
-    like the sequential per-target loop).  ``hits`` counts the hits drawn
-    so far; :meth:`report` publishes them to ``repro_sim_noise_hits_total``.
-    """
-
-    def __init__(self, rng: np.random.Generator, shots: int) -> None:
-        self._rng = rng
-        self._shots = shots
-        self.hits = 0
-
-    def __call__(self, step: tuple, xw: np.ndarray, zw: np.ndarray) -> None:
-        _, firsts, seconds, channel = step
-        target, shot, code = sample_channel(
-            self._rng, firsts.size, self._shots, channel
-        )
-        if not target.size:
-            return
-        self.hits += target.size
-        byte = shot >> 3
-        mask = (0x80 >> (shot & 7)).astype(np.uint8)
-        for plane, qubits, flag in (
-            (xw, firsts, 8), (zw, firsts, 4), (xw, seconds, 2), (zw, seconds, 1)
-        ):
-            if qubits is None:
-                continue
-            sel = (code & flag) != 0
-            if sel.any():
-                np.bitwise_xor.at(
-                    plane, (qubits[target[sel]], byte[sel]), mask[sel]
-                )
-
-    def report(self) -> None:
-        if _metrics.enabled():
-            _NOISE_HITS.inc(self.hits)
-
-
-def injection_noise(
-    injections: Iterable[Tuple[np.ndarray, ...]]
-) -> NoiseHandler:
-    """Noise handler XORing precomputed deterministic flips, one per step.
-
-    Each injection is ``(x_rows, x_bytes, x_masks, z_rows, z_bytes, z_masks)``
-    scattering single bits into the packed X/Z planes.  DEM extraction
-    uses this to propagate every error mechanism as one packed bit
-    *column*: the deterministic steps conjugate all mechanisms at once
-    and each noise step, instead of drawing, plants its mechanisms' Pauli
-    flips at the channel's circuit position.
-    """
-    iterator = iter(injections)
-
-    def apply(step: tuple, xw: np.ndarray, zw: np.ndarray) -> None:
-        x_rows, x_bytes, x_masks, z_rows, z_bytes, z_masks = next(iterator)
-        if x_rows.size:
-            np.bitwise_xor.at(xw, (x_rows, x_bytes), x_masks)
-        if z_rows.size:
-            np.bitwise_xor.at(zw, (z_rows, z_bytes), z_masks)
-
-    return apply
 
 
 def bernoulli_hits(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
@@ -462,9 +418,9 @@ def bernoulli_hits(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
     while True:
         mean = (n - 1 - last) * p
         gaps = rng.geometric(p, int(mean + 4.0 * math.sqrt(mean)) + 8)
-        positions = np.cumsum(gaps) + last
+        positions = gaps.cumsum() + last
         if positions[-1] >= n:
-            blocks.append(positions[: np.searchsorted(positions, n)])
+            blocks.append(positions[: positions.searchsorted(n)])
             break
         blocks.append(positions)
         last = int(positions[-1])
@@ -503,25 +459,27 @@ def sample_channel(
     shots: int,
     channel: Tuple[float, np.ndarray, np.ndarray],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw one noise step's hits over ``targets x shots`` trials.
+    """Draw one noise op's hits over ``targets x shots`` trials.
 
-    Returns ``(target, shot, code)`` arrays, one entry per hit: the
-    target (or pair) index within the step, the shot, and the flip code
-    (see :func:`noise_channel`).  Hit positions come from
-    :func:`bernoulli_hits` over the target-major ``(targets, shots)``
+    Returns ``(target, shot, outcome)`` arrays, one entry per hit: the
+    target (or pair) index within the op, the shot, and the outcome
+    index into the channel's flip codes (see :func:`noise_channel`), which
+    is also the outcome order of
+    :func:`~repro.noise.dem.enumerate_mechanisms`.  Hit positions come
+    from :func:`bernoulli_hits` over the target-major ``(targets, shots)``
     grid, then one uniform per hit picks its outcome.  Both the packed
     and the reference sampler make exactly these calls, in op order.
     """
-    rate, cdf, codes = channel
+    rate, cdf, _ = channel
     hits = bernoulli_hits(rng, targets * shots, rate)
     if not hits.size:
-        return hits, hits, np.empty(0, dtype=np.uint8)
+        return hits, hits, hits
     target, shot = np.divmod(hits, shots)
     if cdf.size:
-        code = codes[np.searchsorted(cdf, rng.random(hits.size), side="right")]
+        outcome = cdf.searchsorted(rng.random(hits.size), side="right")
     else:
-        code = np.full(hits.size, codes[0], dtype=np.uint8)
-    return target, shot, code
+        outcome = np.zeros(hits.size, dtype=np.int64)
+    return target, shot, outcome
 
 
 def transpose_packed(planes: np.ndarray, count: int) -> np.ndarray:

@@ -8,20 +8,24 @@ flip frame bits with their probabilities, gates conjugate the frame, and a
 measurement's outcome flip is the frame's anticommutation with the measured
 observable.  Detector values are XORs of measurement flips.
 
-:meth:`FrameSimulator.sample_packed` runs the packed program
-:func:`repro.sim.periodic.compile_program` picks for the circuit (periodic
-replay when it has a repeated round, linear otherwise);
-:meth:`FrameSimulator.sample` is its unpacked form.  The byte-per-bit
-reference interpreter the packed program is held to lives with the test
-oracles (``tests/oracles.py``).
+Because the frame starts at zero and every op acts on it linearly, a
+shot's detector values are the XOR of the symptoms of the errors drawn
+for it.  So the frames are propagated once per circuit, not per shot:
+the packed propagation, run with one bit column per elementary error
+mechanism, yields every fault's symptom -- the fault table of
+:func:`repro.noise.dem.circuit_faults`, which :mod:`repro.noise.dem`
+merges into the detector error model (DEM) and the packed samplers draw
+shots from.  (The :class:`DetectorErrorModel` / :class:`ErrorMechanism`
+classes are re-exported here for compatibility;
+:meth:`FrameSimulator.detector_error_model` delegates to
+:func:`~repro.noise.dem.extract_dem`.)
 
-The same packed propagation, run with one bit column per elementary error
-mechanism, yields the detector error model (DEM): for every possible
-physical error, the set of detectors and logical observables it flips.
-That extraction lives in :mod:`repro.noise.dem` (the
-:class:`DetectorErrorModel` / :class:`ErrorMechanism` classes are
-re-exported here for compatibility); :meth:`FrameSimulator.detector_error_model`
-delegates to it.
+:meth:`FrameSimulator.sample_packed` runs the program
+:func:`repro.sim.periodic.compile_program` picks for the circuit (its
+table from periodic extraction when it has a repeated round, from
+whole-circuit propagation otherwise); :meth:`FrameSimulator.sample` is
+its unpacked form.  The byte-per-bit reference interpreter the samples
+are held to lives with the test oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -96,13 +100,15 @@ class FrameSimulator:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Sample detector/observable tables as bit-packed per-shot keys.
 
-        Runs the compiled bit-packed pipeline (:mod:`repro.sim.compiled`):
-        gates operate on packed word rows (8-64 shots per ALU op) and
-        detector extraction is one sparse XOR-reduce.  Noise is drawn
-        sparsely -- only each channel's hits, with one
+        Runs the compiled program's ``run_packed``
+        (:mod:`repro.sim.compiled`): noise is drawn sparsely -- only each
+        channel's hits, with one
         :func:`~repro.sim.compiled.sample_channel` call per noise op in op
-        order -- so for the same seed the periodic and linear programs,
-        and the byte-per-bit reference interpreter, agree *bit for bit*.
+        order -- and each hit's fault-table row is XORed into the
+        shot-bit-packed detector/observable planes, which
+        :func:`~repro.sim.compiled.transpose_packed` turns into per-shot
+        keys.  For the same seed the periodic and linear programs, and
+        the byte-per-bit reference interpreter, agree *bit for bit*.
 
         Returns:
             (detectors, observables): uint8 arrays of shape

@@ -1,10 +1,8 @@
-"""Periodic round-compilation: compile one SE round, replay it r times.
+"""Periodic round-compilation: find the repeated round, propagate it once.
 
 A d-distance, r-round memory experiment is one syndrome-extraction round
-replayed r times, yet the linear compiler (:mod:`repro.sim.compiled`)
-lowers all r copies, so compile time and program size scale O(rounds)
-when the underlying structure is O(1).  This module exploits the
-periodicity:
+repeated r times.  This module finds that structure, and DEM extraction
+(:mod:`repro.noise.dem`) exploits it:
 
 * :func:`detect_period` finds the longest repeated op-stream window --
   the same op sequence where the only change per repetition is a constant
@@ -12,59 +10,52 @@ periodicity:
   structure must match exactly).  Memory experiments match with the round
   body = one SE round; random circuits, transversal gadgets and r=1 runs
   fall back to the linear :class:`~repro.sim.compiled.CompiledProgram`.
-* :class:`PeriodicProgram` lowers {prologue, round body, epilogue} once
-  and replays the body r times over the same bit-packed planes, rebasing
-  the body's measurement slots and sparse GF(2) detector/observable COO
-  per replay by (r_index * measurements_per_round, r_index *
-  detectors_per_round) instead of materializing r lowered copies.
-* **RNG draw-order contract**: every noise step makes one sparse
-  :func:`~repro.sim.compiled.sample_channel` call, in step order, and a
-  replay executes exactly the steps the linear program lists for that
-  round -- so periodic and linear programs make the same kernel calls in
-  the same order, and ``sample_packed`` is bit-identical per seed by
-  construction (property-tested in ``tests/test_sim_periodic.py``).
+* :class:`PeriodicProgram` samples from the periodic extraction's fault
+  table (:func:`repro.noise.dem.circuit_faults`): every fault's symptom,
+  propagated over a few rounds and unrolled to all r, so building it is
+  O(1) in the round count.  It falls back to the whole-circuit table when
+  the extraction's certificates fail.
+* **RNG draw-order contract**: every noise op makes one sparse
+  :func:`~repro.sim.compiled.sample_channel` call, in op order, whatever
+  program samples the circuit; and the periodic table equals the
+  whole-circuit table row for row.  So periodic and linear programs, and
+  the byte-per-bit reference sampler of the tests, are bit-identical per
+  seed (property-tested in ``tests/test_sim_periodic.py``).
 * :func:`compile_program` takes the periodic path whenever
   :func:`detect_period` finds a round and the linear one otherwise (the
   tests build both programs directly to compare them).  It memoizes the
   program per circuit fingerprint (registered with
   :func:`repro.core.cache.register_cache`), so the decoding engine's
   repeated ``run_until`` batches and repeated engines over the same
-  circuit stop recompiling.
+  circuit stop recompiling; both kinds take the memoized fault table,
+  so a circuit is propagated once for DEM extraction and sampling.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from collections import Counter, namedtuple
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional
 
-import numpy as np
-
-from repro.core.cache import register_cache
+from repro.core.cache import KeyedCache, register_cache
+from repro.noise.dem import circuit_faults
 from repro.obs import metrics as _metrics
 from repro.obs.spans import span
 from repro.sim.circuit import Circuit
-from repro.sim.compiled import (
-    CompiledProgram,
-    SamplingNoise,
-    execute_steps,
-    lower_ops,
-)
+from repro.sim.compiled import CompiledProgram
 from repro.sim.ops import MEASUREMENTS
 
 # Ops whose targets are measurement-record indices (and therefore shift
-# by the per-round measurement count between replays).
+# by the per-round measurement count between repetitions).
 _RECORD_OPS = ("DETECTOR", "OBSERVABLE_INCLUDE")
 
 # How many period candidates (distinct token-recurrence gaps) to scan.
 _CANDIDATE_GAPS = 5
 
-# Compile vs replay is the trade this module exists to win: compiles are
-# counted by the kind produced ("periodic", or "linear_fallback" when the
-# circuit has no repeated round), and replay time is separated from
-# compile time so the amortization is visible in /metrics.
+# Compiles are counted by the kind produced ("periodic", or
+# "linear_fallback" when the circuit has no repeated round).
 _COMPILES = _metrics.counter(
     "repro_periodic_compiles_total",
     "Packed-program compilations (cache misses) by produced kind.",
@@ -74,10 +65,6 @@ _COMPILE_SECONDS = _metrics.counter(
     "repro_periodic_compile_seconds_total",
     "Wall-clock seconds spent compiling packed programs, by produced kind.",
     ("kind",),
-)
-_REPLAY_SECONDS = _metrics.counter(
-    "repro_periodic_replay_seconds_total",
-    "Wall-clock seconds spent replaying periodic programs (run_packed).",
 )
 
 
@@ -190,14 +177,11 @@ def detect_period(circuit: Circuit) -> Optional[PeriodSpec]:
     return best
 
 
-class PeriodicProgram:
-    """{prologue, round body x reps, epilogue} over bit-packed planes.
+class PeriodicProgram(CompiledProgram):
+    """The packed sampler of a circuit with a repeated round.
 
-    The round body is lowered once; :meth:`run_packed` executes it
-    ``reps`` times with per-replay measurement-slot offsets and rebases
-    its detector/observable COO per replay (see the module docstring for
-    the stream contract).
-    Public surface mirrors :class:`~repro.sim.compiled.CompiledProgram`.
+    Its fault table is the periodic extraction's (see the module
+    docstring); sampling is :meth:`CompiledProgram.run_packed`'s.
     """
 
     def __init__(self, circuit: Circuit, spec: Optional[PeriodSpec] = None) -> None:
@@ -207,107 +191,12 @@ class PeriodicProgram:
             raise ValueError(
                 "circuit has no repeated round; use CompiledProgram instead"
             )
-        self.num_qubits = circuit.num_qubits
-        self.num_measurements = circuit.num_measurements
-        self.num_detectors = circuit.num_detectors
-        self.num_observables = circuit.num_observables
+        super().__init__(circuit, circuit_faults(circuit))
         self.spec = spec
-        ops = circuit.operations
-        start, length, reps = spec.start, spec.length, spec.reps
-        self._prologue = lower_ops(ops[:start])
-        self._body = lower_ops(
-            ops[start : start + length], spec.meas_start, spec.det_start
-        )
-        self._epilogue = lower_ops(
-            ops[start + reps * length :],
-            spec.meas_start + reps * spec.meas_per_rep,
-            spec.det_start + reps * spec.det_per_rep,
-        )
-        if (
-            self._prologue.meas_count != spec.meas_start
-            or self._body.meas_count != spec.meas_per_rep
-            or self._body.det_count != spec.det_per_rep
-        ):  # pragma: no cover - detect_period guarantees consistency
-            raise ValueError("periodic lowering disagrees with detected spec")
 
-    def run_packed(
-        self, shots: int, rng: np.random.Generator
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Sample ``shots`` noisy shots; see ``CompiledProgram.run_packed``.
-
-        Bit-identical per seed to the linear program's output: replaying
-        the body with offset record bases applies the same updates, and
-        draws the same channel hits in the same order, as the linear
-        steps encode explicitly.
-        """
-        if shots < 0:
-            raise ValueError("shots must be >= 0")
-        replay_start = time.perf_counter() if _metrics.enabled() else 0.0
-        words = (shots + 7) // 8
-        padded = 8 * ((words + 7) // 8)  # rows double as uint64 word views
-        x = np.zeros((self.num_qubits, padded), dtype=np.uint8)
-        z = np.zeros((self.num_qubits, padded), dtype=np.uint8)
-        flips = np.zeros((self.num_measurements, padded), dtype=np.uint8)
-        x64 = x.view(np.uint64)
-        z64 = z.view(np.uint64)
-        f64 = flips.view(np.uint64)
-        xw = x[:, :words]
-        zw = z[:, :words]
-
-        noise = SamplingNoise(rng, shots)
-        execute_steps(self._prologue.steps, x64, z64, f64, xw, zw, noise)
-        for rep in range(self.spec.reps):
-            execute_steps(
-                self._body.steps, x64, z64, f64, xw, zw, noise,
-                slot_offset=rep * self.spec.meas_per_rep,
-            )
-        execute_steps(self._epilogue.steps, x64, z64, f64, xw, zw, noise)
-        noise.report()
-
-        detectors = np.zeros((self.num_detectors, padded), dtype=np.uint8)
-        observables = np.zeros((self.num_observables, padded), dtype=np.uint8)
-        self._scatter_records(
-            detectors.view(np.uint64), observables.view(np.uint64), f64
-        )
-        if _metrics.enabled():
-            _REPLAY_SECONDS.inc(time.perf_counter() - replay_start)
-        return detectors[:, :words], observables[:, :words]
-
-    def _scatter_records(
-        self, detectors: np.ndarray, observables: np.ndarray, flips: np.ndarray
-    ) -> None:
-        """XOR-reduce measurement flips into detector/observable rows.
-
-        The planes arrive as uint64 word views (8x fewer elements for the
-        unbuffered XOR-reduce).  The body's COO is stored once for replay
-        0; replaying rebases it by broadcasting the per-replay
-        (measurement, detector) offsets -- observable rows are global and
-        never shift.
-        """
-        spec = self.spec
-        reps = spec.reps
-        offsets = np.arange(reps, dtype=np.intp)[:, None]
-        for segment in (self._prologue, self._epilogue):
-            if segment.det_meas.size:
-                np.bitwise_xor.at(
-                    detectors, segment.det_row, flips[segment.det_meas]
-                )
-            if segment.obs_meas.size:
-                np.bitwise_xor.at(
-                    observables, segment.obs_row, flips[segment.obs_meas]
-                )
-        body = self._body
-        if body.det_meas.size:
-            rows = (body.det_row[None, :] + spec.det_per_rep * offsets).ravel()
-            meas = (body.det_meas[None, :] + spec.meas_per_rep * offsets).ravel()
-            np.bitwise_xor.at(detectors, rows, flips[meas])
-        if body.obs_meas.size:
-            rows = np.tile(body.obs_row, reps)
-            meas = (body.obs_meas[None, :] + spec.meas_per_rep * offsets).ravel()
-            np.bitwise_xor.at(observables, rows, flips[meas])
-
-
-Program = Union[CompiledProgram, PeriodicProgram]
+    # Bound in this class body too, so hooks that wrap ``run_packed`` per
+    # class (layer tracers) see periodic programs on their own.
+    run_packed = CompiledProgram.run_packed
 
 
 def circuit_fingerprint(circuit: Circuit) -> str:
@@ -324,58 +213,15 @@ def circuit_fingerprint(circuit: Circuit) -> str:
     return digest.hexdigest()
 
 
-_CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
-
-
-class _ProgramCache:
-    """Fingerprint-keyed program store with ``lru_cache``-style counters.
-
-    Keys are content hashes rather than argument identities, so equal
-    circuits built independently (e.g. every ``run_until`` batch, every
-    engine over the same experiment) share one compiled program.
-    Programs are immutable after compilation, safe to share.  Registered
-    with :func:`repro.core.cache.register_cache` so the repo-wide
-    ``cache_stats()`` / ``clear_caches()`` cover it.
-    """
-
-    def __init__(self) -> None:
-        self._programs: Dict[str, Program] = {}
-        self._hits = 0
-        self._misses = 0
-
-    def get(self, circuit: Circuit) -> Program:
-        key = circuit_fingerprint(circuit)
-        program = self._programs.get(key)
-        if program is not None:
-            self._hits += 1
-            return program
-        self._misses += 1
-        program = _compile_uncached(circuit)
-        self._programs[key] = program
-        return program
-
-    def cache_info(self) -> "_CacheInfo":
-        return _CacheInfo(self._hits, self._misses, None, len(self._programs))
-
-    def cache_clear(self) -> None:
-        self._programs.clear()
-        self._hits = 0
-        self._misses = 0
-
-
-_PROGRAM_CACHE = _ProgramCache()
-register_cache("repro.sim.periodic.compile_program", _PROGRAM_CACHE)
-
-
-def _compile_uncached(circuit: Circuit) -> Program:
+def _compile_uncached(circuit: Circuit) -> CompiledProgram:
     start = time.perf_counter()
     with span("periodic.compile"):
         spec = detect_period(circuit)
         if spec is not None:
-            program: Program = PeriodicProgram(circuit, spec)
+            program: CompiledProgram = PeriodicProgram(circuit, spec)
             kind = "periodic"
         else:
-            program = CompiledProgram(circuit)
+            program = CompiledProgram(circuit, circuit_faults(circuit))
             kind = "linear_fallback"
     if _metrics.enabled():
         _COMPILES.labels(kind=kind).inc()
@@ -383,12 +229,17 @@ def _compile_uncached(circuit: Circuit) -> Program:
     return program
 
 
-def compile_program(circuit: Circuit) -> Program:
+_PROGRAM_CACHE = KeyedCache(circuit_fingerprint, _compile_uncached)
+register_cache("repro.sim.periodic.compile_program", _PROGRAM_CACHE)
+
+
+def compile_program(circuit: Circuit) -> CompiledProgram:
     """Compile a circuit to its packed program, memoized by fingerprint.
 
     A circuit with a detected repeated round compiles to a
     :class:`PeriodicProgram`; any other falls back to the linear
-    :class:`~repro.sim.compiled.CompiledProgram`.  Both produce
+    :class:`~repro.sim.compiled.CompiledProgram`.  Both take the
+    memoized :func:`~repro.noise.dem.circuit_faults` table and produce
     bit-identical ``run_packed`` output per seed.
     """
-    return _PROGRAM_CACHE.get(circuit)
+    return _PROGRAM_CACHE(circuit)

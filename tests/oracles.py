@@ -18,9 +18,16 @@ program (:mod:`repro.sim.compiled`) production runs:
   noise op's hits with the same :func:`~repro.sim.compiled.sample_channel`
   call in op order, so it equals ``FrameSimulator.sample`` bit for bit
   per seed;
-* :func:`linear_dem` -- the DEM with one row per error mechanism,
-  injected at its channel's position and propagated through the whole
-  circuit.
+* :func:`fault_symptoms` -- one row per fault, injected alone at its
+  channel's position and propagated through the whole circuit: the
+  oracle of every :class:`~repro.noise.dem.FaultTable` row;
+* :func:`linear_dem` -- those rows merged into the DEM.
+
+:func:`reference_gf2_reduce` is the GF(2) elimination oracle, one row
+operation at a time, and :func:`reference_logicals` the logical-operator
+choice of :class:`~repro.codes.css.CSSCode` as first written: every
+null-space candidate rank-tested against the stabilizers up front.  The
+code's lazy selection must pick the same representatives.
 
 :func:`min_matching_weight` is the matching oracle: the minimum weight of
 a matching where every vertex pairs up or goes to the boundary, by
@@ -62,6 +69,79 @@ from repro.noise import dem as _dem
 from repro.sim.compiled import noise_channel, sample_channel
 from repro.sim.ops import NOISE, NOISE_2Q, NOISE_MARKERS
 from repro.sim.periodic import PeriodicProgram, detect_period
+
+
+def reference_gf2_reduce(matrix):
+    """``(reduced form, pivot columns)`` over GF(2), one row XOR at a time."""
+    m = (np.asarray(matrix, dtype=np.uint8) % 2).copy()
+    rows, cols = m.shape
+    pivots = []
+    for col in range(cols):
+        rank = len(pivots)
+        if rank == rows:
+            break
+        pivot = next((row for row in range(rank, rows) if m[row, col]), None)
+        if pivot is None:
+            continue
+        m[[rank, pivot]] = m[[pivot, rank]]
+        for row in range(rows):
+            if row != rank and m[row, col]:
+                m[row] ^= m[rank]
+        pivots.append(col)
+    return m, pivots
+
+
+def _reference_nullspace(matrix):
+    m, pivots = reference_gf2_reduce(matrix)
+    free_cols = [c for c in range(m.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free_cols), m.shape[1]), dtype=np.uint8)
+    for i, free in enumerate(free_cols):
+        basis[i, free] = 1
+        for row, piv in enumerate(pivots):
+            if m[row, free]:
+                basis[i, piv] = 1
+    return basis
+
+
+def _reference_in_rowspace(matrix, vector):
+    rank = len(reference_gf2_reduce(matrix)[1])
+    return len(reference_gf2_reduce(np.vstack([matrix, vector]))[1]) == rank
+
+
+def reference_logicals(hx, hz, k):
+    """``(logical_xs, logical_zs)``: ``k`` anticommuting pairs, eagerly chosen.
+
+    Every null-space vector of ``hz`` (``hx``) outside the row space of
+    ``hx`` (``hz``) is a candidate; X candidates are taken in order when
+    independent of the stabilizers and the pairs so far, each paired with
+    the first unused Z candidate it anticommutes with, and the new pair is
+    cleaned against the earlier ones.
+    """
+    x_candidates = [v for v in _reference_nullspace(hz) if not _reference_in_rowspace(hx, v)]
+    z_candidates = [v for v in _reference_nullspace(hx) if not _reference_in_rowspace(hz, v)]
+    xs, zs, used_z = [], [], []
+    for xv in x_candidates:
+        if len(xs) == k:
+            break
+        if _reference_in_rowspace(np.vstack([hx] + xs), xv):
+            continue
+        partner = next(
+            (j for j, zv in enumerate(z_candidates)
+             if j not in used_z and int(np.dot(xv, zv)) % 2 == 1),
+            None,
+        )
+        if partner is None:
+            continue
+        zv = z_candidates[partner].copy()
+        for i in range(len(xs)):
+            if int(np.dot(zv, xs[i])) % 2:
+                zv ^= zs[i]
+            if int(np.dot(xv, zs[i])) % 2:
+                xv = xv ^ xs[i]
+        used_z.append(partner)
+        xs.append(xv % 2)
+        zs.append(zv % 2)
+    return xs, zs
 
 
 def per_shot_decode(decoder, syndromes):
@@ -168,7 +248,9 @@ def reference_sample(circuit, shots, rng):
         two = op.name in NOISE_2Q
         targets = np.asarray(op.targets, dtype=np.intp)
         firsts = targets[0::2] if two else targets
-        target, shot, code = sample_channel(rng, firsts.size, shots, noise_channel(op))
+        channel = noise_channel(op)
+        target, shot, outcome = sample_channel(rng, firsts.size, shots, channel)
+        code = channel[2][outcome]
         a = firsts[target]
         np.bitwise_xor.at(frame_x, (shot, a), (code >> 3) & 1)
         np.bitwise_xor.at(frame_z, (shot, a), (code >> 2) & 1)
@@ -180,8 +262,14 @@ def reference_sample(circuit, shots, rng):
     return _propagate_frames(circuit, shots, draw)
 
 
-def linear_dem(circuit):
-    """The circuit's DEM by linear propagation, one frame row per mechanism."""
+def fault_symptoms(circuit):
+    """``(mechanisms, detectors, observables)``: one frame row per fault.
+
+    Each of :func:`~repro.noise.dem.enumerate_mechanisms`' faults is
+    injected alone into its own row at its channel's position and
+    propagated through the whole circuit; row ``f`` of the uint8 tables
+    is fault ``f``'s symptom.
+    """
     mechanisms = _dem.enumerate_mechanisms(circuit)
     row = 0
 
@@ -197,6 +285,12 @@ def linear_dem(circuit):
             row += 1
 
     detectors, observables = _propagate_frames(circuit, len(mechanisms), inject)
+    return mechanisms, detectors, observables
+
+
+def linear_dem(circuit):
+    """The circuit's DEM by linear propagation, one frame row per mechanism."""
+    mechanisms, detectors, observables = fault_symptoms(circuit)
     return _dem._assemble(circuit, [
         _dem.ErrorMechanism(
             prob,
@@ -423,7 +517,7 @@ def pin_program(sim, program):
 
 def periodic_dem(circuit):
     """The circuit's DEM by periodic unrolling; raises when uncertified."""
-    mechanisms, reason = _dem._periodic_mechanisms(circuit)
-    if mechanisms is None:
+    faults, reason = _dem._periodic_faults(circuit)
+    if faults is None:
         raise ValueError(f"periodic DEM extraction not certified: {reason}")
-    return _dem._assemble(circuit, mechanisms)
+    return _dem._assemble(circuit, faults.mechanisms())

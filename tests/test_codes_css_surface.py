@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_gf2_reduce, reference_logicals
+
 from repro.codes.color_832 import Color832Code
 from repro.codes.css import CSSCode, gf2_nullspace, gf2_rank, gf2_rowspace_contains
 from repro.codes.pauli import mutually_commuting
@@ -36,6 +38,41 @@ class TestGF2:
         rng = np.random.default_rng(seed)
         m = rng.integers(0, 2, size=(rows, cols)).astype(np.uint8)
         assert gf2_rank(m) + gf2_nullspace(m).shape[0] == cols
+
+    @given(st.integers(1, 9), st.integers(1, 9), st.integers(0, 2**30))
+    @settings(max_examples=40)
+    def test_elimination_matches_row_by_row_oracle(self, rows, cols, seed):
+        rng = np.random.default_rng(seed)
+        m = rng.integers(0, 2, size=(rows, cols)).astype(np.uint8)
+        reduced, pivots = reference_gf2_reduce(m)
+        assert gf2_rank(m) == len(pivots)
+        free = [c for c in range(cols) if c not in pivots]
+        expected = np.zeros((len(free), cols), dtype=np.uint8)
+        for i, column in enumerate(free):
+            expected[i, column] = 1
+            expected[i, pivots] = reduced[: len(pivots), column]
+        np.testing.assert_array_equal(gf2_nullspace(m), expected)
+
+
+def _assert_reference_logicals(code: CSSCode) -> None:
+    xs, zs = reference_logicals(code.hx, code.hz, code.num_logical)
+    assert len(xs) == len(code._logical_xs) == code.num_logical
+    for got, want in zip(code._logical_xs + code._logical_zs, xs + zs):
+        np.testing.assert_array_equal(got, want)
+
+
+class TestLogicalSelection:
+    """The lazy logical choice picks the eager oracle's representatives."""
+
+    @pytest.mark.parametrize("d", [3, 5, 7, 9, 11, 13])
+    def test_surface_code(self, d):
+        _assert_reference_logicals(RotatedSurfaceCode(d).css)
+
+    def test_color_832(self):
+        _assert_reference_logicals(Color832Code().css)
+
+    def test_steane(self):
+        _assert_reference_logicals(TestCSSCode().steane())
 
 
 class TestCSSCode:

@@ -1,0 +1,137 @@
+"""The per-fault symptom table the packed samplers draw from.
+
+A shot's detector/observable bits are the XOR of the symptoms of the
+faults drawn for it, so every table row must equal the byte-per-bit
+propagation of that fault alone (``oracles.fault_symptoms``); the
+periodic extraction's unrolled table must equal the whole-circuit one
+row for row; and one propagation per circuit must serve both DEM
+extraction and sampling.
+"""
+
+import numpy as np
+import pytest
+from oracles import fault_symptoms, reference_sample
+
+from test_sim_compiled import random_clifford_noise_circuit
+from test_sim_periodic import DEM_ORACLE_CIRCUITS
+
+from repro.core.cache import clear_caches
+from repro.decoder.engine import DecodingEngine
+from repro.noise import dem as _dem
+from repro.sim.circuit import Circuit
+from repro.sim.compiled import CompiledProgram
+from repro.sim.frame import FrameSimulator
+from repro.sim.memory import memory_circuit
+from repro.sim.periodic import compile_program
+
+
+def dense(start, index, columns):
+    """A CSR table as a dense ``(rows, columns)`` uint8 matrix."""
+    rows = start.size - 1
+    table = np.zeros((rows, columns), dtype=np.uint8)
+    table[np.repeat(np.arange(rows), np.diff(start)), index] = 1
+    return table
+
+
+def assert_matches_oracle(circuit, table):
+    mechanisms, detectors, observables = fault_symptoms(circuit)
+    assert len(table) == len(mechanisms)
+    np.testing.assert_array_equal(
+        table.probabilities, [prob for _, prob, _, _, _ in mechanisms]
+    )
+    np.testing.assert_array_equal(
+        dense(table.det_start, table.det_index, circuit.num_detectors), detectors
+    )
+    np.testing.assert_array_equal(
+        dense(table.obs_start, table.obs_index, circuit.num_observables),
+        observables,
+    )
+
+
+def assert_tables_equal(a, b):
+    for field in ("probabilities", "det_start", "det_index", "obs_start", "obs_index"):
+        np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+
+
+class TestRowsMatchOracle:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_clifford_circuits(self, seed):
+        circuit = random_clifford_noise_circuit(np.random.default_rng(1000 + seed))
+        assert_matches_oracle(circuit, _dem.whole_circuit_faults(circuit))
+        assert_matches_oracle(circuit, _dem.circuit_faults(circuit))
+
+    @pytest.mark.parametrize("build", DEM_ORACLE_CIRCUITS)
+    def test_dem_oracle_circuits(self, build):
+        circuit = build()
+        assert_matches_oracle(circuit, _dem.circuit_faults(circuit))
+
+
+class TestPeriodicTable:
+    @pytest.mark.parametrize(
+        "distance,rounds,basis,noise",
+        [
+            (3, 6, "Z", None),
+            (3, 9, "X", "biased_pauli"),
+            (5, 10, "Z", "movement_aware"),
+            (5, 7, "X", None),
+        ],
+    )
+    def test_unrolled_table_equals_whole_circuit(self, distance, rounds, basis, noise):
+        kwargs = {"basis": basis} if noise is None else {"basis": basis, "noise": noise}
+        circuit = memory_circuit(distance, rounds, 1e-3, **kwargs)
+        periodic, reason = _dem._periodic_faults(circuit)
+        assert reason is None
+        assert_tables_equal(periodic, _dem.whole_circuit_faults(circuit))
+
+    def test_fallback_table_carries_reason(self):
+        table = _dem.circuit_faults(memory_circuit(3, 4, 1e-3))
+        assert table.periodic_fallback == "few_reps"
+
+    def test_program_rejects_mismatched_table(self):
+        circuit = memory_circuit(3, 3, 1e-3)
+        other = _dem.whole_circuit_faults(memory_circuit(3, 4, 1e-3))
+        with pytest.raises(ValueError, match="fault table"):
+            CompiledProgram(circuit, other)
+
+
+def test_engine_setup_propagates_once(monkeypatch):
+    calls = []
+    propagate = _dem._mechanism_symptoms_packed
+
+    def counted(circuit, mechanisms):
+        calls.append(len(mechanisms))
+        return propagate(circuit, mechanisms)
+
+    monkeypatch.setattr(_dem, "_mechanism_symptoms_packed", counted)
+    for circuit in (memory_circuit(5, 6, 1e-3), memory_circuit(3, 4, 1e-3)):
+        clear_caches()
+        calls.clear()
+        with DecodingEngine(circuit, "mwpm") as engine:
+            compile_program(circuit)
+            engine.run(256, seed=3)
+        assert len(calls) == 1
+
+
+class TestEdgeCases:
+    @pytest.mark.parametrize("shots", [0, 1, 7, 8, 9, 63, 64, 65])
+    def test_shot_counts_match_reference(self, shots):
+        circuit = memory_circuit(3, 6, 0.02)
+        det_ref, obs_ref = reference_sample(circuit, shots, np.random.default_rng(4))
+        det, obs = FrameSimulator(circuit).sample(shots, rng=np.random.default_rng(4))
+        np.testing.assert_array_equal(det, det_ref)
+        np.testing.assert_array_equal(obs, obs_ref)
+
+    def test_circuit_without_detectors(self):
+        circuit = Circuit().x_error([0, 1], 0.3).measure(0, 1).observable_include(0, [1])
+        det_ref, obs_ref = reference_sample(circuit, 70, np.random.default_rng(8))
+        det, obs = FrameSimulator(circuit).sample(70, rng=np.random.default_rng(8))
+        assert det.shape == (70, 0)
+        np.testing.assert_array_equal(obs, obs_ref)
+        assert obs.any()
+
+    def test_circuit_without_noise(self):
+        circuit = memory_circuit(3, 3, 1e-3).without_noise()
+        assert len(_dem.circuit_faults(circuit)) == 0
+        det, obs = compile_program(circuit).run_packed(65, np.random.default_rng(1))
+        assert det.shape == (circuit.num_detectors, 9) and not det.any()
+        assert obs.shape == (circuit.num_observables, 9) and not obs.any()

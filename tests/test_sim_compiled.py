@@ -15,7 +15,7 @@ import pytest
 from oracles import reference_sample
 
 from repro.sim.circuit import Circuit
-from repro.sim.compiled import CompiledProgram, transpose_packed
+from repro.sim.compiled import CompiledProgram, lower_ops, transpose_packed
 from repro.sim.frame import FrameSimulator
 from repro.sim.memory import memory_circuit, transversal_cnot_experiment
 from repro.sim.tableau import TableauSimulator
@@ -173,8 +173,8 @@ class TestPackedUnpackedEquivalence:
             .detector([0])
             .detector([1])
         )
-        program = CompiledProgram(circuit)
-        assert all(s[0] not in ("IDLE", "FENCE") for s in program.steps)
+        steps = lower_ops(circuit.operations).steps
+        assert all(s[0] not in ("IDLE", "FENCE") for s in steps)
         assert_bit_identical(circuit, shots=64, seed=6)
 
     def test_zero_probability_and_zero_shots(self):
@@ -195,29 +195,29 @@ class TestPackedUnpackedEquivalence:
             .detector([0])
             .detector([1])
         )
-        program = CompiledProgram(circuit)
-        assert all(s[0] not in ("X", "Y", "Z", "TICK") for s in program.steps)
+        steps = lower_ops(circuit.operations).steps
+        assert all(s[0] not in ("X", "Y", "Z", "TICK") for s in steps)
         assert_bit_identical(circuit, shots=40, seed=2)
 
 
 class TestCompiledProgramStructure:
     def test_gate_fusion_merges_runs(self):
         circuit = Circuit().h(0).h(1).h(2).s(0).s(1).measure(0, 1, 2)
-        program = CompiledProgram(circuit)
-        kinds = [s[0] for s in program.steps]
+        steps = lower_ops(circuit.operations).steps
+        kinds = [s[0] for s in steps]
         assert kinds == ["H", "S", "M"]
-        assert list(program.steps[0][1]) == [0, 1, 2]
+        assert list(steps[0][1]) == [0, 1, 2]
 
     def test_record_map_is_sparse_coo(self):
         circuit = (
             Circuit().x_error([0], 0.5).measure(0, 1).detector([0, 1])
             .observable_include(0, [1])
         )
-        program = CompiledProgram(circuit)
-        assert list(program._det_meas) == [0, 1]
-        assert list(program._det_row) == [0, 0]
-        assert list(program._obs_meas) == [1]
-        assert list(program._obs_row) == [0]
+        segment = lower_ops(circuit.operations)
+        assert list(segment.det_meas) == [0, 1]
+        assert list(segment.det_row) == [0, 0]
+        assert list(segment.obs_meas) == [1]
+        assert list(segment.obs_row) == [0]
 
     def test_forward_record_reference_rejected(self):
         # Deferred detector extraction is only equivalent to the eager

@@ -61,6 +61,43 @@ def assert_periodic_matches_linear(circuit, shots_list=(0, 1, 7, 64, 200)):
             np.testing.assert_array_equal(obs_lin, obs_per)
 
 
+# Circuits whose extracted DEM is held to the byte-per-bit oracle: every
+# fallback reason of the periodic extraction and both of its outcomes.
+DEM_ORACLE_CIRCUITS = (
+    [
+        pytest.param(
+            lambda d=d, basis=basis: transversal_cnot_experiment(
+                d, 4, 1e-3, [2], basis=basis
+            ).circuit,
+            id=f"transversal_cnot-d{d}-{basis}",
+        )
+        for d in (3, 5)
+        for basis in ("Z", "X")
+    ]
+    + [
+        pytest.param(lambda: build_memory(5, 4, None), id="few_reps-d5"),
+        pytest.param(
+            lambda: build_memory(3, 3, "biased_pauli"), id="biased-few_reps"
+        ),
+        pytest.param(
+            lambda: build_memory(3, 7, "biased_pauli", basis="X"),
+            id="biased-periodic",
+        ),
+        pytest.param(lambda: build_memory(3, 3, None).without_noise(),
+                     id="noiseless"),
+    ]
+    + [
+        pytest.param(
+            lambda seed=seed: random_clifford_noise_circuit(
+                np.random.default_rng(seed)
+            ),
+            id=f"random_clifford-{seed}",
+        )
+        for seed in range(6)
+    ]
+)
+
+
 class TestPeriodDetection:
     def test_memory_circuit_spec(self):
         # Round 1 emits only the memory-basis detectors, so it belongs to
@@ -206,40 +243,7 @@ class TestPeriodicDem:
         assert auto.periodic_fallback == "few_reps"
         assert auto.mechanisms == linear.mechanisms
 
-    @pytest.mark.parametrize(
-        "build",
-        [
-            pytest.param(
-                lambda d=d, basis=basis: transversal_cnot_experiment(
-                    d, 4, 1e-3, [2], basis=basis
-                ).circuit,
-                id=f"transversal_cnot-d{d}-{basis}",
-            )
-            for d in (3, 5)
-            for basis in ("Z", "X")
-        ]
-        + [
-            pytest.param(lambda: build_memory(5, 4, None), id="few_reps-d5"),
-            pytest.param(
-                lambda: build_memory(3, 3, "biased_pauli"), id="biased-few_reps"
-            ),
-            pytest.param(
-                lambda: build_memory(3, 7, "biased_pauli", basis="X"),
-                id="biased-periodic",
-            ),
-            pytest.param(lambda: build_memory(3, 3, None).without_noise(),
-                         id="noiseless"),
-        ]
-        + [
-            pytest.param(
-                lambda seed=seed: random_clifford_noise_circuit(
-                    np.random.default_rng(seed)
-                ),
-                id=f"random_clifford-{seed}",
-            )
-            for seed in range(6)
-        ],
-    )
+    @pytest.mark.parametrize("build", DEM_ORACLE_CIRCUITS)
     def test_extract_dem_matches_linear_oracle(self, build):
         # Whichever path extract_dem takes (packed periodic unrolling or
         # packed whole-circuit propagation), the model equals the
