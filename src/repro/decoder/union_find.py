@@ -7,61 +7,59 @@ spanning tree.  The paper's Fig. 13(a) motivates carrying such decoders:
 they trade accuracy (a larger decoding factor alpha) for speed, and the
 architecture tolerates the difference at ~50% volume cost.
 
-Three layers live here, each exact against the one below it:
+Growth is round-synchronous, as Delfosse & Nickerson define it
+("Almost-linear time decoding algorithm for topological codes",
+arXiv:1709.06218): in each round every invalid cluster adds half an
+edge weight of support to each un-grown edge at its nodes, all at once,
+and only then do the grown edges merge clusters.  Half-edge growth
+discretizes exactly to touch counting -- every increment of an edge's
+support is half that same edge's weight, so an edge is grown at two
+touches (one for zero-weight rails).  The round's grown edges join
+clusters by a fixed link rule over canonical edge order, and a cluster
+that holds the boundary keeps it as its root.  That fixes each row's spanning forest, so every
+row has one answer, whatever else is in its batch.
+
+Two layers compute it:
 
 * The **group path** splits each unique row's defects into
   *groups*, the connected components of "within two hops" on the
   decoding graph with the boundary node removed.  A group missing from
   the per-decoder memo (keyed by its sorted defect ids) runs once as an
-  arena pseudo-row.  It is **local** when that run was not flagged and
-  every touch came from one of its own defects, so nothing beyond one hop
-  was touched (boundary excluded); the arena stops a group as soon as it
-  is not.  A row whose groups are all local is the XOR of their masks.
-  That is exact: groups are at least three hops apart, so their one-hop
-  regions share no node, and joint round-synchronous growth is the union
-  of the separate runs (the boundary is the only shared node, and a
-  cluster that reaches it is valid and stops).
+  arena pseudo-row.  It is **local** when every touch came from one of
+  its own defects, so nothing beyond one hop was touched (boundary
+  excluded); the arena stops a group as soon as it is not.  A row whose
+  groups are all local is the XOR of their masks.  That is exact:
+  groups are at least three hops apart, so their one-hop regions share
+  no node, and joint round-synchronous growth is the union of the
+  separate runs.  The boundary is the only shared node, and as the root
+  of its cluster it never changes which edges join a group's forest.
 * The **batched arena** decodes every other row whole.  Support is a
   flat ``(row, edge)`` touch counter updated with sorted-key scatters
-  over the graph's CSR incidence arrays, cluster membership is a per-row
-  union-find over ``(rows, nodes)`` parent tables with vectorized path
-  compression, and the final correction peels the recorded spanning
-  forest of every row simultaneously (leaf rounds over compact node
-  instances).  Half-edge growth discretizes exactly to touch counting --
-  every increment of an edge's support is half that same edge's weight,
-  so an edge is grown at two touches (one for zero-weight rails) -- which
-  is what makes the integer batch formulation bit-exact per row.
-* The **reference** per-shot loop (``_decode_reference`` over
-  ``_grow``/``_peel``) is the original sequential Delfosse-Nickerson
-  decoder.  It decodes the rows the arena flags and every row of a graph
-  whose observable masks exceed int64
-  (:data:`~repro.decoder.graph.INT64_OBSERVABLES`), and is the oracle the
-  other two layers are tested against.
+  over the graph's :class:`~repro.decoder.graph.EdgeTable` CSR
+  incidence, cluster membership is a per-row union-find over
+  ``(rows, nodes)`` parent tables with vectorized path compression, and
+  the final correction peels the recorded spanning forest of every row
+  simultaneously (leaf rounds over compact node instances).
 
-All three read the graph's :class:`~repro.decoder.graph.EdgeTable`, taken
-once at construction: the arena scatters over its CSR incidence, and the
-reference walks the same incidence in edge order, labelling the boundary
-``BOUNDARY``.
-
-Rows are independent in the arena and a group's memo entry is a pure
-function of the group, so predictions are a pure per-row function:
-batch composition, row order and memo state never change the output
-(the ``registry_contract`` analysis pass checks this for every
-registered decoder).
+Masks are int64, so the decoder takes graphs of at most
+:data:`~repro.decoder.graph.INT64_OBSERVABLES` observables.  Rows are
+independent in the arena and a group's memo entry is a pure function of
+the group, so predictions are a pure per-row function: batch
+composition, row order and memo state never change the output (the
+``registry_contract`` analysis pass checks this for every registered
+decoder).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
 from repro.decoder.base import BatchDecoder, _unmask_rows
-from repro.decoder.graph import BOUNDARY, INT64_OBSERVABLES, DecodingGraph
+from repro.decoder.graph import INT64_OBSERVABLES, DecodingGraph
 from repro.obs import metrics as _metrics
 
 # Edges whose -log-likelihood weight rails to ~0 (probability pinned at
@@ -92,22 +90,9 @@ _NOT_LOCAL = -1
 # the row, so uncached counts are deterministic per (seed, shard_shots).
 _UF_ROWS = _metrics.counter(
     "repro_uf_rows_total",
-    "Union-find unique rows by decode path (groups, row, reference).",
+    "Union-find unique rows by decode path (groups, row).",
     ("path",),
 )
-
-
-@dataclass
-class _Cluster:
-    """A growing cluster of detectors (reference implementation)."""
-
-    root: int
-    defects: int
-    touches_boundary: bool
-
-    @property
-    def is_valid(self) -> bool:
-        return self.touches_boundary or self.defects % 2 == 0
 
 
 def _ragged_ranges(starts: np.ndarray, counts: np.ndarray, total: int) -> np.ndarray:
@@ -142,10 +127,16 @@ class UnionFindDecoder(BatchDecoder):
     """Cluster-growth decoder on a :class:`DecodingGraph`.
 
     Args:
-        graph: decoding graph to grow clusters on.
+        graph: decoding graph to grow clusters on, with at most
+            :data:`~repro.decoder.graph.INT64_OBSERVABLES` observables.
     """
 
     def __init__(self, graph: DecodingGraph) -> None:
+        if graph.num_observables > INT64_OBSERVABLES:
+            raise ValueError(
+                f"union-find takes at most {INT64_OBSERVABLES} observables "
+                f"(int64 masks); this graph has {graph.num_observables}"
+            )
         self.graph = graph
         self._edges = graph.edge_table()
         # Touches that grow each edge (1 for zero-weight rails, else 2).
@@ -153,74 +144,36 @@ class UnionFindDecoder(BatchDecoder):
         self._hop_cache: Optional[Tuple[np.ndarray, int]] = None
         self._groups: Dict[bytes, int] = {}
 
-    def _find(self, parents: Dict[int, int], node: int) -> int:
-        root = node
-        while parents[root] != root:
-            root = parents[root]
-        while parents[node] != root:
-            parents[node], node = root, parents[node]
-        return root
-
     @property
     def num_observables(self) -> int:
         return self.graph.num_observables
 
-    def _decode_reference(self, syndrome: np.ndarray) -> np.ndarray:
-        """Per-shot reference decode (sequential growth + DFS peel)."""
-        defects = [int(d) for d in np.flatnonzero(syndrome)]
-        if not defects:
-            return np.zeros(self.graph.num_observables, dtype=np.uint8)
-        grown, masks = self._grow(set(defects))
-        mask = self._peel(grown, masks, set(defects))
-        return _unmask_rows([mask], self.graph.num_observables)[0]
-
-    # -- batched decoding ----------------------------------------------------
-
     def _decode_unique(self, syndromes: np.ndarray) -> np.ndarray:
         """Decode deduplicated rows: local groups first, whole rows after."""
-        num_obs = self.graph.num_observables
-        if num_obs > INT64_OBSERVABLES:
-            out = np.zeros((syndromes.shape[0], num_obs), dtype=np.uint8)
-            for i in range(syndromes.shape[0]):
-                out[i] = self._decode_reference(syndromes[i])
-            if _metrics.enabled():
-                _UF_ROWS.labels(path="reference").inc(out.shape[0])
-            return out
         syndromes = np.ascontiguousarray(syndromes, dtype=np.uint8)
         masks, local = self._decode_groups(syndromes)
         rest = np.flatnonzero(~local)
-        masks[rest], flagged, _ = self._arena_rows(syndromes[rest])
-        out = _unmask_rows(masks, num_obs)
-        # Rows where round-synchronous growth could diverge from the
-        # sequential reference (live-live merges with carried-over support,
-        # or a grown cycle whose observable mask makes the correction
-        # spanning-tree dependent) re-decode through the reference path so
-        # the arena is bit-identical to it on every row.
-        redo = rest[flagged]
-        for i in redo:
-            out[i] = self._decode_reference(syndromes[i])
+        masks[rest] = self._arena_rows(syndromes[rest])[0]
         if _metrics.enabled():
             _UF_ROWS.labels(path="groups").inc(local.size - rest.size)
-            _UF_ROWS.labels(path="row").inc(rest.size - redo.size)
-            _UF_ROWS.labels(path="reference").inc(redo.size)
-        return out
+            _UF_ROWS.labels(path="row").inc(rest.size)
+        return _unmask_rows(masks, self.graph.num_observables)
 
     def _arena_rows(
         self, syndromes: np.ndarray, *, local: bool = False
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """:meth:`_arena` over row chunks that bound its dense state."""
         rows = syndromes.shape[0]
         width = max(self._edges.node_count, self._edges.ea.size, 1)
         chunk = max(1, _ARENA_CHUNK_ELEMS // width)
         masks = np.zeros(rows, dtype=np.int64)
-        flagged = np.zeros(rows, dtype=bool)
         far = np.zeros(rows, dtype=bool)
         for start in range(0, rows, chunk):
             part = slice(start, start + chunk)
-            masks[part], flagged[part], far[part] = self._arena(
+            masks[part], far[part] = self._arena(
                 np.ascontiguousarray(syndromes[part]), local=local
             )
-        return masks, flagged, far
+        return masks, far
 
     # -- group path ----------------------------------------------------------
 
@@ -314,8 +267,8 @@ class UnionFindDecoder(BatchDecoder):
             pseudo = np.zeros((new.size, n), dtype=np.uint8)
             members = _ragged_ranges(first[new], sizes[new], int(sizes[new].sum()))
             pseudo[np.repeat(np.arange(new.size), sizes[new]), ids[members]] = 1
-            new_masks, flagged, far = self._arena_rows(pseudo, local=True)
-            new_vals = np.where(flagged | far, _NOT_LOCAL, new_masks)
+            new_masks, far = self._arena_rows(pseudo, local=True)
+            new_vals = np.where(far, _NOT_LOCAL, new_masks)
             vals[missing] = new_vals[slot]
             if len(memo) + len(slots) > _GROUP_MEMO_LIMIT:
                 memo.clear()
@@ -327,42 +280,31 @@ class UnionFindDecoder(BatchDecoder):
 
     def _arena(
         self, syndromes: np.ndarray, *, local: bool = False
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Grow and peel every row of one chunk.
 
-        Returns ``(masks, flagged, far)``: int64 observable masks per row,
-        a bool row mask marking rows whose arena result is not certified
-        bit-identical to the sequential reference (the caller re-decodes
-        those through :meth:`_decode_reference`), and, with ``local``
-        (group pseudo-rows), a bool row mask of rows that stopped growing
-        because they were not local; their masks are meaningless.
+        Returns ``(masks, far)``: int64 observable masks per row and, with
+        ``local`` (group pseudo-rows), a bool row mask of rows that
+        stopped growing because they were not local; their masks are
+        meaningless.
 
-        Growth is round-synchronous: every node of every invalid cluster
-        adds one touch to each un-grown incident edge, edges at threshold
-        grow, and the resulting events apply as ensure-then-union in
-        canonical (row, edge) order via a vectorized link loop.  Cluster
-        validity (defect parity, boundary contact) is recomputed from the
+        Every node of every invalid cluster adds one touch to each
+        un-grown incident edge, edges at threshold grow, and the
+        resulting events apply as ensure-then-union in canonical
+        (row, edge) order via a vectorized link loop.  Cluster validity
+        (defect parity, boundary contact) is recomputed from the
         membership pairs at every round start rather than maintained
         incrementally.
-
-        The reference loop processes clusters sequentially *within* a
-        round, so a merge can absorb a cluster whose turn had not happened
-        yet, skipping its touches for that round.  That is only possible
-        when the merge edge entered the round one touch below threshold
-        (a single cluster's touch completes it mid-round); such rows are
-        flagged rather than emulated.  Every other divergence is a
-        spanning-tree choice, which the peel-side potential check flags.
         """
         rows, n = syndromes.shape
         edges = self._edges
         node_count = edges.node_count
         boundary = node_count - 1
         num_edges = edges.ea.size
-        flagged = np.zeros(rows, dtype=bool)
         far = np.zeros(rows, dtype=bool)
         flat = np.flatnonzero(syndromes.view(bool))
         if flat.size == 0:
-            return np.zeros(rows, dtype=np.int64), flagged, far
+            return np.zeros(rows, dtype=np.int64), far
         # Membership pairs; the initial members are exactly the defects,
         # and every node ensured later is not one.
         act_r = flat // n
@@ -376,7 +318,6 @@ class UnionFindDecoder(BatchDecoder):
         in_cl[act_r, act_n] = True
         support = np.zeros(rows * num_edges, dtype=np.uint8)
         grown = np.zeros(rows * num_edges, dtype=bool)
-        grown_keys: List[np.ndarray] = []
         tree_rows: List[np.ndarray] = []
         tree_edges: List[np.ndarray] = []
         for round_no in range(_MAX_ROUNDS + 1):
@@ -424,42 +365,29 @@ class UnionFindDecoder(BatchDecoder):
             if touched.size == 0:
                 continue
             cand, counts = np.unique(touched, return_counts=True)
-            prev = support[cand].astype(np.int64)
             support[cand] += counts.astype(np.uint8)
             ready = support[cand] >= self._thresh[cand % num_edges]
             newly = cand[ready]
             if newly.size == 0:
                 continue
             grown[newly] = True
-            grown_keys.append(newly)
-            # Edges entering the round one touch below threshold can grow
-            # at a single cluster's sequential turn in the reference loop;
-            # _union_grown_edges flags live-live merges on those edges.
-            risky = prev[ready] == (
-                self._thresh[newly % num_edges].astype(np.int64) - 1
-            )
             new_r, new_n = self._union_grown_edges(
-                newly, risky, parent, in_cl,
-                tree_rows, tree_edges, flagged, boundary, node_count, num_edges,
+                newly, parent, in_cl, tree_rows, tree_edges,
+                boundary, node_count, num_edges,
             )
             if new_r.size:
                 act_r = np.concatenate([act_r, new_r])
                 act_n = np.concatenate([act_n, new_n])
                 act_d = np.concatenate([act_d, np.zeros(new_r.size, dtype=bool)])
-        masks = self._peel_forest(
-            rows, tree_rows, tree_edges, grown_keys, syndromes, flagged
-        )
-        return masks, flagged, far
+        return self._peel_forest(rows, tree_rows, tree_edges, syndromes), far
 
     def _union_grown_edges(
         self,
         newly: np.ndarray,
-        risky: np.ndarray,
         parent: np.ndarray,
         in_cl: np.ndarray,
         tree_rows: List[np.ndarray],
         tree_edges: List[np.ndarray],
-        flagged: np.ndarray,
         boundary: int,
         node_count: int,
         num_edges: int,
@@ -467,12 +395,13 @@ class UnionFindDecoder(BatchDecoder):
         """Apply one round's grown edges; returns the new (row, node) pairs.
 
         ``newly`` is sorted by flat (row, edge) key.  Endpoints outside
-        any cluster are ensured as singletons first (the reference loop's
-        ``ensure``), turning every event into a union.  Unions run as a
-        vectorized link loop: each pass links the higher root under the
-        lower (strictly decreasing, hence acyclic and safe to apply
+        any cluster are ensured as singletons first, turning every event
+        into a union.  Unions run as a
+        vectorized link loop: each pass links the higher-ranked root under
+        the lower (strictly decreasing, hence acyclic and safe to apply
         simultaneously), first event per target root wins, losers retry
-        next pass, and same-root events drop as cycles.
+        next pass, and same-root events drop as cycles.  Roots rank by
+        node id, except that the boundary ranks below every detector.
         """
         g_r = newly // num_edges
         g_e = newly % num_edges
@@ -480,14 +409,6 @@ class UnionFindDecoder(BatchDecoder):
         ends_b = self._edges.eb[g_e]
         in_a = in_cl[g_r, ends_a]
         in_b = in_cl[g_r, ends_b]
-        # A risky edge joining two distinct round-start clusters is the
-        # one event whose sequential-order effects the arena cannot
-        # reproduce; flag the row for reference re-decode.
-        merge_risk = np.flatnonzero(in_a & in_b & risky)
-        if merge_risk.size:
-            ru0 = _find_rows(parent, g_r[merge_risk], ends_a[merge_risk])
-            rv0 = _find_rows(parent, g_r[merge_risk], ends_b[merge_risk])
-            flagged[g_r[merge_risk[ru0 != rv0]]] = True
         # Ensure fresh endpoints as singleton clusters (their own roots);
         # they join via the union loop below.
         fresh_r = np.concatenate([g_r[~in_a], g_r[~in_b]])
@@ -510,8 +431,12 @@ class UnionFindDecoder(BatchDecoder):
                 break
             ru = ru[merge]
             rv = rv[merge]
-            hi = np.maximum(ru, rv)
-            lo = np.minimum(ru, rv)
+            # The boundary, the largest node id, ranks lowest: a cluster
+            # holding it keeps it as root, so which root a group's events
+            # target never depends on other groups sharing the boundary.
+            at_boundary = (ru == boundary) | (rv == boundary)
+            hi = np.where(at_boundary, np.minimum(ru, rv), np.maximum(ru, rv))
+            lo = ru + rv - hi
             key = g_r[rem] * node_count + hi
             _, first = np.unique(key, return_index=True)
             win = np.zeros(rem.size, dtype=bool)
@@ -531,33 +456,20 @@ class UnionFindDecoder(BatchDecoder):
         rows: int,
         tree_rows: List[np.ndarray],
         tree_edges: List[np.ndarray],
-        grown_keys: List[np.ndarray],
         syndromes: np.ndarray,
-        flagged: np.ndarray,
     ) -> np.ndarray:
         """Peel every row's spanning forest at once; returns int64 masks.
 
-        ``grown_keys`` holds each round's newly grown flat (row, edge)
-        keys.  A tree edge is flipped iff its leaf-side subtree holds odd
-        defect parity, so the result is independent of peel order; leaves
-        are removed in synchronized rounds over compact (row, node)
-        instances.
-
-        The reference peel picks *its own* spanning tree over the grown
-        subgraph; two trees give the same correction iff every grown cycle
-        carries a zero observable mask.  After peeling, tree-derived node
-        potentials certify each non-tree grown edge; rows with an
-        inconsistent cycle are flagged for reference re-decode.
+        A tree edge is flipped iff its leaf-side subtree holds odd defect
+        parity, so the result is independent of peel order; leaves are
+        removed in synchronized rounds over compact (row, node) instances.
         """
         masks = np.zeros(rows, dtype=np.int64)
-        edges = self._edges
-        num_edges = edges.ea.size
-        grown_flat = np.concatenate(grown_keys) if grown_keys else np.zeros(0, dtype=np.int64)
-        t_r = np.concatenate(tree_rows) if tree_rows else grown_flat[:0]
-        t_e = np.concatenate(tree_edges) if tree_edges else grown_flat[:0]
-        if t_r.size == 0:
-            flagged[np.unique(grown_flat // num_edges)] = True
+        if not tree_rows:
             return masks
+        edges = self._edges
+        t_r = np.concatenate(tree_rows)
+        t_e = np.concatenate(tree_edges)
         node_count = edges.node_count
         boundary = node_count - 1
         e_u = edges.ea[t_e]
@@ -581,7 +493,6 @@ class UnionFindDecoder(BatchDecoder):
         detector = node_of != boundary
         parity = np.zeros(total, dtype=np.int64)
         parity[detector] = syndromes[row_of[detector], node_of[detector]]
-        replay: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         while True:
             leaves = np.flatnonzero(detector & (deg == 1))
             if leaves.size == 0:
@@ -594,7 +505,6 @@ class UnionFindDecoder(BatchDecoder):
                 leaves = leaves[~skip]
                 nbr = nbr[~skip]
             leaf_mask = xor_mask[leaves]
-            replay.append((leaves, nbr, leaf_mask))
             odd = parity[leaves] == 1
             if odd.any():
                 np.bitwise_xor.at(masks, row_of[leaves[odd]], leaf_mask[odd])
@@ -603,27 +513,6 @@ class UnionFindDecoder(BatchDecoder):
             np.bitwise_xor.at(xor_nbr, nbr, leaves)
             np.bitwise_xor.at(xor_mask, nbr, leaf_mask)
             deg[leaves] = 0
-        # Certify non-tree grown edges against tree potentials: replaying
-        # the peel in reverse assigns phi root-first along every path.
-        tree_flat = t_r * num_edges + t_e
-        cycle_flat = np.setdiff1d(grown_flat, tree_flat)
-        if cycle_flat.size:
-            phi = np.zeros(total, dtype=np.int64)
-            for leaves, nbr, leaf_mask in reversed(replay):
-                phi[leaves] = phi[nbr] ^ leaf_mask
-            c_r = cycle_flat // num_edges
-            c_e = cycle_flat % num_edges
-            key_u = c_r * node_count + edges.ea[c_e]
-            key_v = c_r * node_count + edges.eb[c_e]
-            iu = np.minimum(np.searchsorted(inst_keys, key_u), total - 1)
-            iv = np.minimum(np.searchsorted(inst_keys, key_v), total - 1)
-            consistent = (
-                (inst_keys[iu] == key_u)
-                & (inst_keys[iv] == key_v)
-                & ((phi[iu] ^ phi[iv]) == edges.mask[c_e])
-            )
-            if not consistent.all():
-                flagged[np.unique(c_r[~consistent])] = True
         return masks
 
     def _convergence_error(
@@ -651,150 +540,3 @@ class UnionFindDecoder(BatchDecoder):
             f"(root -> (defects, touches_boundary)): {state}; "
             f"{grown_count} edges grown"
         )
-
-    # -- reference growth ----------------------------------------------------
-
-    @cached_property
-    def _edge_lists(self) -> Tuple[List[int], List[int], List[int], List[float], list]:
-        """Edge-table columns as Python lists for the per-shot reference:
-        ``indptr``, ``inc_edge``, ``ea + eb`` (an edge's far end from node
-        ``i`` is ``ea + eb - i``), ``weight`` and ``mask``."""
-        table = self._edges
-        return (
-            table.indptr.tolist(),
-            table.inc_edge.tolist(),
-            (table.ea + table.eb).tolist(),
-            table.weight.tolist(),
-            table.mask.tolist(),
-        )
-
-    def _grow(self, defects: Set[int]) -> Tuple[Set[frozenset], Dict[frozenset, int]]:
-        """Grow clusters until valid.
-
-        Returns the set of fully-grown edges, keyed by their endpoint
-        labels (``BOUNDARY`` for the boundary), and each one's observable
-        mask.  Edge growth is discretized: each cluster adds half an edge
-        weight per round on its frontier; an edge is grown when the
-        accumulated support reaches its weight.
-        """
-        boundary = self._edges.node_count - 1
-        indptr, inc_edge, end_sum, weights, edge_masks = self._edge_lists
-        parents: Dict[int, int] = {}
-        clusters: Dict[int, _Cluster] = {}
-        support: Dict[frozenset, float] = {}
-        grown: Set[frozenset] = set()
-        masks: Dict[frozenset, int] = {}
-
-        def ensure(node: int) -> None:
-            if node not in parents:
-                parents[node] = node
-                clusters[node] = _Cluster(
-                    node, 1 if node in defects else 0, node == BOUNDARY
-                )
-
-        for d in defects:
-            ensure(d)
-
-        def invalid_roots() -> List[int]:
-            roots = {self._find(parents, d) for d in defects}
-            return [r for r in roots if not clusters[r].is_valid]
-
-        safety = 0
-        while True:
-            bad = invalid_roots()
-            if not bad:
-                return grown, masks
-            safety += 1
-            if safety > _MAX_ROUNDS:
-                state = {
-                    root: (clusters[root].defects, clusters[root].touches_boundary)
-                    for root in bad
-                }
-                raise RuntimeError(
-                    "union-find growth failed to converge after "
-                    f"{safety - 1} rounds; invalid clusters "
-                    f"(root -> (defects, touches_boundary)): {state}; "
-                    f"{len(grown)} edges grown"
-                )
-            for root in bad:
-                nodes = [u for u in parents if self._find(parents, u) == root]
-                for node in nodes:
-                    i = boundary if node == BOUNDARY else node
-                    for e in inc_edge[indptr[i]:indptr[i + 1]]:
-                        j = end_sum[e] - i
-                        neighbor = BOUNDARY if j == boundary else j
-                        weight = weights[e]
-                        key = frozenset((node, neighbor))
-                        if key in grown:
-                            continue
-                        if weight <= _ZERO_WEIGHT:
-                            # Effectively-free edge: grow it immediately.
-                            support[key] = weight
-                        else:
-                            support[key] = support.get(key, 0.0) + weight / 2
-                        if support[key] >= weight:
-                            grown.add(key)
-                            masks[key] = edge_masks[e]
-                            ensure(neighbor)
-                            self._union(parents, clusters, node, neighbor)
-
-    def _union(self, parents, clusters, a: int, b: int) -> None:
-        ra = self._find(parents, a)
-        rb = self._find(parents, b)
-        if ra == rb:
-            return
-        parents[rb] = ra
-        clusters[ra] = _Cluster(
-            ra,
-            clusters[ra].defects + clusters[rb].defects,
-            clusters[ra].touches_boundary or clusters[rb].touches_boundary,
-        )
-
-    # -- reference peeling ---------------------------------------------------
-
-    def _peel(
-        self, grown: Set[frozenset], masks: Dict[frozenset, int], defects: Set[int]
-    ) -> int:
-        """Peel spanning forests of the grown edges; return observable mask."""
-        adjacency: Dict[int, List[Tuple[int, int]]] = {}
-        for key in grown:
-            nodes = tuple(key)
-            if len(nodes) == 1:
-                continue
-            u, v = nodes
-            mask = masks[key]
-            adjacency.setdefault(u, []).append((v, mask))
-            adjacency.setdefault(v, []).append((u, mask))
-        # Build spanning trees rooted at boundary (if present) or any node.
-        visited: Set[int] = set()
-        total_mask = 0
-        nodes = list(adjacency)
-        # Prefer roots at the boundary so dangling defects peel onto it.
-        nodes.sort(key=lambda n: 0 if n == BOUNDARY else 1)
-        for start in nodes:
-            if start in visited:
-                continue
-            order: List[Tuple[int, Optional[int], int]] = []
-            stack = [(start, None, 0)]
-            while stack:
-                node, parent, mask = stack.pop()
-                if node in visited:
-                    continue
-                visited.add(node)
-                order.append((node, parent, mask))
-                for neighbor, edge_mask in adjacency.get(node, ()):
-                    if neighbor not in visited:
-                        stack.append((neighbor, node, edge_mask))
-            # Peel leaves upward: flip an edge when its child carries a defect.
-            carry: Dict[int, int] = {
-                node: 1 if node in defects else 0 for node, _, _ in order
-            }
-            for node, parent, mask in reversed(order):
-                if parent is None:
-                    continue
-                if carry[node] % 2 == 1:
-                    total_mask ^= mask
-                    carry[parent] += 1
-                    carry[node] = 0
-        return total_mask
-

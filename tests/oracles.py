@@ -46,9 +46,11 @@ rebuilt here as decoders and builders:
 * :class:`WholeSyndromeMWPM` -- MWPM without cluster decomposition: each
   syndrome matched whole by :func:`subset_dp_matching` up to
   :data:`DP_MATCH_LIMIT` defects and by blossom beyond;
-* :class:`ReferenceUnionFind` -- union-find's per-shot reference loop on
-  every row, the baseline its group path and arena must equal (both
-  oracle decoders decode their unique rows one at a time);
+* :class:`ReferenceUnionFind` -- union-find's sequential per-shot loop,
+  in which clusters take turns within a round.  Its ``trace`` also says
+  whether a row's answer depends on that turn order; on every row where
+  it does not, the round-synchronous group path and arena must equal it
+  (both oracle decoders decode their unique rows one at a time);
 * :func:`periodic_program` and :func:`periodic_dem` -- a forced periodic
   packed program or DEM extraction, where ``compile_program`` and
   ``extract_dem`` pick one (the forced linear program is
@@ -57,6 +59,7 @@ rebuilt here as decoders and builders:
 """
 
 import math
+from dataclasses import dataclass
 
 import networkx as nx
 import numpy as np
@@ -64,7 +67,7 @@ import numpy as np
 from repro.decoder.base import BatchDecoder, _unmask_rows
 from repro.decoder.graph import BOUNDARY
 from repro.decoder.mwpm import MWPMDecoder
-from repro.decoder.union_find import UnionFindDecoder
+from repro.decoder.union_find import _MAX_ROUNDS, _ZERO_WEIGHT
 from repro.noise import dem as _dem
 from repro.sim.compiled import noise_channel, sample_channel
 from repro.sim.ops import NOISE, NOISE_2Q, NOISE_MARKERS
@@ -482,21 +485,198 @@ class WholeSyndromeMWPM(MWPMDecoder):
         return out
 
 
+@dataclass
+class _Cluster:
+    """A growing cluster's defect count and boundary contact."""
+
+    defects: int
+    touches_boundary: bool
+
+    @property
+    def is_valid(self):
+        return self.touches_boundary or self.defects % 2 == 0
+
+
+def _find(parents, node):
+    root = node
+    while parents[root] != root:
+        root = parents[root]
+    while parents[node] != root:
+        parents[node], node = root, parents[node]
+    return root
+
+
 class ReferenceUnionFind(BatchDecoder):
-    """Union-find's per-shot reference loop, on every row."""
+    """Sequential Delfosse-Nickerson union-find, one row at a time.
+
+    Every round the invalid clusters take turns: a cluster adds half an
+    edge weight of support to each un-grown edge at its nodes, and an
+    edge whose support reaches its weight grows and merges its endpoints'
+    clusters at once, mid-round.  The grown edges are then peeled along a
+    DFS spanning forest rooted at the boundary.
+
+    :meth:`trace` also reports whether a row's answer depends on that
+    processing order, which round-synchronous growth (the production
+    arena) does not share:
+
+    * a merge of two distinct round-start clusters through an edge that
+      entered the round one touch below its threshold: the first cluster
+      to touch it absorbs the other, whose own touches that round are
+      skipped if its turn had not come yet;
+    * a grown cycle with a non-zero observable mask: the correction then
+      depends on which spanning tree the peel takes.
+
+    On every other row :class:`~repro.decoder.union_find.UnionFindDecoder`
+    must equal this loop.
+    """
 
     def __init__(self, graph):
-        self._decoder = UnionFindDecoder(graph)
+        self.graph = graph
+        table = graph.edge_table()
+        self._boundary = table.node_count - 1
+        self._indptr = table.indptr.tolist()
+        self._inc_edge = table.inc_edge.tolist()
+        # An edge's far end from node i is ea + eb - i.
+        self._end_sum = (table.ea + table.eb).tolist()
+        self._weight = table.weight.tolist()
+        self._mask = table.mask.tolist()
 
     @property
     def num_observables(self):
-        return self._decoder.num_observables
+        return self.graph.num_observables
 
     def decode(self, syndrome):
-        return self._decoder._decode_reference(np.asarray(syndrome, dtype=np.uint8))
+        return self.trace(syndrome)[0]
 
     def _decode_unique(self, syndromes):
         return per_shot_decode(self, syndromes)
+
+    def order_sensitive(self, syndromes):
+        """Bool per row: does its answer depend on processing order?"""
+        return np.array([self.trace(row)[1] for row in syndromes], dtype=bool)
+
+    def trace(self, syndrome):
+        """``(prediction, order_sensitive)`` of one syndrome row."""
+        defects = {int(d) for d in np.flatnonzero(syndrome)}
+        if not defects:
+            return np.zeros(self.num_observables, dtype=np.uint8), False
+        grown, masks, risky_merge = self._grow(defects)
+        mask, cycle = self._peel(grown, masks, defects)
+        return _unmask_rows([mask], self.num_observables)[0], risky_merge or cycle
+
+    def _grow(self, defects):
+        """Grow clusters until valid.
+
+        Returns the grown edges, keyed by their endpoint labels
+        (``BOUNDARY`` for the boundary), each one's observable mask, and
+        whether a risky merge (see the class docstring) happened.
+        """
+        parents, clusters = {}, {}
+        support, grown, masks = {}, set(), {}
+        risky_merge = False
+
+        def ensure(node):
+            if node not in parents:
+                parents[node] = node
+                clusters[node] = _Cluster(int(node in defects), node == BOUNDARY)
+
+        for d in defects:
+            ensure(d)
+        for rounds in range(_MAX_ROUNDS + 1):
+            roots = {_find(parents, d) for d in defects}
+            bad = [r for r in roots if not clusters[r].is_valid]
+            if not bad:
+                return grown, masks, risky_merge
+            if rounds == _MAX_ROUNDS:
+                state = {r: (clusters[r].defects, clusters[r].touches_boundary) for r in bad}
+                raise RuntimeError(
+                    f"union-find growth failed to converge after {_MAX_ROUNDS} "
+                    f"rounds; invalid clusters (root -> (defects, "
+                    f"touches_boundary)): {state}; {len(grown)} edges grown"
+                )
+            # Round-start forest, and the edges first touched this round:
+            # the rest entered it one touch below threshold.
+            start_parents = dict(parents)
+            fresh = set()
+            for root in bad:
+                for node in [u for u in parents if _find(parents, u) == root]:
+                    i = self._boundary if node == BOUNDARY else node
+                    for e in self._inc_edge[self._indptr[i]:self._indptr[i + 1]]:
+                        j = self._end_sum[e] - i
+                        neighbor = BOUNDARY if j == self._boundary else j
+                        key = frozenset((node, neighbor))
+                        if key in grown:
+                            continue
+                        weight = self._weight[e]
+                        if weight <= _ZERO_WEIGHT:
+                            # Effectively free: grown at its first touch.
+                            support[key] = weight
+                        else:
+                            if key not in support:
+                                fresh.add(key)
+                            support[key] = support.get(key, 0.0) + weight / 2
+                        if support[key] < weight:
+                            continue
+                        grown.add(key)
+                        masks[key] = self._mask[e]
+                        if (
+                            key not in fresh
+                            and node in start_parents
+                            and neighbor in start_parents
+                            and _find(start_parents, node) != _find(start_parents, neighbor)
+                        ):
+                            risky_merge = True
+                        ensure(neighbor)
+                        self._union(parents, clusters, node, neighbor)
+
+    @staticmethod
+    def _union(parents, clusters, a, b):
+        ra, rb = _find(parents, a), _find(parents, b)
+        if ra == rb:
+            return
+        parents[rb] = ra
+        clusters[ra] = _Cluster(
+            clusters[ra].defects + clusters[rb].defects,
+            clusters[ra].touches_boundary or clusters[rb].touches_boundary,
+        )
+
+    @staticmethod
+    def _peel(grown, masks, defects):
+        """``(observable mask, non-zero cycle)`` of the peeled forests."""
+        pairs = [(*key, masks[key]) for key in grown if len(key) == 2]
+        adjacency = {}
+        for u, v, mask in pairs:
+            adjacency.setdefault(u, []).append((v, mask))
+            adjacency.setdefault(v, []).append((u, mask))
+        # Roots at the boundary first, so dangling defects peel onto it.
+        visited, phi = set(), {}
+        total_mask = 0
+        for start in sorted(adjacency, key=lambda n: 0 if n == BOUNDARY else 1):
+            if start in visited:
+                continue
+            order = []
+            stack = [(start, None, 0)]
+            while stack:
+                node, parent, mask = stack.pop()
+                if node in visited:
+                    continue
+                visited.add(node)
+                phi[node] = 0 if parent is None else phi[parent] ^ mask
+                order.append((node, parent, mask))
+                for neighbor, edge_mask in adjacency[node]:
+                    if neighbor not in visited:
+                        stack.append((neighbor, node, edge_mask))
+            # Peel leaves upward: flip an edge when its child carries a defect.
+            carry = {node: int(node in defects) for node, _, _ in order}
+            for node, parent, mask in reversed(order):
+                if parent is not None and carry[node] % 2 == 1:
+                    total_mask ^= mask
+                    carry[parent] += 1
+                    carry[node] = 0
+        # phi is each node's tree-path mask from its root, so a grown edge
+        # off the tree closes a cycle of mask phi[u] ^ phi[v] ^ mask.
+        cycle = any(phi[u] ^ phi[v] != mask for u, v, mask in pairs)
+        return total_mask, cycle
 
 
 def periodic_program(circuit):

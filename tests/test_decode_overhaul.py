@@ -2,13 +2,16 @@
 
 Covers the layers the overhaul added to the decode path:
 
-* the batched union-find growth arena is bit-identical to the per-shot
-  reference loop it replaced (``oracles.ReferenceUnionFind``), row for
-  row;
+* the batched union-find growth arena equals the sequential loop it
+  replaced (``oracles.ReferenceUnionFind``) on every row whose
+  sequential answer does not depend on processing order;
 * MWPM's cluster path equals the <=2-defect closed form
   (``oracles.two_defect_mask``) on an exhaustive enumeration of such
-  rows, and union-find's group path its reference on the same
+  rows, and union-find's group path equals the whole-row arena, and the
+  sequential oracle where it is order-insensitive, on the same
   enumeration;
+* on graphs whose observable masks exceed int64, MWPM equals its
+  whole-syndrome oracle and union-find's constructor rejects the graph;
 * ``EngineResult`` stays float-exactly invariant across worker counts.
 
 The vectorized ``_unmask_rows`` observable expansion is regression-tested
@@ -23,7 +26,7 @@ from oracles import ReferenceUnionFind, WholeSyndromeMWPM, per_shot_decode, two_
 
 from repro.decoder.base import _unmask_rows
 from repro.decoder.engine import DecodingEngine
-from repro.decoder.graph import DecodingGraph
+from repro.decoder.graph import INT64_OBSERVABLES, DecodingGraph
 from repro.decoder.mwpm import MWPMDecoder
 from repro.decoder.union_find import UnionFindDecoder
 from repro.sim.frame import FrameSimulator
@@ -67,28 +70,28 @@ class TestBatchedUnionFind:
         graph = DecodingGraph.from_dem(sim.detector_error_model())
         detectors, _ = sim.sample(600)
         unique = _unique_rows(detectors.astype(np.uint8))
-        batched = UnionFindDecoder(graph)
-        arena = batched._decode_unique(unique)
-        reference = np.stack(
-            [batched._decode_reference(row) for row in unique]
-        )
-        assert np.array_equal(arena, reference)
+        oracle = ReferenceUnionFind(graph)
+        insensitive = ~oracle.order_sensitive(unique)
+        assert insensitive.mean() > 0.5
+        arena = UnionFindDecoder(graph)._decode_unique(unique)
+        reference = oracle._decode_unique(unique)
+        assert np.array_equal(arena[insensitive], reference[insensitive])
 
     def test_reference_oracle_matches_batched_decode(self, d3_setup):
         _, graph, detectors, _ = d3_setup
         per_shot = ReferenceUnionFind(graph)
         batched = UnionFindDecoder(graph)
+        insensitive = ~per_shot.order_sensitive(detectors)
         assert np.array_equal(
-            per_shot.decode_batch(detectors), batched.decode_batch(detectors)
+            per_shot.decode_batch(detectors)[insensitive],
+            batched.decode_batch(detectors)[insensitive],
         )
 
     def test_scalar_decode_matches_reference(self, d3_setup):
         _, graph, detectors, _ = d3_setup
-        batched = UnionFindDecoder(graph)
-        row = next(r for r in detectors if r.any())
-        assert np.array_equal(
-            batched.decode(row), batched._decode_reference(row)
-        )
+        oracle = ReferenceUnionFind(graph)
+        row = next(r for r in detectors if r.any() and not oracle.trace(r)[1])
+        assert np.array_equal(UnionFindDecoder(graph).decode(row), oracle.decode(row))
 
 
 class TestUnmaskRows:
@@ -131,13 +134,18 @@ class TestSparseFastPath:
 
     def test_union_find_exhaustive_certification(self, d3_setup):
         # Union-find has no tables: <=2-defect rows are one or two groups
-        # served from its group memo, checked here against the reference.
+        # served from its group memo, checked here against the whole-row
+        # arena, and against the sequential oracle where it is
+        # order-insensitive.
         _, graph, _, _ = d3_setup
         decoder = UnionFindDecoder(graph)
         rows = _sparse_rows(graph.num_detectors)
         fast = decoder._decode_unique(rows)
-        reference = np.stack([decoder._decode_reference(row) for row in rows])
-        assert np.array_equal(fast, reference)
+        whole = _unmask_rows(decoder._arena_rows(rows)[0], graph.num_observables)
+        assert np.array_equal(fast, whole)
+        oracle = ReferenceUnionFind(graph)
+        insensitive = ~oracle.order_sensitive(rows)
+        assert np.array_equal(fast[insensitive], oracle._decode_unique(rows)[insensitive])
 
     @pytest.mark.parametrize(
         "decoder_cls, num_obs",
@@ -146,11 +154,16 @@ class TestSparseFastPath:
     )
     def test_masks_wider_than_int64(self, decoder_cls, num_obs):
         # Past INT64_OBSERVABLES (62) masks are Python ints; bit 62 or 65
-        # is the highest set here.
+        # is the highest set here.  MWPM decodes such graphs; union-find's
+        # masks are int64, so its constructor rejects them, naming the cap.
         top = 65 if num_obs == 70 else 62
         graph = DecodingGraph(num_detectors=2, num_observables=num_obs)
         graph.add_mechanism((0, 1), 0.01, frozenset({top}))
         graph.add_mechanism((0,), 0.01, frozenset({1}))
+        if decoder_cls is UnionFindDecoder:
+            with pytest.raises(ValueError, match=f"at most {INT64_OBSERVABLES} observables"):
+                decoder_cls(graph)
+            return
         decoder = decoder_cls(graph)
         assert np.flatnonzero(decoder.decode(np.array([1, 1]))).tolist() == [top]
         rows = _sparse_rows(2)
