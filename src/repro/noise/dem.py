@@ -7,25 +7,34 @@ and logical observables flip when that mechanism fires, together with the
 firing probability.  Mechanisms with identical symptoms are merged by XOR
 convolution.
 
-Extraction propagates each mechanism through the Clifford circuit with the
-packed frame steps of :mod:`repro.sim.compiled`, one bit column per
-mechanism: the mechanism's Pauli is injected into its column at the
+Extraction works on arrays from noise op to merged model.
+:func:`enumerate_mechanisms` lists every fault as columns (op index,
+probability, flipped qubits), built per noise op from the Pauli tables
+of :mod:`repro.sim.ops`.  It covers every channel of the op table
+(:data:`repro.sim.ops.NOISE`), including the biased ``PAULI_CHANNEL_1`` /
+``PAULI_CHANNEL_2`` whose per-outcome probabilities ride in
+``Operation.args``.  The faults are then propagated through the Clifford
+circuit with the packed frame steps of :mod:`repro.sim.compiled`, one bit
+column per fault: each fault's Pauli is injected into its column at the
 channel's position, all deterministic steps conjugate every column at
 once, and the column's final detector/observable flips are the symptom.
-This covers every channel of the op table (:data:`repro.sim.ops.NOISE`),
-including the biased ``PAULI_CHANNEL_1`` / ``PAULI_CHANNEL_2`` whose
-per-outcome probabilities ride in ``Operation.args``.
 
 :func:`circuit_faults` runs that propagation over a few rounds of a
 circuit with a certified repeated round and unrolls the rest (the
 periodic path); any other circuit is propagated whole (the linear path),
 and the table's ``periodic_fallback`` names the certificate that failed.
 The result is a :class:`FaultTable`: every fault's symptom, unmerged, in
-circuit order.  It is memoized per circuit fingerprint, so one
-propagation per circuit serves both consumers: :func:`extract_dem` merges
-it into the model, and the packed samplers (:mod:`repro.sim.compiled`)
-XOR the rows of the faults they draw.  The tests hold both paths equal
-to a byte-per-bit, row-per-mechanism reference propagation.
+circuit order, as CSR arrays.  It is memoized per circuit fingerprint, so
+one propagation per circuit serves both consumers: :func:`extract_dem`
+merges it into the model, and the packed samplers
+(:mod:`repro.sim.compiled`) XOR the rows of the faults they draw.  The
+tests hold both paths equal to a byte-per-bit, row-per-mechanism
+reference propagation.
+
+Merging (:func:`extract_dem` and :meth:`DetectorErrorModel.merged` share
+one kernel) groups identical symptom rows with a stable sort, folds
+their probabilities in fault order, and builds :class:`ErrorMechanism`
+objects for the merged rows only.
 
 Lowering: :func:`weighted_graph` turns a DEM into the matching decoders'
 :class:`~repro.decoder.graph.DecodingGraph`, whose edges carry
@@ -42,7 +51,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -112,20 +121,23 @@ class DetectorErrorModel:
         """Combine mechanisms with identical symptoms.
 
         Two independent sources with the same symptom act like one source
-        firing with probability p = p1 (1 - p2) + p2 (1 - p1).
+        firing with probability p = p1 (1 - p2) + p2 (1 - p1).  Merged
+        mechanisms come sorted by ``(detectors, observables)``; those
+        whose merged probability is 0 are dropped.
         """
-        combined: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], float] = {}
-        for mech in self.mechanisms:
-            key = (mech.detectors, mech.observables)
-            prior = combined.get(key, 0.0)
-            combined[key] = prior * (1 - mech.probability) + mech.probability * (1 - prior)
-        merged = [
-            ErrorMechanism(p, dets, obs)
-            for (dets, obs), p in sorted(combined.items())
-            if p > 0
-        ]
+        mechanisms = self.mechanisms
+        det_start, det_index = _csr([m.detectors for m in mechanisms])
+        obs_start, obs_index = _csr([m.observables for m in mechanisms])
+        probabilities = np.array(
+            [m.probability for m in mechanisms], dtype=np.float64
+        )
         return DetectorErrorModel(
-            merged, self.num_detectors, self.num_observables,
+            _merge(
+                probabilities, det_start, det_index, obs_start, obs_index,
+                np.arange(len(mechanisms)),
+            ),
+            self.num_detectors,
+            self.num_observables,
             periodic_fallback=self.periodic_fallback,
         )
 
@@ -145,9 +157,10 @@ class DetectorErrorModel:
         wherever the original has support stays exact; the cap only trades
         a little variance on the capped mechanisms.
 
-        Symptom topology (detector/observable sets, mechanism order) is
-        preserved exactly, so for disjoint-symptom models ``reweighted``
-        commutes with :meth:`merged`.
+        Symptom topology (detector/observable sets, mechanism order) and
+        ``periodic_fallback`` are preserved exactly, so for
+        disjoint-symptom models ``reweighted`` commutes with
+        :meth:`merged`.
         """
         if inflation <= 0:
             raise ValueError("inflation must be > 0")
@@ -162,20 +175,44 @@ class DetectorErrorModel:
             for mech in self.mechanisms
         ]
         return DetectorErrorModel(
-            mechanisms, self.num_detectors, self.num_observables
+            mechanisms, self.num_detectors, self.num_observables,
+            periodic_fallback=self.periodic_fallback,
         )
+
+
+@dataclass(frozen=True, eq=False)
+class FaultColumns:
+    """Every fault of a circuit before propagation, one row per fault.
+
+    Rows come in circuit order: per noise op, per target (or target
+    pair), per outcome in :data:`~repro.sim.ops.PAULI_1Q` /
+    :data:`~repro.sim.ops.PAULI_2Q` order.  Fault ``f`` belongs to
+    ``circuit.operations[op[f]]``, fires with ``probability[f]``, and
+    flips X on ``qubits[f, k]`` where ``x[f, k]`` and Z on ``qubits[f,
+    k]`` where ``z[f, k]`` (``k`` = 0, 1; single-qubit channels use
+    ``k = 0`` only and hold ``qubits[f, 1] = -1``).
+    """
+
+    op: np.ndarray
+    probability: np.ndarray
+    qubits: np.ndarray
+    x: np.ndarray
+    z: np.ndarray
+
+    def __len__(self) -> int:
+        return self.op.size
 
 
 @dataclass(frozen=True, eq=False)
 class FaultTable:
     """Every fault of a circuit with its symptom, unmerged.
 
-    One row per fault -- one Pauli outcome of one noise channel at one
-    target or pair -- in :func:`enumerate_mechanisms` order: per noise op
-    in circuit order, per target, per outcome.  Fault ``f`` fires with
-    ``probabilities[f]`` and flips the detectors
-    ``det_index[det_start[f]:det_start[f + 1]]`` and the observables
-    ``obs_index[obs_start[f]:obs_start[f + 1]]`` (CSR, sorted).
+    One row per fault, in :func:`enumerate_mechanisms` order (see
+    :class:`FaultColumns`).  Fault ``f`` fires with ``probabilities[f]``
+    and flips the detectors ``det_index[det_start[f]:det_start[f + 1]]``
+    and the observables ``obs_index[obs_start[f]:obs_start[f + 1]]``
+    (CSR, sorted).  :func:`extract_dem` merges the rows into the model;
+    the packed samplers XOR the rows of the faults they draw.
     ``periodic_fallback`` names the certificate the periodic extraction
     failed (see :class:`DetectorErrorModel`), ``None`` when it held.
     """
@@ -190,26 +227,6 @@ class FaultTable:
     def __len__(self) -> int:
         return self.probabilities.size
 
-    def mechanisms(self) -> List[ErrorMechanism]:
-        """One unmerged :class:`ErrorMechanism` per fault, in row order."""
-        return [
-            ErrorMechanism(prob, dets, obs)
-            for prob, dets, obs in zip(
-                self.probabilities.tolist(),
-                _csr_tuples(self.det_start, self.det_index),
-                _csr_tuples(self.obs_start, self.obs_index),
-            )
-        ]
-
-
-def _counts_index(groups: Sequence[Tuple[int, ...]]) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-group lengths and the concatenated indices of index tuples."""
-    counts = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
-    index = np.fromiter(
-        itertools.chain.from_iterable(groups), dtype=np.intp, count=int(counts.sum())
-    )
-    return counts, index
-
 
 def _starts(counts: np.ndarray) -> np.ndarray:
     """CSR row starts (with the closing end) of per-row lengths."""
@@ -218,19 +235,102 @@ def _starts(counts: np.ndarray) -> np.ndarray:
     return start
 
 
-def _csr_tuples(start: np.ndarray, index: np.ndarray) -> List[Tuple[int, ...]]:
-    """The index tuple of every CSR row."""
-    values = index.tolist()
-    bounds = start.tolist()
-    return [tuple(values[a:b]) for a, b in zip(bounds, bounds[1:])]
+def _csr(groups: Sequence[Tuple[int, ...]]) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR ``(start, index)`` of a list of index tuples."""
+    counts = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
+    index = np.fromiter(
+        itertools.chain.from_iterable(groups), dtype=np.int64,
+        count=int(counts.sum()),
+    )
+    return _starts(counts), index
 
 
-def enumerate_mechanisms(circuit: "Circuit"):
-    """List (op, probability, x_qubits, z_qubits, tag) for every outcome.
+def _padded(
+    start: np.ndarray, index: np.ndarray, rows: np.ndarray, pad: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(keys, counts)``: CSR ``rows`` as a ``pad``-filled ``(rows, width)`` matrix."""
+    counts = start[rows + 1] - start[rows]
+    filled = np.arange(counts.max(initial=0)) < counts[:, None]
+    keys = np.full(filled.shape, pad, dtype=np.int64)
+    keys[filled] = index[(start[rows, None] + np.arange(filled.shape[1]))[filled]]
+    return keys, counts
 
-    One entry per elementary Pauli outcome per channel target, in circuit
-    order; the probabilities come straight from the channel parameters
-    (``arg`` for the symmetric channels, ``args`` for the biased ones).
+
+def _by_rank(first: np.ndarray) -> List[np.ndarray]:
+    """Positions of a grouped sequence by occurrence rank.
+
+    ``first`` marks where each group of a sequence starts; entry ``k`` of
+    the result holds the position of the ``k``-th member of every group
+    with more than ``k`` members, so one array op per rank touches each
+    group at most once, in member order.
+    """
+    heads = np.flatnonzero(first)
+    rank = np.arange(first.size) - heads[np.cumsum(first) - 1]
+    by_rank = np.argsort(rank, kind="stable")
+    return np.split(by_rank, np.cumsum(np.bincount(rank))[:-1])
+
+
+def _merge(
+    probabilities: np.ndarray,
+    det_start: np.ndarray,
+    det_index: np.ndarray,
+    obs_start: np.ndarray,
+    obs_index: np.ndarray,
+    rows: np.ndarray,
+) -> List[ErrorMechanism]:
+    """Merged mechanisms of the CSR rows ``rows`` (ascending).
+
+    Rows with identical ``(detectors, observables)`` merge by XOR
+    convolution ``prior (1 - p) + p (1 - prior)``, folded in row order;
+    groups come in the Python tuple order of their keys, and groups whose
+    merged probability is not positive are dropped.  A stable lexsort of
+    the symptom rows, padded past their ends with a value below every
+    index (so a prefix sorts first, as in tuple order), groups them; the
+    fold runs once per occurrence rank, over every group with that many
+    members at once.  The float operations per group are exactly those
+    of a sequential per-mechanism fold.
+    """
+    if not rows.size:
+        return []
+    pad = min(int(det_index.min(initial=0)), int(obs_index.min(initial=0))) - 1
+    det_keys, det_counts = _padded(det_start, det_index, rows, pad)
+    obs_keys, obs_counts = _padded(obs_start, obs_index, rows, pad)
+    keys = np.concatenate((det_keys, obs_keys), axis=1)
+    order = np.lexsort(keys.T[::-1]) if keys.shape[1] else np.arange(rows.size)
+    keys = keys[order]
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    heads = np.flatnonzero(first)
+    group = np.cumsum(first) - 1
+    prob = probabilities[rows[order]]
+    merged = np.zeros(heads.size, dtype=np.float64)
+    for at in _by_rank(first):
+        members, p = group[at], prob[at]
+        prior = merged[members]
+        merged[members] = prior * (1 - p) + p * (1 - prior)
+    positive = merged > 0
+    keep = heads[positive]
+    width = det_keys.shape[1]
+    return list(map(
+        ErrorMechanism,
+        merged[positive].tolist(),
+        _tuples(keys[keep, :width], det_counts[order[keep]]),
+        _tuples(keys[keep, width:], obs_counts[order[keep]]),
+    ))
+
+
+def _tuples(keys: np.ndarray, counts: np.ndarray) -> List[Tuple[int, ...]]:
+    """The first ``counts[i]`` entries of each row ``i`` of ``keys``, as tuples."""
+    return [tuple(key[:count]) for key, count in zip(keys.tolist(), counts.tolist())]
+
+
+def enumerate_mechanisms(circuit: "Circuit") -> FaultColumns:
+    """Every elementary Pauli outcome of every noise channel, as columns.
+
+    One row per outcome per channel target, in circuit order (see
+    :class:`FaultColumns`); the probabilities come straight from the
+    channel parameters (``arg`` for the symmetric channels, ``args`` for
+    the biased ones).
 
     Every op classified as noise by :data:`repro.sim.ops.NOISE` must be
     handled here: an unrecognized channel raises instead of being silently
@@ -238,46 +338,55 @@ def enumerate_mechanisms(circuit: "Circuit"):
     true error process -- decoders would quietly decode against the wrong
     metric (a wrong logical error rate, not a crash).
     """
-    from repro.sim.ops import NOISE, PAULI_1Q, PAULI_2Q
+    from repro.sim.ops import NOISE, NOISE_2Q, PAULI_1Q, PAULI_2Q
 
-    mechanisms = []
-    for op in circuit.operations:
+    # Per channel: per-outcome (x, z) flips on the (first, second) qubit.
+    one = np.array([[[x, 0], [z, 0]] for x, z in PAULI_1Q], dtype=bool)
+    two = np.array(
+        [[[xa, xb], [za, zb]] for (xa, za), (xb, zb) in PAULI_2Q], dtype=bool
+    )
+    flips = {
+        "X_ERROR": np.array([[[1, 0], [0, 0]]], dtype=bool),
+        "Z_ERROR": np.array([[[0, 0], [1, 0]]], dtype=bool),
+        "Y_ERROR": np.array([[[1, 0], [1, 0]]], dtype=bool),
+        "DEPOLARIZE1": one,
+        "PAULI_CHANNEL_1": one,
+        "DEPOLARIZE2": two,
+        "PAULI_CHANNEL_2": two,
+    }
+    ops = [np.zeros(0, dtype=np.intp)]
+    probabilities = [np.zeros(0, dtype=np.float64)]
+    qubits = [np.zeros((0, 2), dtype=np.intp)]
+    outcome_flips = [np.zeros((0, 2, 2), dtype=bool)]
+    for index, op in enumerate(circuit.operations):
         if op.name not in NOISE:
             continue
-        if op.name == "X_ERROR":
-            for q in op.targets:
-                mechanisms.append((op, op.arg, (q,), (), "X"))
-        elif op.name == "Z_ERROR":
-            for q in op.targets:
-                mechanisms.append((op, op.arg, (), (q,), "Z"))
-        elif op.name == "Y_ERROR":
-            for q in op.targets:
-                mechanisms.append((op, op.arg, (q,), (q,), "Y"))
-        elif op.name in ("DEPOLARIZE1", "PAULI_CHANNEL_1"):
-            probs = (
-                (op.arg / 3.0,) * 3 if op.name == "DEPOLARIZE1" else op.args
-            )
-            for q in op.targets:
-                for (x_bit, z_bit), p in zip(PAULI_1Q, probs):
-                    mechanisms.append(
-                        (op, p, (q,) if x_bit else (), (q,) if z_bit else (), "D1")
-                    )
-        elif op.name in ("DEPOLARIZE2", "PAULI_CHANNEL_2"):
-            probs = (
-                (op.arg / 15.0,) * 15 if op.name == "DEPOLARIZE2" else op.args
-            )
-            for a, b in zip(op.targets[0::2], op.targets[1::2]):
-                for ((xa, za), (xb, zb)), p in zip(PAULI_2Q, probs):
-                    xs = tuple(q for q, bit in ((a, xa), (b, xb)) if bit)
-                    zs = tuple(q for q, bit in ((a, za), (b, zb)) if bit)
-                    mechanisms.append((op, p, xs, zs, "D2"))
-        else:
+        if op.name not in flips:
             raise ValueError(
                 f"noise op {op.name!r} has no DEM mechanism enumeration; "
                 f"extending repro.sim.ops.NOISE requires extending "
                 f"enumerate_mechanisms in lockstep"
             )
-    return mechanisms
+        table = flips[op.name]
+        outcomes = table.shape[0]
+        probs = op.args or (op.arg / outcomes,) * outcomes
+        targets = np.asarray(op.targets, dtype=np.intp)
+        if op.name in NOISE_2Q:
+            pairs = targets.reshape(-1, 2)
+        else:
+            pairs = np.stack((targets, np.full(targets.size, -1, dtype=np.intp)), 1)
+        ops.append(np.full(len(pairs) * outcomes, index, dtype=np.intp))
+        probabilities.append(np.tile(np.asarray(probs, dtype=np.float64), len(pairs)))
+        qubits.append(np.repeat(pairs, outcomes, axis=0))
+        outcome_flips.append(np.tile(table, (len(pairs), 1, 1)))
+    flip = np.concatenate(outcome_flips)
+    return FaultColumns(
+        np.concatenate(ops),
+        np.concatenate(probabilities),
+        np.concatenate(qubits),
+        flip[:, 0],
+        flip[:, 1],
+    )
 
 
 def extract_dem(circuit: "Circuit", *, verify: bool = False) -> DetectorErrorModel:
@@ -289,10 +398,11 @@ def extract_dem(circuit: "Circuit", *, verify: bool = False) -> DetectorErrorMod
     circuit, or a failed certification, takes the linear propagation and
     records why in the model's ``periodic_fallback`` (and in
     ``repro_periodic_fallback_total``, once per call).  Both paths yield
-    *identical* models: the periodic unrolling emits mechanisms in linear
-    circuit order with the same float probabilities, so the
-    XOR-convolution in :meth:`DetectorErrorModel.merged` accumulates
-    bit-identically.
+    *identical* fault tables, row for row with the same float
+    probabilities, so the merge accumulates bit-identically.  Symptomless
+    faults are dropped before merging.
+    ``repro_dem_extract_seconds_total{method=}`` counts the fault table
+    and the merge (not ``verify``).
 
     Args:
         circuit: the noisy circuit.
@@ -309,29 +419,24 @@ def extract_dem(circuit: "Circuit", *, verify: bool = False) -> DetectorErrorMod
     if reason is not None:
         _PERIODIC_FALLBACKS.labels(reason=reason).inc()
         _LOG.debug("periodic DEM extraction fell back to linear: %s", reason)
+    symptom = np.diff(faults.det_start) + np.diff(faults.obs_start)
+    dem = DetectorErrorModel(
+        _merge(
+            faults.probabilities, faults.det_start, faults.det_index,
+            faults.obs_start, faults.obs_index, np.flatnonzero(symptom),
+        ),
+        circuit.num_detectors,
+        circuit.num_observables,
+        periodic_fallback=reason,
+    )
     _EXTRACT_SECONDS.labels(method="linear" if reason else "periodic").inc(
         time.perf_counter() - start
     )
-    dem = _assemble(circuit, faults.mechanisms(), reason)
     if verify:
         from repro.analysis import verify_dem
 
         verify_dem(dem)
     return dem
-
-
-def _assemble(
-    circuit: "Circuit",
-    mechanisms: List[ErrorMechanism],
-    periodic_fallback: Optional[str] = None,
-) -> DetectorErrorModel:
-    """The merged model of a mechanism list (symptomless ones dropped)."""
-    return DetectorErrorModel(
-        [m for m in mechanisms if m.detectors or m.observables],
-        circuit.num_detectors,
-        circuit.num_observables,
-        periodic_fallback=periodic_fallback,
-    ).merged()
 
 
 def circuit_faults(circuit: "Circuit") -> FaultTable:
@@ -368,10 +473,10 @@ def whole_circuit_faults(
     circuit: "Circuit", periodic_fallback: Optional[str] = None
 ) -> FaultTable:
     """Fault table with every fault propagated through the whole circuit."""
-    mechanisms = enumerate_mechanisms(circuit)
+    faults = enumerate_mechanisms(circuit)
     return FaultTable(
-        np.array([prob for _, prob, _, _, _ in mechanisms], dtype=np.float64),
-        *_mechanism_symptoms_packed(circuit, mechanisms),
+        faults.probability,
+        *_mechanism_symptoms_packed(circuit, faults),
         periodic_fallback=periodic_fallback,
     )
 
@@ -383,9 +488,9 @@ def whole_circuit_faults(
 # the same detector pattern as its replay-0 twin, offset by j rounds.
 # Extraction therefore builds a *surrogate* circuit with only
 # _SURROGATE_REPS replays (epilogue record references rebased), computes
-# its mechanisms with the same packed propagation the linear path runs
+# its fault table with the same packed propagation the linear path runs
 # on the whole circuit, certifies shift invariance inside the
-# surrogate, and unrolls: prologue mechanisms verbatim, the certified
+# surrogate, and unrolls: prologue faults verbatim, the certified
 # bulk round replicated with shifted detector rows, the trailing
 # epilogue-influenced rounds and the epilogue shifted to their full-
 # circuit positions.  Any violated certificate falls back to the linear
@@ -410,8 +515,7 @@ def _periodic_faults(
     Emits faults in linear circuit order (prologue, replay 0..k-1,
     epilogue, preserving within-round enumeration order) with the exact
     channel probability floats, so the table equals the whole-circuit
-    one row for row and downstream ``merged()`` accumulation is
-    bit-identical to the linear path's.
+    one row for row and the merge is bit-identical to the linear path's.
     """
     from repro.sim.circuit import Circuit
     from repro.sim.periodic import detect_period
@@ -434,11 +538,9 @@ def _periodic_faults(
     # shorter body.  References below the dropped replays cannot be
     # verified in the surrogate -> fall back.
     surrogate = Circuit()
-    regions: List[object] = []  # per-op region: "prologue" | replay j | "epilogue"
     try:
         for op in ops[:start]:
             surrogate.append(op.name, op.targets, op.arg, op.args)
-            regions.append("prologue")
         for j in range(surrogate_reps):
             offset = j * spec.meas_per_rep
             for op in ops[start : start + length]:
@@ -447,7 +549,6 @@ def _periodic_faults(
                 else:
                     targets = op.targets
                 surrogate.append(op.name, targets, op.arg, op.args)
-                regions.append(j)
         for op in ops[start + reps * length :]:
             if op.name in ("DETECTOR", "OBSERVABLE_INCLUDE"):
                 targets = []
@@ -461,65 +562,53 @@ def _periodic_faults(
                 surrogate.append(op.name, tuple(targets), op.arg, op.args)
             else:
                 surrogate.append(op.name, op.targets, op.arg, op.args)
-            regions.append("epilogue")
     except ValueError:
         return None, "epilogue_record_ref"
 
-    mechanisms = enumerate_mechanisms(surrogate)
-    det_start, det_index, obs_start, obs_index = _mechanism_symptoms_packed(
-        surrogate, mechanisms
-    )
-    symptoms = zip(
-        _csr_tuples(det_start, det_index), _csr_tuples(obs_start, obs_index)
-    )
-    region_of = {id(op): region for op, region in zip(surrogate.operations, regions)}
-    mech_regions = [region_of[id(op)] for op, _, _, _, _ in mechanisms]
-
-    # Group per region, normalizing body detector rows to replay 0.
-    prologue_rows = spec.det_start
+    faults = enumerate_mechanisms(surrogate)
+    table = FaultTable(faults.probability, *_mechanism_symptoms_packed(surrogate, faults))
+    # Regions by fault-index range: the prologue's faults end where
+    # replay 0's ops start, replay j's where replay j + 1's start, and
+    # the epilogue's faults follow the last replay's.
+    edges = np.searchsorted(
+        faults.op, start + length * np.arange(surrogate_reps + 1)
+    ).tolist()
     det_per_rep = spec.det_per_rep
-    prologue_mechs: List[Tuple[float, Tuple[int, ...], Tuple[int, ...]]] = []
-    epilogue_mechs: List[Tuple[float, Tuple[int, ...], Tuple[int, ...]]] = []
-    replay_seqs: List[List[Tuple[float, Tuple[int, ...], Tuple[int, ...]]]] = [
-        [] for _ in range(surrogate_reps)
+    # Body replays with detector rows normalized to replay 0.
+    replays = [
+        _rows(table, edges[j], edges[j + 1], -j * det_per_rep)
+        for j in range(surrogate_reps)
     ]
-    for (_, prob, _, _, _), (dets, obs), region in zip(
-        mechanisms, symptoms, mech_regions
-    ):
-        if region == "prologue":
-            prologue_mechs.append((prob, dets, obs))
-        elif region == "epilogue":
-            epilogue_mechs.append((prob, dets, obs))
-        else:
-            normalized = tuple(d - region * det_per_rep for d in dets)
-            replay_seqs[region].append((prob, normalized, obs))
 
     # Certify shift invariance: how many leading replays produce the
-    # same normalized (probability, detectors, observables) sequence?
-    base = replay_seqs[0]
+    # same normalized (probability, detectors, observables) rows?
+    base = replays[0]
     prefix = 1
-    while prefix < surrogate_reps and replay_seqs[prefix] == base:
+    while prefix < surrogate_reps and all(
+        np.array_equal(a, b) for a, b in zip(replays[prefix], base)
+    ):
         prefix += 1
     trailing = surrogate_reps - prefix  # epilogue-influenced replays
     if prefix < 2:
         return None, "uncertified_shift"
-    # Span guards: every certified mechanism's detector reach must stay
+    # Span guards: every certified fault's detector reach must stay
     # within the rounds whose invariance was directly certified, and
     # prologue effects must not leak into the trailing region.
-    certified_limit = prologue_rows + (prefix - 1) * det_per_rep
-    if any(d >= certified_limit for _, dets, _ in base for d in dets):
+    certified_limit = spec.det_start + (prefix - 1) * det_per_rep
+    if base[2].max(initial=-1) >= certified_limit:
         return None, "span_exceeds_certified"
-    if any(d >= certified_limit for _, dets, _ in prologue_mechs for d in dets):
+    prologue = _rows(table, 0, edges[0])
+    if prologue[2].max(initial=-1) >= certified_limit:
         return None, "prologue_span"
 
     # Unroll to the full circuit: bulk = certified round replicated over
     # the leading reps - trailing replays (one array op per column); the
     # trailing replays and epilogue shift forward by the dropped rounds.
     row_shift = (reps - surrogate_reps) * det_per_rep
-    probs, det_counts, det_index, obs_counts, obs_index = _block(base)
+    probs, det_counts, det_index, obs_counts, obs_index = base
     bulk = np.arange(reps - trailing)[:, None]
     blocks = [
-        _block(prologue_mechs),
+        prologue,
         (
             np.tile(probs, bulk.size),
             np.tile(det_counts, bulk.size),
@@ -527,10 +616,8 @@ def _periodic_faults(
             np.tile(obs_counts, bulk.size),
             np.tile(obs_index, bulk.size),
         ),
+        _rows(table, edges[prefix], len(table), row_shift),
     ]
-    for j in range(prefix, surrogate_reps):
-        blocks.append(_block(replay_seqs[j], j * det_per_rep + row_shift))
-    blocks.append(_block(epilogue_mechs, row_shift))
     probs, det_counts, det_index, obs_counts, obs_index = (
         np.concatenate(column) for column in zip(*blocks)
     )
@@ -539,73 +626,92 @@ def _periodic_faults(
     ), None
 
 
-def _block(rows, shift: int = 0) -> Tuple[np.ndarray, ...]:
+def _rows(table: FaultTable, first: int, end: int, shift: int = 0) -> Tuple[np.ndarray, ...]:
     """``(probabilities, detector counts, detector indices + shift,
-    observable counts, observable indices)`` of ``(prob, dets, obs)`` rows."""
-    det_counts, det_index = _counts_index([dets for _, dets, _ in rows])
-    obs_counts, obs_index = _counts_index([obs for _, _, obs in rows])
+    observable counts, observable indices)`` of fault rows ``[first, end)``."""
+    det = table.det_start[first : end + 1]
+    obs = table.obs_start[first : end + 1]
     return (
-        np.array([prob for prob, _, _ in rows], dtype=np.float64),
-        det_counts,
-        det_index + shift,
-        obs_counts,
-        obs_index,
+        table.probabilities[first:end],
+        np.diff(det),
+        table.det_index[det[0] : det[-1]] + shift,
+        np.diff(obs),
+        table.obs_index[obs[0] : obs[-1]],
     )
 
 
-def _mechanism_symptoms_packed(circuit: "Circuit", mechanisms):
-    """Per-mechanism symptoms as ``(det_start, det_index, obs_start, obs_index)``.
+def _mechanism_symptoms_packed(circuit: "Circuit", faults: FaultColumns):
+    """Per-fault symptoms as ``(det_start, det_index, obs_start, obs_index)``.
 
-    Mechanism ``m`` lives in bit column ``m`` of the circuit's packed
-    frame planes (:func:`repro.sim.compiled.execute_steps`):
-    deterministic steps conjugate all mechanisms at once (64 per ALU op),
-    and each noise step XORs its mechanisms' Pauli flips in via a
-    precomputed scatter.  The symptoms come back as CSR arrays, one row
-    per mechanism (see :class:`FaultTable`).
+    Fault ``f`` lives in bit column ``f`` of the circuit's packed frame
+    planes (:func:`repro.sim.compiled.execute_steps`): deterministic
+    steps conjugate all faults at once (64 per ALU op), and each noise
+    step XORs its faults' Pauli flips in, sliced from one scatter built
+    for every fault at once.  The symptoms come back as CSR arrays, one
+    row per fault (see :class:`FaultTable`).
     """
     from repro.sim.compiled import execute_steps, lower_ops
     from repro.sim.ops import NOISE
 
     program = lower_ops(circuit.operations)
-    count = len(mechanisms)
+    count = len(faults)
     words = (count + 7) // 8
     padded = 8 * ((words + 7) // 8)
     x = np.zeros((circuit.num_qubits, padded), dtype=np.uint8)
     z = np.zeros((circuit.num_qubits, padded), dtype=np.uint8)
     flips = np.zeros((circuit.num_measurements, padded), dtype=np.uint8)
 
-    injections = []
-    mech_index = 0
-    for op in circuit.operations:
-        if op.name not in NOISE:
-            continue
-        x_rows: List[int] = []
-        x_cols: List[int] = []
-        z_rows: List[int] = []
-        z_cols: List[int] = []
-        while mech_index < count and mechanisms[mech_index][0] is op:
-            _, _, x_flip_qubits, z_flip_qubits, _ = mechanisms[mech_index]
-            for q in x_flip_qubits:
-                x_rows.append(q)
-                x_cols.append(mech_index)
-            for q in z_flip_qubits:
-                z_rows.append(q)
-                z_cols.append(mech_index)
-            mech_index += 1
-        injections.append(_pack_injection(x_rows, x_cols) + _pack_injection(z_rows, z_cols))
+    noise_ops = [i for i, op in enumerate(circuit.operations) if op.name in NOISE]
+    x_cuts, x_scatter = _scatter(faults, faults.x, noise_ops)
+    z_cuts, z_scatter = _scatter(faults, faults.z, noise_ops)
+    injections = [
+        tuple(column[a:b] for column in x_scatter)
+        + tuple(column[c:d] for column in z_scatter)
+        for a, b, c, d in zip(x_cuts, x_cuts[1:], z_cuts, z_cuts[1:])
+    ]
 
     execute_steps(program.steps, x, z, flips, injections)
 
-    detectors = np.zeros((circuit.num_detectors, padded), dtype=np.uint8)
-    observables = np.zeros((circuit.num_observables, padded), dtype=np.uint8)
-    if program.det_meas.size:
-        np.bitwise_xor.at(detectors, program.det_row, flips[program.det_meas])
-    if program.obs_meas.size:
-        np.bitwise_xor.at(observables, program.obs_row, flips[program.obs_meas])
-    return (
-        *_columns_csr(detectors[:, :words], count),
-        *_columns_csr(observables[:, :words], count),
+    flips = flips.view(np.uint64)
+    detectors = _record_xor(
+        flips, program.det_meas, program.det_row, circuit.num_detectors
     )
+    observables = _record_xor(
+        flips, program.obs_meas, program.obs_row, circuit.num_observables
+    )
+    return (
+        *_columns_csr(detectors.view(np.uint8)[:, :words], count),
+        *_columns_csr(observables.view(np.uint8)[:, :words], count),
+    )
+
+
+def _scatter(
+    faults: FaultColumns, flip: np.ndarray, noise_ops: Sequence[int]
+) -> Tuple[List[int], Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``(cuts, (plane row, byte, bit mask))`` of one Pauli's fault flips.
+
+    Entries run in fault order; noise op ``i``'s are ``cuts[i]:cuts[i + 1]``.
+    """
+    fault, slot = np.nonzero(flip)
+    cuts = np.searchsorted(faults.op[fault], noise_ops).tolist() + [fault.size]
+    return cuts, (
+        faults.qubits[fault, slot],
+        fault >> 3,
+        (np.uint8(128) >> (fault & 7)).astype(np.uint8),
+    )
+
+
+def _record_xor(
+    flips: np.ndarray, meas: np.ndarray, row: np.ndarray, rows: int
+) -> np.ndarray:
+    """``(rows, width)`` planes: row ``r`` XORs the records ``meas[row == r]``."""
+    planes = np.zeros((rows, flips.shape[1]), dtype=flips.dtype)
+    order = np.argsort(row)
+    row, meas = row[order], meas[order]
+    if row.size:
+        for at in _by_rank(np.r_[True, row[1:] != row[:-1]]):
+            planes[row[at]] ^= flips[meas[at]]
+    return planes
 
 
 def _columns_csr(planes: np.ndarray, count: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -619,17 +725,6 @@ def _columns_csr(planes: np.ndarray, count: int) -> Tuple[np.ndarray, np.ndarray
     columns = 8 * byte[bit_row] + bit
     order = np.argsort(columns, kind="stable")
     return _starts(np.bincount(columns, minlength=count)), rows[bit_row][order]
-
-
-def _pack_injection(rows: List[int], cols: List[int]):
-    """COO (plane row, byte, bit mask) arrays for one noise step's flips."""
-    row_array = np.asarray(rows, dtype=np.intp)
-    col_array = np.asarray(cols, dtype=np.intp)
-    return (
-        row_array,
-        col_array >> 3,
-        (np.uint8(128) >> (col_array & 7)).astype(np.uint8),
-    )
 
 
 def weighted_graph(dem: DetectorErrorModel):

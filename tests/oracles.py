@@ -18,10 +18,14 @@ program (:mod:`repro.sim.compiled`) production runs:
   noise op's hits with the same :func:`~repro.sim.compiled.sample_channel`
   call in op order, so it equals ``FrameSimulator.sample`` bit for bit
   per seed;
-* :func:`fault_symptoms` -- one row per fault, injected alone at its
-  channel's position and propagated through the whole circuit: the
-  oracle of every :class:`~repro.noise.dem.FaultTable` row;
-* :func:`linear_dem` -- those rows merged into the DEM.
+* :func:`fault_symptoms` -- one row per fault of
+  :func:`reference_mechanisms` (the per-channel tuple enumeration),
+  injected alone at its channel's position and propagated through the
+  whole circuit: the oracle of every :class:`~repro.noise.dem.FaultTable`
+  row;
+* :func:`linear_dem` -- those rows merged into the DEM by
+  :func:`merge_mechanisms`, the per-object merge the array merge of
+  :mod:`repro.noise.dem` must equal.
 
 :func:`reference_gf2_reduce` is the GF(2) elimination oracle, one row
 operation at a time, and :func:`reference_logicals` the logical-operator
@@ -70,7 +74,7 @@ from repro.decoder.mwpm import MWPMDecoder
 from repro.decoder.union_find import _MAX_ROUNDS, _ZERO_WEIGHT
 from repro.noise import dem as _dem
 from repro.sim.compiled import noise_channel, sample_channel
-from repro.sim.ops import NOISE, NOISE_2Q, NOISE_MARKERS
+from repro.sim.ops import NOISE, NOISE_2Q, NOISE_MARKERS, PAULI_1Q, PAULI_2Q
 from repro.sim.periodic import PeriodicProgram, detect_period
 
 
@@ -265,22 +269,65 @@ def reference_sample(circuit, shots, rng):
     return _propagate_frames(circuit, shots, draw)
 
 
+def reference_mechanisms(circuit):
+    """``(op, probability, x_qubits, z_qubits)`` for every fault, as tuples.
+
+    One entry per elementary Pauli outcome per channel target, in circuit
+    order, written out per channel from the op tables: the enumeration
+    :func:`~repro.noise.dem.enumerate_mechanisms` must equal column for
+    column.
+    """
+    mechanisms = []
+    for op in circuit.operations:
+        if op.name not in NOISE:
+            continue
+        if op.name == "X_ERROR":
+            for q in op.targets:
+                mechanisms.append((op, op.arg, (q,), ()))
+        elif op.name == "Z_ERROR":
+            for q in op.targets:
+                mechanisms.append((op, op.arg, (), (q,)))
+        elif op.name == "Y_ERROR":
+            for q in op.targets:
+                mechanisms.append((op, op.arg, (q,), (q,)))
+        elif op.name in ("DEPOLARIZE1", "PAULI_CHANNEL_1"):
+            probs = (
+                (op.arg / 3.0,) * 3 if op.name == "DEPOLARIZE1" else op.args
+            )
+            for q in op.targets:
+                for (x_bit, z_bit), p in zip(PAULI_1Q, probs):
+                    mechanisms.append(
+                        (op, p, (q,) if x_bit else (), (q,) if z_bit else ())
+                    )
+        elif op.name in ("DEPOLARIZE2", "PAULI_CHANNEL_2"):
+            probs = (
+                (op.arg / 15.0,) * 15 if op.name == "DEPOLARIZE2" else op.args
+            )
+            for a, b in zip(op.targets[0::2], op.targets[1::2]):
+                for ((xa, za), (xb, zb)), p in zip(PAULI_2Q, probs):
+                    xs = tuple(q for q, bit in ((a, xa), (b, xb)) if bit)
+                    zs = tuple(q for q, bit in ((a, za), (b, zb)) if bit)
+                    mechanisms.append((op, p, xs, zs))
+        else:
+            raise ValueError(f"no reference enumeration for {op.name!r}")
+    return mechanisms
+
+
 def fault_symptoms(circuit):
     """``(mechanisms, detectors, observables)``: one frame row per fault.
 
-    Each of :func:`~repro.noise.dem.enumerate_mechanisms`' faults is
-    injected alone into its own row at its channel's position and
-    propagated through the whole circuit; row ``f`` of the uint8 tables
-    is fault ``f``'s symptom.
+    Each of :func:`reference_mechanisms`' faults is injected alone into
+    its own row at its channel's position and propagated through the
+    whole circuit; row ``f`` of the uint8 tables is fault ``f``'s symptom.
     """
-    mechanisms = _dem.enumerate_mechanisms(circuit)
+    mechanisms = reference_mechanisms(circuit)
     row = 0
 
     def inject(op, frame_x, frame_z):
         # Mechanisms are enumerated in op order, so this op's come next.
         nonlocal row
         while row < len(mechanisms) and mechanisms[row][0] is op:
-            _, _, x_qubits, z_qubits, _ = mechanisms[row]
+            _, _, x_qubits, z_qubits = mechanisms[row]
             for q in x_qubits:
                 frame_x[row, q] ^= 1
             for q in z_qubits:
@@ -291,16 +338,44 @@ def fault_symptoms(circuit):
     return mechanisms, detectors, observables
 
 
+def merge_mechanisms(mechanisms):
+    """Mechanisms with identical symptoms merged one object at a time.
+
+    The XOR convolution ``prior (1 - p) + p (1 - prior)`` is folded in
+    list order per ``(detectors, observables)`` key; merged mechanisms
+    come sorted by key, and those with probability 0 are dropped.
+    """
+    combined = {}
+    for mech in mechanisms:
+        key = (mech.detectors, mech.observables)
+        prior = combined.get(key, 0.0)
+        combined[key] = prior * (1 - mech.probability) + mech.probability * (1 - prior)
+    return [
+        _dem.ErrorMechanism(p, dets, obs)
+        for (dets, obs), p in sorted(combined.items())
+        if p > 0
+    ]
+
+
+def _merged_dem(circuit, mechanisms):
+    """The circuit's model of a mechanism list, symptomless ones dropped."""
+    return _dem.DetectorErrorModel(
+        merge_mechanisms(m for m in mechanisms if m.detectors or m.observables),
+        circuit.num_detectors,
+        circuit.num_observables,
+    )
+
+
 def linear_dem(circuit):
     """The circuit's DEM by linear propagation, one frame row per mechanism."""
     mechanisms, detectors, observables = fault_symptoms(circuit)
-    return _dem._assemble(circuit, [
+    return _merged_dem(circuit, [
         _dem.ErrorMechanism(
             prob,
             tuple(int(d) for d in np.flatnonzero(detectors[row])),
             tuple(int(o) for o in np.flatnonzero(observables[row])),
         )
-        for row, (_, prob, _, _, _) in enumerate(mechanisms)
+        for row, (_, prob, _, _) in enumerate(mechanisms)
     ])
 
 
@@ -700,4 +775,9 @@ def periodic_dem(circuit):
     faults, reason = _dem._periodic_faults(circuit)
     if faults is None:
         raise ValueError(f"periodic DEM extraction not certified: {reason}")
-    return _dem._assemble(circuit, faults.mechanisms())
+    det, obs = faults.det_index.tolist(), faults.obs_index.tolist()
+    d, o = faults.det_start.tolist(), faults.obs_start.tolist()
+    return _merged_dem(circuit, [
+        _dem.ErrorMechanism(prob, tuple(det[d[f]:d[f + 1]]), tuple(obs[o[f]:o[f + 1]]))
+        for f, prob in enumerate(faults.probabilities.tolist())
+    ])

@@ -10,7 +10,7 @@ extraction and sampling.
 
 import numpy as np
 import pytest
-from oracles import fault_symptoms, reference_sample
+from oracles import fault_symptoms, reference_mechanisms, reference_sample
 
 from test_sim_compiled import random_clifford_noise_circuit
 from test_sim_periodic import DEM_ORACLE_CIRCUITS
@@ -37,7 +37,7 @@ def assert_matches_oracle(circuit, table):
     mechanisms, detectors, observables = fault_symptoms(circuit)
     assert len(table) == len(mechanisms)
     np.testing.assert_array_equal(
-        table.probabilities, [prob for _, prob, _, _, _ in mechanisms]
+        table.probabilities, [prob for _, prob, _, _ in mechanisms]
     )
     np.testing.assert_array_equal(
         dense(table.det_start, table.det_index, circuit.num_detectors), detectors
@@ -46,6 +46,21 @@ def assert_matches_oracle(circuit, table):
         dense(table.obs_start, table.obs_index, circuit.num_observables),
         observables,
     )
+
+
+def assert_columns_match_reference(circuit):
+    """The array enumeration equals the per-channel tuple reference."""
+    faults = _dem.enumerate_mechanisms(circuit)
+    reference = reference_mechanisms(circuit)
+    assert len(faults) == len(reference)
+    index = {id(op): i for i, op in enumerate(circuit.operations)}
+    np.testing.assert_array_equal(faults.op, [index[id(op)] for op, _, _, _ in reference])
+    np.testing.assert_array_equal(
+        faults.probability, np.array([p for _, p, _, _ in reference], dtype=np.float64)
+    )
+    for f, (_, _, x_qubits, z_qubits) in enumerate(reference):
+        assert sorted(faults.qubits[f][faults.x[f]].tolist()) == sorted(x_qubits)
+        assert sorted(faults.qubits[f][faults.z[f]].tolist()) == sorted(z_qubits)
 
 
 def assert_tables_equal(a, b):
@@ -64,6 +79,24 @@ class TestRowsMatchOracle:
     def test_dem_oracle_circuits(self, build):
         circuit = build()
         assert_matches_oracle(circuit, _dem.circuit_faults(circuit))
+
+
+class TestEnumeration:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_clifford_columns_match_reference(self, seed):
+        circuit = random_clifford_noise_circuit(np.random.default_rng(2000 + seed))
+        assert_columns_match_reference(circuit)
+
+    @pytest.mark.parametrize("build", DEM_ORACLE_CIRCUITS)
+    def test_dem_oracle_columns_match_reference(self, build):
+        assert_columns_match_reference(build())
+
+    def test_repeated_pair_qubit_cancels(self):
+        # A two-qubit channel on (q, q): outcomes flipping the same Pauli
+        # on both halves cancel in propagation, as in the reference.
+        circuit = Circuit().reset(0).depolarize2([0, 0], 0.1).measure(0).detector([0])
+        assert_columns_match_reference(circuit)
+        assert_matches_oracle(circuit, _dem.whole_circuit_faults(circuit))
 
 
 class TestPeriodicTable:
@@ -92,6 +125,64 @@ class TestPeriodicTable:
         other = _dem.whole_circuit_faults(memory_circuit(3, 4, 1e-3))
         with pytest.raises(ValueError, match="fault table"):
             CompiledProgram(circuit, other)
+
+
+def lagged_detectors(lag, reps=8):
+    """Each round's detector compares its record with the one ``lag`` rounds back."""
+    circuit = Circuit()
+    for _ in range(lag):
+        circuit.reset(0).measure(0)
+    for _ in range(reps):
+        circuit.reset(0).x_error([0], 0.1).measure(0)
+        record = circuit.num_measurements - 1
+        circuit.detector([record, record - lag])
+    return circuit.measure(1)
+
+
+def unmeasured_rounds(reps=6):
+    circuit = Circuit().reset(0, 1)
+    for _ in range(reps):
+        circuit.h(0).x_error([0], 0.1).cx(0, 1)
+    return circuit.measure(0, 1).detector([0])
+
+
+def epilogue_to_first_round(reps=8):
+    circuit = Circuit().reset(0)
+    for _ in range(reps):
+        circuit.reset(0).x_error([0], 0.1).measure(0)
+        circuit.detector([circuit.num_measurements - 1])
+    circuit.measure(0)
+    return circuit.detector([circuit.num_measurements - 1, 0])
+
+
+def prologue_fault_on_unreset_qubit(reps=8):
+    circuit = Circuit().reset(0, 1).x_error([1], 0.1)
+    for _ in range(reps):
+        circuit.reset(0).x_error([0], 0.1).measure(0, 1)
+        record = circuit.num_measurements
+        circuit.detector([record - 2]).detector([record - 1])
+    return circuit
+
+
+@pytest.mark.parametrize(
+    "build,reason",
+    [
+        (lambda: Circuit().x_error([0], 0.1).measure(0).detector([0]), "no_period"),
+        (lambda: memory_circuit(3, 4, 1e-3), "few_reps"),
+        (unmeasured_rounds, "no_round_measurements"),
+        (epilogue_to_first_round, "epilogue_record_ref"),
+        (lambda: lagged_detectors(4), "uncertified_shift"),
+        (lambda: lagged_detectors(2), "span_exceeds_certified"),
+        (prologue_fault_on_unreset_qubit, "prologue_span"),
+        (lambda: memory_circuit(3, 6, 1e-3), None),
+    ],
+)
+def test_every_fallback_reason(build, reason):
+    circuit = build()
+    table = _dem.circuit_faults(circuit)
+    assert table.periodic_fallback == reason
+    assert _dem.extract_dem(circuit).periodic_fallback == reason
+    assert_matches_oracle(circuit, table)
 
 
 def test_engine_setup_propagates_once(monkeypatch):

@@ -293,16 +293,31 @@ class TestMechanismEnumeration:
         c.pauli_channel_1([0], 1e-4, 2e-4, 3e-4)
         c.pauli_channel_2([0, 1], [1e-5] * 15)
         c.measure(0, 1)
-        mechs = enumerate_mechanisms(c)
+        faults = enumerate_mechanisms(c)
         # 1 + 1 + 1 outcomes for X/Z/Y, 3 for D1, 15 for D2, 3 + 15 biased.
-        assert len(mechs) == 1 + 1 + 1 + 3 + 15 + 3 + 15
+        assert len(faults) == 1 + 1 + 1 + 3 + 15 + 3 + 15
+        # Every noise op (ops 1..7) owns its outcomes, in circuit order.
+        assert np.bincount(faults.op).tolist() == [0, 1, 1, 1, 3, 15, 3, 15]
+        np.testing.assert_array_equal(
+            faults.probability,
+            [1e-3] * 3 + [1e-3 / 3] * 3 + [1e-3 / 15] * 15
+            + [1e-4, 2e-4, 3e-4] + [1e-5] * 15,
+        )
+        # X, Z, Y errors; then D1's X, Y, Z on qubit 0 alone.
+        assert faults.x[:6, 0].tolist() == [1, 0, 1, 1, 1, 0]
+        assert faults.z[:6, 0].tolist() == [0, 1, 1, 0, 1, 1]
+        assert (faults.qubits[:6] == [0, -1]).all()
+        assert not faults.x[:6, 1].any() and not faults.z[:6, 1].any()
+        # D2 spans the pair; its first outcome is X on the second qubit.
+        assert (faults.qubits[6:21] == [0, 1]).all()
+        assert faults.x[6].tolist() == [0, 1] and faults.z[6].tolist() == [0, 0]
 
     def test_unrecognized_noise_op_raises(self, monkeypatch):
         """Regression: extending NOISE without extending the enumerator
         must raise instead of silently dropping the channel from the DEM."""
         import repro.sim.circuit as circuit_mod
         import repro.sim.ops as ops
-        from repro.noise.dem import enumerate_mechanisms
+        from repro.noise.dem import enumerate_mechanisms, extract_dem
         from repro.sim.circuit import Circuit
 
         monkeypatch.setattr(ops, "NOISE", ops.NOISE + ("W_ERROR",))
@@ -314,10 +329,14 @@ class TestMechanismEnumeration:
         c.measure(0)
         with pytest.raises(ValueError, match="no DEM mechanism enumeration"):
             enumerate_mechanisms(c)
+        with pytest.raises(ValueError, match="no DEM mechanism enumeration"):
+            extract_dem(c)
 
     def test_non_noise_ops_are_skipped(self):
         from repro.noise.dem import enumerate_mechanisms
         from repro.sim.circuit import Circuit
 
         c = Circuit().reset(0).h(0).measure(0).detector([0])
-        assert enumerate_mechanisms(c) == []
+        faults = enumerate_mechanisms(c)
+        assert len(faults) == 0
+        assert faults.qubits.shape == faults.x.shape == faults.z.shape == (0, 2)

@@ -10,6 +10,7 @@ at ``/metrics``.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -356,6 +357,7 @@ def test_periodic_fallback_reason_counted_and_surfaced():
     periodic = extract_dem(memory_circuit(3, 12, 1e-3))
     assert short.periodic_fallback == "few_reps"
     assert short.merged().periodic_fallback == "few_reps"
+    assert short.reweighted(2.0).periodic_fallback == "few_reps"
     assert periodic.periodic_fallback is None
     assert short == linear_dem(memory_circuit(3, 4, 1e-3))
     snap = REGISTRY.snapshot()
@@ -366,6 +368,25 @@ def test_periodic_fallback_reason_counted_and_surfaced():
         assert engine.periodic_fallback_reason == "few_reps"
     with DecodingEngine(memory_circuit(3, 12, 1e-3), "mwpm") as engine:
         assert engine.periodic_fallback_reason is None
+
+
+def test_extract_seconds_include_the_merge(monkeypatch):
+    """repro_dem_extract_seconds_total times the whole extraction."""
+    from repro.noise import dem as _dem
+
+    merge = _dem._merge
+
+    def slow_merge(*args):
+        time.sleep(0.25)
+        return merge(*args)
+
+    circuit = memory_circuit(3, 4, 1e-3)
+    _dem.circuit_faults(circuit)  # fault table memoized: the merge dominates
+    monkeypatch.setattr(_dem, "_merge", slow_merge)
+    REGISTRY.reset()
+    extract_dem(circuit)
+    series = REGISTRY.snapshot()["repro_dem_extract_seconds_total"]["series"]
+    assert series[("linear",)] >= 0.25
 
 
 # -- sampler noise hits ---------------------------------------------------------
