@@ -23,16 +23,30 @@ Two layers compute it:
 
 * The **group path** splits each unique row's defects into
   *groups*, the connected components of "within two hops" on the
-  decoding graph with the boundary node removed.  A group missing from
-  the per-decoder memo (keyed by its sorted defect ids) runs once as an
-  arena pseudo-row.  It is **local** when every touch came from one of
-  its own defects, so nothing beyond one hop was touched (boundary
-  excluded); the arena stops a group as soon as it is not.  A row whose
-  groups are all local is the XOR of their masks.  That is exact:
-  groups are at least three hops apart, so their one-hop regions share
-  no node, and joint round-synchronous growth is the union of the
-  separate runs.  The boundary is the only shared node, and as the root
-  of its cluster it never changes which edges join a group's forest.
+  decoding graph with the boundary node removed.  It is **local** when
+  every touch came from one of its own defects, so nothing beyond one
+  hop was touched (boundary excluded); the arena stops a group as soon
+  as it is not.  A row whose groups are all local is the XOR of their
+  masks.  That is exact: groups are at least three hops apart, so their
+  one-hop regions share no node, and joint round-synchronous growth is
+  the union of the separate runs.  The boundary is the only shared node,
+  and as the root of its cluster it never changes which edges join a
+  group's forest.
+
+  A group's outcome depends only on its defects' incident edges, so the
+  decoder certifies a detector shift ``P`` on its graph at construction
+  (for a memory experiment, the detector count of one round): a node
+  ``u`` is *shiftable* when its incident edges map one-to-one onto
+  those of ``u - P`` (neighbour ``v`` to ``v - P``, the boundary to
+  itself) with equal growth thresholds and observable masks, and the
+  edge-id map is strictly increasing over every edge at a shiftable
+  node, which keeps the arena's canonical edge order and node ranking.
+  Every group runs shifted down by as many whole shifts as all its
+  defects allow, so a group decodes the same in every round it recurs
+  in.  A graph with no certified shift gets ``P = 0``.  Groups of at
+  most :data:`_MEMO_MAX_DEFECTS` defects are memoized in two sorted
+  int64 arrays, keyed by a polynomial over their shifted ids; larger
+  groups rarely recur and go straight to the arena as pseudo-rows.
 * The **batched arena** decodes every other row whole.  Support is a
   flat ``(row, edge)`` touch counter updated with sorted-key scatters
   over the graph's :class:`~repro.decoder.graph.EdgeTable` CSR
@@ -52,14 +66,14 @@ decoder).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
 from repro.decoder.base import BatchDecoder, _unmask_rows
-from repro.decoder.graph import INT64_OBSERVABLES, DecodingGraph
+from repro.decoder.graph import INT64_OBSERVABLES, DecodingGraph, EdgeTable
 from repro.obs import metrics as _metrics
 
 # Edges whose -log-likelihood weight rails to ~0 (probability pinned at
@@ -79,9 +93,14 @@ _ARENA_CHUNK_ELEMS = 1 << 24
 # group path's exactness needs groups at least three hops apart.
 _GROUP_HOPS = 2
 
-# Group-memo entries kept before the memo is dropped wholesale (~97 bytes
-# each at d=11), like mwpm._CLUSTER_CACHE_LIMIT.
+# Group-memo entries kept before the memo is dropped wholesale (16 bytes
+# each: an int64 key and an int64 mask), like mwpm._CLUSTER_CACHE_LIMIT.
 _GROUP_MEMO_LIMIT = 1 << 18
+
+# Largest group the memo stores, as mwpm._CACHE_MAX_DEFECTS.  At d=11
+# r=12, p=5e-4, groups of 1-2 defects recur in >= 99.9% of lookups, 3 in
+# 91%, 4 in 77%, 5 in 13% and 6 or more in under 4%.
+_MEMO_MAX_DEFECTS = 4
 
 # Memo value of a group that is not local (masks are non-negative).
 _NOT_LOCAL = -1
@@ -107,6 +126,51 @@ def _ragged_ranges(starts: np.ndarray, counts: np.ndarray, total: int) -> np.nda
         out[idx] = starts[1:] - (starts[:-1] + counts[:-1] - 1)
     np.cumsum(out, out=out)
     return out
+
+
+def _certify_shift(edges: EdgeTable, thresh: np.ndarray) -> Tuple[int, np.ndarray]:
+    """The certified detector shift ``P`` of a graph, and per detector the
+    number of shifts certified one after another below it.
+
+    The candidate is the most common id gap of a detector-detector edge
+    (the time-like edges of a memory experiment).  ``(0, zeros)`` when no
+    node is shiftable by it or the edge-id map is not increasing.
+    """
+    n = edges.node_count - 1
+    none = (0, np.zeros(n, dtype=np.int64))
+    inner = edges.eb < n
+    gaps = np.bincount(edges.eb[inner] - edges.ea[inner])
+    if gaps.size < 2 or gaps[1:].max() == 0:
+        return none
+    shift = int(np.argmax(gaps[1:])) + 1
+    # Each edge's image: both detector ends shifted down, the boundary kept.
+    key = edges.ea * edges.node_count + edges.eb
+    order = np.argsort(key)
+    image_key = key - shift * edges.node_count - np.where(inner, shift, 0)
+    image = order[np.searchsorted(key, image_key, sorter=order).clip(max=key.size - 1)]
+    mapped = (
+        (edges.ea >= shift)
+        & (key[image] == image_key)
+        & (thresh[image] == thresh)
+        & (edges.mask[image] == edges.mask)
+    )
+    deg = np.diff(edges.indptr)
+    slot_node = np.repeat(np.arange(edges.node_count), deg)
+    unmapped = np.zeros(edges.node_count, dtype=bool)
+    unmapped[slot_node[~mapped[edges.inc_edge]]] = True
+    shiftable = np.zeros(n, dtype=bool)
+    shiftable[shift:] = (deg[shift:n] == deg[:n - shift]) & ~unmapped[shift:n]
+    domain = np.zeros(key.size, dtype=bool)
+    domain[edges.inc_edge[np.append(shiftable, False)[slot_node]]] = True
+    if not shiftable.any() or np.any(np.diff(image[domain]) <= 0):
+        return none
+    # Runs of shiftable nodes along each residue class modulo the shift.
+    blocks = np.zeros(-(-n // shift) * shift, dtype=bool)
+    blocks[:n] = shiftable
+    blocks = blocks.reshape(-1, shift)
+    runs = np.cumsum(blocks, axis=0)
+    runs -= np.maximum.accumulate(np.where(blocks, 0, runs), axis=0)
+    return shift, runs.ravel()[:n]
 
 
 def _find_rows(parent: np.ndarray, rows: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -142,7 +206,15 @@ class UnionFindDecoder(BatchDecoder):
         # Touches that grow each edge (1 for zero-weight rails, else 2).
         self._thresh = np.where(self._edges.weight <= _ZERO_WEIGHT, 1, 2).astype(np.uint8)
         self._hop_cache: Optional[Tuple[np.ndarray, int]] = None
-        self._groups: Dict[bytes, int] = {}
+        self._period, self._down = _certify_shift(self._edges, self._thresh)
+        # Memo keys are base-(n + 1) polynomials over ids + 1, exact in
+        # int64 for groups of up to `_memo_defects` defects.
+        base = graph.num_detectors + 1
+        self._memo_defects = max(
+            (k for k in range(_MEMO_MAX_DEFECTS + 1) if base ** k <= 1 << 63)
+        )
+        self._memo_keys = np.zeros(0, dtype=np.int64)
+        self._memo_vals = np.zeros(0, dtype=np.int64)
 
     @property
     def num_observables(self) -> int:
@@ -248,35 +320,51 @@ class UnionFindDecoder(BatchDecoder):
         first = np.flatnonzero(np.diff(label[order], prepend=-1))
         sizes = np.diff(first, append=flat.size)
         group_row = row_of[order[first]]
-        ids = node[order].astype(np.int32)
-        buf = ids.tobytes()
-        bounds = (np.append(first, flat.size) * ids.itemsize).tolist()
-        keys = [buf[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-        memo = self._groups
-        vals = np.fromiter(
-            (memo.get(key, -2) for key in keys), dtype=np.int64, count=len(keys)
+        ids = node[order]
+        # Shift every group down by all the whole shifts its defects allow.
+        ids -= np.repeat(
+            np.minimum.reduceat(self._down[ids], first) * self._period, sizes
         )
-        missing = np.flatnonzero(vals == -2)  # not in the memo
-        if missing.size:
-            slots: Dict[bytes, int] = {}
-            slot = np.fromiter(
-                (slots.setdefault(keys[g], len(slots)) for g in missing),
-                dtype=np.int64, count=missing.size,
-            )
-            new = missing[np.unique(slot, return_index=True)[1]]
+        small = np.flatnonzero(sizes <= self._memo_defects)
+        keys = np.zeros(small.size, dtype=np.int64)
+        for k in range(self._memo_defects):
+            more = np.flatnonzero(sizes[small] > k)
+            keys[more] = keys[more] * (n + 1) + ids[first[small[more]] + k] + 1
+        # Sorted unique keys make the memo lookup one sequential search.
+        keys, rep, key_of = np.unique(keys, return_index=True, return_inverse=True)
+        pos = np.searchsorted(self._memo_keys, keys)
+        hit = pos < self._memo_keys.size
+        hit[hit] = self._memo_keys[pos[hit]] == keys[hit]
+        key_vals = np.empty(keys.size, dtype=np.int64)
+        key_vals[hit] = self._memo_vals[pos[hit]]
+        large = np.flatnonzero(sizes > self._memo_defects)
+        new = np.concatenate([small[rep[~hit]], large])
+        vals = np.empty(first.size, dtype=np.int64)
+        if new.size:
             pseudo = np.zeros((new.size, n), dtype=np.uint8)
             members = _ragged_ranges(first[new], sizes[new], int(sizes[new].sum()))
             pseudo[np.repeat(np.arange(new.size), sizes[new]), ids[members]] = 1
             new_masks, far = self._arena_rows(pseudo, local=True)
             new_vals = np.where(far, _NOT_LOCAL, new_masks)
-            vals[missing] = new_vals[slot]
-            if len(memo) + len(slots) > _GROUP_MEMO_LIMIT:
-                memo.clear()
-            memo.update(zip(slots, new_vals.tolist()))
+            missed = new.size - large.size
+            key_vals[~hit] = new_vals[:missed]
+            vals[large] = new_vals[missed:]
+            self._memoize(keys[~hit], new_vals[:missed])
+        vals[small] = key_vals[key_of]
         bad = vals == _NOT_LOCAL
         local[group_row[bad]] = False
         np.bitwise_xor.at(masks, group_row[~bad], vals[~bad])
         return masks, local
+
+    def _memoize(self, keys: np.ndarray, vals: np.ndarray) -> None:
+        """Merge sorted new ``keys`` (absent from the memo) and their values
+        into the memo, dropping it first if it would outgrow the limit."""
+        if self._memo_keys.size + keys.size > _GROUP_MEMO_LIMIT:
+            self._memo_keys = self._memo_keys[:0]
+            self._memo_vals = self._memo_vals[:0]
+        at = np.searchsorted(self._memo_keys, keys)
+        self._memo_keys = np.insert(self._memo_keys, at, keys)
+        self._memo_vals = np.insert(self._memo_vals, at, vals)
 
     def _arena(
         self, syndromes: np.ndarray, *, local: bool = False

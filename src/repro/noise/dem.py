@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,6 +62,7 @@ from repro.obs.spans import span
 
 if TYPE_CHECKING:  # pragma: no cover - type-only; see the lazy imports below
     from repro.sim.circuit import Circuit
+    from repro.sim.periodic import PeriodSpec
 
 _LOG = get_logger("repro.noise.dem")
 
@@ -215,6 +216,10 @@ class FaultTable:
     the packed samplers XOR the rows of the faults they draw.
     ``periodic_fallback`` names the certificate the periodic extraction
     failed (see :class:`DetectorErrorModel`), ``None`` when it held.
+    ``period`` is the circuit's repeated round
+    (:func:`repro.sim.periodic.detect_period`) on tables from
+    :func:`circuit_faults`, so program compilation does not detect it
+    again.
     """
 
     probabilities: np.ndarray
@@ -223,6 +228,7 @@ class FaultTable:
     obs_start: np.ndarray
     obs_index: np.ndarray
     periodic_fallback: Optional[str] = None
+    period: Optional["PeriodSpec"] = None
 
     def __len__(self) -> int:
         return self.probabilities.size
@@ -452,11 +458,14 @@ def circuit_faults(circuit: "Circuit") -> FaultTable:
 
 
 def _circuit_faults_uncached(circuit: "Circuit") -> FaultTable:
-    table, reason = _periodic_faults(circuit)
+    from repro.sim.periodic import detect_period
+
+    spec = detect_period(circuit)
+    table, reason = _periodic_faults(circuit, spec)
     if table is None:
         with span("dem.linear_mechanisms"):
             table = whole_circuit_faults(circuit, reason)
-    return table
+    return replace(table, period=spec)
 
 
 def _fingerprint(circuit: "Circuit") -> str:
@@ -504,9 +513,10 @@ _SURROGATE_REPS = 5
 
 
 def _periodic_faults(
-    circuit: "Circuit",
+    circuit: "Circuit", spec: Optional["PeriodSpec"]
 ) -> Tuple[Optional[FaultTable], Optional[str]]:
-    """Fault table via periodic unrolling: ``(table, reason)``.
+    """Fault table via periodic unrolling of the circuit's repeated round
+    ``spec`` (:func:`~repro.sim.periodic.detect_period`): ``(table, reason)``.
 
     ``(table, None)`` on success; ``(None, reason)`` when a certification
     failed and the caller must fall back to the linear path (reasons are
@@ -518,9 +528,7 @@ def _periodic_faults(
     one row for row and the merge is bit-identical to the linear path's.
     """
     from repro.sim.circuit import Circuit
-    from repro.sim.periodic import detect_period
 
-    spec = detect_period(circuit)
     if spec is None:
         return None, "no_period"
     if spec.reps < _SURROGATE_REPS:

@@ -117,6 +117,7 @@ class Circuit:
     def __init__(self) -> None:
         self.operations: List[Operation] = []
         self._num_measurements = 0
+        self._num_qubits = 0
 
     # -- builder ----------------------------------------------------------
 
@@ -148,6 +149,8 @@ class Circuit:
         self.operations.append(op)
         if name in MEASUREMENTS:
             self._num_measurements += len(op.targets)
+        if name not in ANNOTATIONS and op.targets:
+            self._num_qubits = max(self._num_qubits, max(op.targets) + 1)
         return self
 
     def h(self, *qubits: int) -> "Circuit":
@@ -249,14 +252,9 @@ class Circuit:
 
     @property
     def num_qubits(self) -> int:
-        """1 + highest qubit index touched by a gate/noise/reset/measure."""
-        highest = -1
-        for op in self.operations:
-            if op.name in ANNOTATIONS:
-                continue
-            for t in op.targets:
-                highest = max(highest, t)
-        return highest + 1
+        """1 + highest qubit index touched by a gate/noise/reset/measure
+        (kept by :meth:`append`, like :attr:`num_measurements`)."""
+        return self._num_qubits
 
     @property
     def num_detectors(self) -> int:

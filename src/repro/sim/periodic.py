@@ -216,12 +216,13 @@ def circuit_fingerprint(circuit: Circuit) -> str:
 def _compile_uncached(circuit: Circuit) -> CompiledProgram:
     start = time.perf_counter()
     with span("periodic.compile"):
-        spec = detect_period(circuit)
-        if spec is not None:
-            program: CompiledProgram = PeriodicProgram(circuit, spec)
+        # The memoized fault table carries the circuit's repeated round.
+        faults = circuit_faults(circuit)
+        if faults.period is not None:
+            program: CompiledProgram = PeriodicProgram(circuit, faults.period)
             kind = "periodic"
         else:
-            program = CompiledProgram(circuit, circuit_faults(circuit))
+            program = CompiledProgram(circuit, faults)
             kind = "linear_fallback"
     if _metrics.enabled():
         _COMPILES.labels(kind=kind).inc()

@@ -772,7 +772,7 @@ def pin_program(sim, program):
 
 def periodic_dem(circuit):
     """The circuit's DEM by periodic unrolling; raises when uncertified."""
-    faults, reason = _dem._periodic_faults(circuit)
+    faults, reason = _dem._periodic_faults(circuit, detect_period(circuit))
     if faults is None:
         raise ValueError(f"periodic DEM extraction not certified: {reason}")
     det, obs = faults.det_index.tolist(), faults.obs_index.tolist()

@@ -22,7 +22,7 @@ from repro.sim.circuit import Circuit
 from repro.sim.compiled import CompiledProgram
 from repro.sim.frame import FrameSimulator
 from repro.sim.memory import memory_circuit
-from repro.sim.periodic import compile_program
+from repro.sim.periodic import compile_program, detect_period
 
 
 def dense(start, index, columns):
@@ -112,7 +112,7 @@ class TestPeriodicTable:
     def test_unrolled_table_equals_whole_circuit(self, distance, rounds, basis, noise):
         kwargs = {"basis": basis} if noise is None else {"basis": basis, "noise": noise}
         circuit = memory_circuit(distance, rounds, 1e-3, **kwargs)
-        periodic, reason = _dem._periodic_faults(circuit)
+        periodic, reason = _dem._periodic_faults(circuit, detect_period(circuit))
         assert reason is None
         assert_tables_equal(periodic, _dem.whole_circuit_faults(circuit))
 
@@ -201,6 +201,29 @@ def test_engine_setup_propagates_once(monkeypatch):
             compile_program(circuit)
             engine.run(256, seed=3)
         assert len(calls) == 1
+
+
+def test_engine_setup_detects_the_period_once(monkeypatch):
+    from repro.sim import periodic
+
+    calls = []
+    detect = periodic.detect_period
+
+    def counted(circuit):
+        calls.append(circuit)
+        return detect(circuit)
+
+    monkeypatch.setattr(periodic, "detect_period", counted)
+    # A periodic memory and one that falls back with a detected round.
+    for circuit in (memory_circuit(5, 6, 1e-3), memory_circuit(3, 4, 1e-3)):
+        clear_caches()
+        calls.clear()
+        with DecodingEngine(circuit, "union_find") as engine:
+            program = compile_program(circuit)
+            engine.run(256, seed=3)
+        assert len(calls) == 1
+        assert _dem.circuit_faults(circuit).period == detect(circuit)
+        assert isinstance(program, periodic.PeriodicProgram)
 
 
 class TestEdgeCases:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.circuit import Circuit, Operation
+from repro.sim.circuit import ANNOTATIONS, Circuit, Operation
 from repro.sim.statevector import StateVector, ccz_state
 
 
@@ -17,6 +17,30 @@ class TestCircuitIR:
         assert len(c) == 3
         assert c.num_qubits == 2
         assert c.num_measurements == 2
+
+    def test_num_qubits_matches_a_rescan_of_every_op(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            c = Circuit()
+            for _ in range(int(rng.integers(0, 12))):
+                q = int(rng.integers(0, 30))
+                kind = int(rng.integers(0, 5))
+                if kind == 0:
+                    c.h(q)
+                elif kind == 1:
+                    c.cx(q, q + int(rng.integers(1, 4)))
+                elif kind == 2:
+                    c.depolarize1([q], 0.01)
+                elif kind == 3:
+                    c.tick()
+                else:
+                    c.measure(q).detector([c.num_measurements - 1])
+            rescan = 1 + max(
+                (t for op in c.operations if op.name not in ANNOTATIONS
+                 for t in op.targets),
+                default=-1,
+            )
+            assert c.num_qubits == rescan
 
     def test_unknown_op_rejected(self):
         with pytest.raises(ValueError):

@@ -6,9 +6,12 @@ the whole-row arena for any row with a group that is not local.  These
 tests check that the group path equals the whole-row arena on every
 row, and both equal the sequential oracle (``oracles.ReferenceUnionFind``)
 on every row the oracle calls order-insensitive; that memo state never
-changes an output; that groups are exactly the hop components; that the
-path counters are worker-count invariant; and (``slow``) that the arena
-fails no more often than the sequential oracle on identical shots.
+changes an output and the memo holds only groups of at most four
+defects; that the certified round shift equals a node-by-node reference
+and never changes a group's outcome; that groups are exactly the hop
+components; that the path counters are worker-count invariant; and
+(``slow``) that the arena fails no more often than the sequential oracle
+on identical shots.
 """
 
 from collections import deque
@@ -24,7 +27,7 @@ from repro.decoder.graph import DecodingGraph
 from repro.decoder.union_find import UnionFindDecoder
 from repro.obs import REGISTRY
 from repro.sim.frame import FrameSimulator
-from repro.sim.memory import memory_circuit
+from repro.sim.memory import memory_circuit, transversal_cnot_experiment
 
 
 def _setup(distance, rounds, p, shots, seed):
@@ -179,7 +182,9 @@ class TestMemo:
         graph = d5[0].graph
         cold = UnionFindDecoder(graph)
         first = cold._decode_unique(rows)
-        assert len(cold._groups) > 0
+        assert cold._memo_keys.size > 0
+        assert np.all(np.diff(cold._memo_keys) > 0)
+        assert cold._memo_vals.size == cold._memo_keys.size
         warm = cold._decode_unique(rows[::-1])[::-1]
         monkeypatch.setattr(union_find, "_GROUP_MEMO_LIMIT", 8)
         tiny = UnionFindDecoder(graph)
@@ -187,10 +192,255 @@ class TestMemo:
         dropped = np.concatenate(
             [tiny._decode_unique(rows[i:i + 4]) for i in range(0, len(rows), 4)]
         )
-        assert len(tiny._groups) < len(cold._groups)
+        assert tiny._memo_keys.size < cold._memo_keys.size
         assert np.array_equal(first, warm)
         assert np.array_equal(first, dropped)
         _assert_oracle_agrees(cold, rows, first)
+
+    def test_groups_over_four_defects_are_never_stored(self, d5):
+        graph = d5[0].graph
+        n = graph.num_detectors
+        decoder = UnionFindDecoder(graph)
+        assert decoder._memo_defects == union_find._MEMO_MAX_DEFECTS == 4
+        near = np.unpackbits(decoder._hop_bits()[0], axis=1, count=n).astype(bool)
+        # Rows of one group each: a node and four or five of its
+        # within-two-hop neighbours.
+        big = [
+            (u, *np.flatnonzero(near[u] & (np.arange(n) > u))[:extra])
+            for u in range(0, n, 7) for extra in (4, 5)
+            if np.count_nonzero(near[u] & (np.arange(n) > u)) >= extra
+        ]
+        rows = _rows(n, big)
+        labels = decoder._group_labels(*np.nonzero(rows))
+        assert all(len(set(labels[np.nonzero(rows)[0] == i])) == 1 for i in range(len(big)))
+        out = decoder._decode_unique(rows)
+        assert decoder._memo_keys.size == 0
+        assert np.array_equal(out, _whole_row(decoder, rows))
+        # Sampled rows with groups of every size store only the small ones.
+        noisy = _setup(5, 5, 0.01, 300, 3)[1]
+        row_of, node = np.nonzero(noisy)
+        assert np.bincount(decoder._group_labels(row_of, node)).max() > 4
+        decoder._decode_unique(noisy)
+        assert 0 < decoder._memo_keys.max() < (n + 1) ** 4
+
+    @pytest.mark.parametrize("detectors,defects", [(1000, 4), (60_000, 3)])
+    def test_memo_keys_stay_exact_in_int64(self, detectors, defects):
+        graph = DecodingGraph(num_detectors=detectors, num_observables=1)
+        graph.add_mechanism((0, 1), 0.01, frozenset({0}))
+        graph.add_mechanism((0,), 0.01, frozenset())
+        decoder = UnionFindDecoder(graph)
+        assert decoder._memo_defects == defects
+        assert (detectors + 1) ** defects < 2 ** 63
+
+
+def _copy_graph(graph, order=None, edit=None):
+    """A copy of ``graph`` with its edges inserted in ``order`` (default:
+    unchanged) and ``edit(index, edge) -> (probability, observables)``
+    applied to each."""
+    edges = graph.edges
+    copy = DecodingGraph(graph.num_detectors, graph.num_observables)
+    for i in (range(len(edges)) if order is None else order):
+        e = edges[i]
+        prob, obs = (e.probability, e.observables) if edit is None else edit(i, e)
+        copy.add_mechanism(e.detectors, prob, obs)
+    return copy
+
+
+def _reference_down(decoder, shift):
+    """Per-detector run of certified shifts by ``shift``, from the
+    definition node by node; None when the edge-id map is not increasing
+    over the edges at shiftable nodes."""
+    table = decoder._edges
+    n = table.node_count - 1
+    ea, eb = table.ea.tolist(), table.eb.tolist()
+    ids = {(a, b): e for e, (a, b) in enumerate(zip(ea, eb))}
+    incident = [[] for _ in range(n + 1)]
+    for e, (a, b) in enumerate(zip(ea, eb)):
+        incident[a].append(e)
+        incident[b].append(e)
+
+    def image(e):
+        if ea[e] < shift:
+            return None
+        return ids.get((ea[e] - shift, eb[e] - shift if eb[e] < n else n))
+
+    def same(e, f):
+        return (
+            f is not None
+            and decoder._thresh[e] == decoder._thresh[f]
+            and table.mask[e] == table.mask[f]
+        )
+
+    shiftable = [
+        u >= shift
+        and len(incident[u]) == len(incident[u - shift])
+        and all(same(e, image(e)) for e in incident[u])
+        for u in range(n)
+    ]
+    domain = sorted({e for u in range(n) if shiftable[u] for e in incident[u]})
+    images = [image(e) for e in domain]
+    if any(a >= b for a, b in zip(images, images[1:])):
+        return None
+    down = [0] * n
+    for u in range(n):
+        down[u] = down[u - shift] + 1 if shiftable[u] else 0
+    return down
+
+
+def _mode_gap(decoder):
+    table = decoder._edges
+    inner = table.eb < table.node_count - 1
+    return int(np.argmax(np.bincount(table.eb[inner] - table.ea[inner])[1:])) + 1
+
+
+def _assert_certified(decoder):
+    """The decoder's shift is the reference certification of the most
+    common detector gap, or 0 with nothing shiftable."""
+    down = _reference_down(decoder, _mode_gap(decoder))
+    if down is None or not any(down):
+        assert decoder._period == 0
+        assert not decoder._down.any()
+    else:
+        assert decoder._period == _mode_gap(decoder)
+        assert decoder._down.tolist() == down
+
+
+def _probe_rows(decoder, extra=()):
+    """Every single-defect row, every within-two-hop pair whose nodes are
+    both shiftable (or both their shifted copies), and ``extra`` rows."""
+    n, period = decoder.graph.num_detectors, decoder._period
+    near = np.unpackbits(decoder._hop_bits()[0], axis=1, count=n).astype(bool)
+    bulk = decoder._down > 0
+    above = np.zeros(n, dtype=bool)
+    above[:n - period] = bulk[period:]
+    u, v = np.nonzero(np.triu(near, 1))
+    keep = (bulk[u] & bulk[v]) | (above[u] & above[v])
+    pairs = list(zip(u[keep], v[keep]))
+    rows = _rows(n, [(u,) for u in range(n)] + pairs)
+    return np.unique(np.concatenate([rows, *extra]), axis=0) if extra else rows
+
+
+def _assert_group_path_exact(decoder, rows):
+    """The group path (with shifts and memo) equals the whole-row arena."""
+    assert np.array_equal(decoder._decode_unique(rows), _whole_row(decoder, rows))
+
+
+class TestShift:
+    @pytest.mark.parametrize(
+        "distance,rounds,p,period", [(5, 5, 0.004, 24), (7, 7, 0.002, 48)]
+    )
+    def test_memory_graphs_certify_one_round(self, distance, rounds, p, period):
+        decoder, _ = _setup(distance, rounds, p, 1, 0)
+        assert decoder._period == period
+        assert decoder._down.max() >= 2
+        _assert_certified(decoder)
+
+    @staticmethod
+    def _shifted_copies_agree(decoder, rows):
+        """Every group of ``rows`` whose defects all shift has the same
+        local-arena outcome as each of its shifted copies."""
+        period, down = decoder._period, decoder._down
+        row_of, node = np.nonzero(rows)
+        labels = decoder._group_labels(row_of, node)
+        groups = {}
+        for label, u in zip(labels, node):
+            groups.setdefault(label, []).append(u)
+        bases, copies = [], []
+        for ids in groups.values():
+            ids = np.array(ids)
+            for k in range(1, int(down[ids].min()) + 1):
+                bases.append(ids)
+                copies.append(ids - k * period)
+        assert bases, "no shiftable group"
+        n = rows.shape[1]
+        got = decoder._arena_rows(_rows(n, bases), local=True)
+        want = decoder._arena_rows(_rows(n, copies), local=True)
+        assert np.array_equal(got[0][~got[1]], want[0][~want[1]])
+        assert np.array_equal(got[1], want[1])
+        # Local groups with a non-trivial mask are among them.
+        assert np.any(~got[1] & (got[0] != 0))
+
+    def test_bulk_group_and_shifted_copy_agree(self, d5):
+        decoder, rows = d5
+        self._shifted_copies_agree(decoder, _probe_rows(decoder, [rows]))
+
+    @pytest.mark.slow
+    def test_bulk_group_and_shifted_copy_agree_d11(self):
+        decoder, rows = _setup(11, 12, 5e-4, 4096, 17)
+        assert decoder._period == 120
+        _assert_certified(decoder)
+        self._shifted_copies_agree(decoder, rows)
+        _assert_group_path_exact(decoder, rows)
+
+    @pytest.mark.parametrize("build", [
+        lambda: memory_circuit(3, 4, 2e-3),
+        lambda: memory_circuit(3, 4, 2e-3, basis="X"),
+        lambda: transversal_cnot_experiment(3, 4, 2e-3, [2], basis="Z").circuit,
+        lambda: transversal_cnot_experiment(3, 4, 2e-3, [2], basis="X").circuit,
+    ], ids=["few_reps-Z", "few_reps-X", "cnot-Z", "cnot-X"])
+    def test_other_graphs_certify_by_definition(self, build):
+        circuit = build()
+        sim = FrameSimulator(circuit, rng=np.random.default_rng(3))
+        decoder = UnionFindDecoder(DecodingGraph.from_dem(sim.detector_error_model()))
+        _assert_certified(decoder)
+        detectors, _ = sim.sample(400)
+        rows = np.unique(detectors.astype(np.uint8), axis=0)
+        _assert_group_path_exact(decoder, _probe_rows(decoder, [rows]))
+
+    @staticmethod
+    def _bulk_edge(decoder):
+        """Index of a detector-detector edge between two nodes that both
+        shift twice, and its endpoints."""
+        table = decoder._edges
+        down = np.append(decoder._down, 0)
+        e = int(np.flatnonzero((down[table.ea] >= 2) & (down[table.eb] >= 2))[0])
+        return e, int(table.ea[e]), int(table.eb[e])
+
+    @pytest.mark.parametrize("change", ["mask", "threshold"])
+    def test_an_edited_bulk_edge_is_not_shifted(self, d5, change):
+        decoder, rows = d5
+        e, a, b = self._bulk_edge(decoder)
+        period = decoder._period
+
+        def edit(i, edge):
+            if i != e:
+                return edge.probability, edge.observables
+            if change == "mask":
+                return edge.probability, edge.observables ^ {0}
+            return 0.4999999, edge.observables
+
+        edited = UnionFindDecoder(_copy_graph(decoder.graph, edit=edit))
+        assert edited._edges.ea[e] == a and edited._edges.eb[e] == b
+        if change == "threshold":
+            assert edited._thresh[e] != decoder._thresh[e]
+        _assert_certified(edited)
+        # The edited edge's ends, and the nodes whose edges map onto it,
+        # lose their shift; the certified shift elsewhere stays.
+        assert edited._period == period
+        assert edited._down[[a, b, a + period, b + period]].tolist() == [0, 0, 0, 0]
+        assert edited._down.max() >= 2
+        probes = _rows(decoder.graph.num_detectors, [(a, b), (a - period, b - period)])
+        if change == "mask":
+            # The pair grows only the edited edge, so it decodes unlike
+            # its shifted copy: a shift across the edit would be wrong.
+            masks, far = edited._arena_rows(probes, local=True)
+            assert not far.any() and masks[0] != masks[1]
+        _assert_group_path_exact(edited, _probe_rows(edited, [rows, probes]))
+
+    def test_permuted_bulk_edge_order_refuses_the_shift(self, d5):
+        decoder, rows = d5
+        e, a, _ = self._bulk_edge(decoder)
+        incident = decoder._edges.inc_edge[
+            decoder._edges.indptr[a]:decoder._edges.indptr[a + 1]
+        ]
+        f = int(incident[incident != e][-1])
+        order = list(range(decoder._edges.ea.size))
+        order[e], order[f] = order[f], order[e]
+        permuted = UnionFindDecoder(_copy_graph(decoder.graph, order=order))
+        assert permuted._period == 0
+        assert not permuted._down.any()
+        _assert_certified(permuted)
+        _assert_group_path_exact(permuted, _probe_rows(permuted, [rows]))
 
 
 class TestGroups:
