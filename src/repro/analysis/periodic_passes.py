@@ -13,9 +13,10 @@ the invariance statically on the extracted model instead.
 
 :func:`check_dem_periodicity` is a plain function over a DEM plus the
 period geometry so tests (and external callers with a known layout) can
-run it directly; the registered ``dem_periodicity`` pass derives the
-geometry from :func:`repro.sim.periodic.detect_period` on the context's
-circuit and info-skips circuits with no usable period.
+run it directly; the registered ``dem_periodicity`` pass reads the
+geometry from the period the context circuit's fault table carries
+(:attr:`repro.noise.dem.FaultTable.period`) and info-skips circuits with
+no usable period.
 """
 
 from __future__ import annotations
@@ -115,23 +116,23 @@ def check_dem_periodicity(
 
 
 def dem_periodicity(ctx: PassContext) -> Iterator[Diagnostic]:
-    """Detect the circuit's period and check the DEM's interior blocks."""
-    from repro.sim.periodic import detect_period
+    """Check the DEM's interior blocks against the circuit's period."""
+    from repro.noise.dem import circuit_faults
 
     if ctx.circuit is None:
         raise ValueError("dem_periodicity requires a circuit")
-    spec = detect_period(ctx.circuit)
+    try:
+        spec = circuit_faults(ctx.circuit).period
+        dem = ctx.dem()
+    except Exception as exc:
+        yield Diagnostic("error", _PASS, f"DEM extraction failed: {exc}")
+        return
     if spec is None or spec.det_per_rep <= 0:
         yield Diagnostic(
             "info", _PASS,
             "circuit has no repeated round emitting detectors; nothing to "
             "compare",
         )
-        return
-    try:
-        dem = ctx.dem()
-    except Exception as exc:
-        yield Diagnostic("error", _PASS, f"DEM extraction failed: {exc}")
         return
     yield from check_dem_periodicity(
         dem,

@@ -12,9 +12,8 @@ module provides the process-wide cache those sweeps share:
 * :func:`register_cache` -- hook for hand-rolled caches to join the same
   stats/clearing machinery by exposing ``lru_cache``-style ``cache_info``
   / ``cache_clear``; :class:`KeyedCache` is one whose keys are derived
-  rather than argument tuples (the fingerprint-keyed compiled-program
-  cache of :mod:`repro.sim.periodic` and fault-table cache of
-  :mod:`repro.noise.dem`).
+  rather than argument tuples (the fingerprint-keyed fault-table cache
+  of :mod:`repro.noise.dem`).
 * :func:`cache_stats` -- per-function hit/miss/size counters, used by the
   sweep-engine tests and the benchmark runner.  The same counters are
   exported as ``repro_cache_{hits,misses,entries}{cache=...}`` gauges by

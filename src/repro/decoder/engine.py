@@ -501,8 +501,7 @@ class DecodingEngine:
         self.sampler = sampler
         self._pool = None
         # One simulator for serial execution and DEM extraction: its
-        # compiled program is fetched once (fingerprint-memoized) and
-        # reused across run() calls.
+        # compiled program is built once and reused across run() calls.
         self._sim = FrameSimulator(circuit)
         if isinstance(decoder, str):
             # DEM extraction is the dominant setup cost; skip it entirely

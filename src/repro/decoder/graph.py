@@ -68,11 +68,17 @@ class EdgeTable(NamedTuple):
 
 
 class DecodingGraph:
-    """Matching graph: detectors plus a single boundary node."""
+    """Matching graph: detectors plus a single boundary node.
+
+    ``detector_shift`` is the round's detector count, copied from the model
+    by :meth:`from_dem` (0 without a round and on hand-built graphs);
+    union-find certifies its round shift against it.
+    """
 
     def __init__(self, num_detectors: int, num_observables: int) -> None:
         self.num_detectors = num_detectors
         self.num_observables = num_observables
+        self.detector_shift = 0
         self._edges: Dict[FrozenSet[int], Edge] = {}
 
     # -- construction -------------------------------------------------------
@@ -156,6 +162,7 @@ class DecodingGraph:
         :class:`~repro.analysis.VerificationError`.
         """
         graph = cls(dem.num_detectors, dem.num_observables)
+        graph.detector_shift = dem.detector_shift or 0
         simple: List[ErrorMechanism] = []
         composite: List[ErrorMechanism] = []
         for mech in dem.mechanisms:

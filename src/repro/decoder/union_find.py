@@ -34,19 +34,22 @@ Two layers compute it:
   group's forest.
 
   A group's outcome depends only on its defects' incident edges, so the
-  decoder certifies a detector shift ``P`` on its graph at construction
-  (for a memory experiment, the detector count of one round): a node
-  ``u`` is *shiftable* when its incident edges map one-to-one onto
-  those of ``u - P`` (neighbour ``v`` to ``v - P``, the boundary to
-  itself) with equal growth thresholds and observable masks, and the
-  edge-id map is strictly increasing over every edge at a shiftable
-  node, which keeps the arena's canonical edge order and node ranking.
-  Every group runs shifted down by as many whole shifts as all its
-  defects allow, so a group decodes the same in every round it recurs
-  in.  A graph with no certified shift gets ``P = 0``.  Groups of at
-  most :data:`_MEMO_MAX_DEFECTS` defects are memoized in two sorted
-  int64 arrays, keyed by a polynomial over their shifted ids; larger
-  groups rarely recur and go straight to the arena as pseudo-rows.
+  decoder certifies a detector shift ``P`` on its graph at construction.
+  The candidate is the graph's ``detector_shift``: the detector count of
+  the circuit's repeated round, found once per circuit by
+  :func:`~repro.sim.periodic.detect_period` and carried by the fault
+  table, the model and the graph.  A node ``u`` is *shiftable* when its
+  incident edges map one-to-one onto those of ``u - P`` (neighbour ``v``
+  to ``v - P``, the boundary to itself) with equal growth thresholds and
+  observable masks, and the edge-id map is strictly increasing over
+  every edge at a shiftable node, which keeps the arena's canonical edge
+  order and node ranking.  Every group runs shifted down by as many
+  whole shifts as all its defects allow, so a group decodes the same in
+  every round it recurs in.  A graph without a repeated round, or whose
+  round does not certify, gets ``P = 0``.  Groups of at most
+  :data:`_MEMO_MAX_DEFECTS` defects are memoized in two sorted int64
+  arrays, keyed by a polynomial over their shifted ids; larger groups
+  rarely recur and go straight to the arena as pseudo-rows.
 * The **batched arena** decodes every other row whole.  Support is a
   flat ``(row, edge)`` touch counter updated with sorted-key scatters
   over the graph's :class:`~repro.decoder.graph.EdgeTable` CSR
@@ -128,21 +131,20 @@ def _ragged_ranges(starts: np.ndarray, counts: np.ndarray, total: int) -> np.nda
     return out
 
 
-def _certify_shift(edges: EdgeTable, thresh: np.ndarray) -> Tuple[int, np.ndarray]:
-    """The certified detector shift ``P`` of a graph, and per detector the
-    number of shifts certified one after another below it.
-
-    The candidate is the most common id gap of a detector-detector edge
-    (the time-like edges of a memory experiment).  ``(0, zeros)`` when no
-    node is shiftable by it or the edge-id map is not increasing.
+def _certify_shift(
+    edges: EdgeTable, thresh: np.ndarray, shift: int
+) -> Tuple[int, np.ndarray]:
+    """Certify the detector shift ``shift`` (the graph's
+    ``detector_shift``): ``(shift, down)``, where ``down[u]`` counts the
+    shifts certified one after another below detector ``u``.  ``(0,
+    zeros)`` when ``shift`` is 0, when no node is shiftable by it, or when
+    the edge-id map is not increasing.
     """
     n = edges.node_count - 1
     none = (0, np.zeros(n, dtype=np.int64))
-    inner = edges.eb < n
-    gaps = np.bincount(edges.eb[inner] - edges.ea[inner])
-    if gaps.size < 2 or gaps[1:].max() == 0:
+    if not 0 < shift < n:
         return none
-    shift = int(np.argmax(gaps[1:])) + 1
+    inner = edges.eb < n
     # Each edge's image: both detector ends shifted down, the boundary kept.
     key = edges.ea * edges.node_count + edges.eb
     order = np.argsort(key)
@@ -206,7 +208,9 @@ class UnionFindDecoder(BatchDecoder):
         # Touches that grow each edge (1 for zero-weight rails, else 2).
         self._thresh = np.where(self._edges.weight <= _ZERO_WEIGHT, 1, 2).astype(np.uint8)
         self._hop_cache: Optional[Tuple[np.ndarray, int]] = None
-        self._period, self._down = _certify_shift(self._edges, self._thresh)
+        self._period, self._down = _certify_shift(
+            self._edges, self._thresh, graph.detector_shift
+        )
         # Memo keys are base-(n + 1) polynomials over ids + 1, exact in
         # int64 for groups of up to `_memo_defects` defects.
         base = graph.num_detectors + 1

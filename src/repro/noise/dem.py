@@ -24,12 +24,13 @@ circuit with a certified repeated round and unrolls the rest (the
 periodic path); any other circuit is propagated whole (the linear path),
 and the table's ``periodic_fallback`` names the certificate that failed.
 The result is a :class:`FaultTable`: every fault's symptom, unmerged, in
-circuit order, as CSR arrays.  It is memoized per circuit fingerprint, so
-one propagation per circuit serves both consumers: :func:`extract_dem`
-merges it into the model, and the packed samplers
-(:mod:`repro.sim.compiled`) XOR the rows of the faults they draw.  The
-tests hold both paths equal to a byte-per-bit, row-per-mechanism
-reference propagation.
+circuit order, as CSR arrays, plus the circuit's repeated round.  It is
+memoized per circuit fingerprint, so one propagation and one period
+detection per circuit serve every consumer: :func:`extract_dem` merges
+it into the model (stamped with the round's detector count), and the
+packed samplers (:mod:`repro.sim.compiled`) XOR the rows of the faults
+they draw.  The tests hold both paths equal to a byte-per-bit,
+row-per-mechanism reference propagation.
 
 Merging (:func:`extract_dem` and :meth:`DetectorErrorModel.merged` share
 one kernel) groups identical symptom rows with a stable sort, folds
@@ -109,14 +110,19 @@ class DetectorErrorModel:
     extraction failed certification and the model came from the linear
     path: ``"no_period"``, ``"few_reps"``, ``"no_round_measurements"``,
     ``"epilogue_record_ref"``, ``"uncertified_shift"``,
-    ``"span_exceeds_certified"`` or ``"prologue_span"``.  It describes how
-    the model was built, not the model, so it takes no part in equality.
+    ``"span_exceeds_certified"`` or ``"prologue_span"``.
+    ``detector_shift`` is the detector count of the circuit's repeated
+    round, ``None`` without one, set even when the periodic extraction
+    fell back; :class:`~repro.decoder.graph.DecodingGraph` carries it to
+    the decoders.  Both describe how the model was built, not the model,
+    so they take no part in equality.
     """
 
     mechanisms: List[ErrorMechanism]
     num_detectors: int
     num_observables: int
     periodic_fallback: Optional[str] = field(default=None, compare=False)
+    detector_shift: Optional[int] = field(default=None, compare=False)
 
     def merged(self) -> "DetectorErrorModel":
         """Combine mechanisms with identical symptoms.
@@ -132,15 +138,10 @@ class DetectorErrorModel:
         probabilities = np.array(
             [m.probability for m in mechanisms], dtype=np.float64
         )
-        return DetectorErrorModel(
-            _merge(
-                probabilities, det_start, det_index, obs_start, obs_index,
-                np.arange(len(mechanisms)),
-            ),
-            self.num_detectors,
-            self.num_observables,
-            periodic_fallback=self.periodic_fallback,
-        )
+        return replace(self, mechanisms=_merge(
+            probabilities, det_start, det_index, obs_start, obs_index,
+            np.arange(len(mechanisms)),
+        ))
 
     def reweighted(
         self, inflation: float, *, max_probability: float = 0.5
@@ -158,10 +159,10 @@ class DetectorErrorModel:
         wherever the original has support stays exact; the cap only trades
         a little variance on the capped mechanisms.
 
-        Symptom topology (detector/observable sets, mechanism order) and
-        ``periodic_fallback`` are preserved exactly, so for
-        disjoint-symptom models ``reweighted`` commutes with
-        :meth:`merged`.
+        Symptom topology (detector/observable sets, mechanism order),
+        ``periodic_fallback`` and ``detector_shift`` are preserved
+        exactly, so for disjoint-symptom models ``reweighted`` commutes
+        with :meth:`merged`.
         """
         if inflation <= 0:
             raise ValueError("inflation must be > 0")
@@ -175,10 +176,7 @@ class DetectorErrorModel:
             )
             for mech in self.mechanisms
         ]
-        return DetectorErrorModel(
-            mechanisms, self.num_detectors, self.num_observables,
-            periodic_fallback=self.periodic_fallback,
-        )
+        return replace(self, mechanisms=mechanisms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,10 +214,11 @@ class FaultTable:
     the packed samplers XOR the rows of the faults they draw.
     ``periodic_fallback`` names the certificate the periodic extraction
     failed (see :class:`DetectorErrorModel`), ``None`` when it held.
-    ``period`` is the circuit's repeated round
-    (:func:`repro.sim.periodic.detect_period`) on tables from
-    :func:`circuit_faults`, so program compilation does not detect it
-    again.
+    ``period`` is the circuit's repeated round on tables from
+    :func:`circuit_faults`, the one place that calls
+    :func:`repro.sim.periodic.detect_period`: program compilation, the
+    model's ``detector_shift`` (and from it the union-find decoder's
+    round shift) and the ``dem_periodicity`` pass all read it here.
     """
 
     probabilities: np.ndarray
@@ -434,6 +433,7 @@ def extract_dem(circuit: "Circuit", *, verify: bool = False) -> DetectorErrorMod
         circuit.num_detectors,
         circuit.num_observables,
         periodic_fallback=reason,
+        detector_shift=None if faults.period is None else faults.period.det_per_rep,
     )
     _EXTRACT_SECONDS.labels(method="linear" if reason else "periodic").inc(
         time.perf_counter() - start

@@ -57,7 +57,7 @@ class FrameSimulator:
 
     @property
     def compiled(self):
-        """The circuit's packed program (fingerprint-memoized, fetched once).
+        """The circuit's packed program, compiled on first use and kept.
 
         A :class:`~repro.sim.periodic.PeriodicProgram` when the circuit
         has a detected repeated round, else the linear

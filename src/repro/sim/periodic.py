@@ -13,22 +13,24 @@ repeated r times.  This module finds that structure, and DEM extraction
 * :class:`PeriodicProgram` samples from the periodic extraction's fault
   table (:func:`repro.noise.dem.circuit_faults`): every fault's symptom,
   propagated over a few rounds and unrolled to all r, so building it is
-  O(1) in the round count.  It falls back to the whole-circuit table when
-  the extraction's certificates fail.
+  O(1) in the round count.  The table is the whole-circuit one when the
+  extraction's certificates fail.
 * **RNG draw-order contract**: every noise op makes one sparse
   :func:`~repro.sim.compiled.sample_channel` call, in op order, whatever
   program samples the circuit; and the periodic table equals the
   whole-circuit table row for row.  So periodic and linear programs, and
   the byte-per-bit reference sampler of the tests, are bit-identical per
   seed (property-tested in ``tests/test_sim_periodic.py``).
-* :func:`compile_program` takes the periodic path whenever
-  :func:`detect_period` finds a round and the linear one otherwise (the
-  tests build both programs directly to compare them).  It memoizes the
-  program per circuit fingerprint (registered with
-  :func:`repro.core.cache.register_cache`), so the decoding engine's
-  repeated ``run_until`` batches and repeated engines over the same
-  circuit stop recompiling; both kinds take the memoized fault table,
-  so a circuit is propagated once for DEM extraction and sampling.
+* :func:`compile_program` builds a draw plan over the memoized fault
+  table, which also carries the circuit's repeated round
+  (:func:`detect_period` runs once per circuit, inside
+  :func:`~repro.noise.dem.circuit_faults`).  A circuit with a round gets
+  a :class:`PeriodicProgram`, any other the linear
+  :class:`~repro.sim.compiled.CompiledProgram` (the tests build both
+  programs directly to compare them).  The plan is rebuilt per call: it
+  costs under a millisecond at d=11 r=12, less than the fingerprint a
+  program memo would hash, so the fault table is the only per-circuit
+  memo DEM extraction and sampling share.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.core.cache import KeyedCache, register_cache
 from repro.noise.dem import circuit_faults
 from repro.obs import metrics as _metrics
 from repro.obs.spans import span
@@ -58,7 +59,7 @@ _CANDIDATE_GAPS = 5
 # "linear_fallback" when the circuit has no repeated round).
 _COMPILES = _metrics.counter(
     "repro_periodic_compiles_total",
-    "Packed-program compilations (cache misses) by produced kind.",
+    "Packed-program compilations by produced kind.",
     ("kind",),
 )
 _COMPILE_SECONDS = _metrics.counter(
@@ -180,19 +181,10 @@ def detect_period(circuit: Circuit) -> Optional[PeriodSpec]:
 class PeriodicProgram(CompiledProgram):
     """The packed sampler of a circuit with a repeated round.
 
-    Its fault table is the periodic extraction's (see the module
-    docstring); sampling is :meth:`CompiledProgram.run_packed`'s.
+    Built like :class:`~repro.sim.compiled.CompiledProgram`, over the
+    periodic extraction's fault table (see the module docstring);
+    sampling is :meth:`CompiledProgram.run_packed`'s.
     """
-
-    def __init__(self, circuit: Circuit, spec: Optional[PeriodSpec] = None) -> None:
-        if spec is None:
-            spec = detect_period(circuit)
-        if spec is None:
-            raise ValueError(
-                "circuit has no repeated round; use CompiledProgram instead"
-            )
-        super().__init__(circuit, circuit_faults(circuit))
-        self.spec = spec
 
     # Bound in this class body too, so hooks that wrap ``run_packed`` per
     # class (layer tracers) see periodic programs on their own.
@@ -200,9 +192,9 @@ class PeriodicProgram(CompiledProgram):
 
 
 def circuit_fingerprint(circuit: Circuit) -> str:
-    """Content hash of a circuit's op stream (the program-cache key).
+    """Content hash of a circuit's op stream (the fault-table cache key).
 
-    Two circuits with equal fingerprints lower to identical programs:
+    Two circuits with equal fingerprints have identical fault tables:
     the hash covers every op's name, targets and probability arguments
     (float ``repr`` is exact round-trip in Python 3).
     """
@@ -213,13 +205,20 @@ def circuit_fingerprint(circuit: Circuit) -> str:
     return digest.hexdigest()
 
 
-def _compile_uncached(circuit: Circuit) -> CompiledProgram:
+def compile_program(circuit: Circuit) -> CompiledProgram:
+    """Compile a circuit to its packed program over its memoized fault table.
+
+    A circuit with a detected repeated round compiles to a
+    :class:`PeriodicProgram`; any other falls back to the linear
+    :class:`~repro.sim.compiled.CompiledProgram`.  Both take the
+    memoized :func:`~repro.noise.dem.circuit_faults` table and produce
+    bit-identical ``run_packed`` output per seed.
+    """
     start = time.perf_counter()
     with span("periodic.compile"):
-        # The memoized fault table carries the circuit's repeated round.
         faults = circuit_faults(circuit)
         if faults.period is not None:
-            program: CompiledProgram = PeriodicProgram(circuit, faults.period)
+            program: CompiledProgram = PeriodicProgram(circuit, faults)
             kind = "periodic"
         else:
             program = CompiledProgram(circuit, faults)
@@ -228,19 +227,3 @@ def _compile_uncached(circuit: Circuit) -> CompiledProgram:
         _COMPILES.labels(kind=kind).inc()
         _COMPILE_SECONDS.labels(kind=kind).inc(time.perf_counter() - start)
     return program
-
-
-_PROGRAM_CACHE = KeyedCache(circuit_fingerprint, _compile_uncached)
-register_cache("repro.sim.periodic.compile_program", _PROGRAM_CACHE)
-
-
-def compile_program(circuit: Circuit) -> CompiledProgram:
-    """Compile a circuit to its packed program, memoized by fingerprint.
-
-    A circuit with a detected repeated round compiles to a
-    :class:`PeriodicProgram`; any other falls back to the linear
-    :class:`~repro.sim.compiled.CompiledProgram`.  Both take the
-    memoized :func:`~repro.noise.dem.circuit_faults` table and produce
-    bit-identical ``run_packed`` output per seed.
-    """
-    return _PROGRAM_CACHE(circuit)

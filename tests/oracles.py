@@ -756,10 +756,10 @@ class ReferenceUnionFind(BatchDecoder):
 
 def periodic_program(circuit):
     """The circuit's periodic packed program; raises without a round."""
-    spec = detect_period(circuit)
-    if spec is None:
+    faults = _dem.circuit_faults(circuit)
+    if faults.period is None:
         raise ValueError("periodic program needs a repeated round; none found")
-    return PeriodicProgram(circuit, spec)
+    return PeriodicProgram(circuit, faults)
 
 
 def pin_program(sim, program):

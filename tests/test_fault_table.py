@@ -226,6 +226,30 @@ def test_engine_setup_detects_the_period_once(monkeypatch):
         assert isinstance(program, periodic.PeriodicProgram)
 
 
+def test_engine_setup_fingerprints_the_circuit_twice(monkeypatch):
+    """Engine set-up hashes its circuit once for DEM extraction and once
+    for the sampler's program; a further ``compile_program`` hashes it
+    once more and shares the memoized fault table."""
+    from repro.sim import periodic
+
+    calls = []
+    fingerprint = periodic.circuit_fingerprint
+
+    def counted(circuit):
+        calls.append(circuit)
+        return fingerprint(circuit)
+
+    monkeypatch.setattr(periodic, "circuit_fingerprint", counted)
+    circuit = memory_circuit(11, 12, 5e-4)
+    clear_caches()
+    with DecodingEngine(circuit, "union_find") as engine:
+        assert len(calls) == 2
+        program = compile_program(circuit)
+        assert len(calls) == 3
+        assert program._faults is engine._sim.compiled._faults
+    assert isinstance(program, periodic.PeriodicProgram)
+
+
 class TestEdgeCases:
     @pytest.mark.parametrize("shots", [0, 1, 7, 8, 9, 63, 64, 65])
     def test_shot_counts_match_reference(self, shots):

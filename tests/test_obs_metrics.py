@@ -11,6 +11,7 @@ at ``/metrics``.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -368,6 +369,24 @@ def test_periodic_fallback_reason_counted_and_surfaced():
         assert engine.periodic_fallback_reason == "few_reps"
     with DecodingEngine(memory_circuit(3, 12, 1e-3), "mwpm") as engine:
         assert engine.periodic_fallback_reason is None
+
+
+@pytest.mark.parametrize("rounds,shift", [(4, 24), (12, 24), (1, None)])
+def test_detector_shift_carried_to_the_graph(rounds, shift):
+    """The round's detector count rides on the model whether or not the
+    periodic extraction fell back, through ``merged``, ``reweighted``
+    and both graph lowerings."""
+    from repro.decoder.graph import DecodingGraph
+
+    dem = extract_dem(memory_circuit(5, rounds, 1e-3))
+    assert dem.detector_shift == shift
+    assert dem.merged().detector_shift == shift
+    assert dem.reweighted(2.0).detector_shift == shift
+    assert dem.reweighted(2.0).merged().detector_shift == shift
+    assert dem == replace(dem, detector_shift=7)
+    assert DecodingGraph.from_dem(dem).detector_shift == (shift or 0)
+    assert DecodingGraph.from_dem_uniform(dem).detector_shift == (shift or 0)
+    assert DecodingGraph(dem.num_detectors, dem.num_observables).detector_shift == 0
 
 
 def test_extract_seconds_include_the_merge(monkeypatch):

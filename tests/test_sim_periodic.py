@@ -37,7 +37,8 @@ from repro.sim.periodic import (
 
 NOISE_MODELS = (None, "biased_pauli", "movement_aware")
 
-CACHE_KEY = "repro.sim.periodic.compile_program"
+# Programs are rebuilt per compile over the fault table, memoized here.
+CACHE_KEY = "repro.noise.dem.circuit_faults"
 
 
 def build_memory(distance, rounds, noise, basis="Z", p=1e-3):
@@ -49,10 +50,9 @@ def build_memory(distance, rounds, noise, basis="Z", p=1e-3):
 
 def assert_periodic_matches_linear(circuit, shots_list=(0, 1, 7, 64, 200)):
     """Forced-periodic and forced-linear programs agree bit for bit."""
-    spec = detect_period(circuit)
-    assert spec is not None, "expected a detectable period"
+    assert detect_period(circuit) is not None, "expected a detectable period"
     linear = CompiledProgram(circuit)
-    periodic = PeriodicProgram(circuit, spec)
+    periodic = periodic_program(circuit)
     for shots in shots_list:
         for seed in (0, 1234):
             det_lin, obs_lin = linear.run_packed(shots, np.random.default_rng(seed))
@@ -275,7 +275,7 @@ class TestProgramCache:
         hits, misses, size = cache_stats()[CACHE_KEY]
         assert (hits, misses, size) == (0, 1, 1)
         second = compile_program(build_memory(3, 6, None))
-        assert second is first
+        assert second._faults is first._faults
         hits, misses, size = cache_stats()[CACHE_KEY]
         assert (hits, misses, size) == (1, 1, 1)
 
@@ -284,7 +284,8 @@ class TestProgramCache:
         circuit = build_memory(3, 6, "biased_pauli")
         sim_a = FrameSimulator(circuit)
         sim_b = FrameSimulator(build_memory(3, 6, "biased_pauli"))
-        assert sim_a.compiled is sim_b.compiled
+        assert sim_a.compiled._faults is sim_b.compiled._faults
+        assert sim_a.compiled is sim_a.compiled
         hits, _, _ = cache_stats()[CACHE_KEY]
         assert hits >= 1
 
@@ -312,6 +313,25 @@ class TestDemPeriodicityPass:
         )
         severities = [d.severity for d in report.diagnostics]
         assert severities == ["info"]
+
+    def test_reads_the_period_of_the_fault_table(self, monkeypatch):
+        from repro.analysis import verify
+        from repro.sim import periodic
+
+        calls = []
+        detect = periodic.detect_period
+
+        def counted(circuit):
+            calls.append(circuit)
+            return detect(circuit)
+
+        monkeypatch.setattr(periodic, "detect_period", counted)
+        clear_caches()
+        circuit = build_memory(3, 8, None)
+        for _ in range(2):
+            report = verify(circuit, passes=["dem_periodicity"], fail_on=None)
+            assert not report.errors
+        assert len(calls) == 1
 
     def test_off_by_one_rebase_is_flagged(self):
         from repro.analysis import check_dem_periodicity
@@ -373,7 +393,9 @@ class TestEngineIntegration:
         clear_caches()
         circuit = build_memory(3, 5, None)
         with DecodingEngine(circuit, "mwpm") as engine:
+            program = engine._sim.compiled
             engine.run(200, seed=1)
             engine.run(200, seed=2)
+            assert engine._sim.compiled is program
         _, misses, _ = cache_stats()[CACHE_KEY]
         assert misses == 1

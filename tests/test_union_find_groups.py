@@ -28,6 +28,7 @@ from repro.decoder.union_find import UnionFindDecoder
 from repro.obs import REGISTRY
 from repro.sim.frame import FrameSimulator
 from repro.sim.memory import memory_circuit, transversal_cnot_experiment
+from repro.sim.periodic import detect_period
 
 
 def _setup(distance, rounds, p, shots, seed):
@@ -234,11 +235,12 @@ class TestMemo:
 
 
 def _copy_graph(graph, order=None, edit=None):
-    """A copy of ``graph`` with its edges inserted in ``order`` (default:
-    unchanged) and ``edit(index, edge) -> (probability, observables)``
-    applied to each."""
+    """A copy of ``graph`` (with its ``detector_shift``) with its edges
+    inserted in ``order`` (default: unchanged) and ``edit(index, edge) ->
+    (probability, observables)`` applied to each."""
     edges = graph.edges
     copy = DecodingGraph(graph.num_detectors, graph.num_observables)
+    copy.detector_shift = graph.detector_shift
     for i in (range(len(edges)) if order is None else order):
         e = edges[i]
         prob, obs = (e.probability, e.observables) if edit is None else edit(i, e)
@@ -287,21 +289,16 @@ def _reference_down(decoder, shift):
     return down
 
 
-def _mode_gap(decoder):
-    table = decoder._edges
-    inner = table.eb < table.node_count - 1
-    return int(np.argmax(np.bincount(table.eb[inner] - table.ea[inner])[1:])) + 1
-
-
 def _assert_certified(decoder):
-    """The decoder's shift is the reference certification of the most
-    common detector gap, or 0 with nothing shiftable."""
-    down = _reference_down(decoder, _mode_gap(decoder))
+    """The decoder's shift is the reference certification of the graph's
+    ``detector_shift``, or 0 with nothing shiftable."""
+    shift = decoder.graph.detector_shift
+    down = _reference_down(decoder, shift) if shift else None
     if down is None or not any(down):
         assert decoder._period == 0
         assert not decoder._down.any()
     else:
-        assert decoder._period == _mode_gap(decoder)
+        assert decoder._period == shift
         assert decoder._down.tolist() == down
 
 
@@ -336,9 +333,10 @@ class TestShift:
         _assert_certified(decoder)
 
     @staticmethod
-    def _shifted_copies_agree(decoder, rows):
+    def _shifted_copies_agree(decoder, rows, masked=True):
         """Every group of ``rows`` whose defects all shift has the same
-        local-arena outcome as each of its shifted copies."""
+        local-arena outcome as each of its shifted copies (with
+        ``masked``, some of them local with a non-trivial mask)."""
         period, down = decoder._period, decoder._down
         row_of, node = np.nonzero(rows)
         labels = decoder._group_labels(row_of, node)
@@ -358,7 +356,7 @@ class TestShift:
         assert np.array_equal(got[0][~got[1]], want[0][~want[1]])
         assert np.array_equal(got[1], want[1])
         # Local groups with a non-trivial mask are among them.
-        assert np.any(~got[1] & (got[0] != 0))
+        assert not masked or np.any(~got[1] & (got[0] != 0))
 
     def test_bulk_group_and_shifted_copy_agree(self, d5):
         decoder, rows = d5
@@ -441,6 +439,50 @@ class TestShift:
         assert not permuted._down.any()
         _assert_certified(permuted)
         _assert_group_path_exact(permuted, _probe_rows(permuted, [rows]))
+
+
+class TestCarriedShift:
+    """The decoder certifies the round ``detect_period`` found, which the
+    fault table, the model and the graph carry to it."""
+
+    @staticmethod
+    def _decoder(circuit, shots=400, seed=11):
+        sim = FrameSimulator(circuit, rng=np.random.default_rng(seed))
+        decoder = UnionFindDecoder(DecodingGraph.from_dem(sim.detector_error_model()))
+        detectors, _ = sim.sample(shots)
+        return decoder, np.unique(detectors.astype(np.uint8), axis=0)
+
+    @pytest.mark.parametrize("distance,rounds,basis", [
+        pytest.param(d, r, basis, marks=pytest.mark.slow if d == 11 else ())
+        for d in (5, 7, 11) for r in (4, 5) for basis in "ZX"
+    ])
+    def test_memory_rounds_certify(self, distance, rounds, basis):
+        circuit = memory_circuit(distance, rounds, 2e-3, basis=basis)
+        decoder, rows = self._decoder(circuit)
+        shift = detect_period(circuit).det_per_rep
+        assert decoder.graph.detector_shift == shift
+        assert decoder._period == shift
+        assert decoder._down.max() >= 1
+        _assert_certified(decoder)
+        probes = _probe_rows(decoder, [rows])
+        # At r=4 in the Z basis every shiftable group decodes to mask 0.
+        TestShift._shifted_copies_agree(decoder, probes, masked=False)
+        _assert_group_path_exact(decoder, probes)
+
+    @pytest.mark.parametrize("build", [
+        lambda: memory_circuit(5, 1, 2e-3),
+        lambda: memory_circuit(5, 2, 2e-3, basis="X"),
+        lambda: transversal_cnot_experiment(3, 4, 2e-3, [2], basis="Z").circuit,
+        lambda: transversal_cnot_experiment(3, 4, 2e-3, [2], basis="X").circuit,
+    ], ids=["r1-Z", "r2-X", "cnot-Z", "cnot-X"])
+    def test_no_round_no_shift(self, build):
+        circuit = build()
+        assert detect_period(circuit) is None
+        decoder, rows = self._decoder(circuit)
+        assert decoder.graph.detector_shift == 0
+        assert decoder._period == 0
+        assert not decoder._down.any()
+        _assert_group_path_exact(decoder, _probe_rows(decoder, [rows]))
 
 
 class TestGroups:
