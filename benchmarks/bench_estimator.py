@@ -41,7 +41,7 @@ OUTPUT = REPO_ROOT / "BENCH_estimator.json"
 REPEATS = 5
 JOBS = 4
 # Scenarios whose dominant cost is the estimator sweep (the decoder
-# Monte-Carlo benchmarks live in bench_decode_engine.py).
+# Monte-Carlo stack is benchmarked by perfbench/run.py).
 SWEEP_SCENARIOS = ("fig11", "fig13", "fig14", "table2")
 
 

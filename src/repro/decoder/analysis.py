@@ -279,16 +279,14 @@ def fit_alpha(
     if not data:
         raise ValueError("no data to fit")
 
-    def model(distance: int, x: float, alpha: float, c: float) -> float:
-        return 2.0 * c / x * ((alpha * x + 1.0) / lam) ** ((distance + 1) / 2.0)
-
     def loss(params: np.ndarray) -> float:
         alpha = math.exp(float(params[0]))
         c = math.exp(float(params[1])) if fit_prefactor else prefactor_c
         total = 0.0
         for distance, x, rate in data:
             total += (
-                math.log(max(rate, 1e-12)) - math.log(model(distance, x, alpha, c))
+                math.log(max(rate, 1e-12))
+                - math.log(eq4_prediction(distance, x, c, lam, alpha))
             ) ** 2
         return total
 

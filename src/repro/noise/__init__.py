@@ -6,17 +6,17 @@
   ``movement_aware``).
 * :mod:`repro.noise.dem` -- detector-error-model extraction: every
   elementary error mechanism of a noisy circuit is propagated to the
-  detectors/observables it flips, and the merged model is lowered to a
-  log-likelihood-ratio-weighted decoding graph (with a uniform-weight
-  hand-built baseline kept for verification).
+  detectors/observables it flips, and the sampler's fault table is built
+  from the same propagation.  ``DecodingGraph.from_dem`` lowers the merged
+  model to a log-likelihood-ratio-weighted decoding graph, and
+  ``DecodingGraph.from_dem_uniform`` keeps the uniform-weight hand-built
+  baseline for verification.
 """
 
 from repro.noise.dem import (
     DetectorErrorModel,
     ErrorMechanism,
     extract_dem,
-    uniform_graph,
-    weighted_graph,
 )
 from repro.noise.models import (
     BiasedPauli,
@@ -43,6 +43,4 @@ __all__ = [
     "register_noise_model",
     "resolve_noise_model",
     "transversal_move_schedule",
-    "uniform_graph",
-    "weighted_graph",
 ]

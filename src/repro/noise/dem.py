@@ -37,14 +37,16 @@ one kernel) groups identical symptom rows with a stable sort, folds
 their probabilities in fault order, and builds :class:`ErrorMechanism`
 objects for the merged rows only.
 
-Lowering: :func:`weighted_graph` turns a DEM into the matching decoders'
-:class:`~repro.decoder.graph.DecodingGraph`, whose edges carry
-log-likelihood-ratio weights ``log((1-p)/p)`` derived from the merged
-mechanism probabilities -- so a biased or movement-aware model reshapes
-the decoders' metric with zero decoder changes.  :func:`uniform_graph`
-builds the same topology with every edge pinned to one probability: the
-hand-built uniform-weight graph the repo's decoders historically matched
-on, kept as the verification baseline the weighted graph must beat.
+Lowering: :meth:`DecodingGraph.from_dem
+<repro.decoder.graph.DecodingGraph.from_dem>` turns a DEM into the
+matching decoders' graph, whose edges carry log-likelihood-ratio weights
+``log((1-p)/p)`` derived from the merged mechanism probabilities -- so a
+biased or movement-aware model reshapes the decoders' metric with zero
+decoder changes.  :meth:`DecodingGraph.from_dem_uniform
+<repro.decoder.graph.DecodingGraph.from_dem_uniform>` builds the same
+topology with every edge pinned to one probability: the hand-built
+uniform-weight graph the repo's decoders historically matched on, kept
+as the verification baseline the weighted graph must beat.
 """
 
 from __future__ import annotations
@@ -733,23 +735,3 @@ def _columns_csr(planes: np.ndarray, count: int) -> Tuple[np.ndarray, np.ndarray
     columns = 8 * byte[bit_row] + bit
     order = np.argsort(columns, kind="stable")
     return _starts(np.bincount(columns, minlength=count)), rows[bit_row][order]
-
-
-def weighted_graph(dem: DetectorErrorModel):
-    """DEM-weighted decoding graph (LLR edge weights from merged probs)."""
-    from repro.decoder.graph import DecodingGraph
-
-    return DecodingGraph.from_dem(dem)
-
-
-def uniform_graph(dem: DetectorErrorModel, probability: float = 1e-3):
-    """Uniform-weight baseline graph: DEM topology, one edge probability.
-
-    This reproduces the hand-built graphs matching decoders used before
-    DEM weighting existed: every edge equally likely, so MWPM minimizes
-    hop count instead of likelihood.  Kept as the verification baseline
-    -- the DEM-weighted graph must never decode *worse* than this.
-    """
-    from repro.decoder.graph import DecodingGraph
-
-    return DecodingGraph.from_dem_uniform(dem, probability)

@@ -23,8 +23,8 @@ order:
 * **Near-zero overhead, and a hard off switch** -- recording is a lock,
   a float add, and (histograms) a bisect.  :func:`set_enabled` (or
   ``REPRO_METRICS=0``) turns every record call into a single attribute
-  check; ``bench_decode_engine.py`` gates the enabled/disabled throughput
-  ratio at 3%.
+  check; ``tests/test_engine_gates.py`` gates the enabled/disabled
+  engine throughput ratio at 3%.
 * **Registry idiom** -- metrics are owned by a process-wide
   :data:`REGISTRY` and created with :func:`counter` / :func:`gauge` /
   :func:`histogram`, get-or-create by name like the decoder/noise/

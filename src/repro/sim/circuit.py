@@ -271,7 +271,8 @@ class Circuit:
         return sum(len(op.targets) // width for op in self.operations if op.name == name)
 
     def __iadd__(self, other: "Circuit") -> "Circuit":
-        for op in other.operations:
+        # A snapshot, so ``c += c`` appends each op once.
+        for op in list(other.operations):
             self.append(op.name, op.targets, op.arg, op.args)
         return self
 

@@ -470,15 +470,27 @@ class TestEngineAnalysisIntegration:
 class TestPackedPipeline:
     """The packed engine must agree bit for bit with the reference run."""
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_packed_matches_unpacked_engine(self, memory_setup, workers):
-        circuit, dem, _, _ = memory_setup
+    @pytest.mark.parametrize("distance,rounds,p,shots,seed,shard_shots,workers", [
+        pytest.param(3, 3, 0.005, 700, 3, 128, 1, id="1"),
+        pytest.param(3, 3, 0.005, 700, 3, 128, 2, id="2"),
+        # The d=7 point of the packed-engine speed gates, per push (1500)
+        # and weekly (2048).
+        pytest.param(7, 8, 1e-3, 1500, 29, 4096, 1, id="d7-1500",
+                     marks=pytest.mark.slow),
+        pytest.param(7, 8, 1e-3, 2048, 29, 4096, 1, id="d7-2048",
+                     marks=pytest.mark.slow),
+    ])
+    def test_packed_matches_unpacked_engine(
+        self, distance, rounds, p, shots, seed, shard_shots, workers
+    ):
+        circuit = memory_circuit(distance, rounds, p)
         with DecodingEngine(
-            circuit, "mwpm", shard_shots=128, workers=workers
+            circuit, "mwpm", shard_shots=shard_shots, workers=workers
         ) as engine:
-            res = engine.run(700, seed=3)
+            res = engine.run(shots, seed=seed)
         reference = reference_run(
-            circuit, make_decoder("mwpm", dem), 700, 3, shard_shots=128
+            circuit, make_decoder("mwpm", extract_dem(circuit)), shots, seed,
+            shard_shots=shard_shots,
         )
         assert (res.shots, res.failures, res.shards) == reference
 
@@ -545,18 +557,22 @@ class TestPackedPipeline:
         assert observables.shape == (0, (circuit.num_observables + 7) // 8)
 
 
+def assert_decomposed_agrees(graph, detectors, observables, slack):
+    """Cluster-decomposed and whole-syndrome MWPM fail equally often,
+    up to ``slack`` shots: both are exact, so only degenerate ties differ."""
+    whole = WholeSyndromeMWPM(graph).decode_batch(detectors)
+    split = MWPMDecoder(graph).decode_batch(detectors)
+    whole_failures = int((whole[:, 0] ^ observables[:, 0]).sum())
+    split_failures = int((split[:, 0] ^ observables[:, 0]).sum())
+    assert abs(whole_failures - split_failures) <= slack
+
+
 class TestMWPMDecomposition:
     """Cluster decomposition must stay exact and batch-invariant."""
 
     def test_decomposed_agrees_with_whole_syndrome_failures(self, memory_setup):
         _, dem, detectors, observables = memory_setup
-        graph = DecodingGraph.from_dem(dem)
-        whole = WholeSyndromeMWPM(graph).decode_batch(detectors)
-        split = MWPMDecoder(graph).decode_batch(detectors)
-        whole_failures = int((whole[:, 0] ^ observables[:, 0]).sum())
-        split_failures = int((split[:, 0] ^ observables[:, 0]).sum())
-        # Exact MWPM either way; degenerate ties may flip single shots.
-        assert abs(whole_failures - split_failures) <= 2
+        assert_decomposed_agrees(DecodingGraph.from_dem(dem), detectors, observables, 2)
 
     def test_batch_decode_matches_scalar_decode(self, memory_setup):
         _, dem, detectors, _ = memory_setup
@@ -638,13 +654,28 @@ class TestEngineSlow:
             per_shot_decode(decoder, detectors),
         )
 
-    def test_worker_invariance_d5(self):
-        circuit = memory_circuit(5, 6, 2e-3)
+    @pytest.mark.parametrize("distance,shots", [(3, 10_000), (5, 10_000), (7, 4_000)])
+    def test_decomposed_agrees_with_whole_syndrome_failures(self, distance, shots):
+        # The d=5 rows are the ones TestFullGates times MWPM on.
+        circuit = memory_circuit(distance, distance + 1, 1e-3)
+        sim = FrameSimulator(circuit, rng=np.random.default_rng(47))
+        detectors, observables = sim.sample(shots)
+        assert_decomposed_agrees(
+            DecodingGraph.from_dem(sim.detector_error_model()),
+            detectors, observables, max(5, shots // 500),
+        )
+
+    @pytest.mark.parametrize("p,shots,seed,shard_shots", [
+        (2e-3, 4096, 19, 512),
+        (1e-3, 10_000, 11, 1024),
+    ])
+    def test_worker_invariance_d5(self, p, shots, seed, shard_shots):
+        circuit = memory_circuit(5, 6, p)
         outcomes = []
         for workers in (1, 4):
-            engine = DecodingEngine(
-                circuit, "mwpm", shard_shots=512, workers=workers
-            )
-            res = engine.run(4096, seed=19)
-            outcomes.append((res.shots, res.failures))
+            with DecodingEngine(
+                circuit, "mwpm", shard_shots=shard_shots, workers=workers
+            ) as engine:
+                res = engine.run(shots, seed=seed)
+            outcomes.append((res.shots, res.failures, res.shards))
         assert outcomes[0] == outcomes[1]

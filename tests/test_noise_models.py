@@ -21,7 +21,7 @@ from repro.atoms.scheduler import MoveSchedule, round_trip
 from repro.core.params import PhysicalParams
 from repro.decoder.engine import DecodingEngine, available_decoders, make_decoder
 from repro.decoder.graph import DecodingGraph
-from repro.noise.dem import extract_dem, uniform_graph, weighted_graph
+from repro.noise.dem import extract_dem
 from repro.noise.models import (
     BiasedPauli,
     MovementAware,
@@ -216,8 +216,8 @@ class TestDemWeighting:
 
     def test_uniform_graph_flattens_weights(self):
         dem = extract_dem(memory_circuit(3, 2, 3e-3))
-        weighted = weighted_graph(dem)
-        flat = uniform_graph(dem, probability=1e-3)
+        weighted = DecodingGraph.from_dem(dem)
+        flat = DecodingGraph.from_dem_uniform(dem, probability=1e-3)
         assert len(weighted.edges) == len(flat.edges)
         assert len({e.probability for e in flat.edges}) == 1
         assert len({round(e.probability, 12) for e in weighted.edges}) > 1

@@ -81,6 +81,9 @@ class TestCircuitIR:
         a += b
         assert len(a) == 2
         assert a.num_measurements == 1
+        a += a
+        assert len(a) == 4
+        assert a.num_measurements == 2
 
 
 class TestRecordReferenceValidation:
