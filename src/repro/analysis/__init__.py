@@ -11,9 +11,10 @@ Public surface:
   :class:`DiagnosticReport`; raises :class:`VerificationError` at the
   ``fail_on`` threshold after all passes complete.
 * :func:`verify_dem` / :func:`verify_graph` -- the same checks for a
-  detector error model / decoding graph in isolation (used by the
-  ``verify=True`` entry points of :func:`repro.noise.dem.extract_dem` and
-  :meth:`repro.decoder.graph.DecodingGraph.from_dem`).
+  detector error model / decoding graph in isolation, e.g. the output
+  of :func:`repro.noise.dem.extract_dem` or
+  :meth:`repro.decoder.graph.DecodingGraph.from_dem` (the importance
+  sampler gates every proposal model through :func:`verify_dem`).
 * pass registry -- :func:`register_pass`, :func:`available_passes`,
   :func:`get_pass`, mirroring the decoder/noise/scenario registries.
 * :func:`lint_source` -- AST-level lint of the package sources (global

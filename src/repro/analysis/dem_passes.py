@@ -9,8 +9,8 @@ rate, which is exactly the failure mode a static verifier exists to catch
 before any shot is sampled.
 
 :func:`check_dem` and :func:`check_graph` are plain functions over a DEM /
-graph so the verified entry points (``extract_dem(..., verify=True)``,
-``DecodingGraph.from_dem(..., verify=True)``) can run them without a
+graph so :func:`~repro.analysis.passes.verify_dem` and
+:func:`~repro.analysis.passes.verify_graph` can run them without a
 circuit in hand; the registered ``dem_consistency`` pass composes both on
 top of a :class:`~repro.analysis.passes.PassContext`'s lazily-extracted
 DEM.

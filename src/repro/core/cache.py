@@ -64,16 +64,6 @@ def _bypassed() -> bool:
     return getattr(_LOCAL, "disabled", False)
 
 
-def bypassed() -> bool:
-    """True while :func:`caching_disabled` is active on this thread.
-
-    Public probe for hand-rolled caches (see :func:`register_cache`) that
-    implement their own lookup path and must honor the same bypass switch
-    as :func:`memoized` wrappers.
-    """
-    return _bypassed()
-
-
 def _hashable(args: tuple, kwargs: dict) -> bool:
     try:
         hash(args)

@@ -57,7 +57,6 @@ stopping (the stop rule is evaluated on the shard-ordered prefix).
 
 from repro.decoder.analysis import (
     AlphaFit,
-    LogicalErrorResult,
     MemoryFit,
     cnot_experiment_rate,
     eq4_prediction,
@@ -90,7 +89,6 @@ __all__ = [
     "Edge",
     "EdgeTable",
     "EngineResult",
-    "LogicalErrorResult",
     "MWPMDecoder",
     "MemoryFit",
     "SequentialCNOTDecoder",

@@ -22,30 +22,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy import optimize
 
-from repro.decoder.engine import DecodingEngine, SeedLike, make_decoder
+from repro.decoder.engine import DecodingEngine, EngineResult, SeedLike, make_decoder
 from repro.sim.circuit import Circuit
 from repro.sim.frame import FrameSimulator
 from repro.sim.memory import NoiseLike, memory_circuit, transversal_cnot_experiment
-
-
-@dataclass(frozen=True)
-class LogicalErrorResult:
-    """Outcome of one Monte-Carlo decoding run."""
-
-    shots: int
-    failures: int
-
-    @property
-    def rate(self) -> float:
-        return self.failures / self.shots if self.shots else 0.0
-
-    @property
-    def std_error(self) -> float:
-        """Binomial standard error of the rate."""
-        if self.shots == 0:
-            return 0.0
-        p = self.rate
-        return math.sqrt(max(p * (1 - p), 1e-12) / self.shots)
 
 
 def run_decoding_experiment(
@@ -60,7 +40,7 @@ def run_decoding_experiment(
     workers: int = 1,
     shard_shots: int = 1024,
     target_failures: Optional[int] = None,
-) -> LogicalErrorResult:
+) -> EngineResult:
     """Sample a noisy circuit and decode it through the batched engine.
 
     Args:
@@ -86,10 +66,8 @@ def run_decoding_experiment(
         workers=workers,
     ) as engine:
         if target_failures is not None:
-            result = engine.run_until(target_failures, max_shots=shots, seed=seed)
-        else:
-            result = engine.run(shots, seed=seed)
-    return LogicalErrorResult(shots=result.shots, failures=result.failures)
+            return engine.run_until(target_failures, max_shots=shots, seed=seed)
+        return engine.run(shots, seed=seed)
 
 
 def paired_failure_counts(
@@ -157,7 +135,7 @@ def memory_logical_error(
     workers: int = 1,
     target_failures: Optional[int] = None,
     noise: NoiseLike = None,
-) -> LogicalErrorResult:
+) -> EngineResult:
     """Logical error of a distance-d memory experiment (whole run).
 
     ``noise`` selects the circuit noise model (a
@@ -174,7 +152,7 @@ def memory_logical_error(
         target_failures=target_failures,
     )
 
-def per_round_rate(result: LogicalErrorResult, rounds: int) -> float:
+def per_round_rate(result: EngineResult, rounds: int) -> float:
     """Convert a whole-run failure probability to a per-round rate.
 
     Inverts p_run = (1 - (1 - 2 p_round)^rounds) / 2.
@@ -195,7 +173,7 @@ def cnot_experiment_rate(
     workers: int = 1,
     target_failures: Optional[int] = None,
     noise: NoiseLike = None,
-) -> Tuple[LogicalErrorResult, int]:
+) -> Tuple[EngineResult, int]:
     """Two-patch transversal-CNOT experiment; returns (result, num_cnots).
 
     A CNOT is inserted after every ``cnot_every``-th SE round, i.e.
@@ -203,17 +181,12 @@ def cnot_experiment_rate(
     logical-Z observable is mispredicted (a logical CNOT error).
 
     Args:
-        decoder: "sequential" (correlated two-pass MWPM, full distance) or
-            "joint" (single MWPM on the naively-decomposed joint graph --
-            a deliberately weaker decoder for ablations).
+        decoder: registry name: "sequential" (correlated two-pass MWPM,
+            full distance) by default; "mwpm" is one MWPM on the
+            naively-decomposed joint graph, a deliberately weaker decoder
+            for ablations.
         workers / target_failures: forwarded to the decoding engine.
     """
-    if decoder == "sequential":
-        engine_decoder = "sequential"
-    elif decoder == "joint":
-        engine_decoder = "mwpm"
-    else:
-        raise ValueError(f"unknown decoder {decoder!r}")
     cnot_rounds = list(range(cnot_every, rounds, cnot_every))
     builder = transversal_cnot_experiment(
         distance, rounds, p, cnot_rounds, noise=noise
@@ -223,7 +196,7 @@ def cnot_experiment_rate(
         shots,
         seed,
         observable=None,
-        decoder=engine_decoder,
+        decoder=decoder,
         detector_meta=builder.detector_meta,
         workers=workers,
         target_failures=target_failures,

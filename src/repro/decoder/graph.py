@@ -150,16 +150,12 @@ class DecodingGraph:
         )
 
     @classmethod
-    def from_dem(
-        cls, dem: DetectorErrorModel, *, verify: bool = False
-    ) -> "DecodingGraph":
+    def from_dem(cls, dem: DetectorErrorModel) -> "DecodingGraph":
         """Build the graph, decomposing hyperedges into edge products.
 
-        With ``verify=True`` the lowered graph is checked by the
-        ``dem_consistency`` diagnostics of :mod:`repro.analysis`
-        (isolated detectors, boundary reachability, edge-probability
-        sanity); error-severity findings raise
-        :class:`~repro.analysis.VerificationError`.
+        :func:`repro.analysis.verify_graph` checks the result with the
+        ``dem_consistency`` diagnostics (isolated detectors, boundary
+        reachability, edge-probability sanity).
         """
         graph = cls(dem.num_detectors, dem.num_observables)
         graph.detector_shift = dem.detector_shift or 0
@@ -186,17 +182,11 @@ class DecodingGraph:
         for mech in composite:
             for part, part_obs in _decompose(mech, known, block_obs):
                 graph.add_mechanism(tuple(sorted(part)), mech.probability, part_obs)
-        if verify:
-            from repro.analysis import verify_graph
-
-            verify_graph(graph)
         return graph
 
     @classmethod
-    def from_dem_uniform(
-        cls, dem: DetectorErrorModel, probability: float = 1e-3
-    ) -> "DecodingGraph":
-        """DEM topology with every edge pinned to one probability.
+    def from_dem_uniform(cls, dem: DetectorErrorModel) -> "DecodingGraph":
+        """DEM topology with every edge pinned to probability 1e-3.
 
         The hand-built uniform-weight graph decoders historically matched
         on: shortest paths minimize hop count, not likelihood.  Observable
@@ -206,7 +196,7 @@ class DecodingGraph:
         """
         graph = cls.from_dem(dem)
         for edge in graph._edges.values():
-            edge.probability = probability
+            edge.probability = 1e-3
         return graph
 
 

@@ -21,6 +21,14 @@ original model, for *any* proposal with ``q_k > 0`` wherever ``p_k > 0``.
 The sampler accumulates ``log w`` as a per-shot sum (one base constant
 plus a ``delta_k`` per fired mechanism) for numerical stability.
 
+**Shots.**  The sampler is a draw plan over the original model's symptom
+table (:meth:`~repro.noise.dem.DetectorErrorModel.fault_table`), like
+the circuit sampler's plan over the circuit's fault table: one plan
+entry per group of mechanisms sharing a proposal probability, drawn by
+:func:`~repro.sim.compiled.draw_hits` and XORed into symptom planes by
+:func:`~repro.sim.compiled.xor_symptoms`, then transposed to the
+engine's per-shot keys.
+
 **Proposal.**  :meth:`repro.noise.dem.DetectorErrorModel.reweighted`
 inflates every ``p_k`` uniformly, capped at 0.5.  Uniform inflation ``s``
 tilts the firing-count distribution upward: a failure needs roughly
@@ -31,11 +39,11 @@ gain of order ``s**k_min * exp(-T (s-1)^2 / s)``.
 :func:`suggested_inflation` maximizes that expression.
 
 **Diagnostics.**  A bad proposal does not crash -- it silently biases or
-destabilizes the estimate -- so construction is gated: the proposal runs
-through :func:`repro.analysis.verify_dem` (probabilities in range, no
-mechanism above 0.5) and the (original, proposal) pair through
-:func:`repro.analysis.check_reweight` (topology preserved, support
-preserved).  At run time, watch ``EngineResult.ess``: a Kish effective
+destabilizes the estimate -- so construction is always gated: the
+proposal runs through :func:`repro.analysis.verify_dem` (probabilities
+in range, no mechanism above 0.5) and the (original, proposal) pair
+through :func:`repro.analysis.check_reweight` (topology preserved,
+support preserved).  At run time, watch ``EngineResult.ess``: a Kish effective
 sample size well below ``0.1 * shots`` means a few heavy weights dominate
 and the inflation should come down.
 
@@ -58,7 +66,12 @@ from repro.analysis.passes import verify_dem
 from repro.analysis.reweight_passes import check_reweight
 from repro.noise.dem import DetectorErrorModel
 from repro.obs import metrics as _metrics
-from repro.sim.compiled import bernoulli_hits
+from repro.sim.compiled import (
+    NO_CDF,
+    draw_hits,
+    transpose_packed,
+    xor_symptoms,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - type-only
     from repro.decoder.base import Decoder
@@ -83,14 +96,15 @@ class ImportanceSampler:
             this model.
         proposal: the reweighted DEM to *sample* from, typically
             ``original.reweighted(inflation)``.
-        verify: gate construction through :func:`verify_dem` on the
-            proposal plus :func:`check_reweight` on the pair, raising
-            :class:`~repro.analysis.diagnostics.VerificationError` on any
-            error-severity finding.  Disable only in tests that build
-            deliberately-broken pairs.
 
-    Instances hold plain numpy arrays (packed symptom rows, per-mechanism
-    log-likelihood deltas), so they pickle cheaply into worker pools.
+    Construction is gated through :func:`verify_dem` on the proposal plus
+    :func:`check_reweight` on the pair, raising
+    :class:`~repro.analysis.diagnostics.VerificationError` on any
+    error-severity finding.  The sampler keeps a draw plan (the
+    mechanisms grouped by proposal probability), the original model's
+    symptom table (:meth:`DetectorErrorModel.fault_table`) and the
+    per-mechanism log-likelihood terms: plain numpy arrays that pickle
+    cheaply into worker pools.
     """
 
     def __init__(
@@ -99,7 +113,6 @@ class ImportanceSampler:
         proposal: Optional[DetectorErrorModel] = None,
         *,
         inflation: Optional[float] = None,
-        verify: bool = True,
     ) -> None:
         if proposal is None:
             if inflation is None:
@@ -107,34 +120,27 @@ class ImportanceSampler:
             proposal = original.reweighted(inflation)
         elif inflation is not None:
             raise ValueError("provide a proposal DEM or an inflation, not both")
-        if verify:
-            verify_dem(proposal)
-            report = DiagnosticReport(
-                tuple(check_reweight(original, proposal))
-            )
-            if not report.ok("error"):
-                raise VerificationError(report, "error")
-        self.original = original
-        self.proposal = proposal
+        verify_dem(proposal)
+        report = DiagnosticReport(tuple(check_reweight(original, proposal)))
+        if not report.ok("error"):
+            raise VerificationError(report, "error")
         # The uniform inflation this sampler was built from; None when an
         # arbitrary proposal DEM was handed over instead.
         self.inflation = inflation
         self.num_detectors = original.num_detectors
         self.num_observables = original.num_observables
-        self._det_width = (self.num_detectors + 7) // 8
-        self._obs_width = (self.num_observables + 7) // 8
+        self._table = original.fault_table()
 
-        p = np.array(
-            [m.probability for m in original.mechanisms], dtype=np.float64
-        )
+        p = self._table.probabilities
         q = np.array(
             [m.probability for m in proposal.mechanisms], dtype=np.float64
         )
-        # Mechanisms grouped by equal proposal probability (a uniformly
-        # inflated DEM has only a few dozen distinct values): each group's
-        # (members, shots) firing grid is one sparse Bernoulli draw.
-        self._q_groups = [
-            (float(value), np.flatnonzero(q == value))
+        # Draw plan: mechanisms grouped by equal proposal probability (a
+        # uniformly inflated DEM has only a few dozen distinct values), in
+        # increasing probability order; each group's (members, shots)
+        # firing grid is one sparse draw.
+        self._plan = [
+            (float(value), NO_CDF, np.flatnonzero(q == value))
             for value in np.unique(q)
             if value > 0
         ]
@@ -150,27 +156,6 @@ class ImportanceSampler:
         delta = np.where(q > 0, fire_term - not_term, 0.0)
         self._delta_llr = np.nan_to_num(delta, nan=0.0, neginf=-np.inf)
 
-        # One bit-packed symptom row per mechanism (np.packbits big bit
-        # order -- the decode_packed key layout); a shot's symptoms are
-        # the XOR of its fired mechanisms' rows.
-        det_bits = np.zeros(
-            (len(p), self.num_detectors), dtype=np.uint8
-        )
-        obs_bits = np.zeros(
-            (len(p), self.num_observables), dtype=np.uint8
-        )
-        for k, mech in enumerate(original.mechanisms):
-            for d in mech.detectors:
-                det_bits[k, d] = 1
-            for o in mech.observables:
-                obs_bits[k, o] = 1
-        self._det_rows = np.packbits(det_bits, axis=1).reshape(
-            len(p), self._det_width
-        )
-        self._obs_rows = np.packbits(obs_bits, axis=1).reshape(
-            len(p), self._obs_width
-        )
-
     def sample_weighted(
         self, shots: int, rng: np.random.Generator
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -180,38 +165,26 @@ class ImportanceSampler:
             (det_keys, obs_keys, log_weights): bit-packed detector and
             observable key arrays of shapes ``(shots, ceil(nd/8))`` /
             ``(shots, ceil(no/8))`` plus the per-shot log likelihood
-            ratio under the original model.  Firings are drawn sparsely:
-            one :func:`~repro.sim.compiled.bernoulli_hits` call per group
-            of mechanisms sharing a proposal probability, in increasing
-            probability order, so the work scales with the expected
-            firings and a shard's shots depend only on its seed.
+            ratio under the original model.  Firings come from
+            :func:`~repro.sim.compiled.draw_hits` over the draw plan (one
+            sparse draw per probability group, so the work scales with
+            the expected firings and a shard's shots depend only on its
+            seed); their symptoms from
+            :func:`~repro.sim.compiled.xor_symptoms`, the circuit
+            sampler's kernel, transposed to per-shot keys.
         """
-        mech_parts = []
-        shot_parts = []
-        for rate, members in self._q_groups:
-            hits = bernoulli_hits(rng, members.size * shots, rate)
-            if hits.size:
-                member, shot = np.divmod(hits, shots)
-                mech_parts.append(members[member])
-                shot_parts.append(shot)
-        det = np.zeros((shots, self._det_width), dtype=np.uint8)
-        obs = np.zeros((shots, self._obs_width), dtype=np.uint8)
-        llr = np.full(shots, self._base_llr, dtype=np.float64)
-        total_firings = 0
-        if mech_parts:
-            mech_idx = np.concatenate(mech_parts)
-            shot_idx = np.concatenate(shot_parts)
-            total_firings = int(mech_idx.size)
-            np.bitwise_xor.at(det, shot_idx, self._det_rows[mech_idx])
-            if self._obs_width:
-                np.bitwise_xor.at(obs, shot_idx, self._obs_rows[mech_idx])
-            llr += np.bincount(
-                shot_idx, weights=self._delta_llr[mech_idx], minlength=shots
-            )
+        row, shot = draw_hits(rng, self._plan, shots)
+        det, obs = xor_symptoms(
+            self._table, self.num_detectors, self.num_observables,
+            row, shot, shots,
+        )
+        llr = self._base_llr + np.bincount(
+            shot, weights=self._delta_llr[row], minlength=shots
+        )
         if _metrics.enabled():
             _RARE_SHOTS.inc(shots)
-            _RARE_FIRINGS.inc(total_firings)
-        return det, obs, llr
+            _RARE_FIRINGS.inc(row.size)
+        return transpose_packed(det, shots), transpose_packed(obs, shots), llr
 
 
 def suggested_inflation(
@@ -248,7 +221,6 @@ def rare_engine(
     observable: Optional[int] = 0,
     shard_shots: int = 1024,
     workers: int = 1,
-    verify: bool = True,
 ) -> "DecodingEngine":
     """Build an importance-sampled :class:`DecodingEngine` for a circuit.
 
@@ -274,8 +246,6 @@ def rare_engine(
             distance.
         observable / shard_shots / workers: as for
             :class:`~repro.decoder.engine.DecodingEngine`.
-        verify: gate the (original, proposal) pair through the
-            ``dem_reweight`` checks (see :class:`ImportanceSampler`).
     """
     from repro.decoder.engine import DecodingEngine, make_decoder
     from repro.noise.dem import extract_dem
@@ -288,7 +258,7 @@ def rare_engine(
                 2,
             )
         inflation = suggested_inflation(dem, min_failure_weight)
-    sampler = ImportanceSampler(dem, inflation=inflation, verify=verify)
+    sampler = ImportanceSampler(dem, inflation=inflation)
     if isinstance(decoder, str):
         decoder = make_decoder(decoder, dem)
     return DecodingEngine(

@@ -134,16 +134,24 @@ class DetectorErrorModel:
         mechanisms come sorted by ``(detectors, observables)``; those
         whose merged probability is 0 are dropped.
         """
+        return replace(self, mechanisms=_merge(
+            self.fault_table(), np.arange(len(self.mechanisms))
+        ))
+
+    def fault_table(self) -> "FaultTable":
+        """The mechanisms as a :class:`FaultTable`, one row per mechanism.
+
+        Probabilities plus detector/observable CSR, in mechanism order:
+        what :meth:`merged` merges and the importance sampler
+        (:mod:`repro.estimator.rare`) XORs the fired rows of.
+        """
         mechanisms = self.mechanisms
         det_start, det_index = _csr([m.detectors for m in mechanisms])
         obs_start, obs_index = _csr([m.observables for m in mechanisms])
         probabilities = np.array(
             [m.probability for m in mechanisms], dtype=np.float64
         )
-        return replace(self, mechanisms=_merge(
-            probabilities, det_start, det_index, obs_start, obs_index,
-            np.arange(len(mechanisms)),
-        ))
+        return FaultTable(probabilities, det_start, det_index, obs_start, obs_index)
 
     def reweighted(
         self, inflation: float, *, max_probability: float = 0.5
@@ -277,15 +285,8 @@ def _by_rank(first: np.ndarray) -> List[np.ndarray]:
     return np.split(by_rank, np.cumsum(np.bincount(rank))[:-1])
 
 
-def _merge(
-    probabilities: np.ndarray,
-    det_start: np.ndarray,
-    det_index: np.ndarray,
-    obs_start: np.ndarray,
-    obs_index: np.ndarray,
-    rows: np.ndarray,
-) -> List[ErrorMechanism]:
-    """Merged mechanisms of the CSR rows ``rows`` (ascending).
+def _merge(table: "FaultTable", rows: np.ndarray) -> List[ErrorMechanism]:
+    """Merged mechanisms of the rows ``rows`` (ascending) of ``table``.
 
     Rows with identical ``(detectors, observables)`` merge by XOR
     convolution ``prior (1 - p) + p (1 - prior)``, folded in row order;
@@ -299,6 +300,8 @@ def _merge(
     """
     if not rows.size:
         return []
+    det_start, det_index = table.det_start, table.det_index
+    obs_start, obs_index = table.obs_start, table.obs_index
     pad = min(int(det_index.min(initial=0)), int(obs_index.min(initial=0))) - 1
     det_keys, det_counts = _padded(det_start, det_index, rows, pad)
     obs_keys, obs_counts = _padded(obs_start, obs_index, rows, pad)
@@ -309,7 +312,7 @@ def _merge(
     first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
     heads = np.flatnonzero(first)
     group = np.cumsum(first) - 1
-    prob = probabilities[rows[order]]
+    prob = table.probabilities[rows[order]]
     merged = np.zeros(heads.size, dtype=np.float64)
     for at in _by_rank(first):
         members, p = group[at], prob[at]
@@ -396,7 +399,7 @@ def enumerate_mechanisms(circuit: "Circuit") -> FaultColumns:
     )
 
 
-def extract_dem(circuit: "Circuit", *, verify: bool = False) -> DetectorErrorModel:
+def extract_dem(circuit: "Circuit") -> DetectorErrorModel:
     """The circuit's DEM: its :func:`circuit_faults` table, merged.
 
     A circuit with a verified repeated round takes the periodic
@@ -409,16 +412,9 @@ def extract_dem(circuit: "Circuit", *, verify: bool = False) -> DetectorErrorMod
     probabilities, so the merge accumulates bit-identically.  Symptomless
     faults are dropped before merging.
     ``repro_dem_extract_seconds_total{method=}`` counts the fault table
-    and the merge (not ``verify``).
-
-    Args:
-        circuit: the noisy circuit.
-        verify: check the extracted model with the ``dem_consistency``
-            diagnostics of :mod:`repro.analysis` (detector coverage,
-            probability sanity, undetectable logical mechanisms);
-            error-severity findings raise
-            :class:`~repro.analysis.VerificationError` before any
-            consumer can decode against a malformed model.
+    and the merge.  :func:`repro.analysis.verify_dem` checks the result
+    with the ``dem_consistency`` diagnostics (detector coverage,
+    probability sanity, undetectable logical mechanisms).
     """
     start = time.perf_counter()
     faults = circuit_faults(circuit)
@@ -428,10 +424,7 @@ def extract_dem(circuit: "Circuit", *, verify: bool = False) -> DetectorErrorMod
         _LOG.debug("periodic DEM extraction fell back to linear: %s", reason)
     symptom = np.diff(faults.det_start) + np.diff(faults.obs_start)
     dem = DetectorErrorModel(
-        _merge(
-            faults.probabilities, faults.det_start, faults.det_index,
-            faults.obs_start, faults.obs_index, np.flatnonzero(symptom),
-        ),
+        _merge(faults, np.flatnonzero(symptom)),
         circuit.num_detectors,
         circuit.num_observables,
         periodic_fallback=reason,
@@ -440,10 +433,6 @@ def extract_dem(circuit: "Circuit", *, verify: bool = False) -> DetectorErrorMod
     _EXTRACT_SECONDS.labels(method="linear" if reason else "periodic").inc(
         time.perf_counter() - start
     )
-    if verify:
-        from repro.analysis import verify_dem
-
-        verify_dem(dem)
     return dem
 
 

@@ -5,17 +5,20 @@ faults drawn for it: the Pauli frame starts at zero, and every gate,
 reset and measurement acts on it linearly.  So a shot is exactly the XOR
 of the symptoms of its noise hits, and nothing needs propagating per shot:
 
-* **Fault-table sampling** -- :class:`CompiledProgram` holds the
-  circuit's :class:`~repro.noise.dem.FaultTable` (every fault's
-  detectors and observables, propagated once per circuit by DEM
-  extraction) and a draw plan: per noise op, its target count, its
-  channel (:func:`noise_channel`) and the row of its first fault.
-  :meth:`CompiledProgram.run_packed` draws each noise op's hits, maps hit
-  ``(target, outcome)`` to fault row ``first + target * outcomes +
-  outcome``, and XORs those rows into shot-bit-packed detector and
-  observable planes with one :func:`numpy.bitwise_xor.at` each.
-* **Sparse noise** -- a noise op touches only the (target, shot)
-  positions where its channel fires.  :func:`bernoulli_hits` draws those
+* **Fault-table sampling** -- a shot source is a draw plan over a
+  :class:`~repro.noise.dem.FaultTable` (every fault's detectors and
+  observables as CSR rows).  A plan entry is ``(rate, outcome CDF,
+  fault row per target x outcome)``; :func:`draw_hits` draws every
+  entry's hits and returns ``(fault row, shot)`` per hit, and
+  :func:`xor_symptoms` XORs the hit rows into shot-bit-packed detector
+  and observable planes.  :class:`CompiledProgram` plans one entry per
+  noise op (:func:`noise_channel`) over the circuit's table, propagated
+  once per circuit by DEM extraction; the importance sampler
+  (:mod:`repro.estimator.rare`) plans one entry per group of equally
+  likely mechanisms over :meth:`DetectorErrorModel.fault_table
+  <repro.noise.dem.DetectorErrorModel.fault_table>`.
+* **Sparse noise** -- a plan entry touches only the (target, shot)
+  positions where it fires.  :func:`bernoulli_hits` draws those
   positions exactly by geometric gap skipping, so an op costs O(expected
   hits) instead of one uniform per target per shot; outcomes (X/Y/Z, or
   one of the 15 two-qubit Paulis, or a biased channel's Pauli) are drawn
@@ -24,8 +27,10 @@ of the symptoms of its noise hits, and nothing needs propagating per shot:
   the same :func:`sample_channel` calls in op order and propagates the
   same hits frame by frame, so for the same seed the two produce
   *bit-identical* detector/observable samples.  The equivalence is
-  property-tested in ``tests/test_sim_compiled.py`` and the stream is
-  pinned by digest in ``tests/test_sample_stream_pinned.py``; the channel
+  property-tested in ``tests/test_sim_compiled.py``; the circuit and
+  importance streams are pinned by digest in
+  ``tests/test_sample_stream_pinned.py`` and
+  ``tests/test_rare_stream_pinned.py``; the channel
   statistics are checked against the channel probabilities in
   ``tests/test_noise_sampling_stats.py``.
 * **Packed frame steps** -- :func:`lower_ops` lowers a circuit into a
@@ -80,7 +85,8 @@ _PAULI_ERRORS = {
     name: np.array([code], dtype=np.uint8)
     for name, code in (("X_ERROR", 8), ("Y_ERROR", 12), ("Z_ERROR", 4))
 }
-_NO_CDF = np.empty(0, dtype=np.float64)
+# The outcome CDF of a single-outcome channel or importance group.
+NO_CDF = np.empty(0, dtype=np.float64)
 _NO_HITS = np.empty(0, dtype=np.int64)
 # Bit mask of shot 8 w + j within byte w (np.packbits big bit order).
 _SHOT_BIT = np.array([0x80 >> j for j in range(8)], dtype=np.uint8)
@@ -239,17 +245,18 @@ class CompiledProgram:
         self.num_observables = circuit.num_observables
         if faults is None:
             faults = whole_circuit_faults(circuit)
-        self._plan: List[tuple] = []  # (targets, channel, first fault, outcomes)
+        rows = np.arange(len(faults))
+        self._plan: List[tuple] = []  # draw plan entries, see draw_hits
         first = 0
         for op in circuit.operations:
             if op.name not in _NOISE:
                 continue
-            channel = noise_channel(op)
+            rate, cdf, codes = noise_channel(op)
             targets = len(op.targets) // (2 if op.name in NOISE_2Q else 1)
-            outcomes = channel[2].size
-            if channel[0] > 0.0 and targets:  # anything else draws nothing
-                self._plan.append((targets, channel, first, outcomes))
-            first += targets * outcomes
+            end = first + targets * codes.size
+            if rate > 0.0 and end > first:  # anything else draws nothing
+                self._plan.append((rate, cdf, rows[first:end]))
+            first = end
         if first != len(faults):
             raise ValueError(
                 f"fault table has {len(faults)} rows; the circuit's noise "
@@ -262,8 +269,8 @@ class CompiledProgram:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Sample ``shots`` noisy shots in the packed domain.
 
-        One :func:`sample_channel` call per noise op, in op order; each
-        hit's fault row is XORed into its shot's bit.
+        :func:`draw_hits` over the draw plan, then :func:`xor_symptoms`
+        of the hit faults.
 
         Returns:
             (detectors, observables): shot-bit-packed bitplanes of shapes
@@ -273,25 +280,65 @@ class CompiledProgram:
         """
         if shots < 0:
             raise ValueError("shots must be >= 0")
-        faults: List[np.ndarray] = []
-        shot_of: List[np.ndarray] = []
-        for targets, channel, first, outcomes in self._plan:
-            target, shot, outcome = sample_channel(rng, targets, shots, channel)
-            if target.size:
-                faults.append(first + outcomes * target + outcome)
-                shot_of.append(shot)
-        fault = np.concatenate(faults) if faults else _NO_HITS
-        shot = np.concatenate(shot_of) if shot_of else _NO_HITS
+        row, shot = draw_hits(rng, self._plan, shots)
         if _metrics.enabled():
-            _NOISE_HITS.inc(fault.size)
-        words = (shots + 7) // 8
-        table = self._faults
-        return (
-            _xor_rows(table.det_start, table.det_index, self.num_detectors,
-                      fault, shot, words),
-            _xor_rows(table.obs_start, table.obs_index, self.num_observables,
-                      fault, shot, words),
+            _NOISE_HITS.inc(row.size)
+        return xor_symptoms(
+            self._faults, self.num_detectors, self.num_observables,
+            row, shot, shots,
         )
+
+
+def draw_hits(
+    rng: np.random.Generator, plan: Sequence[tuple], shots: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Draw a plan's hits over ``shots`` shots: ``(fault row, shot)`` per hit.
+
+    A plan entry is ``(rate, cdf, rows)``: a channel of
+    :func:`noise_channel` form whose hits pick fault ``rows[target *
+    outcomes + outcome]``, with ``outcomes = cdf.size + 1`` and
+    ``rows.size // outcomes`` targets.  A noise op's rows are its faults
+    ``first + arange(targets * outcomes)``; an importance group's are its
+    mechanisms, with an empty CDF (:data:`NO_CDF`).  One
+    :func:`sample_channel` call per entry, in plan order; the hits
+    concatenate in that order.
+    """
+    hit_rows: List[np.ndarray] = []
+    hit_shots: List[np.ndarray] = []
+    for entry in plan:
+        _, cdf, rows = entry
+        outcomes = cdf.size + 1
+        target, shot, outcome = sample_channel(
+            rng, rows.size // outcomes, shots, entry
+        )
+        if target.size:
+            hit_rows.append(rows[outcomes * target + outcome])
+            hit_shots.append(shot)
+    if not hit_rows:
+        return _NO_HITS, _NO_HITS
+    return np.concatenate(hit_rows), np.concatenate(hit_shots)
+
+
+def xor_symptoms(
+    table: FaultTable,
+    num_detectors: int,
+    num_observables: int,
+    row: np.ndarray,
+    shot: np.ndarray,
+    shots: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Detector and observable bitplanes of hits ``(row, shot)`` of ``table``.
+
+    Shapes ``(num_detectors, ceil(shots/8))`` and ``(num_observables,
+    ceil(shots/8))``, shot-bit-packed as :meth:`CompiledProgram.run_packed`
+    returns them: hit ``i`` flips the symptoms of fault ``row[i]`` in shot
+    ``shot[i]``.
+    """
+    words = (shots + 7) // 8
+    return (
+        _xor_rows(table.det_start, table.det_index, num_detectors, row, shot, words),
+        _xor_rows(table.obs_start, table.obs_index, num_observables, row, shot, words),
+    )
 
 
 def _xor_rows(
@@ -440,7 +487,7 @@ def noise_channel(op) -> Tuple[float, np.ndarray, np.ndarray]:
     """
     name = op.name
     if name in _PAULI_ERRORS:
-        return float(op.arg), _NO_CDF, _PAULI_ERRORS[name]
+        return float(op.arg), NO_CDF, _PAULI_ERRORS[name]
     codes = _CODES_2Q if name in NOISE_2Q else _CODES_1Q
     if name in CHANNEL_ARGS:
         cumulative = np.cumsum(np.asarray(op.args, dtype=np.float64))
@@ -449,7 +496,7 @@ def noise_channel(op) -> Tuple[float, np.ndarray, np.ndarray]:
         cumulative = np.arange(1.0, codes.size + 1.0)
         rate = float(op.arg)
     if rate <= 0.0:
-        return 0.0, _NO_CDF, codes
+        return 0.0, NO_CDF, codes
     return rate, cumulative[:-1] / cumulative[-1], codes
 
 

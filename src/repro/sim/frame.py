@@ -15,7 +15,9 @@ the packed propagation, run with one bit column per elementary error
 mechanism, yields every fault's symptom -- the fault table of
 :func:`repro.noise.dem.circuit_faults`, which :mod:`repro.noise.dem`
 merges into the detector error model (DEM) and the packed samplers draw
-shots from.  (The :class:`DetectorErrorModel` / :class:`ErrorMechanism`
+shots from (one draw plan per noise op, XORed through
+:func:`~repro.sim.compiled.xor_symptoms`, the kernel the importance
+sampler shares).  (The :class:`DetectorErrorModel` / :class:`ErrorMechanism`
 classes are re-exported here for compatibility;
 :meth:`FrameSimulator.detector_error_model` delegates to
 :func:`~repro.noise.dem.extract_dem`.)

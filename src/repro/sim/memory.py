@@ -295,7 +295,7 @@ class MemoryExperimentBuilder:
 
         The DEM/graph consistency pass is deliberately excluded here: it
         re-runs extraction, which every decoding consumer performs -- and
-        can gate via ``extract_dem(..., verify=True)`` -- anyway.
+        can gate via :func:`repro.analysis.verify_dem` -- anyway.
         """
         from repro.analysis import STRUCTURAL_PASSES, verify
 

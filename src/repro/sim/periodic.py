@@ -15,9 +15,10 @@ repeated r times.  This module finds that structure, and DEM extraction
   propagated over a few rounds and unrolled to all r, so building it is
   O(1) in the round count.  The table is the whole-circuit one when the
   extraction's certificates fail.
-* **RNG draw-order contract**: every noise op makes one sparse
-  :func:`~repro.sim.compiled.sample_channel` call, in op order, whatever
-  program samples the circuit; and the periodic table equals the
+* **RNG draw-order contract**: both programs draw through
+  :func:`~repro.sim.compiled.draw_hits`, so every noise op makes one
+  sparse :func:`~repro.sim.compiled.sample_channel` call, in op order,
+  whatever program samples the circuit; and the periodic table equals the
   whole-circuit table row for row.  So periodic and linear programs, and
   the byte-per-bit reference sampler of the tests, are bit-identical per
   seed (property-tested in ``tests/test_sim_periodic.py``).
@@ -183,7 +184,8 @@ class PeriodicProgram(CompiledProgram):
 
     Built like :class:`~repro.sim.compiled.CompiledProgram`, over the
     periodic extraction's fault table (see the module docstring);
-    sampling is :meth:`CompiledProgram.run_packed`'s.
+    sampling is :meth:`CompiledProgram.run_packed`'s draw plan and XOR
+    kernel.
     """
 
     # Bound in this class body too, so hooks that wrap ``run_packed`` per

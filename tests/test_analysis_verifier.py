@@ -242,7 +242,8 @@ class TestVerifyDriver:
 
 class TestVerifiedEntryPoints:
     def test_extract_dem_verify_passes_on_clean_circuit(self):
-        dem = extract_dem(memory_circuit(3, 2, 1e-3), verify=True)
+        dem = extract_dem(memory_circuit(3, 2, 1e-3))
+        assert verify_dem(dem).ok("error")
         assert dem.mechanisms
 
     def test_verify_dem_rejects_uncovered_detector(self):
@@ -271,7 +272,8 @@ class TestVerifiedEntryPoints:
 
     def test_from_dem_verify_passes_on_clean_circuit(self):
         dem = extract_dem(memory_circuit(3, 2, 1e-3))
-        graph = DecodingGraph.from_dem(dem, verify=True)
+        graph = DecodingGraph.from_dem(dem)
+        assert verify_graph(graph).ok("error")
         assert graph.edges
 
     def test_verify_graph_rejects_isolated_detector(self):

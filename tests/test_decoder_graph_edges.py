@@ -185,7 +185,7 @@ class TestFromDem:
             num_detectors=3, num_observables=1,
         )
         weighted = DecodingGraph.from_dem(dem)
-        uniform = DecodingGraph.from_dem_uniform(dem, probability=1e-3)
+        uniform = DecodingGraph.from_dem_uniform(dem)
         assert {e.detectors for e in uniform.edges} == {
             e.detectors for e in weighted.edges
         }

@@ -73,7 +73,7 @@ class TestTransversalCnotMonteCarlo:
 
     def test_joint_decoder_is_weaker(self):
         seq, n = cnot_experiment_rate(5, 6, 0.003, 1, 500, seed=19)
-        joint, _ = cnot_experiment_rate(5, 6, 0.003, 1, 500, seed=19, decoder="joint")
+        joint, _ = cnot_experiment_rate(5, 6, 0.003, 1, 500, seed=19, decoder="mwpm")
         assert seq.failures <= joint.failures
 
     def test_sequential_decoder_noiseless(self):
@@ -125,3 +125,24 @@ class TestAlphaFit:
         fit = fit_alpha(data, c, lam)
         assert fit.alpha == pytest.approx(alpha_true, rel=0.05)
         assert fit.residual < 1e-6
+
+
+class TestDecoderTradeoff:
+    def test_paired_and_engine_branches_agree(self):
+        # The paired branch decodes collect()'s table once per decoder;
+        # the workers branch runs each decoder's own engine over the same
+        # shard streams.  Both report the same EngineResult counts,
+        # including the shard count collect drew.
+        from repro.decoder.engine import EngineResult
+        from repro.experiments.fig13 import decoder_tradeoff_monte_carlo
+
+        kwargs = dict(distance=3, rounds=3, p=0.004, shots=1500, seed=41,
+                      decoders=("mwpm", "union_find"))
+        paired = decoder_tradeoff_monte_carlo(**kwargs)
+        sharded = decoder_tradeoff_monte_carlo(workers=2, **kwargs)
+        for name in kwargs["decoders"]:
+            assert isinstance(paired[name], EngineResult)
+            assert (paired[name].shots, paired[name].shards) == (1500, 2)
+            assert (paired[name].failures, paired[name].shards) == (
+                sharded[name].failures, sharded[name].shards
+            )

@@ -241,27 +241,31 @@ def _periodic_speedup(distance, rounds, p, shots, seed, linear_repeats):
 # -- metrics on/off -------------------------------------------------------------
 
 
-def _metrics_overhead(distance=5, p=1e-3, shots=5_000, seed=61, repeats=8):
+def _metrics_overhead(distance=5, p=1e-3, shots=5_000, seed=61, repeats=24):
     """Median enabled/disabled throughput ratio over A-B-A triples.
 
-    Throughput on a shared machine drifts by ~10% over seconds, far above
-    the true cost (~90 us of snapshot/delta/merge per ~30 ms shard), and
-    back-to-back runs show a "second run faster" warm-up.  So each repeat
-    brackets one mode between two runs of the other on one warmed seed
-    and compares it with the bracket's mean, which cancels linear drift.
-    The middle mode alternates across repeats and every repeat draws a
-    fresh seed.
+    The engine runs inline (one worker), so each run is timed in process
+    CPU time: wall-clock throughput on a shared machine drifts by ~10%
+    over seconds with time stolen by other tenants, far above the true
+    cost (~90 us of snapshot/delta/merge per ~30 ms shard), while CPU
+    time counts only this process's work.  Back-to-back runs still show a
+    "second run faster" warm-up, so each repeat brackets one mode between
+    two runs of the other on one warmed seed and compares it with the
+    bracket's mean, which cancels linear drift.  A step change of CPU
+    speed inside a triple still skews its ratio by up to ~40%, so the
+    median runs over 24 triples.  The middle mode alternates across
+    repeats and every repeat draws a fresh seed.
     """
     circuit = memory_circuit(distance, distance + 1, p)
 
     def rate(engine, run_seed, metered):
-        start = time.perf_counter()
+        start = time.process_time()
         if metered:
             engine.run(shots, seed=run_seed)
         else:
             with obs.metrics_disabled():
                 engine.run(shots, seed=run_seed)
-        return shots / (time.perf_counter() - start)
+        return shots / (time.process_time() - start)
 
     ratios = []
     with DecodingEngine(circuit, "mwpm", shard_shots=1024) as engine:

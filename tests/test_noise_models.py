@@ -217,7 +217,7 @@ class TestDemWeighting:
     def test_uniform_graph_flattens_weights(self):
         dem = extract_dem(memory_circuit(3, 2, 3e-3))
         weighted = DecodingGraph.from_dem(dem)
-        flat = DecodingGraph.from_dem_uniform(dem, probability=1e-3)
+        flat = DecodingGraph.from_dem_uniform(dem)
         assert len(weighted.edges) == len(flat.edges)
         assert len({e.probability for e in flat.edges}) == 1
         assert len({round(e.probability, 12) for e in weighted.edges}) > 1
