@@ -14,7 +14,8 @@ pack/unpack round trip.  A decoder implements one hook,
 that hook on a single row.  Implementations:
 
 * :class:`MWPMDecoder` -- minimum-weight perfect matching ("mwpm"), with
-  exact defect-cluster decomposition, a cross-shot cluster cache, and an
+  exact defect-cluster decomposition, a cross-shot memo of small
+  clusters (sorted int64 keys, shared with union-find), and an
   assignment-relaxation + branch-and-bound matcher per cluster.
 * :class:`UnionFindDecoder` -- cluster growth + peeling ("union_find").
 * :class:`SequentialCNOTDecoder` -- correlated two-pass MWPM for

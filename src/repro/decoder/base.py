@@ -23,7 +23,9 @@ Subclasses implement one hook, :meth:`~BatchDecoder._decode_unique`,
 which decodes the unique syndrome set as a batch (the MWPM decoder solves
 the union of its rows' clusters once this way), and expose
 ``num_observables``.  The one-shot ``decode`` is that hook on a batch of
-one row, so every entry point runs the same decode.
+one row, so every entry point runs the same decode.  The MWPM and
+union-find decoders memoize small defect groups in one
+:class:`SortedMemo` each.
 """
 
 from __future__ import annotations
@@ -181,6 +183,66 @@ def _unmask_rows(masks, num_observables: int) -> np.ndarray:
         np.frombuffer(raw, dtype=np.uint8).reshape(masks.size, width),
         axis=1, count=num_observables, bitorder="little",
     )
+
+
+class SortedMemo:
+    """Values of defect groups over ``num_detectors`` detectors, by int64
+    key, in two sorted arrays (``dtype`` values: int64, or object for
+    wide masks).
+
+    Ascending ids ``g_0 < ... < g_{k-1}`` key as the base-``(n + 1)``
+    polynomial over ``g_i + 1``: unique across sizes and exact in int64
+    up to :attr:`max_defects` ids (``max_defects``, lowered where
+    ``(n + 1)^k`` would overflow).
+    """
+
+    def __init__(self, num_detectors: int, max_defects: int, dtype) -> None:
+        self.base = num_detectors + 1
+        self.max_defects = max(
+            k for k in range(max_defects + 1) if self.base ** k <= 1 << 63
+        )
+        self.keys = np.zeros(0, dtype=np.int64)
+        self.vals = np.zeros(0, dtype=dtype)
+
+    def keys_of(self, ids: np.ndarray, first: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """Keys of the groups ``ids[first[i]:first[i] + sizes[i]]``."""
+        keys = np.zeros(first.size, dtype=np.int64)
+        for k in range(self.max_defects):
+            more = np.flatnonzero(sizes > k)
+            keys[more] = keys[more] * self.base + ids[first[more] + k] + 1
+        return keys
+
+    def lookup(self, keys: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+        """Which of the sorted unique ``keys`` are stored, and their values."""
+        pos = np.searchsorted(self.keys, keys)
+        hit = pos < self.keys.size
+        hit[hit] = self.keys[pos[hit]] == keys[hit]
+        return hit, self.vals[pos[hit]]
+
+    def store(self, keys: np.ndarray, vals: np.ndarray, limit: int) -> None:
+        """Merge sorted unstored ``keys`` and their ``vals``.  A memo that
+        would hold more than ``limit`` entries is dropped first, and at
+        most ``limit`` new entries are kept."""
+        if self.keys.size + keys.size > limit:
+            self.keys, self.vals = self.keys[:0], self.vals[:0]
+            keys, vals = keys[:limit], vals[:limit]
+        at = np.searchsorted(self.keys, keys)
+        self.keys = np.insert(self.keys, at, keys)
+        self.vals = np.insert(self.vals, at, vals)
+
+
+def _ragged_ranges(starts: np.ndarray, counts: np.ndarray, total: int) -> np.ndarray:
+    """Concatenate ``arange(s, s + c)`` for every (s, c) pair, vectorized.
+
+    ``counts`` must be strictly positive (filter zeros before calling).
+    """
+    out = np.ones(total, dtype=np.int64)
+    out[0] = starts[0]
+    if starts.size > 1:
+        idx = np.cumsum(counts)[:-1]
+        out[idx] = starts[1:] - (starts[:-1] + counts[:-1] - 1)
+    np.cumsum(out, out=out)
+    return out
 
 
 def _unpack_rows(packed: np.ndarray, num_detectors: int) -> np.ndarray:

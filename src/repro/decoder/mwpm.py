@@ -14,12 +14,14 @@ clusters under the relation ``d(u, v) < d(u, B) + d(v, B)`` (matching the
 pair directly is strictly cheaper than routing both to the boundary).  A
 minimum-weight matching never needs a pair that violates it -- replacing
 such a pair with two boundary matchings costs no more -- so clusters can
-be matched independently without changing the optimal weight.  The
-observable masks of clusters of up to :data:`_CACHE_MAX_DEFECTS` defects
-are memoized in a cross-call cache: in sub-threshold Monte-Carlo runs
-full syndromes are mostly unique (dedup stops helping as ``d`` grows)
-but they are combinations of a *small* recurring set of local defect
-clusters, so the cache converts most cluster solves into dict lookups.
+be matched independently without changing the optimal weight.  One
+``connected_components`` call splits every row of a decode call.  Masks
+of clusters of up to :data:`_CACHE_MAX_DEFECTS` defects are memoized
+across calls in a :class:`~repro.decoder.base.SortedMemo`: in
+sub-threshold runs full syndromes are mostly unique, but they combine a
+*small* recurring set of local clusters.  Larger clusters are
+deduplicated per call and never stored.  A row's prediction is the XOR
+of its clusters' masks (int64, or Python ints on wide graphs).
 
 Matching strategy: every cluster of ``k`` defects is solved exactly by
 the assignment (bipartite double-cover) relaxation of matching.  The
@@ -28,9 +30,10 @@ the assignment (bipartite double-cover) relaxation of matching.  The
 minimizes it over permutations.  Every matching is a permutation of cost
 equal to its weight (1-cycles are boundary matches, 2-cycles are pairs),
 so the assignment optimum is a lower bound on the best matching.  A
-batch's uncached clusters are matched together, one :func:`_match_batch`
-per cluster size: one gather builds all their cost matrices as an
-``(m, k, k)`` array and each gets its root assignment.  A root that is an
+call's unsolved clusters are matched in one :func:`_match_batch` per
+power-of-two size class, whose gather builds their padded cost matrices
+as one ``(m, k, k)`` array; every solve below runs on the cluster's
+unpadded slice, so batching never changes a matching.  A root that is an
 involution (only 1- and 2-cycles; most clusters) is the matching.  Only
 the other roots enter :func:`_branch_and_bound`, which starts from the
 root already solved.  There an even cycle splits into two matchings whose
@@ -60,18 +63,18 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csgraph
 
-from repro.decoder.base import BatchDecoder, _unmask_rows
+from repro.decoder.base import BatchDecoder, SortedMemo, _ragged_ranges, _unmask_rows
 from repro.decoder.graph import BOUNDARY, DecodingGraph, EdgeTable
 from repro.obs import metrics as _metrics
 
-# Cluster-mask cache entries kept before the cache is dropped wholesale; at
+# Cluster-memo entries kept before the memo is dropped wholesale; at
 # sub-threshold noise the reachable cluster population is tiny, so this is
 # purely a runaway guard for above-threshold inputs.
 _CLUSTER_CACHE_LIMIT = 1 << 18
@@ -86,7 +89,7 @@ _CACHE_MAX_DEFECTS = 4
 _BRANCH_NODE_LIMIT = 1000
 
 # One increment per batch and path.  Counts depend on the per-process
-# cluster cache (a memoized cluster is solved once per process), so unlike
+# cluster memo (a memoized cluster is solved once per process), so unlike
 # the decode results they are *not* worker-count invariant.
 _MWPM_CLUSTERS = _metrics.counter(
     "repro_mwpm_clusters_total",
@@ -95,21 +98,25 @@ _MWPM_CLUSTERS = _metrics.counter(
 )
 
 
-def _match_batch(pair: np.ndarray, boundary: np.ndarray) -> Tuple[np.ndarray, List[str]]:
-    """Exact minimum-weight matchings of ``m`` clusters of ``k`` defects.
+def _match_batch(
+    pair: np.ndarray, boundary: np.ndarray, sizes: np.ndarray
+) -> Tuple[np.ndarray, List[str]]:
+    """Exact minimum-weight matchings of ``m`` clusters, padded to ``k``.
 
     Args:
         pair: ``(m, k, k)`` pair weights (``inf`` = no pair; the diagonals
             are ignored).
         boundary: finite ``(m, k)`` boundary weights.
+        sizes: members per cluster; cluster ``i`` is its first
+            ``sizes[i]`` entries and is solved on that slice alone.
 
     Returns:
         ``(mate, paths)``: ``mate[i, j]`` is the index of the member that
-        member ``j`` of cluster ``i`` is matched with, -1 for the boundary;
-        ``paths[i]`` is ``"relaxation"`` (the root assignment sufficed),
-        ``"branched"``, or ``"fallback"`` once the search passes
-        :data:`_BRANCH_NODE_LIMIT` (that row of ``mate`` is then
-        meaningless).  See the module docstring for exactness.
+        member ``j`` of cluster ``i`` is matched with, -1 for the boundary
+        (and for padding); ``paths[i]`` is ``"relaxation"`` (the root
+        assignment sufficed), ``"branched"``, or ``"fallback"`` once the
+        search passes :data:`_BRANCH_NODE_LIMIT` (that row of ``mate`` is
+        then meaningless).  See the module docstring for exactness.
     """
     m, k = boundary.shape
     if _BRANCH_NODE_LIMIT < 1:
@@ -122,14 +129,19 @@ def _match_batch(pair: np.ndarray, boundary: np.ndarray) -> Tuple[np.ndarray, Li
     base = pair / 2.0
     diag = np.arange(k)
     base[:, diag, diag] = boundary
-    perms = np.array([linear_sum_assignment(c)[1] for c in base], dtype=np.intp).reshape(m, k)
+    perms = np.tile(diag, (m, 1))
+    for i, size in enumerate(sizes.tolist()):
+        perms[i, :size] = linear_sum_assignment(base[i, :size, :size])[1]
     mate = np.where(perms == diag, -1, perms)
     paths = ["relaxation"] * m
     # A root assignment of 1- and 2-cycles only is itself a matching; the
     # rest start their branch-and-bound from it.
     involution = (np.take_along_axis(perms, perms, axis=1) == diag).all(axis=1)
     for i in np.flatnonzero(~involution).tolist():
-        pairs, nodes = _branch_and_bound(pair[i], boundary[i], base[i], perms[i])
+        cut = slice(0, int(sizes[i]))
+        pairs, nodes = _branch_and_bound(
+            pair[i, cut, cut], boundary[i, cut], base[i, cut, cut], perms[i, cut]
+        )
         paths[i] = "fallback" if pairs is None else "relaxation" if nodes == 1 else "branched"
         for a, b in pairs or ():
             mate[i, a] = b
@@ -144,7 +156,7 @@ def _branch_and_bound(
     """Branch-and-bound from one cluster's root assignment ``root``.
 
     ``pair_cost`` is the pruned pair matrix and ``base`` the assignment
-    matrix :func:`_match_batch` built; returns ``(pairs, nodes)``, ``nodes``
+    matrix :func:`_match_batch` built, both unpadded; returns ``(pairs, nodes)``, ``nodes``
     counting the assignments solved (the root included), ``pairs = None``
     past :data:`_BRANCH_NODE_LIMIT`.
     """
@@ -257,6 +269,15 @@ def _round_cycles(
     return float(weight), pairs
 
 
+def _padded(ids: np.ndarray, first: np.ndarray, sizes: np.ndarray, fill: int) -> np.ndarray:
+    """``(m, max(sizes))`` rows ``ids[first[i]:first[i] + sizes[i]]``, each
+    padded with ``fill``."""
+    width = int(sizes.max()) if sizes.size else 0
+    pos = first[:, None] + np.arange(width)
+    real = np.arange(width) < sizes[:, None]
+    return np.where(real, ids[np.minimum(pos, ids.size - 1)], fill)
+
+
 def _path_tables(table: EdgeTable) -> Tuple[np.ndarray, np.ndarray]:
     """All-pairs shortest-path distances and path observable masks.
 
@@ -295,9 +316,9 @@ class MWPMDecoder(BatchDecoder):
 
     def __init__(self, graph: DecodingGraph) -> None:
         self.graph = graph
-        self._cluster_cache: Dict[Tuple[int, ...], int] = {}
         # (N, N) tables over detectors + boundary (index -1, i.e. BOUNDARY).
         self._dist, self._obs = _path_tables(graph.edge_table())
+        self._memo = SortedMemo(graph.num_detectors, _CACHE_MAX_DEFECTS, self._obs.dtype)
 
     # -- decoding -----------------------------------------------------------
 
@@ -305,143 +326,112 @@ class MWPMDecoder(BatchDecoder):
     def num_observables(self) -> int:
         return self.graph.num_observables
 
-    def _cluster_split_batch(
-        self, defs: np.ndarray
-    ) -> List[List[Tuple[int, ...]]]:
-        """Split same-count defect rows into independently-matchable clusters.
-
-        Clusters are the connected components of the relation
-        ``d(u, v) < d(u, B) + d(v, B)``; cutting every other pair is
-        weight-neutral (route both ends to the boundary instead), so the
-        per-cluster optima compose into a global minimum-weight matching.
-        The linkage test, transitive closure and member grouping run
-        vectorized over the whole ``(rows, k)`` batch.
-        """
-        rows, k = defs.shape
+    def _cluster_split(self, syndromes: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Every row's clusters: the components of ``d(u, v) < d(u, B) +
+        d(v, B)`` over its defects, as ``(ids, first, sizes, row)``.
+        Cluster ``i`` is ``ids[first[i]:first[i] + sizes[i]]`` (ascending)
+        of row ``row[i]``, listed by row, then by lowest member."""
+        flat = np.flatnonzero(np.ascontiguousarray(syndromes, dtype=np.uint8))
+        row_of, node = np.divmod(flat, max(syndromes.shape[1], 1))
+        # Every defect pairs with the later defects of its row.
+        count = flat.size
+        later = np.searchsorted(row_of, row_of, side="right") - np.arange(count) - 1
+        owners = np.flatnonzero(later)
+        pi = np.repeat(owners, later[owners])
+        pj = _ragged_ranges(owners + 1, later[owners], pi.size) if pi.size else pi
+        u, v = node[pi], node[pj]
+        # Read d(u, v) for u < v only: shortest pair paths may route
+        # *through* the boundary node, where d(u, v) equals
+        # d(u, B) + d(v, B) up to float associativity and the strict
+        # comparison can come out asymmetric.
         dist = self._dist
-        n = dist.shape[0] - 1
-        if k == 1:
-            return [[(int(row[0]),)] for row in defs]
-        bc = dist[defs, n]
-        linked = dist[defs[:, :, None], defs[:, None, :]] < (
-            bc[:, :, None] + bc[:, None, :]
-        )
-        # Shortest pair paths may route *through* the boundary node, where
-        # d(u, v) equals d(u, B) + d(v, B) up to float associativity and
-        # the strict comparison can come out asymmetric; read only i < j
-        # entries and mirror them.
-        upper = np.triu(linked, 1)
-        reach = upper | upper.transpose(0, 2, 1) | np.eye(k, dtype=bool)
-        # float32 products run on BLAS and count paths exactly (uint8 would
-        # wrap at 256).
-        for _ in range(max(1, int(np.ceil(np.log2(k))))):
-            step = reach.astype(np.float32)
-            reach = np.matmul(step, step) > 0
-        # Component label = lowest member index reaching each defect
-        # (reach is symmetric, so labels are consistent per component).
-        labels = np.argmax(reach, axis=1)
-        # A stable sort on (row, label) lists each row's clusters by lowest
-        # member, each in ascending defect order.
-        key = (np.arange(rows)[:, None] * k + labels).ravel()
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        flat = defs.ravel()[order].tolist()
-        bounds = starts.tolist() + [len(flat)]
-        clusters = [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
-        ends = np.cumsum(np.bincount(key[starts] // k, minlength=rows)).tolist()
-        return [clusters[a:b] for a, b in zip([0] + ends, ends)]
-
-    def _cluster_mask(self, cluster: Tuple[int, ...]) -> int:
-        cached = self._cluster_cache.get(cluster)
-        if cached is None:
-            cached = self._solve_clusters([cluster])[cluster]
-        return cached
+        near = np.flatnonzero(dist[u, v] < dist[u, BOUNDARY] + dist[v, BOUNDARY])
+        # pi ascends, so the linked pairs are already in CSR row order.
+        indptr = np.searchsorted(pi[near], np.arange(count + 1))
+        links = sparse.csr_matrix((np.ones(near.size), pj[near], indptr), shape=(count, count))
+        # Labels number components by their lowest defect, so a stable
+        # sort lists clusters by row, then lowest member, each ascending.
+        label = csgraph.connected_components(links, directed=False)[1]
+        order = np.argsort(label, kind="stable")
+        first = np.flatnonzero(np.diff(label[order], prepend=-1))
+        sizes = np.diff(first, append=count)
+        return node[order], first, sizes, row_of[order[first]]
 
     # -- batched decoding ---------------------------------------------------
 
     def _decode_unique(self, syndromes: np.ndarray) -> np.ndarray:
-        """Decode unique syndrome rows with cross-row cluster batching.
+        """Decode unique rows: split, look up or solve every distinct
+        cluster once, XOR each row's cluster masks.  A cluster's mask is a
+        pure function of the graph and the cluster, so the output does not
+        depend on how rows are batched."""
+        ids, first, sizes, row = self._cluster_split(syndromes)
+        memo = self._memo
+        small = sizes <= memo.max_defects
+        keys, rep, key_of = np.unique(
+            memo.keys_of(ids, first[small], sizes[small]), return_index=True, return_inverse=True
+        )
+        hit, found = memo.lookup(keys)
+        # Larger clusters rarely recur: deduplicated per call, never stored.
+        _, big_rep, big_of = np.unique(
+            _padded(ids, first[~small], sizes[~small], -1),
+            axis=0, return_index=True, return_inverse=True,
+        )
+        new = np.concatenate([np.flatnonzero(small)[rep[~hit]], np.flatnonzero(~small)[big_rep]])
+        solved = self._solve_clusters(ids, first[new], sizes[new])
+        missed = keys.size - np.count_nonzero(hit)
+        memo.store(keys[~hit], solved[:missed], _CLUSTER_CACHE_LIMIT)
+        vals = np.empty(first.size, dtype=solved.dtype)
+        key_vals = np.empty(keys.size, dtype=solved.dtype)
+        key_vals[hit], key_vals[~hit] = found, solved[:missed]
+        vals[small], vals[~small] = key_vals[key_of], solved[missed:][big_of.reshape(-1)]
+        masks = np.zeros(syndromes.shape[0], dtype=solved.dtype)
+        np.bitwise_xor.at(masks, row, vals)
+        return _unmask_rows(masks, self.graph.num_observables)
 
-        All rows are decomposed first, the union of their uncached
-        clusters is solved once, and the per-row predictions are composed
-        from those masks and the cluster cache.  A cluster's mask is a pure
-        function of the graph and the cluster, so the output does not
-        depend on how rows are batched.
-        """
-        num_obs = self.graph.num_observables
-        row_clusters: List[List[Tuple[int, ...]]] = [
-            [] for _ in range(syndromes.shape[0])
-        ]
-        pending: Dict[Tuple[int, ...], None] = {}
-        counts = syndromes.sum(axis=1)
-        for k in np.unique(counts):
-            k = int(k)
-            if k == 0:
-                continue
-            rows = np.flatnonzero(counts == k)
-            # np.nonzero walks rows in order with ascending columns, so
-            # the reshape yields each row's sorted defect list.
-            defs = np.nonzero(syndromes[rows])[1].reshape(rows.size, k)
-            for row, clusters in zip(rows, self._cluster_split_batch(defs)):
-                row_clusters[row] = clusters
-                for cluster in clusters:
-                    if cluster not in self._cluster_cache:
-                        pending[cluster] = None
-        solved = self._solve_clusters(list(pending))
-        masks = [0] * syndromes.shape[0]
-        for i, clusters in enumerate(row_clusters):
-            for cluster in clusters:
-                cached = solved.get(cluster)
-                if cached is None:
-                    # Memoized before this batch, unless the runaway guard
-                    # dropped the memo since (above-threshold inputs).
-                    cached = self._cluster_mask(cluster)
-                masks[i] ^= cached
-        return _unmask_rows(masks, num_obs)
-
-    def _solve_clusters(self, clusters: List[Tuple[int, ...]]) -> Dict[Tuple[int, ...], int]:
-        """Match clusters; their observable masks, memoized when small."""
+    def _solve_clusters(
+        self, ids: np.ndarray, first: np.ndarray, sizes: np.ndarray
+    ) -> np.ndarray:
+        """Observable masks of the clusters ``ids[first[i]:first[i] +
+        sizes[i]]``, matched in one padded batch per power-of-two size
+        class."""
+        masks = np.zeros(first.size, dtype=self._obs.dtype)
         counts: Counter = Counter()
-        by_size: Dict[int, List[Tuple[int, ...]]] = {}
-        for cluster in clusters:
-            by_size.setdefault(len(cluster), []).append(cluster)
-        masks = {}
-        for group in by_size.values():
-            defs = np.array(group)
-            partner, paths = self._match_clusters(defs)
+        size_class = np.frexp(sizes - 1)[1]
+        for c in np.unique(size_class).tolist():
+            group = np.flatnonzero(size_class == c)
+            defs = _padded(ids, first[group], sizes[group], 0)
+            partner, paths = self._match_clusters(defs, sizes[group])
             counts.update(paths)
             # Every pair once, from its lower end, plus the boundary matches.
-            kept = np.where((partner < 0) | (partner > defs), self._obs[defs, partner], 0)
-            masks.update(zip(group, np.bitwise_xor.reduce(kept, axis=1).tolist()))
-        cache = self._cluster_cache
-        for cluster in clusters:
-            if len(cluster) <= _CACHE_MAX_DEFECTS:
-                if len(cache) >= _CLUSTER_CACHE_LIMIT:
-                    cache.clear()
-                cache[cluster] = masks[cluster]
+            real = np.arange(defs.shape[1]) < sizes[group, None]
+            kept = real & ((partner < 0) | (partner > defs))
+            masks[group] = np.bitwise_xor.reduce(
+                np.where(kept, self._obs[defs, partner], 0), axis=1
+            )
         for path, count in counts.items():
             _MWPM_CLUSTERS.labels(path=path).inc(count)
         return masks
 
-    def _match_clusters(self, defs: np.ndarray) -> Tuple[np.ndarray, List[str]]:
-        """Exact matchings of ``m`` clusters of ``k`` defects, one batch.
+    def _match_clusters(
+        self, defs: np.ndarray, sizes: np.ndarray
+    ) -> Tuple[np.ndarray, List[str]]:
+        """Exact matchings of the clusters ``defs[i, :sizes[i]]`` (the rest
+        of each row is padding: boundary weight 0, no pairs).
 
-        Args:
-            defs: ``(m, k)`` defects, one cluster per row.
-
-        Returns:
-            ``(partner, paths)``: ``partner[i, j]`` is the defect matched
-            with ``defs[i, j]``, ``BOUNDARY`` for a boundary match, and
-            ``paths[i]`` is ``"relaxation"``, ``"branched"`` or
-            ``"fallback"`` (:meth:`_match_blossom`, also every cluster with
-            a defect that has no boundary path).
+        Returns ``(partner, paths)``: ``partner[i, j]`` is the defect
+        matched with ``defs[i, j]``, ``BOUNDARY`` for the boundary and for
+        padding; ``paths[i]`` is ``"relaxation"``, ``"branched"`` or
+        ``"fallback"`` (:meth:`_match_blossom`, also every cluster with a
+        defect that has no boundary path).
         """
         dist = self._dist
-        boundary = dist[defs, BOUNDARY]
+        real = np.arange(defs.shape[1]) < sizes[:, None]
+        boundary = np.where(real, dist[defs, BOUNDARY], 0.0)
+        both = real[:, :, None] & real[:, None, :]
+        pair = np.where(both, dist[defs[:, :, None], defs[:, None, :]], math.inf)
         finite = np.isfinite(boundary).all(axis=1)
         ok = defs[finite]
-        mate, solved = _match_batch(dist[ok[:, :, None], ok[:, None, :]], boundary[finite])
+        mate, solved = _match_batch(pair[finite], boundary[finite], sizes[finite])
         partner = np.full(defs.shape, BOUNDARY)
         mated = np.take_along_axis(ok, mate % ok.shape[1], axis=1)
         partner[finite] = np.where(mate < 0, BOUNDARY, mated)
@@ -449,10 +439,10 @@ class MWPMDecoder(BatchDecoder):
         paths = [next(solved) if good else "fallback" for good in finite.tolist()]
         for i, path in enumerate(paths):
             if path == "fallback":
-                members = defs[i].tolist()
+                members = defs[i, : sizes[i]].tolist()
                 mates = dict(self._match_blossom(members))
                 mates.update({v: u for u, v in mates.items() if v != BOUNDARY})
-                partner[i] = [mates[u] for u in members]
+                partner[i, : sizes[i]] = [mates[u] for u in members]
         return partner, paths
 
     def _match_blossom(self, defects: List[int]) -> List[Tuple[int, int]]:

@@ -47,9 +47,10 @@ Two layers compute it:
   whole shifts as all its defects allow, so a group decodes the same in
   every round it recurs in.  A graph without a repeated round, or whose
   round does not certify, gets ``P = 0``.  Groups of at most
-  :data:`_MEMO_MAX_DEFECTS` defects are memoized in two sorted int64
-  arrays, keyed by a polynomial over their shifted ids; larger groups
-  rarely recur and go straight to the arena as pseudo-rows.
+  :data:`_MEMO_MAX_DEFECTS` defects are memoized in a
+  :class:`~repro.decoder.base.SortedMemo` (two sorted int64 arrays),
+  keyed by a polynomial over their shifted ids; larger groups rarely
+  recur and go straight to the arena as pseudo-rows.
 * The **batched arena** decodes every other row whole.  Support is a
   flat ``(row, edge)`` touch counter updated with sorted-key scatters
   over the graph's :class:`~repro.decoder.graph.EdgeTable` CSR
@@ -75,7 +76,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from repro.decoder.base import BatchDecoder, _unmask_rows
+from repro.decoder.base import BatchDecoder, SortedMemo, _ragged_ranges, _unmask_rows
 from repro.decoder.graph import INT64_OBSERVABLES, DecodingGraph, EdgeTable
 from repro.obs import metrics as _metrics
 
@@ -97,10 +98,10 @@ _ARENA_CHUNK_ELEMS = 1 << 24
 _GROUP_HOPS = 2
 
 # Group-memo entries kept before the memo is dropped wholesale (16 bytes
-# each: an int64 key and an int64 mask), like mwpm._CLUSTER_CACHE_LIMIT.
+# each: an int64 key and an int64 mask).
 _GROUP_MEMO_LIMIT = 1 << 18
 
-# Largest group the memo stores, as mwpm._CACHE_MAX_DEFECTS.  At d=11
+# Largest group the memo (a base.SortedMemo) stores.  At d=11
 # r=12, p=5e-4, groups of 1-2 defects recur in >= 99.9% of lookups, 3 in
 # 91%, 4 in 77%, 5 in 13% and 6 or more in under 4%.
 _MEMO_MAX_DEFECTS = 4
@@ -115,20 +116,6 @@ _UF_ROWS = _metrics.counter(
     "Union-find unique rows by decode path (groups, row).",
     ("path",),
 )
-
-
-def _ragged_ranges(starts: np.ndarray, counts: np.ndarray, total: int) -> np.ndarray:
-    """Concatenate ``arange(s, s + c)`` for every (s, c) pair, vectorized.
-
-    ``counts`` must be strictly positive (filter zeros before calling).
-    """
-    out = np.ones(total, dtype=np.int64)
-    out[0] = starts[0]
-    if starts.size > 1:
-        idx = np.cumsum(counts)[:-1]
-        out[idx] = starts[1:] - (starts[:-1] + counts[:-1] - 1)
-    np.cumsum(out, out=out)
-    return out
 
 
 def _certify_shift(
@@ -211,14 +198,7 @@ class UnionFindDecoder(BatchDecoder):
         self._period, self._down = _certify_shift(
             self._edges, self._thresh, graph.detector_shift
         )
-        # Memo keys are base-(n + 1) polynomials over ids + 1, exact in
-        # int64 for groups of up to `_memo_defects` defects.
-        base = graph.num_detectors + 1
-        self._memo_defects = max(
-            (k for k in range(_MEMO_MAX_DEFECTS + 1) if base ** k <= 1 << 63)
-        )
-        self._memo_keys = np.zeros(0, dtype=np.int64)
-        self._memo_vals = np.zeros(0, dtype=np.int64)
+        self._memo = SortedMemo(graph.num_detectors, _MEMO_MAX_DEFECTS, np.int64)
 
     @property
     def num_observables(self) -> int:
@@ -329,19 +309,17 @@ class UnionFindDecoder(BatchDecoder):
         ids -= np.repeat(
             np.minimum.reduceat(self._down[ids], first) * self._period, sizes
         )
-        small = np.flatnonzero(sizes <= self._memo_defects)
-        keys = np.zeros(small.size, dtype=np.int64)
-        for k in range(self._memo_defects):
-            more = np.flatnonzero(sizes[small] > k)
-            keys[more] = keys[more] * (n + 1) + ids[first[small[more]] + k] + 1
+        memo = self._memo
+        small = np.flatnonzero(sizes <= memo.max_defects)
         # Sorted unique keys make the memo lookup one sequential search.
-        keys, rep, key_of = np.unique(keys, return_index=True, return_inverse=True)
-        pos = np.searchsorted(self._memo_keys, keys)
-        hit = pos < self._memo_keys.size
-        hit[hit] = self._memo_keys[pos[hit]] == keys[hit]
+        keys, rep, key_of = np.unique(
+            memo.keys_of(ids, first[small], sizes[small]),
+            return_index=True, return_inverse=True,
+        )
+        hit, found = memo.lookup(keys)
         key_vals = np.empty(keys.size, dtype=np.int64)
-        key_vals[hit] = self._memo_vals[pos[hit]]
-        large = np.flatnonzero(sizes > self._memo_defects)
+        key_vals[hit] = found
+        large = np.flatnonzero(sizes > memo.max_defects)
         new = np.concatenate([small[rep[~hit]], large])
         vals = np.empty(first.size, dtype=np.int64)
         if new.size:
@@ -353,22 +331,12 @@ class UnionFindDecoder(BatchDecoder):
             missed = new.size - large.size
             key_vals[~hit] = new_vals[:missed]
             vals[large] = new_vals[missed:]
-            self._memoize(keys[~hit], new_vals[:missed])
+            memo.store(keys[~hit], new_vals[:missed], _GROUP_MEMO_LIMIT)
         vals[small] = key_vals[key_of]
         bad = vals == _NOT_LOCAL
         local[group_row[bad]] = False
         np.bitwise_xor.at(masks, group_row[~bad], vals[~bad])
         return masks, local
-
-    def _memoize(self, keys: np.ndarray, vals: np.ndarray) -> None:
-        """Merge sorted new ``keys`` (absent from the memo) and their values
-        into the memo, dropping it first if it would outgrow the limit."""
-        if self._memo_keys.size + keys.size > _GROUP_MEMO_LIMIT:
-            self._memo_keys = self._memo_keys[:0]
-            self._memo_vals = self._memo_vals[:0]
-        at = np.searchsorted(self._memo_keys, keys)
-        self._memo_keys = np.insert(self._memo_keys, at, keys)
-        self._memo_vals = np.insert(self._memo_vals, at, vals)
 
     def _arena(
         self, syndromes: np.ndarray, *, local: bool = False

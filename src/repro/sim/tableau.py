@@ -36,8 +36,9 @@ class TableauSimulator:
         self._rng = rng if rng is not None else np.random.default_rng()
 
     def copy(self) -> "TableauSimulator":
-        """Deep copy sharing nothing (fresh RNG seeded arbitrarily)."""
-        dup = TableauSimulator(self.n, rng=np.random.default_rng())
+        """Deep copy sharing nothing; its generator is spawned from this
+        one's, so the copy's outcomes follow from the parent's seed."""
+        dup = TableauSimulator(self.n, rng=self._rng.spawn(1)[0])
         dup.x = self.x.copy()
         dup.z = self.z.copy()
         dup.sign = self.sign.copy()

@@ -300,8 +300,10 @@ class TestMWPMMatchers:
         assert decoder.decode(syndrome).shape == (dem.num_observables,)
         dist = decoder._dist
         weight = 0.0
-        for cluster in decoder._cluster_split_batch(np.array([defects]))[0]:
-            partner, _ = decoder._match_clusters(np.array([cluster]))
+        ids, first, sizes, _ = decoder._cluster_split(syndrome[None, :])
+        for start, size in zip(first.tolist(), sizes.tolist()):
+            cluster = ids[start:start + size].tolist()
+            partner, _ = decoder._match_clusters(np.array([cluster]), np.array([size]))
             # Each pair once, from its lower end, plus the boundary matches.
             weight += sum(
                 dist[u, v] for u, v in zip(cluster, partner[0].tolist())
@@ -585,14 +587,13 @@ class TestMWPMDecomposition:
         _, dem, detectors, _ = memory_setup
         decoder = make_decoder("mwpm", dem)
         first = decoder.decode_batch(detectors)
-        assert len(decoder._cluster_cache) > 0
+        assert decoder._memo.keys.size > 0
         again = decoder.decode_batch(detectors)
         np.testing.assert_array_equal(first, again)
 
     def test_cache_runaway_clear_mid_batch_recovers(self, memory_setup, monkeypatch):
-        # A tiny cache limit forces wholesale clears *during* a batch;
-        # composition must re-solve dropped clusters, not crash, and the
-        # predictions must be unchanged.
+        # A tiny cache limit forces wholesale clears of the memo; the
+        # predictions must be unchanged and the memo must stay bounded.
         import repro.decoder.mwpm as mwpm_module
 
         _, dem, detectors, _ = memory_setup
@@ -602,7 +603,7 @@ class TestMWPMDecomposition:
         np.testing.assert_array_equal(
             small_cache.decode_batch(detectors), reference
         )
-        assert len(small_cache._cluster_cache) <= 3
+        assert small_cache._memo.keys.size <= 3
 
     def test_decompose_raises_on_unexplainable_syndrome(self):
         graph = DecodingGraph(num_detectors=3, num_observables=1)

@@ -7,9 +7,10 @@ and weighs exactly (to 1e-9 relative) the minimum found by networkx's
 come from importance-sampled d=5/d=7 traffic, from uniform-weight MWPM
 under biased noise (where ties are common), and from random integer
 graphs built to produce odd cycles.  Clusters are solved the way
-production solves them, one ``_match_clusters`` batch per cluster size,
-and a batch must give every cluster the matching, mask and path it gets
-when solved alone.  A larger fuzz run is tier-2.
+production solves them, one padded ``_match_clusters`` batch per
+power-of-two size class, and a batch must give every cluster the
+matching, mask and path it gets when solved alone.  A larger fuzz run is
+tier-2.
 """
 
 import math
@@ -20,9 +21,10 @@ import pytest
 from oracles import cluster_split, min_matching_weight
 
 from repro.decoder import mwpm
+from repro.decoder.base import SortedMemo
 from repro.decoder.engine import make_decoder
 from repro.decoder.graph import BOUNDARY, INT64_OBSERVABLES, DecodingGraph
-from repro.decoder.mwpm import MWPMDecoder, _match_batch
+from repro.decoder.mwpm import MWPMDecoder, _match_batch, _padded
 from repro.estimator.rare import rare_engine
 from repro.noise.dem import extract_dem
 from repro.noise.models import BiasedPauli
@@ -44,37 +46,58 @@ def _assert_exact(decoder, cluster, pairs):
     assert weight == pytest.approx(expected, rel=1e-9)
 
 
+def _flat(clusters):
+    """``(ids, first, sizes)`` of a list of cluster tuples."""
+    sizes = np.array([len(c) for c in clusters], dtype=np.int64)
+    first = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64)
+    ids = np.array([u for c in clusters for u in c], dtype=np.int64)
+    return ids, first, sizes
+
+
+def _solve(decoder, clusters):
+    """``_solve_clusters`` masks by cluster tuple."""
+    return dict(zip(clusters, decoder._solve_clusters(*_flat(clusters)).tolist()))
+
+
 def _match(decoder, clusters):
-    """``(pairs, path)`` per cluster, each cluster size matched as one batch.
+    """``(pairs, path)`` per cluster, each power-of-two size class matched
+    as one padded batch, as ``_solve_clusters`` does.
 
     Pairs are ``(defect, partner)`` with ``BOUNDARY`` for a boundary
-    match; the batch's partner rows must be involutions on the cluster.
+    match; the batch's partner rows must be involutions on the cluster
+    and give padding the boundary.
     """
     out = [None] * len(clusters)
-    by_size = {}
-    for i, cluster in enumerate(clusters):
-        by_size.setdefault(len(cluster), []).append(i)
-    for idx in by_size.values():
-        defs = np.array([clusters[i] for i in idx])
-        partner, paths = decoder._match_clusters(defs)
+    ids, first, sizes = _flat(clusters)
+    size_class = np.frexp(sizes - 1)[1]
+    for c in np.unique(size_class):
+        idx = np.flatnonzero(size_class == c)
+        defs = _padded(ids, first[idx], sizes[idx], 0)
+        partner, paths = decoder._match_clusters(defs, sizes[idx])
         for i, members, mates, path in zip(idx, defs.tolist(), partner.tolist(), paths):
-            lookup = dict(zip(members, mates))
+            size = len(clusters[i])
+            assert mates[size:] == [BOUNDARY] * (len(mates) - size)
+            lookup = dict(zip(members[:size], mates[:size]))
             assert all(v == BOUNDARY or lookup[v] == u for u, v in lookup.items())
             pairs = [(u, v) for u, v in lookup.items() if v == BOUNDARY or v > u]
             out[i] = (pairs, path)
     return out
 
 
+def _row_clusters(decoder, syndromes):
+    """Each row's clusters as tuples, from one ``_cluster_split``."""
+    ids, first, sizes, row = decoder._cluster_split(syndromes)
+    out = [[] for _ in range(syndromes.shape[0])]
+    for start, size, r in zip(first.tolist(), sizes.tolist(), row.tolist()):
+        out[r].append(tuple(ids[start:start + size].tolist()))
+    return out
+
+
 def _clusters(decoder, syndromes, min_defects=3):
     """Every distinct cluster of the rows with ``min_defects``+ defects."""
     rows = np.unique(syndromes, axis=0)
-    counts = rows.sum(axis=1)
-    out = set()
-    for k in np.unique(counts[counts >= min_defects]):
-        defs = np.nonzero(rows[counts == k])[1].reshape(-1, k)
-        for clusters in decoder._cluster_split_batch(defs):
-            out.update(clusters)
-    return sorted(out)
+    rows = rows[rows.sum(axis=1) >= min_defects]
+    return sorted({c for clusters in _row_clusters(decoder, rows) for c in clusters})
 
 
 def _check_clusters(decoder, syndromes, min_size=3):
@@ -98,7 +121,7 @@ def _rare_decoder(distance, p, shots, seed=1):
 
 def _solve_matrix(pair_cost, boundary_cost):
     """``(pairs, path)`` of one cost matrix, ``j = -1`` for the boundary."""
-    mate, paths = _match_batch(pair_cost[None], boundary_cost[None])
+    mate, paths = _match_batch(pair_cost[None], boundary_cost[None], np.array([boundary_cost.size]))
     return [(i, j) for i, j in enumerate(mate[0].tolist()) if j < 0 or j > i], paths[0]
 
 
@@ -157,11 +180,11 @@ def _fuzz_graphs(seed, graphs, clusters_per_graph, max_k):
 
 
 def _assert_batch_matches_alone(decoder, clusters):
-    """Size-batched solves give each cluster its solo matching, mask and path."""
+    """Size-class batches give each cluster its solo matching, mask and path."""
     batch = _match(decoder, clusters)
     assert batch == [_match(decoder, [cluster])[0] for cluster in clusters]
-    masks = decoder._solve_clusters(clusters)
-    alone = [decoder._solve_clusters([cluster])[cluster] for cluster in clusters]
+    masks = _solve(decoder, clusters)
+    alone = [_solve(decoder, [cluster])[cluster] for cluster in clusters]
     assert [masks[cluster] for cluster in clusters] == alone
     return Counter(path for _, path in batch)
 
@@ -261,6 +284,20 @@ class TestBatchMatchesAlone:
         assert any(n % 2 == 0 and n >= 4 for n in roots)
         assert paths["branched"] > 0
 
+    def test_padded_size_class_batch(self):
+        # Clusters of 5-8 defects share one padded batch of width 8.
+        rng = np.random.default_rng(23)
+        decoder = _random_graph_decoder(rng, 24)
+        clusters = sorted({
+            tuple(sorted(rng.choice(24, k, replace=False).tolist()))
+            for k in rng.integers(5, 9, size=60)
+        })
+        ids, first, sizes = _flat(clusters)
+        assert set(np.frexp(sizes - 1)[1].tolist()) == {3}
+        assert sizes.min() == 5 and sizes.max() == 8
+        paths = _assert_batch_matches_alone(decoder, clusters)
+        assert paths["relaxation"] > 0 and paths["branched"] > 0
+
     def test_zero_node_cap(self, monkeypatch):
         monkeypatch.setattr(mwpm, "_BRANCH_NODE_LIMIT", 0)
         decoder, syndromes = _rare_decoder(5, 1e-3, shots=128, seed=2)
@@ -294,17 +331,55 @@ class TestBatchMatchesAlone:
         clusters = _clusters(control, detectors[:, sequential._control_ids])
         paths = _assert_batch_matches_alone(control, clusters)
         assert sum(paths.values()) >= 50
-        masks = control._solve_clusters(clusters)
+        masks = _solve(control, clusters)
         assert any(mask >= 1 << 63 for mask in masks.values())
+
+
+class TestMemo:
+    def test_clusters_over_four_defects_are_never_stored(self):
+        decoder, syndromes = _rare_decoder(5, 1e-3, shots=192, seed=6)
+        clusters = _clusters(decoder, syndromes, min_defects=1)
+        big = [c for c in clusters if len(c) > mwpm._CACHE_MAX_DEFECTS]
+        assert decoder._memo.max_defects == mwpm._CACHE_MAX_DEFECTS == 4
+        # Rows of one large cluster each store nothing.
+        n = decoder.graph.num_detectors
+        rows = np.zeros((len(big), n), dtype=np.uint8)
+        for i, cluster in enumerate(big):
+            rows[i, list(cluster)] = 1
+        assert len(big) >= 10
+        decoder._decode_unique(rows)
+        assert decoder._memo.keys.size == 0
+        # Sampled rows store exactly their distinct small clusters.
+        decoder._decode_unique(np.unique(syndromes, axis=0))
+        assert decoder._memo.keys.size == len(clusters) - len(big)
+        assert np.all(np.diff(decoder._memo.keys) > 0)
+        assert 0 < decoder._memo.keys.max() < (n + 1) ** 4
+
+    @pytest.mark.parametrize("detectors,defects", [(1000, 4), (60_000, 3)])
+    def test_memo_keys_stay_exact_in_int64(self, detectors, defects):
+        memo = SortedMemo(detectors, mwpm._CACHE_MAX_DEFECTS, np.int64)
+        assert memo.max_defects == defects
+        top = np.arange(detectors - defects, detectors)
+        key = memo.keys_of(top, np.array([0]), np.array([defects]))[0]
+        exact = 0
+        for u in top.tolist():
+            exact = exact * (detectors + 1) + u + 1
+        assert key == exact < 2 ** 63
+        if detectors <= 1000:
+            graph = DecodingGraph(num_detectors=detectors, num_observables=1)
+            graph.add_mechanism((0, 1), 0.01, frozenset({0}))
+            graph.add_mechanism((0,), 0.01, frozenset())
+            assert MWPMDecoder(graph)._memo.max_defects == defects
 
 
 class TestClusterSplit:
     def _assert_split_matches_loop(self, decoder, syndromes):
-        counts = syndromes.sum(axis=1)
-        for k in np.unique(counts[counts > 0]):
-            defs = np.nonzero(syndromes[counts == k])[1].reshape(-1, k)
-            expected = [cluster_split(decoder, row) for row in defs.tolist()]
-            assert decoder._cluster_split_batch(defs) == expected
+        # Every batch also holds rows with no defect and with one defect.
+        extra = np.zeros((3, syndromes.shape[1]), dtype=np.uint8)
+        extra[1, 0] = extra[2, -1] = 1
+        syndromes = np.concatenate([extra[:2], syndromes, extra[::-1]])
+        expected = [cluster_split(decoder, np.flatnonzero(row).tolist()) for row in syndromes]
+        assert _row_clusters(decoder, syndromes) == expected
 
     def test_importance_sampled_rows(self):
         decoder, syndromes = _rare_decoder(7, 5e-4, shots=256, seed=5)

@@ -116,6 +116,20 @@ class TestTableau:
         for idx in np.flatnonzero(tab_counts):
             assert abs(tab_counts[idx] - sv_counts[idx]) / shots < 0.15
 
+    def test_copies_of_equally_seeded_simulators_measure_alike(self):
+        def copied_record(seed):
+            tab = TableauSimulator(8, rng=np.random.default_rng(seed))
+            for q in range(8):
+                tab.h(q)
+            tab.measure(0)
+            dup = tab.copy()
+            # Every remaining outcome is random: each qubit is in |+>.
+            return [dup.measure(q) for q in range(1, 8)], dup.record
+
+        first, second = copied_record(5), copied_record(5)
+        assert first == second
+        assert len({tuple(copied_record(s)[0]) for s in range(6)}) > 1
+
 
 class TestFrameSimulator:
     def test_no_noise_no_flips(self):

@@ -183,9 +183,9 @@ class TestMemo:
         graph = d5[0].graph
         cold = UnionFindDecoder(graph)
         first = cold._decode_unique(rows)
-        assert cold._memo_keys.size > 0
-        assert np.all(np.diff(cold._memo_keys) > 0)
-        assert cold._memo_vals.size == cold._memo_keys.size
+        assert cold._memo.keys.size > 0
+        assert np.all(np.diff(cold._memo.keys) > 0)
+        assert cold._memo.vals.size == cold._memo.keys.size
         warm = cold._decode_unique(rows[::-1])[::-1]
         monkeypatch.setattr(union_find, "_GROUP_MEMO_LIMIT", 8)
         tiny = UnionFindDecoder(graph)
@@ -193,7 +193,7 @@ class TestMemo:
         dropped = np.concatenate(
             [tiny._decode_unique(rows[i:i + 4]) for i in range(0, len(rows), 4)]
         )
-        assert tiny._memo_keys.size < cold._memo_keys.size
+        assert tiny._memo.keys.size < cold._memo.keys.size
         assert np.array_equal(first, warm)
         assert np.array_equal(first, dropped)
         _assert_oracle_agrees(cold, rows, first)
@@ -202,7 +202,7 @@ class TestMemo:
         graph = d5[0].graph
         n = graph.num_detectors
         decoder = UnionFindDecoder(graph)
-        assert decoder._memo_defects == union_find._MEMO_MAX_DEFECTS == 4
+        assert decoder._memo.max_defects == union_find._MEMO_MAX_DEFECTS == 4
         near = np.unpackbits(decoder._hop_bits()[0], axis=1, count=n).astype(bool)
         # Rows of one group each: a node and four or five of its
         # within-two-hop neighbours.
@@ -215,14 +215,14 @@ class TestMemo:
         labels = decoder._group_labels(*np.nonzero(rows))
         assert all(len(set(labels[np.nonzero(rows)[0] == i])) == 1 for i in range(len(big)))
         out = decoder._decode_unique(rows)
-        assert decoder._memo_keys.size == 0
+        assert decoder._memo.keys.size == 0
         assert np.array_equal(out, _whole_row(decoder, rows))
         # Sampled rows with groups of every size store only the small ones.
         noisy = _setup(5, 5, 0.01, 300, 3)[1]
         row_of, node = np.nonzero(noisy)
         assert np.bincount(decoder._group_labels(row_of, node)).max() > 4
         decoder._decode_unique(noisy)
-        assert 0 < decoder._memo_keys.max() < (n + 1) ** 4
+        assert 0 < decoder._memo.keys.max() < (n + 1) ** 4
 
     @pytest.mark.parametrize("detectors,defects", [(1000, 4), (60_000, 3)])
     def test_memo_keys_stay_exact_in_int64(self, detectors, defects):
@@ -230,7 +230,7 @@ class TestMemo:
         graph.add_mechanism((0, 1), 0.01, frozenset({0}))
         graph.add_mechanism((0,), 0.01, frozenset())
         decoder = UnionFindDecoder(graph)
-        assert decoder._memo_defects == defects
+        assert decoder._memo.max_defects == defects
         assert (detectors + 1) ** defects < 2 ** 63
 
 
