@@ -164,14 +164,16 @@ def _check_scenarios() -> Iterator[Diagnostic]:
 
 
 def _check_decoder_batch_invariance() -> Iterator[Diagnostic]:
-    """Every decoder's ``_decode_unique`` must be batch-order invariant.
+    """Every decoder's ``_decode_rows`` must be a per-row function.
 
-    The packed pipeline dedups, reorders, and re-batches syndrome rows
-    freely (and MWPM regroups them by defect count), so a
-    decoder whose per-row output depends on its batch-mates or their
-    order would silently break the engine's worker-count invariance.
-    Each decoder decodes the same unique rows as one batch, reversed,
-    and split in two; the per-row outputs must agree exactly.
+    The engine decodes whatever rows a shard draws, duplicates included,
+    and MWPM and union-find split every row into defect groups whose
+    values they memoize across calls, so a decoder whose per-row output
+    depends on its batch-mates, their order or an earlier call would
+    silently break the engine's worker-count invariance.  Each decoder
+    decodes the same unique rows (the all-zero row among them) as one
+    batch, reversed, split in two, and with every row repeated and
+    interleaved; the per-row outputs must agree exactly.
     """
     import numpy as np
 
@@ -183,8 +185,12 @@ def _check_decoder_batch_invariance() -> Iterator[Diagnostic]:
     detectors, _ = FrameSimulator(circuit).sample(
         96, rng=np.random.default_rng(20260808)
     )
-    unique = np.unique(np.asarray(detectors, dtype=np.uint8), axis=0)
+    detectors = np.asarray(detectors, dtype=np.uint8)
+    unique = np.unique(np.vstack([detectors, np.zeros_like(detectors[:1])]), axis=0)
     half = unique.shape[0] // 2
+    # Each row twice: forward order interleaved with reversed order.
+    twice = np.arange(unique.shape[0])
+    twice = np.stack([twice, twice[::-1]], axis=1).reshape(-1)
     for name in available_decoders():
         try:
             decoder = make_decoder(name, dem, detector_meta=meta, basis="Z")
@@ -193,30 +199,37 @@ def _check_decoder_batch_invariance() -> Iterator[Diagnostic]:
         if not isinstance(decoder, BatchDecoder):
             continue
         try:
-            full = np.asarray(decoder._decode_unique(unique.copy()))
-            rev = np.asarray(decoder._decode_unique(unique[::-1].copy()))
+            full = np.asarray(decoder._decode_rows(unique.copy()))
+            rev = np.asarray(decoder._decode_rows(unique[::-1].copy()))
             split = np.concatenate([
-                np.asarray(decoder._decode_unique(unique[:half].copy())),
-                np.asarray(decoder._decode_unique(unique[half:].copy())),
+                np.asarray(decoder._decode_rows(unique[:half].copy())),
+                np.asarray(decoder._decode_rows(unique[half:].copy())),
             ])
+            repeated = np.asarray(decoder._decode_rows(unique[twice]))
         except Exception as exc:
             yield Diagnostic(
                 "error", _PASS,
-                f"decoder {name!r} _decode_unique raised on a d=3 memory "
+                f"decoder {name!r} _decode_rows raised on a d=3 memory "
                 f"batch: {exc!r}",
             )
             continue
         if not np.array_equal(full, rev[::-1]):
             yield Diagnostic(
                 "error", _PASS,
-                f"decoder {name!r} _decode_unique is batch-order "
+                f"decoder {name!r} _decode_rows is batch-order "
                 f"dependent: reversing the rows changed per-row outputs",
             )
         if not np.array_equal(full, split):
             yield Diagnostic(
                 "error", _PASS,
-                f"decoder {name!r} _decode_unique is batch-composition "
+                f"decoder {name!r} _decode_rows is batch-composition "
                 f"dependent: splitting the batch changed per-row outputs",
+            )
+        if not np.array_equal(full[twice], repeated):
+            yield Diagnostic(
+                "error", _PASS,
+                f"decoder {name!r} _decode_rows gives duplicate rows "
+                f"different outputs: repeating every row changed them",
             )
 
 

@@ -6,12 +6,14 @@ Decoder stack
 Every decoder satisfies the :class:`~repro.decoder.base.Decoder` protocol
 (``decode`` one syndrome row, ``decode_batch`` many byte-per-bit rows,
 ``decode_packed`` many bit-packed rows, ``num_observables``) and inherits
-:class:`~repro.decoder.base.BatchDecoder`, which deduplicates syndromes
-once per batch -- bit-packed rows *are* the fixed-width dedup keys, so the
-packed sampling pipeline hands its output straight to the decoder with no
-pack/unpack round trip.  A decoder implements one hook,
-``_decode_unique`` (decode the unique rows as one batch); ``decode`` is
-that hook on a single row.  Implementations:
+:class:`~repro.decoder.base.BatchDecoder`, which takes byte-per-bit or
+bit-packed batches (the packed sampling pipeline hands its output
+straight to ``decode_packed``).  A decoder implements one hook,
+``_decode_rows`` (decode a batch of rows at once); ``decode`` is that
+hook on a single row.  MWPM and union-find share one defect-group
+pipeline: :func:`~repro.decoder.base.split_groups` splits rows by each
+decoder's pair predicate, and :meth:`~repro.decoder.base.SortedMemo.solve`
+solves each distinct group once.  Implementations:
 
 * :class:`MWPMDecoder` -- minimum-weight perfect matching ("mwpm"), with
   exact defect-cluster decomposition, a cross-shot memo of small

@@ -1,39 +1,36 @@
-"""Shared decoder interface and batched decoding with syndrome dedup.
+"""Shared decoder interface, batched decoding and the defect-group pipeline.
 
 All decoders in :mod:`repro.decoder` are pure functions of a single
-syndrome row, so batches can be decoded once per *unique* syndrome and the
-predictions scattered back to every duplicate shot.  In the low-``p``
-regimes the paper's Monte-Carlo runs live in (Fig. 6(a)), the all-zero
-syndrome alone covers the overwhelming majority of shots, so deduplication
-turns an O(shots) decode loop into an O(unique) one.
+syndrome row.  :class:`BatchDecoder` gives them one batch entry for the
+two layouts batches arrive in:
 
-:class:`BatchDecoder` hoists the previously-triplicated per-shot loops of
-the MWPM, union-find, and sequential decoders into one place.  Batches
-arrive in one of two layouts:
+* :meth:`~BatchDecoder.decode_batch` -- uint8 one-byte-per-bit rows;
+* :meth:`~BatchDecoder.decode_packed` -- rows bit-packed per shot, exactly
+  what :meth:`repro.sim.frame.FrameSimulator.sample_packed` emits.  They
+  are unpacked once and decoded like a byte-per-bit batch.
 
-* :meth:`~BatchDecoder.decode_batch` -- uint8 one-byte-per-bit rows; the
-  rows are bit-packed internally to build fixed-width dedup keys.
-* :meth:`~BatchDecoder.decode_packed` -- rows *already* bit-packed per
-  shot, exactly what :meth:`repro.sim.frame.FrameSimulator.sample_packed`
-  emits.  The packed rows are the dedup keys directly, so the packed
-  pipeline never materializes (or re-packs) a byte-per-bit syndrome table;
-  only the unique rows are unpacked for decoding.
+Subclasses implement one hook, :meth:`~BatchDecoder._decode_rows`, which
+decodes every row of a batch at once, and expose ``num_observables``.
+The one-shot ``decode`` is that hook on a batch of one row, so every
+entry point runs the same decode.
 
-Subclasses implement one hook, :meth:`~BatchDecoder._decode_unique`,
-which decodes the unique syndrome set as a batch (the MWPM decoder solves
-the union of its rows' clusters once this way), and expose
-``num_observables``.  The one-shot ``decode`` is that hook on a batch of
-one row, so every entry point runs the same decode.  The MWPM and
-union-find decoders memoize small defect groups in one
-:class:`SortedMemo` each.
+Rows are not deduplicated: in the paper's low-``p`` regimes (Fig. 6(a))
+whole syndromes rarely recur, but they combine a small recurring set of
+local defect groups.  The MWPM and union-find decoders share one
+pipeline for that.  :func:`split_groups` splits every row's defects into
+the components of the decoder's pair predicate, and
+:meth:`SortedMemo.solve` looks up or solves each distinct group once.
+A row's prediction is the XOR of its groups' values.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Protocol, runtime_checkable
+from typing import Callable, Protocol, Tuple, runtime_checkable
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from repro.decoder.graph import INT64_OBSERVABLES
 from repro.obs import metrics as _metrics
@@ -41,30 +38,20 @@ from repro.obs import metrics as _metrics
 # One observation per *batch* (not per shot), so the recording cost is
 # amortized over shard_shots decodes; `repro_decode_seconds` percentiles
 # are the measured latency input for ROADMAP item 2's ReactionTiming.
-# The shots/unique pair is the dedup ratio; batch-unique counts are
-# deterministic per (seed, shard_shots) and so extend the worker-count
-# invariance contract to telemetry.
 _DECODE_SECONDS = _metrics.histogram(
     "repro_decode_seconds",
-    "Batch decode latency (dedup + unique-row decode) by decoder class.",
+    "Batch decode latency by decoder class.",
     ("decoder",),
 )
 _DECODE_SHOTS = _metrics.counter(
     "repro_decode_shots_total",
-    "Shots decoded (before deduplication) by decoder class.",
+    "Shots decoded by decoder class.",
     ("decoder",),
 )
-_DECODE_UNIQUE = _metrics.counter(
-    "repro_decode_unique_total",
-    "Unique syndrome rows decoded by decoder class.",
-    ("decoder",),
-)
-_DECODE_BATCH_UNIQUE = _metrics.histogram(
-    "repro_decode_batch_unique",
-    "Unique syndrome rows per decode batch by decoder class.",
-    ("decoder",),
-    bounds=_metrics.COUNT_BUCKETS,
-)
+
+# Defect pairs tested per chunk of split_groups, bounding its live
+# pair arrays on dense rows.
+_SPLIT_PAIRS = 1 << 22
 
 
 @runtime_checkable
@@ -90,39 +77,32 @@ class Decoder(Protocol):
 
 
 class BatchDecoder:
-    """Base class providing batched decoding via syndrome deduplication.
+    """Base class providing the batch entry points.
 
-    Subclasses implement one hook, :meth:`_decode_unique` (decode a batch
-    of deduplicated syndrome rows), and expose ``num_observables`` (as an
-    attribute or property); batching, dedup, scatter-back and the
-    one-shot :meth:`decode` live here.
+    Subclasses implement one hook, :meth:`_decode_rows` (decode a batch
+    of syndrome rows), and expose ``num_observables`` (as an attribute
+    or property); both layouts, decode telemetry and the one-shot
+    :meth:`decode` live here.
     """
 
     num_observables: int
 
     def decode(self, syndrome: np.ndarray) -> np.ndarray:
         """Predict observable flips for one shot: a batch of one row."""
-        return self._decode_unique(np.asarray(syndrome, dtype=np.uint8)[None, :])[0]
+        return self._decode_rows(np.asarray(syndrome, dtype=np.uint8)[None, :])[0]
 
-    def _decode_unique(self, syndromes: np.ndarray) -> np.ndarray:
-        """Decode deduplicated ``(rows, num_detectors)`` uint8 syndromes."""
+    def _decode_rows(self, syndromes: np.ndarray) -> np.ndarray:
+        """Decode ``(rows, num_detectors)`` uint8 syndromes of 0s and 1s."""
         raise NotImplementedError
 
     def decode_batch(self, syndromes: np.ndarray) -> np.ndarray:
         """Decode many shots; returns (shots, num_observables) flips.
 
-        Each unique syndrome row is decoded once and its prediction
-        scattered back to every duplicate shot.
-
         Args:
-            syndromes: uint8 array of shape (shots, num_detectors).
+            syndromes: array of shape (shots, num_detectors); any non-zero
+                entry is a flipped detector.
         """
-        syndromes = np.asarray(syndromes, dtype=np.uint8)
-        if syndromes.shape[1] == 0:
-            packed = np.zeros((syndromes.shape[0], 0), dtype=np.uint8)
-        else:
-            packed = np.packbits(syndromes, axis=1)
-        return self.decode_packed(packed, syndromes.shape[1])
+        return self._decode_counted(np.not_equal(syndromes, 0).view(np.uint8))
 
     def decode_packed(
         self, packed: np.ndarray, num_detectors: int
@@ -134,33 +114,28 @@ class BatchDecoder:
                 each row is one shot's detector bits packed with
                 ``np.packbits`` (big bit order) -- the layout
                 :meth:`repro.sim.frame.FrameSimulator.sample_packed`
-                returns.  The rows double as the dedup keys, so no
-                pack/unpack round trip happens on the batch; only unique
-                rows are unpacked for the decoder.
+                returns.
             num_detectors: number of valid bits per row.
 
         Returns:
             uint8 array of shape (shots, num_observables).
         """
-        packed = np.ascontiguousarray(packed, dtype=np.uint8)
-        shots = packed.shape[0]
-        num_obs = self.num_observables
+        packed = np.asarray(packed, dtype=np.uint8)
+        return self._decode_counted(_unpack_rows(packed, num_detectors))
+
+    def _decode_counted(self, syndromes: np.ndarray) -> np.ndarray:
+        """:meth:`_decode_rows` with the batch's decode telemetry."""
+        shots = syndromes.shape[0]
         if shots == 0:
-            return np.zeros((0, num_obs), dtype=np.uint8)
+            return np.zeros((0, self.num_observables), dtype=np.uint8)
         start = time.perf_counter() if _metrics.enabled() else 0.0
-        first_index, inverse = _unique_packed_rows(packed)
-        unique_out = self._decode_unique(
-            _unpack_rows(packed[first_index], num_detectors)
-        )
-        out = unique_out[inverse]
+        out = self._decode_rows(syndromes)
         if _metrics.enabled():
             label = type(self).__name__
             _DECODE_SECONDS.labels(decoder=label).observe(
                 time.perf_counter() - start
             )
             _DECODE_SHOTS.labels(decoder=label).inc(shots)
-            _DECODE_UNIQUE.labels(decoder=label).inc(len(first_index))
-            _DECODE_BATCH_UNIQUE.labels(decoder=label).observe(len(first_index))
         return out
 
 
@@ -183,6 +158,62 @@ def _unmask_rows(masks, num_observables: int) -> np.ndarray:
         np.frombuffer(raw, dtype=np.uint8).reshape(masks.size, width),
         axis=1, count=num_observables, bitorder="little",
     )
+
+
+def split_groups(
+    syndromes: np.ndarray,
+    near: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    reach: int,
+) -> Tuple[np.ndarray, ...]:
+    """Every row's defect groups, the components of ``near`` over its
+    defects, as ``(ids, first, sizes, row)``: group ``i`` is
+    ``ids[first[i]:first[i] + sizes[i]]`` (ascending) of row ``row[i]``,
+    listed by row, then by lowest member.
+
+    ``near(u, v)`` tells, for detector id arrays with ``u < v``
+    elementwise, which pairs link; only same-row pairs at most ``reach``
+    ids apart are tested, in chunks of :data:`_SPLIT_PAIRS` pairs.
+    """
+    syndromes = np.ascontiguousarray(syndromes, dtype=np.uint8)
+    n = syndromes.shape[1]
+    # A bool view skips the uint8 compare of a plain flatnonzero.
+    flat = np.flatnonzero(syndromes.view(bool))
+    row_of, node = np.divmod(flat, max(n, 1))
+    count = flat.size
+    # Defect i pairs with the later defects of its row at most `reach`
+    # ids above it; the keys space rows further apart than that.
+    key = row_of * (n + reach + 1) + node
+    later = np.searchsorted(key, key + reach, side="right") - np.arange(count) - 1
+    owners = np.flatnonzero(later)
+    spans = later[owners]
+    chunk = np.cumsum(spans) // _SPLIT_PAIRS
+    links_i, links_j = [], []
+    for part in np.split(np.arange(owners.size), np.flatnonzero(np.diff(chunk)) + 1):
+        pi = np.repeat(owners[part], spans[part])
+        pj = _ragged_ranges(owners[part] + 1, spans[part], pi.size)
+        linked = near(node[pi], node[pj])
+        links_i.append(pi[linked])
+        links_j.append(pj[linked])
+    pi, pj = np.concatenate(links_i), np.concatenate(links_j)
+    links = sparse.coo_matrix(
+        (np.ones(pi.size, dtype=np.int8), (pi, pj)), shape=(count, count)
+    )
+    # Labels number components by their lowest defect, so a stable sort
+    # lists groups by row, then lowest member, each ascending.
+    label = csgraph.connected_components(links, directed=False)[1]
+    order = np.argsort(label, kind="stable")
+    first = np.flatnonzero(np.diff(label[order], prepend=-1))
+    sizes = np.diff(first, append=count)
+    return node[order], first, sizes, row_of[order[first]]
+
+
+def _padded(ids: np.ndarray, first: np.ndarray, sizes: np.ndarray, fill: int) -> np.ndarray:
+    """``(m, max(sizes))`` rows ``ids[first[i]:first[i] + sizes[i]]``, each
+    padded with ``fill``."""
+    width = int(sizes.max()) if sizes.size else 0
+    pos = first[:, None] + np.arange(width)
+    real = np.arange(width) < sizes[:, None]
+    return np.where(real, ids[np.minimum(pos, ids.size - 1)], fill)
 
 
 class SortedMemo:
@@ -230,13 +261,53 @@ class SortedMemo:
         self.keys = np.insert(self.keys, at, keys)
         self.vals = np.insert(self.vals, at, vals)
 
+    def solve(
+        self,
+        ids: np.ndarray,
+        first: np.ndarray,
+        sizes: np.ndarray,
+        solve: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+        limit: int,
+    ) -> np.ndarray:
+        """The value of every group ``ids[first[i]:first[i] + sizes[i]]``.
+
+        Groups of at most :attr:`max_defects` ids are looked up; larger
+        ones rarely recur, so they are deduplicated per call and never
+        stored.  Every distinct miss is solved once, in one
+        ``solve(ids, first, sizes)`` call, and the small ones are stored
+        under ``limit`` (see :meth:`store`).
+        """
+        small = sizes <= self.max_defects
+        # Sorted unique keys make the lookup one sequential search.
+        keys, rep, key_of = np.unique(
+            self.keys_of(ids, first[small], sizes[small]),
+            return_index=True, return_inverse=True,
+        )
+        hit, found = self.lookup(keys)
+        _, big_rep, big_of = np.unique(
+            _padded(ids, first[~small], sizes[~small], -1),
+            axis=0, return_index=True, return_inverse=True,
+        )
+        new = np.concatenate([np.flatnonzero(small)[rep[~hit]], np.flatnonzero(~small)[big_rep]])
+        solved = solve(ids, first[new], sizes[new])
+        missed = keys.size - np.count_nonzero(hit)
+        self.store(keys[~hit], solved[:missed], limit)
+        key_vals = np.empty(keys.size, dtype=solved.dtype)
+        key_vals[hit], key_vals[~hit] = found, solved[:missed]
+        vals = np.empty(first.size, dtype=solved.dtype)
+        vals[small], vals[~small] = key_vals[key_of], solved[missed:][big_of.reshape(-1)]
+        return vals
+
 
 def _ragged_ranges(starts: np.ndarray, counts: np.ndarray, total: int) -> np.ndarray:
     """Concatenate ``arange(s, s + c)`` for every (s, c) pair, vectorized.
 
-    ``counts`` must be strictly positive (filter zeros before calling).
+    ``counts`` must be strictly positive (filter zeros before calling);
+    no pairs give an empty array.
     """
     out = np.ones(total, dtype=np.int64)
+    if total == 0:
+        return out
     out[0] = starts[0]
     if starts.size > 1:
         idx = np.cumsum(counts)[:-1]
@@ -250,21 +321,3 @@ def _unpack_rows(packed: np.ndarray, num_detectors: int) -> np.ndarray:
     if num_detectors == 0:
         return np.zeros((packed.shape[0], 0), dtype=np.uint8)
     return np.unpackbits(packed, axis=1, count=num_detectors)
-
-
-def _unique_packed_rows(packed: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-    """(first_index, inverse) of the unique rows of a bit-packed matrix.
-
-    Rows are compared as fixed-width byte strings, which is substantially
-    faster than ``np.unique(..., axis=0)`` sorting full-width rows -- this
-    sits on the Monte-Carlo hot path.
-    """
-    if packed.shape[1] == 0:
-        # Zero-width rows (a circuit with no detectors) are all identical.
-        return (
-            np.zeros(1, dtype=np.intp),
-            np.zeros(packed.shape[0], dtype=np.intp),
-        )
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
-    _, first_index, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return first_index, np.asarray(inverse).reshape(-1)

@@ -9,11 +9,13 @@ throughput-oriented:
   ``"union_find"``, ``"sequential"``) through :func:`make_decoder`, so
   experiments and sweeps are parameterized by a string instead of being
   hard-wired to one class.
-* **Syndrome deduplication** -- every decoder inherits
-  :class:`~repro.decoder.base.BatchDecoder`, which decodes each *unique*
-  syndrome row once (rows bit-packed and deduplicated as fixed-width byte
-  keys) and scatters predictions back.  In low-``p`` regimes most shots
-  are duplicates or all-zero.
+* **Defect-group memo** -- every decoder inherits
+  :class:`~repro.decoder.base.BatchDecoder`, which unpacks a shard's
+  bit-packed rows once and decodes them as one batch.  Whole syndromes
+  rarely recur at the paper's distances, but their small defect groups
+  do: MWPM and union-find split every row into groups and look up or
+  solve each distinct group once (:func:`~repro.decoder.base.split_groups`,
+  :meth:`~repro.decoder.base.SortedMemo.solve`).
 * **One shard body over one shot source** -- each worker holds a
   ``draw(shots, rng) -> (det_keys, obs_keys, log_weights | None)``
   source: the circuit's compiled bit-packed sampler
@@ -95,7 +97,7 @@ _ENGINE_SAMPLE_SECONDS = _metrics.counter(
 )
 _ENGINE_DECODE_SECONDS = _metrics.counter(
     "repro_engine_decode_seconds_total",
-    "Wall-clock seconds spent deduplicating and decoding shards.",
+    "Wall-clock seconds spent decoding shards.",
 )
 _ENGINE_THROUGHPUT = _metrics.gauge(
     "repro_engine_last_shots_per_second",
@@ -350,7 +352,7 @@ def _worker_init(
     """Install the shot source, decoder, and failure criterion in ``state``.
 
     The shot source ``draw(shots, rng)`` returns ``(det_keys, obs_keys,
-    log_weights)`` in the packed dedup-key layout; ``log_weights`` is
+    log_weights)`` as bit-packed per-shot rows; ``log_weights`` is
     ``None`` for brute-force sampling (every shot has unit weight).  An
     importance-sampled engine never simulates the circuit, so its
     workers skip building a simulator.
@@ -456,7 +458,7 @@ class DecodingEngine:
         workers: number of ``multiprocessing`` workers; ``1`` runs inline.
         sampler: optional importance sampler (an object with
             ``sample_weighted(shots, rng) -> (det_keys, obs_keys,
-            log_weights)`` in the packed dedup-key layout, e.g.
+            log_weights)`` as bit-packed per-shot rows, e.g.
             :class:`repro.estimator.rare.ImportanceSampler`).  When given,
             shards draw from the sampler's reweighted proposal instead of
             simulating the circuit, and results carry likelihood-ratio
@@ -549,7 +551,7 @@ class DecodingEngine:
     # -- public API ---------------------------------------------------------
 
     def run(self, shots: int, seed: SeedLike = 0) -> EngineResult:
-        """Decode a fixed number of shots, sharded and deduplicated."""
+        """Decode a fixed number of shots, sharded."""
         if shots < 0:
             raise ValueError("shots must be >= 0")
         if shots == 0:
@@ -715,7 +717,7 @@ class DecodingEngine:
             (detectors, observables): uint8 arrays of shapes
             (shots, ceil(num_detectors/8)) and
             (shots, ceil(num_observables/8)), one bit-packed row per shot
-            (the dedup-key layout ``decode_packed`` consumes).
+            (the layout ``decode_packed`` consumes).
         """
         if self.sampler is not None:
             raise ValueError(

@@ -14,14 +14,14 @@ clusters under the relation ``d(u, v) < d(u, B) + d(v, B)`` (matching the
 pair directly is strictly cheaper than routing both to the boundary).  A
 minimum-weight matching never needs a pair that violates it -- replacing
 such a pair with two boundary matchings costs no more -- so clusters can
-be matched independently without changing the optimal weight.  One
-``connected_components`` call splits every row of a decode call.  Masks
-of clusters of up to :data:`_CACHE_MAX_DEFECTS` defects are memoized
-across calls in a :class:`~repro.decoder.base.SortedMemo`: in
-sub-threshold runs full syndromes are mostly unique, but they combine a
-*small* recurring set of local clusters.  Larger clusters are
-deduplicated per call and never stored.  A row's prediction is the XOR
-of its clusters' masks (int64, or Python ints on wide graphs).
+be matched independently without changing the optimal weight.  The
+shared group pipeline of :mod:`repro.decoder.base` splits every row of
+a decode call (:func:`~repro.decoder.base.split_groups`) and looks up or
+solves each distinct cluster once
+(:meth:`~repro.decoder.base.SortedMemo.solve`, memoizing clusters of up
+to :data:`_CACHE_MAX_DEFECTS` defects across calls).  A row's prediction
+is the XOR of its clusters' masks (int64, or Python ints on wide
+graphs).
 
 Matching strategy: every cluster of ``k`` defects is solved exactly by
 the assignment (bipartite double-cover) relaxation of matching.  The
@@ -70,7 +70,7 @@ from scipy import sparse
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csgraph
 
-from repro.decoder.base import BatchDecoder, SortedMemo, _ragged_ranges, _unmask_rows
+from repro.decoder.base import BatchDecoder, SortedMemo, _padded, _unmask_rows, split_groups
 from repro.decoder.graph import BOUNDARY, DecodingGraph, EdgeTable
 from repro.obs import metrics as _metrics
 
@@ -269,15 +269,6 @@ def _round_cycles(
     return float(weight), pairs
 
 
-def _padded(ids: np.ndarray, first: np.ndarray, sizes: np.ndarray, fill: int) -> np.ndarray:
-    """``(m, max(sizes))`` rows ``ids[first[i]:first[i] + sizes[i]]``, each
-    padded with ``fill``."""
-    width = int(sizes.max()) if sizes.size else 0
-    pos = first[:, None] + np.arange(width)
-    real = np.arange(width) < sizes[:, None]
-    return np.where(real, ids[np.minimum(pos, ids.size - 1)], fill)
-
-
 def _path_tables(table: EdgeTable) -> Tuple[np.ndarray, np.ndarray]:
     """All-pairs shortest-path distances and path observable masks.
 
@@ -326,65 +317,30 @@ class MWPMDecoder(BatchDecoder):
     def num_observables(self) -> int:
         return self.graph.num_observables
 
-    def _cluster_split(self, syndromes: np.ndarray) -> Tuple[np.ndarray, ...]:
-        """Every row's clusters: the components of ``d(u, v) < d(u, B) +
-        d(v, B)`` over its defects, as ``(ids, first, sizes, row)``.
-        Cluster ``i`` is ``ids[first[i]:first[i] + sizes[i]]`` (ascending)
-        of row ``row[i]``, listed by row, then by lowest member."""
-        flat = np.flatnonzero(np.ascontiguousarray(syndromes, dtype=np.uint8))
-        row_of, node = np.divmod(flat, max(syndromes.shape[1], 1))
-        # Every defect pairs with the later defects of its row.
-        count = flat.size
-        later = np.searchsorted(row_of, row_of, side="right") - np.arange(count) - 1
-        owners = np.flatnonzero(later)
-        pi = np.repeat(owners, later[owners])
-        pj = _ragged_ranges(owners + 1, later[owners], pi.size) if pi.size else pi
-        u, v = node[pi], node[pj]
-        # Read d(u, v) for u < v only: shortest pair paths may route
-        # *through* the boundary node, where d(u, v) equals
-        # d(u, B) + d(v, B) up to float associativity and the strict
-        # comparison can come out asymmetric.
+    def _split(self, syndromes: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Every row's clusters, the components of ``d(u, v) < d(u, B) +
+        d(v, B)``, as :func:`~repro.decoder.base.split_groups` lists them."""
         dist = self._dist
-        near = np.flatnonzero(dist[u, v] < dist[u, BOUNDARY] + dist[v, BOUNDARY])
-        # pi ascends, so the linked pairs are already in CSR row order.
-        indptr = np.searchsorted(pi[near], np.arange(count + 1))
-        links = sparse.csr_matrix((np.ones(near.size), pj[near], indptr), shape=(count, count))
-        # Labels number components by their lowest defect, so a stable
-        # sort lists clusters by row, then lowest member, each ascending.
-        label = csgraph.connected_components(links, directed=False)[1]
-        order = np.argsort(label, kind="stable")
-        first = np.flatnonzero(np.diff(label[order], prepend=-1))
-        sizes = np.diff(first, append=count)
-        return node[order], first, sizes, row_of[order[first]]
+
+        def near(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+            # Read d(u, v) for u < v only: shortest pair paths may route
+            # *through* the boundary node, where d(u, v) equals
+            # d(u, B) + d(v, B) up to float associativity and the strict
+            # comparison can come out asymmetric.
+            return dist[u, v] < dist[u, BOUNDARY] + dist[v, BOUNDARY]
+
+        return split_groups(syndromes, near, self.graph.num_detectors)
 
     # -- batched decoding ---------------------------------------------------
 
-    def _decode_unique(self, syndromes: np.ndarray) -> np.ndarray:
-        """Decode unique rows: split, look up or solve every distinct
-        cluster once, XOR each row's cluster masks.  A cluster's mask is a
-        pure function of the graph and the cluster, so the output does not
-        depend on how rows are batched."""
-        ids, first, sizes, row = self._cluster_split(syndromes)
-        memo = self._memo
-        small = sizes <= memo.max_defects
-        keys, rep, key_of = np.unique(
-            memo.keys_of(ids, first[small], sizes[small]), return_index=True, return_inverse=True
-        )
-        hit, found = memo.lookup(keys)
-        # Larger clusters rarely recur: deduplicated per call, never stored.
-        _, big_rep, big_of = np.unique(
-            _padded(ids, first[~small], sizes[~small], -1),
-            axis=0, return_index=True, return_inverse=True,
-        )
-        new = np.concatenate([np.flatnonzero(small)[rep[~hit]], np.flatnonzero(~small)[big_rep]])
-        solved = self._solve_clusters(ids, first[new], sizes[new])
-        missed = keys.size - np.count_nonzero(hit)
-        memo.store(keys[~hit], solved[:missed], _CLUSTER_CACHE_LIMIT)
-        vals = np.empty(first.size, dtype=solved.dtype)
-        key_vals = np.empty(keys.size, dtype=solved.dtype)
-        key_vals[hit], key_vals[~hit] = found, solved[:missed]
-        vals[small], vals[~small] = key_vals[key_of], solved[missed:][big_of.reshape(-1)]
-        masks = np.zeros(syndromes.shape[0], dtype=solved.dtype)
+    def _decode_rows(self, syndromes: np.ndarray) -> np.ndarray:
+        """Split, look up or solve every distinct cluster once, XOR each
+        row's cluster masks.  A cluster's mask is a pure function of the
+        graph and the cluster, so the output does not depend on how rows
+        are batched."""
+        ids, first, sizes, row = self._split(syndromes)
+        vals = self._memo.solve(ids, first, sizes, self._solve_clusters, _CLUSTER_CACHE_LIMIT)
+        masks = np.zeros(syndromes.shape[0], dtype=vals.dtype)
         np.bitwise_xor.at(masks, row, vals)
         return _unmask_rows(masks, self.graph.num_observables)
 

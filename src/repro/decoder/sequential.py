@@ -12,8 +12,8 @@ code distance while accounting for cross-patch correlations.
 
 Implementation note: remote detector flips are encoded as pseudo-observables
 of the control-patch graph, reusing :class:`~repro.decoder.mwpm.MWPMDecoder`
-unchanged.  Each pass decodes the whole batch of unique rows at once
-through MWPM's batch path, which equals its per-row ``decode`` row for row.
+unchanged.  Each pass decodes the whole batch of rows at once through
+MWPM's batch path, which equals its per-row ``decode`` row for row.
 """
 
 from __future__ import annotations
@@ -130,17 +130,17 @@ class SequentialCNOTDecoder(BatchDecoder):
 
     # -- decoding ---------------------------------------------------------------
 
-    def _decode_unique(self, syndromes: np.ndarray) -> np.ndarray:
+    def _decode_rows(self, syndromes: np.ndarray) -> np.ndarray:
         """Both passes over the whole batch, one MWPM batch decode each.
 
-        The passes skip ``decode_batch``: the rows are already unique, and
-        the decode telemetry counts this decoder's shots once.
+        The passes call the MWPM hook, not ``decode_batch``, so the decode
+        telemetry counts this decoder's shots once.
         """
-        first = self._control_decoder._decode_unique(
+        first = self._control_decoder._decode_rows(
             syndromes[:, self._control_ids]
         )
         remote = first[:, self.num_observables :]
-        second = self._target_decoder._decode_unique(
+        second = self._target_decoder._decode_rows(
             syndromes[:, self._target_ids] ^ remote
         )
         return first[:, : self.num_observables] ^ second

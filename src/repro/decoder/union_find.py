@@ -21,9 +21,9 @@ row has one answer, whatever else is in its batch.
 
 Two layers compute it:
 
-* The **group path** splits each unique row's defects into
-  *groups*, the connected components of "within two hops" on the
-  decoding graph with the boundary node removed.  It is **local** when
+* The **group path** splits each row's defects into *groups*, the
+  connected components of "within two hops" on the decoding graph with
+  the boundary node removed.  It is **local** when
   every touch came from one of its own defects, so nothing beyond one
   hop was touched (boundary excluded); the arena stops a group as soon
   as it is not.  A row whose groups are all local is the XOR of their
@@ -50,7 +50,9 @@ Two layers compute it:
   :data:`_MEMO_MAX_DEFECTS` defects are memoized in a
   :class:`~repro.decoder.base.SortedMemo` (two sorted int64 arrays),
   keyed by a polynomial over their shifted ids; larger groups rarely
-  recur and go straight to the arena as pseudo-rows.
+  recur and are only deduplicated per call.  The split and the memo are
+  the shared group pipeline of :mod:`repro.decoder.base`; every
+  distinct miss runs in the arena as a pseudo-row.
 * The **batched arena** decodes every other row whole.  Support is a
   flat ``(row, edge)`` touch counter updated with sorted-key scatters
   over the graph's :class:`~repro.decoder.graph.EdgeTable` CSR
@@ -74,9 +76,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import csgraph
 
-from repro.decoder.base import BatchDecoder, SortedMemo, _ragged_ranges, _unmask_rows
+from repro.decoder.base import BatchDecoder, SortedMemo, _ragged_ranges, _unmask_rows, split_groups
 from repro.decoder.graph import INT64_OBSERVABLES, DecodingGraph, EdgeTable
 from repro.obs import metrics as _metrics
 
@@ -90,7 +91,7 @@ _ZERO_WEIGHT = 1e-5
 _MAX_ROUNDS = 10_000
 
 # Upper bound on rows x max(nodes, edges) elements held live per arena
-# chunk (its dense per-row tables), and on 4x the pairs grouping tests.
+# chunk (its dense per-row tables).
 _ARENA_CHUNK_ELEMS = 1 << 24
 
 # Defects within this many hops (boundary excluded) share a group; the
@@ -113,7 +114,7 @@ _NOT_LOCAL = -1
 # the row, so uncached counts are deterministic per (seed, shard_shots).
 _UF_ROWS = _metrics.counter(
     "repro_uf_rows_total",
-    "Union-find unique rows by decode path (groups, row).",
+    "Union-find rows by decode path (groups, row).",
     ("path",),
 )
 
@@ -204,8 +205,8 @@ class UnionFindDecoder(BatchDecoder):
     def num_observables(self) -> int:
         return self.graph.num_observables
 
-    def _decode_unique(self, syndromes: np.ndarray) -> np.ndarray:
-        """Decode deduplicated rows: local groups first, whole rows after."""
+    def _decode_rows(self, syndromes: np.ndarray) -> np.ndarray:
+        """Decode rows: local groups first, whole rows after."""
         syndromes = np.ascontiguousarray(syndromes, dtype=np.uint8)
         masks, local = self._decode_groups(syndromes)
         rest = np.flatnonzero(~local)
@@ -257,86 +258,46 @@ class UnionFindDecoder(BatchDecoder):
             self._hop_cache = (bits, int(np.abs(reach.row - reach.col).max()))
         return self._hop_cache
 
-    def _group_labels(self, row_of: np.ndarray, node: np.ndarray) -> np.ndarray:
-        """Group label of every defect (row-major, ascending nodes per row):
-        components of the same-row defect pairs the hop table links."""
-        count = node.size
+    def _split(self, syndromes: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Every row's groups, the components of "within
+        :data:`_GROUP_HOPS` hops", as
+        :func:`~repro.decoder.base.split_groups` lists them."""
         hops, reach = self._hop_bits()
-        # Defect i pairs with the later defects of its row at most `reach`
-        # ids above it; the keys space rows further apart than that.
-        key = row_of * (hops.shape[0] + reach + 1) + node
-        later = np.searchsorted(key, key + reach, side="right") - np.arange(count) - 1
-        owners = np.flatnonzero(later)
-        if owners.size == 0:
-            return np.arange(count)
-        spans = later[owners]
-        chunk = np.cumsum(spans) // (_ARENA_CHUNK_ELEMS >> 2)
-        links_i, links_j = [], []
-        for part in np.split(np.arange(owners.size), np.flatnonzero(np.diff(chunk)) + 1):
-            pi = np.repeat(owners[part], spans[part])
-            pj = _ragged_ranges(owners[part] + 1, spans[part], pi.size)
-            u, v = node[pi], node[pj]
-            near = ((hops[u, v >> 3] >> (7 - (v & 7))) & 1).astype(bool)
-            links_i.append(pi[near])
-            links_j.append(pj[near])
-        pi, pj = np.concatenate(links_i), np.concatenate(links_j)
-        links = sparse.coo_matrix(
-            (np.ones(pi.size, dtype=np.int8), (pi, pj)), shape=(count, count)
-        )
-        return csgraph.connected_components(links, directed=False)[1]
+
+        def near(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+            return ((hops[u, v >> 3] >> (7 - (v & 7))) & 1).astype(bool)
+
+        return split_groups(syndromes, near, reach)
 
     def _decode_groups(
         self, syndromes: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Group-path masks, and which rows have only local groups (the
         masks of other rows are partial; the caller decodes them whole)."""
-        rows, n = syndromes.shape
-        masks = np.zeros(rows, dtype=np.int64)
-        local = np.ones(rows, dtype=bool)
-        flat = np.flatnonzero(syndromes.view(bool))
-        if flat.size == 0:
-            return masks, local
-        row_of = flat // n
-        node = flat - row_of * n
-        label = self._group_labels(row_of, node)
-        # A stable sort keeps each group's defects in ascending node order.
-        order = np.argsort(label, kind="stable")
-        first = np.flatnonzero(np.diff(label[order], prepend=-1))
-        sizes = np.diff(first, append=flat.size)
-        group_row = row_of[order[first]]
-        ids = node[order]
+        ids, first, sizes, row = self._split(syndromes)
         # Shift every group down by all the whole shifts its defects allow.
         ids -= np.repeat(
             np.minimum.reduceat(self._down[ids], first) * self._period, sizes
         )
-        memo = self._memo
-        small = np.flatnonzero(sizes <= memo.max_defects)
-        # Sorted unique keys make the memo lookup one sequential search.
-        keys, rep, key_of = np.unique(
-            memo.keys_of(ids, first[small], sizes[small]),
-            return_index=True, return_inverse=True,
-        )
-        hit, found = memo.lookup(keys)
-        key_vals = np.empty(keys.size, dtype=np.int64)
-        key_vals[hit] = found
-        large = np.flatnonzero(sizes > memo.max_defects)
-        new = np.concatenate([small[rep[~hit]], large])
-        vals = np.empty(first.size, dtype=np.int64)
-        if new.size:
-            pseudo = np.zeros((new.size, n), dtype=np.uint8)
-            members = _ragged_ranges(first[new], sizes[new], int(sizes[new].sum()))
-            pseudo[np.repeat(np.arange(new.size), sizes[new]), ids[members]] = 1
-            new_masks, far = self._arena_rows(pseudo, local=True)
-            new_vals = np.where(far, _NOT_LOCAL, new_masks)
-            missed = new.size - large.size
-            key_vals[~hit] = new_vals[:missed]
-            vals[large] = new_vals[missed:]
-            memo.store(keys[~hit], new_vals[:missed], _GROUP_MEMO_LIMIT)
-        vals[small] = key_vals[key_of]
+        vals = self._memo.solve(ids, first, sizes, self._solve_groups, _GROUP_MEMO_LIMIT)
         bad = vals == _NOT_LOCAL
-        local[group_row[bad]] = False
-        np.bitwise_xor.at(masks, group_row[~bad], vals[~bad])
+        local = np.ones(syndromes.shape[0], dtype=bool)
+        local[row[bad]] = False
+        masks = np.zeros(syndromes.shape[0], dtype=np.int64)
+        np.bitwise_xor.at(masks, row[~bad], vals[~bad])
         return masks, local
+
+    def _solve_groups(
+        self, ids: np.ndarray, first: np.ndarray, sizes: np.ndarray
+    ) -> np.ndarray:
+        """Local-arena masks of the groups ``ids[first[i]:first[i] +
+        sizes[i]]``, run as pseudo-rows; :data:`_NOT_LOCAL` for a group
+        that is not local."""
+        pseudo = np.zeros((first.size, self.graph.num_detectors), dtype=np.uint8)
+        members = _ragged_ranges(first, sizes, int(sizes.sum()))
+        pseudo[np.repeat(np.arange(first.size), sizes), ids[members]] = 1
+        masks, far = self._arena_rows(pseudo, local=True)
+        return np.where(far, _NOT_LOCAL, masks)
 
     def _arena(
         self, syndromes: np.ndarray, *, local: bool = False

@@ -49,7 +49,7 @@ and the inflation should come down.
 
 The sampler plugs into :class:`repro.decoder.engine.DecodingEngine` as
 its ``sampler`` argument (see :func:`rare_engine`): shards draw symptoms
-in the packed dedup-key layout, the decoder decodes them against the
+as bit-packed per-shot rows, the decoder decodes them against the
 *original* DEM, and the per-shot weights ride home with each shard's
 sufficient statistics, preserving worker-count invariance.
 """
@@ -89,7 +89,7 @@ _RARE_FIRINGS = _metrics.counter(
 
 
 class ImportanceSampler:
-    """Draws weighted DEM shots in the engine's packed dedup-key layout.
+    """Draws weighted DEM shots in the engine's bit-packed per-shot layout.
 
     Args:
         original: the circuit's DEM; weights (and the decoder) refer to

@@ -60,7 +60,7 @@ LATENCY_BUCKETS: Tuple[float, ...] = (
 )
 
 # Count buckets (powers of two): for size-like observations such as
-# unique syndromes per decode batch.
+# rows per batch.
 COUNT_BUCKETS: Tuple[float, ...] = tuple(float(2 ** k) for k in range(17))
 
 _TYPES = ("counter", "gauge", "histogram")

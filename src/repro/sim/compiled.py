@@ -539,8 +539,8 @@ def transpose_packed(planes: np.ndarray, count: int) -> np.ndarray:
 
     Returns:
         ``(count, ceil(rows/8))`` uint8 array: item ``i``'s row holds the
-        original column ``i`` bit-packed -- e.g. shot-major detector keys
-        ready for dedup, from detector-major sample bitplanes.
+        original column ``i`` bit-packed -- e.g. shot-major detector rows
+        for ``decode_packed``, from detector-major sample bitplanes.
     """
     rows, width = planes.shape
     if rows == 0:

@@ -117,7 +117,7 @@ class FrameSimulator:
             ``(shots, ceil(num_detectors/8))`` and
             ``(shots, ceil(num_observables/8))``; each row is the shot's
             detector/observable bits packed with ``np.packbits`` big-endian
-            bit order -- exactly the dedup key format
+            bit order -- exactly the layout
             :meth:`repro.decoder.base.BatchDecoder.decode_packed` consumes.
         """
         program = self.compiled

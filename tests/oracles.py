@@ -549,7 +549,7 @@ class WholeSyndromeMWPM(MWPMDecoder):
             mask ^= int(self._obs[u, v])
         return _unmask_rows([mask], self.num_observables)[0]
 
-    def _decode_unique(self, syndromes):
+    def _decode_rows(self, syndromes):
         out = np.zeros((syndromes.shape[0], self.num_observables), dtype=np.uint8)
         for i, row in enumerate(syndromes):
             mask = two_defect_mask(self, np.flatnonzero(row).tolist())
@@ -623,7 +623,7 @@ class ReferenceUnionFind(BatchDecoder):
     def decode(self, syndrome):
         return self.trace(syndrome)[0]
 
-    def _decode_unique(self, syndromes):
+    def _decode_rows(self, syndromes):
         return per_shot_decode(self, syndromes)
 
     def order_sensitive(self, syndromes):

@@ -85,8 +85,8 @@ def _match(decoder, clusters):
 
 
 def _row_clusters(decoder, syndromes):
-    """Each row's clusters as tuples, from one ``_cluster_split``."""
-    ids, first, sizes, row = decoder._cluster_split(syndromes)
+    """Each row's clusters as tuples, from one ``_split``."""
+    ids, first, sizes, row = decoder._split(syndromes)
     out = [[] for _ in range(syndromes.shape[0])]
     for start, size, r in zip(first.tolist(), sizes.tolist(), row.tolist()):
         out[r].append(tuple(ids[start:start + size].tolist()))
@@ -347,10 +347,10 @@ class TestMemo:
         for i, cluster in enumerate(big):
             rows[i, list(cluster)] = 1
         assert len(big) >= 10
-        decoder._decode_unique(rows)
+        decoder._decode_rows(rows)
         assert decoder._memo.keys.size == 0
         # Sampled rows store exactly their distinct small clusters.
-        decoder._decode_unique(np.unique(syndromes, axis=0))
+        decoder._decode_rows(np.unique(syndromes, axis=0))
         assert decoder._memo.keys.size == len(clusters) - len(big)
         assert np.all(np.diff(decoder._memo.keys) > 0)
         assert 0 < decoder._memo.keys.max() < (n + 1) ** 4

@@ -314,8 +314,6 @@ DETERMINISTIC_FAMILIES = (
     "repro_engine_failures_total",
     "repro_engine_shards_total",
     "repro_decode_shots_total",
-    "repro_decode_unique_total",
-    "repro_decode_batch_unique",
 )
 
 

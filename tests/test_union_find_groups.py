@@ -1,6 +1,6 @@
 """Tests for the union-find group path.
 
-Union-find decodes each unique row's defect groups (components of
+Union-find decodes each row's defect groups (components of
 "within two hops", boundary removed) once, memoized, and falls back to
 the whole-row arena for any row with a group that is not local.  These
 tests check that the group path equals the whole-row arena on every
@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from oracles import ReferenceUnionFind
 
-from repro.decoder import union_find
+from repro.decoder import base, union_find
 from repro.decoder.base import _unmask_rows
 from repro.decoder.engine import DecodingEngine
 from repro.decoder.graph import DecodingGraph
@@ -99,11 +99,13 @@ def _hop_distances(graph):
     return dist
 
 
-def _partition(labels, nodes):
-    groups = {}
-    for label, node in zip(labels, nodes):
-        groups.setdefault(int(label), set()).add(int(node))
-    return sorted(sorted(g) for g in groups.values())
+def _groups(decoder, rows):
+    """Each row's groups from one ``_split``, as sorted lists of ids."""
+    ids, first, sizes, row = decoder._split(rows)
+    out = [[] for _ in range(rows.shape[0])]
+    for start, size, r in zip(first.tolist(), sizes.tolist(), row.tolist()):
+        out[r].append(ids[start:start + size].tolist())
+    return [sorted(groups) for groups in out]
 
 
 class TestGroupPathEqualsReference:
@@ -113,7 +115,7 @@ class TestGroupPathEqualsReference:
         local = _local(decoder, rows)
         # The group path must carry most rows, or this tests nothing.
         assert local.mean() > 0.9
-        out = decoder._decode_unique(rows)
+        out = decoder._decode_rows(rows)
         assert np.array_equal(out, _whole_row(decoder, rows))
         _assert_oracle_agrees(decoder, rows, out)
 
@@ -121,7 +123,7 @@ class TestGroupPathEqualsReference:
     def test_d11_low_p_rows(self):
         decoder, rows = _setup(11, 12, 5e-4, 4096, 13)
         assert _local(decoder, rows).mean() > 0.99
-        out = decoder._decode_unique(rows)
+        out = decoder._decode_rows(rows)
         assert np.array_equal(out, _whole_row(decoder, rows))
         _assert_oracle_agrees(decoder, rows, out)
 
@@ -135,7 +137,7 @@ class TestForcedFallbacks:
         # A lone defect away from the boundary grows past one hop.
         assert not local.all()
         rows = singles[~local]
-        out = decoder._decode_unique(rows)
+        out = decoder._decode_rows(rows)
         assert np.array_equal(out, _whole_row(decoder, rows))
         _assert_oracle_agrees(decoder, rows, out)
 
@@ -149,7 +151,7 @@ class TestForcedFallbacks:
         rows = pairs[ReferenceUnionFind(decoder.graph).order_sensitive(pairs)]
         assert rows.shape[0] > 0
         assert _local(decoder, rows).all()
-        assert np.array_equal(decoder._decode_unique(rows), _whole_row(decoder, rows))
+        assert np.array_equal(decoder._decode_rows(rows), _whole_row(decoder, rows))
 
     def test_groups_sharing_the_boundary(self):
         # Two local groups whose clusters reach the boundary.  Had the
@@ -162,7 +164,7 @@ class TestForcedFallbacks:
             (10, 18, 20, 23, 33, 80, 87, 92, 103, 111, 112, 116, 119),
         ])
         assert _local(decoder, rows).all()
-        assert np.array_equal(decoder._decode_unique(rows), _whole_row(decoder, rows))
+        assert np.array_equal(decoder._decode_rows(rows), _whole_row(decoder, rows))
 
     @pytest.mark.parametrize("setup", ["d3", "d5"])
     def test_groups_three_hops_apart(self, setup, request):
@@ -171,7 +173,7 @@ class TestForcedFallbacks:
         rows = _rows(decoder.graph.num_detectors, list(zip(*np.nonzero(np.triu(dist == 3)))))
         local = _local(decoder, rows)
         assert local.any()
-        out = decoder._decode_unique(rows)
+        out = decoder._decode_rows(rows)
         assert np.array_equal(out, _whole_row(decoder, rows))
         served = rows[local][:60]
         _assert_oracle_agrees(decoder, served, out[local][:60])
@@ -182,16 +184,16 @@ class TestMemo:
         _, rows = d5
         graph = d5[0].graph
         cold = UnionFindDecoder(graph)
-        first = cold._decode_unique(rows)
+        first = cold._decode_rows(rows)
         assert cold._memo.keys.size > 0
         assert np.all(np.diff(cold._memo.keys) > 0)
         assert cold._memo.vals.size == cold._memo.keys.size
-        warm = cold._decode_unique(rows[::-1])[::-1]
+        warm = cold._decode_rows(rows[::-1])[::-1]
         monkeypatch.setattr(union_find, "_GROUP_MEMO_LIMIT", 8)
         tiny = UnionFindDecoder(graph)
         # Small batches, so the memo is dropped between them.
         dropped = np.concatenate(
-            [tiny._decode_unique(rows[i:i + 4]) for i in range(0, len(rows), 4)]
+            [tiny._decode_rows(rows[i:i + 4]) for i in range(0, len(rows), 4)]
         )
         assert tiny._memo.keys.size < cold._memo.keys.size
         assert np.array_equal(first, warm)
@@ -212,16 +214,14 @@ class TestMemo:
             if np.count_nonzero(near[u] & (np.arange(n) > u)) >= extra
         ]
         rows = _rows(n, big)
-        labels = decoder._group_labels(*np.nonzero(rows))
-        assert all(len(set(labels[np.nonzero(rows)[0] == i])) == 1 for i in range(len(big)))
-        out = decoder._decode_unique(rows)
+        assert all(len(groups) == 1 for groups in _groups(decoder, rows))
+        out = decoder._decode_rows(rows)
         assert decoder._memo.keys.size == 0
         assert np.array_equal(out, _whole_row(decoder, rows))
         # Sampled rows with groups of every size store only the small ones.
         noisy = _setup(5, 5, 0.01, 300, 3)[1]
-        row_of, node = np.nonzero(noisy)
-        assert np.bincount(decoder._group_labels(row_of, node)).max() > 4
-        decoder._decode_unique(noisy)
+        assert decoder._split(noisy)[2].max() > 4
+        decoder._decode_rows(noisy)
         assert 0 < decoder._memo.keys.max() < (n + 1) ** 4
 
     @pytest.mark.parametrize("detectors,defects", [(1000, 4), (60_000, 3)])
@@ -319,7 +319,7 @@ def _probe_rows(decoder, extra=()):
 
 def _assert_group_path_exact(decoder, rows):
     """The group path (with shifts and memo) equals the whole-row arena."""
-    assert np.array_equal(decoder._decode_unique(rows), _whole_row(decoder, rows))
+    assert np.array_equal(decoder._decode_rows(rows), _whole_row(decoder, rows))
 
 
 class TestShift:
@@ -338,17 +338,13 @@ class TestShift:
         local-arena outcome as each of its shifted copies (with
         ``masked``, some of them local with a non-trivial mask)."""
         period, down = decoder._period, decoder._down
-        row_of, node = np.nonzero(rows)
-        labels = decoder._group_labels(row_of, node)
-        groups = {}
-        for label, u in zip(labels, node):
-            groups.setdefault(label, []).append(u)
+        ids, first, sizes, _ = decoder._split(rows)
         bases, copies = [], []
-        for ids in groups.values():
-            ids = np.array(ids)
-            for k in range(1, int(down[ids].min()) + 1):
-                bases.append(ids)
-                copies.append(ids - k * period)
+        for start, size in zip(first.tolist(), sizes.tolist()):
+            group = ids[start:start + size]
+            for k in range(1, int(down[group].min()) + 1):
+                bases.append(group)
+                copies.append(group - k * period)
         assert bases, "no shiftable group"
         n = rows.shape[1]
         got = decoder._arena_rows(_rows(n, bases), local=True)
@@ -494,7 +490,6 @@ class TestGroups:
         for _ in range(40):
             count = int(rng.integers(2, 9))
             nodes = np.sort(rng.choice(n, size=count, replace=False))
-            labels = decoder._group_labels(np.zeros(count, dtype=np.int64), nodes)
             # Reference components of "within two hops" by flood fill.
             expected = []
             left = set(int(u) for u in nodes)
@@ -509,7 +504,7 @@ class TestGroups:
                             group.add(v)
                             stack.append(v)
                 expected.append(sorted(group))
-            assert _partition(labels, nodes) == sorted(expected)
+            assert _groups(decoder, _rows(n, [nodes]))[0] == sorted(expected)
 
     def test_boundary_paths_do_not_join_groups(self, d5):
         decoder, _ = d5
@@ -523,15 +518,15 @@ class TestGroups:
         u, v = next(
             (a, b) for a in on_boundary for b in on_boundary if dist[a, b] > 2
         )
-        nodes = np.array(sorted((u, v)))
-        labels = decoder._group_labels(np.zeros(2, dtype=np.int64), nodes)
-        assert labels[0] != labels[1]
+        u, v = sorted((u, v))
+        assert _groups(decoder, _rows(graph.num_detectors, [(u, v)]))[0] == [[u], [v]]
 
     def test_chunking_does_not_change_groups(self, d5, monkeypatch):
         decoder, rows = d5
         rows = rows[:40]
         masks, local = decoder._decode_groups(rows)
         # Eight defect pairs per grouping chunk, one row per arena chunk.
+        monkeypatch.setattr(base, "_SPLIT_PAIRS", 8)
         monkeypatch.setattr(union_find, "_ARENA_CHUNK_ELEMS", 32)
         small = UnionFindDecoder(decoder.graph)
         small_masks, small_local = small._decode_groups(rows)
@@ -540,9 +535,8 @@ class TestGroups:
 
     def test_groups_never_span_rows(self, d5):
         decoder, _ = d5
-        nodes = np.array([4, 4, 5], dtype=np.int64)
-        labels = decoder._group_labels(np.array([0, 1, 1]), nodes)
-        assert labels[0] != labels[1] and labels[1] == labels[2]
+        groups = _groups(decoder, _rows(decoder.graph.num_detectors, [(4,), (4, 5)]))
+        assert groups == [[[4]], [[4, 5]]]
 
 
 class TestTelemetry:
@@ -557,16 +551,16 @@ class TestTelemetry:
         return (
             (result.shots, result.failures),
             snap["repro_uf_rows_total"]["series"],
-            snap["repro_decode_unique_total"]["series"],
+            snap["repro_decode_shots_total"]["series"],
         )
 
     def test_path_counts_are_worker_count_invariant(self):
-        result_1, paths_1, unique_1 = self._run(workers=1)
-        result_2, paths_2, unique_2 = self._run(workers=2)
+        result_1, paths_1, shots_1 = self._run(workers=1)
+        result_2, paths_2, shots_2 = self._run(workers=2)
         assert result_1 == result_2
         assert paths_1 == paths_2
-        # Every unique row is counted once, under the path that served it.
-        assert sum(paths_1.values()) == unique_1[("UnionFindDecoder",)]
+        # Every row is counted once, under the path that served it.
+        assert sum(paths_1.values()) == shots_1[("UnionFindDecoder",)]
         assert paths_1[("groups",)] > paths_1[("row",)]
 
     def test_rows_counted_on_graphs_wider_than_int64(self):
@@ -580,7 +574,7 @@ class TestTelemetry:
             UnionFindDecoder(graph)
         snap = REGISTRY.snapshot()
         assert sum(snap["repro_uf_rows_total"]["series"].values()) == 0
-        assert sum(snap["repro_decode_unique_total"]["series"].values()) == 0
+        assert sum(snap["repro_decode_shots_total"]["series"].values()) == 0
 
 
 @pytest.mark.slow
