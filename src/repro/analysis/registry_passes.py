@@ -57,7 +57,10 @@ def _check_decoders() -> Iterator[Diagnostic]:
         if not isinstance(decoder, Decoder):
             missing = [
                 attr
-                for attr in ("num_observables", "decode", "decode_batch", "decode_packed")
+                for attr in (
+                    "num_observables", "decode", "decode_defects",
+                    "decode_batch", "decode_packed",
+                )
                 if not hasattr(decoder, attr)
             ]
             yield Diagnostic(
@@ -164,7 +167,7 @@ def _check_scenarios() -> Iterator[Diagnostic]:
 
 
 def _check_decoder_batch_invariance() -> Iterator[Diagnostic]:
-    """Every decoder's ``_decode_rows`` must be a per-row function.
+    """Every decoder's ``_decode_defects`` must be a per-row function.
 
     The engine decodes whatever rows a shard draws, duplicates included,
     and MWPM and union-find split every row into defect groups whose
@@ -177,7 +180,7 @@ def _check_decoder_batch_invariance() -> Iterator[Diagnostic]:
     """
     import numpy as np
 
-    from repro.decoder.base import BatchDecoder
+    from repro.decoder.base import BatchDecoder, defect_lists
     from repro.decoder.engine import available_decoders, make_decoder
     from repro.sim.frame import FrameSimulator
 
@@ -198,37 +201,38 @@ def _check_decoder_batch_invariance() -> Iterator[Diagnostic]:
             continue  # constructibility failures reported by _check_decoders
         if not isinstance(decoder, BatchDecoder):
             continue
+
+        def decode(rows, decoder=decoder):
+            return np.asarray(decoder._decode_defects(*defect_lists(rows)))
+
         try:
-            full = np.asarray(decoder._decode_rows(unique.copy()))
-            rev = np.asarray(decoder._decode_rows(unique[::-1].copy()))
-            split = np.concatenate([
-                np.asarray(decoder._decode_rows(unique[:half].copy())),
-                np.asarray(decoder._decode_rows(unique[half:].copy())),
-            ])
-            repeated = np.asarray(decoder._decode_rows(unique[twice]))
+            full = decode(unique)
+            rev = decode(unique[::-1])
+            split = np.concatenate([decode(unique[:half]), decode(unique[half:])])
+            repeated = decode(unique[twice])
         except Exception as exc:
             yield Diagnostic(
                 "error", _PASS,
-                f"decoder {name!r} _decode_rows raised on a d=3 memory "
+                f"decoder {name!r} _decode_defects raised on a d=3 memory "
                 f"batch: {exc!r}",
             )
             continue
         if not np.array_equal(full, rev[::-1]):
             yield Diagnostic(
                 "error", _PASS,
-                f"decoder {name!r} _decode_rows is batch-order "
+                f"decoder {name!r} _decode_defects is batch-order "
                 f"dependent: reversing the rows changed per-row outputs",
             )
         if not np.array_equal(full, split):
             yield Diagnostic(
                 "error", _PASS,
-                f"decoder {name!r} _decode_rows is batch-composition "
+                f"decoder {name!r} _decode_defects is batch-composition "
                 f"dependent: splitting the batch changed per-row outputs",
             )
         if not np.array_equal(full[twice], repeated):
             yield Diagnostic(
                 "error", _PASS,
-                f"decoder {name!r} _decode_rows gives duplicate rows "
+                f"decoder {name!r} _decode_defects gives duplicate rows "
                 f"different outputs: repeating every row changed them",
             )
 

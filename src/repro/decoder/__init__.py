@@ -4,16 +4,18 @@ Decoder stack
 -------------
 
 Every decoder satisfies the :class:`~repro.decoder.base.Decoder` protocol
-(``decode`` one syndrome row, ``decode_batch`` many byte-per-bit rows,
-``decode_packed`` many bit-packed rows, ``num_observables``) and inherits
-:class:`~repro.decoder.base.BatchDecoder`, which takes byte-per-bit or
-bit-packed batches (the packed sampling pipeline hands its output
-straight to ``decode_packed``).  A decoder implements one hook,
-``_decode_rows`` (decode a batch of rows at once); ``decode`` is that
-hook on a single row.  MWPM and union-find share one defect-group
-pipeline: :func:`~repro.decoder.base.split_groups` splits rows by each
-decoder's pair predicate, and :meth:`~repro.decoder.base.SortedMemo.solve`
-solves each distinct group once.  Implementations:
+(``decode`` one syndrome row, ``decode_defects`` many rows as sorted
+defect lists, ``decode_batch`` many byte-per-bit rows, ``decode_packed``
+many bit-packed rows, ``num_observables``) and inherits
+:class:`~repro.decoder.base.BatchDecoder`, which reduces every input
+form to defect lists once (the samplers hand theirs straight to
+``decode_defects``).  A decoder implements one hook,
+``_decode_defects`` (decode a batch of defect lists at once); ``decode``
+is that hook on a single row.  MWPM and union-find share one
+defect-group pipeline: :func:`~repro.decoder.base.split_groups` splits
+the lists by each decoder's pair predicate, and
+:meth:`~repro.decoder.base.SortedMemo.solve` solves each distinct group
+once.  Implementations:
 
 * :class:`MWPMDecoder` -- minimum-weight perfect matching ("mwpm"), with
   exact defect-cluster decomposition, a cross-shot memo of small
@@ -49,10 +51,10 @@ Monte-Carlo engine
 
 Shots are split into fixed-size shards, each drawn from an independent
 ``SeedSequence.spawn`` child stream and distributed over
-``multiprocessing`` workers.  Every shard runs one body: draw bit-packed
-shots from the engine's shot source (the compiled circuit sampler, or an
-importance sampler's weighted proposal), decode them with
-``decode_packed``, and ship the failure (and weight) sums home.  The
+``multiprocessing`` workers.  Every shard runs one body: draw shots as
+defect lists from the engine's shot source (the compiled circuit
+sampler, or an importance sampler's weighted proposal), decode them with
+``decode_defects``, and ship the failure (and weight) sums home.  The
 shard layout depends only on the seed and ``shard_shots``, so results are
 bit-identical for any worker count, including under ``run_until`` early
 stopping (the stop rule is evaluated on the shard-ordered prefix).

@@ -1,18 +1,24 @@
 """Shared decoder interface, batched decoding and the defect-group pipeline.
 
 All decoders in :mod:`repro.decoder` are pure functions of a single
-syndrome row.  :class:`BatchDecoder` gives them one batch entry for the
-two layouts batches arrive in:
+syndrome row.  :class:`BatchDecoder` gives them one batch entry for each
+form batches arrive in:
 
+* :meth:`~BatchDecoder.decode_defects` -- sorted ``(row, detector)``
+  defect lists, exactly what the shot sources emit
+  (:meth:`repro.sim.frame.FrameSimulator.sample_defects`); the decoding
+  engine decodes every shard through it;
 * :meth:`~BatchDecoder.decode_batch` -- uint8 one-byte-per-bit rows;
-* :meth:`~BatchDecoder.decode_packed` -- rows bit-packed per shot, exactly
-  what :meth:`repro.sim.frame.FrameSimulator.sample_packed` emits.  They
-  are unpacked once and decoded like a byte-per-bit batch.
+* :meth:`~BatchDecoder.decode_packed` -- rows bit-packed per shot, as
+  :meth:`repro.sim.frame.FrameSimulator.sample_packed` emits them.
 
-Subclasses implement one hook, :meth:`~BatchDecoder._decode_rows`, which
-decodes every row of a batch at once, and expose ``num_observables``.
-The one-shot ``decode`` is that hook on a batch of one row, so every
-entry point runs the same decode.
+Each reduces its input to defect lists once (:func:`defect_lists`) and
+calls the one hook subclasses implement,
+:meth:`~BatchDecoder._decode_defects`, which decodes every row of a
+batch at once; subclasses also expose ``num_observables``.  The one-shot
+``decode`` is that hook on a batch of one row, so every entry point runs
+the same decode.  A decoder that needs dense rows builds them inside
+its hook with :func:`dense_rows`.
 
 Rows are not deduplicated: in the paper's low-``p`` regimes (Fig. 6(a))
 whole syndromes rarely recur, but they combine a small recurring set of
@@ -37,7 +43,8 @@ from repro.obs import metrics as _metrics
 
 # One observation per *batch* (not per shot), so the recording cost is
 # amortized over shard_shots decodes; `repro_decode_seconds` percentiles
-# are the measured latency input for ROADMAP item 2's ReactionTiming.
+# are the measured latency input that ReactionModel.decode_time
+# (repro.parallel.reaction) is to consume (ROADMAP item 12).
 _DECODE_SECONDS = _metrics.histogram(
     "repro_decode_seconds",
     "Batch decode latency by decoder class.",
@@ -60,14 +67,19 @@ class Decoder(Protocol):
 
     A decoder maps one uint8 syndrome row over the circuit's detectors to a
     uint8 prediction row over its logical observables, and decodes batches
-    of shots with :meth:`decode_batch` (byte-per-bit rows) or
-    :meth:`decode_packed` (bit-packed per-shot rows).
+    of shots with :meth:`decode_defects` (defect lists),
+    :meth:`decode_batch` (byte-per-bit rows) or :meth:`decode_packed`
+    (bit-packed per-shot rows).
     """
 
     @property
     def num_observables(self) -> int: ...
 
     def decode(self, syndrome: np.ndarray) -> np.ndarray: ...
+
+    def decode_defects(
+        self, row_of: np.ndarray, node: np.ndarray, rows: int
+    ) -> np.ndarray: ...
 
     def decode_batch(self, syndromes: np.ndarray) -> np.ndarray: ...
 
@@ -79,21 +91,52 @@ class Decoder(Protocol):
 class BatchDecoder:
     """Base class providing the batch entry points.
 
-    Subclasses implement one hook, :meth:`_decode_rows` (decode a batch
-    of syndrome rows), and expose ``num_observables`` (as an attribute
-    or property); both layouts, decode telemetry and the one-shot
-    :meth:`decode` live here.
+    Subclasses implement one hook, :meth:`_decode_defects` (decode a
+    batch given as defect lists), and expose ``num_observables`` (as an
+    attribute or property); the input forms, decode telemetry and the
+    one-shot :meth:`decode` live here.
     """
 
     num_observables: int
 
     def decode(self, syndrome: np.ndarray) -> np.ndarray:
         """Predict observable flips for one shot: a batch of one row."""
-        return self._decode_rows(np.asarray(syndrome, dtype=np.uint8)[None, :])[0]
+        return self._decode_defects(*defect_lists(np.asarray(syndrome)[None, :]))[0]
 
-    def _decode_rows(self, syndromes: np.ndarray) -> np.ndarray:
-        """Decode ``(rows, num_detectors)`` uint8 syndromes of 0s and 1s."""
+    def _decode_defects(
+        self, row_of: np.ndarray, node: np.ndarray, rows: int
+    ) -> np.ndarray:
+        """Decode ``rows`` shots whose defects are detectors ``node[i]`` of
+        rows ``row_of[i]``, sorted by row, then node (each pair once);
+        returns ``(rows, num_observables)`` uint8 flips."""
         raise NotImplementedError
+
+    def decode_defects(
+        self, row_of: np.ndarray, node: np.ndarray, rows: int
+    ) -> np.ndarray:
+        """Decode ``rows`` shots given as sorted defect lists; returns
+        ``(rows, num_observables)`` flips.
+
+        Args:
+            row_of, node: int64 arrays, one entry per defect: row
+                ``row_of[i]`` has detector ``node[i]`` flipped.  Sorted by
+                row, then node, each pair once -- the lists
+                :meth:`repro.sim.frame.FrameSimulator.sample_defects`
+                draws (``batch.shot``, ``batch.detector``).
+            rows: number of rows (shots); rows without entries have no
+                defects.
+        """
+        if rows == 0:
+            return np.zeros((0, self.num_observables), dtype=np.uint8)
+        start = time.perf_counter() if _metrics.enabled() else 0.0
+        out = self._decode_defects(row_of, node, rows)
+        if _metrics.enabled():
+            label = type(self).__name__
+            _DECODE_SECONDS.labels(decoder=label).observe(
+                time.perf_counter() - start
+            )
+            _DECODE_SHOTS.labels(decoder=label).inc(rows)
+        return out
 
     def decode_batch(self, syndromes: np.ndarray) -> np.ndarray:
         """Decode many shots; returns (shots, num_observables) flips.
@@ -102,7 +145,7 @@ class BatchDecoder:
             syndromes: array of shape (shots, num_detectors); any non-zero
                 entry is a flipped detector.
         """
-        return self._decode_counted(np.not_equal(syndromes, 0).view(np.uint8))
+        return self.decode_defects(*defect_lists(syndromes))
 
     def decode_packed(
         self, packed: np.ndarray, num_detectors: int
@@ -121,22 +164,31 @@ class BatchDecoder:
             uint8 array of shape (shots, num_observables).
         """
         packed = np.asarray(packed, dtype=np.uint8)
-        return self._decode_counted(_unpack_rows(packed, num_detectors))
+        bits = np.unpackbits(packed, axis=1, count=num_detectors)
+        # The unpacked bits are 0/1, so a bool view is their defect mask.
+        return self.decode_defects(*defect_lists(bits.view(bool)))
 
-    def _decode_counted(self, syndromes: np.ndarray) -> np.ndarray:
-        """:meth:`_decode_rows` with the batch's decode telemetry."""
-        shots = syndromes.shape[0]
-        if shots == 0:
-            return np.zeros((0, self.num_observables), dtype=np.uint8)
-        start = time.perf_counter() if _metrics.enabled() else 0.0
-        out = self._decode_rows(syndromes)
-        if _metrics.enabled():
-            label = type(self).__name__
-            _DECODE_SECONDS.labels(decoder=label).observe(
-                time.perf_counter() - start
-            )
-            _DECODE_SHOTS.labels(decoder=label).inc(shots)
-        return out
+
+def defect_lists(syndromes: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
+    """``(row_of, node, rows)``: the defect lists of a ``(rows, n)`` batch
+    of syndrome rows, any non-zero entry a defect, sorted by row, then
+    node."""
+    syndromes = np.asarray(syndromes)
+    if syndromes.dtype != bool:
+        syndromes = syndromes != 0
+    rows, n = syndromes.shape
+    row_of, node = np.divmod(np.flatnonzero(syndromes), max(n, 1))
+    return row_of, node, rows
+
+
+def dense_rows(
+    row_of: np.ndarray, node: np.ndarray, rows: int, width: int
+) -> np.ndarray:
+    """The ``(rows, width)`` uint8 syndrome rows of defect lists (the
+    inverse of :func:`defect_lists`)."""
+    out = np.zeros((rows, width), dtype=np.uint8)
+    out[row_of, node] = 1
+    return out
 
 
 def _unmask_rows(masks, num_observables: int) -> np.ndarray:
@@ -161,7 +213,8 @@ def _unmask_rows(masks, num_observables: int) -> np.ndarray:
 
 
 def split_groups(
-    syndromes: np.ndarray,
+    row_of: np.ndarray,
+    node: np.ndarray,
     near: Callable[[np.ndarray, np.ndarray], np.ndarray],
     reach: int,
 ) -> Tuple[np.ndarray, ...]:
@@ -170,19 +223,16 @@ def split_groups(
     ``ids[first[i]:first[i] + sizes[i]]`` (ascending) of row ``row[i]``,
     listed by row, then by lowest member.
 
-    ``near(u, v)`` tells, for detector id arrays with ``u < v``
-    elementwise, which pairs link; only same-row pairs at most ``reach``
-    ids apart are tested, in chunks of :data:`_SPLIT_PAIRS` pairs.
+    The defects come as sorted defect lists (see
+    :meth:`BatchDecoder._decode_defects`).  ``near(u, v)`` tells, for
+    detector id arrays with ``u < v`` elementwise, which pairs link; only
+    same-row pairs at most ``reach`` ids apart are tested, in chunks of
+    :data:`_SPLIT_PAIRS` pairs.
     """
-    syndromes = np.ascontiguousarray(syndromes, dtype=np.uint8)
-    n = syndromes.shape[1]
-    # A bool view skips the uint8 compare of a plain flatnonzero.
-    flat = np.flatnonzero(syndromes.view(bool))
-    row_of, node = np.divmod(flat, max(n, 1))
-    count = flat.size
+    count = node.size
     # Defect i pairs with the later defects of its row at most `reach`
     # ids above it; the keys space rows further apart than that.
-    key = row_of * (n + reach + 1) + node
+    key = row_of * (int(node.max(initial=0)) + reach + 2) + node
     later = np.searchsorted(key, key + reach, side="right") - np.arange(count) - 1
     owners = np.flatnonzero(later)
     spans = later[owners]
@@ -314,10 +364,3 @@ def _ragged_ranges(starts: np.ndarray, counts: np.ndarray, total: int) -> np.nda
         out[idx] = starts[1:] - (starts[:-1] + counts[:-1] - 1)
     np.cumsum(out, out=out)
     return out
-
-
-def _unpack_rows(packed: np.ndarray, num_detectors: int) -> np.ndarray:
-    """Bit-packed rows back to byte-per-bit rows (trailing pad dropped)."""
-    if num_detectors == 0:
-        return np.zeros((packed.shape[0], 0), dtype=np.uint8)
-    return np.unpackbits(packed, axis=1, count=num_detectors)

@@ -10,22 +10,26 @@ throughput-oriented:
   experiments and sweeps are parameterized by a string instead of being
   hard-wired to one class.
 * **Defect-group memo** -- every decoder inherits
-  :class:`~repro.decoder.base.BatchDecoder`, which unpacks a shard's
-  bit-packed rows once and decodes them as one batch.  Whole syndromes
+  :class:`~repro.decoder.base.BatchDecoder`, which decodes a shard's
+  defect lists as one batch.  Whole syndromes
   rarely recur at the paper's distances, but their small defect groups
   do: MWPM and union-find split every row into groups and look up or
   solve each distinct group once (:func:`~repro.decoder.base.split_groups`,
   :meth:`~repro.decoder.base.SortedMemo.solve`).
 * **One shard body over one shot source** -- each worker holds a
-  ``draw(shots, rng) -> (det_keys, obs_keys, log_weights | None)``
-  source: the circuit's compiled bit-packed sampler
-  (:meth:`~repro.sim.frame.FrameSimulator.sample_packed`, periodic or
-  linear as :func:`~repro.sim.periodic.compile_program` picks) for
-  brute-force engines, the importance sampler's ``sample_weighted`` for
-  weighted ones.  Every shard draws from it, hands the packed per-shot
-  keys straight to ``decode_packed``, and ships its sufficient
-  statistics home; :meth:`DecodingEngine.collect` draws from the same
-  source without decoding.
+  ``draw(shots, rng) -> DefectBatch`` source: the circuit's compiled
+  sampler (:meth:`~repro.sim.frame.FrameSimulator.sample_defects`,
+  periodic or linear as :func:`~repro.sim.periodic.compile_program`
+  picks) for brute-force engines, the importance sampler's
+  ``sample_defects`` for weighted ones.  A
+  :class:`~repro.sim.compiled.DefectBatch` is the shard's sorted
+  ``(shot, detector)`` defect lists plus its observable table (and log
+  weights).  Every shard draws from it (span ``engine.sample``), hands
+  the lists straight to ``decode_defects`` (span ``engine.decode``),
+  compares the predictions with the observable table, and ships its
+  sufficient statistics home; no dense shot matrix is built on the way.
+  :meth:`DecodingEngine.collect` draws from the same source without
+  decoding and ships bit-packed keys.
 * **Sharded parallel sampling** -- shots are split into fixed-size shards,
   each with an independent child of one root
   :class:`numpy.random.SeedSequence`.  The shard structure depends only on
@@ -62,7 +66,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.decoder.base import Decoder, _unpack_rows
+from repro.decoder.base import Decoder
 from repro.decoder.graph import DecodingGraph
 from repro.decoder.mwpm import MWPMDecoder
 from repro.decoder.sequential import SequentialCNOTDecoder
@@ -351,33 +355,28 @@ def _worker_init(
 ) -> dict:
     """Install the shot source, decoder, and failure criterion in ``state``.
 
-    The shot source ``draw(shots, rng)`` returns ``(det_keys, obs_keys,
-    log_weights)`` as bit-packed per-shot rows; ``log_weights`` is
+    The shot source ``draw(shots, rng)`` returns a
+    :class:`~repro.sim.compiled.DefectBatch`; its ``log_weights`` is
     ``None`` for brute-force sampling (every shot has unit weight).  An
     importance-sampled engine never simulates the circuit, so its
     workers skip building a simulator.
     """
     if sampler is not None:
-        draw = sampler.sample_weighted
+        draw = sampler.sample_defects
     else:
-        if sim is None:
-            sim = FrameSimulator(circuit)
-
-        def draw(shots, rng):
-            return (*sim.sample_packed(shots, rng=rng), None)
-
+        draw = (sim if sim is not None else FrameSimulator(circuit)).sample_defects
     state["draw"] = draw
     state["decoder"] = decoder
     state["observable"] = observable
     state["num_detectors"] = circuit.num_detectors
-    state["num_observables"] = circuit.num_observables
     return state
 
 
 def _draw_shard(state: dict, shots: int, seed_seq: np.random.SeedSequence):
     """Draw one shard from the state's shot source, timing the sampling."""
     start = time.perf_counter()
-    out = state["draw"](shots, np.random.default_rng(seed_seq))
+    with span("engine.sample"):
+        out = state["draw"](shots, np.random.default_rng(seed_seq))
     if _metrics.enabled():
         _ENGINE_SAMPLE_SECONDS.inc(time.perf_counter() - start)
         _ENGINE_SHARDS.inc()
@@ -395,15 +394,15 @@ def _run_shard(
     """
     shots, seed_seq = task
     with span("engine.shard", shots=shots):
-        det_keys, obs_keys, log_weights = _draw_shard(state, shots, seed_seq)
+        batch = _draw_shard(state, shots, seed_seq)
         start = time.perf_counter()
-        predictions = state["decoder"].decode_packed(
-            det_keys, state["num_detectors"]
-        )
+        with span("engine.decode"):
+            predictions = state["decoder"].decode_defects(
+                batch.shot, batch.detector, shots
+            )
         if _metrics.enabled():
             _ENGINE_DECODE_SECONDS.inc(time.perf_counter() - start)
-        # Only the tiny observable table is unpacked for the comparison.
-        observables = _unpack_rows(obs_keys, state["num_observables"])
+        observables = batch.observables
         observable = state["observable"]
         if observable is None:
             wrong = (predictions ^ observables).any(axis=1)
@@ -412,9 +411,9 @@ def _run_shard(
                 predictions[:, observable] ^ observables[:, observable]
             ).astype(bool)
         failures = int(wrong.sum())
-        if log_weights is None:
+        if batch.log_weights is None:
             return EngineResult(shots=shots, failures=failures, shards=1)
-        weights = np.exp(log_weights)
+        weights = np.exp(batch.log_weights)
         failing = weights[wrong]
         return EngineResult(
             shots=shots,
@@ -435,8 +434,7 @@ def _collect_shard(
     Workers ship the packed arrays back to the parent, ~8x less pickle
     bandwidth than byte-per-bit tables.
     """
-    det_keys, obs_keys, _ = _draw_shard(state, *task)
-    return det_keys, obs_keys
+    return _draw_shard(state, *task).packed(state["num_detectors"])
 
 
 class DecodingEngine:
@@ -457,8 +455,9 @@ class DecodingEngine:
             ``workers``.
         workers: number of ``multiprocessing`` workers; ``1`` runs inline.
         sampler: optional importance sampler (an object with
-            ``sample_weighted(shots, rng) -> (det_keys, obs_keys,
-            log_weights)`` as bit-packed per-shot rows, e.g.
+            ``sample_defects(shots, rng) ->``
+            :class:`~repro.sim.compiled.DefectBatch` carrying
+            ``log_weights``, e.g.
             :class:`repro.estimator.rare.ImportanceSampler`).  When given,
             shards draw from the sampler's reweighted proposal instead of
             simulating the circuit, and results carry likelihood-ratio
@@ -468,10 +467,10 @@ class DecodingEngine:
             unavailable in this mode.
 
     Every shard -- of ``run``, the early-stop runs, and ``collect`` --
-    draws from one shot source: the compiled bit-packed sampler
-    (:meth:`~repro.sim.frame.FrameSimulator.sample_packed`) or, with a
-    ``sampler``, its ``sample_weighted``.  Decoding always goes through
-    :meth:`~repro.decoder.base.BatchDecoder.decode_packed`.
+    draws from one shot source: the compiled circuit sampler
+    (:meth:`~repro.sim.frame.FrameSimulator.sample_defects`) or, with a
+    ``sampler``, its ``sample_defects``.  Decoding always goes through
+    :meth:`~repro.decoder.base.BatchDecoder.decode_defects`.
 
     The engine keeps one persistent worker pool alive across ``run`` /
     ``run_until`` calls (spawning a pool ships the circuit and decoder to

@@ -317,7 +317,7 @@ class MWPMDecoder(BatchDecoder):
     def num_observables(self) -> int:
         return self.graph.num_observables
 
-    def _split(self, syndromes: np.ndarray) -> Tuple[np.ndarray, ...]:
+    def _split(self, row_of: np.ndarray, node: np.ndarray) -> Tuple[np.ndarray, ...]:
         """Every row's clusters, the components of ``d(u, v) < d(u, B) +
         d(v, B)``, as :func:`~repro.decoder.base.split_groups` lists them."""
         dist = self._dist
@@ -329,18 +329,20 @@ class MWPMDecoder(BatchDecoder):
             # comparison can come out asymmetric.
             return dist[u, v] < dist[u, BOUNDARY] + dist[v, BOUNDARY]
 
-        return split_groups(syndromes, near, self.graph.num_detectors)
+        return split_groups(row_of, node, near, self.graph.num_detectors)
 
     # -- batched decoding ---------------------------------------------------
 
-    def _decode_rows(self, syndromes: np.ndarray) -> np.ndarray:
+    def _decode_defects(
+        self, row_of: np.ndarray, node: np.ndarray, rows: int
+    ) -> np.ndarray:
         """Split, look up or solve every distinct cluster once, XOR each
         row's cluster masks.  A cluster's mask is a pure function of the
         graph and the cluster, so the output does not depend on how rows
         are batched."""
-        ids, first, sizes, row = self._split(syndromes)
+        ids, first, sizes, row = self._split(row_of, node)
         vals = self._memo.solve(ids, first, sizes, self._solve_clusters, _CLUSTER_CACHE_LIMIT)
-        masks = np.zeros(syndromes.shape[0], dtype=vals.dtype)
+        masks = np.zeros(rows, dtype=vals.dtype)
         np.bitwise_xor.at(masks, row, vals)
         return _unmask_rows(masks, self.graph.num_observables)
 

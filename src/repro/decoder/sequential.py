@@ -13,7 +13,9 @@ code distance while accounting for cross-patch correlations.
 Implementation note: remote detector flips are encoded as pseudo-observables
 of the control-patch graph, reusing :class:`~repro.decoder.mwpm.MWPMDecoder`
 unchanged.  Each pass decodes the whole batch of rows at once through
-MWPM's batch path, which equals its per-row ``decode`` row for row.
+MWPM's batch path, which equals its per-row ``decode`` row for row; the
+sector rows are built dense (:func:`~repro.decoder.base.dense_rows`),
+because the remote flips XOR into the target's.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.decoder.base import BatchDecoder
+from repro.decoder.base import BatchDecoder, defect_lists, dense_rows
 from repro.decoder.graph import DecodingGraph
 from repro.decoder.mwpm import MWPMDecoder
 from repro.noise.dem import DetectorErrorModel
@@ -63,6 +65,7 @@ class SequentialCNOTDecoder(BatchDecoder):
         if len(detector_meta) != dem.num_detectors:
             raise ValueError("detector metadata does not match the DEM")
         self.basis = basis
+        self.num_detectors = dem.num_detectors
         self.num_observables = dem.num_observables
         self._control_ids: List[int] = []
         self._target_ids: List[int] = []
@@ -130,17 +133,20 @@ class SequentialCNOTDecoder(BatchDecoder):
 
     # -- decoding ---------------------------------------------------------------
 
-    def _decode_rows(self, syndromes: np.ndarray) -> np.ndarray:
+    def _decode_defects(
+        self, row_of: np.ndarray, node: np.ndarray, rows: int
+    ) -> np.ndarray:
         """Both passes over the whole batch, one MWPM batch decode each.
 
-        The passes call the MWPM hook, not ``decode_batch``, so the decode
-        telemetry counts this decoder's shots once.
+        The passes call the MWPM hook, not ``decode_defects``, so the
+        decode telemetry counts this decoder's shots once.
         """
-        first = self._control_decoder._decode_rows(
-            syndromes[:, self._control_ids]
+        syndromes = dense_rows(row_of, node, rows, self.num_detectors)
+        first = self._control_decoder._decode_defects(
+            *defect_lists(syndromes[:, self._control_ids])
         )
         remote = first[:, self.num_observables :]
-        second = self._target_decoder._decode_rows(
-            syndromes[:, self._target_ids] ^ remote
+        second = self._target_decoder._decode_defects(
+            *defect_lists(syndromes[:, self._target_ids] ^ remote)
         )
         return first[:, : self.num_observables] ^ second

@@ -52,8 +52,9 @@ Two layers compute it:
   keyed by a polynomial over their shifted ids; larger groups rarely
   recur and are only deduplicated per call.  The split and the memo are
   the shared group pipeline of :mod:`repro.decoder.base`; every
-  distinct miss runs in the arena as a pseudo-row.
-* The **batched arena** decodes every other row whole.  Support is a
+  distinct miss runs in the arena as a pseudo-row of its own defects.
+* The **batched arena** decodes every other row whole, starting from
+  the rows' defect lists.  Support is a
   flat ``(row, edge)`` touch counter updated with sorted-key scatters
   over the graph's :class:`~repro.decoder.graph.EdgeTable` CSR
   incidence, cluster membership is a per-row union-find over
@@ -205,30 +206,35 @@ class UnionFindDecoder(BatchDecoder):
     def num_observables(self) -> int:
         return self.graph.num_observables
 
-    def _decode_rows(self, syndromes: np.ndarray) -> np.ndarray:
+    def _decode_defects(
+        self, row_of: np.ndarray, node: np.ndarray, rows: int
+    ) -> np.ndarray:
         """Decode rows: local groups first, whole rows after."""
-        syndromes = np.ascontiguousarray(syndromes, dtype=np.uint8)
-        masks, local = self._decode_groups(syndromes)
+        masks, local = self._decode_groups(row_of, node, rows)
         rest = np.flatnonzero(~local)
-        masks[rest] = self._arena_rows(syndromes[rest])[0]
+        whole = ~local[row_of]
+        # Rank of each whole row among the rest, its row in the arena.
+        rank = np.cumsum(~local) - 1
+        masks[rest] = self._arena_rows(rank[row_of[whole]], node[whole], rest.size)[0]
         if _metrics.enabled():
-            _UF_ROWS.labels(path="groups").inc(local.size - rest.size)
+            _UF_ROWS.labels(path="groups").inc(rows - rest.size)
             _UF_ROWS.labels(path="row").inc(rest.size)
         return _unmask_rows(masks, self.graph.num_observables)
 
     def _arena_rows(
-        self, syndromes: np.ndarray, *, local: bool = False
+        self, row_of: np.ndarray, node: np.ndarray, rows: int, *, local: bool = False
     ) -> Tuple[np.ndarray, np.ndarray]:
         """:meth:`_arena` over row chunks that bound its dense state."""
-        rows = syndromes.shape[0]
         width = max(self._edges.node_count, self._edges.ea.size, 1)
         chunk = max(1, _ARENA_CHUNK_ELEMS // width)
         masks = np.zeros(rows, dtype=np.int64)
         far = np.zeros(rows, dtype=bool)
-        for start in range(0, rows, chunk):
+        starts = np.arange(0, rows, chunk)
+        bounds = np.searchsorted(row_of, np.append(starts, rows))
+        for start, lo, hi in zip(starts.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
             part = slice(start, start + chunk)
             masks[part], far[part] = self._arena(
-                np.ascontiguousarray(syndromes[part]), local=local
+                row_of[lo:hi] - start, node[lo:hi], min(chunk, rows - start), local=local
             )
         return masks, far
 
@@ -258,7 +264,7 @@ class UnionFindDecoder(BatchDecoder):
             self._hop_cache = (bits, int(np.abs(reach.row - reach.col).max()))
         return self._hop_cache
 
-    def _split(self, syndromes: np.ndarray) -> Tuple[np.ndarray, ...]:
+    def _split(self, row_of: np.ndarray, node: np.ndarray) -> Tuple[np.ndarray, ...]:
         """Every row's groups, the components of "within
         :data:`_GROUP_HOPS` hops", as
         :func:`~repro.decoder.base.split_groups` lists them."""
@@ -267,23 +273,23 @@ class UnionFindDecoder(BatchDecoder):
         def near(u: np.ndarray, v: np.ndarray) -> np.ndarray:
             return ((hops[u, v >> 3] >> (7 - (v & 7))) & 1).astype(bool)
 
-        return split_groups(syndromes, near, reach)
+        return split_groups(row_of, node, near, reach)
 
     def _decode_groups(
-        self, syndromes: np.ndarray
+        self, row_of: np.ndarray, node: np.ndarray, rows: int
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Group-path masks, and which rows have only local groups (the
         masks of other rows are partial; the caller decodes them whole)."""
-        ids, first, sizes, row = self._split(syndromes)
+        ids, first, sizes, row = self._split(row_of, node)
         # Shift every group down by all the whole shifts its defects allow.
         ids -= np.repeat(
             np.minimum.reduceat(self._down[ids], first) * self._period, sizes
         )
         vals = self._memo.solve(ids, first, sizes, self._solve_groups, _GROUP_MEMO_LIMIT)
         bad = vals == _NOT_LOCAL
-        local = np.ones(syndromes.shape[0], dtype=bool)
+        local = np.ones(rows, dtype=bool)
         local[row[bad]] = False
-        masks = np.zeros(syndromes.shape[0], dtype=np.int64)
+        masks = np.zeros(rows, dtype=np.int64)
         np.bitwise_xor.at(masks, row[~bad], vals[~bad])
         return masks, local
 
@@ -293,16 +299,17 @@ class UnionFindDecoder(BatchDecoder):
         """Local-arena masks of the groups ``ids[first[i]:first[i] +
         sizes[i]]``, run as pseudo-rows; :data:`_NOT_LOCAL` for a group
         that is not local."""
-        pseudo = np.zeros((first.size, self.graph.num_detectors), dtype=np.uint8)
         members = _ragged_ranges(first, sizes, int(sizes.sum()))
-        pseudo[np.repeat(np.arange(first.size), sizes), ids[members]] = 1
-        masks, far = self._arena_rows(pseudo, local=True)
+        masks, far = self._arena_rows(
+            np.repeat(np.arange(first.size), sizes), ids[members], first.size, local=True
+        )
         return np.where(far, _NOT_LOCAL, masks)
 
     def _arena(
-        self, syndromes: np.ndarray, *, local: bool = False
+        self, row_of: np.ndarray, node: np.ndarray, rows: int, *, local: bool = False
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Grow and peel every row of one chunk.
+        """Grow and peel every row of one chunk, given as sorted defect
+        lists (row ``row_of[i]`` has defect ``node[i]``).
 
         Returns ``(masks, far)``: int64 observable masks per row and, with
         ``local`` (group pseudo-rows), a bool row mask of rows that
@@ -317,20 +324,18 @@ class UnionFindDecoder(BatchDecoder):
         membership pairs at every round start rather than maintained
         incrementally.
         """
-        rows, n = syndromes.shape
         edges = self._edges
         node_count = edges.node_count
         boundary = node_count - 1
         num_edges = edges.ea.size
         far = np.zeros(rows, dtype=bool)
-        flat = np.flatnonzero(syndromes.view(bool))
-        if flat.size == 0:
+        if node.size == 0:
             return np.zeros(rows, dtype=np.int64), far
         # Membership pairs; the initial members are exactly the defects,
         # and every node ensured later is not one.
-        act_r = flat // n
-        act_n = flat - act_r * n
-        act_d = np.ones(flat.size, dtype=bool)
+        act_r = row_of
+        act_n = node
+        act_d = np.ones(node.size, dtype=bool)
         # Parent entries are written as nodes join a cluster; entries of
         # nodes outside every cluster are never read.
         parent = np.empty((rows, node_count), dtype=np.int64)
@@ -400,7 +405,8 @@ class UnionFindDecoder(BatchDecoder):
                 act_r = np.concatenate([act_r, new_r])
                 act_n = np.concatenate([act_n, new_n])
                 act_d = np.concatenate([act_d, np.zeros(new_r.size, dtype=bool)])
-        return self._peel_forest(rows, tree_rows, tree_edges, syndromes), far
+        defects = row_of * node_count + node
+        return self._peel_forest(rows, tree_rows, tree_edges, defects), far
 
     def _union_grown_edges(
         self,
@@ -477,9 +483,12 @@ class UnionFindDecoder(BatchDecoder):
         rows: int,
         tree_rows: List[np.ndarray],
         tree_edges: List[np.ndarray],
-        syndromes: np.ndarray,
+        defects: np.ndarray,
     ) -> np.ndarray:
         """Peel every row's spanning forest at once; returns int64 masks.
+
+        ``defects`` holds the sorted ``row * node_count + node`` keys of
+        the chunk's defects.
 
         A tree edge is flipped iff its leaf-side subtree holds odd defect
         parity, so the result is independent of peel order; leaves are
@@ -512,8 +521,9 @@ class UnionFindDecoder(BatchDecoder):
         node_of = inst_keys % node_count
         row_of = inst_keys // node_count
         detector = node_of != boundary
-        parity = np.zeros(total, dtype=np.int64)
-        parity[detector] = syndromes[row_of[detector], node_of[detector]]
+        # Instance keys use the defect keys' base; the boundary is never
+        # a defect.
+        parity = np.isin(inst_keys, defects, assume_unique=True).astype(np.int64)
         while True:
             leaves = np.flatnonzero(detector & (deg == 1))
             if leaves.size == 0:

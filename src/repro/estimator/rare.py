@@ -25,9 +25,8 @@ plus a ``delta_k`` per fired mechanism) for numerical stability.
 table (:meth:`~repro.noise.dem.DetectorErrorModel.fault_table`), like
 the circuit sampler's plan over the circuit's fault table: one plan
 entry per group of mechanisms sharing a proposal probability, drawn by
-:func:`~repro.sim.compiled.draw_hits` and XORed into symptom planes by
-:func:`~repro.sim.compiled.xor_symptoms`, then transposed to the
-engine's per-shot keys.
+:func:`~repro.sim.compiled.draw_hits` and XORed into the engine's
+defect lists by :func:`~repro.sim.compiled.symptom_lists`.
 
 **Proposal.**  :meth:`repro.noise.dem.DetectorErrorModel.reweighted`
 inflates every ``p_k`` uniformly, capped at 0.5.  Uniform inflation ``s``
@@ -48,8 +47,8 @@ sample size well below ``0.1 * shots`` means a few heavy weights dominate
 and the inflation should come down.
 
 The sampler plugs into :class:`repro.decoder.engine.DecodingEngine` as
-its ``sampler`` argument (see :func:`rare_engine`): shards draw symptoms
-as bit-packed per-shot rows, the decoder decodes them against the
+its ``sampler`` argument (see :func:`rare_engine`): shards draw shots
+as defect lists, the decoder decodes them against the
 *original* DEM, and the per-shot weights ride home with each shard's
 sufficient statistics, preserving worker-count invariance.
 """
@@ -66,12 +65,7 @@ from repro.analysis.passes import verify_dem
 from repro.analysis.reweight_passes import check_reweight
 from repro.noise.dem import DetectorErrorModel
 from repro.obs import metrics as _metrics
-from repro.sim.compiled import (
-    NO_CDF,
-    draw_hits,
-    transpose_packed,
-    xor_symptoms,
-)
+from repro.sim.compiled import NO_CDF, DefectBatch, draw_hits, symptom_lists
 
 if TYPE_CHECKING:  # pragma: no cover - type-only
     from repro.decoder.base import Decoder
@@ -89,7 +83,7 @@ _RARE_FIRINGS = _metrics.counter(
 
 
 class ImportanceSampler:
-    """Draws weighted DEM shots in the engine's bit-packed per-shot layout.
+    """Draws weighted DEM shots as the engine's defect lists.
 
     Args:
         original: the circuit's DEM; weights (and the decoder) refer to
@@ -156,25 +150,19 @@ class ImportanceSampler:
         delta = np.where(q > 0, fire_term - not_term, 0.0)
         self._delta_llr = np.nan_to_num(delta, nan=0.0, neginf=-np.inf)
 
-    def sample_weighted(
-        self, shots: int, rng: np.random.Generator
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def sample_defects(self, shots: int, rng: np.random.Generator) -> DefectBatch:
         """Draw ``shots`` weighted shots from the proposal model.
 
-        Returns:
-            (det_keys, obs_keys, log_weights): bit-packed detector and
-            observable key arrays of shapes ``(shots, ceil(nd/8))`` /
-            ``(shots, ceil(no/8))`` plus the per-shot log likelihood
-            ratio under the original model.  Firings come from
-            :func:`~repro.sim.compiled.draw_hits` over the draw plan (one
-            sparse draw per probability group, so the work scales with
-            the expected firings and a shard's shots depend only on its
-            seed); their symptoms from
-            :func:`~repro.sim.compiled.xor_symptoms`, the circuit
-            sampler's kernel, transposed to per-shot keys.
+        Firings come from :func:`~repro.sim.compiled.draw_hits` over the
+        draw plan (one sparse draw per probability group, so the work
+        scales with the expected firings and a shard's shots depend only
+        on its seed); their symptoms from
+        :func:`~repro.sim.compiled.symptom_lists`, the circuit sampler's
+        kernel.  The batch's ``log_weights`` are the per-shot log
+        likelihood ratios under the original model.
         """
         row, shot = draw_hits(rng, self._plan, shots)
-        det, obs = xor_symptoms(
+        batch = symptom_lists(
             self._table, self.num_detectors, self.num_observables,
             row, shot, shots,
         )
@@ -184,7 +172,21 @@ class ImportanceSampler:
         if _metrics.enabled():
             _RARE_SHOTS.inc(shots)
             _RARE_FIRINGS.inc(row.size)
-        return transpose_packed(det, shots), transpose_packed(obs, shots), llr
+        return batch._replace(log_weights=llr)
+
+    def sample_weighted(
+        self, shots: int, rng: np.random.Generator
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`sample_defects` as bit-packed per-shot rows.
+
+        Returns:
+            (det_keys, obs_keys, log_weights): bit-packed detector and
+            observable key arrays of shapes ``(shots, ceil(nd/8))`` /
+            ``(shots, ceil(no/8))`` plus the per-shot log likelihood
+            ratio under the original model.
+        """
+        batch = self.sample_defects(shots, rng)
+        return (*batch.packed(self.num_detectors), batch.log_weights)
 
 
 def suggested_inflation(

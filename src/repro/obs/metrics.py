@@ -607,8 +607,9 @@ def percentiles(
     With ``labels`` the quantiles come from that one series; without,
     every series of the family is bucket-merged first (valid because all
     series of a family share bounds).  NaN quantiles mean no observations
-    yet.  This is the programmatic surface ROADMAP item 2's
-    ``ReactionTiming`` consumes for measured decode latency.
+    yet.  This is the programmatic surface through which measured
+    decode latency is to reach ``ReactionModel.decode_time``
+    (:mod:`repro.parallel.reaction`; ROADMAP item 12).
     """
     metric = REGISTRY.get(name)
     if metric is None or metric.kind != "histogram":

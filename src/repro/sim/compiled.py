@@ -10,8 +10,9 @@ of the symptoms of its noise hits, and nothing needs propagating per shot:
   observables as CSR rows).  A plan entry is ``(rate, outcome CDF,
   fault row per target x outcome)``; :func:`draw_hits` draws every
   entry's hits and returns ``(fault row, shot)`` per hit, and
-  :func:`xor_symptoms` XORs the hit rows into shot-bit-packed detector
-  and observable planes.  :class:`CompiledProgram` plans one entry per
+  :func:`symptom_lists` XORs the hit rows into a :class:`DefectBatch`:
+  sorted ``(shot, detector)`` defect lists plus a per-shot observable
+  table.  :class:`CompiledProgram` plans one entry per
   noise op (:func:`noise_channel`) over the circuit's table, propagated
   once per circuit by DEM extraction; the importance sampler
   (:mod:`repro.estimator.rare`) plans one entry per group of equally
@@ -43,16 +44,21 @@ of the symptoms of its noise hits, and nothing needs propagating per shot:
   runs them once per circuit with one bit column per fault, which is
   where the fault table comes from.
 
-Shot-major vs detector-major: the planes pack shots along rows; decoders
-key on per-shot syndromes.  :func:`transpose_packed` converts between the
-two layouts once per sample at the decoder boundary.
+Defect lists are the one shot format: at the paper's low ``p`` a shot
+is about 1% defects, so the decoders take the lists as drawn
+(:meth:`~repro.decoder.base.BatchDecoder.decode_defects`) and no dense
+shot matrix is built between draw and decode.  The packed layouts --
+detector-major planes (:meth:`CompiledProgram.run_packed`) and
+shot-major keys (:meth:`DefectBatch.packed`) -- are set from the lists
+by :func:`pack_bits` for the callers that want bits;
+:func:`transpose_packed` converts between the two.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,7 +78,7 @@ from repro.sim.ops import (
 
 _NOISE_HITS = _metrics.counter(
     "repro_sim_noise_hits_total",
-    "Noise-channel hits drawn by the packed sampler (run_packed).",
+    "Noise-channel hits drawn by the circuit sampler (sample_defects).",
 )
 
 # Flip codes per channel outcome, in the four-plane layout of
@@ -88,8 +94,8 @@ _PAULI_ERRORS = {
 # The outcome CDF of a single-outcome channel or importance group.
 NO_CDF = np.empty(0, dtype=np.float64)
 _NO_HITS = np.empty(0, dtype=np.int64)
-# Bit mask of shot 8 w + j within byte w (np.packbits big bit order).
-_SHOT_BIT = np.array([0x80 >> j for j in range(8)], dtype=np.uint8)
+# Bit mask of item 8 w + j within byte w (np.packbits big bit order).
+_BIT = np.array([0x80 >> j for j in range(8)], dtype=np.uint8)
 
 
 def _index_array(values: Sequence[int]) -> np.ndarray:
@@ -227,8 +233,37 @@ def lower_ops(ops) -> LoweredSegment:
     )
 
 
+class DefectBatch(NamedTuple):
+    """A batch of shots as sorted defect lists.
+
+    Shot ``shot[i]`` has detector ``detector[i]`` flipped; the entries
+    are sorted by shot, then detector, each pair once.  ``observables``
+    is the ``(shots, num_observables)`` uint8 table of observable flips;
+    ``log_weights`` holds an importance-sampled batch's per-shot log
+    likelihood ratios (``None`` for circuit shots, which weigh 1).
+    """
+
+    shot: np.ndarray
+    detector: np.ndarray
+    observables: np.ndarray
+    log_weights: Optional[np.ndarray] = None
+
+    @property
+    def shots(self) -> int:
+        return self.observables.shape[0]
+
+    def packed(self, num_detectors: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Bit-packed per-shot keys: ``(shots, ceil(num_detectors/8))``
+        detector and ``(shots, ceil(num_observables/8))`` observable rows,
+        each packed with ``np.packbits`` (big bit order)."""
+        return (
+            pack_bits(self.shot, self.detector, self.shots, num_detectors),
+            np.packbits(self.observables, axis=1),
+        )
+
+
 class CompiledProgram:
-    """A circuit's draw plan and fault table: a packed shot sampler.
+    """A circuit's draw plan and fault table: a defect-list shot sampler.
 
     Args:
         circuit: the circuit to sample.
@@ -264,13 +299,28 @@ class CompiledProgram:
             )
         self._faults = faults
 
+    def sample_defects(self, shots: int, rng: np.random.Generator) -> DefectBatch:
+        """Sample ``shots`` noisy shots as defect lists.
+
+        :func:`draw_hits` over the draw plan, then :func:`symptom_lists`
+        of the hit faults.
+        """
+        if shots < 0:
+            raise ValueError("shots must be >= 0")
+        row, shot = draw_hits(rng, self._plan, shots)
+        if _metrics.enabled():
+            _NOISE_HITS.inc(row.size)
+        return symptom_lists(
+            self._faults, self.num_detectors, self.num_observables,
+            row, shot, shots,
+        )
+
     def run_packed(
         self, shots: int, rng: np.random.Generator
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Sample ``shots`` noisy shots in the packed domain.
+        """Sample ``shots`` noisy shots as detector-major bitplanes.
 
-        :func:`draw_hits` over the draw plan, then :func:`xor_symptoms`
-        of the hit faults.
+        The bits of :meth:`sample_defects` for the same generator.
 
         Returns:
             (detectors, observables): shot-bit-packed bitplanes of shapes
@@ -278,14 +328,10 @@ class CompiledProgram:
             ``(num_observables, ceil(shots/8))`` -- bit ``j`` of byte ``w``
             of a row is shot ``8 w + j`` (``np.packbits`` big-bitorder).
         """
-        if shots < 0:
-            raise ValueError("shots must be >= 0")
-        row, shot = draw_hits(rng, self._plan, shots)
-        if _metrics.enabled():
-            _NOISE_HITS.inc(row.size)
-        return xor_symptoms(
-            self._faults, self.num_detectors, self.num_observables,
-            row, shot, shots,
+        batch = self.sample_defects(shots, rng)
+        return (
+            pack_bits(batch.detector, batch.shot, self.num_detectors, shots),
+            np.packbits(batch.observables.T, axis=1),
         )
 
 
@@ -319,54 +365,67 @@ def draw_hits(
     return np.concatenate(hit_rows), np.concatenate(hit_shots)
 
 
-def xor_symptoms(
+def symptom_lists(
     table: FaultTable,
     num_detectors: int,
     num_observables: int,
     row: np.ndarray,
     shot: np.ndarray,
     shots: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Detector and observable bitplanes of hits ``(row, shot)`` of ``table``.
-
-    Shapes ``(num_detectors, ceil(shots/8))`` and ``(num_observables,
-    ceil(shots/8))``, shot-bit-packed as :meth:`CompiledProgram.run_packed`
-    returns them: hit ``i`` flips the symptoms of fault ``row[i]`` in shot
-    ``shot[i]``.
-    """
-    words = (shots + 7) // 8
-    return (
-        _xor_rows(table.det_start, table.det_index, num_detectors, row, shot, words),
-        _xor_rows(table.obs_start, table.obs_index, num_observables, row, shot, words),
+) -> DefectBatch:
+    """The shots of hits ``(row, shot)`` of ``table``: hit ``i`` flips the
+    symptoms of fault ``row[i]`` in shot ``shot[i]``."""
+    defects = _odd_entries(table.det_start, table.det_index, num_detectors, row, shot)
+    flips = _odd_entries(table.obs_start, table.obs_index, num_observables, row, shot)
+    observables = np.zeros(shots * num_observables, dtype=np.uint8)
+    observables[flips] = 1
+    return DefectBatch(
+        *np.divmod(defects, max(num_detectors, 1)),
+        observables.reshape(shots, num_observables),
     )
 
 
-def _xor_rows(
+def _odd_entries(
     start: np.ndarray,
     index: np.ndarray,
-    rows: int,
+    width: int,
     fault: np.ndarray,
     shot: np.ndarray,
-    words: int,
 ) -> np.ndarray:
-    """``(rows, words)`` bitplane: hit ``i`` flips CSR row ``fault[i]`` in shot ``shot[i]``.
+    """Sorted keys ``shot * width + index`` of the CSR entries that hits
+    ``(fault, shot)`` flip an odd number of times.
 
-    The hits' CSR entries are gathered at once, and one unbuffered
-    XOR-reduce flips each entry's bit, so a fault hit twice in one shot
-    cancels as in frame propagation.
+    The hits' CSR entries are gathered at once and sorted by key; a run
+    of equal keys is one entry flipped that many times, so keeping the
+    odd runs is their XOR, and a fault hit twice in one shot cancels as
+    in frame propagation.
     """
-    plane = np.zeros(rows * words, dtype=np.uint8)
     begin = start[fault]
     count = start[fault + 1] - begin
     ends = np.cumsum(count)
     total = int(ends[-1]) if ends.size else 0
-    if total:
-        entry = np.arange(total) + np.repeat(begin - (ends - count), count)
-        shot = np.repeat(shot, count)
-        np.bitwise_xor.at(
-            plane, index[entry] * words + (shot >> 3), _SHOT_BIT[shot & 7]
-        )
-    return plane.reshape(rows, words)
+    if not total:
+        return _NO_HITS
+    entry = np.arange(total) + np.repeat(begin - (ends - count), count)
+    keys = np.repeat(shot * width, count) + index[entry]
+    keys.sort()
+    repeated = keys[1:] == keys[:-1]
+    if not repeated.any():
+        return keys
+    run = np.flatnonzero(np.append(True, ~repeated))
+    return keys[run[np.diff(run, append=keys.size) % 2 == 1]]
+
+
+def pack_bits(
+    major: np.ndarray, minor: np.ndarray, rows: int, count: int
+) -> np.ndarray:
+    """``(rows, ceil(count/8))`` uint8 rows with bit ``minor[i]`` of row
+    ``major[i]`` set (``np.packbits`` big bit order), for distinct
+    ``(major, minor)`` pairs."""
+    width = (count + 7) // 8
+    out = np.zeros(rows * width, dtype=np.uint8)
+    np.bitwise_or.at(out, major * width + (minor >> 3), _BIT[minor & 7])
+    return out.reshape(rows, width)
 
 
 # -- packed frame steps -------------------------------------------------------

@@ -14,20 +14,24 @@ for it.  So the frames are propagated once per circuit, not per shot:
 the packed propagation, run with one bit column per elementary error
 mechanism, yields every fault's symptom -- the fault table of
 :func:`repro.noise.dem.circuit_faults`, which :mod:`repro.noise.dem`
-merges into the detector error model (DEM) and the packed samplers draw
-shots from (one draw plan per noise op, XORed through
-:func:`~repro.sim.compiled.xor_symptoms`, the kernel the importance
+merges into the detector error model (DEM) and the samplers draw
+shots from (one draw plan per noise op, XORed into defect lists by
+:func:`~repro.sim.compiled.symptom_lists`, the kernel the importance
 sampler shares).  (The :class:`DetectorErrorModel` / :class:`ErrorMechanism`
 classes are re-exported here for compatibility;
 :meth:`FrameSimulator.detector_error_model` delegates to
 :func:`~repro.noise.dem.extract_dem`.)
 
-:meth:`FrameSimulator.sample_packed` runs the program
+:meth:`FrameSimulator.sample_defects` runs the program
 :func:`repro.sim.periodic.compile_program` picks for the circuit (its
 table from periodic extraction when it has a repeated round, from
-whole-circuit propagation otherwise); :meth:`FrameSimulator.sample` is
-its unpacked form.  The byte-per-bit reference interpreter the samples
-are held to lives with the test oracles (``tests/oracles.py``).
+whole-circuit propagation otherwise) and returns the shots as sorted
+defect lists, the form the decoding engine decodes;
+:meth:`FrameSimulator.sample_packed` and :meth:`FrameSimulator.sample`
+give the same shots as bit-packed per-shot keys and as byte-per-bit
+tables.  The
+byte-per-bit reference interpreter the samples are held to lives with
+the test oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -38,7 +42,10 @@ import numpy as np
 
 from repro.noise.dem import DetectorErrorModel, ErrorMechanism  # noqa: F401
 from repro.sim.circuit import Circuit
-from repro.sim.compiled import transpose_packed
+from repro.sim.compiled import DefectBatch
+# Re-exported: layer tracers wrap ``repro.sim.frame.transpose_packed`` by
+# name, so the name stays bound here.
+from repro.sim.compiled import transpose_packed  # noqa: F401
 
 
 class FrameSimulator:
@@ -89,12 +96,29 @@ class FrameSimulator:
         Returns:
             (detectors, observables): uint8 arrays of shape
             (shots, num_detectors) and (shots, num_observables) -- the
-            unpacked bits of :meth:`sample_packed` for the same generator.
+            shots of :meth:`sample_defects` for the same generator.
         """
-        det_keys, obs_keys = self.sample_packed(shots, rng)
-        return (
-            np.unpackbits(det_keys, axis=1, count=self.circuit.num_detectors),
-            np.unpackbits(obs_keys, axis=1, count=self.circuit.num_observables),
+        batch = self.sample_defects(shots, rng)
+        detectors = np.zeros((shots, self.circuit.num_detectors), dtype=np.uint8)
+        detectors[batch.shot, batch.detector] = 1
+        return detectors, batch.observables
+
+    def sample_defects(
+        self, shots: int, rng: Optional[np.random.Generator] = None
+    ) -> DefectBatch:
+        """Sample shots as sorted ``(shot, detector)`` defect lists.
+
+        Runs the compiled program's ``sample_defects``
+        (:mod:`repro.sim.compiled`): noise is drawn sparsely -- only each
+        channel's hits, with one
+        :func:`~repro.sim.compiled.sample_channel` call per noise op in op
+        order -- and the hits' fault-table rows are XORed into defect
+        lists and an observable table.  For the same seed the periodic
+        and linear programs, and the byte-per-bit reference interpreter,
+        agree *bit for bit*.
+        """
+        return self.compiled.sample_defects(
+            shots, rng if rng is not None else self._rng
         )
 
     def sample_packed(
@@ -102,15 +126,7 @@ class FrameSimulator:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Sample detector/observable tables as bit-packed per-shot keys.
 
-        Runs the compiled program's ``run_packed``
-        (:mod:`repro.sim.compiled`): noise is drawn sparsely -- only each
-        channel's hits, with one
-        :func:`~repro.sim.compiled.sample_channel` call per noise op in op
-        order -- and each hit's fault-table row is XORed into the
-        shot-bit-packed detector/observable planes, which
-        :func:`~repro.sim.compiled.transpose_packed` turns into per-shot
-        keys.  For the same seed the periodic and linear programs, and
-        the byte-per-bit reference interpreter, agree *bit for bit*.
+        The bits of :meth:`sample_defects` for the same generator.
 
         Returns:
             (detectors, observables): uint8 arrays of shape
@@ -120,11 +136,7 @@ class FrameSimulator:
             bit order -- exactly the layout
             :meth:`repro.decoder.base.BatchDecoder.decode_packed` consumes.
         """
-        program = self.compiled
-        det, obs = program.run_packed(
-            shots, rng if rng is not None else self._rng
-        )
-        return transpose_packed(det, shots), transpose_packed(obs, shots)
+        return self.sample_defects(shots, rng).packed(self.circuit.num_detectors)
 
     # -- detector error model ----------------------------------------------------
 

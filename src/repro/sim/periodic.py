@@ -184,8 +184,8 @@ class PeriodicProgram(CompiledProgram):
 
     Built like :class:`~repro.sim.compiled.CompiledProgram`, over the
     periodic extraction's fault table (see the module docstring);
-    sampling is :meth:`CompiledProgram.run_packed`'s draw plan and XOR
-    kernel.
+    sampling is :meth:`CompiledProgram.sample_defects`' draw plan and
+    symptom kernel.
     """
 
     # Bound in this class body too, so hooks that wrap ``run_packed`` per
@@ -214,7 +214,7 @@ def compile_program(circuit: Circuit) -> CompiledProgram:
     :class:`PeriodicProgram`; any other falls back to the linear
     :class:`~repro.sim.compiled.CompiledProgram`.  Both take the
     memoized :func:`~repro.noise.dem.circuit_faults` table and produce
-    bit-identical ``run_packed`` output per seed.
+    bit-identical samples per seed.
     """
     start = time.perf_counter()
     with span("periodic.compile"):

@@ -68,7 +68,7 @@ from dataclasses import dataclass
 import networkx as nx
 import numpy as np
 
-from repro.decoder.base import BatchDecoder, _unmask_rows
+from repro.decoder.base import BatchDecoder, _unmask_rows, dense_rows
 from repro.decoder.graph import BOUNDARY
 from repro.decoder.mwpm import MWPMDecoder
 from repro.decoder.union_find import _MAX_ROUNDS, _ZERO_WEIGHT
@@ -549,8 +549,9 @@ class WholeSyndromeMWPM(MWPMDecoder):
             mask ^= int(self._obs[u, v])
         return _unmask_rows([mask], self.num_observables)[0]
 
-    def _decode_rows(self, syndromes):
-        out = np.zeros((syndromes.shape[0], self.num_observables), dtype=np.uint8)
+    def _decode_defects(self, row_of, node, rows):
+        syndromes = dense_rows(row_of, node, rows, self.graph.num_detectors)
+        out = np.zeros((rows, self.num_observables), dtype=np.uint8)
         for i, row in enumerate(syndromes):
             mask = two_defect_mask(self, np.flatnonzero(row).tolist())
             if mask is None:
@@ -623,8 +624,10 @@ class ReferenceUnionFind(BatchDecoder):
     def decode(self, syndrome):
         return self.trace(syndrome)[0]
 
-    def _decode_rows(self, syndromes):
-        return per_shot_decode(self, syndromes)
+    def _decode_defects(self, row_of, node, rows):
+        return per_shot_decode(
+            self, dense_rows(row_of, node, rows, self.graph.num_detectors)
+        )
 
     def order_sensitive(self, syndromes):
         """Bool per row: does its answer depend on processing order?"""

@@ -100,6 +100,21 @@ class TestChemistry:
         assert tight.runtime_seconds > loose.runtime_seconds
 
 
+class TestFig6aMonteCarlo:
+    """Fig. 6(a)'s fit from the Monte-Carlo decoding engine."""
+
+    @pytest.fixture(scope="class")
+    def serial(self):
+        return fig6.generate_fig6a(shots=600, seed=31)
+
+    def test_fit_constants(self, serial):
+        assert serial.memory_fit.lam > 2.0
+        assert 0.0 <= serial.alpha_fit.alpha < 20.0
+
+    def test_data_invariant_to_workers(self, serial):
+        assert fig6.generate_fig6a(shots=600, seed=31, workers=2).data == serial.data
+
+
 class TestExperiments:
     def test_fig2_ordering(self):
         points = fig2.generate()
@@ -110,6 +125,12 @@ class TestExperiments:
     def test_fig6b_monotone_beyond_optimum(self):
         curve = fig6.generate_fig6b()
         assert curve[8.0] > curve[1.0]
+
+    def test_fig6b_optimum_at_most_one_round_per_cnot(self):
+        # Paper Fig. 6(b): at p = 1e-3 the volume-optimal schedule runs at
+        # most one SE round per CNOT.
+        curve = fig6.generate_fig6b()
+        assert min(curve, key=curve.get) <= 1.0
 
     def test_fig12_fanout_dominates_lookup_error(self):
         est = fig12.generate()

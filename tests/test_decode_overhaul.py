@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 from oracles import ReferenceUnionFind, WholeSyndromeMWPM, per_shot_decode, two_defect_mask
 
-from repro.decoder.base import _unmask_rows
+from repro.decoder.base import _unmask_rows, defect_lists
 from repro.decoder.engine import DecodingEngine
 from repro.decoder.graph import INT64_OBSERVABLES, DecodingGraph
 from repro.decoder.mwpm import MWPMDecoder
@@ -73,8 +73,8 @@ class TestBatchedUnionFind:
         oracle = ReferenceUnionFind(graph)
         insensitive = ~oracle.order_sensitive(unique)
         assert insensitive.mean() > 0.5
-        arena = UnionFindDecoder(graph)._decode_rows(unique)
-        reference = oracle._decode_rows(unique)
+        arena = UnionFindDecoder(graph).decode_batch(unique)
+        reference = oracle.decode_batch(unique)
         assert np.array_equal(arena[insensitive], reference[insensitive])
 
     def test_reference_oracle_matches_batched_decode(self, d3_setup):
@@ -140,12 +140,12 @@ class TestSparseFastPath:
         _, graph, _, _ = d3_setup
         decoder = UnionFindDecoder(graph)
         rows = _sparse_rows(graph.num_detectors)
-        fast = decoder._decode_rows(rows)
-        whole = _unmask_rows(decoder._arena_rows(rows)[0], graph.num_observables)
+        fast = decoder.decode_batch(rows)
+        whole = _unmask_rows(decoder._arena_rows(*defect_lists(rows))[0], graph.num_observables)
         assert np.array_equal(fast, whole)
         oracle = ReferenceUnionFind(graph)
         insensitive = ~oracle.order_sensitive(rows)
-        assert np.array_equal(fast[insensitive], oracle._decode_rows(rows)[insensitive])
+        assert np.array_equal(fast[insensitive], oracle.decode_batch(rows)[insensitive])
 
     @pytest.mark.parametrize(
         "decoder_cls, num_obs",

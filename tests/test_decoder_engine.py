@@ -21,7 +21,7 @@ from oracles import (
     reference_sample,
 )
 
-from repro.decoder.base import BatchDecoder, Decoder
+from repro.decoder.base import BatchDecoder, Decoder, defect_lists
 from repro.decoder.engine import (
     DecodingEngine,
     available_decoders,
@@ -300,7 +300,7 @@ class TestMWPMMatchers:
         assert decoder.decode(syndrome).shape == (dem.num_observables,)
         dist = decoder._dist
         weight = 0.0
-        ids, first, sizes, _ = decoder._split(syndrome[None, :])
+        ids, first, sizes, _ = decoder._split(*defect_lists(syndrome[None, :])[:2])
         for start, size in zip(first.tolist(), sizes.tolist()):
             cluster = ids[start:start + size].tolist()
             partner, _ = decoder._match_clusters(np.array([cluster]), np.array([size]))

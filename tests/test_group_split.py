@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.decoder import base
-from repro.decoder.base import _ragged_ranges, split_groups
+from repro.decoder.base import _ragged_ranges, defect_lists, split_groups
 from repro.decoder.graph import DecodingGraph
 from repro.decoder.mwpm import MWPMDecoder
 from repro.decoder.union_find import UnionFindDecoder
@@ -30,7 +30,7 @@ def d5():
 
 
 def _split_of(decoder, rows):
-    return tuple(a.copy() for a in decoder._split(rows))
+    return tuple(a.copy() for a in decoder._split(*defect_lists(rows)[:2]))
 
 
 class TestRaggedRanges:
@@ -60,7 +60,7 @@ class TestChunkedSplit:
         got = _split_of(decoder, rows)
         for a, b in zip(want, got):
             assert np.array_equal(a, b)
-        assert np.array_equal(decoder._decode_rows(rows), build(graph)._decode_rows(rows))
+        assert np.array_equal(decoder.decode_batch(rows), build(graph).decode_batch(rows))
 
     @pytest.mark.parametrize("build", [MWPMDecoder, UnionFindDecoder], ids=["mwpm", "union_find"])
     def test_batch_without_defects(self, d5, build, monkeypatch):
@@ -68,15 +68,15 @@ class TestChunkedSplit:
         monkeypatch.setattr(base, "_SPLIT_PAIRS", 2)
         decoder = build(graph)
         rows = np.zeros((3, graph.num_detectors), dtype=np.uint8)
-        ids, first, sizes, row = decoder._split(rows)
+        ids, first, sizes, row = decoder._split(*defect_lists(rows)[:2])
         assert ids.size == first.size == sizes.size == row.size == 0
-        assert not decoder._decode_rows(rows).any()
+        assert not decoder.decode_batch(rows).any()
 
     def test_groups_are_components_listed_by_row(self):
         # Ids within two of each other link; rows never join.
         rows = np.zeros((3, 12), dtype=np.uint8)
         rows[0, [0, 2, 4, 9]] = 1
         rows[2, [1, 5, 6, 11]] = 1
-        ids, first, sizes, row = split_groups(rows, lambda u, v: v - u <= 2, 2)
+        ids, first, sizes, row = split_groups(*defect_lists(rows)[:2], lambda u, v: v - u <= 2, 2)
         groups = [(int(r), ids[f:f + s].tolist()) for f, s, r in zip(first, sizes, row)]
         assert groups == [(0, [0, 2, 4]), (0, [9]), (2, [1]), (2, [5, 6]), (2, [11])]

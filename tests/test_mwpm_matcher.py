@@ -21,7 +21,7 @@ import pytest
 from oracles import cluster_split, min_matching_weight
 
 from repro.decoder import mwpm
-from repro.decoder.base import SortedMemo
+from repro.decoder.base import SortedMemo, defect_lists
 from repro.decoder.engine import make_decoder
 from repro.decoder.graph import BOUNDARY, INT64_OBSERVABLES, DecodingGraph
 from repro.decoder.mwpm import MWPMDecoder, _match_batch, _padded
@@ -86,7 +86,7 @@ def _match(decoder, clusters):
 
 def _row_clusters(decoder, syndromes):
     """Each row's clusters as tuples, from one ``_split``."""
-    ids, first, sizes, row = decoder._split(syndromes)
+    ids, first, sizes, row = decoder._split(*defect_lists(syndromes)[:2])
     out = [[] for _ in range(syndromes.shape[0])]
     for start, size, r in zip(first.tolist(), sizes.tolist(), row.tolist()):
         out[r].append(tuple(ids[start:start + size].tolist()))
@@ -347,10 +347,10 @@ class TestMemo:
         for i, cluster in enumerate(big):
             rows[i, list(cluster)] = 1
         assert len(big) >= 10
-        decoder._decode_rows(rows)
+        decoder.decode_batch(rows)
         assert decoder._memo.keys.size == 0
         # Sampled rows store exactly their distinct small clusters.
-        decoder._decode_rows(np.unique(syndromes, axis=0))
+        decoder.decode_batch(np.unique(syndromes, axis=0))
         assert decoder._memo.keys.size == len(clusters) - len(big)
         assert np.all(np.diff(decoder._memo.keys) > 0)
         assert 0 < decoder._memo.keys.max() < (n + 1) ** 4

@@ -21,7 +21,7 @@ import pytest
 from oracles import ReferenceUnionFind
 
 from repro.decoder import base, union_find
-from repro.decoder.base import _unmask_rows
+from repro.decoder.base import _unmask_rows, defect_lists
 from repro.decoder.engine import DecodingEngine
 from repro.decoder.graph import DecodingGraph
 from repro.decoder.union_find import UnionFindDecoder
@@ -62,12 +62,12 @@ def _assert_oracle_agrees(decoder, rows, out):
 
 def _whole_row(decoder, rows):
     """The whole-row arena on every row."""
-    return _unmask_rows(decoder._arena_rows(rows)[0], decoder.num_observables)
+    return _unmask_rows(decoder._arena_rows(*defect_lists(rows))[0], decoder.num_observables)
 
 
 def _local(decoder, rows):
     """Which rows the group path serves (all of their groups local)."""
-    return decoder._decode_groups(rows)[1]
+    return decoder._decode_groups(*defect_lists(rows))[1]
 
 
 def _rows(num_detectors, defect_sets):
@@ -101,7 +101,7 @@ def _hop_distances(graph):
 
 def _groups(decoder, rows):
     """Each row's groups from one ``_split``, as sorted lists of ids."""
-    ids, first, sizes, row = decoder._split(rows)
+    ids, first, sizes, row = decoder._split(*defect_lists(rows)[:2])
     out = [[] for _ in range(rows.shape[0])]
     for start, size, r in zip(first.tolist(), sizes.tolist(), row.tolist()):
         out[r].append(ids[start:start + size].tolist())
@@ -115,7 +115,7 @@ class TestGroupPathEqualsReference:
         local = _local(decoder, rows)
         # The group path must carry most rows, or this tests nothing.
         assert local.mean() > 0.9
-        out = decoder._decode_rows(rows)
+        out = decoder.decode_batch(rows)
         assert np.array_equal(out, _whole_row(decoder, rows))
         _assert_oracle_agrees(decoder, rows, out)
 
@@ -123,7 +123,7 @@ class TestGroupPathEqualsReference:
     def test_d11_low_p_rows(self):
         decoder, rows = _setup(11, 12, 5e-4, 4096, 13)
         assert _local(decoder, rows).mean() > 0.99
-        out = decoder._decode_rows(rows)
+        out = decoder.decode_batch(rows)
         assert np.array_equal(out, _whole_row(decoder, rows))
         _assert_oracle_agrees(decoder, rows, out)
 
@@ -137,7 +137,7 @@ class TestForcedFallbacks:
         # A lone defect away from the boundary grows past one hop.
         assert not local.all()
         rows = singles[~local]
-        out = decoder._decode_rows(rows)
+        out = decoder.decode_batch(rows)
         assert np.array_equal(out, _whole_row(decoder, rows))
         _assert_oracle_agrees(decoder, rows, out)
 
@@ -151,7 +151,7 @@ class TestForcedFallbacks:
         rows = pairs[ReferenceUnionFind(decoder.graph).order_sensitive(pairs)]
         assert rows.shape[0] > 0
         assert _local(decoder, rows).all()
-        assert np.array_equal(decoder._decode_rows(rows), _whole_row(decoder, rows))
+        assert np.array_equal(decoder.decode_batch(rows), _whole_row(decoder, rows))
 
     def test_groups_sharing_the_boundary(self):
         # Two local groups whose clusters reach the boundary.  Had the
@@ -164,7 +164,7 @@ class TestForcedFallbacks:
             (10, 18, 20, 23, 33, 80, 87, 92, 103, 111, 112, 116, 119),
         ])
         assert _local(decoder, rows).all()
-        assert np.array_equal(decoder._decode_rows(rows), _whole_row(decoder, rows))
+        assert np.array_equal(decoder.decode_batch(rows), _whole_row(decoder, rows))
 
     @pytest.mark.parametrize("setup", ["d3", "d5"])
     def test_groups_three_hops_apart(self, setup, request):
@@ -173,7 +173,7 @@ class TestForcedFallbacks:
         rows = _rows(decoder.graph.num_detectors, list(zip(*np.nonzero(np.triu(dist == 3)))))
         local = _local(decoder, rows)
         assert local.any()
-        out = decoder._decode_rows(rows)
+        out = decoder.decode_batch(rows)
         assert np.array_equal(out, _whole_row(decoder, rows))
         served = rows[local][:60]
         _assert_oracle_agrees(decoder, served, out[local][:60])
@@ -184,16 +184,16 @@ class TestMemo:
         _, rows = d5
         graph = d5[0].graph
         cold = UnionFindDecoder(graph)
-        first = cold._decode_rows(rows)
+        first = cold.decode_batch(rows)
         assert cold._memo.keys.size > 0
         assert np.all(np.diff(cold._memo.keys) > 0)
         assert cold._memo.vals.size == cold._memo.keys.size
-        warm = cold._decode_rows(rows[::-1])[::-1]
+        warm = cold.decode_batch(rows[::-1])[::-1]
         monkeypatch.setattr(union_find, "_GROUP_MEMO_LIMIT", 8)
         tiny = UnionFindDecoder(graph)
         # Small batches, so the memo is dropped between them.
         dropped = np.concatenate(
-            [tiny._decode_rows(rows[i:i + 4]) for i in range(0, len(rows), 4)]
+            [tiny.decode_batch(rows[i:i + 4]) for i in range(0, len(rows), 4)]
         )
         assert tiny._memo.keys.size < cold._memo.keys.size
         assert np.array_equal(first, warm)
@@ -215,13 +215,13 @@ class TestMemo:
         ]
         rows = _rows(n, big)
         assert all(len(groups) == 1 for groups in _groups(decoder, rows))
-        out = decoder._decode_rows(rows)
+        out = decoder.decode_batch(rows)
         assert decoder._memo.keys.size == 0
         assert np.array_equal(out, _whole_row(decoder, rows))
         # Sampled rows with groups of every size store only the small ones.
         noisy = _setup(5, 5, 0.01, 300, 3)[1]
-        assert decoder._split(noisy)[2].max() > 4
-        decoder._decode_rows(noisy)
+        assert decoder._split(*defect_lists(noisy)[:2])[2].max() > 4
+        decoder.decode_batch(noisy)
         assert 0 < decoder._memo.keys.max() < (n + 1) ** 4
 
     @pytest.mark.parametrize("detectors,defects", [(1000, 4), (60_000, 3)])
@@ -319,7 +319,7 @@ def _probe_rows(decoder, extra=()):
 
 def _assert_group_path_exact(decoder, rows):
     """The group path (with shifts and memo) equals the whole-row arena."""
-    assert np.array_equal(decoder._decode_rows(rows), _whole_row(decoder, rows))
+    assert np.array_equal(decoder.decode_batch(rows), _whole_row(decoder, rows))
 
 
 class TestShift:
@@ -338,7 +338,7 @@ class TestShift:
         local-arena outcome as each of its shifted copies (with
         ``masked``, some of them local with a non-trivial mask)."""
         period, down = decoder._period, decoder._down
-        ids, first, sizes, _ = decoder._split(rows)
+        ids, first, sizes, _ = decoder._split(*defect_lists(rows)[:2])
         bases, copies = [], []
         for start, size in zip(first.tolist(), sizes.tolist()):
             group = ids[start:start + size]
@@ -347,8 +347,8 @@ class TestShift:
                 copies.append(group - k * period)
         assert bases, "no shiftable group"
         n = rows.shape[1]
-        got = decoder._arena_rows(_rows(n, bases), local=True)
-        want = decoder._arena_rows(_rows(n, copies), local=True)
+        got = decoder._arena_rows(*defect_lists(_rows(n, bases)), local=True)
+        want = decoder._arena_rows(*defect_lists(_rows(n, copies)), local=True)
         assert np.array_equal(got[0][~got[1]], want[0][~want[1]])
         assert np.array_equal(got[1], want[1])
         # Local groups with a non-trivial mask are among them.
@@ -417,7 +417,7 @@ class TestShift:
         if change == "mask":
             # The pair grows only the edited edge, so it decodes unlike
             # its shifted copy: a shift across the edit would be wrong.
-            masks, far = edited._arena_rows(probes, local=True)
+            masks, far = edited._arena_rows(*defect_lists(probes), local=True)
             assert not far.any() and masks[0] != masks[1]
         _assert_group_path_exact(edited, _probe_rows(edited, [rows, probes]))
 
@@ -524,12 +524,12 @@ class TestGroups:
     def test_chunking_does_not_change_groups(self, d5, monkeypatch):
         decoder, rows = d5
         rows = rows[:40]
-        masks, local = decoder._decode_groups(rows)
+        masks, local = decoder._decode_groups(*defect_lists(rows))
         # Eight defect pairs per grouping chunk, one row per arena chunk.
         monkeypatch.setattr(base, "_SPLIT_PAIRS", 8)
         monkeypatch.setattr(union_find, "_ARENA_CHUNK_ELEMS", 32)
         small = UnionFindDecoder(decoder.graph)
-        small_masks, small_local = small._decode_groups(rows)
+        small_masks, small_local = small._decode_groups(*defect_lists(rows))
         assert np.array_equal(masks, small_masks)
         assert np.array_equal(local, small_local)
 
