@@ -58,6 +58,10 @@ sampler, or an importance sampler's weighted proposal), decode them with
 shard layout depends only on the seed and ``shard_shots``, so results are
 bit-identical for any worker count, including under ``run_until`` early
 stopping (the stop rule is evaluated on the shard-ordered prefix).
+``engine.collect(shots, seed=7)`` draws the same shards without decoding
+them and returns one :class:`~repro.sim.compiled.DefectBatch`;
+:func:`~repro.decoder.analysis.paired_failure_counts` decodes that batch
+with several decoders, so their failure counts differ only by decoder.
 """
 
 from repro.decoder.analysis import (

@@ -8,7 +8,7 @@ logical error rates, and fits the paper's heuristic model:
 * Eq. (4) transversal fit: extracts the decoding factor alpha from
   per-CNOT logical error rates at different CNOT densities x.
 
-All Monte-Carlo entry points accept a decoder registry name, a worker
+The single-decoder entry points accept a decoder registry name, a worker
 count for sharded parallel decoding, and an optional ``target_failures``
 for streaming early-stop sampling (``shots`` then acts as the cap).
 """
@@ -79,13 +79,13 @@ def paired_failure_counts(
     dem=None,
     shard_shots: int = 1024,
 ) -> Dict[str, int]:
-    """Decode one shared sampled syndrome table with several decoders.
+    """Decode one shared set of sampled shots with several decoders.
 
     The paired-comparison convention every weighted-vs-uniform and
-    decoder-tradeoff surface uses: the circuit is sampled *once* through
-    the packed pipeline (engine shard layout, so the table matches what
-    ``DecodingEngine.run`` would draw for the same seed), and every
-    decoder consumes the identical bit-packed keys -- failure-count
+    decoder-tradeoff surface uses: the circuit is sampled *once* with the
+    engine's shard layout (:meth:`DecodingEngine.collect`, so the shots
+    match what ``DecodingEngine.run`` would draw for the same seed), and
+    every decoder decodes the identical defect lists -- failure-count
     differences are decoder differences, not sampling noise.
 
     Args:
@@ -112,12 +112,12 @@ def paired_failure_counts(
     }
     sampler = next(iter(built.values()))
     with DecodingEngine(circuit, sampler, shard_shots=shard_shots) as engine:
-        det_keys, obs_keys = engine.collect(shots, seed=seed)
-    observables = np.unpackbits(obs_keys, axis=1, count=circuit.num_observables)
+        batch = engine.collect(shots, seed=seed)
+    observed = batch.observables[:, 0]
     return {
         label: int(
-            (decoder.decode_packed(det_keys, circuit.num_detectors)[:, 0]
-             ^ observables[:, 0]).sum()
+            (decoder.decode_defects(batch.shot, batch.detector, shots)[:, 0]
+             ^ observed).sum()
         )
         for label, decoder in built.items()
     }

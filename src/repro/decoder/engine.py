@@ -29,7 +29,7 @@ throughput-oriented:
   compares the predictions with the observable table, and ships its
   sufficient statistics home; no dense shot matrix is built on the way.
   :meth:`DecodingEngine.collect` draws from the same source without
-  decoding and ships bit-packed keys.
+  decoding and ships the shards' defect lists home as one batch.
 * **Sharded parallel sampling** -- shots are split into fixed-size shards,
   each with an independent child of one root
   :class:`numpy.random.SeedSequence`.  The shard structure depends only on
@@ -76,6 +76,7 @@ from repro.obs import metrics as _metrics
 from repro.obs.logs import get_logger
 from repro.obs.spans import span
 from repro.sim.circuit import Circuit
+from repro.sim.compiled import DefectBatch
 from repro.sim.frame import FrameSimulator
 
 SeedLike = Union[int, np.random.SeedSequence]
@@ -368,12 +369,14 @@ def _worker_init(
     state["draw"] = draw
     state["decoder"] = decoder
     state["observable"] = observable
-    state["num_detectors"] = circuit.num_detectors
     return state
 
 
-def _draw_shard(state: dict, shots: int, seed_seq: np.random.SeedSequence):
+def _draw_shard(
+    task: Tuple[int, np.random.SeedSequence], state: dict = _WORKER
+) -> DefectBatch:
     """Draw one shard from the state's shot source, timing the sampling."""
+    shots, seed_seq = task
     start = time.perf_counter()
     with span("engine.sample"):
         out = state["draw"](shots, np.random.default_rng(seed_seq))
@@ -392,9 +395,9 @@ def _run_shard(
     accumulated in shard order -- the same protocol that keeps the
     metric deltas worker-count invariant.
     """
-    shots, seed_seq = task
+    shots = task[0]
     with span("engine.shard", shots=shots):
-        batch = _draw_shard(state, shots, seed_seq)
+        batch = _draw_shard(task, state)
         start = time.perf_counter()
         with span("engine.decode"):
             predictions = state["decoder"].decode_defects(
@@ -424,17 +427,6 @@ def _run_shard(
             weight_sum=float(weights.sum()),
             weight_sq_sum=float(np.square(weights).sum()),
         )
-
-
-def _collect_shard(
-    task: Tuple[int, np.random.SeedSequence], state: dict = _WORKER
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Sample one shard; returns bit-packed (detector, observable) keys.
-
-    Workers ship the packed arrays back to the parent, ~8x less pickle
-    bandwidth than byte-per-bit tables.
-    """
-    return _draw_shard(state, *task).packed(state["num_detectors"])
 
 
 class DecodingEngine:
@@ -702,21 +694,21 @@ class DecodingEngine:
             max(result.weight_sq_sum / result.shots - mean_weight ** 2, 0.0)
         )
 
-    def collect(
-        self, shots: int, seed: SeedLike = 0
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Sample detector/observable tables without decoding them.
+    def collect(self, shots: int, seed: SeedLike = 0) -> DefectBatch:
+        """Sample shots without decoding them.
 
         Shards are drawn exactly as in :meth:`run` (same seed spawning,
-        same layout, same shot source); workers ship each shard's packed
-        tables home and the parent concatenates them in shard order, so
-        the tables are bit-identical for any worker count.
+        same layout, same shot source); workers ship each shard's
+        :class:`~repro.sim.compiled.DefectBatch` home and the parent
+        joins them in shard order, so the batch is bit-identical for any
+        worker count.
 
         Returns:
-            (detectors, observables): uint8 arrays of shapes
-            (shots, ceil(num_detectors/8)) and
-            (shots, ceil(num_observables/8)), one bit-packed row per shot
-            (the layout ``decode_packed`` consumes).
+            one :class:`~repro.sim.compiled.DefectBatch` of ``shots`` shots:
+            sorted ``(shot, detector)`` defect lists, each shard's shot ids
+            offset by the shots of the shards before it (the lists
+            ``decode_defects`` consumes), and the ``(shots,
+            num_observables)`` observable table.
         """
         if self.sampler is not None:
             raise ValueError(
@@ -726,21 +718,17 @@ class DecodingEngine:
             )
         if shots < 0:
             raise ValueError("shots must be >= 0")
-        det_width = (self.circuit.num_detectors + 7) // 8
-        obs_width = (self.circuit.num_observables + 7) // 8
-        if shots == 0:
-            return (
-                np.zeros((0, det_width), dtype=np.uint8),
-                np.zeros((0, obs_width), dtype=np.uint8),
-            )
         root = _as_seed_sequence(seed)
-        sizes = self._shard_sizes(shots)
+        # Zero shots draw one empty shard: the source gives its shapes.
+        sizes = self._shard_sizes(shots) or [0]
         parts = self._execute(
-            list(zip(sizes, root.spawn(len(sizes)))), fn=_collect_shard
+            list(zip(sizes, root.spawn(len(sizes)))), fn=_draw_shard
         )
-        return (
-            np.concatenate([p[0] for p in parts]),
-            np.concatenate([p[1] for p in parts]),
+        offsets = np.cumsum([0] + sizes[:-1])
+        return DefectBatch(
+            np.concatenate([p.shot + o for p, o in zip(parts, offsets)]),
+            np.concatenate([p.detector for p in parts]),
+            np.concatenate([p.observables for p in parts]),
         )
 
     # -- internals ----------------------------------------------------------
@@ -782,6 +770,10 @@ class DecodingEngine:
 
 
 def _as_seed_sequence(seed: SeedLike) -> np.random.SeedSequence:
+    """A fresh root for one call: spawning from a copy leaves the caller's
+    sequence untouched, so the same seed always draws the same shots."""
     if isinstance(seed, np.random.SeedSequence):
-        return seed
+        return np.random.SeedSequence(
+            seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size
+        )
     return np.random.SeedSequence(seed)

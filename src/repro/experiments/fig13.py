@@ -6,8 +6,9 @@ one-round threshold from 0.86% to 0.6% costs only ~50% more volume.
 (b) Volume vs coherence time: flat until ~1 s, then accelerating.
 
 :func:`decoder_tradeoff_monte_carlo` backs the Fig. 13(a) narrative with
-measured numbers: it runs the *same* sampled syndromes through every
-registered decoder via the batched decoding engine, exhibiting the
+measured numbers: it samples one memory experiment once and decodes the
+*same* shots with every requested decoder
+(:func:`~repro.decoder.analysis.paired_failure_counts`), exhibiting the
 accuracy gap (e.g. union-find vs MWPM) that the analytic alpha sweep
 abstracts into a single parameter.
 """
@@ -15,19 +16,16 @@ abstracts into a single parameter.
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, Optional, Sequence
-
-import numpy as np
+from typing import Dict, Sequence
 
 from repro.algorithms.factoring import FactoringParameters, estimate_factoring
 from repro.core.idle import optimal_storage_period_volume
 from repro.core.logical_error import required_distance
 from repro.core.params import ArchitectureConfig
 from repro.decoder.analysis import paired_failure_counts
-from repro.decoder.engine import DecodingEngine, EngineResult, make_decoder
+from repro.decoder.engine import EngineResult
 from repro.estimator.registry import Scenario, ScenarioResult, register_scenario
 from repro.estimator.sweep import grid, sweep
-from repro.sim.frame import FrameSimulator
 from repro.sim.memory import memory_circuit
 
 DEFAULT_ALPHAS = (1.0 / 12, 1.0 / 6, 1.0 / 3, 1.0 / 2, 2.0 / 3)
@@ -103,8 +101,6 @@ def decoder_tradeoff_monte_carlo(
     shots: int = 2000,
     seed: int = 41,
     decoders: Sequence[str] = ("mwpm", "mwpm_uniform", "union_find"),
-    workers: int = 1,
-    target_failures: Optional[int] = None,
     noise=None,
 ) -> Dict[str, EngineResult]:
     """Measured logical error per decoder on one memory experiment.
@@ -112,17 +108,11 @@ def decoder_tradeoff_monte_carlo(
     Every decoder decodes *the same* noise realizations (a paired
     comparison), so the rate ratio between a fast decoder and MWPM is the
     Monte-Carlo counterpart of the alpha penalty swept analytically in
-    :func:`volume_vs_alpha`.  Serially (``workers=1``, no
-    ``target_failures``) the syndromes are sampled exactly once through
-    the packed pipeline (:meth:`DecodingEngine.collect`) and every
-    decoder consumes the identical bit-packed tables; with ``workers>1``
-    each decoder streams through its own sharded engine run instead --
-    resampling identical shard streams from the common seed -- so the
-    decode work (the dominant cost) parallelizes too.
-
-    Note: setting ``target_failures`` makes each decoder stop at its own
-    shot count, so failure *counts* are no longer paired -- compare
-    ``rate`` (failures per shot) in that mode, not raw counts.
+    :func:`volume_vs_alpha`.  The shots are sampled once
+    (:meth:`~repro.decoder.engine.DecodingEngine.collect`, 1024-shot
+    shards seeded from ``SeedSequence(seed)``) and each decoder decodes
+    their defect lists, so every count equals that decoder's own
+    ``DecodingEngine.run`` at the same seed.
 
     ``noise`` selects the circuit noise model (instance or registry name);
     the default decoder list pairs DEM-weighted MWPM against the
@@ -130,33 +120,12 @@ def decoder_tradeoff_monte_carlo(
     a weighted-vs-uniform ablation under any model.
     """
     circuit = memory_circuit(distance, rounds, p, noise=noise)
-    # Extract the DEM once (the dominant setup cost) and share it across
-    # all decoders.
-    dem = FrameSimulator(circuit).detector_error_model()
-    out: Dict[str, EngineResult] = {}
-    if target_failures is not None or workers > 1:
-        for name in decoders:
-            with DecodingEngine(
-                circuit, make_decoder(name, dem), workers=workers
-            ) as engine:
-                if target_failures is not None:
-                    out[name] = engine.run_until(
-                        target_failures,
-                        max_shots=shots,
-                        seed=np.random.SeedSequence(seed),
-                    )
-                else:
-                    out[name] = engine.run(
-                        shots, seed=np.random.SeedSequence(seed)
-                    )
-        return out
     shard_shots = 1024
     counts = paired_failure_counts(
         circuit,
         {name: name for name in decoders},
         shots,
-        seed=np.random.SeedSequence(seed),
-        dem=dem,
+        seed=seed,
         shard_shots=shard_shots,
     )
     shards = -(-shots // shard_shots)  # the shards collect drew

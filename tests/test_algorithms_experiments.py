@@ -7,7 +7,7 @@ from repro.algorithms.factoring import FactoringParameters, estimate_factoring
 from repro.algorithms.optimizer import optimize_factoring, table_ii
 from repro.baselines.qldpc import QLDPCStorageModel
 from repro.core.params import ArchitectureConfig, ErrorParams
-from repro.experiments import fig2, fig6, fig12, fig13, fig14
+from repro.experiments import fig2, fig6, fig11, fig12, fig13, fig14, tables
 
 
 class TestFactoringHeadline:
@@ -148,6 +148,84 @@ class TestExperiments:
         points = fig14.qubit_time_tradeoff(runway_separations=(48, 96, 384))
         days = [d for _, d in points]
         assert days == sorted(days)
+
+
+class TestFigureShapes:
+    """The qualitative claims of each analytic figure and table."""
+
+    def test_fig2_days_not_months(self):
+        points = fig2.generate()
+        ours = points[0]
+        assert ours.days < 10
+        assert all(p.days > 10 * ours.days for p in points[1:])
+
+    @pytest.mark.parametrize("alpha", [1 / 6, 1 / 2])
+    def test_fig11ab_at_most_one_se_round_per_gate(self, alpha):
+        curve = fig11.factory_volume_vs_se_rounds(alpha)
+        assert fig11.optimal_period_of_curve(curve) <= 1.0
+
+    def test_fig11cd_idle_period_optima(self):
+        optima = [
+            fig11.optimal_period_of_curve(curve)
+            for curve in fig11.idle_volume_vs_period().values()
+        ]
+        # Largely independent of the distance family (paper Fig. 11(c)).
+        assert max(optima) / min(optima) < 4.0
+        assert all(5e-4 < v < 6e-2 for v in optima)
+
+    def test_fig12_space_breakdown(self):
+        estimate = fig12.generate()
+        space = fig12.space_fractions(estimate)
+        # Fan-out dominates active compute during lookup; factories
+        # dominate during addition.
+        lookup = space["lookup"]
+        addition = space["addition"]
+        assert lookup["cnot_fanout"] + lookup["ghz_pipeline"] > lookup["factories"] * 0.8
+        assert addition["factories"] == max(
+            v for k, v in addition.items() if k != "storage"
+        ) or addition["adder_segments"] >= addition["factories"] * 0.5
+        # 4-6 M qubits idle in storage (paper Sec. IV.3.4).
+        assert 2e6 < estimate.space_breakdown["lookup"]["storage"] < 8e6
+
+    def test_fig13a_volume_rises_over_every_alpha(self):
+        curve = fig13.volume_vs_alpha()
+        values = [curve[a] for a in sorted(curve)]
+        assert values == sorted(values)
+
+    def test_fig13b_cost_accelerates_below_one_second(self):
+        curve = fig13.volume_vs_coherence()
+        assert curve[0.3] > curve[10.0]
+        assert curve[0.3] / curve[1.0] > curve[3.0] / curve[10.0]
+
+    def test_fig14_timescale_sensitivities(self):
+        acceleration = fig14.volume_vs_acceleration()
+        assert acceleration[0.25] > acceleration[4.0]  # faster moves help
+        rounds = fig14.qec_round_vs_acceleration()
+        assert rounds[0.25] > rounds[1.0] > rounds[4.0]
+        reaction = fig14.volume_vs_reaction_time()
+        assert reaction[4e-3] > reaction[1e-3]
+        # Gains saturate at small reaction times (fan-out bound).
+        assert reaction[0.5e-3] / reaction[0.25e-3] < reaction[2e-3] / reaction[1e-3]
+
+    def test_fig14d_fewer_qubits_longer_runtime(self):
+        points = fig14.qubit_time_tradeoff()
+        qubits = [mq for mq, _ in points]
+        days = [d for _, d in points]
+        assert qubits == sorted(qubits, reverse=True)
+        assert days == sorted(days)
+
+    def test_table_i_echoes_platform_parameters(self):
+        row = tables.table_i()
+        assert row["site_spacing_um"] == 12.0
+        assert row["acceleration_m_s2"] == 5500.0
+
+    def test_table_ii_lands_in_the_paper_regime(self):
+        ours = tables.table_ii_rows()["ours"]
+        assert ours["window_exp"] in (2, 3, 4)
+        assert ours["window_mul"] in (3, 4, 5)
+        assert ours["runway_separation"] <= 128
+        assert ours["runway_padding"] >= 20
+        assert ours["max_factories"] >= 100
 
 
 class TestCLI:

@@ -21,7 +21,7 @@ from oracles import (
     reference_sample,
 )
 
-from repro.decoder.base import BatchDecoder, Decoder, defect_lists
+from repro.decoder.base import BatchDecoder, Decoder, defect_lists, dense_rows
 from repro.decoder.engine import (
     DecodingEngine,
     available_decoders,
@@ -154,6 +154,28 @@ class TestEngineDeterminism:
         a = engine.run(500, seed=5)
         b = engine.run(500, seed=5)
         assert (a.shots, a.failures) == (b.shots, b.failures)
+
+    @pytest.mark.parametrize("method", ["run", "run_until", "collect"])
+    def test_seed_sequence_object_is_reusable(self, method):
+        # The engine spawns shard seeds from a copy of the caller's
+        # SeedSequence, so passing one object twice draws the same shots
+        # as passing a fresh equal sequence, and the object is untouched.
+        circuit = memory_circuit(3, 3, 4e-3)
+        with DecodingEngine(circuit, "mwpm", shard_shots=256) as engine:
+            call = {
+                "run": lambda seed: engine.run(2048, seed=seed),
+                "run_until": lambda seed: engine.run_until(
+                    20, max_shots=8192, seed=seed
+                ),
+                "collect": lambda seed: [
+                    part.tolist() for part in engine.collect(2048, seed=seed)[:3]
+                ],
+            }[method]
+            seq = np.random.SeedSequence(77)
+            first, second = call(seq), call(seq)
+            fresh = call(np.random.SeedSequence(77))
+        assert first == second == fresh
+        assert seq.n_children_spawned == 0
 
     def test_partial_last_shard(self, memory_setup):
         circuit, _, _, _ = memory_setup
@@ -528,35 +550,46 @@ class TestPackedPipeline:
     def test_collect_matches_reference_sampling(self, memory_setup):
         circuit, _, _, _ = memory_setup
         engine = DecodingEngine(circuit, "mwpm", shard_shots=128)
-        det_keys, obs_keys = engine.collect(300, seed=9)
-        assert det_keys.shape == (300, (circuit.num_detectors + 7) // 8)
+        batch = engine.collect(300, seed=9)
+        assert batch.shots == 300
+        assert batch.observables.shape == (300, circuit.num_observables)
+        assert batch.log_weights is None
+        # One sorted (shot, detector) list over all shards, each pair once.
+        keys = batch.shot * circuit.num_detectors + batch.detector
+        assert (np.diff(keys) > 0).all()
         root = np.random.SeedSequence(9)
         parts = [
-            reference_sample(circuit, size, np.random.default_rng(child))[0]
+            reference_sample(circuit, size, np.random.default_rng(child))
             for size, child in zip([128, 128, 44], root.spawn(3))
         ]
         np.testing.assert_array_equal(
-            np.unpackbits(det_keys, axis=1, count=circuit.num_detectors),
-            np.concatenate(parts),
+            dense_rows(batch.shot, batch.detector, 300, circuit.num_detectors),
+            np.concatenate([part[0] for part in parts]),
+        )
+        np.testing.assert_array_equal(
+            batch.observables, np.concatenate([part[1] for part in parts])
         )
 
     def test_collect_worker_invariance(self, memory_setup):
         circuit, _, _, _ = memory_setup
-        tables = []
+        batches = []
         for workers in (1, 2):
             with DecodingEngine(
                 circuit, "mwpm", shard_shots=64, workers=workers
             ) as engine:
-                tables.append(engine.collect(300, seed=21))
-        np.testing.assert_array_equal(tables[0][0], tables[1][0])
-        np.testing.assert_array_equal(tables[0][1], tables[1][1])
+                batches.append(engine.collect(300, seed=21))
+        np.testing.assert_array_equal(batches[0].shot, batches[1].shot)
+        np.testing.assert_array_equal(batches[0].detector, batches[1].detector)
+        np.testing.assert_array_equal(
+            batches[0].observables, batches[1].observables
+        )
 
     def test_zero_shots(self, memory_setup):
         circuit, _, _, _ = memory_setup
         with DecodingEngine(circuit, "mwpm") as engine:
-            detectors, observables = engine.collect(0, seed=17)
-        assert detectors.shape == (0, (circuit.num_detectors + 7) // 8)
-        assert observables.shape == (0, (circuit.num_observables + 7) // 8)
+            batch = engine.collect(0, seed=17)
+        assert batch.shot.shape == batch.detector.shape == (0,)
+        assert batch.observables.shape == (0, circuit.num_observables)
 
 
 def assert_decomposed_agrees(graph, detectors, observables, slack):

@@ -129,20 +129,25 @@ class TestAlphaFit:
 
 class TestDecoderTradeoff:
     def test_paired_and_engine_branches_agree(self):
-        # The paired branch decodes collect()'s table once per decoder;
-        # the workers branch runs each decoder's own engine over the same
-        # shard streams.  Both report the same EngineResult counts,
-        # including the shard count collect drew.
-        from repro.decoder.engine import EngineResult
+        # The trade-off decodes collect()'s shots once per decoder; each
+        # count equals that decoder's own engine run with a fresh equal
+        # seed, including the shard count collect drew.
+        from repro.decoder.engine import DecodingEngine, EngineResult, make_decoder
         from repro.experiments.fig13 import decoder_tradeoff_monte_carlo
+        from repro.sim.memory import memory_circuit
 
-        kwargs = dict(distance=3, rounds=3, p=0.004, shots=1500, seed=41,
-                      decoders=("mwpm", "union_find"))
-        paired = decoder_tradeoff_monte_carlo(**kwargs)
-        sharded = decoder_tradeoff_monte_carlo(workers=2, **kwargs)
-        for name in kwargs["decoders"]:
-            assert isinstance(paired[name], EngineResult)
-            assert (paired[name].shots, paired[name].shards) == (1500, 2)
-            assert (paired[name].failures, paired[name].shards) == (
-                sharded[name].failures, sharded[name].shards
-            )
+        paired = decoder_tradeoff_monte_carlo(
+            distance=3, rounds=3, p=0.004, shots=1500, seed=41
+        )
+        assert list(paired) == ["mwpm", "mwpm_uniform", "union_find"]
+        circuit = memory_circuit(3, 3, 0.004)
+        dem = FrameSimulator(circuit).detector_error_model()
+        for name, result in paired.items():
+            assert isinstance(result, EngineResult)
+            assert (result.shots, result.shards) == (1500, 2)
+            with DecodingEngine(circuit, make_decoder(name, dem)) as engine:
+                own = engine.run(1500, seed=np.random.SeedSequence(41))
+            assert (result.failures, result.shards) == (own.failures, own.shards)
+        # On identical shots union-find should not beat MWPM by more than
+        # tie-breaking noise (MWPM is min-weight, not per-shot optimal).
+        assert paired["union_find"].failures >= paired["mwpm"].failures - 3

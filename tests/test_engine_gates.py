@@ -157,7 +157,8 @@ def _union_find_decode(distance, rounds, p, shots, warm_shots, seed):
     """Decode-phase shots/s of ``ReferenceUnionFind`` and ``UnionFindDecoder``.
 
     Both decoders are warmed on one table, then timed on
-    ``TIMING_REPEATS`` fresh packed tables from ``DecodingEngine.collect``.
+    ``TIMING_REPEATS`` fresh tables, ``DecodingEngine.collect`` batches
+    bit-packed with ``DefectBatch.packed``.
     Their predictions must agree on every row the sequential oracle calls
     order-insensitive.  Returns the circuit, the two decoders and their
     two rates, sequential first.
@@ -167,9 +168,9 @@ def _union_find_decode(distance, rounds, p, shots, warm_shots, seed):
     decoders = (ReferenceUnionFind(graph), UnionFindDecoder(graph))
     num_det = circuit.num_detectors
     with DecodingEngine(circuit, decoders[1], shard_shots=4096) as engine:
-        warm = engine.collect(warm_shots, seed=seed + 1)[0]
+        warm = engine.collect(warm_shots, seed=seed + 1).packed(num_det)[0]
         tables = [
-            engine.collect(shots, seed=seed + 100 * i)[0]
+            engine.collect(shots, seed=seed + 100 * i).packed(num_det)[0]
             for i in range(TIMING_REPEATS)
         ]
     for decoder in decoders:

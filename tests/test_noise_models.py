@@ -234,12 +234,11 @@ class TestDemWeighting:
             weighted = make_decoder("mwpm", dem)
             flat = make_decoder("mwpm_uniform", dem)
             with DecodingEngine(circuit, weighted) as engine:
-                det, obs_k = engine.collect(shots, seed=np.random.SeedSequence(29))
-            obs = np.unpackbits(obs_k, axis=1, count=circuit.num_observables)
+                batch = engine.collect(shots, seed=np.random.SeedSequence(29))
             failures = {}
             for name, decoder in (("weighted", weighted), ("uniform", flat)):
-                pred = decoder.decode_packed(det, circuit.num_detectors)
-                failures[name] = int((pred[:, 0] ^ obs[:, 0]).sum())
+                pred = decoder.decode_defects(batch.shot, batch.detector, shots)
+                failures[name] = int((pred[:, 0] ^ batch.observables[:, 0]).sum())
             assert failures["weighted"] <= failures["uniform"], (
                 f"d={distance}: DEM-weighted MWPM ({failures['weighted']}) "
                 f"worse than the uniform baseline ({failures['uniform']})"
