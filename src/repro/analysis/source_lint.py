@@ -1,6 +1,6 @@
 """AST-level source lint guarding the repo's concurrency and RNG idioms.
 
-Two classes of defect have bitten (or nearly bitten) this codebase and are
+Four classes of defect have bitten (or nearly bitten) this codebase and are
 invisible to tests that pass by luck:
 
 * **Global-RNG use** -- PR 1 fixed a sweep-wide seed-reuse bug by
@@ -10,13 +10,14 @@ invisible to tests that pass by luck:
   worker-count invariance and reproducibility; ``np.random.default_rng()``
   with no seed is flagged as a warning (legitimate as a last-resort
   fallback, wrong anywhere results must reproduce).
-* **Worker-visible mutable module state** -- the multiprocessing idiom of
-  :mod:`repro.decoder.engine` / :mod:`repro.estimator.sweep` allows worker
-  processes exactly one piece of module state: the per-process ``_WORKER``
-  dict installed by the pool initializer.  Any other module-level name
-  written from a function that runs inside a pool worker (a ``global``
-  rebind, or mutation of a module-level dict/list) is at best lost on the
-  worker and at worst a fork-inherited heisenbug.
+* **Worker-visible mutable module state** -- the one executor,
+  :class:`repro.obs.metrics.WorkerPool`, allows worker processes exactly
+  one piece of module state: its per-process ``_WORKER`` dict.  Any other
+  module-level name written from a function that runs inside a pool
+  worker (a ``global`` rebind, or mutation of a module-level dict/list)
+  is at best lost on the worker and at worst a fork-inherited heisenbug.
+* **Bare process pools** -- a pool built outside ``repro/obs/metrics.py``
+  bypasses ``WorkerPool``'s in-order metric-delta shipping.
 * **Bare ``print()`` in library code** -- library modules must route
   diagnostics through :func:`repro.obs.get_logger` and intentional CLI
   output through :func:`repro.obs.echo`; a stray ``print`` in a hot path
@@ -27,9 +28,9 @@ invisible to tests that pass by luck:
 
 The linter is intentionally static and conservative: it walks each file's
 AST, identifies worker functions as those passed to
-``multiprocessing.Pool(initializer=...)`` or to a pool's
-``map``/``imap``/``starmap``/``apply_async`` family, and never executes
-anything.
+``initializer=`` of a ``...Pool(...)`` call (``WorkerPool`` included) or
+to a pool's ``map``/``imap``/``starmap``/``apply_async`` family, and
+never executes anything.
 """
 
 from __future__ import annotations
@@ -60,6 +61,10 @@ _POOL_DISPATCH = frozenset({
 # Module-level mutable names a worker function is allowed to touch: the
 # per-process worker state installed by the pool initializer.
 DEFAULT_WORKER_STATE = ("_WORKER",)
+
+# Process-pool classes; only the executor's module may build one.
+POOL_CLASSES = frozenset({"Pool", "ProcessPoolExecutor"})
+POOL_OWNER = ("obs", "metrics.py")
 
 # File names exempt from the print ban: CLI entry points whose stdout IS
 # the product.  Library modules use repro.obs.echo / get_logger instead.
@@ -245,7 +250,29 @@ class _FileLinter:
                                 f"may be written from a worker",
                             )
 
-    # -- rule 3: bare print() in library code --------------------------------
+    # -- rule 3: bare process pools ------------------------------------------
+
+    def _lint_pools(self) -> Iterator[Diagnostic]:
+        if self.path.parts[-2:] == POOL_OWNER:
+            return
+        imported = {
+            alias.asname or alias.name
+            for node in ast.walk(self.tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names if alias.name in POOL_CLASSES
+        }
+        for node in ast.walk(self.tree):
+            func = node.func if isinstance(node, ast.Call) else None
+            if (isinstance(func, ast.Attribute) and func.attr in POOL_CLASSES) or (
+                isinstance(func, ast.Name) and func.id in imported
+            ):
+                yield self._diag(
+                    "error", node,
+                    "builds a process pool outside repro.obs.metrics: map "
+                    "through repro.obs.metrics.WorkerPool, which ships each "
+                    "task's metric delta home in task order",
+                )
+
+    # -- rule 4: bare print() in library code --------------------------------
 
     def _lint_prints(self) -> Iterator[Diagnostic]:
         if self.path.name in PRINT_EXEMPT_FILES:
@@ -273,6 +300,7 @@ class _FileLinter:
         return (
             list(self._lint_rng())
             + list(self._lint_worker_state())
+            + list(self._lint_pools())
             + list(self._lint_prints())
         )
 

@@ -50,11 +50,13 @@ Monte-Carlo engine
     result = engine.run_until(100, 10**7, seed=7) # stream to 100 failures
 
 Shots are split into fixed-size shards, each drawn from an independent
-``SeedSequence.spawn`` child stream and distributed over
-``multiprocessing`` workers.  Every shard runs one body: draw shots as
-defect lists from the engine's shot source (the compiled circuit
-sampler, or an importance sampler's weighted proposal), decode them with
-``decode_defects``, and ship the failure (and weight) sums home.  The
+``SeedSequence.spawn`` child stream and mapped over the engine's one
+:class:`~repro.obs.metrics.WorkerPool` (inline at ``workers=1``); every
+run mode and ``collect`` consume the same shard loop in spawn order.
+Every shard runs one body: draw shots as defect lists from the engine's
+shot source (the compiled circuit sampler, or an importance sampler's
+weighted proposal), decode them with ``decode_defects``, and ship the
+failure (and weight) sums home.  The
 shard layout depends only on the seed and ``shard_shots``, so results are
 bit-identical for any worker count, including under ``run_until`` early
 stopping (the stop rule is evaluated on the shard-ordered prefix).

@@ -321,11 +321,11 @@ class SortedMemo:
     ) -> np.ndarray:
         """The value of every group ``ids[first[i]:first[i] + sizes[i]]``.
 
-        Groups of at most :attr:`max_defects` ids are looked up; larger
-        ones rarely recur, so they are deduplicated per call and never
-        stored.  Every distinct miss is solved once, in one
-        ``solve(ids, first, sizes)`` call, and the small ones are stored
-        under ``limit`` (see :meth:`store`).
+        Groups of at most :attr:`max_defects` ids are looked up, and every
+        distinct miss is solved once and stored under ``limit`` (see
+        :meth:`store`).  Larger groups almost never recur, even within one
+        call, so each is solved as it comes and never stored.  Both go
+        through one ``solve(ids, first, sizes)`` call.
         """
         small = sizes <= self.max_defects
         # Sorted unique keys make the lookup one sequential search.
@@ -334,18 +334,14 @@ class SortedMemo:
             return_index=True, return_inverse=True,
         )
         hit, found = self.lookup(keys)
-        _, big_rep, big_of = np.unique(
-            _padded(ids, first[~small], sizes[~small], -1),
-            axis=0, return_index=True, return_inverse=True,
-        )
-        new = np.concatenate([np.flatnonzero(small)[rep[~hit]], np.flatnonzero(~small)[big_rep]])
+        new = np.concatenate([np.flatnonzero(small)[rep[~hit]], np.flatnonzero(~small)])
         solved = solve(ids, first[new], sizes[new])
         missed = keys.size - np.count_nonzero(hit)
         self.store(keys[~hit], solved[:missed], limit)
         key_vals = np.empty(keys.size, dtype=solved.dtype)
         key_vals[hit], key_vals[~hit] = found, solved[:missed]
         vals = np.empty(first.size, dtype=solved.dtype)
-        vals[small], vals[~small] = key_vals[key_of], solved[missed:][big_of.reshape(-1)]
+        vals[small], vals[~small] = key_vals[key_of], solved[missed:]
         return vals
 
 

@@ -32,18 +32,17 @@ throughput-oriented:
   decoding and ships the shards' defect lists home as one batch.
 * **Sharded parallel sampling** -- shots are split into fixed-size shards,
   each with an independent child of one root
-  :class:`numpy.random.SeedSequence`.  The shard structure depends only on
-  the seed and shard size, never on the worker count, so results are
-  bit-identical for 1 or N ``multiprocessing`` workers.  One persistent
-  pool serves all ``run``/``run_until`` calls of an engine (see
-  :meth:`DecodingEngine.close`).
-* **Streaming early-stop** -- :meth:`DecodingEngine.run_until` keeps
-  drawing shard batches until a target failure count or a shot cap is
-  reached, and :meth:`DecodingEngine.run_until_rel_error` until the
+  :class:`numpy.random.SeedSequence`, and mapped over the engine's one
+  :class:`~repro.obs.metrics.WorkerPool` (see :meth:`DecodingEngine.close`).
+  The layout depends only on the seed and shard size, never on the worker
+  count, so results are bit-identical for 1 or N workers.
+* **One shard loop with early stop** -- every run mode and ``collect``
+  consume one generator of shard outputs in spawn order.
+  :meth:`DecodingEngine.run_until` stops at a target failure count or a
+  shot cap, and :meth:`DecodingEngine.run_until_rel_error` once the
   (weighted) estimate's relative standard error is tight enough, so
-  sweeps spend shots where failures are rare instead of using one fixed
-  count everywhere.  Both stopping rules are evaluated on the
-  shard-ordered prefix, keeping them deterministic under parallelism.
+  sweeps spend shots where failures are rare.  Both rules are evaluated
+  on the shard-ordered prefix, keeping them deterministic.
 * **Weighted estimation** -- an engine built with an importance
   ``sampler`` (see :mod:`repro.estimator.rare`) draws shots from a
   reweighted proposal model and ships per-shot likelihood-ratio weight
@@ -58,11 +57,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import multiprocessing
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -106,7 +105,8 @@ _ENGINE_DECODE_SECONDS = _metrics.counter(
 )
 _ENGINE_THROUGHPUT = _metrics.gauge(
     "repro_engine_last_shots_per_second",
-    "Throughput of the most recent DecodingEngine.run call.",
+    "Counted shots per second of the most recent DecodingEngine run "
+    "(run, run_until or run_until_rel_error).",
 )
 _ENGINE_ESS_RATIO = _metrics.gauge(
     "repro_engine_last_ess_ratio",
@@ -339,47 +339,23 @@ class EngineResult:
         )
 
 
-# Per-process state of a pool worker, installed once by the pool
-# initializer so shard tasks only ship (shots, seed) pairs instead of the
-# circuit and decoder.  Inline runs fill and pass their own dict instead,
-# so inline engines on concurrent threads never read each other's decoder.
-_WORKER: dict = {}
-
-
-def _worker_init(
-    circuit: Circuit,
-    decoder: Decoder,
-    observable: Optional[int],
-    sampler=None,
-    sim: Optional[FrameSimulator] = None,
-    state: dict = _WORKER,
-) -> dict:
-    """Install the shot source, decoder, and failure criterion in ``state``.
-
-    The shot source ``draw(shots, rng)`` returns a
-    :class:`~repro.sim.compiled.DefectBatch`; its ``log_weights`` is
-    ``None`` for brute-force sampling (every shot has unit weight).  An
-    importance-sampled engine never simulates the circuit, so its
-    workers skip building a simulator.
-    """
-    if sampler is not None:
-        draw = sampler.sample_defects
-    else:
-        draw = (sim if sim is not None else FrameSimulator(circuit)).sample_defects
-    state["draw"] = draw
-    state["decoder"] = decoder
-    state["observable"] = observable
-    return state
+def _shard_state(source, decoder: Decoder, observable: Optional[int]) -> tuple:
+    """The shard body's state, built once per worker: the shot source's
+    ``sample_defects(shots, rng) -> DefectBatch`` (``log_weights`` is
+    ``None`` for brute-force sampling), the decoder, and the failure
+    criterion."""
+    return source.sample_defects, decoder, observable
 
 
 def _draw_shard(
-    task: Tuple[int, np.random.SeedSequence], state: dict = _WORKER
+    task: Tuple[int, np.random.SeedSequence], state: tuple
 ) -> DefectBatch:
     """Draw one shard from the state's shot source, timing the sampling."""
     shots, seed_seq = task
+    draw = state[0]
     start = time.perf_counter()
     with span("engine.sample"):
-        out = state["draw"](shots, np.random.default_rng(seed_seq))
+        out = draw(shots, np.random.default_rng(seed_seq))
     if _metrics.enabled():
         _ENGINE_SAMPLE_SECONDS.inc(time.perf_counter() - start)
         _ENGINE_SHARDS.inc()
@@ -387,7 +363,7 @@ def _draw_shard(
 
 
 def _run_shard(
-    task: Tuple[int, np.random.SeedSequence], state: dict = _WORKER
+    task: Tuple[int, np.random.SeedSequence], state: tuple
 ) -> EngineResult:
     """Sample + decode one shard; returns its one-shard :class:`EngineResult`.
 
@@ -396,17 +372,17 @@ def _run_shard(
     metric deltas worker-count invariant.
     """
     shots = task[0]
+    _, decoder, observable = state
     with span("engine.shard", shots=shots):
         batch = _draw_shard(task, state)
         start = time.perf_counter()
         with span("engine.decode"):
-            predictions = state["decoder"].decode_defects(
+            predictions = decoder.decode_defects(
                 batch.shot, batch.detector, shots
             )
         if _metrics.enabled():
             _ENGINE_DECODE_SECONDS.inc(time.perf_counter() - start)
         observables = batch.observables
-        observable = state["observable"]
         if observable is None:
             wrong = (predictions ^ observables).any(axis=1)
         else:
@@ -464,9 +440,9 @@ class DecodingEngine:
     ``sampler``, its ``sample_defects``.  Decoding always goes through
     :meth:`~repro.decoder.base.BatchDecoder.decode_defects`.
 
-    The engine keeps one persistent worker pool alive across ``run`` /
-    ``run_until`` calls (spawning a pool ships the circuit and decoder to
-    every worker; respawning per batch wasted that setup).  Call
+    The engine keeps one :class:`~repro.obs.metrics.WorkerPool` alive
+    across calls (its workers inherit the compiled shot source and the
+    decoder once; respawning per batch wasted that setup).  Call
     :meth:`close` -- or use the engine as a context manager -- to release
     the pool; it is also released on garbage collection.
     """
@@ -492,9 +468,8 @@ class DecodingEngine:
         self.shard_shots = shard_shots
         self.workers = workers
         self.sampler = sampler
-        self._pool = None
-        # One simulator for serial execution and DEM extraction: its
-        # compiled program is built once and reused across run() calls.
+        # One simulator for DEM extraction and the shot source: its
+        # compiled program is built once and reused across calls.
         self._sim = FrameSimulator(circuit)
         if isinstance(decoder, str):
             # DEM extraction is the dominant setup cost; skip it entirely
@@ -519,13 +494,15 @@ class DecodingEngine:
             # Compile now, from the fault table extraction just memoized:
             # forked pool workers then inherit the program.
             self._sim.compiled
+        self._executor = _metrics.WorkerPool(
+            workers,
+            initializer=_shard_state,
+            initargs=(self._sim if sampler is None else sampler, self.decoder, observable),
+        )
 
     def close(self) -> None:
         """Release the persistent worker pool (idempotent)."""
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
+        self._executor.close()
 
     def __enter__(self) -> "DecodingEngine":
         return self
@@ -547,22 +524,8 @@ class DecodingEngine:
             raise ValueError("shots must be >= 0")
         if shots == 0:
             return EngineResult(shots=0, failures=0, shards=0)
-        root = _as_seed_sequence(seed)
-        sizes = self._shard_sizes(shots)
-        tasks = list(zip(sizes, root.spawn(len(sizes))))
         with span("engine.run", shots=shots, workers=self.workers):
-            start = time.perf_counter()
-            results = self._execute(tasks)
-            elapsed = time.perf_counter() - start
-        # Left-to-right in shard (spawn) order: the float sums come out
-        # bit-identical for any worker count.
-        result = sum(results, EngineResult(shots=0, failures=0, shards=0))
-        _ENGINE_SHOTS.inc(result.shots)
-        _ENGINE_FAILURES.inc(result.failures)
-        if elapsed > 0:
-            _ENGINE_THROUGHPUT.set(result.shots / elapsed)
-        self._observe_weighted(result)
-        return result
+            return self._run(shots, seed)
 
     def run_until(
         self,
@@ -597,8 +560,8 @@ class DecodingEngine:
             target_failures=target_failures,
             max_shots=max_shots,
         ):
-            result = self._run_streaming(
-                lambda res: res.failures >= target_failures, max_shots, seed
+            result = self._run(
+                max_shots, seed, lambda res: res.failures >= target_failures
             )
         low, high = result.failure_rate_ci()
         _LOG.debug(
@@ -642,13 +605,13 @@ class DecodingEngine:
             target_rel_err=target_rel_err,
             max_shots=max_shots,
         ):
-            result = self._run_streaming(
+            result = self._run(
+                max_shots,
+                seed,
                 lambda res: (
                     res.failures >= min_failures
                     and res.rel_error <= target_rel_err
                 ),
-                max_shots,
-                seed,
             )
         _LOG.debug(
             "run_until_rel_error(%.3g): rate %.3g +- %.3g after %d shots "
@@ -658,32 +621,30 @@ class DecodingEngine:
         )
         return result
 
-    def _run_streaming(
+    def _run(
         self,
-        should_stop: Callable[[EngineResult], bool],
         max_shots: int,
         seed: SeedLike,
+        should_stop: Optional[Callable[[EngineResult], bool]] = None,
     ) -> EngineResult:
-        """Wave loop shared by the early-stop runs (prefix-deterministic)."""
-        root = _as_seed_sequence(seed)
+        """Merge shard results in spawn order (the float sums come out
+        bit-identical for any worker count) up to ``max_shots`` or the
+        first shard whose prefix satisfies ``should_stop``."""
         acc = EngineResult(shots=0, failures=0, shards=0)
-        beyond = 0
-        stopped = False
-        while not stopped and acc.shots < max_shots:
-            sizes = self._next_wave_sizes(max_shots - acc.shots)
-            tasks = list(zip(sizes, root.spawn(len(sizes))))
-            results = self._execute(tasks)
-            for index, shard in enumerate(results):
-                acc = acc + shard
-                if should_stop(acc) or acc.shots >= max_shots:
-                    beyond = sum(sizes[index + 1:])
-                    stopped = True
-                    break
+        wave = self.workers if should_stop is not None else None
+        start = time.perf_counter()
+        for shard, rest_of_wave in self._shards(max_shots, seed, _run_shard, wave):
+            acc = acc + shard
+            if should_stop is not None and should_stop(acc):
+                acc = dataclasses.replace(acc, shots_beyond_stop=rest_of_wave)
+                break
+        elapsed = time.perf_counter() - start
         _ENGINE_SHOTS.inc(acc.shots)
         _ENGINE_FAILURES.inc(acc.failures)
-        result = dataclasses.replace(acc, shots_beyond_stop=beyond)
-        self._observe_weighted(result)
-        return result
+        if elapsed > 0:
+            _ENGINE_THROUGHPUT.set(acc.shots / elapsed)
+        self._observe_weighted(acc)
+        return acc
 
     def _observe_weighted(self, result: EngineResult) -> None:
         if self.sampler is None or not result.shots or not _metrics.enabled():
@@ -718,13 +679,8 @@ class DecodingEngine:
             )
         if shots < 0:
             raise ValueError("shots must be >= 0")
-        root = _as_seed_sequence(seed)
-        # Zero shots draw one empty shard: the source gives its shapes.
-        sizes = self._shard_sizes(shots) or [0]
-        parts = self._execute(
-            list(zip(sizes, root.spawn(len(sizes)))), fn=_draw_shard
-        )
-        offsets = np.cumsum([0] + sizes[:-1])
+        parts = [part for part, _ in self._shards(shots, seed, _draw_shard)]
+        offsets = np.cumsum([0] + [part.shots for part in parts[:-1]])
         return DefectBatch(
             np.concatenate([p.shot + o for p, o in zip(parts, offsets)]),
             np.concatenate([p.detector for p in parts]),
@@ -733,40 +689,33 @@ class DecodingEngine:
 
     # -- internals ----------------------------------------------------------
 
-    def _shard_sizes(self, shots: int) -> List[int]:
+    def _ensure_pool(self) -> None:
+        """Start the worker processes now rather than at the first shard."""
+        self._executor.start()
+
+    def _shards(
+        self, shots: int, seed: SeedLike, fn: Callable, wave: Optional[int] = None
+    ) -> Iterator[Tuple[Any, int]]:
+        """The one shard loop: ``(fn's output, shots of the later shards in
+        its wave)`` per shard, in spawn order, ``wave`` shards (default
+        all) per pool map.  The layout depends on ``shots`` and
+        ``shard_shots`` alone; zero shots draw one empty shard."""
+        root = _as_seed_sequence(seed)
         full, rest = divmod(shots, self.shard_shots)
-        return [self.shard_shots] * full + ([rest] if rest else [])
-
-    def _next_wave_sizes(self, remaining: int) -> List[int]:
-        sizes: List[int] = []
-        for _ in range(self.workers):
-            if remaining <= 0:
-                break
-            size = min(self.shard_shots, remaining)
-            sizes.append(size)
-            remaining -= size
-        return sizes
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            self._pool = multiprocessing.Pool(
-                self.workers,
-                initializer=_worker_init,
-                initargs=(
-                    self.circuit, self.decoder, self.observable, self.sampler,
-                ),
-            )
-        return self._pool
-
-    def _execute(self, tasks, fn=_run_shard) -> List:
-        if self.workers <= 1:
-            state = _worker_init(
-                self.circuit, self.decoder, self.observable, self.sampler,
-                sim=self._sim, state={},
-            )
-            return [fn(task, state) for task in tasks]
-        with span("engine.merge_deltas", tasks=len(tasks)):
-            return _metrics.metered_map(self._ensure_pool(), fn, tasks)
+        sizes = [self.shard_shots] * full + ([rest] if rest or not full else [])
+        wave = wave or len(sizes)
+        for first in range(0, len(sizes), wave):
+            batch = sizes[first:first + wave]
+            tasks = list(zip(batch, root.spawn(len(batch))))
+            with (
+                span("engine.merge_deltas", tasks=len(tasks))
+                if self.workers > 1 else nullcontext()
+            ):
+                outs = self._executor.map(fn, tasks)
+            later = sum(batch)
+            for size, out in zip(batch, outs):
+                later -= size
+                yield out, later
 
 
 def _as_seed_sequence(seed: SeedLike) -> np.random.SeedSequence:

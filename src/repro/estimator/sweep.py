@@ -9,20 +9,21 @@ serial loop, this module provides:
   pre-paired parameter lists).  Point order is deterministic: cartesian
   products iterate the *last* axis fastest, like nested for-loops.
 * **Worker-invariant sharding** -- points are split into fixed-size shards
-  and mapped over a ``multiprocessing`` pool.  The shard layout depends
-  only on ``shard_size`` (PR 1's decoder-engine idiom), and shard results
-  are concatenated in shard order, so the output is identical for 1 or N
-  workers -- the point functions are deterministic, and each worker
-  process simply warms its own sub-model cache.
+  and mapped over a :class:`~repro.obs.metrics.WorkerPool` (the executor
+  the decoding engine uses too).  The shard layout depends only on
+  ``shard_size``, and shard results come back in shard order, so the
+  output is identical for 1 or N workers -- the point functions are
+  deterministic, and each worker process simply warms its own sub-model
+  cache.
 * **Measured serial fallback** -- spawning a pool costs real wall time
-  (process forks, initializer shipping); on grids whose total work is
-  smaller than that overhead, ``jobs > 1`` used to *lose* to serial on
-  every small scenario.  ``sweep`` now probes the first two points
-  inline, extrapolates the remaining serial cost from the cheaper probe
-  (the first point also pays cold sub-model caches), and only spawns the
-  pool when the measured per-process overhead
-  (:func:`measured_pool_overhead`, calibrated once per process per
-  worker count) is projected to pay for itself.  The fallback never
+  (process forks, point-function shipping); on grids whose total work
+  is smaller than that overhead, a pool can only lose to serial.
+  ``sweep`` probes the first two points inline, extrapolates the
+  remaining serial cost from the cheaper probe (the first point also
+  pays cold sub-model caches), and only spawns the pool when the
+  measured overhead (:func:`measured_pool_overhead`: a ``WorkerPool``
+  started and drained of one empty shard per worker, once per process
+  per worker count) is projected to pay for itself.  The fallback never
   changes results -- only where they are computed.
 * **Pruning hooks** -- :func:`minimize` runs branch-and-bound over the
   grid: a cheap, *sound* ``lower_bound(point)`` (never exceeding the true
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -167,21 +167,12 @@ def _as_record(point: Dict[str, Any], result: Any) -> Record:
     return {**point, "value": result}
 
 
-# Per-process state of a pool worker, installed once by the pool
-# initializer so shard tasks only ship the point dicts instead of the
-# function at every call.  Inline runs pass ``fn`` to :func:`_run_shard`
-# instead, so sweeps on concurrent threads never swap point functions.
-_WORKER: dict = {}
+def _point_state(fn: PointFn) -> PointFn:
+    """A pool worker's state: the sweep's point function."""
+    return fn
 
 
-def _worker_init(fn: PointFn) -> None:
-    _WORKER["fn"] = fn
-
-
-def _run_shard(
-    points: List[Dict[str, Any]], fn: Optional[PointFn] = None
-) -> List[Record]:
-    fn = _WORKER["fn"] if fn is None else fn
+def _run_shard(points: List[Dict[str, Any]], fn: PointFn) -> List[Record]:
     if not _metrics.enabled():
         return [_as_record(point, fn(point)) for point in points]
     records: List[Record] = []
@@ -211,13 +202,9 @@ _CALIBRATION: Dict[int, float] = {}
 _PROBE_POINTS = 2
 
 
-def _calibration_point(point: Dict[str, Any]) -> Dict[str, Any]:
-    return {}
-
-
 def measured_pool_overhead(jobs: int) -> float:
     """Wall-clock seconds to spawn a ``jobs``-worker pool and drain one
-    no-op shard per worker, measured once per process per worker count.
+    empty shard per worker, measured once per process per worker count.
 
     This is the break-even threshold the serial fallback compares the
     projected sweep cost against -- a measurement on this machine, not a
@@ -225,10 +212,11 @@ def measured_pool_overhead(jobs: int) -> float:
     """
     if jobs not in _CALIBRATION:
         start = time.perf_counter()
-        with multiprocessing.Pool(
-            jobs, initializer=_worker_init, initargs=(_calibration_point,)
+        # Empty shards evaluate no point, so no point metric ships home.
+        with _metrics.WorkerPool(
+            jobs, initializer=_point_state, initargs=(None,)
         ) as pool:
-            pool.map(_run_shard, [[{}] for _ in range(jobs)])
+            pool.map(_run_shard, [[] for _ in range(jobs)])
         _CALIBRATION[jobs] = time.perf_counter() - start
     return _CALIBRATION[jobs]
 
@@ -285,10 +273,10 @@ def _pooled(
     fn: PointFn, points: List[Dict[str, Any]], jobs: int, shard_size: int
 ) -> List[Record]:
     shards = _shards(points, shard_size)
-    with multiprocessing.Pool(
-        min(jobs, len(shards)), initializer=_worker_init, initargs=(fn,)
+    with _metrics.WorkerPool(
+        min(jobs, len(shards)), initializer=_point_state, initargs=(fn,)
     ) as pool:
-        shard_results = _metrics.metered_map(pool, _run_shard, shards)
+        shard_results = pool.map(_run_shard, shards)
     return [record for shard in shard_results for record in shard]
 
 

@@ -9,8 +9,9 @@ order:
   depend on the worker count.  Telemetry extends that contract: a worker
   captures :func:`snapshot` before a shard, computes the
   :func:`delta_since` after, and ships the delta home with the shard
-  result; the parent :func:`merge`\\ s it (:func:`metered_map` runs
-  this protocol over a pool).  Counters and histogram bucket
+  result; the parent :func:`merge`\\ s it (:class:`WorkerPool`, the one
+  executor behind the engine's and the sweep's shard maps, runs this
+  protocol over its worker processes).  Counters and histogram bucket
   arrays are pure sums, so ``jobs=1`` and ``jobs=4`` merge to identical
   deterministic series (wall-clock-valued series differ in *value*, never
   in shape).
@@ -44,6 +45,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import multiprocessing
 import os
 import threading
 from contextlib import contextmanager
@@ -561,28 +563,72 @@ def merge(delta: Snapshot) -> None:
     REGISTRY.merge(delta)
 
 
-def _call_metered(fn: Callable[[Any], Any], task: Any) -> Tuple[Any, Snapshot]:
+# Per-process state of a pool worker: what the pool's initializer built,
+# installed once when the worker starts, so tasks ship only themselves.
+_WORKER: dict = {}
+
+
+def _install(initializer: Callable[..., Any], initargs: Tuple[Any, ...]) -> None:
+    _WORKER["state"] = initializer(*initargs)
+
+
+def _call(fn: Callable[[Any, Any], Any], metered: bool, task: Any) -> Tuple[Any, Any]:
     # Snapshot per task, not per worker, so no increment ships twice.
-    base = snapshot()
-    out = fn(task)
-    return out, delta_since(base)
+    base = snapshot() if metered else None
+    out = fn(task, _WORKER["state"])
+    return out, None if base is None else delta_since(base)
 
 
-def metered_map(pool: Any, fn: Callable[[Any], Any], tasks: Sequence[Any]) -> List[Any]:
-    """``pool.map(fn, tasks)`` with the workers' metrics shipped home.
+class WorkerPool:
+    """The one executor: ``map(fn, tasks)`` runs ``fn(task, state)`` in task order.
 
-    Each task runs between a :func:`snapshot` and a :func:`delta_since`
-    in its worker, and the parent merges the deltas in task order, so
-    counters and histograms come out as in a serial run for any worker
-    count.  With metrics disabled this is a plain ``pool.map``.
+    ``state = initializer(*initargs)`` is built once per worker process,
+    or once inline when ``workers == 1`` (no process is started).  Pooled
+    tasks run between a :func:`snapshot` and a :func:`delta_since`, and
+    the parent merges the deltas in task order.  The workers start on
+    the first ``map`` or on :meth:`start` and stop on :meth:`close`.
     """
-    if not enabled():
-        return pool.map(fn, tasks)
-    outs = []
-    for out, delta in pool.map(functools.partial(_call_metered, fn), tasks):
-        merge(delta)
-        outs.append(out)
-    return outs
+
+    def __init__(self, workers: int, initializer: Callable[..., Any], initargs: Tuple = ()):
+        self.workers = workers
+        self._initializer = initializer
+        self._initargs = initargs
+        self._pool = None
+
+    @functools.cached_property
+    def _inline_state(self) -> Any:
+        return self._initializer(*self._initargs)
+
+    def start(self) -> "WorkerPool":
+        if self.workers > 1 and self._pool is None:
+            self._pool = multiprocessing.Pool(
+                self.workers, initializer=_install,
+                initargs=(self._initializer, self._initargs),
+            )
+        return self
+
+    def map(self, fn: Callable[[Any, Any], Any], tasks: Sequence[Any]) -> List[Any]:
+        if self.workers <= 1:
+            state = self._inline_state
+            return [fn(task, state) for task in tasks]
+        outs = self.start()._pool.map(functools.partial(_call, fn, enabled()), tasks)
+        for _, delta in outs:
+            if delta is not None:
+                merge(delta)
+        return [out for out, _ in outs]
+
+    def close(self) -> None:
+        """Stop the workers (idempotent; a later ``map`` restarts them)."""
+        if self._pool is not None:
+            self._pool.terminate()
+            self._pool.join()
+            self._pool = None
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def reset() -> None:

@@ -601,16 +601,4 @@ def transpose_packed(planes: np.ndarray, count: int) -> np.ndarray:
         original column ``i`` bit-packed -- e.g. shot-major detector rows
         for ``decode_packed``, from detector-major sample bitplanes.
     """
-    rows, width = planes.shape
-    if rows == 0:
-        return np.zeros((count, 0), dtype=np.uint8)
-    # Transpose the packed bytes first (8x less data than the bits).  Bit
-    # j (MSB first) of byte w is item 8 w + j, so packing bit plane j of
-    # the contiguous byte-major block along its rows yields the keys of
-    # items 8 w + j for every w at once.
-    byte_major = np.ascontiguousarray(planes.T)
-    key_width = (rows + 7) // 8
-    keys = np.empty((width, 8, key_width), dtype=np.uint8)
-    for bit in range(8):
-        keys[:, bit] = np.packbits((byte_major >> (7 - bit)) & 1, axis=1)
-    return keys.reshape(8 * width, key_width)[:count]
+    return np.packbits(np.unpackbits(planes, axis=1, count=count).T, axis=1)

@@ -1,5 +1,6 @@
 """AST source lint: the repo is clean, and planted defects are caught."""
 
+import ast
 import textwrap
 
 from repro.analysis.source_lint import lint_file, lint_source, source_root
@@ -82,13 +83,13 @@ class TestGlobalRngRule:
 
 
 POOL_PREAMBLE = textwrap.dedent("""
-    from multiprocessing import Pool
+    from repro.obs.metrics import WorkerPool
     _WORKER = {}
     _CACHE = {}
     def _init(payload):
         _WORKER["payload"] = payload
     def run(items, payload):
-        with Pool(2, initializer=_init, initargs=(payload,)) as pool:
+        with WorkerPool(2, initializer=_init, initargs=(payload,)) as pool:
             return pool.map(_shard, items)
 """)
 
@@ -135,6 +136,36 @@ class TestWorkerStateRule:
         """)
         assert _lint_snippet(tmp_path, code, worker_state=("_WORKER", "_CACHE")) == []
 
+    def test_worker_pool_state_builder_rebinding_a_global_is_an_error(
+        self, tmp_path
+    ):
+        diags = _lint_snippet(tmp_path, """
+            from repro.obs.metrics import WorkerPool
+            _TABLE = None
+            def _state(payload):
+                global _TABLE
+                _TABLE = payload
+                return payload
+            def run(items, payload):
+                with WorkerPool(2, initializer=_state, initargs=(payload,)) as pool:
+                    return pool.map(_shard, items)
+            def _shard(item, state):
+                return state[item]
+        """)
+        assert any("'_state' rebinds module global" in d.message for d in diags)
+
+    def test_engine_and_sweep_state_builders_are_worker_functions(self):
+        # Rule 2 sees the repo's worker functions only through
+        # ``initializer=`` keywords and ``.map(name, ...)`` calls.
+        from repro.analysis.source_lint import _FileLinter
+
+        def workers(relpath):
+            path = source_root() / relpath
+            return _FileLinter(path, ast.parse(path.read_text()))._worker_functions()
+
+        assert "_shard_state" in workers("decoder/engine.py")
+        assert {"_point_state", "_run_shard"} <= workers("estimator/sweep.py")
+
     def test_non_worker_functions_may_write_module_state(self, tmp_path):
         diags = _lint_snippet(tmp_path, """
             _CACHE = {}
@@ -142,6 +173,58 @@ class TestWorkerStateRule:
                 _CACHE[k] = v
         """)
         assert diags == []
+
+
+class TestBarePoolRule:
+    def test_bare_pool_is_an_error(self, tmp_path):
+        diags = _lint_snippet(tmp_path, """
+            import multiprocessing
+            def run(fn, items):
+                with multiprocessing.Pool(2) as pool:
+                    return pool.map(fn, items)
+        """)
+        assert [d.severity for d in diags] == ["error"]
+        assert "WorkerPool" in diags[0].message
+
+    def test_pool_aliases_are_errors(self, tmp_path):
+        diags = _lint_snippet(tmp_path, """
+            import multiprocessing as mp
+            from concurrent.futures import ProcessPoolExecutor
+            from multiprocessing import Pool as P
+            def run():
+                return (P(2), mp.get_context("fork").Pool(2),
+                        ProcessPoolExecutor(2))
+        """)
+        assert [d.severity for d in diags] == ["error"] * 3
+
+    def test_executor_module_may_build_the_pool(self, tmp_path):
+        path = tmp_path / "obs" / "metrics.py"
+        path.parent.mkdir()
+        path.write_text("import multiprocessing\npool = multiprocessing.Pool(2)\n")
+        assert lint_file(path) == []
+
+    def test_thread_pools_are_clean(self, tmp_path):
+        diags = _lint_snippet(tmp_path, """
+            from concurrent.futures import ThreadPoolExecutor
+            def run(fn, items):
+                with ThreadPoolExecutor(2) as pool:
+                    return list(pool.map(fn, items))
+        """)
+        assert diags == []
+
+    def test_repo_builds_exactly_one_pool_inside_the_executor(self):
+        # Every map over a process pool is then WorkerPool.map.
+        sites = {}
+        for path in source_root().rglob("*.py"):
+            calls = sum(
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "Pool"
+                for node in ast.walk(ast.parse(path.read_text()))
+            )
+            if calls:
+                sites["/".join(path.relative_to(source_root()).parts)] = calls
+        assert sites == {"obs/metrics.py": 1}
 
 
 class TestPrintBan:

@@ -654,13 +654,13 @@ class TestPersistentPool:
             circuit, "mwpm", shard_shots=128, workers=2
         ) as engine:
             engine.run(256, seed=1)
-            pool = engine._pool
+            pool = engine._executor._pool
             assert pool is not None
             engine.run(256, seed=2)
-            assert engine._pool is pool  # reused, not respawned
+            assert engine._executor._pool is pool  # reused, not respawned
             engine.run_until(1, max_shots=512, seed=3)
-            assert engine._pool is pool
-        assert engine._pool is None  # context exit released it
+            assert engine._executor._pool is pool
+        assert engine._executor._pool is None  # context exit released it
 
     def test_close_idempotent_and_restartable(self, memory_setup):
         circuit, _, _, _ = memory_setup

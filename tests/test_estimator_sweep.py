@@ -13,6 +13,8 @@ import importlib
 # `repro.estimator.sweep` the *attribute* is shadowed by the function of
 # the same name re-exported from the package __init__.
 sweep_module = importlib.import_module("repro.estimator.sweep")
+# The one executor, WorkerPool, is the only place a pool is built.
+metrics_module = importlib.import_module("repro.obs.metrics")
 
 from repro.estimator.sweep import (
     Axis,
@@ -121,7 +123,7 @@ class TestAutoSerialFallback:
         # pool spawn would blow up via the poisoned Pool.
         monkeypatch.setitem(sweep_module._CALIBRATION, 2, 3600.0)
         monkeypatch.setattr(
-            sweep_module.multiprocessing, "Pool", _forbidden_pool
+            metrics_module.multiprocessing, "Pool", _forbidden_pool
         )
         records = sweep(_square_point, grid(x=(1, 2, 3, 4)), jobs=2)
         assert records == [
@@ -143,7 +145,7 @@ class TestAutoSerialFallback:
     def test_probe_only_grid(self, monkeypatch):
         # Grids no larger than the probe count never consult the pool.
         monkeypatch.setattr(
-            sweep_module.multiprocessing, "Pool", _forbidden_pool
+            metrics_module.multiprocessing, "Pool", _forbidden_pool
         )
         assert sweep(_square_point, grid(x=(1, 2)), jobs=4) == [
             {"x": 1, "square": 1},
@@ -153,7 +155,7 @@ class TestAutoSerialFallback:
     def test_measured_overhead_memoized(self, monkeypatch):
         monkeypatch.setitem(sweep_module._CALIBRATION, 7, 1.25)
         monkeypatch.setattr(
-            sweep_module.multiprocessing, "Pool", _forbidden_pool
+            metrics_module.multiprocessing, "Pool", _forbidden_pool
         )
         assert measured_pool_overhead(7) == 1.25
 
