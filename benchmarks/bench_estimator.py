@@ -1,25 +1,24 @@
 """Bench E-EST: shared scenario runner timing the estimation pipeline.
 
-Times every registered analytic scenario three ways and writes
+Times every registered scenario two ways and writes
 ``BENCH_estimator.json`` at the repo root:
 
 * ``uncached_serial_s`` -- sub-model caching bypassed (the pre-refactor
   cost model: every grid point re-derives timing/factory/lookup
   sub-models from scratch);
 * ``serial_s`` -- the pipeline as shipped, cold caches at the start of
-  the run (caches warm up *during* the sweep, which is the point);
-* ``jobs{N}_s`` -- the same with ``jobs=N`` requested; the sweep engine's
-  measured serial fallback decides per grid whether a pool actually
-  spawns.
+  the run (caches warm up *during* the sweep, which is the point).
+
+Sweeps evaluate their points inline, so there is no worker-count column:
+``jobs=N`` would time the same serial code again.
 
 Methodology: every timing is the **median of** ``REPEATS`` runs after one
-untimed warm-up (first-run effects: imports, allocator growth, the sweep
-engine's one-off pool calibration).  Medians replaced the earlier
-best-of-3 because sub-millisecond scenarios produced ``cache_speedup``
-below 1.0 out of pure timer noise -- a single lucky/unlucky run no longer
-decides the artifact.  Caches are cleared before each repeat; the code
-fingerprint is re-derived outside the timed region (process-lifetime
-state, not sweep work).
+untimed warm-up (first-run effects: imports, allocator growth).  Medians
+replaced the earlier best-of-3 because sub-millisecond scenarios produced
+``cache_speedup`` below 1.0 out of pure timer noise -- a single
+lucky/unlucky run no longer decides the artifact.  Caches are cleared
+before each repeat; the code fingerprint is re-derived outside the timed
+region (process-lifetime state, not sweep work).
 
 Run directly:  PYTHONPATH=src python benchmarks/bench_estimator.py
 As pytest:     PYTHONPATH=src python -m pytest benchmarks/bench_estimator.py -q
@@ -39,7 +38,6 @@ from repro.estimator.registry import available_scenarios, run_scenario
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_estimator.json"
 REPEATS = 5
-JOBS = 4
 # Scenarios whose dominant cost is the estimator sweep (the decoder
 # Monte-Carlo stack is benchmarked by perfbench/run.py).
 SWEEP_SCENARIOS = ("fig11", "fig13", "fig14", "table2")
@@ -61,18 +59,16 @@ def _median_of(fn, repeats: int = REPEATS) -> float:
 
 
 def time_scenario(name: str) -> dict:
-    serial = _median_of(lambda: run_scenario(name, jobs=1))
-    sharded = _median_of(lambda: run_scenario(name, jobs=JOBS))
+    serial = _median_of(lambda: run_scenario(name))
 
     def uncached():
         with caching_disabled():
-            run_scenario(name, jobs=1)
+            run_scenario(name)
 
     uncached_serial = _median_of(uncached)
     return {
         "uncached_serial_s": uncached_serial,
         "serial_s": serial,
-        f"jobs{JOBS}_s": sharded,
         "cache_speedup": uncached_serial / serial if serial else float("inf"),
         "repeats": REPEATS,
     }

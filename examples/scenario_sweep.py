@@ -3,8 +3,8 @@
 Three levels of the same machinery:
 
 1. run a registered scenario by name (what the CLI does);
-2. declare a custom grid sweep over the factoring estimator, sharded
-   across worker processes with worker-invariant results;
+2. declare a custom grid sweep over the factoring estimator, evaluated
+   inline in grid order;
 3. inspect the sub-model cache the sweeps share.
 
 Run:  PYTHONPATH=src python examples/scenario_sweep.py
@@ -32,7 +32,7 @@ def _volume_point(point: dict, config: ArchitectureConfig) -> dict:
 
 def main() -> None:
     # 1. Registered scenario, exactly as `python -m repro fig13` runs it.
-    result = run_scenario("fig13", jobs=1)
+    result = run_scenario("fig13")
     print(f"scenario {result.scenario!r}: {len(result.records)} records")
     print(f"  first record: {result.records[0]}")
 
@@ -40,7 +40,6 @@ def main() -> None:
     records = sweep(
         partial(_volume_point, config=ArchitectureConfig()),
         grid(code_distance=(25, 27, 29), runway_separation=(48, 96, 192)),
-        jobs=2,  # sharded; identical records for any job count
     )
     print("\ncustom distance x runway sweep (Mq-days):")
     for r in records:

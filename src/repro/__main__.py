@@ -10,7 +10,7 @@ Usage:
     python -m repro fig11 table2      # specific sections
     python -m repro --list            # registered scenarios
     python -m repro --json fig13      # structured records instead of text
-    python -m repro --jobs 4 fig11    # shard sweeps over worker processes
+    python -m repro --jobs 4 memory_rare  # engine workers for Monte Carlo
     python -m repro fig13 --param target_error=1e-11
     python -m repro serve --port 8000 # HTTP estimation service
     python -m repro lint --all        # diagnostics over every scenario
@@ -66,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for sharded sweeps (results are identical "
+        help="decoding-engine worker processes for scenarios that shard "
+        "Monte-Carlo shots, such as memory_rare (results are identical "
         "for any N)",
     )
     parser.add_argument(

@@ -11,7 +11,8 @@ invisible to tests that pass by luck:
   with no seed is flagged as a warning (legitimate as a last-resort
   fallback, wrong anywhere results must reproduce).
 * **Worker-visible mutable module state** -- the one executor,
-  :class:`repro.obs.metrics.WorkerPool`, allows worker processes exactly
+  :class:`repro.obs.metrics.WorkerPool` (behind the decoding engine's
+  shard map), allows worker processes exactly
   one piece of module state: its per-process ``_WORKER`` dict.  Any other
   module-level name written from a function that runs inside a pool
   worker (a ``global`` rebind, or mutation of a module-level dict/list)

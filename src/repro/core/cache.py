@@ -27,8 +27,9 @@ module provides the process-wide cache those sweeps share:
   tree, used by the persistent result store to invalidate entries computed
   by older code and stamped into every ``ScenarioResult``'s metadata.
 
-Caches are per-process: ``multiprocessing`` sweep workers each build their
-own, which keeps results independent of the worker count.  Within a
+Caches are per-process: the decoding engine's worker processes each
+build their own, which keeps results independent of the worker count.
+Sweeps evaluate their points inline, so they share the caller's.  Within a
 process the layer is thread-safe: the bypass switch is thread-local (one
 thread measuring uncached timings does not stampede the service's worker
 threads), and the underlying ``lru_cache`` is safe under the GIL.

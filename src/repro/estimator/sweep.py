@@ -8,23 +8,11 @@ serial loop, this module provides:
   the cartesian product; :func:`zipped` aligns axes element-wise (for
   pre-paired parameter lists).  Point order is deterministic: cartesian
   products iterate the *last* axis fastest, like nested for-loops.
-* **Worker-invariant sharding** -- points are split into fixed-size shards
-  and mapped over a :class:`~repro.obs.metrics.WorkerPool` (the executor
-  the decoding engine uses too).  The shard layout depends only on
-  ``shard_size``, and shard results come back in shard order, so the
-  output is identical for 1 or N workers -- the point functions are
-  deterministic, and each worker process simply warms its own sub-model
-  cache.
-* **Measured serial fallback** -- spawning a pool costs real wall time
-  (process forks, point-function shipping); on grids whose total work
-  is smaller than that overhead, a pool can only lose to serial.
-  ``sweep`` probes the first two points inline, extrapolates the
-  remaining serial cost from the cheaper probe (the first point also
-  pays cold sub-model caches), and only spawns the pool when the
-  measured overhead (:func:`measured_pool_overhead`: a ``WorkerPool``
-  started and drained of one empty shard per worker, once per process
-  per worker count) is projected to pay for itself.  The fallback never
-  changes results -- only where they are computed.
+* **Inline evaluation** -- every point is evaluated in the calling
+  process, in grid order.  The analytic point functions cost
+  milliseconds, so a process pool cannot pay for its spawn; the
+  Monte-Carlo work that does pay for parallelism shards inside
+  :class:`~repro.decoder.engine.DecodingEngine` instead.
 * **Pruning hooks** -- :func:`minimize` runs branch-and-bound over the
   grid: a cheap, *sound* ``lower_bound(point)`` (never exceeding the true
   objective) lets dominated grid points be skipped without changing the
@@ -33,9 +21,7 @@ serial loop, this module provides:
 
 Point functions receive one ``dict`` mapping axis names to values and
 return either a ``dict`` of result fields (merged into the point record)
-or any other value (stored under ``"value"``).  For ``jobs > 1`` the
-function must be picklable: a module-level function, or a
-``functools.partial`` of one over picklable fixed arguments.
+or any other value (stored under ``"value"``).
 """
 
 from __future__ import annotations
@@ -54,23 +40,13 @@ from repro.obs.spans import span
 PointFn = Callable[[Dict[str, Any]], Any]
 Record = Dict[str, Any]
 
-DEFAULT_SHARD_SIZE = 16
-
-# Per-point timing lands in one histogram regardless of where the point
-# ran (inline probe, serial fallback, or pool worker shipping deltas), so
-# the sweep cost distribution is comparable across execution modes; the
-# mode counter records which path the serial fallback took, and the
-# evaluated/pruned counters quantify branch-and-bound effectiveness.
+# Per-point timing lands in one histogram; the evaluated/pruned counters
+# quantify branch-and-bound effectiveness.
 _POINT_SECONDS = _metrics.histogram(
     "repro_sweep_point_seconds", "Per-point evaluation latency in sweeps."
 )
 _POINTS = _metrics.counter(
     "repro_sweep_points_total", "Sweep grid points evaluated."
-)
-_SWEEP_RUNS = _metrics.counter(
-    "repro_sweep_runs_total",
-    "Sweep invocations by execution mode.",
-    ("mode",),
 )
 _MINIMIZE_EVALUATED = _metrics.counter(
     "repro_sweep_evaluated_total",
@@ -167,117 +143,22 @@ def _as_record(point: Dict[str, Any], result: Any) -> Record:
     return {**point, "value": result}
 
 
-def _point_state(fn: PointFn) -> PointFn:
-    """A pool worker's state: the sweep's point function."""
-    return fn
-
-
-def _run_shard(points: List[Dict[str, Any]], fn: PointFn) -> List[Record]:
-    if not _metrics.enabled():
-        return [_as_record(point, fn(point)) for point in points]
-    records: List[Record] = []
-    for point in points:
-        start = time.perf_counter()
-        records.append(_as_record(point, fn(point)))
-        _POINT_SECONDS.observe(time.perf_counter() - start)
-        _POINTS.inc()
-    return records
-
-
-def _shards(points: List[Dict[str, Any]], shard_size: int) -> List[List[Dict[str, Any]]]:
-    return [
-        points[i : i + shard_size] for i in range(0, len(points), shard_size)
-    ]
-
-
-# Measured pool-spawn overhead per worker count, calibrated at most once
-# per process (the calibration itself costs one pool spawn, amortized over
-# every later sweep in the process).  Tests may pre-seed this to force a
-# fallback decision either way.
-_CALIBRATION: Dict[int, float] = {}
-
-# Points probed inline before deciding serial vs pool.  Two probes let the
-# extrapolation use the cheaper one: the first probe also pays the cold
-# sub-model caches, which a parallel run would pay per worker anyway.
-_PROBE_POINTS = 2
-
-
-def measured_pool_overhead(jobs: int) -> float:
-    """Wall-clock seconds to spawn a ``jobs``-worker pool and drain one
-    empty shard per worker, measured once per process per worker count.
-
-    This is the break-even threshold the serial fallback compares the
-    projected sweep cost against -- a measurement on this machine, not a
-    magic constant.
-    """
-    if jobs not in _CALIBRATION:
-        start = time.perf_counter()
-        # Empty shards evaluate no point, so no point metric ships home.
-        with _metrics.WorkerPool(
-            jobs, initializer=_point_state, initargs=(None,)
-        ) as pool:
-            pool.map(_run_shard, [[] for _ in range(jobs)])
-        _CALIBRATION[jobs] = time.perf_counter() - start
-    return _CALIBRATION[jobs]
-
-
-def sweep(
-    fn: PointFn,
-    spec: GridSpec,
-    *,
-    jobs: int = 1,
-    shard_size: int = DEFAULT_SHARD_SIZE,
-) -> List[Record]:
-    """Evaluate ``fn`` at every grid point; returns one record per point.
-
-    Records preserve grid order regardless of ``jobs``: the shard layout is
-    a function of ``shard_size`` only and shard outputs are concatenated in
-    shard order, so serial and sharded runs are identical.
-
-    With ``jobs > 1``, the first :data:`_PROBE_POINTS` points are
-    evaluated inline and the rest of the grid only goes to a worker pool
-    when its projected serial cost exceeds the measured pool-spawn
-    overhead (:func:`measured_pool_overhead`); below that threshold the
-    pool can only lose wall time.  The records
-    are identical either way.
-    """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    if shard_size < 1:
-        raise ValueError("shard_size must be >= 1")
+def sweep(fn: PointFn, spec: GridSpec) -> List[Record]:
+    """Evaluate ``fn`` at every grid point, inline and in grid order;
+    returns one record per point."""
     points = spec.points()
     if not points:
         return []
-    with span("sweep", points=len(points), jobs=jobs):
-        if jobs == 1:
-            _SWEEP_RUNS.labels(mode="serial").inc()
-            return _run_shard(points, fn)
+    with span("sweep", points=len(points)):
+        if not _metrics.enabled():
+            return [_as_record(point, fn(point)) for point in points]
         records: List[Record] = []
-        per_point = math.inf
-        for point in points[:_PROBE_POINTS]:
+        for point in points:
             start = time.perf_counter()
-            records.extend(_run_shard([point], fn))
-            per_point = min(per_point, time.perf_counter() - start)
-        rest = points[_PROBE_POINTS:]
-        if not rest:
-            _SWEEP_RUNS.labels(mode="serial").inc()
-            return records
-        if per_point * len(rest) <= measured_pool_overhead(jobs):
-            _SWEEP_RUNS.labels(mode="serial").inc()
-            return records + _run_shard(rest, fn)
-        _SWEEP_RUNS.labels(mode="pooled").inc()
-        return records + _pooled(fn, rest, jobs, shard_size)
-
-
-def _pooled(
-    fn: PointFn, points: List[Dict[str, Any]], jobs: int, shard_size: int
-) -> List[Record]:
-    shards = _shards(points, shard_size)
-    with _metrics.WorkerPool(
-        min(jobs, len(shards)), initializer=_point_state, initargs=(fn,)
-    ) as pool:
-        shard_results = pool.map(_run_shard, shards)
-    return [record for shard in shard_results for record in shard]
+            records.append(_as_record(point, fn(point)))
+            _POINT_SECONDS.observe(time.perf_counter() - start)
+            _POINTS.inc()
+        return records
 
 
 RunPointFn = Callable[[Dict[str, Any], int, np.random.SeedSequence], Any]
@@ -338,6 +219,8 @@ def adaptive_shots(
         initial_shots = wave_shots
     if initial_shots < 1:
         raise ValueError("initial_shots must be >= 1")
+    if not 0.0 < level < 1.0:
+        raise ValueError("level must be in (0, 1)")
     points = spec.points()
     if not points:
         return []

@@ -9,8 +9,7 @@ idle error is comparable to gate error.
 
 All curves run through the estimation pipeline's sweep engine
 (:mod:`repro.estimator.sweep`): grid points share the memoized
-distance-search and factory-cycle sub-models, and ``jobs > 1`` shards the
-grid across worker processes with worker-invariant results.
+distance-search and factory-cycle sub-models.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ def factory_volume_vs_se_rounds(
     se_rounds: Sequence[float] = DEFAULT_SE_ROUNDS,
     target_ccz_error: float = 1.6e-11,
     physical: PhysicalParams = PhysicalParams(),
-    jobs: int = 1,
 ) -> Dict[float, float]:
     """Factory qubit-seconds per CCZ vs SE rounds per gate (Fig. 11(a,b)).
 
@@ -74,7 +72,6 @@ def factory_volume_vs_se_rounds(
             physical=physical,
         ),
         grid(alpha=(alpha,), se_rounds=tuple(se_rounds)),
-        jobs=jobs,
     )
     return {r["se_rounds"]: r["volume_qubit_seconds"] for r in records}
 
@@ -108,7 +105,6 @@ def idle_volume_vs_period(
     error: ErrorParams = ErrorParams(),
     physical: PhysicalParams = PhysicalParams(),
     max_distance: int = 201,
-    jobs: int = 1,
 ) -> Dict[float, Dict[float, float]]:
     """Relative storage volume vs SE period (Fig. 11(c)).
 
@@ -134,7 +130,6 @@ def idle_volume_vs_period(
             t_round=t_round,
         ),
         grid(rate_target=tuple(rate_targets), period=tuple(periods)),
-        jobs=jobs,
     )
     out: Dict[float, Dict[float, float]] = {t: {} for t in rate_targets}
     for r in records:
@@ -154,7 +149,6 @@ def idle_error_vs_period(
     gate_error_rates: Sequence[float] = (5e-4, 1e-3, 2e-3),
     periods: Sequence[float] | None = None,
     physical: PhysicalParams = PhysicalParams(),
-    jobs: int = 1,
 ) -> Dict[float, Dict[float, float]]:
     """Error-rate curves for different gate-error rates (Fig. 11(d))."""
     if periods is None:
@@ -162,7 +156,6 @@ def idle_error_vs_period(
     records = sweep(
         partial(_idle_error_point, distance=distance, physical=physical),
         grid(gate_error=tuple(gate_error_rates), period=tuple(periods)),
-        jobs=jobs,
     )
     out: Dict[float, Dict[float, float]] = {p: {} for p in gate_error_rates}
     for r in records:
@@ -189,7 +182,6 @@ def _build_fig11(
             physical=PhysicalParams(),
         ),
         grid(alpha=FACTORY_ALPHAS, se_rounds=DEFAULT_SE_ROUNDS),
-        jobs=jobs,
     )
     return ScenarioResult(
         scenario="fig11",
@@ -216,7 +208,7 @@ def _build_fig11_idle(
     jobs: int = 1,
     max_distance: int = 201,
 ) -> ScenarioResult:
-    curves = idle_volume_vs_period(max_distance=max_distance, jobs=jobs)
+    curves = idle_volume_vs_period(max_distance=max_distance)
     records = [
         {"rate_target": target, "period": period, "volume": volume}
         for target, curve in curves.items()

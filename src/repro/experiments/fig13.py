@@ -49,13 +49,11 @@ def volume_vs_alpha(
     alphas: Sequence[float] = DEFAULT_ALPHAS,
     target_error: float = 1e-12,
     base: ArchitectureConfig = ArchitectureConfig(),
-    jobs: int = 1,
 ) -> Dict[float, float]:
     """Space-time volume (Mqubit-days) vs decoding factor."""
     records = sweep(
         partial(_alpha_point, target_error=target_error, base=base),
         grid(alpha=tuple(alphas)),
-        jobs=jobs,
     )
     return {r["alpha"]: r["volume_mq_days"] for r in records}
 
@@ -79,7 +77,6 @@ def _coherence_point(point: dict, base: ArchitectureConfig) -> dict:
 def volume_vs_coherence(
     coherence_times: Sequence[float] = DEFAULT_COHERENCE_TIMES,
     base: ArchitectureConfig = ArchitectureConfig(),
-    jobs: int = 1,
 ) -> Dict[float, float]:
     """Volume vs coherence time; the storage SE period re-optimizes.
 
@@ -89,7 +86,6 @@ def volume_vs_coherence(
     records = sweep(
         partial(_coherence_point, base=base),
         grid(coherence_time=tuple(coherence_times)),
-        jobs=jobs,
     )
     return {r["coherence_time"]: r["volume_mq_days"] for r in records}
 
@@ -153,12 +149,10 @@ def _build_fig13(jobs: int = 1, target_error: float = 1e-12) -> ScenarioResult:
     alpha_records = sweep(
         partial(_alpha_point, target_error=target_error, base=base),
         grid(alpha=DEFAULT_ALPHAS),
-        jobs=jobs,
     )
     coherence_records = sweep(
         partial(_coherence_point, base=base),
         grid(coherence_time=DEFAULT_COHERENCE_TIMES),
-        jobs=jobs,
     )
     records = tuple(
         [{"kind": "alpha", **r} for r in alpha_records]

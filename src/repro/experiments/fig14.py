@@ -7,8 +7,7 @@ down to ~15 M qubits.
 
 Each panel is a declarative sweep through
 :mod:`repro.estimator.sweep`; the factoring sub-models are memoized across
-panels, and ``jobs > 1`` shards any panel's grid with worker-invariant
-results.
+panels.
 """
 
 from __future__ import annotations
@@ -41,13 +40,11 @@ def _acceleration_point(point: dict, base: ArchitectureConfig) -> dict:
 def volume_vs_acceleration(
     rescales: Sequence[float] = DEFAULT_RESCALES,
     base: ArchitectureConfig = ArchitectureConfig(),
-    jobs: int = 1,
 ) -> Dict[float, float]:
     """Space-time volume (Mq-days) vs acceleration multiplier."""
     records = sweep(
         partial(_acceleration_point, base=base),
         grid(rescale=tuple(rescales)),
-        jobs=jobs,
     )
     return {r["rescale"]: r["volume_mq_days"] for r in records}
 
@@ -65,7 +62,6 @@ def qec_round_vs_acceleration(
     rescales: Sequence[float] = DEFAULT_RESCALES,
     base: ArchitectureConfig = ArchitectureConfig(),
     code_distance: int = 27,
-    jobs: int = 1,
 ) -> Dict[float, float]:
     """Move-limited QEC-cycle duration vs acceleration (Fig. 14(b)).
 
@@ -76,7 +72,6 @@ def qec_round_vs_acceleration(
     records = sweep(
         partial(_qec_round_point, base=base, code_distance=code_distance),
         grid(rescale=tuple(rescales)),
-        jobs=jobs,
     )
     return {r["rescale"]: r["qec_round_s"] for r in records}
 
@@ -95,13 +90,11 @@ def _reaction_point(point: dict, base: ArchitectureConfig) -> dict:
 def volume_vs_reaction_time(
     reaction_times: Sequence[float] = DEFAULT_REACTION_TIMES,
     base: ArchitectureConfig = ArchitectureConfig(),
-    jobs: int = 1,
 ) -> Dict[float, float]:
     """Volume vs reaction time; decreasing t_r helps until fan-out binds."""
     records = sweep(
         partial(_reaction_point, base=base),
         grid(reaction_time=tuple(reaction_times)),
-        jobs=jobs,
     )
     return {r["reaction_time"]: r["volume_mq_days"] for r in records}
 
@@ -118,7 +111,6 @@ def _tradeoff_point(point: dict, base: ArchitectureConfig) -> dict:
 def qubit_time_tradeoff(
     runway_separations: Sequence[int] = DEFAULT_RUNWAY_SEPARATIONS,
     base: ArchitectureConfig = ArchitectureConfig(),
-    jobs: int = 1,
 ) -> List[Tuple[float, float]]:
     """(Mqubits, days) frontier traced by the runway separation.
 
@@ -128,7 +120,6 @@ def qubit_time_tradeoff(
     records = sweep(
         partial(_tradeoff_point, base=base),
         grid(runway_separation=tuple(runway_separations)),
-        jobs=jobs,
     )
     return [(r["megaqubits"], r["days"]) for r in records]
 
@@ -141,12 +132,10 @@ def _build_fig14(jobs: int = 1) -> ScenarioResult:
     accel = sweep(
         partial(_acceleration_point, base=base),
         grid(rescale=DEFAULT_RESCALES),
-        jobs=jobs,
     )
     tradeoff = sweep(
         partial(_tradeoff_point, base=base),
         grid(runway_separation=DEFAULT_RUNWAY_SEPARATIONS),
-        jobs=jobs,
     )
     records = tuple(
         [{"kind": "acceleration", **r} for r in accel]

@@ -44,7 +44,6 @@ def _ge_point(point: dict) -> dict:
 def generate(
     config: ArchitectureConfig = ArchitectureConfig(),
     ge_reaction_times=DEFAULT_GE_REACTION_TIMES,
-    jobs: int = 1,
 ) -> List[Fig2Point]:
     """All points of the comparison figure."""
     points: List[Fig2Point] = []
@@ -54,7 +53,7 @@ def generate(
                   ours.runtime_seconds / 86400.0)
     )
     for r in sweep(
-        _ge_point, grid(reaction_time=tuple(ge_reaction_times)), jobs=jobs,
+        _ge_point, grid(reaction_time=tuple(ge_reaction_times)),
     ):
         points.append(Fig2Point(r["label"], r["megaqubits"], r["days"]))
     bev = beverland_atom_estimate()
@@ -82,7 +81,7 @@ def render(points: List[Fig2Point]) -> str:
 
 
 def _build_fig2(jobs: int = 1) -> ScenarioResult:
-    points = generate(jobs=jobs)
+    points = generate()
     return ScenarioResult(
         scenario="fig2",
         records=tuple(

@@ -108,13 +108,11 @@ def generate_fig6b(
     error: ErrorParams = ErrorParams(),
     se_rounds_per_cnot: Sequence[float] = DEFAULT_SE_ROUNDS_PER_CNOT,
     target_error: float = 1e-12,
-    jobs: int = 1,
 ) -> Dict[float, float]:
     """Volume per CNOT vs SE rounds per CNOT (x = 1/rounds)."""
     records = sweep(
         partial(_fig6b_point, error=error, target_error=target_error),
         grid(se_rounds=tuple(se_rounds_per_cnot)),
-        jobs=jobs,
     )
     return {r["se_rounds"]: r["volume"] for r in records}
 
@@ -133,7 +131,6 @@ def _build_fig6b(jobs: int = 1, target_error: float = 1e-12) -> ScenarioResult:
     records = sweep(
         partial(_fig6b_point, error=ErrorParams(), target_error=target_error),
         grid(se_rounds=DEFAULT_SE_ROUNDS_PER_CNOT),
-        jobs=jobs,
     )
     return ScenarioResult(
         scenario="fig6b",

@@ -14,7 +14,7 @@ from repro.experiments import fig2
 
 def _build_headline(jobs: int = 1) -> ScenarioResult:
     est = estimate_factoring()
-    points = fig2.generate(jobs=jobs)
+    points = fig2.generate()
     records = [{
         "kind": "headline",
         "physical_qubits": est.physical_qubits,

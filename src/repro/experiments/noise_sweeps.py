@@ -94,7 +94,6 @@ def _build_memory_biased(
             basis=basis,
         ),
         grid(bias=DEFAULT_BIASES),
-        jobs=jobs,
     )
     return ScenarioResult(
         scenario="memory_biased",
@@ -133,7 +132,6 @@ def _build_memory_movement(
             distance=distance, rounds=rounds, p=p, shots=shots, seed=seed,
         ),
         grid(coherence_time=DEFAULT_COHERENCE_TIMES),
-        jobs=jobs,
     )
     return ScenarioResult(
         scenario="memory_movement",

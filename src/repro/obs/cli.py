@@ -5,9 +5,10 @@ Two modes:
 * ``repro metrics --url http://host:8000`` -- fetch the service's
   ``/metrics``, validate it with the strict exposition parser (so a
   malformed payload is an error here, not in a scraper), and echo it.
-* ``repro metrics fig11 --jobs 4`` -- run scenarios in-process with the
-  registry live, then echo the resulting exposition; the quickest way to
-  see engine/sweep/cache series for one workload.
+* ``repro metrics fig11`` -- run scenarios in-process with the registry
+  live, then echo the resulting exposition; the quickest way to see
+  engine/sweep/cache series for one workload.  Scenario names, ``--jobs``
+  and ``--param`` keys are validated before anything runs.
 """
 
 from __future__ import annotations
@@ -38,7 +39,9 @@ def metrics_main(argv: List[str]) -> int:
     )
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for in-process scenario runs",
+        help="decoding-engine worker processes for scenarios that shard "
+        "Monte-Carlo shots, such as memory_rare (results are identical "
+        "for any N)",
     )
     parser.add_argument(
         "--param",
@@ -48,6 +51,8 @@ def metrics_main(argv: List[str]) -> int:
         help="scenario parameter override (repeatable)",
     )
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error("--jobs must be >= 1")
 
     if args.url is not None:
         if args.scenarios:
@@ -71,9 +76,17 @@ def metrics_main(argv: List[str]) -> int:
         params[key] = parse_override_value(raw)
 
     if args.scenarios:
-        from repro.estimator.registry import get_scenario
+        from repro.estimator.registry import UnknownParamsError, get_scenario
 
+        scenarios = []
         for name in args.scenarios:
-            get_scenario(name).run(jobs=args.jobs, **params)
+            try:
+                scenario = get_scenario(name)
+                scenario.validate_params(params)
+            except (KeyError, UnknownParamsError) as exc:
+                parser.error(exc.args[0])
+            scenarios.append(scenario)
+        for scenario in scenarios:
+            scenario.run(jobs=args.jobs, **params)
     echo(render_prometheus().rstrip("\n"))
     return 0

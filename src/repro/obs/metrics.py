@@ -4,17 +4,16 @@ The measurement substrate for every hot subsystem (decoding engine,
 periodic compiler, sweep engine, HTTP service).  Design constraints, in
 order:
 
-* **Worker-count invariance** -- the engines ship work to
-  ``multiprocessing`` pools, and PR 1's contract is that results never
+* **Worker-count invariance** -- the decoding engine ships shards to a
+  ``multiprocessing`` pool, and PR 1's contract is that results never
   depend on the worker count.  Telemetry extends that contract: a worker
   captures :func:`snapshot` before a shard, computes the
   :func:`delta_since` after, and ships the delta home with the shard
   result; the parent :func:`merge`\\ s it (:class:`WorkerPool`, the one
-  executor behind the engine's and the sweep's shard maps, runs this
-  protocol over its worker processes).  Counters and histogram bucket
-  arrays are pure sums, so ``jobs=1`` and ``jobs=4`` merge to identical
-  deterministic series (wall-clock-valued series differ in *value*, never
-  in shape).
+  executor, behind the engine's shard map, runs this protocol over its
+  worker processes).  Counters and histogram bucket arrays are pure sums,
+  so ``workers=1`` and ``workers=4`` merge to identical deterministic
+  series (wall-clock-valued series differ in *value*, never in shape).
 * **Mergeable histograms** -- fixed bucket bounds chosen at creation;
   observation lands in one bucket, merging is element-wise addition, and
   percentiles are interpolated from the cumulative bucket counts

@@ -278,3 +278,45 @@ class TestLintCLI:
         proc = self._run_lint("fig13", "--source", "--fail-on", "warning")
         assert proc.returncode == 1
         assert "default_rng" in proc.stdout
+
+
+class TestMetricsCLI:
+    """python -m repro metrics: outside input is rejected before any run."""
+
+    @staticmethod
+    def _usage_error(monkeypatch, capsys, *argv):
+        from repro.estimator.registry import Scenario
+        from repro.obs.cli import metrics_main
+
+        def forbidden_run(self, *args, **kwargs):
+            raise AssertionError(f"scenario {self.name!r} must not run")
+
+        monkeypatch.setattr(Scenario, "run", forbidden_run)
+        with pytest.raises(SystemExit) as excinfo:
+            metrics_main(list(argv))
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err
+
+    @pytest.mark.parametrize("name", ["table2", "fig11"])
+    def test_jobs_below_one_rejected(self, name, monkeypatch, capsys):
+        err = self._usage_error(monkeypatch, capsys, name, "--jobs", "0")
+        assert "--jobs must be >= 1" in err
+
+    def test_unknown_scenario_rejected(self, monkeypatch, capsys):
+        err = self._usage_error(monkeypatch, capsys, "table2", "nosuch")
+        assert "unknown scenario 'nosuch'" in err
+
+    def test_unknown_param_rejected(self, monkeypatch, capsys):
+        err = self._usage_error(
+            monkeypatch, capsys, "fig11", "--param", "bogus=1"
+        )
+        assert "does not accept parameter(s) 'bogus'" in err
+
+    def test_valid_run_dumps_sweep_series(self, capsys):
+        from repro.obs.cli import metrics_main
+
+        assert metrics_main(["fig13", "--jobs", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "repro_sweep_points_total" in out

@@ -1,12 +1,12 @@
-"""Literal engine and sweep outcomes at one and two workers.
+"""Literal engine outcomes at one and two workers, and sweep records.
 
-Every Monte-Carlo number reaches the estimator through the engine's or
-the sweep's shard maps.  These pins fix what ``run``, ``run_until`` and
+Every Monte-Carlo number reaches the estimator through the engine's
+shard map.  These pins fix what ``run``, ``run_until`` and
 ``run_until_rel_error`` return (every :class:`EngineResult` field, float
 sums compared as ``float.hex``), how far an early stop samples past its
-stop, the defect batch ``collect`` ships home, and the sweep's records
-through its worker pool.  A change to how shards are dispatched must
-leave every value as it is.
+stop, the defect batch ``collect`` ships home, and the records of a sweep
+over engine runs.  A change to how shards are dispatched must leave
+every value as it is.
 """
 
 import dataclasses
@@ -18,7 +18,6 @@ import pytest
 
 from repro.decoder.engine import DecodingEngine
 from repro.estimator.rare import rare_engine
-from repro.obs import metrics
 from repro.sim.memory import memory_circuit
 
 # `repro.estimator.sweep` the *attribute* is shadowed by the function.
@@ -147,16 +146,8 @@ def _engine_point(point):
 SWEEP_PINNED = [10, 3, 15, 23, 41, 39]
 
 
-def test_sweep_records_pooled_match_serial(monkeypatch):
-    # A zero measured overhead forces the pooled path for every grid.
-    monkeypatch.setitem(sweep_module._CALIBRATION, 2, 0.0)
+def test_sweep_records_pinned():
     spec = sweep_module.grid(p=(5e-3, 1e-2, 2e-2), seed=(1, 2))
-    pooled_runs = sweep_module._SWEEP_RUNS.labels(mode="pooled")
-    before = pooled_runs.value
-    serial = sweep_module.sweep(_engine_point, spec, jobs=1)
-    pooled = sweep_module.sweep(_engine_point, spec, jobs=2, shard_size=2)
-    if metrics.enabled():
-        assert pooled_runs.value == before + 1
-    assert pooled == serial
-    assert [r["shards"] for r in serial] == [4] * 6
-    assert [r["failures"] for r in serial] == SWEEP_PINNED
+    records = sweep_module.sweep(_engine_point, spec)
+    assert [r["shards"] for r in records] == [4] * 6
+    assert [r["failures"] for r in records] == SWEEP_PINNED

@@ -512,6 +512,21 @@ class TestAdaptiveShots:
                 total_shots=0, wave_shots=100,
             )
 
+    @pytest.mark.parametrize("level", [0.0, 1.0, -0.5, 1.5])
+    def test_level_rejected_before_any_wave(self, level):
+        calls = []
+
+        def recording_run_point(point, shots, seq):
+            calls.append(point)
+            return _binomial_run_point(point, shots, seq)
+
+        with pytest.raises(ValueError, match="level"):
+            adaptive_shots(
+                recording_run_point, grid(p=[0.1, 0.2]),
+                total_shots=1000, wave_shots=100, level=level,
+            )
+        assert calls == []
+
     def test_wave_seeds_are_order_independent(self):
         # The (point, wave) seed stream is a pure function of the grid
         # index and wave ordinal: reordering *other* axes' allocation

@@ -13,14 +13,13 @@ import importlib
 # `repro.estimator.sweep` the *attribute* is shadowed by the function of
 # the same name re-exported from the package __init__.
 sweep_module = importlib.import_module("repro.estimator.sweep")
-# The one executor, WorkerPool, is the only place a pool is built.
+# WorkerPool, the only place a pool is built, lives here.
 metrics_module = importlib.import_module("repro.obs.metrics")
 
 from repro.estimator.sweep import (
     Axis,
     GridSpec,
     grid,
-    measured_pool_overhead,
     minimize,
     sweep,
     zipped,
@@ -86,85 +85,33 @@ class TestSweep:
         records = sweep(lambda p: p["x"] + 1, grid(x=(1, 2)))
         assert records == [{"x": 1, "value": 2}, {"x": 2, "value": 3}]
 
-    def test_shard_count_invariance(self):
-        spec = grid(x=tuple(range(10)), y=tuple(range(7)))
-        serial = sweep(_pair_point, spec, jobs=1)
-        for jobs, shard_size in ((2, 4), (3, 16), (4, 1)):
-            sharded = sweep(_pair_point, spec, jobs=jobs, shard_size=shard_size)
-            assert sharded == serial
+    def test_sweep_never_starts_a_process(self, monkeypatch):
+        # Slow points and a multi-point grid: nothing may reach for a pool.
+        monkeypatch.setattr(
+            metrics_module.multiprocessing, "Pool", _forbidden_pool
+        )
+        spec = grid(x=tuple(range(6)), y=(1, 2))
+        before = sweep_module._POINTS.value
+        records = sweep(partial(_slow_point, _pair_point), spec)
+        assert records == [
+            {**point, "product": point["x"] * point["y"]}
+            for point in spec.points()
+        ]
+        if metrics_module.enabled():
+            assert sweep_module._POINTS.value == before + len(spec)
 
-    def test_invalid_jobs_rejected(self):
-        with pytest.raises(ValueError):
-            sweep(_square_point, grid(x=(1,)), jobs=0)
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_concurrent_inline_sweeps_keep_their_point_functions(
-        self, jobs, monkeypatch
-    ):
-        # Threads sweep different point functions inline at once (jobs=1,
-        # or the jobs=2 serial fallback); the sleeps interleave their
-        # points, so any shared worker slot would swap functions.
-        monkeypatch.setitem(sweep_module._CALIBRATION, 2, 3600.0)
+    def test_concurrent_inline_sweeps_keep_their_point_functions(self):
+        # Threads sweep different point functions inline at once; the
+        # sleeps interleave their points, so any shared slot would swap
+        # functions.
         spec = grid(x=tuple(range(6)), y=(1, 2))
         functions = [partial(_slow_point, _square_point),
                      partial(_slow_point, _pair_point),
                      partial(_slow_point, lambda point: -point["x"])]
         serial = [sweep(fn, spec) for fn in functions]
         with ThreadPoolExecutor(len(functions)) as pool:
-            futures = [pool.submit(sweep, fn, spec, jobs=jobs) for fn in functions]
+            futures = [pool.submit(sweep, fn, spec) for fn in functions]
             assert [f.result(timeout=60) for f in futures] == serial
-
-
-class TestAutoSerialFallback:
-    """Small grids must not pay pool-spawn overhead they cannot recoup."""
-
-    def test_small_grid_stays_serial(self, monkeypatch):
-        # Huge measured overhead -> the projection always picks serial; a
-        # pool spawn would blow up via the poisoned Pool.
-        monkeypatch.setitem(sweep_module._CALIBRATION, 2, 3600.0)
-        monkeypatch.setattr(
-            metrics_module.multiprocessing, "Pool", _forbidden_pool
-        )
-        records = sweep(_square_point, grid(x=(1, 2, 3, 4)), jobs=2)
-        assert records == [
-            {"x": 1, "square": 1},
-            {"x": 2, "square": 4},
-            {"x": 3, "square": 9},
-            {"x": 4, "square": 16},
-        ]
-
-    def test_expensive_grid_goes_parallel(self, monkeypatch):
-        # Zero measured overhead -> any nonzero projected work parallelizes.
-        monkeypatch.setitem(sweep_module._CALIBRATION, 2, 0.0)
-        serial = sweep(_pair_point, grid(x=tuple(range(6)), y=(1, 2)), jobs=1)
-        sharded = sweep(
-            _pair_point, grid(x=tuple(range(6)), y=(1, 2)), jobs=2, shard_size=3
-        )
-        assert sharded == serial
-
-    def test_probe_only_grid(self, monkeypatch):
-        # Grids no larger than the probe count never consult the pool.
-        monkeypatch.setattr(
-            metrics_module.multiprocessing, "Pool", _forbidden_pool
-        )
-        assert sweep(_square_point, grid(x=(1, 2)), jobs=4) == [
-            {"x": 1, "square": 1},
-            {"x": 2, "square": 4},
-        ]
-
-    def test_measured_overhead_memoized(self, monkeypatch):
-        monkeypatch.setitem(sweep_module._CALIBRATION, 7, 1.25)
-        monkeypatch.setattr(
-            metrics_module.multiprocessing, "Pool", _forbidden_pool
-        )
-        assert measured_pool_overhead(7) == 1.25
-
-    def test_calibration_measures_real_overhead(self):
-        sweep_module._CALIBRATION.pop(2, None)
-        overhead = measured_pool_overhead(2)
-        assert overhead > 0.0
-        # Memoized: a second call returns the same measurement.
-        assert measured_pool_overhead(2) == overhead
 
 
 def _forbidden_pool(*args, **kwargs):
@@ -306,13 +253,27 @@ class TestOptimizerSweep:
         assert result.parameters.runway_separation == 96
 
 
+# memory_rare is the one scenario whose ``jobs`` runs work in parallel
+# (as its engines' workers); 1600-shot waves span two 1024-shot shards.
+# The analytic scenarios ignore ``jobs``.
+_SHARDING_PARAMS = {
+    "memory_rare": dict(
+        distances=(3,), ps=(3e-3, 1e-3), total_shots=4800,
+        wave_shots=1600, initial_shots=1600,
+    ),
+}
+
+
 class TestScenarioSharding:
-    @pytest.mark.parametrize("name", ["fig11", "fig13", "fig14", "fig6b"])
+    @pytest.mark.parametrize(
+        "name", ["fig11", "fig13", "fig14", "fig6b", "memory_rare"]
+    )
     def test_sharded_matches_serial(self, name):
         from repro.estimator.registry import run_scenario
 
-        serial = run_scenario(name, jobs=1)
-        sharded = run_scenario(name, jobs=2)
+        params = _SHARDING_PARAMS.get(name, {})
+        serial = run_scenario(name, jobs=1, **params)
+        sharded = run_scenario(name, jobs=2, **params)
         assert serial.records == sharded.records
         assert serial.metadata == sharded.metadata
 
